@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled jet kernels against the pure-python fallback.
+"""Benchmark the jet kernels and a few per-point workloads.
 
-Times the two raw kernels on representative table sizes, then a realistic
-workload (profile jets of the funk metric, flag curvature evaluations, and
-one ambient order-3 jet batch).  Run from the repository root:
+Times a jet product and a series composition (sqrt) on representative
+table sizes, for one-point jets and for 15-point batched jets (one
+Gauss-Legendre panel), then a realistic workload (profile jets of the funk
+metric, flag curvature evaluations, and one ambient order-3 jet batch).
+Run from the repository root:
 
-    python benchmarks/bench_jets.py [--repeat N]
+    PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
 """
 
 import argparse
@@ -14,13 +16,10 @@ import time
 
 import numpy as np
 
-from finslercheck import _jet_core_py
+from finslercheck.jets import Jet, sqrt
 from finslercheck._multi_index import coeff_count, product_table
 
-try:
-    from finslercheck import _jet_core
-except ImportError:
-    _jet_core = None
+BATCH = 15
 
 
 def time_fn(fn, repeat):
@@ -36,32 +35,20 @@ def time_fn(fn, repeat):
 def bench_kernels(repeat):
     rows = []
     for nvars, order in [(3, 2), (3, 3), (4, 3), (8, 3)]:
-        left, right, target = product_table(nvars, order)
         n = coeff_count(nvars, order)
         rng = np.random.default_rng(12345)
-        a, b = rng.uniform(-2, 2, n), rng.uniform(-2, 2, n)
-        out = np.empty(n)
-        impls = {"pure": _jet_core_py}
-        if _jet_core is not None:
-            impls["compiled"] = _jet_core
         times = {}
-        for label, impl in impls.items():
-            times[f"mul/{label}"] = time_fn(
-                lambda impl=impl: impl.mul(a, b, out, left, right, target), repeat
-            )
-            times[f"compose/{label}"] = time_fn(
-                lambda impl=impl: impl.compose(
-                    1.1, 0.7, -0.3, 0.2, a, out, left, right, target, order
-                ),
-                repeat,
-            )
-        rows.append((nvars, order, len(left), times))
+        for label, shape in (("1", (n,)), (str(BATCH), (n, BATCH))):
+            a = Jet(nvars, order, rng.uniform(-2, 2, shape))
+            b = Jet(nvars, order, rng.uniform(-2, 2, shape))
+            a.coeffs[0] = 1.5  # a positive value row for sqrt
+            times[f"mul/{label}"] = time_fn(lambda: a * b, repeat)
+            times[f"sqrt/{label}"] = time_fn(lambda: sqrt(a), repeat)
+        rows.append((nvars, order, len(product_table(nvars, order)[0]), times))
     return rows
 
 
 def bench_workload():
-    """End-to-end numbers with whichever backend is active in this process."""
-    from finslercheck import backend_name
     from finslercheck.metrics import builtin
     from finslercheck.projective import flag_curvature
     from finslercheck.sampling import SampleSpec, sample_domain
@@ -87,7 +74,7 @@ def bench_workload():
         killing_tensor_max_residual(bryant, s.x, s.y)
     tensor_time = (time.perf_counter() - t0) / len(samples4)
 
-    return backend_name(), jet_time, lam_time, tensor_time
+    return jet_time, lam_time, tensor_time
 
 
 def main():
@@ -95,29 +82,17 @@ def main():
     parser.add_argument("--repeat", type=int, default=20000, help="kernel loop count")
     args = parser.parse_args()
 
-    if _jet_core is None:
-        print("note: compiled kernels not built; showing the pure backend only\n")
-
-    print("raw kernels (seconds per call):")
-    header = f"{'m':>2} {'order':>5} {'pairs':>6}"
-    labels = ["mul/pure", "compose/pure"]
-    if _jet_core is not None:
-        labels += ["mul/compiled", "compose/compiled"]
-    print(header + "".join(f" {l:>17}" for l in labels + (["speedup(mul)"] if _jet_core else [])))
+    print("jet kernels (seconds per call; 1 point and a batch of 15):")
+    labels = ["mul/1", "sqrt/1", f"mul/{BATCH}", f"sqrt/{BATCH}"]
+    print(f"{'m':>2} {'order':>5} {'pairs':>6}" + "".join(f" {l:>11}" for l in labels))
     for nvars, order, pairs, times in bench_kernels(args.repeat):
-        row = f"{nvars:>2} {order:>5} {pairs:>6}"
-        for label in labels:
-            row += f" {times[label]:>17.3e}"
-        if _jet_core is not None:
-            row += f" {times['mul/pure'] / times['mul/compiled']:>12.1f}x"
-        print(row)
+        print(f"{nvars:>2} {order:>5} {pairs:>6}" + "".join(f" {times[l]:>11.3e}" for l in labels))
 
-    backend, jet_time, lam_time, tensor_time = bench_workload()
-    print(f"\nworkload with the '{backend}' backend:")
+    jet_time, lam_time, tensor_time = bench_workload()
+    print("\nworkload:")
     print(f"  funk profile jet (order 2)      {jet_time * 1e6:9.1f} us/point")
     print(f"  flag curvature evaluation       {lam_time * 1e6:9.1f} us/point")
     print(f"  bryant n=4 Killing tensor scan  {tensor_time * 1e3:9.2f} ms/point")
-    print("\nrun FINSLERCHECK_PURE=1 python benchmarks/bench_jets.py to force the fallback")
 
 
 if __name__ == "__main__":

@@ -1,26 +1,3 @@
-import os
+from setuptools import setup
 
-from setuptools import Extension, setup
-
-# The compiled jet kernels are an optional speedup: the package falls back
-# to the pure-python kernels when the extension is absent.
-# -ffp-contract=off keeps the compiled kernels bit-identical to the fallback.
-ext_modules = []
-if os.environ.get("FINSLERCHECK_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "finslercheck._jet_core",
-                    ["src/finslercheck/_jet_core.pyx"],
-                    extra_compile_args=["-O3", "-ffp-contract=off"],
-                )
-            ],
-            compiler_directives={"language_level": "3"},
-        )
-    except ImportError:
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup()

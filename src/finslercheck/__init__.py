@@ -6,7 +6,7 @@ symmetry, strong convexity, projectivity and constant flag curvature by
 forward-mode jet differentiation and residual evaluation.
 """
 
-from .jets import Jet, JetDomainError, backend_name, lift_var
+from .jets import Jet, JetDomainError, lift_var
 from .expr import parse, evaluate, serialize
 from .metrics import (
     GeneralMetric,
@@ -23,7 +23,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Jet",
     "JetDomainError",
-    "backend_name",
     "lift_var",
     "parse",
     "evaluate",

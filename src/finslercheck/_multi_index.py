@@ -66,8 +66,8 @@ def dense_scatter(nvars: int, order: int, degree: int):
 def product_table(nvars: int, order: int):
     """Accumulation triples (left, right, target) with target = left merged right.
 
-    Enumerated left-major so every kernel backend accumulates in the same
-    order, keeping results bit-identical across backends.
+    Enumerated left-major; products accumulate each target slot in this
+    order, which pins their rounding.
     """
     tuples = index_tuples(nvars, order)
     pos = position_map(nvars, order)

@@ -30,7 +30,7 @@ import json
 import math
 import sys
 
-from .checks import CHECK_NAMES, ConfigError, run_check
+from .checks import CHECK_NAMES, ConfigError, profile_of, run_check
 from .expr import ParseError
 from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
 from .metrics import GeneralMetric, builtin, builtin_names
@@ -147,9 +147,10 @@ def run_config(
                 raise ConfigError(f"unknown check '{name}' in tolerances{_suggest(name, CHECK_NAMES)}")
         samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
+        profile = profile_of(metric, samples)
         for name, params in checks:
             report.records.extend(
-                run_check(name, metric, samples, params, tolerances, dump_dir=dump_dir)
+                run_check(name, metric, samples, params, tolerances, dump_dir, profile)
             )
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -114,27 +114,27 @@ class _CompiledFamily:
             )
 
 
-def _integrand_coeffs(fam: _CompiledFamily, t: float, r: float, v: float, order: int) -> np.ndarray:
-    """Taylor coefficients in (r, v) of f(v^2/t^2 - r^2) at fixed t."""
+def _integrand_coeffs(fam: _CompiledFamily, t: np.ndarray, r: float, v: float, order: int) -> np.ndarray:
+    """Taylor coefficients in (r, v) of f(v^2/t^2 - r^2), one column per node in t."""
     rj = lift_var(0, r, 2, order)
     vj = lift_var(1, v, 2, order)
-    s = vj * vj * (1.0 / (t * t)) - rj * rj
-    return expr_mod.evaluate(fam.f_ast, {"t": s}).coeffs
+    s = (vj * vj).coeffs[:, None] * (1.0 / (t * t)) - (rj * rj).coeffs[:, None]
+    c = expr_mod.evaluate(fam.f_ast, {"t": Jet(2, order, s)}).coeffs
+    # an f free of t evaluates to a one-point jet: the same column at every node
+    return np.broadcast_to(c if c.ndim == 2 else c[:, None], s.shape)
 
 
 def _gauss_panel(fam, a: float, b: float, r: float, v: float, order: int):
-    """(panel integral, integral of |coefficients|) over [a, b]."""
+    """(panel integral, integral of |coefficients|) over [a, b].
+
+    All 15 nodes go through one batched integrand jet; the weighted columns
+    are summed in node order (a running sum, not a pairwise reduction).
+    """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    acc = acc_abs = None
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        c = _integrand_coeffs(fam, mid + half * node, r, v, order)
-        if acc is None:
-            acc = weight * c
-            acc_abs = weight * np.abs(c)
-        else:
-            acc += weight * c
-            acc_abs += weight * np.abs(c)
+    c = _integrand_coeffs(fam, mid + half * _GL_NODES, r, v, order)
+    acc = np.cumsum(_GL_WEIGHTS * c, axis=1)[:, -1]
+    acc_abs = np.cumsum(_GL_WEIGHTS * np.abs(c), axis=1)[:, -1]
     return half * acc, half * acc_abs
 
 

@@ -24,49 +24,38 @@ from .jets import JetDomainError
 from .metrics import (
     MetricDomainError,
     MetricSample,
-    R,
+    ProfileBundle,
     SphericalMetric,
-    U,
-    V,
-    fundamental_tensor,
+    energy_ambient_jet,
+    first_derivatives,
 )
+from .projective import q_of, rapcsak_terms
 
 
 class NotStronglyConvexError(ValueError):
     """g failed its symmetric factorization: the metric is not strongly convex here."""
 
 
-def _energy_derivative_sides(metric, sample: MetricSample):
-    """([F^2]_{x^k y^l} y^k - [F^2]_{x^l}) as an n-vector."""
-    if isinstance(metric, SphericalMetric):
-        p = metric.phi_jet(sample.r, sample.u, sample.v, order=2)
-        phi = p.value
-        phi_r, phi_u, phi_v = p.gradient()
-        e_r = 2.0 * phi * phi_r
-        e_ru = 2.0 * (phi_r * phi_u + phi * p.partial(R, U))
-        e_rv = 2.0 * (phi_r * phi_v + phi * p.partial(R, V))
-        e_uv = 2.0 * (phi_u * phi_v + phi * p.partial(U, V))
-        e_vv = 2.0 * (phi_v * phi_v + phi * p.partial(V, V))
-        r, u, v = sample.r, sample.u, sample.v
-        if r == 0.0:
-            # x = 0 kills every x-proportional term, and v = <x,y> = 0 with it
-            return (e_uv * u) * sample.y
-        coeff_x = e_rv * v / r + e_vv * u * u - e_r / r
-        coeff_y = e_ru * v / (r * u) + e_uv * u
-        return coeff_x * sample.x + coeff_y * sample.y
-    n = len(sample.x)
-    fj = metric.ambient_jet(sample.x, sample.y, 2)
-    ej = fj * fj
-    hess = ej.hessian()
-    grad = ej.gradient()
-    return hess[:n, n:].T @ sample.y - grad[:n]
-
-
 def spray_general(metric, x, y) -> np.ndarray:
-    """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite."""
+    """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
+
+    The bracket [F^2]_{x^k y^l} y^k - [F^2]_{x^l} and g come from one jet:
+    for a profile metric its bundle, where the bracket is 2 Q F_y + 2 phi D
+    with D = F_{x^k y^l} y^k - F_{x^l} (``rapcsak_terms``); for a general
+    metric the ambient order-2 jet of F^2.
+    """
     sample = MetricSample.of(x, y)
-    rhs = _energy_derivative_sides(metric, sample)
-    g = fundamental_tensor(metric, sample.x, sample.y)
+    if isinstance(metric, SphericalMetric):
+        b = ProfileBundle.of(metric, [sample])
+        fy = b.f_derivatives()[1]
+        rhs = 2.0 * (q_of(b)[:, None] * fy + b.phi[:, None] * sum(rapcsak_terms(b)))
+        rhs, g = rhs[0], b.g()[0]
+    else:
+        n = len(sample.x)
+        ej = energy_ambient_jet(metric, sample.x, sample.y, 2)
+        hess = ej.hessian()
+        rhs = hess[:n, n:].T @ sample.y - ej.gradient()[:n]
+        g = hess[n:, n:] / 2.0
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -81,15 +70,8 @@ def spray_projectivity_residual(metric, x, y) -> float:
     """Relative size of G - P y, the non-projective part of the spray."""
     sample = MetricSample.of(x, y)
     g_vec = spray_general(metric, x, y)
-    if isinstance(metric, SphericalMetric):
-        from .projective import projective_factor
-
-        p = projective_factor(metric, sample.r, sample.u, sample.v)
-    else:
-        fj = metric.ambient_jet(sample.x, sample.y, 1)
-        grad = fj.gradient()
-        n = len(sample.x)
-        p = float(grad[:n] @ sample.y) / (2.0 * fj.value)
+    f, fx, _ = first_derivatives(metric, [sample])
+    p = float(fx[0] @ sample.y) / (2.0 * float(f[0]))  # P = F_{x^k} y^k / (2F)
     py = p * sample.y
     scale = float(np.linalg.norm(g_vec) + np.linalg.norm(py))
     if scale == 0.0:

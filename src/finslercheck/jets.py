@@ -7,10 +7,13 @@ Sums and products propagate derivatives exactly for polynomials of degree
 <= order; transcendental functions are pushed through with a truncated
 series in the zero-value part of their argument.
 
-The coefficient kernels (product accumulation and series composition) come
-from the compiled module ``_jet_core`` when available, otherwise from the
-pure-python ``_jet_core_py``.  Set ``FINSLERCHECK_PURE=1`` to force the
-fallback; both backends produce bit-identical coefficients.
+A jet holds one point (``coeffs`` of shape ``(ncoeff,)``) or N points
+(shape ``(ncoeff, N)``, one column per point): Taylor-mode propagation
+vectorised over evaluation points.  Every operation takes either shape
+through the same code, a one-point jet (a constant, say) broadcasts
+against an N-point one, and each column of a result is the one-point
+result at that column's point.  Products accumulate every slot in the
+fixed order of ``product_table``, so results are deterministic.
 
 All operations are pure: jets are immutable after construction and safe to
 share across threads.
@@ -19,7 +22,7 @@ share across threads.
 from __future__ import annotations
 
 import math
-import os
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,39 +35,10 @@ from ._multi_index import (
     product_table,
 )
 
-_ACCESS_CACHE: dict = {}
-
-
-def _access(nvars: int, order: int):
-    key = (nvars, order)
-    entry = _ACCESS_CACHE.get(key)
-    if entry is None:
-        entry = (position_map(nvars, order), derivative_factors(nvars, order))
-        _ACCESS_CACHE[key] = entry
-    return entry
-
-if os.environ.get("FINSLERCHECK_PURE") == "1":
-    from . import _jet_core_py as _kernels
-
-    COMPILED = False
-else:
-    try:
-        from . import _jet_core as _kernels  # type: ignore[attr-defined]
-
-        COMPILED = True
-    except ImportError:
-        from . import _jet_core_py as _kernels
-
-        COMPILED = False
-
 MAX_ORDER = 3
 
 # Divisors smaller than this signal a domain error instead of overflowing.
 DIVISION_GUARD = 1e-300
-
-
-def backend_name() -> str:
-    return "compiled" if COMPILED else "pure"
 
 
 class JetDomainError(ValueError):
@@ -73,6 +47,17 @@ class JetDomainError(ValueError):
     def __init__(self, message: str, value: float | None = None):
         super().__init__(message if value is None else f"{message} (value {value!r})")
         self.value = value
+
+
+def _reject(message: str, values, bad) -> None:
+    """Raise JetDomainError at the first point where ``bad`` holds, if any."""
+    if bad.any():
+        raise JetDomainError(message, float(np.ravel(values)[np.ravel(bad).argmax()]))
+
+
+def _point(x):
+    """A float for a one-point quantity; N points stay an array."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 class Jet:
@@ -104,31 +89,30 @@ class Jet:
     # -- accessors ---------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        return _point(self.coeffs[0])
 
-    def partial(self, *variables: int) -> float:
+    def partial(self, *variables: int):
         """Derivative with respect to the given variables, e.g. partial(0, 2)."""
-        positions, factors = _access(self.nvars, self.order)
         try:
-            pos = positions[tuple(sorted(variables))]
+            pos = position_map(self.nvars, self.order)[tuple(sorted(variables))]
         except KeyError:
             raise ValueError(
                 f"jet of order {self.order} in {self.nvars} variables has no "
                 f"derivative {variables}"
             ) from None
-        return float(self.coeffs[pos] * factors[pos])
+        return _point(self.coeffs[pos] * derivative_factors(self.nvars, self.order)[pos])
 
     def gradient(self) -> np.ndarray:
         return self.coeffs[1 : 1 + self.nvars].copy()
 
     def _dense(self, degree: int) -> np.ndarray:
         m = self.nvars
-        derivs = self.coeffs * derivative_factors(m, self.order)
+        derivs = (self.coeffs.T * derivative_factors(m, self.order)).T
         slots, flats = dense_scatter(m, self.order, degree)
-        out = np.zeros(m**degree)
+        out = np.zeros((m**degree,) + derivs.shape[1:])
         out[flats] = derivs[slots]
-        return out.reshape((m,) * degree)
+        return out.reshape((m,) * degree + derivs.shape[1:])
 
     def hessian(self) -> np.ndarray:
         return self._dense(2)
@@ -144,17 +128,24 @@ class Jet:
     def _like(self, coeffs: np.ndarray) -> "Jet":
         return Jet(self.nvars, self.order, coeffs)
 
-    def _check(self, other: "Jet") -> None:
+    def _operands(self, other: "Jet"):
+        """Both coefficient arrays, a one-point jet widened against an N-point one."""
         if self.nvars != other.nvars or self.order != other.order:
             raise ValueError(
                 f"jet shape mismatch: ({self.nvars},{self.order}) vs "
                 f"({other.nvars},{other.order})"
             )
+        a, b = self.coeffs, other.coeffs
+        if a.ndim < b.ndim:
+            a = a[:, None]
+        elif b.ndim < a.ndim:
+            b = b[:, None]
+        return a, b
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
-            return self._like(self.coeffs + other.coeffs)
+            a, b = self._operands(other)
+            return self._like(a + b)
         c = self.coeffs.copy()
         c[0] += other
         return self._like(c)
@@ -163,8 +154,8 @@ class Jet:
 
     def __sub__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
-            return self._like(self.coeffs - other.coeffs)
+            a, b = self._operands(other)
+            return self._like(a - b)
         c = self.coeffs.copy()
         c[0] -= other
         return self._like(c)
@@ -179,18 +170,14 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
-            out = np.empty_like(self.coeffs)
-            left, right, target = product_table(self.nvars, self.order)
-            _kernels.mul(self.coeffs, other.coeffs, out, left, right, target)
-            return self._like(out)
+            a, b = self._operands(other)
+            return self._like(_product(a, b, self.nvars, self.order))
         return self._like(self.coeffs * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            self._check(other)
             out = self * _reciprocal(other)
             # the value slot rounds once, not through the reciprocal
             out.coeffs[0] = self.coeffs[0] / other.coeffs[0]
@@ -213,26 +200,58 @@ def lift_var(index: int, value: float, nvars: int, order: int) -> Jet:
     return Jet.variable(index, value, nvars, order)
 
 
-def _compose(a: Jet, h0: float, h1: float, h2: float, h3: float) -> Jet:
-    """Truncated series h(a) from the derivatives of h at a.value."""
-    out = np.empty_like(a.coeffs)
-    left, right, target = product_table(a.nvars, a.order)
-    _kernels.compose(h0, h1, h2, h3, a.coeffs, out, left, right, target, a.order)
+@lru_cache(maxsize=64)
+def _scatter(nvars: int, order: int, width: int) -> np.ndarray:
+    """Flat output slot of each product term when every slot holds ``width`` points."""
+    target = product_table(nvars, order)[2].astype(np.intp)
+    return (target[:, None] * width + np.arange(width)).ravel()
+
+
+def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
+    """Coefficients of the truncated product of two aligned coefficient arrays.
+
+    ``np.bincount`` adds the terms into their slots one by one in table
+    order, starting from zero, so every slot is the same ordered sum for
+    one point or many.
+    """
+    left, right, _ = product_table(nvars, order)
+    terms = a[left] * b[right]
+    width = terms[0].size
+    out = np.bincount(_scatter(nvars, order, width), terms.ravel(), len(a) * width)
+    return out.reshape((len(a),) + terms.shape[1:])
+
+
+def _compose(a: Jet, derivatives) -> Jet:
+    """Truncated series h(a), where ``derivatives(w)`` returns h and its first
+    three derivatives at the value row w:
+
+        h(a) = h + h' d + (h''/2) d^2 + (h'''/6) d^3,   d = a minus its value.
+    """
+    w = a.coeffs[0]
+    with np.errstate(all="ignore"):
+        h0, h1, h2, h3 = derivatives(w)
+        d = a.coeffs.copy()
+        d[0] = 0.0
+        out = h1 * d
+        out[0] += h0
+        if a.order >= 2:
+            p2 = _product(d, d, a.nvars, a.order)
+            out += (h2 / 2.0) * p2
+            if a.order >= 3:
+                out += (h3 / 6.0) * _product(p2, d, a.nvars, a.order)
     if not np.isfinite(out).all():
-        raise JetDomainError("non-finite jet coefficients after composition", a.value)
+        _reject("non-finite jet coefficients after composition", w, ~np.isfinite(out).all(axis=0))
     return Jet(a.nvars, a.order, out)
 
 
 def _reciprocal(b: Jet) -> Jet:
-    w = b.value
-    if abs(w) < DIVISION_GUARD:
-        raise JetDomainError("division by (near-)zero jet", w)
-    try:
+    _reject("division by (near-)zero jet", b.coeffs[0], abs(b.coeffs[0]) < DIVISION_GUARD)
+
+    def derivatives(w):
         w2 = w * w
-        h = (1.0 / w, -1.0 / w2, 2.0 / (w2 * w), -6.0 / (w2 * w2))
-    except (ZeroDivisionError, OverflowError):
-        raise JetDomainError("reciprocal derivatives overflow", w) from None
-    return _compose(b, *h)
+        return 1.0 / w, -1.0 / w2, 2.0 / (w2 * w), -6.0 / (w2 * w2)
+
+    return _compose(b, derivatives)
 
 
 def sqrt(a):
@@ -240,15 +259,13 @@ def sqrt(a):
         if a <= 0.0:
             raise JetDomainError("sqrt requires a positive argument", a)
         return math.sqrt(a)
-    w = a.value
-    if w <= 0.0:
-        raise JetDomainError("sqrt requires a positive argument", w)
-    try:
-        s = math.sqrt(w)
-        h = (s, 0.5 / s, -0.25 / (s * w), 0.375 / (s * w * w))
-    except (ZeroDivisionError, OverflowError):
-        raise JetDomainError("sqrt derivatives overflow", w) from None
-    return _compose(a, *h)
+    _reject("sqrt requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
+
+    def derivatives(w):
+        s = np.sqrt(w)
+        return s, 0.5 / s, -0.25 / (s * w), 0.375 / (s * w * w)
+
+    return _compose(a, derivatives)
 
 
 def log(a):
@@ -256,38 +273,31 @@ def log(a):
         if a <= 0.0:
             raise JetDomainError("log requires a positive argument", a)
         return math.log(a)
-    w = a.value
-    if w <= 0.0:
-        raise JetDomainError("log requires a positive argument", w)
-    try:
-        h = (math.log(w), 1.0 / w, -1.0 / (w * w), 2.0 / (w * w * w))
-    except (ZeroDivisionError, OverflowError):
-        raise JetDomainError("log derivatives overflow", w) from None
-    return _compose(a, *h)
+    _reject("log requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
+    return _compose(a, lambda w: (np.log(w), 1.0 / w, -1.0 / (w * w), 2.0 / (w * w * w)))
 
 
 def exp(a):
     if not isinstance(a, Jet):
         return math.exp(a)
-    try:
-        e = math.exp(a.value)
-    except OverflowError:
-        raise JetDomainError("exp overflow", a.value) from None
-    return _compose(a, e, e, e, e)
+
+    def derivatives(w):
+        e = np.exp(w)
+        return e, e, e, e
+
+    return _compose(a, derivatives)
 
 
 def sin(a):
     if not isinstance(a, Jet):
         return math.sin(a)
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _compose(a, s, c, -s, -c)
+    return _compose(a, lambda w: (np.sin(w), np.cos(w), -np.sin(w), -np.cos(w)))
 
 
 def cos(a):
     if not isinstance(a, Jet):
         return math.cos(a)
-    s, c = math.sin(a.value), math.cos(a.value)
-    return _compose(a, c, -s, -c, s)
+    return _compose(a, lambda w: (np.cos(w), -np.sin(w), -np.cos(w), np.sin(w)))
 
 
 def absval(a):
@@ -296,10 +306,8 @@ def absval(a):
         if a == 0.0:
             raise JetDomainError("abs is not differentiable at 0", a)
         return abs(a)
-    w = a.value
-    if w == 0.0:
-        raise JetDomainError("abs is not differentiable at 0", w)
-    return a * math.copysign(1.0, w)
+    _reject("abs is not differentiable at 0", a.coeffs[0], a.coeffs[0] == 0.0)
+    return a * np.copysign(1.0, a.coeffs[0])
 
 
 def powc(a, exponent: float):
@@ -327,17 +335,17 @@ def powc(a, exponent: float):
             if n:
                 base = base * base
         return _reciprocal(result) if inv else result
-    w = a.value
-    if w <= 0.0:
-        raise JetDomainError("fractional power requires a positive base", w)
-    try:
-        h0 = w**e
-        h1 = e * w ** (e - 1.0)
-        h2 = e * (e - 1.0) * w ** (e - 2.0)
-        h3 = e * (e - 1.0) * (e - 2.0) * w ** (e - 3.0)
-    except (ZeroDivisionError, OverflowError):
-        raise JetDomainError("power derivatives overflow", w) from None
-    return _compose(a, h0, h1, h2, h3)
+    _reject("fractional power requires a positive base", a.coeffs[0], a.coeffs[0] <= 0.0)
+
+    def derivatives(w):
+        return (
+            w**e,
+            e * w ** (e - 1.0),
+            e * (e - 1.0) * w ** (e - 2.0),
+            e * (e - 1.0) * (e - 2.0) * w ** (e - 3.0),
+        )
+
+    return _compose(a, derivatives)
 
 
 def compose_multivariate(outer: Jet, inners: list[Jet]) -> Jet:
@@ -350,7 +358,7 @@ def compose_multivariate(outer: Jet, inners: list[Jet]) -> Jet:
         raise ValueError(f"need {outer.nvars} inner jets, got {len(inners)}")
     first = inners[0]
     for g in inners[1:]:
-        first._check(g)
+        first._operands(g)
     order = first.order
     if order != outer.order:
         raise ValueError("outer and inner jets must share the same order")

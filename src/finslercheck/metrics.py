@@ -1,4 +1,4 @@
-"""Metric representations and the pointwise checks built on their jets.
+"""Metric representations, the profile bundle, and the pointwise checks built on them.
 
 A spherically symmetric metric is carried by its profile phi(r, u, v) with
 r = |x|, u = |y|, v = <x,y>; F(x,y) = phi(|x|, |y|, <x,y>).  phi must be
@@ -10,6 +10,10 @@ the 2n ambient variables (x^1..x^n, y^1..y^n).  Spherical metrics support
 both routes; the ambient route for a profile that cannot be evaluated on
 arbitrary jets (the quadrature-built family) goes through multivariate
 composition of its 3-variable jet.
+
+Profile formulas (F_x, F_y, g, det g, homogeneity) are written once, as
+array expressions over a ``ProfileBundle`` of N samples; the pointwise
+functions evaluate them on a one-sample bundle.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as expr_mod
+from ._multi_index import derivative_factors
 from .jets import Jet, compose_multivariate, lift_var, sqrt
 
 R, U, V = 0, 1, 2
@@ -193,28 +198,180 @@ def evaluate_F(metric, x, y) -> float:
     return metric.evaluate(x, y)
 
 
-# -- ambient derivative helpers ------------------------------------------------
+# -- scale-free residual helpers -----------------------------------------------
+
+
+def quotient(num, den):
+    """num / den elementwise, and 0 where den is 0 (num must be finite there).
+
+    A NaN den still gives NaN, so a broken residual is not read as zero.
+    """
+    out = num / np.where(den == 0.0, np.inf, den)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def relative_residual(*terms):
+    """|sum of terms| divided by the sum of their magnitudes (0 when all vanish).
+
+    Terms may be arrays; the sums run over the terms in order, elementwise.
+    """
+    return quotient(abs(sum(terms)), sum(abs(t) for t in terms))
+
+
+def worst_residual(values) -> tuple[float, int, int]:
+    """(largest residual, index of the worst entry, count of non-finite entries).
+
+    An ordered reduction over the flattened values: ties go to the first
+    entry.  A non-finite residual is worse than any number, so the first
+    one is the worst entry; the largest residual is taken over the finite
+    entries (0.0 if there are none), so reports stay valid JSON.
+    """
+    values = np.ravel(np.asarray(values, dtype=float))
+    bad = ~np.isfinite(values)
+    finite = values[~bad]
+    worst = float(finite.max()) if finite.size else 0.0
+    return worst, int(bad.argmax() if bad.any() else values.argmax()), int(bad.sum())
+
+
+# -- the profile bundle ----------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ProfileBundle:
+    """phi and its nine first and second partials at N samples, as length-N arrays.
+
+    Filled by one order-2 ``phi_jet`` per sample; every profile formula
+    (here and in ``projective`` and ``geodesics``) is an array expression
+    over a bundle.  x and y are (N, n) arrays; a bundle built from the
+    invariants alone (``at_invariants``) has n = 0.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    r: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    phi: np.ndarray
+    phi_r: np.ndarray
+    phi_u: np.ndarray
+    phi_v: np.ndarray
+    phi_rr: np.ndarray
+    phi_ru: np.ndarray
+    phi_rv: np.ndarray
+    phi_uu: np.ndarray
+    phi_uv: np.ndarray
+    phi_vv: np.ndarray
+
+    @classmethod
+    def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
+        coeffs = np.array([metric.phi_jet(s.r, s.u, s.v, 2).coeffs for s in samples])
+        # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
+        partials = (coeffs * derivative_factors(3, 2)).T
+        invariants = np.array([(s.r, s.u, s.v) for s in samples]).T
+        x = np.array([s.x for s in samples])
+        return cls(x, np.array([s.y for s in samples]), *invariants, *partials)
+
+    @classmethod
+    def at(cls, metric: SphericalMetric, x, y) -> "ProfileBundle":
+        return cls.of(metric, [MetricSample.of(x, y)])
+
+    @classmethod
+    def at_invariants(cls, metric: SphericalMetric, r: float, u: float, v: float) -> "ProfileBundle":
+        return cls.of(metric, [MetricSample(np.zeros(0), np.zeros(0), r, u, v)])
+
+    def f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F_x, F_y) by the chain rule, each (N, n):
+
+            F_x = phi_r x/r + phi_v y,  F_y = phi_u y/u + phi_v x
+
+        (for r = 0 the phi_r term vanishes with x).
+        """
+        phi_v = self.phi_v[:, None]
+        fx = self.phi_r[:, None] * quotient(self.x, self.r[:, None]) + phi_v * self.y
+        fy = (self.phi_u / self.u)[:, None] * self.y + phi_v * self.x
+        return fx, fy
+
+    def g(self) -> np.ndarray:
+        """The fundamental tensor in closed form, (N, n, n):
+
+            g_ij = (phi phi_u / u) delta_ij
+                 + (phi_v^2 + phi phi_vv) x_i x_j
+                 + ((phi_u^2 + phi phi_uu)/u^2 - phi phi_u/u^3) y_i y_j
+                 + ((phi_u phi_v + phi phi_uv)/u) (x_i y_j + x_j y_i).
+        """
+        phi, phi_u, phi_v, u = self.phi, self.phi_u, self.phi_v, self.u
+        c_delta, c_xx, c_yy, c_xy = (
+            c[:, None, None]
+            for c in (
+                phi * phi_u / u,
+                phi_v * phi_v + phi * self.phi_vv,
+                (phi_u * phi_u + phi * self.phi_uu) / (u * u) - phi * phi_u / (u * u * u),
+                (phi_u * phi_v + phi * self.phi_uv) / u,
+            )
+        )
+        x, xt = self.x[:, :, None], self.x[:, None, :]
+        y, yt = self.y[:, :, None], self.y[:, None, :]
+        g = c_delta * np.eye(self.x.shape[1]) + c_xx * (x * xt)
+        return g + c_yy * (y * yt) + c_xy * (x * yt + y * xt)
+
+    def det_g(self) -> np.ndarray:
+        """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
+        n = self.x.shape[1]
+        r, u, v = self.r, self.u, self.v
+        bracket = self.phi_u + (r * r * u * u - v * v) * self.phi_vv / u
+        return (self.phi / u) ** (n + 1) * self.phi_u ** (n - 2) * bracket
+
+    def convexity_lemma(self) -> np.ndarray:
+        """The sufficient condition phi_u > 0 and phi_vv >= 0 (up to PHI_VV_SLACK)."""
+        return (self.phi_u > 0.0) & (self.phi_vv >= PHI_VV_SLACK)
+
+    def homogeneity_residual(self) -> np.ndarray:
+        """Largest violation of the degree-1 Euler relations of the profile.
+
+        Checks u phi_u + v phi_v = phi (scaled by phi) and the three
+        second-order identities u phi_uu + v phi_uv = 0, u phi_uv + v phi_vv = 0
+        and phi_uu = (v/u)^2 phi_vv.  Each second-order identity arises from a
+        first-order quantity cancelling out of a derivative of Euler's relation,
+        so that quantity joins the scale: near v = 0 the identity terms shrink
+        like v^2 while their rounding noise does not, and the bare term sum
+        would report noise ratios.
+        """
+        u, v, phi_u, phi_v = self.u, self.v, self.phi_u, self.phi_v
+        phi_uu, phi_uv, phi_vv = self.phi_uu, self.phi_uv, self.phi_vv
+
+        def scaled(a, b, anchor):
+            return quotient(abs(a + b), abs(a) + abs(b) + abs(anchor))
+
+        first = abs(u * phi_u + v * phi_v - self.phi) / abs(self.phi)
+        return np.maximum.reduce([
+            first,
+            scaled(u * phi_uu, v * phi_uv, phi_u),
+            scaled(u * phi_uv, v * phi_vv, phi_v),
+            scaled(phi_uu, -((v / u) ** 2) * phi_vv, phi_u / u),
+        ])
+
+
+# -- pointwise wrappers and ambient derivatives -----------------------------------
+
+
+def first_derivatives(metric, samples, bundle: ProfileBundle | None = None):
+    """(F, F_x, F_y) at the samples as (N,), (N, n) and (N, n) arrays.
+
+    Profile metrics read the bundle; general metrics read one ambient
+    order-1 jet per sample.
+    """
+    if isinstance(metric, SphericalMetric):
+        b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
+        return (b.phi, *b.f_derivatives())
+    n = len(samples[0].x)
+    jets = np.array([metric.ambient_jet(s.x, s.y, 1).coeffs for s in samples])
+    return jets[:, 0], jets[:, 1 : 1 + n], jets[:, 1 + n :]
 
 
 def f_first_derivatives(metric, sample: MetricSample):
-    """(F, F_x, F_y) as (scalar, n-vector, n-vector).
-
-    Spherical metrics use the profile chain rule
-    F_x = phi_r x/r + phi_v y,  F_y = phi_u y/u + phi_v x
-    (for r = 0 the phi_r term vanishes with x); general metrics read the
-    ambient jet.
-    """
-    if isinstance(metric, SphericalMetric):
-        p = metric.phi_jet(sample.r, sample.u, sample.v, order=1)
-        phi_r, phi_u, phi_v = p.gradient()
-        xr = sample.x / sample.r if sample.r > 0.0 else np.zeros_like(sample.x)
-        fx = phi_r * xr + phi_v * sample.y
-        fy = (phi_u / sample.u) * sample.y + phi_v * sample.x
-        return p.value, fx, fy
-    j = metric.ambient_jet(sample.x, sample.y, 1)
-    grad = j.gradient()
-    n = len(sample.x)
-    return j.value, grad[:n], grad[n:]
+    """(F, F_x, F_y) as (scalar, n-vector, n-vector)."""
+    f, fx, fy = first_derivatives(metric, [sample])
+    return float(f[0]), fx[0], fy[0]
 
 
 def energy_ambient_jet(metric, x, y, order: int) -> Jet:
@@ -223,44 +380,15 @@ def energy_ambient_jet(metric, x, y, order: int) -> Jet:
     return fj * fj
 
 
-# -- fundamental tensor and determinant ----------------------------------------
-
-
 def fundamental_tensor(metric, x, y) -> np.ndarray:
     """g_ij = (1/2) d^2 F^2 / dy^i dy^j.
 
-    For a profile metric, the closed form
-
-        g_ij = (phi phi_u / u) delta_ij
-             + (phi_v^2 + phi phi_vv) x_i x_j
-             + ((phi_u^2 + phi phi_uu)/u^2 - phi phi_u/u^3) y_i y_j
-             + ((phi_u phi_v + phi phi_uv)/u) (x_i y_j + x_j y_i);
-
-    for a general metric, the ambient jet of F^2.
+    Closed form (``ProfileBundle.g``) for a profile metric, the ambient jet
+    of F^2 for a general metric.
     """
     if isinstance(metric, SphericalMetric):
-        s = MetricSample.of(x, y)
-        p = metric.phi_jet(s.r, s.u, s.v, order=2)
-        return _g_closed_form(p, s)
+        return ProfileBundle.at(metric, x, y).g()[0]
     return fundamental_tensor_ad(metric, x, y)
-
-
-def _g_closed_form(p: Jet, s: MetricSample) -> np.ndarray:
-    phi = p.value
-    phi_u, phi_v = p.partial(U), p.partial(V)
-    phi_uu, phi_uv, phi_vv = p.partial(U, U), p.partial(U, V), p.partial(V, V)
-    u = s.u
-    x, y = s.x, s.y
-    c_delta = phi * phi_u / u
-    c_xx = phi_v * phi_v + phi * phi_vv
-    c_yy = (phi_u * phi_u + phi * phi_uu) / (u * u) - phi * phi_u / (u * u * u)
-    c_xy = (phi_u * phi_v + phi * phi_uv) / u
-    n = len(x)
-    g = c_delta * np.eye(n)
-    g += c_xx * np.outer(x, x)
-    g += c_yy * np.outer(y, y)
-    g += c_xy * (np.outer(x, y) + np.outer(y, x))
-    return g
 
 
 def fundamental_tensor_ad(metric, x, y) -> np.ndarray:
@@ -271,13 +399,17 @@ def fundamental_tensor_ad(metric, x, y) -> np.ndarray:
 
 
 def det_g_closed_form(metric: SphericalMetric, x, y) -> float:
-    """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
-    s = MetricSample.of(x, y)
-    p = metric.phi_jet(s.r, s.u, s.v, order=2)
-    phi, phi_u, phi_vv = p.value, p.partial(U), p.partial(V, V)
-    n = len(s.x)
-    bracket = phi_u + (s.r * s.r * s.u * s.u - s.v * s.v) * phi_vv / s.u
-    return (phi / s.u) ** (n + 1) * phi_u ** (n - 2) * bracket
+    """det(g) from the profile (``ProfileBundle.det_g``)."""
+    return float(ProfileBundle.at(metric, x, y).det_g()[0])
+
+
+def positive_definite(g: np.ndarray) -> bool:
+    """Does g factorize as L L^T?  Failure reports False rather than raising."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -291,58 +423,15 @@ def convexity_report(metric: SphericalMetric, x, y) -> ConvexityReport:
 
     lemma_ok is the sufficient profile condition phi_u > 0 and phi_vv >= 0
     (up to PHI_VV_SLACK); direct_pd factorizes g.  lemma_ok implies
-    direct_pd; factorization failure reports non-PD rather than raising.
+    direct_pd.
     """
-    s = MetricSample.of(x, y)
-    p = metric.phi_jet(s.r, s.u, s.v, order=2)
-    lemma_ok = p.partial(U) > 0.0 and p.partial(V, V) >= PHI_VV_SLACK
-    g = _g_closed_form(p, s)
-    try:
-        np.linalg.cholesky(g)
-        direct_pd = True
-    except np.linalg.LinAlgError:
-        direct_pd = False
-    return ConvexityReport(lemma_ok, direct_pd)
-
-
-# -- scale-free residual helpers -----------------------------------------------
-
-
-def relative_residual(*terms: float) -> float:
-    """|sum of terms| divided by the sum of their magnitudes (0 when all vanish)."""
-    scale = sum(abs(t) for t in terms)
-    if scale == 0.0:
-        return 0.0
-    return abs(sum(terms)) / scale
+    b = ProfileBundle.at(metric, x, y)
+    return ConvexityReport(bool(b.convexity_lemma()[0]), positive_definite(b.g()[0]))
 
 
 def homogeneity_residual(metric: SphericalMetric, r: float, u: float, v: float) -> float:
-    """Largest violation of the degree-1 Euler relations of the profile.
-
-    Checks u phi_u + v phi_v = phi (scaled by phi) and the three
-    second-order identities u phi_uu + v phi_uv = 0, u phi_uv + v phi_vv = 0
-    and phi_uu = (v/u)^2 phi_vv.  Each second-order identity arises from a
-    first-order quantity cancelling out of a derivative of Euler's relation,
-    so that quantity joins the scale: near v = 0 the identity terms shrink
-    like v^2 while their rounding noise does not, and the bare term sum
-    would report noise ratios.
-    """
-    p = metric.phi_jet(r, u, v, order=2)
-    phi = p.value
-    phi_u, phi_v = p.partial(U), p.partial(V)
-    phi_uu, phi_uv, phi_vv = p.partial(U, U), p.partial(U, V), p.partial(V, V)
-
-    def scaled(a: float, b: float, anchor: float) -> float:
-        scale = abs(a) + abs(b) + abs(anchor)
-        return abs(a + b) / scale if scale > 0.0 else 0.0
-
-    first = abs(u * phi_u + v * phi_v - phi) / abs(phi)
-    return max(
-        first,
-        scaled(u * phi_uu, v * phi_uv, phi_u),
-        scaled(u * phi_uv, v * phi_vv, phi_v),
-        scaled(phi_uu, -((v / u) ** 2) * phi_vv, phi_u / u),
-    )
+    """Euler-relation residual at one point (``ProfileBundle.homogeneity_residual``)."""
+    return float(ProfileBundle.at_invariants(metric, r, u, v).homogeneity_residual()[0])
 
 
 def reversibility_residual(metric: SphericalMetric, r: float, u: float, v: float) -> float:

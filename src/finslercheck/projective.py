@@ -35,45 +35,142 @@ import numpy as np
 
 from .metrics import (
     MetricSample,
-    R,
+    ProfileBundle,
     SphericalMetric,
-    U,
-    V,
+    quotient,
     relative_residual,
 )
 
 MIN_RADIUS = 0.05
 
 
-def _require_radius(r: float) -> None:
-    if r < MIN_RADIUS:
-        raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {r}")
+def _require_radius(b: ProfileBundle) -> None:
+    low = b.r[b.r < MIN_RADIUS]
+    if low.size:
+        raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {low[0]}")
+
+
+# -- formulas over a profile bundle ---------------------------------------------
+
+
+def _rapcsak_coefficients(b: ProfileBundle):
+    """(radial, tangential): the terms of the two coefficients in
+
+        F_{x^k y^l} y^k - F_{x^l} = (phi_rv v/r + phi_vv u^2 - phi_r/r) x^l
+                                    + (phi_ru v/(ru) + phi_uv u) y^l
+
+    (at r = 0 the 1/r terms vanish with x and v).
+    """
+    r, u, v = b.r, b.u, b.v
+    radial = (quotient(b.phi_rv * v, r), b.phi_vv * u * u, -quotient(b.phi_r, r))
+    tangential = (quotient(b.phi_ru * v, r * u), b.phi_uv * u)
+    return radial, tangential
+
+
+def rapcsak_terms(b: ProfileBundle) -> list[np.ndarray]:
+    """The five (N, n) terms of F_{x^k y^l} y^k - F_{x^l}."""
+    radial, tangential = _rapcsak_coefficients(b)
+    return [c[:, None] * b.x for c in radial] + [c[:, None] * b.y for c in tangential]
+
+
+def projective_pde_of(b: ProfileBundle) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-free residuals of the projectivity PDE pair (radial, tangential):
+    the two coefficients of the Rapcsak difference."""
+    _require_radius(b)
+    radial, tangential = _rapcsak_coefficients(b)
+    return relative_residual(*radial), relative_residual(*tangential)
+
+
+def q_of(b: ProfileBundle) -> np.ndarray:
+    """Q = v phi_r / r + u^2 phi_v = F_{x^k} y^k (the phi_r term vanishes at r = 0)."""
+    return quotient(b.v, b.r) * b.phi_r + b.u * b.u * b.phi_v
+
+
+def _q_partials(b: ProfileBundle):
+    """(Q, Q_r, Q_u, Q_v)."""
+    _require_radius(b)
+    r, u, v = b.r, b.u, b.v
+    q_r = -v / (r * r) * b.phi_r + v / r * b.phi_rr + u * u * b.phi_rv
+    q_u = v / r * b.phi_ru + 2.0 * u * b.phi_v + u * u * b.phi_uv
+    q_v = b.phi_r / r + v / r * b.phi_rv + u * u * b.phi_vv
+    return q_of(b), q_r, q_u, q_v
+
+
+def p_of(b: ProfileBundle):
+    """(P, P_r, P_u, P_v) for the projective factor P = Q / (2 phi)."""
+    q, q_r, q_u, q_v = _q_partials(b)
+    phi = b.phi
+    den = 2.0 * phi * phi
+    return (
+        q / (2.0 * phi),
+        (q_r * phi - q * b.phi_r) / den,
+        (q_u * phi - q * b.phi_u) / den,
+        (q_v * phi - q * b.phi_v) / den,
+    )
+
+
+def flag_curvature_of(b: ProfileBundle) -> np.ndarray:
+    """lambda = (P^2 - P_{x^k} y^k) / F^2 with P_{x^k} y^k = P_r v/r + P_v u^2."""
+    p, p_r, _, p_v = p_of(b)
+    p_xy = p_r * b.v / b.r + p_v * b.u * b.u
+    return (p * p - p_xy) / (b.phi * b.phi)
+
+
+def curvature_pde_of(b: ProfileBundle, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scale-free residuals of the two constant-curvature PDEs at lambda."""
+    q, q_r, _, _ = _q_partials(b)
+    r, u, phi = b.r, b.u, b.phi
+    c_u = relative_residual(
+        4.0 * lam * r * phi**4 * b.phi_u,
+        r * b.phi_u * q * q,
+        -4.0 * r * u * phi * b.phi_v * q,
+        4.0 * u * phi * phi * b.phi_r,
+    )
+    c_v = relative_residual(
+        4.0 * lam * r * phi**4 * b.phi_v,
+        r * b.phi_v * q * q,
+        2.0 * phi * phi * q_r,
+        -4.0 * phi * b.phi_r * q,
+    )
+    return c_u, c_v
+
+
+def curvature_components_of(b: ProfileBundle, lam: float) -> np.ndarray:
+    """Component-wise residual of P_{x^k} = P P_{y^k} - lambda F F_{y^k}, (N, n)."""
+    p, p_r, p_u, p_v = (a[:, None] for a in p_of(b))
+    x, y, r, u = b.x, b.y, b.r[:, None], b.u[:, None]
+    lam_phi = lam * b.phi[:, None]
+    return relative_residual(
+        p_r * x / r,
+        p_v * y,
+        -p * (p_u * y / u),
+        -p * (p_v * x),
+        lam_phi * (b.phi_u[:, None] * y / u),
+        lam_phi * (b.phi_v[:, None] * x),
+    )
+
+
+# -- pointwise wrappers ------------------------------------------------------------
+
+
+def rapcsak_residuals(metric, samples, bundle: ProfileBundle | None = None) -> np.ndarray:
+    """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n).
+
+    Profile metrics use ``rapcsak_terms``; general metrics read both sides
+    off one ambient jet per sample.
+    """
+    if isinstance(metric, SphericalMetric):
+        b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
+        _require_radius(b)
+        return relative_residual(*rapcsak_terms(b))
+    return np.array([rapcsak_residual(metric, s.x, s.y) for s in samples])
 
 
 def rapcsak_residual(metric, x, y) -> np.ndarray:
-    """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}.
-
-    Profile metrics expand the difference through the chain rule,
-
-        (phi_rv v/r + phi_vv u^2 - phi_r/r) x^l + (phi_ru v/(ru) + phi_uv u) y^l;
-
-    general metrics read both sides off the ambient jet.
-    """
+    """``rapcsak_residuals`` at one point-direction pair, an n-vector."""
     s = MetricSample.of(x, y)
     if isinstance(metric, SphericalMetric):
-        _require_radius(s.r)
-        p = metric.phi_jet(s.r, s.u, s.v, order=2)
-        phi_r = p.partial(R)
-        phi_ru, phi_rv = p.partial(R, U), p.partial(R, V)
-        phi_uv, phi_vv = p.partial(U, V), p.partial(V, V)
-        r, u, v = s.r, s.u, s.v
-        term_xx = [phi_rv * v / r, phi_vv * u * u, -phi_r / r]
-        term_yy = [phi_ru * v / (r * u), phi_uv * u]
-        out = np.empty(len(s.x))
-        for l in range(len(s.x)):
-            terms = [t * s.x[l] for t in term_xx] + [t * s.y[l] for t in term_yy]
-            out[l] = relative_residual(*terms)
-        return out
+        return rapcsak_residuals(metric, [s])[0]
     n = len(s.x)
     fj = metric.ambient_jet(s.x, s.y, 2)
     hess = fj.hessian()
@@ -87,140 +184,31 @@ def rapcsak_residual(metric, x, y) -> np.ndarray:
 
 def projective_pde_residuals(metric: SphericalMetric, r: float, u: float, v: float) -> tuple[float, float]:
     """Scale-free residuals of the projectivity PDE pair (radial, tangential)."""
-    _require_radius(r)
-    p = metric.phi_jet(r, u, v, order=2)
-    phi_r = p.partial(R)
-    phi_ru, phi_rv = p.partial(R, U), p.partial(R, V)
-    phi_uv, phi_vv = p.partial(U, V), p.partial(V, V)
-    rho1 = relative_residual(phi_rv * v / r, phi_vv * u * u, -phi_r / r)
-    rho2 = relative_residual(phi_uv * u, phi_ru * v / (r * u))
-    return rho1, rho2
-
-
-@dataclass(frozen=True)
-class _ProfileState:
-    """Second-order profile data at one point, shared by the operators below."""
-
-    r: float
-    u: float
-    v: float
-    phi: float
-    phi_r: float
-    phi_u: float
-    phi_v: float
-    phi_rr: float
-    phi_ru: float
-    phi_rv: float
-    phi_uu: float
-    phi_uv: float
-    phi_vv: float
-
-    @classmethod
-    def at(cls, metric: SphericalMetric, r: float, u: float, v: float) -> "_ProfileState":
-        _require_radius(r)
-        p = metric.phi_jet(r, u, v, order=2)
-        return cls(
-            r, u, v, p.value,
-            p.partial(R), p.partial(U), p.partial(V),
-            p.partial(R, R), p.partial(R, U), p.partial(R, V),
-            p.partial(U, U), p.partial(U, V), p.partial(V, V),
-        )
-
-    @property
-    def q(self) -> float:
-        return self.v / self.r * self.phi_r + self.u * self.u * self.phi_v
-
-    @property
-    def q_r(self) -> float:
-        return (
-            -self.v / (self.r * self.r) * self.phi_r
-            + self.v / self.r * self.phi_rr
-            + self.u * self.u * self.phi_rv
-        )
-
-    @property
-    def q_u(self) -> float:
-        return (
-            self.v / self.r * self.phi_ru
-            + 2.0 * self.u * self.phi_v
-            + self.u * self.u * self.phi_uv
-        )
-
-    @property
-    def q_v(self) -> float:
-        return (
-            self.phi_r / self.r
-            + self.v / self.r * self.phi_rv
-            + self.u * self.u * self.phi_vv
-        )
+    rho1, rho2 = projective_pde_of(ProfileBundle.at_invariants(metric, r, u, v))
+    return float(rho1[0]), float(rho2[0])
 
 
 def projective_factor(metric: SphericalMetric, r: float, u: float, v: float) -> float:
     """P = (v phi_r / r + u^2 phi_v) / (2 phi); 1-homogeneous in (u, v)."""
-    st = _ProfileState.at(metric, r, u, v)
-    return st.q / (2.0 * st.phi)
+    return float(p_of(ProfileBundle.at_invariants(metric, r, u, v))[0][0])
 
 
 def curvature_pde_residuals(
     metric: SphericalMetric, r: float, u: float, v: float, lam: float
 ) -> tuple[float, float]:
     """Scale-free residuals of the two constant-curvature PDEs at lambda."""
-    st = _ProfileState.at(metric, r, u, v)
-    q, q_r = st.q, st.q_r
-    phi = st.phi
-    c_u = relative_residual(
-        4.0 * lam * r * phi**4 * st.phi_u,
-        r * st.phi_u * q * q,
-        -4.0 * r * u * phi * st.phi_v * q,
-        4.0 * u * phi * phi * st.phi_r,
-    )
-    c_v = relative_residual(
-        4.0 * lam * r * phi**4 * st.phi_v,
-        r * st.phi_v * q * q,
-        2.0 * phi * phi * q_r,
-        -4.0 * phi * st.phi_r * q,
-    )
-    return c_u, c_v
+    c_u, c_v = curvature_pde_of(ProfileBundle.at_invariants(metric, r, u, v), lam)
+    return float(c_u[0]), float(c_v[0])
 
 
 def flag_curvature(metric: SphericalMetric, r: float, u: float, v: float) -> float:
     """Pointwise flag curvature of a projective profile metric."""
-    st = _ProfileState.at(metric, r, u, v)
-    phi = st.phi
-    q = st.q
-    p = q / (2.0 * phi)
-    p_r = (st.q_r * phi - q * st.phi_r) / (2.0 * phi * phi)
-    p_v = (st.q_v * phi - q * st.phi_v) / (2.0 * phi * phi)
-    p_xy = p_r * v / r + p_v * u * u
-    return (p * p - p_xy) / (phi * phi)
+    return float(flag_curvature_of(ProfileBundle.at_invariants(metric, r, u, v))[0])
 
 
 def curvature_component_residuals(metric: SphericalMetric, x, y, lam: float) -> np.ndarray:
-    """Component-wise residual of P_{x^k} = P P_{y^k} - lambda F F_{y^k}.
-
-    Cross-check for the contracted evaluator; needs the same second-order
-    profile jets plus the ambient position.
-    """
-    s = MetricSample.of(x, y)
-    st = _ProfileState.at(metric, s.r, s.u, s.v)
-    phi, q = st.phi, st.q
-    p = q / (2.0 * phi)
-    p_r = (st.q_r * phi - q * st.phi_r) / (2.0 * phi * phi)
-    p_u = (st.q_u * phi - q * st.phi_u) / (2.0 * phi * phi)
-    p_v = (st.q_v * phi - q * st.phi_v) / (2.0 * phi * phi)
-    out = np.empty(len(s.x))
-    for k in range(len(s.x)):
-        xk, yk = s.x[k], s.y[k]
-        terms = [
-            p_r * xk / s.r,
-            p_v * yk,
-            -p * (p_u * yk / s.u),
-            -p * (p_v * xk),
-            lam * phi * (st.phi_u * yk / s.u),
-            lam * phi * (st.phi_v * xk),
-        ]
-        out[k] = relative_residual(*terms)
-    return out
+    """Cross-check for the contracted evaluator at one point-direction pair."""
+    return curvature_components_of(ProfileBundle.at(metric, x, y), lam)[0]
 
 
 @dataclass(frozen=True)
@@ -247,6 +235,7 @@ def constant_curvature_verdict(
     lambda_hypothesis: float | None = None,
     tolerance: float = 1e-6,
     projectivity_gate: float = 1e-6,
+    bundle: ProfileBundle | None = None,
 ) -> CurvatureVerdict:
     """Estimate lambda over the samples and judge whether it is constant.
 
@@ -257,28 +246,25 @@ def constant_curvature_verdict(
     the gate the verdict refuses to run: the curvature formulas presume a
     projective metric.
     """
-    gate_worst = 0.0
-    for s in samples:
-        gate_worst = max(gate_worst, float(rapcsak_residual(metric, s.x, s.y).max()))
-        if gate_worst > projectivity_gate:
-            return CurvatureVerdict(
-                status="not_projective",
-                lambda_estimate=None,
-                max_deviation=math.inf,
-                pde_residuals=(math.inf, math.inf),
-                samples_used=len(samples),
-                lambda_hypothesis=lambda_hypothesis,
-                projectivity_residual=gate_worst,
-            )
-    values = np.array([flag_curvature(metric, s.r, s.u, s.v) for s in samples])
+    b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
+    gate = rapcsak_residuals(metric, samples, b).max(axis=1)
+    over = gate > projectivity_gate
+    if over.any():
+        return CurvatureVerdict(
+            status="not_projective",
+            lambda_estimate=None,
+            max_deviation=math.inf,
+            pde_residuals=(math.inf, math.inf),
+            samples_used=len(samples),
+            lambda_hypothesis=lambda_hypothesis,
+            projectivity_residual=float(gate[over.argmax()]),
+        )
+    values = flag_curvature_of(b)
     estimate = float(np.median(values))
     deviation = float(np.abs(values - estimate).max())
     lam = lambda_hypothesis if lambda_hypothesis is not None else estimate
     worst_idx = int(np.argmax(np.abs(values - lam)))
-    c_u = c_v = 0.0
-    for s in samples:
-        a, b = curvature_pde_residuals(metric, s.r, s.u, s.v, lam)
-        c_u, c_v = max(c_u, a), max(c_v, b)
+    c_u, c_v = curvature_pde_of(b, lam)
     constant = deviation <= tolerance
     if lambda_hypothesis is not None:
         constant = constant and abs(estimate - lambda_hypothesis) <= tolerance
@@ -286,9 +272,9 @@ def constant_curvature_verdict(
         status="constant" if constant else "non_constant",
         lambda_estimate=estimate,
         max_deviation=deviation,
-        pde_residuals=(c_u, c_v),
+        pde_residuals=(float(c_u.max()), float(c_v.max())),
         samples_used=len(samples),
         lambda_hypothesis=lambda_hypothesis,
-        projectivity_residual=gate_worst,
+        projectivity_residual=float(gate.max()),
         worst_sample=samples[worst_idx],
     )

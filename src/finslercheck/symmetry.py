@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricSample, energy_ambient_jet, f_first_derivatives
+from .metrics import (
+    MetricSample,
+    ProfileBundle,
+    energy_ambient_jet,
+    first_derivatives,
+    relative_residual,
+    worst_residual,
+)
 
 
 @dataclass(frozen=True)
@@ -38,9 +45,10 @@ class RotationField:
             raise ValueError("rotation plane needs two distinct axes")
 
     def vector(self, x: np.ndarray) -> np.ndarray:
+        """X at x; x may stack points along leading axes."""
         out = np.zeros_like(x)
-        out[self.i] = x[self.j]
-        out[self.j] = -x[self.i]
+        out[..., self.i] = x[..., self.j]
+        out[..., self.j] = -x[..., self.i]
         return out
 
     def jacobian(self, n: int) -> np.ndarray:
@@ -55,20 +63,20 @@ def rotation_fields(n: int) -> list[RotationField]:
     return [RotationField(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _scalar_residual_from_derivs(fx, fy, field: RotationField, sample: MetricSample) -> float:
-    # the Jacobian action on y is the field evaluated at y: A x = X(x) pointwise
-    terms = np.concatenate([fx * field.vector(sample.x), fy * field.vector(sample.y)])
-    scale = float(np.abs(terms).sum())
-    if scale == 0.0:
-        return 0.0
-    return abs(float(terms.sum())) / scale
+def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
+    """Scale-free contracted Killing residual per sample, from (N, n) arrays.
+
+    The Jacobian action on y is the field evaluated at y: A x = X(x) pointwise.
+    """
+    terms = np.concatenate([fx * field.vector(x), fy * field.vector(y)], axis=1)
+    return relative_residual(*terms.T)
 
 
 def killing_scalar_residual(metric, field: RotationField, x, y) -> float:
     """Scale-free residual of the contracted Killing equation at (x, y)."""
     sample = MetricSample.of(x, y)
-    _, fx, fy = f_first_derivatives(metric, sample)
-    return _scalar_residual_from_derivs(fx, fy, field, sample)
+    _, fx, fy = first_derivatives(metric, [sample])
+    return float(_scalar_residuals(fx, fy, field, sample.x[None], sample.y[None])[0])
 
 
 def _tensor_blocks(metric, x, y):
@@ -156,36 +164,45 @@ class SymmetryReport:
     worst_sample: MetricSample
     fields_tested: int
     samples_tested: int
+    non_finite: int = 0
 
     @property
     def conclusion(self) -> str:
         if self.passed:
             return "consistent with spherical symmetry"
+        if self.non_finite:
+            return f"undecided: non-finite residual for field {self.worst_field}"
         return (
             f"not spherically symmetric: field {self.worst_field} "
             f"residual {self.max_residual:.3e}"
         )
 
 
-def symmetry_verdict(metric, samples: list[MetricSample], tolerance: float = 1e-9) -> SymmetryReport:
-    """Scalar Killing residual maximized over every generator and sample."""
-    n = len(samples[0].x)
-    fields = rotation_fields(n)
-    worst = -1.0
-    worst_field = fields[0]
-    worst_sample = samples[0]
-    for sample in samples:
-        _, fx, fy = f_first_derivatives(metric, sample)
-        for f in fields:
-            resid = _scalar_residual_from_derivs(fx, fy, f, sample)
-            if resid > worst:
-                worst, worst_field, worst_sample = resid, f, sample
+def symmetry_verdict(
+    metric,
+    samples: list[MetricSample],
+    tolerance: float = 1e-9,
+    bundle: ProfileBundle | None = None,
+) -> SymmetryReport:
+    """Scalar Killing residual maximized over every sample and generator.
+
+    The worst (sample, field) pair is the first maximum in sample-major
+    order; any non-finite residual fails the verdict.
+    """
+    fields = rotation_fields(len(samples[0].x))
+    _, fx, fy = first_derivatives(metric, samples, bundle)
+    x = np.array([s.x for s in samples])
+    y = np.array([s.y for s in samples])
+    resid = np.stack([_scalar_residuals(fx, fy, f, x, y) for f in fields], axis=1)
+    worst, index, non_finite = worst_residual(resid)
+    at, field = divmod(index, len(fields))
     return SymmetryReport(
         max_residual=worst,
         tolerance=tolerance,
-        passed=worst <= tolerance,
-        worst_field=(worst_field.i, worst_field.j),
-        worst_sample=worst_sample,
+        passed=non_finite == 0 and worst <= tolerance,
+        worst_field=(fields[field].i, fields[field].j),
+        worst_sample=samples[at],
         fields_tested=len(fields),
         samples_tested=len(samples),
+        non_finite=non_finite,
     )

@@ -43,14 +43,12 @@ def samples_for(metric, n=2, count=60, seed=7):
 def child_env(**extra):
     """Environment for a child interpreter that must import this same finslercheck.
 
-    The child inherits the parent's environment without FINSLERCHECK_PURE, with
-    the directory holding the imported package first on PYTHONPATH, so it finds
-    the copy under test whether that came from an install or from PYTHONPATH,
-    relative or absolute, and whatever the working directory.  ``extra`` is set
-    on top.
+    The child inherits the parent's environment with the directory holding the
+    imported package first on PYTHONPATH, so it finds the copy under test
+    whether that came from an install or from PYTHONPATH, relative or absolute,
+    and whatever the working directory.  ``extra`` is set on top.
     """
     env = dict(os.environ)
-    env.pop("FINSLERCHECK_PURE", None)
     root = str(Path(finslercheck.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     env.update(extra)

@@ -222,3 +222,46 @@ class TestBuiltMetrics:
         assert abs(a.value - b.value) < 1e-11
         assert np.abs(a.gradient() - b.gradient()).max() < 1e-9
         assert np.abs(a.hessian() - b.hessian()).max() < 1e-8
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("order", [0, 2, 3])
+    def test_gauss_panel_equals_node_by_node_sum(self, order):
+        from finslercheck import expr
+        from finslercheck.family import _GL_NODES, _GL_WEIGHTS, _CompiledFamily, _gauss_panel
+        from finslercheck.jets import lift_var
+
+        fam = _CompiledFamily(FUNK_SPEC)
+        for a, b, r, v in [(0.0, 1.3, 0.4, -0.2), (0.25, 0.5, 0.8, 0.6), (0.0, 0.01, 0.1, 1e-3)]:
+            acc, acc_abs = _gauss_panel(fam, a, b, r, v, order)
+            half, mid = 0.5 * (b - a), 0.5 * (a + b)
+            ref = ref_abs = 0.0
+            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+                t = mid + half * node
+                rj, vj = lift_var(0, r, 2, order), lift_var(1, v, 2, order)
+                c = expr.evaluate(fam.f_ast, {"t": vj * vj * (1.0 / (t * t)) - rj * rj}).coeffs
+                ref = ref + weight * c
+                ref_abs = ref_abs + weight * np.abs(c)
+            assert np.array_equal(acc, half * ref)
+            assert np.array_equal(acc_abs, half * ref_abs)
+
+    def test_run_config_evaluates_each_sample_once(self, monkeypatch):
+        from pathlib import Path
+
+        from finslercheck.cli import run_config
+        from finslercheck.metrics import SphericalMetric
+
+        calls = []
+        original = SphericalMetric.phi_jet
+
+        def counting(self, r, u, v, order=2):
+            calls.append((r, u, v, order))
+            return original(self, r, u, v, order)
+
+        monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+        config = Path(__file__).resolve().parent.parent / "configs" / "family_funk_reconstruction.json"
+        report, code = run_config(str(config), samples_override=30)
+        assert code == 0
+        # four positivity probes while building, then one order-2 jet per sample
+        assert len(calls) == 4 + 30
+        assert len(set(calls[4:])) == 30 and all(c[3] == 2 for c in calls[4:])

@@ -195,3 +195,25 @@ class TestCsvDump:
         assert float(row[1]) == path.points[1][0]
         third = 0.1 + 2 * 0.125 * 0.4
         assert float(lines[3].split(",")[1]) == pytest.approx(third, abs=1e-16)
+
+
+def test_spray_evaluates_one_profile_jet(monkeypatch):
+    calls = []
+    original = SphericalMetric.phi_jet
+
+    def counting(self, r, u, v, order=2):
+        calls.append(order)
+        return original(self, r, u, v, order)
+
+    monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+    for name in ("funk", "klein"):
+        calls.clear()
+        spray_general(builtin(name), [0.3, -0.2], [0.9, 0.4])
+        assert calls == [2]
+
+
+def test_spray_at_origin_is_finite():
+    # x = 0 kills every 1/r term of the bracket with x and v
+    g = spray_general(builtin("funk"), [0.0, 0.0], [0.6, 0.8])
+    assert np.isfinite(g).all()
+    assert np.allclose(g, spray_general(builtin("funk"), [1e-9, 0.0], [0.6, 0.8]), atol=1e-7)

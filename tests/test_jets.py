@@ -266,3 +266,84 @@ def test_compose_multivariate_shape_checks():
         compose_multivariate(outer, [lift_var(0, 1.0, 3, 2)])
     with pytest.raises(ValueError):
         compose_multivariate(outer, [lift_var(0, 1.0, 3, 2), lift_var(1, 1.0, 3, 1)])
+
+
+# -- jets over N points ----------------------------------------------------------
+
+BATCH_POINTS = [(0.8, -0.6), (1.7, 0.25), (-0.45, 1.3), (2.2, -1.9), (0.05, 0.9)]
+
+
+def _variables(points, order, nvars=2):
+    """One N-point jet per variable, seeded at every point."""
+    out = []
+    for i in range(nvars):
+        c = np.zeros((len(lift_var(0, 0.0, nvars, order).coeffs), len(points)))
+        c[0] = [p[i] for p in points]
+        c[1 + i] = 1.0
+        out.append(Jet(nvars, order, c))
+    return out
+
+
+def _exact_ops(x, y):
+    return [
+        (x + y) * (x - y) / (x * x + 1.5) - 2.0 * y,
+        3.0 / (y * y + 0.25) + x * Jet.constant(1.7, x.nvars, x.order),
+        Jet.constant(0.5, x.nvars, x.order) * y - Jet.constant(2.0, x.nvars, x.order) / x,
+        sqrt(x * x + y * y + 0.5),
+        powc(x, 3) * powc(y + 3.0, -2),
+        absval(x - 0.1) * powc(y * y + 1.0, 2),
+    ]
+
+
+def _series_ops(x, y):
+    return [log(x * x + 1.0), exp(y * 0.3), sin(x), cos(y), powc(x * x + 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_batched_columns_equal_scalar_jets(order):
+    xb, yb = _variables(BATCH_POINTS, order)
+    batched_exact, batched_series = _exact_ops(xb, yb), _series_ops(xb, yb)
+    for k, (x0, y0) in enumerate(BATCH_POINTS):
+        xs, ys = lift_var(0, x0, 2, order), lift_var(1, y0, 2, order)
+        for b, s in zip(batched_exact, _exact_ops(xs, ys)):
+            assert np.array_equal(b.coeffs[:, k], s.coeffs)
+        for b, s in zip(batched_series, _series_ops(xs, ys)):
+            assert np.abs(b.coeffs[:, k] - s.coeffs).max() <= 1e-15 * np.abs(s.coeffs).max()
+
+
+def test_batched_accessors_are_arrays():
+    x, y = _variables(BATCH_POINTS, 2)
+    j = x * x * y
+    assert np.array_equal(j.value, [p[0] ** 2 * p[1] for p in BATCH_POINTS])
+    assert np.array_equal(j.partial(0, 1), [2.0 * p[0] for p in BATCH_POINTS])
+    assert j.hessian().shape == (2, 2, len(BATCH_POINTS))
+    assert np.array_equal(j.hessian()[:, :, 1], (lift_var(0, 1.7, 2, 2) ** 2 * lift_var(1, 0.25, 2, 2)).hessian())
+
+
+def test_batched_domain_error_names_first_bad_point():
+    x, _ = _variables([(1.0, 0.0), (-2.0, 0.0), (-3.0, 0.0)], 2)
+    with pytest.raises(JetDomainError) as err:
+        sqrt(x)
+    assert err.value.value == -2.0
+    with pytest.raises(JetDomainError):
+        log(x)
+    with pytest.raises(JetDomainError):
+        1.0 / (x - 1.0)
+
+
+@pytest.mark.parametrize("nvars,order", [(1, 3), (3, 2), (3, 3), (8, 3)])
+def test_product_sums_each_slot_in_table_order(nvars, order):
+    # the reference: one term at a time into its slot, in product_table order
+    from finslercheck._multi_index import coeff_count, product_table
+
+    rng = random.Random(nvars * 100 + order)
+    n = coeff_count(nvars, order)
+    for width in (None, 4):
+        shape = (n,) if width is None else (n, width)
+        a = np.array([rng.uniform(-3.0, 3.0) for _ in range(np.prod(shape))]).reshape(shape)
+        b = np.array([rng.uniform(-3.0, 3.0) for _ in range(np.prod(shape))]).reshape(shape)
+        expected = np.zeros(shape)
+        for left, right, target in zip(*product_table(nvars, order)):
+            expected[target] = expected[target] + a[left] * b[right]
+        got = (Jet(nvars, order, a) * Jet(nvars, order, b)).coeffs
+        assert np.array_equal(got, expected)
