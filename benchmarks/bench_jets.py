@@ -4,7 +4,8 @@
 Times a jet product and a series composition (sqrt) on representative
 table sizes, for one-point jets and for 15-point batched jets (one
 Gauss-Legendre panel), then a realistic workload (profile jets of the funk
-metric, flag curvature evaluations, and one ambient order-3 jet batch).
+metric, flag curvature evaluations, the Bryant n=4 ambient bundle and its
+Killing tensor scan).
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
@@ -49,7 +50,7 @@ def bench_kernels(repeat):
 
 
 def bench_workload():
-    from finslercheck.metrics import builtin
+    from finslercheck.metrics import AmbientBundle, builtin
     from finslercheck.projective import flag_curvature
     from finslercheck.sampling import SampleSpec, sample_domain
     from finslercheck.symmetry import killing_tensor_max_residual
@@ -70,11 +71,15 @@ def bench_workload():
     bryant = builtin("bryant", alpha=math.pi / 6)
     samples4 = sample_domain(SampleSpec.for_metric(n=4, count=20, seed=7, domain_radius=math.inf))
     t0 = time.perf_counter()
+    AmbientBundle.of(bryant, samples4)
+    bundle_time = (time.perf_counter() - t0) / len(samples4)
+
+    t0 = time.perf_counter()
     for s in samples4:
         killing_tensor_max_residual(bryant, s.x, s.y)
     tensor_time = (time.perf_counter() - t0) / len(samples4)
 
-    return jet_time, lam_time, tensor_time
+    return jet_time, lam_time, bundle_time, tensor_time
 
 
 def main():
@@ -88,10 +93,11 @@ def main():
     for nvars, order, pairs, times in bench_kernels(args.repeat):
         print(f"{nvars:>2} {order:>5} {pairs:>6}" + "".join(f" {times[l]:>11.3e}" for l in labels))
 
-    jet_time, lam_time, tensor_time = bench_workload()
+    jet_time, lam_time, bundle_time, tensor_time = bench_workload()
     print("\nworkload:")
     print(f"  funk profile jet (order 2)      {jet_time * 1e6:9.1f} us/point")
     print(f"  flag curvature evaluation       {lam_time * 1e6:9.1f} us/point")
+    print(f"  bryant n=4 ambient bundle       {bundle_time * 1e6:9.1f} us/point")
     print(f"  bryant n=4 Killing tensor scan  {tensor_time * 1e3:9.2f} ms/point")
 
 

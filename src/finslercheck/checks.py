@@ -3,15 +3,16 @@
 Each runner reduces its residuals over the sample list in a fixed order
 (worst sample wins ties by first occurrence, and any non-finite residual
 fails the check and names its sample), so reports are deterministic
-regardless of how callers might parallelize in the future.  Profile
-formulas read one ``ProfileBundle`` of the samples, handed to the runners
-as a callable that builds it on first use (see ``profile_of``).
+regardless of how callers might parallelize in the future.  Every runner
+takes the run's ``Run``, which builds each derivative bundle of the samples
+on first use and shares it with every later check.
 """
 
 from __future__ import annotations
 
 import functools
 import os
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,13 +20,14 @@ from . import geodesics as geo
 from . import projective as proj
 from . import symmetry as sym
 from .metrics import (
+    AmbientBundle,
+    MetricSample,
     ProfileBundle,
     SphericalMetric,
-    fundamental_tensor_ad,
     positive_definite,
     relative_residual,
     reversibility_residual,
-    riemannian_probe,
+    riemannian_probe_of,
     worst_residual,
 )
 from .report import CheckRecord
@@ -53,186 +55,169 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def profile_of(metric, samples):
-    """The samples' ProfileBundle as a callable: built on the first call, then reused.
+@dataclass
+class Run:
+    """One verify run: the metric, its samples and tolerances, and the samples'
+    derivative bundles, each built on first use and then read by every check."""
 
-    Returns None for a general metric, which has no profile.
-    """
-    if not isinstance(metric, SphericalMetric):
-        return lambda: None
-    return functools.cache(lambda: ProfileBundle.of(metric, samples))
+    metric: object
+    samples: list
+    tolerances: dict = field(default_factory=dict)
+    dump_dir: str | None = None
+
+    def tolerance(self, name: str) -> float:
+        return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
+
+    @functools.cached_property
+    def profile(self) -> ProfileBundle:
+        return ProfileBundle.of(self.metric, self.samples)
+
+    @functools.cached_property
+    def ambient(self) -> AmbientBundle:
+        return AmbientBundle.of(self.metric, self.samples, 3)
+
+    @property
+    def first_order(self):
+        """The bundle F, F_x and F_y are read from: the profile's when there is one."""
+        return self.profile if isinstance(self.metric, SphericalMetric) else self.ambient
 
 
-def _require_profile(metric, check: str) -> None:
-    if not isinstance(metric, SphericalMetric):
-        raise ConfigError(f"check '{check}' needs a spherically symmetric metric")
-
-
-def _record(check, metric, samples, worst, at, tol, detail=None, passed=None) -> CheckRecord:
+def _record(check, run, worst, at, tol, detail=None, passed=None, F=None, samples=None):
+    """One record naming the sample ``at``, over ``samples`` (default: the run's).
+    Any F <= 0 in ``F`` (F at each sample) fails it and names the first such sample."""
+    samples = run.samples if samples is None else samples
+    detail = dict(detail or {})
+    passed = worst <= tol if passed is None else passed
+    non_positive = np.asarray(F if F is not None else ()) <= 0.0
+    if non_positive.any():
+        detail["non_positive_F"] = int(non_positive.sum())
+        at, passed = samples[non_positive.argmax()], False
     return CheckRecord(
-        check=check,
-        metric=metric.name,
-        samples=len(samples),
-        max_residual=worst,
-        tolerance=tol,
-        passed=worst <= tol if passed is None else passed,
-        worst_x=list(at.x),
-        worst_y=list(at.y),
-        detail=detail or {},
+        check, run.metric.name, len(samples), worst, tol, passed, list(at.x), list(at.y), detail
     )
 
 
-def _worst_record(check, metric, samples, values, tol, detail=None, ok=True) -> CheckRecord:
+def _worst_record(check, run, values, tol, detail=None, ok=True, F=None, samples=None):
     """Record of one residual per sample: passes if ok, all finite and all <= tol."""
+    samples = run.samples if samples is None else samples
     worst, at, non_finite = worst_residual(values)
     detail = dict(detail or {})
     if non_finite:
         detail["non_finite_residuals"] = non_finite
     passed = ok and non_finite == 0 and worst <= tol
-    return _record(check, metric, samples, worst, samples[at], tol, detail, passed)
+    return _record(check, run, worst, samples[at], tol, detail, passed, F, samples)
 
 
-def check_homogeneity(metric, samples, tol, params, profile):
-    _require_profile(metric, "homogeneity")
-    return [_worst_record("homogeneity", metric, samples, profile().homogeneity_residual(), tol)]
+def check_homogeneity(run, tol, params):
+    return [_worst_record("homogeneity", run, run.profile.homogeneity_residual(), tol)]
 
 
-def check_convexity(metric, samples, tol, params, profile):
-    _require_profile(metric, "convexity")
-    b = profile()
+def check_convexity(run, tol, params):
+    b = run.profile
     failed = np.array([not positive_definite(g) for g in b.g()])
-    fraction = int(failed.sum()) / len(samples)
-    detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(samples)}
+    fraction = int(failed.sum()) / len(run.samples)
+    detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
     # the first failing sample, or the first sample when none fails
-    return [_record("convexity", metric, samples, fraction, samples[failed.argmax()], tol, detail)]
+    return [_record("convexity", run, fraction, run.samples[failed.argmax()], tol, detail)]
 
 
-def check_symmetry(metric, samples, tol, params, profile):
-    verdict = sym.symmetry_verdict(metric, samples, tolerance=tol, bundle=profile())
+def check_symmetry(run, tol, params):
+    b = run.first_order
+    v = sym.symmetry_verdict(run.metric, run.samples, tolerance=tol, bundle=b)
     detail = {
-        "fields_tested": verdict.fields_tested,
-        "worst_field": list(verdict.worst_field),
-        "conclusion": verdict.conclusion,
+        "fields_tested": v.fields_tested,
+        "worst_field": list(v.worst_field),
+        "conclusion": v.conclusion,
     }
-    if verdict.non_finite:
-        detail["non_finite_residuals"] = verdict.non_finite
+    if v.non_finite:
+        detail["non_finite_residuals"] = v.non_finite
+    return [_record("symmetry", run, v.max_residual, v.worst_sample, tol, detail, v.passed, b.F)]
+
+
+def check_symmetry_tensor(run, tol, params):
+    b = run.ambient
+    values = sym.symmetry_tensor_of(b, sym.rotation_fields(b.n))
+    return [_worst_record("symmetry_tensor", run, values, tol, F=b.F)]
+
+
+def check_cartan(run, tol, params):
+    b = run.ambient
+    return [_worst_record("cartan", run, sym.cartan_contraction_of(b), tol, F=b.F)]
+
+
+def check_rapcsak(run, tol, params):
+    b = run.first_order
+    values = proj.rapcsak_residuals(run.metric, run.samples, b).max(axis=1)
+    return [_worst_record("rapcsak", run, values, tol, F=b.F)]
+
+
+def check_projective_pde(run, tol, params):
+    values = np.maximum(*proj.projective_pde_of(run.profile))
+    return [_worst_record("projective_pde", run, values, tol)]
+
+
+def check_curvature(run, tol, params):
+    """Constant flag curvature, and a second record for the curvature PDE pair
+    (tolerance ``curvature_pde``)."""
+    lam = params.get("lambda")
+    v = proj.constant_curvature_verdict(run.metric, run.samples, lam, tol, bundle=run.profile)
+    if v.status == "not_projective":
+        detail = {"status": v.status, "projectivity_residual": v.projectivity_residual}
+        worst = v.projectivity_residual
+        return [_record("curvature", run, worst, v.worst_sample, tol, detail, False)]
+    deviation = v.max_deviation
+    detail = {"status": v.status, "lambda_estimate": v.lambda_estimate, "max_deviation": deviation}
+    if lam is not None:
+        detail["lambda_hypothesis"] = lam
+        if v.lambda_estimate is not None:
+            deviation = max(deviation, abs(v.lambda_estimate - lam))
+    if v.non_finite:
+        detail["non_finite_residuals"] = v.non_finite
+    pde_detail = {"residual_u": v.pde_residuals[0], "residual_v": v.pde_residuals[1]}
+    pde_tol = run.tolerance("curvature_pde")
     return [
-        _record(
-            "symmetry", metric, samples, verdict.max_residual, verdict.worst_sample, tol, detail,
-            verdict.passed,
-        )
+        _record("curvature", run, deviation, v.worst_sample, tol, detail, v.passed),
+        _worst_record("curvature_pde", run, v.pde_values, pde_tol, pde_detail),
     ]
 
 
-def check_symmetry_tensor(metric, samples, tol, params, profile):
-    fields = sym.rotation_fields(len(samples[0].x))
-    values = [sym.killing_tensor_max_residual(metric, s.x, s.y, fields) for s in samples]
-    return [_worst_record("symmetry_tensor", metric, samples, values, tol)]
-
-
-def check_cartan(metric, samples, tol, params, profile):
-    values = [sym.cartan_y_contraction_residual(metric, s.x, s.y) for s in samples]
-    return [_worst_record("cartan", metric, samples, values, tol)]
-
-
-def check_rapcsak(metric, samples, tol, params, profile):
-    values = proj.rapcsak_residuals(metric, samples, profile()).max(axis=1)
-    return [_worst_record("rapcsak", metric, samples, values, tol)]
-
-
-def check_projective_pde(metric, samples, tol, params, profile):
-    _require_profile(metric, "projective_pde")
-    values = np.maximum(*proj.projective_pde_of(profile()))
-    return [_worst_record("projective_pde", metric, samples, values, tol)]
-
-
-def check_curvature(metric, samples, tol, params, pde_tol, profile):
-    _require_profile(metric, "curvature")
-    hypothesis = params.get("lambda")
-    verdict = proj.constant_curvature_verdict(
-        metric, samples, lambda_hypothesis=hypothesis, tolerance=tol, bundle=profile()
-    )
-    if verdict.status == "not_projective":
-        detail = {"status": verdict.status, "projectivity_residual": verdict.projectivity_residual}
-        rec = CheckRecord(
-            check="curvature",
-            metric=metric.name,
-            samples=len(samples),
-            max_residual=verdict.projectivity_residual,
-            tolerance=tol,
-            passed=False,
-            detail=detail,
-        )
-        return [rec]
-    deviation = verdict.max_deviation
-    if hypothesis is not None:
-        deviation = max(deviation, abs(verdict.lambda_estimate - hypothesis))
-    detail = {
-        "status": verdict.status,
-        "lambda_estimate": verdict.lambda_estimate,
-        "max_deviation": verdict.max_deviation,
-    }
-    if hypothesis is not None:
-        detail["lambda_hypothesis"] = hypothesis
-    return [
-        _record(
-            "curvature", metric, samples, deviation, verdict.worst_sample, tol, detail,
-            verdict.passed,
-        ),
-        CheckRecord(
-            check="curvature_pde",
-            metric=metric.name,
-            samples=len(samples),
-            max_residual=max(verdict.pde_residuals),
-            tolerance=pde_tol,
-            passed=max(verdict.pde_residuals) <= pde_tol,
-            detail={"residual_u": verdict.pde_residuals[0], "residual_v": verdict.pde_residuals[1]},
-        ),
-    ]
-
-
-def check_det_g(metric, samples, tol, params, profile):
-    _require_profile(metric, "det_g")
-    b = profile()
+def check_det_g(run, tol, params):
+    b = run.profile
     values = relative_residual(b.det_g(), -np.linalg.det(b.g()))
-    return [_worst_record("det_g", metric, samples, values, tol)]
+    return [_worst_record("det_g", run, values, tol)]
 
 
-def check_fundamental_ad(metric, samples, tol, params, profile):
-    _require_profile(metric, "fundamental_ad")
-    values = [
-        float(np.abs(closed - fundamental_tensor_ad(metric, s.x, s.y)).max())
-        / float(np.abs(closed).max())
-        for closed, s in zip(profile().g(), samples)
-    ]
-    return [_worst_record("fundamental_ad", metric, samples, values, tol)]
+def check_fundamental_ad(run, tol, params):
+    closed, ambient = run.profile.g(), run.ambient
+    values = np.abs(closed - ambient.g()).max(axis=(1, 2)) / np.abs(closed).max(axis=(1, 2))
+    return [_worst_record("fundamental_ad", run, values, tol, F=ambient.F)]
 
 
-def _reversibility(metric, samples):
-    return [reversibility_residual(metric, s.r, s.u, s.v) for s in samples]
+def _reversibility(run):
+    return [reversibility_residual(run.metric, s.r, s.u, s.v) for s in run.samples]
 
 
-def check_reversibility(metric, samples, tol, params, profile):
-    _require_profile(metric, "reversibility")
-    return [_worst_record("reversibility", metric, samples, _reversibility(metric, samples), tol)]
+def check_reversibility(run, tol, params):
+    return [_worst_record("reversibility", run, _reversibility(run), tol)]
 
 
-def check_geodesics(metric, samples, tol, params, dump_dir=None):
+def check_geodesics(run, tol, params):
     """Straightness of integrated geodesics; a path that stopped early fails the check."""
+    metric = run.metric
     count = int(params.get("count", 20))
     steps = int(params.get("steps", 400))
     horizon = float(params.get("horizon", 0.5))
-    launched = samples[: min(count, len(samples))]
+    launched = run.samples[: min(count, len(run.samples))]
     paths = [
         geo.integrate_geodesic(metric, s.x, s.y, geo.safe_horizon(metric, s.x, s.y, horizon), steps)
         for s in launched
     ]
     deviations = [geo.straightness_deviation(p, s.x, s.y) for p, s in zip(paths, launched)]
-    if dump_dir is not None:
-        os.makedirs(dump_dir, exist_ok=True)
+    if run.dump_dir is not None:
+        os.makedirs(run.dump_dir, exist_ok=True)
         safe_name = "".join(c if c.isalnum() else "_" for c in metric.name)
         for i, path in enumerate(paths):
-            with open(os.path.join(dump_dir, f"{safe_name}_geodesic{i:03d}.csv"), "w") as fh:
+            with open(os.path.join(run.dump_dir, f"{safe_name}_geodesic{i:03d}.csv"), "w") as fh:
                 geo.dump_csv(path, fh)
     completed = min(len(p.times) - 1 for p in paths)
     exits = [p.exit_time for p in paths if p.exit_time is not None]
@@ -243,7 +228,9 @@ def check_geodesics(metric, samples, tol, params, dump_dir=None):
         "first_exit_time": exits[0] if exits else None,
     }
     return [
-        _worst_record("geodesics", metric, launched, deviations, tol, detail, completed == steps)
+        _worst_record(
+            "geodesics", run, deviations, tol, detail, completed == steps, samples=launched
+        )
     ]
 
 
@@ -265,15 +252,15 @@ def _smooth_across_v_zero(metric, samples, delta=1e-6, threshold=1e-3):
     return True
 
 
-def check_conjecture(metric, samples, tol, params, curvature_tol, profile=None):
+def check_conjecture(run, tol, params):
     """Reversibility + constant curvature + Riemannian probe, reported together.
 
     The probe can only be consistent or inconsistent with the expectation
     that reversible projective metrics of constant flag curvature are
     Riemannian; it proves nothing either way.
     """
-    _require_profile(metric, "conjecture")
-    rev_worst, rev_at, rev_non_finite = worst_residual(_reversibility(metric, samples))
+    metric, samples = run.metric, run.samples
+    rev_worst, rev_at, rev_non_finite = worst_residual(_reversibility(run))
     reversible = rev_non_finite == 0 and rev_worst <= 1e-9
     detail: dict = {"reversible": reversible, "reversibility_residual": rev_worst}
     passed = True
@@ -282,15 +269,13 @@ def check_conjecture(metric, samples, tol, params, curvature_tol, profile=None):
         detail["conclusion"] = "consistent: not reversible, no claim applies"
     else:
         verdict = proj.constant_curvature_verdict(
-            metric, samples, tolerance=curvature_tol, bundle=profile() if profile else None
+            metric, samples, tolerance=run.tolerance("curvature"), bundle=run.profile
         )
         detail["constant_curvature"] = verdict.passed
         if verdict.lambda_estimate is not None:
             detail["lambda_estimate"] = verdict.lambda_estimate
         if not verdict.passed:
-            detail["conclusion"] = (
-                "consistent: curvature is not constant, no claim applies"
-            )
+            detail["conclusion"] = "consistent: curvature is not constant, no claim applies"
         elif not _smooth_across_v_zero(metric, samples):
             detail["smooth_across_v_zero"] = False
             detail["conclusion"] = (
@@ -298,27 +283,23 @@ def check_conjecture(metric, samples, tol, params, curvature_tol, profile=None):
                 "claim does not apply"
             )
         else:
-            xs = samples[: min(8, len(samples))]
             ys = [s.y for s in samples[: min(6, len(samples))]]
-            probes = [riemannian_probe(metric, s.x, ys) for s in xs]
-            probe_max = max(max(p.g_deviation, p.cartan_max) for p in probes)
+            pairs = [MetricSample.of(s.x, y) for s in samples[: min(8, len(samples))] for y in ys]
+            probe = riemannian_probe_of(AmbientBundle.of(metric, pairs), len(ys))
+            probe_max = float(np.maximum(*probe).max())
             riemannian = probe_max <= tol
             detail["riemannian"] = riemannian
             detail["probe_deviation"] = probe_max
             if riemannian:
-                detail["conclusion"] = (
-                    "consistent: reversible, constant curvature, and Riemannian"
-                )
+                detail["conclusion"] = "consistent: reversible, constant curvature, and Riemannian"
             else:
                 passed = False
                 detail["conclusion"] = (
                     "inconsistent: reversible constant-curvature metric "
                     "with y-dependent fundamental tensor"
                 )
-    return [_record("conjecture", metric, samples, probe_max, samples[rev_at], tol, detail, passed)]
+    return [_record("conjecture", run, probe_max, samples[rev_at], tol, detail, passed)]
 
-
-CHECK_NAMES = sorted(DEFAULT_TOLERANCES)
 
 _RUNNERS = {
     "homogeneity": check_homogeneity,
@@ -328,26 +309,27 @@ _RUNNERS = {
     "cartan": check_cartan,
     "rapcsak": check_rapcsak,
     "projective_pde": check_projective_pde,
+    "curvature": check_curvature,
     "det_g": check_det_g,
     "fundamental_ad": check_fundamental_ad,
     "reversibility": check_reversibility,
+    "geodesics": check_geodesics,
+    "conjecture": check_conjecture,
 }
 
+CHECK_NAMES = sorted(_RUNNERS)
 
-def run_check(name, metric, samples, params, tolerances, dump_dir=None, profile=None):
-    """Run one named check.  ``profile`` is the run's ``profile_of(metric, samples)``;
-    sharing it across a run's checks builds the profile bundle at most once."""
-    if profile is None:
-        profile = profile_of(metric, samples)
-    tol = tolerances.get(name, DEFAULT_TOLERANCES.get(name))
-    if name in _RUNNERS:
-        return _RUNNERS[name](metric, samples, tol, params, profile)
-    if name == "curvature":
-        pde_tol = tolerances.get("curvature_pde", DEFAULT_TOLERANCES["curvature_pde"])
-        return check_curvature(metric, samples, tol, params, pde_tol, profile)
-    if name == "geodesics":
-        return check_geodesics(metric, samples, tol, params, dump_dir=dump_dir)
-    if name == "conjecture":
-        curvature_tol = tolerances.get("curvature", DEFAULT_TOLERANCES["curvature"])
-        return check_conjecture(metric, samples, tol, params, curvature_tol, profile)
-    raise ConfigError(f"unknown check '{name}'")
+_PROFILE_CHECKS = {"homogeneity", "convexity", "projective_pde", "curvature", "det_g",
+                   "fundamental_ad", "reversibility", "conjecture"}  # they read phi(r, u, v)
+
+
+def run_check(name, metric, samples, params, tolerances, dump_dir=None, run=None):
+    """Run one named check.  ``run`` is the run's ``Run(metric, samples, tolerances,
+    dump_dir)``; sharing it across a run's checks builds each bundle at most once."""
+    if name not in _RUNNERS:
+        raise ConfigError(f"unknown check '{name}'")
+    if name in _PROFILE_CHECKS and not isinstance(metric, SphericalMetric):
+        raise ConfigError(f"check '{name}' needs a spherically symmetric metric")
+    if run is None:
+        run = Run(metric, samples, tolerances, dump_dir)
+    return _RUNNERS[name](run, run.tolerance(name), params)

@@ -30,7 +30,7 @@ import json
 import math
 import sys
 
-from .checks import CHECK_NAMES, ConfigError, profile_of, run_check
+from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, run_check
 from .expr import ParseError
 from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
 from .metrics import GeneralMetric, builtin, builtin_names
@@ -143,15 +143,15 @@ def run_config(
         )
         tolerances = {str(k): float(v) for k, v in cfg.get("tolerances", {}).items()}
         for name in tolerances:
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"unknown check '{name}' in tolerances{_suggest(name, CHECK_NAMES)}")
+            if name not in DEFAULT_TOLERANCES:
+                raise ConfigError(
+                    f"unknown check '{name}' in tolerances{_suggest(name, DEFAULT_TOLERANCES)}"
+                )
         samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
-        profile = profile_of(metric, samples)
+        run = Run(metric, samples, tolerances, dump_dir)
         for name, params in checks:
-            report.records.extend(
-                run_check(name, metric, samples, params, tolerances, dump_dir, profile)
-            )
+            report.records.extend(run_check(name, metric, samples, params, tolerances, run=run))
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return None, 2

@@ -22,11 +22,11 @@ import numpy as np
 
 from .jets import JetDomainError
 from .metrics import (
+    AmbientBundle,
     MetricDomainError,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
-    energy_ambient_jet,
     first_derivatives,
 )
 from .projective import q_of, rapcsak_terms
@@ -42,20 +42,17 @@ def spray_general(metric, x, y) -> np.ndarray:
     The bracket [F^2]_{x^k y^l} y^k - [F^2]_{x^l} and g come from one jet:
     for a profile metric its bundle, where the bracket is 2 Q F_y + 2 phi D
     with D = F_{x^k y^l} y^k - F_{x^l} (``rapcsak_terms``); for a general
-    metric the ambient order-2 jet of F^2.
+    metric its order-2 ``AmbientBundle``.
     """
     sample = MetricSample.of(x, y)
     if isinstance(metric, SphericalMetric):
         b = ProfileBundle.of(metric, [sample])
-        fy = b.f_derivatives()[1]
+        fy = b.first_derivatives()[2]
         rhs = 2.0 * (q_of(b)[:, None] * fy + b.phi[:, None] * sum(rapcsak_terms(b)))
-        rhs, g = rhs[0], b.g()[0]
     else:
-        n = len(sample.x)
-        ej = energy_ambient_jet(metric, sample.x, sample.y, 2)
-        hess = ej.hessian()
-        rhs = hess[:n, n:].T @ sample.y - ej.gradient()[:n]
-        g = hess[n:, n:] / 2.0
+        b = AmbientBundle.of(metric, [sample], 2)
+        rhs = b.spray_bracket()
+    rhs, g = rhs[0], b.g()[0]
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:

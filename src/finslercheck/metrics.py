@@ -12,12 +12,14 @@ arbitrary jets (the quadrature-built family) goes through multivariate
 composition of its 3-variable jet.
 
 Profile formulas (F_x, F_y, g, det g, homogeneity) are written once, as
-array expressions over a ``ProfileBundle`` of N samples; the pointwise
-functions evaluate them on a one-sample bundle.
+array expressions over a ``ProfileBundle`` of N samples; derivatives in
+(x, y) are read off an ``AmbientBundle`` of one ambient jet per sample.
+The pointwise functions evaluate either on a one-sample bundle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -71,6 +73,12 @@ class MetricSample:
         y = np.asarray(y, dtype=float)
         r, u, v = invariants_of(x, y)
         return cls(x, y, r, u, v)
+
+
+def _ambient_variables(x, y, order: int) -> list[Jet]:
+    """Seed jets of the 2n ambient variables x^1..x^n, y^1..y^n, in that order."""
+    point = np.concatenate([np.asarray(x, dtype=float), np.asarray(y, dtype=float)])
+    return [lift_var(i, c, len(point), order) for i, c in enumerate(point)]
 
 
 # -- profile evaluators --------------------------------------------------------
@@ -144,11 +152,8 @@ class SphericalMetric:
 
     def ambient_jet(self, x, y, order: int) -> Jet:
         """Jet of F in the 2n variables (x^1..x^n, y^1..y^n)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        n = len(x)
-        xs = [lift_var(i, x[i], 2 * n, order) for i in range(n)]
-        ys = [lift_var(n + i, y[i], 2 * n, order) for i in range(n)]
+        v = _ambient_variables(x, y, order)
+        xs, ys = v[: len(v) // 2], v[len(v) // 2 :]
         rj = sqrt(sum(c * c for c in xs))
         uj = sqrt(sum(c * c for c in ys))
         vj = sum(a * b for a, b in zip(xs, ys))
@@ -178,24 +183,16 @@ class GeneralMetric:
         return cls(name, n, fn, domain_radius)
 
     def ambient_jet(self, x, y, order: int) -> Jet:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
         if len(x) != self.n:
             raise MetricDomainError(f"{self.name} is {self.n}-dimensional")
-        xs = [lift_var(i, x[i], 2 * self.n, order) for i in range(self.n)]
-        ys = [lift_var(self.n + i, y[i], 2 * self.n, order) for i in range(self.n)]
-        return self.fn(xs, ys)
+        v = _ambient_variables(x, y, order)
+        return self.fn(v[: self.n], v[self.n :])
 
     def evaluate(self, x, y) -> float:
         value = self.ambient_jet(x, y, 0).value
         if not value > 0.0:
             raise MetricDomainError(f"{self.name} is not positive at x={x}, y={y}")
         return value
-
-
-def evaluate_F(metric, x, y) -> float:
-    """F(x,y) for either metric kind; positive or MetricDomainError."""
-    return metric.evaluate(x, y)
 
 
 # -- scale-free residual helpers -----------------------------------------------
@@ -279,8 +276,12 @@ class ProfileBundle:
     def at_invariants(cls, metric: SphericalMetric, r: float, u: float, v: float) -> "ProfileBundle":
         return cls.of(metric, [MetricSample(np.zeros(0), np.zeros(0), r, u, v)])
 
-    def f_derivatives(self) -> tuple[np.ndarray, np.ndarray]:
-        """(F_x, F_y) by the chain rule, each (N, n):
+    @property
+    def F(self) -> np.ndarray:
+        return self.phi
+
+    def first_derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, F_x, F_y) as (N,), (N, n), (N, n), by the chain rule:
 
             F_x = phi_r x/r + phi_v y,  F_y = phi_u y/u + phi_v x
 
@@ -289,7 +290,7 @@ class ProfileBundle:
         phi_v = self.phi_v[:, None]
         fx = self.phi_r[:, None] * quotient(self.x, self.r[:, None]) + phi_v * self.y
         fy = (self.phi_u / self.u)[:, None] * self.y + phi_v * self.x
-        return fx, fy
+        return self.phi, fx, fy
 
     def g(self) -> np.ndarray:
         """The fundamental tensor in closed form, (N, n, n):
@@ -351,33 +352,84 @@ class ProfileBundle:
         ])
 
 
-# -- pointwise wrappers and ambient derivatives -----------------------------------
+# -- the ambient bundle -----------------------------------------------------------
 
 
-def first_derivatives(metric, samples, bundle: ProfileBundle | None = None):
-    """(F, F_x, F_y) at the samples as (N,), (N, n) and (N, n) arrays.
+@dataclass(frozen=True, eq=False)
+class AmbientBundle:
+    """F and E = F^2 with their partials in the 2n ambient variables, at N samples.
 
-    Profile metrics read the bundle; general metrics read one ambient
-    order-1 jet per sample.
+    One ``metric.ambient_jet`` per sample, stacked as the columns of an N-point
+    jet, so each column is that sample's jet bit for bit.  The only code that
+    knows the layout (x^1..x^n, y^1..y^n) and the block scalings g = E_yy / 2,
+    dg/dx = E_xyy / 2, C = E_yyy / 4.  Arrays have the sample axis first.
     """
-    if isinstance(metric, SphericalMetric):
-        b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
-        return (b.phi, *b.f_derivatives())
-    n = len(samples[0].x)
-    jets = np.array([metric.ambient_jet(s.x, s.y, 1).coeffs for s in samples])
-    return jets[:, 0], jets[:, 1 : 1 + n], jets[:, 1 + n :]
+
+    x: np.ndarray
+    y: np.ndarray
+    f: Jet
+    e: Jet
+
+    @classmethod
+    def of(cls, metric, samples, order: int = 3) -> "AmbientBundle":
+        jets = [metric.ambient_jet(s.x, s.y, order) for s in samples]
+        f = Jet(jets[0].nvars, order, np.stack([j.coeffs for j in jets], axis=1))
+        # E sample by sample: one N-point product would hold all N samples' product terms at once
+        e = Jet(jets[0].nvars, order, np.stack([(j * j).coeffs for j in jets], axis=1))
+        return cls(np.array([s.x for s in samples]), np.array([s.y for s in samples]), f, e)
+
+    @classmethod
+    def at(cls, metric, x, y, order: int = 3) -> "AmbientBundle":
+        return cls.of(metric, [MetricSample.of(x, y)], order)
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.f.coeffs[0]
+
+    def first_derivatives(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F, F_x, F_y) as (N,), (N, n), (N, n)."""
+        n = self.n
+        return self.F, self.f.coeffs[1 : 1 + n].T, self.f.coeffs[1 + n : 1 + 2 * n].T
+
+    @functools.cached_property
+    def _e3(self) -> np.ndarray:
+        return np.moveaxis(self.e.third_tensor(), -1, 0)
+
+    def f_xy(self) -> np.ndarray:
+        """F_{x^k y^l} as (N, k, l)."""
+        return np.moveaxis(self.f.hessian(), -1, 0)[:, : self.n, self.n :]
+
+    def g(self) -> np.ndarray:
+        """The fundamental tensor g_ij = E_{y^i y^j} / 2, (N, n, n)."""
+        return np.moveaxis(self.e.hessian(), -1, 0)[:, self.n :, self.n :] / 2.0
+
+    def dg_dx(self) -> np.ndarray:
+        """dg_ij/dx^p = E_{x^p y^i y^j} / 2 as (N, p, i, j)."""
+        return self._e3[:, : self.n, self.n :, self.n :] / 2.0
+
+    def cartan(self) -> np.ndarray:
+        """C_ijp = (1/2) dg_ij/dy^p = E_{y^i y^j y^p} / 4, (N, n, n, n)."""
+        return self._e3[:, self.n :, self.n :, self.n :] / 4.0
+
+    def spray_bracket(self) -> np.ndarray:
+        """E_{x^k y^l} y^k - E_{x^l}, (N, n): 4 g G, G the spray."""
+        e_xy = np.moveaxis(self.e.hessian(), -1, 0)[:, : self.n, self.n :]
+        return np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
 
 
-def f_first_derivatives(metric, sample: MetricSample):
-    """(F, F_x, F_y) as (scalar, n-vector, n-vector)."""
-    f, fx, fy = first_derivatives(metric, [sample])
-    return float(f[0]), fx[0], fy[0]
+# -- pointwise wrappers -------------------------------------------------------------
 
 
-def energy_ambient_jet(metric, x, y, order: int) -> Jet:
-    """Jet of F^2 in the ambient variables."""
-    fj = metric.ambient_jet(x, y, order)
-    return fj * fj
+def first_derivatives(metric, samples, bundle=None):
+    """(F, F_x, F_y) at the samples as (N,), (N, n) and (N, n) arrays, read from
+    ``bundle`` (a profile or ambient bundle of the samples) or a new one."""
+    if bundle is None and isinstance(metric, SphericalMetric):
+        bundle = ProfileBundle.of(metric, samples)
+    return (bundle or AmbientBundle.of(metric, samples, 1)).first_derivatives()
 
 
 def fundamental_tensor(metric, x, y) -> np.ndarray:
@@ -393,9 +445,7 @@ def fundamental_tensor(metric, x, y) -> np.ndarray:
 
 def fundamental_tensor_ad(metric, x, y) -> np.ndarray:
     """g via the ambient jet of F^2; the cross-check route for profiles."""
-    e = energy_ambient_jet(metric, x, y, 2)
-    n = len(np.asarray(x))
-    return e.hessian()[n:, n:] / 2.0
+    return AmbientBundle.at(metric, x, y, 2).g()[0]
 
 
 def det_g_closed_form(metric: SphericalMetric, x, y) -> float:
@@ -447,25 +497,22 @@ class RiemannianProbe:
     cartan_max: float
 
 
+def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:
+    """How y-dependent is g?  Per base point (``directions`` pairs each, point-major):
+    the largest difference of g between two directions and the largest Cartan
+    entry, both relative to the largest g entry; zero for a Riemannian metric."""
+    n = b.n
+    g = b.g().reshape(-1, directions, n, n)
+    scale = np.abs(g).max(axis=(1, 2, 3))
+    deviation = np.abs(g[:, :, None] - g[:, None, :]).max(axis=(1, 2, 3, 4))
+    cartan = np.abs(b.cartan().reshape(len(scale), -1)).max(axis=1)
+    return quotient(deviation, scale), quotient(cartan, scale)
+
+
 def riemannian_probe(metric, x, ys) -> RiemannianProbe:
-    """How y-dependent is g at x?
-
-    Reports the largest pairwise deviation of g entries over the given
-    directions (relative to the largest entry) together with the largest
-    Cartan tensor entry; a Riemannian metric gives zero for both.
-    """
-    from .symmetry import cartan_tensor
-
-    tensors = [fundamental_tensor(metric, x, y) for y in ys]
-    scale = max(float(np.abs(g).max()) for g in tensors)
-    dev = 0.0
-    for i in range(len(tensors)):
-        for j in range(i + 1, len(tensors)):
-            dev = max(dev, float(np.abs(tensors[i] - tensors[j]).max()))
-    g_dev = dev / scale if scale > 0.0 else 0.0
-    cartan = max(float(np.abs(cartan_tensor(metric, x, y)).max()) for y in ys)
-    c_rel = cartan / scale if scale > 0.0 else 0.0
-    return RiemannianProbe(g_dev, c_rel)
+    """``riemannian_probe_of`` at x over the directions ys."""
+    b = AmbientBundle.of(metric, [MetricSample.of(x, y) for y in ys])
+    return RiemannianProbe(*(float(a[0]) for a in riemannian_probe_of(b, len(ys))))
 
 
 # -- builtin zoo ----------------------------------------------------------------

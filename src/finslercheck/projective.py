@@ -34,11 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (
+    AmbientBundle,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
     quotient,
     relative_residual,
+    worst_residual,
 )
 
 MIN_RADIUS = 0.05
@@ -153,33 +155,24 @@ def curvature_components_of(b: ProfileBundle, lam: float) -> np.ndarray:
 # -- pointwise wrappers ------------------------------------------------------------
 
 
-def rapcsak_residuals(metric, samples, bundle: ProfileBundle | None = None) -> np.ndarray:
+def rapcsak_residuals(metric, samples, bundle=None) -> np.ndarray:
     """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n).
 
-    Profile metrics use ``rapcsak_terms``; general metrics read both sides
-    off one ambient jet per sample.
+    Profile metrics use ``rapcsak_terms`` over a ``ProfileBundle``; general
+    metrics read both sides off an ``AmbientBundle`` (order >= 2).
     """
     if isinstance(metric, SphericalMetric):
         b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
         _require_radius(b)
         return relative_residual(*rapcsak_terms(b))
-    return np.array([rapcsak_residual(metric, s.x, s.y) for s in samples])
+    b = bundle if bundle is not None else AmbientBundle.of(metric, samples, 2)
+    f_xy, fx = b.f_xy(), b.first_derivatives()[1]
+    return relative_residual(*(f_xy[:, k] * b.y[:, k, None] for k in range(b.n)), -fx)
 
 
 def rapcsak_residual(metric, x, y) -> np.ndarray:
     """``rapcsak_residuals`` at one point-direction pair, an n-vector."""
-    s = MetricSample.of(x, y)
-    if isinstance(metric, SphericalMetric):
-        return rapcsak_residuals(metric, [s])[0]
-    n = len(s.x)
-    fj = metric.ambient_jet(s.x, s.y, 2)
-    hess = fj.hessian()
-    grad = fj.gradient()
-    out = np.empty(n)
-    for l in range(n):
-        terms = [hess[k, n + l] * s.y[k] for k in range(n)] + [-grad[l]]
-        out[l] = relative_residual(*terms)
-    return out
+    return rapcsak_residuals(metric, [MetricSample.of(x, y)])[0]
 
 
 def projective_pde_residuals(metric: SphericalMetric, r: float, u: float, v: float) -> tuple[float, float]:
@@ -219,10 +212,10 @@ class CurvatureVerdict:
     lambda_estimate: float | None
     max_deviation: float
     pde_residuals: tuple[float, float]
-    samples_used: int
-    lambda_hypothesis: float | None = None
     projectivity_residual: float = 0.0
     worst_sample: MetricSample | None = None
+    non_finite: int = 0  # samples whose gate or lambda is not finite
+    pde_values: np.ndarray | None = None  # per sample, the larger of the two PDE residuals
 
     @property
     def passed(self) -> bool:
@@ -239,42 +232,39 @@ def constant_curvature_verdict(
 ) -> CurvatureVerdict:
     """Estimate lambda over the samples and judge whether it is constant.
 
-    The estimate is the median of pointwise values (robust to a few
-    near-singular samples); the deviation is the max (strictest).  The
-    constant-curvature PDE residuals are evaluated at the hypothesis when
-    given, else at the estimate.  When the projectivity residual exceeds
-    the gate the verdict refuses to run: the curvature formulas presume a
-    projective metric.
+    The estimate is the median of the finite pointwise values (robust to a
+    few near-singular samples; None if there are none); the deviation is the
+    max (strictest).  The constant-curvature PDE residuals are evaluated at
+    the hypothesis when given, else at the estimate.  When the projectivity
+    residual exceeds the gate the verdict refuses to run: the curvature
+    formulas presume a projective metric.  Every reduction goes through
+    ``worst_residual``: a non-finite gate or lambda fails the verdict.
     """
     b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
     gate = rapcsak_residuals(metric, samples, b).max(axis=1)
-    over = gate > projectivity_gate
-    if over.any():
+    gate_worst, gate_at, _ = worst_residual(gate)
+    if gate_worst > projectivity_gate:
         return CurvatureVerdict(
-            status="not_projective",
-            lambda_estimate=None,
-            max_deviation=math.inf,
-            pde_residuals=(math.inf, math.inf),
-            samples_used=len(samples),
-            lambda_hypothesis=lambda_hypothesis,
-            projectivity_residual=float(gate[over.argmax()]),
+            "not_projective", None, math.inf, (math.inf, math.inf), gate_worst, samples[gate_at]
         )
     values = flag_curvature_of(b)
-    estimate = float(np.median(values))
-    deviation = float(np.abs(values - estimate).max())
+    finite = values[np.isfinite(values)]
+    estimate = float(np.median(finite)) if finite.size else math.nan
+    deviation = worst_residual(np.abs(values - estimate))[0]
     lam = lambda_hypothesis if lambda_hypothesis is not None else estimate
-    worst_idx = int(np.argmax(np.abs(values - lam)))
+    spread = np.where(np.isfinite(gate), np.abs(values - lam), math.nan)
+    _, worst_idx, non_finite = worst_residual(spread)
     c_u, c_v = curvature_pde_of(b, lam)
-    constant = deviation <= tolerance
+    constant = non_finite == 0 and deviation <= tolerance
     if lambda_hypothesis is not None:
         constant = constant and abs(estimate - lambda_hypothesis) <= tolerance
     return CurvatureVerdict(
         status="constant" if constant else "non_constant",
-        lambda_estimate=estimate,
+        lambda_estimate=estimate if finite.size else None,
         max_deviation=deviation,
-        pde_residuals=(float(c_u.max()), float(c_v.max())),
-        samples_used=len(samples),
-        lambda_hypothesis=lambda_hypothesis,
-        projectivity_residual=float(gate.max()),
+        pde_residuals=(worst_residual(c_u)[0], worst_residual(c_v)[0]),
+        projectivity_residual=gate_worst,
         worst_sample=samples[worst_idx],
+        non_finite=non_finite,
+        pde_values=np.maximum(c_u, c_v),
     )

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (
+    AmbientBundle,
     MetricSample,
-    ProfileBundle,
-    energy_ambient_jet,
     first_derivatives,
+    quotient,
     relative_residual,
     worst_residual,
 )
@@ -79,91 +79,75 @@ def killing_scalar_residual(metric, field: RotationField, x, y) -> float:
     return float(_scalar_residuals(fx, fy, field, sample.x[None], sample.y[None])[0])
 
 
-def _tensor_blocks(metric, x, y):
-    """(g, dg/dx, Cartan) read off one ambient order-3 jet of F^2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = len(x)
-    e = energy_ambient_jet(metric, x, y, 3)
-    third = e.third_tensor()
-    g = e.hessian()[n:, n:] / 2.0
-    dg_dx = third[:n, n:, n:] / 2.0  # index order (p, i, j)
-    cartan = third[n:, n:, n:] / 4.0
-    return g, dg_dx, cartan
-
-
-def _killing_tensor_terms(field: RotationField, x, y, blocks):
-    g, dg_dx, cartan = blocks
-    n = len(x)
-    a = field.jacobian(n)
-    xv = field.vector(np.asarray(x, dtype=float))
-    ay = a @ np.asarray(y, dtype=float)
-    t_flow = np.einsum("pij,p->ij", dg_dx, xv)
-    t_left = np.einsum("pj,pi->ij", g, a)
-    t_right = np.einsum("ip,pj->ij", g, a)
-    t_cartan = 2.0 * np.einsum("ijp,p->ij", cartan, ay)
+def killing_tensor_terms(b: AmbientBundle, field: RotationField):
+    """The four terms of the tensor Killing equation, each (N, n, n):
+    the flow of g, its two Jacobian terms, and the Cartan correction."""
+    a = field.jacobian(b.n)
+    g = b.g()
+    t_flow = np.einsum("kpij,kp->kij", b.dg_dx(), field.vector(b.x))
+    t_left = np.einsum("kpj,pi->kij", g, a)
+    t_right = np.einsum("kip,pj->kij", g, a)
+    t_cartan = 2.0 * np.einsum("kijp,kp->kij", b.cartan(), field.vector(b.y))
     return t_flow, t_left, t_right, t_cartan
 
 
-def _tensor_residual_matrix(field, x, y, blocks) -> np.ndarray:
-    t_flow, t_left, t_right, t_cartan = _killing_tensor_terms(field, x, y, blocks)
-    total = t_flow + t_left + t_right + t_cartan
-    scale = float((np.abs(t_flow) + np.abs(t_left) + np.abs(t_right) + np.abs(t_cartan)).max())
-    if scale == 0.0:
-        return np.zeros_like(total)
-    return np.abs(total) / scale
-
-
-def killing_tensor_residual(metric, field: RotationField, x, y) -> np.ndarray:
-    """Scale-free residual matrix of the full Killing equation.
+def killing_tensor_residuals(b: AmbientBundle, field: RotationField) -> np.ndarray:
+    """Scale-free residual matrices of the full Killing equation, (N, n, n).
 
     Entries are scaled by the largest combined term magnitude across the
     whole tensor; entrywise scales would turn pure rounding noise at
     mathematically-zero entries into order-one ratios.
     """
-    return _tensor_residual_matrix(field, x, y, _tensor_blocks(metric, x, y))
+    terms = killing_tensor_terms(b, field)
+    scale = sum(np.abs(t) for t in terms).max(axis=(1, 2))
+    return quotient(np.abs(sum(terms)), scale[:, None, None])
+
+
+def symmetry_tensor_of(b: AmbientBundle, fields) -> np.ndarray:
+    """Largest tensor residual over the fields, per sample."""
+    return np.max([killing_tensor_residuals(b, f).max(axis=(1, 2)) for f in fields], axis=0)
+
+
+def killing_tensor_residual(metric, field: RotationField, x, y) -> np.ndarray:
+    """``killing_tensor_residuals`` at one point-direction pair."""
+    return killing_tensor_residuals(AmbientBundle.at(metric, x, y), field)[0]
 
 
 def killing_tensor_max_residual(metric, x, y, fields=None) -> float:
     """Max tensor residual over rotation fields, one ambient jet per point."""
     if fields is None:
         fields = rotation_fields(len(np.asarray(x)))
-    blocks = _tensor_blocks(metric, x, y)
-    return max(float(_tensor_residual_matrix(f, x, y, blocks).max()) for f in fields)
+    return float(symmetry_tensor_of(AmbientBundle.at(metric, x, y), fields)[0])
 
 
 def cartan_tensor(metric, x, y) -> np.ndarray:
     """C_ijp = (1/2) dg_ij/dy^p = (1/4) d^3 F^2 / dy^i dy^j dy^p."""
-    n = len(np.asarray(x))
-    e = energy_ambient_jet(metric, x, y, 3)
-    return e.third_tensor()[n:, n:, n:] / 4.0
+    return AmbientBundle.at(metric, x, y).cartan()[0]
 
 
-def cartan_y_contraction_residual(metric, x, y) -> float:
-    """Largest entry of C_ijp y^p relative to the size of g.
+def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
+    """Largest entry of C_ijp y^p relative to the size of g, per sample.
 
     Zero because g is 0-homogeneous in y; g sets the scale since a failed
     identity would leave C_ijp y^p at g's magnitude (and a Riemannian
     metric's C is pure rounding noise, so C cannot set its own scale).
     """
-    y = np.asarray(y, dtype=float)
-    n = len(y)
-    e = energy_ambient_jet(metric, x, y, 3)
-    g = e.hessian()[n:, n:] / 2.0
-    c = e.third_tensor()[n:, n:, n:] / 4.0
-    contracted = float(np.abs(np.einsum("ijp,p->ij", c, y)).max())
-    return contracted / float(np.abs(g).max())
+    contracted = np.abs(np.einsum("kijp,kp->kij", b.cartan(), b.y)).max(axis=(1, 2))
+    return contracted / np.abs(b.g()).max(axis=(1, 2))
+
+
+def cartan_y_contraction_residual(metric, x, y) -> float:
+    """``cartan_contraction_of`` at one point-direction pair."""
+    return float(cartan_contraction_of(AmbientBundle.at(metric, x, y))[0])
 
 
 @dataclass(frozen=True)
 class SymmetryReport:
     max_residual: float
-    tolerance: float
     passed: bool
     worst_field: tuple[int, int]
     worst_sample: MetricSample
     fields_tested: int
-    samples_tested: int
     non_finite: int = 0
 
     @property
@@ -182,12 +166,13 @@ def symmetry_verdict(
     metric,
     samples: list[MetricSample],
     tolerance: float = 1e-9,
-    bundle: ProfileBundle | None = None,
+    bundle=None,
 ) -> SymmetryReport:
     """Scalar Killing residual maximized over every sample and generator.
 
     The worst (sample, field) pair is the first maximum in sample-major
-    order; any non-finite residual fails the verdict.
+    order; any non-finite residual fails the verdict.  F_x and F_y come from
+    ``bundle`` when given (see ``first_derivatives``).
     """
     fields = rotation_fields(len(samples[0].x))
     _, fx, fy = first_derivatives(metric, samples, bundle)
@@ -198,11 +183,9 @@ def symmetry_verdict(
     at, field = divmod(index, len(fields))
     return SymmetryReport(
         max_residual=worst,
-        tolerance=tolerance,
         passed=non_finite == 0 and worst <= tolerance,
         worst_field=(fields[field].i, fields[field].j),
         worst_sample=samples[at],
         fields_tested=len(fields),
-        samples_tested=len(samples),
         non_finite=non_finite,
     )

@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from finslercheck.checks import check_geodesics, run_check
-from finslercheck.metrics import GeneralMetric, MetricSample, SphericalMetric, builtin, worst_residual
+from finslercheck.checks import run_check
+from finslercheck.cli import run_config
+from finslercheck.metrics import (
+    ClosedFormProfile,
+    GeneralMetric,
+    MetricSample,
+    SphericalMetric,
+    builtin,
+    worst_residual,
+)
 from finslercheck.report import Report, to_json
 from finslercheck.sampling import SampleSpec, sample_domain
 from finslercheck.symmetry import symmetry_verdict
@@ -62,7 +70,9 @@ def test_geodesic_that_stops_early_fails():
     # domain radius the horizon is not shortened, so the path stops early
     unbounded = SphericalMetric("klein_unbounded", builtin("klein").profile)
     sample = MetricSample.of([0.9, 0.0], [1.9, 0.1])
-    [record] = check_geodesics(unbounded, [sample], 1e-6, {"count": 1, "steps": 10, "horizon": 5.0})
+    [record] = run_check(
+        "geodesics", unbounded, [sample], {"count": 1, "steps": 10, "horizon": 5.0}, {}
+    )
     assert record.max_residual <= 1e-6
     assert not record.passed
     assert record.detail["min_steps_completed"] == 0
@@ -72,8 +82,74 @@ def test_geodesic_that_stops_early_fails():
 def test_completed_geodesics_pass_and_say_so():
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
-    [record] = check_geodesics(funk, samples, 1e-6, {"count": 2, "steps": 20})
+    [record] = run_check("geodesics", funk, samples, {"count": 2, "steps": 20}, {})
     assert record.passed
     assert record.detail["min_steps_completed"] == 20
     assert record.detail["first_exit_time"] is None
     assert np.isfinite(record.max_residual)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("params", [{}, {"lambda": -0.25}])
+def test_overflowing_curvature_fails_both_records(params):
+    funk = builtin("funk").profile.fn
+    huge = SphericalMetric("huge_funk", ClosedFormProfile(lambda r, u, v: funk(r, u, v) * 1e200 * 1e200), 1.0)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=7, domain_radius=1.0))
+    records = run_check("curvature", huge, samples, params, {})
+    assert [r.check for r in records] == ["curvature", "curvature_pde"]
+    for record in records:
+        assert not record.passed, record.check
+        assert record.detail["non_finite_residuals"] == len(samples), record.check
+        assert record.worst_x == list(samples[0].x), record.check
+    assert records[0].detail["lambda_estimate"] is None
+    report = Report(metric=huge.name, dimension=2, seed=7, count=len(samples), records=records)
+    assert json.loads(to_json(report))["overall_pass"] is False
+
+
+def _write(tmp_path, cfg):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_non_positive_general_metric_fails(tmp_path):
+    # |y| + 3 x1 y1 satisfies Rapcsak's equation exactly but is negative
+    # wherever 3 x1 y1 < -|y|, so it is no Finsler metric there
+    cfg = {
+        "metric": {"general": {"F": "sqrt(y1^2+y2^2) + 3*x1*y1", "name": "negative"}},
+        "dimension": 2,
+        "sampling": {"count": 50, "seed": 7},
+        "checks": ["rapcsak", "symmetry", "cartan"],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 1
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=50, seed=7))
+    f = np.array([np.linalg.norm(s.y) + 3.0 * s.x[0] * s.y[0] for s in samples])
+    assert (f <= 0.0).any() and (f > 0.0).any()
+    first = int(np.argmax(f <= 0.0))
+    rapcsak = report.records[0]
+    assert rapcsak.max_residual <= 1e-12  # the residual alone would pass
+    for record in report.records:
+        assert not record.passed, record.check
+        assert record.detail["non_positive_F"] == int((f <= 0.0).sum()), record.check
+        assert record.worst_x == list(samples[first].x), record.check
+
+
+def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
+    calls = []
+    original = SphericalMetric.ambient_jet
+
+    def counting(self, x, y, order):
+        calls.append(order)
+        return original(self, x, y, order)
+
+    monkeypatch.setattr(SphericalMetric, "ambient_jet", counting)
+    cfg = {
+        "metric": {"name": "bryant", "params": {"alpha": 0.5235987755982988}},
+        "dimension": 4,
+        "sampling": {"count": 12, "seed": 7},
+        "checks": ["symmetry_tensor", "cartan", "fundamental_ad"],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 0
+    assert calls == [3] * 12

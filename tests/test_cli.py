@@ -65,6 +65,20 @@ class TestRunConfig:
         assert report is None and code == 2
         assert "rapcsak" in capsys.readouterr().err
 
+    def test_curvature_pde_is_a_tolerance_not_a_check(self, tmp_path, capsys):
+        # the curvature check's second record: refused as a check, never
+        # offered for a typo, but accepted (and read) as a tolerance key
+        for name in ("curvature_pde", "curvature_pd"):
+            report, code = run_config(write_config(tmp_path, funk_config(checks=[name])))
+            assert report is None and code == 2
+            err = capsys.readouterr().err
+            assert f"unknown check '{name}'" in err
+            assert "'curvature_pde'?" not in err
+        report, code = run_config(write_config(tmp_path, funk_config(tolerances={"curvature_pde": 1e-8})))
+        assert code == 0 and report.records[-1].check == "curvature_pde"
+        report, code = run_config(write_config(tmp_path, funk_config(tolerances={"curvature_pde": 1e-300})))
+        assert code == 1 and not report.records[-1].passed
+
     def test_missing_file_exit_two(self, capsys):
         report, code = run_config("/nonexistent/config.json")
         assert report is None and code == 2

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import make_metric, samples_for
+from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 from finslercheck.metrics import (
+    AmbientBundle,
     ClosedFormProfile,
+    GeneralMetric,
     MetricDomainError,
     MetricSample,
     SphericalMetric,
@@ -13,8 +16,7 @@ from finslercheck.metrics import (
     builtin_names,
     convexity_report,
     det_g_closed_form,
-    evaluate_F,
-    f_first_derivatives,
+    first_derivatives,
     fundamental_tensor,
     fundamental_tensor_ad,
     homogeneity_residual,
@@ -23,6 +25,7 @@ from finslercheck.metrics import (
     reversibility_residual,
     riemannian_probe,
 )
+from finslercheck.sampling import SampleSpec, sample_domain
 
 
 class TestInvariants:
@@ -50,23 +53,23 @@ class TestInvariants:
 class TestEvaluate:
     def test_funk_hand_value(self):
         # (sqrt(1*(1-0.25)+0.25) + 0.5) / 0.75 = (1 + 0.5)/0.75
-        assert evaluate_F(builtin("funk"), [0.5, 0.0], [1.0, 0.0]) == 2.0
+        assert builtin("funk").evaluate([0.5, 0.0], [1.0, 0.0]) == 2.0
 
     def test_klein_hand_value(self):
         want = math.sqrt(0.75) / 0.75
-        assert abs(evaluate_F(builtin("klein"), [0.5, 0.0], [0.0, 1.0]) - want) < 1e-15
+        assert abs(builtin("klein").evaluate([0.5, 0.0], [0.0, 1.0]) - want) < 1e-15
 
     def test_euclidean_norm(self):
-        assert evaluate_F(builtin("euclidean"), [0.3, -0.1], [3.0, 4.0]) == 5.0
+        assert builtin("euclidean").evaluate([0.3, -0.1], [3.0, 4.0]) == 5.0
 
     def test_outside_domain_rejected(self):
         with pytest.raises(MetricDomainError):
-            evaluate_F(builtin("funk"), [1.2, 0.0], [1.0, 0.0])
+            builtin("funk").evaluate([1.2, 0.0], [1.0, 0.0])
 
     def test_nonpositive_profile_flagged(self):
         bad = SphericalMetric("bad", ClosedFormProfile(lambda r, u, v: u - 2.0 * v * (v / u)))
         with pytest.raises(MetricDomainError):
-            evaluate_F(bad, [1.5, 0.0], [1.0, 0.0])  # phi = 1 - 2*1.5^2 < 0
+            bad.evaluate([1.5, 0.0], [1.0, 0.0])  # phi = 1 - 2*1.5^2 < 0
 
 
 class TestProfileJets:
@@ -115,7 +118,7 @@ class TestFundamentalTensor:
         metric = make_metric(name)
         for s in samples_for(metric, n=3, count=25):
             g = fundamental_tensor(metric, s.x, s.y)
-            f = evaluate_F(metric, s.x, s.y)
+            f = metric.evaluate(s.x, s.y)
             assert abs(float(s.y @ g @ s.y) - f * f) / (f * f) < 1e-10
 
     def test_zero_homogeneous_in_y(self):
@@ -192,7 +195,7 @@ class TestConvexity:
         assert not rep.direct_pd
         eig = np.linalg.eigvalsh(fundamental_tensor_ad(wide, 1.5 * x, y))
         assert eig[0] < 0.0 < eig[-1]
-        assert evaluate_F(wide, 1.5 * x, y) > 0.0
+        assert wide.evaluate(1.5 * x, y) > 0.0
         narrow = make_metric("bryant")
         for s in samples_for(narrow, n=3, count=40):
             assert convexity_report(narrow, s.x, s.y).direct_pd
@@ -223,8 +226,8 @@ class TestHomogeneity:
     def test_metric_scaling_invariance(self, name, lam):
         metric = make_metric(name)
         for s in samples_for(metric, n=2, count=20):
-            f1 = evaluate_F(metric, s.x, s.y)
-            f2 = evaluate_F(metric, s.x, lam * s.y)
+            f1 = metric.evaluate(s.x, s.y)
+            f2 = metric.evaluate(s.x, lam * s.y)
             assert abs(f2 - lam * f1) / (lam * f1) <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
@@ -233,8 +236,8 @@ class TestHomogeneity:
 
         metric = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
         for s in samples_for(builtin("spherical"), n=2, count=10):
-            f1 = evaluate_F(metric, s.x, s.y)
-            f2 = evaluate_F(metric, s.x, lam * s.y)
+            f1 = metric.evaluate(s.x, s.y)
+            f2 = metric.evaluate(s.x, lam * s.y)
             assert abs(f2 - lam * f1) / (lam * f1) <= 1e-12
 
 
@@ -333,9 +336,64 @@ class TestAmbientRoute:
         # profile chain rule vs direct 2n-variable differentiation
         metric = make_metric(name)
         for s in samples_for(metric, n=2, count=10):
-            f, fx, fy = f_first_derivatives(metric, MetricSample.of(s.x, s.y))
+            f, fx, fy = (a[0] for a in first_derivatives(metric, [MetricSample.of(s.x, s.y)]))
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             assert abs(f - amb.value) < 1e-12
             assert np.abs(fx - grad[:2]).max() < 1e-10
             assert np.abs(fy - grad[2:]).max() < 1e-10
+
+
+AMBIENT_CASES = {
+    "bryant_n4": (lambda: make_metric("bryant"), 4),
+    "funk": (lambda: builtin("funk"), 2),
+    # the family's profile takes no general jets: it goes through compose_multivariate
+    "family": (
+        lambda: build_projective_metric(
+            ProjectiveFamilySpec(
+                f="1/sqrt(1+t)", g="1/(1-r^2)", h="1/(1-r^2)", baseline="abs_corrected"
+            )
+        ),
+        2,
+    ),
+    "anisotropic": (lambda: GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2), 2),
+}
+
+
+def _bundle_parts(b):
+    return (
+        b.f.coeffs.T,
+        b.e.coeffs.T,
+        *b.first_derivatives(),
+        b.f_xy(),
+        b.g(),
+        b.dg_dx(),
+        b.cartan(),
+        b.spray_bracket(),
+    )
+
+
+class TestAmbientBundle:
+    @pytest.mark.parametrize("case", sorted(AMBIENT_CASES))
+    def test_stacked_columns_equal_one_point_bundles(self, case):
+        build, n = AMBIENT_CASES[case]
+        metric = build()
+        spec = SampleSpec.for_metric(n=n, count=4, seed=7, domain_radius=metric.domain_radius)
+        samples = sample_domain(spec)
+        stacked = _bundle_parts(AmbientBundle.of(metric, samples))
+        for k, s in enumerate(samples):
+            one = _bundle_parts(AmbientBundle.of(metric, [s]))
+            for got, want in zip(stacked, one):
+                assert got[k].tobytes() == want[0].tobytes(), (case, k)
+
+    def test_blocks_match_the_energy_jet(self):
+        # g, dg/dx and C are the y-blocks of E = F^2, scaled by 1/2, 1/2, 1/4
+        metric = make_metric("bryant")
+        s = samples_for(metric, n=3, count=1)[0]
+        e = metric.ambient_jet(s.x, s.y, 3) * metric.ambient_jet(s.x, s.y, 3)
+        b = AmbientBundle.at(metric, s.x, s.y)
+        assert np.array_equal(b.g()[0], e.hessian()[3:, 3:] / 2.0)
+        assert np.array_equal(b.dg_dx()[0], e.third_tensor()[:3, 3:, 3:] / 2.0)
+        assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
+        bracket = e.hessian()[:3, 3:].T @ s.y - e.gradient()[:3]
+        assert np.allclose(b.spray_bracket()[0], bracket, rtol=1e-14, atol=1e-14)
