@@ -19,11 +19,16 @@ import numpy as np
 from . import geodesics as geo
 from . import projective as proj
 from . import symmetry as sym
+from .expr import EvalDomainError
+from .family import FamilyError
+from .jets import JetDomainError
 from .metrics import (
     AmbientBundle,
+    MetricDomainError,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
+    at_samples,
     positive_definite,
     relative_residual,
     reversibility_residual,
@@ -35,6 +40,10 @@ from .report import CheckRecord
 
 class ConfigError(ValueError):
     """Bad configuration: unknown names, wrong metric kind, invalid params."""
+
+
+# Raised where a metric cannot be evaluated at a point; see ``metrics.at_samples``.
+_EVALUATION_ERRORS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError)
 
 
 DEFAULT_TOLERANCES = {
@@ -147,8 +156,7 @@ def check_cartan(run, tol, params):
 
 def check_rapcsak(run, tol, params):
     b = run.first_order
-    values = proj.rapcsak_residuals(run.metric, run.samples, b).max(axis=1)
-    return [_worst_record("rapcsak", run, values, tol, F=b.F)]
+    return [_worst_record("rapcsak", run, b.rapcsak_residuals().max(axis=1), tol, F=b.F)]
 
 
 def check_projective_pde(run, tol, params):
@@ -194,7 +202,7 @@ def check_fundamental_ad(run, tol, params):
 
 
 def _reversibility(run):
-    return [reversibility_residual(run.metric, s.r, s.u, s.v) for s in run.samples]
+    return at_samples(lambda s: reversibility_residual(run.metric, s.r, s.u, s.v), run.samples)
 
 
 def check_reversibility(run, tol, params):
@@ -323,13 +331,18 @@ _PROFILE_CHECKS = {"homogeneity", "convexity", "projective_pde", "curvature", "d
                    "fundamental_ad", "reversibility", "conjecture"}  # they read phi(r, u, v)
 
 
-def run_check(name, metric, samples, params, tolerances, dump_dir=None, run=None):
-    """Run one named check.  ``run`` is the run's ``Run(metric, samples, tolerances,
-    dump_dir)``; sharing it across a run's checks builds each bundle at most once."""
+def run_check(name, run, params):
+    """Run one named check over ``run``; sharing one ``Run`` across a run's checks
+    builds each bundle at most once.  An evaluation failure at one of the samples
+    fails the check with one record naming that sample (``detail.evaluation_error``)."""
     if name not in _RUNNERS:
         raise ConfigError(f"unknown check '{name}'")
-    if name in _PROFILE_CHECKS and not isinstance(metric, SphericalMetric):
+    if name in _PROFILE_CHECKS and not isinstance(run.metric, SphericalMetric):
         raise ConfigError(f"check '{name}' needs a spherically symmetric metric")
-    if run is None:
-        run = Run(metric, samples, tolerances, dump_dir)
-    return _RUNNERS[name](run, run.tolerance(name), params)
+    tol = run.tolerance(name)
+    try:
+        return _RUNNERS[name](run, tol, params)
+    except _EVALUATION_ERRORS as err:
+        if getattr(err, "sample", None) is None:
+            raise
+        return [_record(name, run, 0.0, err.sample, tol, {"evaluation_error": str(err)}, False)]

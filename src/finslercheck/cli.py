@@ -151,7 +151,7 @@ def run_config(
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
         run = Run(metric, samples, tolerances, dump_dir)
         for name, params in checks:
-            report.records.extend(run_check(name, metric, samples, params, tolerances, run=run))
+            report.records.extend(run_check(name, run, params))
     except (ConfigError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return None, 2

@@ -205,9 +205,7 @@ def integral_jet(spec: ProjectiveFamilySpec, r: float, u: float, v: float, order
 
 
 class FamilyProfile:
-    """Profile evaluator for a built family metric."""
-
-    supports_general_jets = False
+    """Profile evaluator for a built family metric (3-variable jets only)."""
 
     def __init__(self, fam: _CompiledFamily):
         self.fam = fam

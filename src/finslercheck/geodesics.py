@@ -20,56 +20,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import EvalDomainError
 from .jets import JetDomainError
-from .metrics import (
-    AmbientBundle,
-    MetricDomainError,
-    MetricSample,
-    ProfileBundle,
-    SphericalMetric,
-    first_derivatives,
-)
-from .projective import q_of, rapcsak_terms
+from .metrics import MetricDomainError, MetricSample, bundle_of
 
 
 class NotStronglyConvexError(ValueError):
     """g failed its symmetric factorization: the metric is not strongly convex here."""
 
 
-def spray_general(metric, x, y) -> np.ndarray:
-    """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
-
-    The bracket [F^2]_{x^k y^l} y^k - [F^2]_{x^l} and g come from one jet:
-    for a profile metric its bundle, where the bracket is 2 Q F_y + 2 phi D
-    with D = F_{x^k y^l} y^k - F_{x^l} (``rapcsak_terms``); for a general
-    metric its order-2 ``AmbientBundle``.
-    """
-    sample = MetricSample.of(x, y)
-    if isinstance(metric, SphericalMetric):
-        b = ProfileBundle.of(metric, [sample])
-        fy = b.first_derivatives()[2]
-        rhs = 2.0 * (q_of(b)[:, None] * fy + b.phi[:, None] * sum(rapcsak_terms(b)))
-    else:
-        b = AmbientBundle.of(metric, [sample], 2)
-        rhs = b.spray_bracket()
-    rhs, g = rhs[0], b.g()[0]
+def _spray_of(metric, b) -> np.ndarray:
+    """G at the sample of the one-sample bundle b: g G = bracket / 4."""
+    rhs, g = b.spray_bracket()[0], b.g()[0]
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         raise NotStronglyConvexError(
-            f"{metric.name}: metric is not strongly convex at x={sample.x}, y={sample.y}"
+            f"{metric.name}: metric is not strongly convex at x={b.x[0]}, y={b.y[0]}"
         ) from None
     solved = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     return 0.25 * solved
 
 
+def spray_general(metric, x, y) -> np.ndarray:
+    """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
+    The bracket and g come from one ``bundle_of`` the point: one jet per call."""
+    return _spray_of(metric, bundle_of(metric, [MetricSample.of(x, y)]))
+
+
 def spray_projectivity_residual(metric, x, y) -> float:
     """Relative size of G - P y, the non-projective part of the spray."""
-    sample = MetricSample.of(x, y)
-    g_vec = spray_general(metric, x, y)
-    f, fx, _ = first_derivatives(metric, [sample])
-    p = float(fx[0] @ sample.y) / (2.0 * float(f[0]))  # P = F_{x^k} y^k / (2F)
-    py = p * sample.y
+    b = bundle_of(metric, [MetricSample.of(x, y)])
+    g_vec = _spray_of(metric, b)
+    f, fx, _ = b.first_derivatives()
+    py = b.y[0] * (float(fx[0] @ b.y[0]) / (2.0 * float(f[0])))  # P y, P = F_{x^k} y^k / (2F)
     scale = float(np.linalg.norm(g_vec) + np.linalg.norm(py))
     if scale == 0.0:
         return 0.0
@@ -110,7 +94,7 @@ def integrate_geodesic(metric, x0, y0, horizon: float, steps: int) -> GeodesicPa
             k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
             k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
             k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-        except (JetDomainError, MetricDomainError, NotStronglyConvexError):
+        except (JetDomainError, MetricDomainError, EvalDomainError, NotStronglyConvexError):
             return GeodesicPath(
                 np.array(times), np.array(points), np.array(velocities), exit_time=times[-1]
             )

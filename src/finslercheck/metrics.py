@@ -1,4 +1,4 @@
-"""Metric representations, the profile bundle, and the pointwise checks built on them.
+"""Metric representations, the two derivative bundles, and the pointwise checks built on them.
 
 A spherically symmetric metric is carried by its profile phi(r, u, v) with
 r = |x|, u = |y|, v = <x,y>; F(x,y) = phi(|x|, |y|, <x,y>).  phi must be
@@ -7,14 +7,16 @@ variable order r=0, u=1, v=2 throughout.
 
 General metrics carry F(x, y) directly and are differentiated with jets in
 the 2n ambient variables (x^1..x^n, y^1..y^n).  Spherical metrics support
-both routes; the ambient route for a profile that cannot be evaluated on
-arbitrary jets (the quadrature-built family) goes through multivariate
-composition of its 3-variable jet.
+both routes; the ambient route for the quadrature-built family profile,
+which takes no arbitrary jets, goes through multivariate composition of its
+3-variable jet.
 
-Profile formulas (F_x, F_y, g, det g, homogeneity) are written once, as
-array expressions over a ``ProfileBundle`` of N samples; derivatives in
-(x, y) are read off an ``AmbientBundle`` of one ambient jet per sample.
-The pointwise functions evaluate either on a one-sample bundle.
+Derivatives of F come from a bundle of N samples: a ``ProfileBundle`` (phi
+and its partials, with every profile formula as an array expression over
+them) or an ``AmbientBundle`` (one ambient jet per sample).  Both provide
+F, F_x, F_y, g, the Rapcsak residual and the spray bracket, and
+``bundle_of`` is the one place that picks a bundle by metric kind.  The
+pointwise functions evaluate on a one-sample bundle.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ R, U, V = 0, 1, 2
 
 # Slack absorbing rounding at the boundary case phi_vv = 0 (Euclidean).
 PHI_VV_SLACK = -1e-12
+MIN_RADIUS = 0.05  # the profile-space formulas carry 1/r (``ProfileBundle.require_radius``)
 
 
 class MetricDomainError(ValueError):
@@ -85,9 +88,8 @@ def _ambient_variables(x, y, order: int) -> list[Jet]:
 
 
 class ClosedFormProfile:
-    """phi given as a python function of three jets (r, u, v)."""
-
-    supports_general_jets = True
+    """phi given as a python function of three jets (r, u, v), which may be
+    arbitrary jets (the ambient route passes jets in (x, y))."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -97,26 +99,14 @@ class ClosedFormProfile:
             lift_var(R, r, 3, order), lift_var(U, u, 3, order), lift_var(V, v, 3, order)
         )
 
-    def apply(self, rj: Jet, uj: Jet, vj: Jet) -> Jet:
-        return self.fn(rj, uj, vj)
 
-
-class ExpressionProfile:
+class ExpressionProfile(ClosedFormProfile):
     """phi parsed from a formula in the variables r, u, v."""
-
-    supports_general_jets = True
 
     def __init__(self, source: str):
         self.source = source
-        self.ast = expr_mod.parse(source, {"r", "u", "v"})
-
-    def jet(self, r: float, u: float, v: float, order: int) -> Jet:
-        return self.apply(
-            lift_var(R, r, 3, order), lift_var(U, u, 3, order), lift_var(V, v, 3, order)
-        )
-
-    def apply(self, rj: Jet, uj: Jet, vj: Jet) -> Jet:
-        return expr_mod.evaluate(self.ast, {"r": rj, "u": uj, "v": vj})
+        ast = expr_mod.parse(source, {"r", "u", "v"})
+        super().__init__(lambda r, u, v: expr_mod.evaluate(ast, {"r": r, "u": u, "v": v}))
 
 
 @dataclass
@@ -157,8 +147,8 @@ class SphericalMetric:
         rj = sqrt(sum(c * c for c in xs))
         uj = sqrt(sum(c * c for c in ys))
         vj = sum(a * b for a, b in zip(xs, ys))
-        if getattr(self.profile, "supports_general_jets", False):
-            return self.profile.apply(rj, uj, vj)
+        if isinstance(self.profile, ClosedFormProfile):
+            return self.profile.fn(rj, uj, vj)
         outer = self.phi_jet(rj.value, uj.value, vj.value, order)
         return compose_multivariate(outer, [rj, uj, vj])
 
@@ -230,6 +220,20 @@ def worst_residual(values) -> tuple[float, int, int]:
     return worst, int(bad.argmax() if bad.any() else values.argmax()), int(bad.sum())
 
 
+def at_samples(evaluate, samples) -> list:
+    """[evaluate(s) for s in samples].  A ValueError raised at a sample (a jet,
+    metric, formula or quadrature domain error) carries that sample as its
+    ``sample`` attribute, so a check can report where evaluation failed."""
+    out = []
+    for s in samples:
+        try:
+            out.append(evaluate(s))
+        except ValueError as err:
+            err.sample = s
+            raise
+    return out
+
+
 # -- the profile bundle ----------------------------------------------------------
 
 
@@ -238,9 +242,9 @@ class ProfileBundle:
     """phi and its nine first and second partials at N samples, as length-N arrays.
 
     Filled by one order-2 ``phi_jet`` per sample; every profile formula
-    (here and in ``projective`` and ``geodesics``) is an array expression
-    over a bundle.  x and y are (N, n) arrays; a bundle built from the
-    invariants alone (``at_invariants``) has n = 0.
+    (here and in ``projective``) is an array expression over a bundle.  x and
+    y are (N, n) arrays; a bundle built from the invariants alone
+    (``at_invariants``) has n = 0.
     """
 
     x: np.ndarray
@@ -261,7 +265,7 @@ class ProfileBundle:
 
     @classmethod
     def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
-        coeffs = np.array([metric.phi_jet(s.r, s.u, s.v, 2).coeffs for s in samples])
+        coeffs = np.array(at_samples(lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs, samples))
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
         partials = (coeffs * derivative_factors(3, 2)).T
         invariants = np.array([(s.r, s.u, s.v) for s in samples]).T
@@ -287,10 +291,11 @@ class ProfileBundle:
 
         (for r = 0 the phi_r term vanishes with x).
         """
-        phi_v = self.phi_v[:, None]
-        fx = self.phi_r[:, None] * quotient(self.x, self.r[:, None]) + phi_v * self.y
-        fy = (self.phi_u / self.u)[:, None] * self.y + phi_v * self.x
-        return self.phi, fx, fy
+        fx = self.phi_r[:, None] * quotient(self.x, self.r[:, None]) + self.phi_v[:, None] * self.y
+        return self.phi, fx, self._f_y()
+
+    def _f_y(self) -> np.ndarray:
+        return (self.phi_u / self.u)[:, None] * self.y + self.phi_v[:, None] * self.x
 
     def g(self) -> np.ndarray:
         """The fundamental tensor in closed form, (N, n, n):
@@ -314,6 +319,46 @@ class ProfileBundle:
         y, yt = self.y[:, :, None], self.y[:, None, :]
         g = c_delta * np.eye(self.x.shape[1]) + c_xx * (x * xt)
         return g + c_yy * (y * yt) + c_xy * (x * yt + y * xt)
+
+    def q(self) -> np.ndarray:
+        """Q = v phi_r / r + u^2 phi_v = F_{x^k} y^k (the phi_r term vanishes at r = 0)."""
+        return quotient(self.v, self.r) * self.phi_r + self.u * self.u * self.phi_v
+
+    def require_radius(self) -> None:
+        """Refuse samples with r < MIN_RADIUS, where the 1/r profile formulas lose accuracy."""
+        low = self.r[self.r < MIN_RADIUS]
+        if low.size:
+            raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {low[0]}")
+
+    def rapcsak_coefficients(self):
+        """(radial, tangential): the terms of the two coefficients in
+
+            F_{x^k y^l} y^k - F_{x^l} = (phi_rv v/r + phi_vv u^2 - phi_r/r) x^l
+                                        + (phi_ru v/(ru) + phi_uv u) y^l
+
+        (at r = 0 the 1/r terms vanish with x and v).
+        """
+        r, u, v = self.r, self.u, self.v
+        radial = (quotient(self.phi_rv * v, r), self.phi_vv * u * u, -quotient(self.phi_r, r))
+        tangential = (quotient(self.phi_ru * v, r * u), self.phi_uv * u)
+        return radial, tangential
+
+    def _rapcsak_terms(self) -> list[np.ndarray]:
+        """The five (N, n) terms of F_{x^k y^l} y^k - F_{x^l}."""
+        radial, tangential = self.rapcsak_coefficients()
+        return [c[:, None] * self.x for c in radial] + [c[:, None] * self.y for c in tangential]
+
+    def rapcsak_residuals(self) -> np.ndarray:
+        """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n);
+        refuses samples with r < MIN_RADIUS."""
+        self.require_radius()
+        return relative_residual(*self._rapcsak_terms())
+
+    def spray_bracket(self) -> np.ndarray:
+        """[F^2]_{x^k y^l} y^k - [F^2]_{x^l} = 2 Q F_y + 2 phi D, (N, n), with
+        D = F_{x^k y^l} y^k - F_{x^l}: 4 g G, G the spray."""
+        d = sum(self._rapcsak_terms())
+        return 2.0 * (self.q()[:, None] * self._f_y() + self.phi[:, None] * d)
 
     def det_g(self) -> np.ndarray:
         """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
@@ -372,7 +417,7 @@ class AmbientBundle:
 
     @classmethod
     def of(cls, metric, samples, order: int = 3) -> "AmbientBundle":
-        jets = [metric.ambient_jet(s.x, s.y, order) for s in samples]
+        jets = at_samples(lambda s: metric.ambient_jet(s.x, s.y, order), samples)
         f = Jet(jets[0].nvars, order, np.stack([j.coeffs for j in jets], axis=1))
         # E sample by sample: one N-point product would hold all N samples' product terms at once
         e = Jet(jets[0].nvars, order, np.stack([(j * j).coeffs for j in jets], axis=1))
@@ -415,32 +460,33 @@ class AmbientBundle:
         """C_ijp = (1/2) dg_ij/dy^p = E_{y^i y^j y^p} / 4, (N, n, n, n)."""
         return self._e3[:, self.n :, self.n :, self.n :] / 4.0
 
+    def rapcsak_residuals(self) -> np.ndarray:
+        """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n)."""
+        f_xy, fx = self.f_xy(), self.first_derivatives()[1]
+        return relative_residual(*(f_xy[:, k] * self.y[:, k, None] for k in range(self.n)), -fx)
+
     def spray_bracket(self) -> np.ndarray:
         """E_{x^k y^l} y^k - E_{x^l}, (N, n): 4 g G, G the spray."""
         e_xy = np.moveaxis(self.e.hessian(), -1, 0)[:, : self.n, self.n :]
         return np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
 
 
+def bundle_of(metric, samples):
+    """The derivative bundle of the samples: a ``ProfileBundle`` for a profile
+    metric, an order-2 ``AmbientBundle`` otherwise.  Either provides F,
+    ``first_derivatives()``, ``g()``, ``rapcsak_residuals()`` and ``spray_bracket()``."""
+    if isinstance(metric, SphericalMetric):
+        return ProfileBundle.of(metric, samples)
+    return AmbientBundle.of(metric, samples, 2)
+
+
 # -- pointwise wrappers -------------------------------------------------------------
 
 
-def first_derivatives(metric, samples, bundle=None):
-    """(F, F_x, F_y) at the samples as (N,), (N, n) and (N, n) arrays, read from
-    ``bundle`` (a profile or ambient bundle of the samples) or a new one."""
-    if bundle is None and isinstance(metric, SphericalMetric):
-        bundle = ProfileBundle.of(metric, samples)
-    return (bundle or AmbientBundle.of(metric, samples, 1)).first_derivatives()
-
-
 def fundamental_tensor(metric, x, y) -> np.ndarray:
-    """g_ij = (1/2) d^2 F^2 / dy^i dy^j.
-
-    Closed form (``ProfileBundle.g``) for a profile metric, the ambient jet
-    of F^2 for a general metric.
-    """
-    if isinstance(metric, SphericalMetric):
-        return ProfileBundle.at(metric, x, y).g()[0]
-    return fundamental_tensor_ad(metric, x, y)
+    """g_ij = (1/2) d^2 F^2 / dy^i dy^j, read from ``bundle_of`` the point: the closed
+    form (``ProfileBundle.g``) for a profile metric, the ambient jet of F^2 otherwise."""
+    return bundle_of(metric, [MetricSample.of(x, y)]).g()[0]
 
 
 def fundamental_tensor_ad(metric, x, y) -> np.ndarray:

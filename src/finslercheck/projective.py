@@ -23,7 +23,8 @@ with y^k; Euler's relation P_{y^k} y^k = P turns it into
     lambda = (P^2 - P_{x^k} y^k) / F^2,   P_{x^k} y^k = P_r v/r + P_v u^2,
 
 which needs only second-order profile jets.  All formulas carry 1/r, so
-operations here require r >= MIN_RADIUS.
+operations here require r >= ``metrics.MIN_RADIUS``.  The Rapcsak difference
+and Q live on ``ProfileBundle``, next to the spray bracket that reuses them.
 """
 
 from __future__ import annotations
@@ -34,68 +35,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (
-    AmbientBundle,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
-    quotient,
+    bundle_of,
     relative_residual,
     worst_residual,
 )
-
-MIN_RADIUS = 0.05
-
-
-def _require_radius(b: ProfileBundle) -> None:
-    low = b.r[b.r < MIN_RADIUS]
-    if low.size:
-        raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {low[0]}")
 
 
 # -- formulas over a profile bundle ---------------------------------------------
 
 
-def _rapcsak_coefficients(b: ProfileBundle):
-    """(radial, tangential): the terms of the two coefficients in
-
-        F_{x^k y^l} y^k - F_{x^l} = (phi_rv v/r + phi_vv u^2 - phi_r/r) x^l
-                                    + (phi_ru v/(ru) + phi_uv u) y^l
-
-    (at r = 0 the 1/r terms vanish with x and v).
-    """
-    r, u, v = b.r, b.u, b.v
-    radial = (quotient(b.phi_rv * v, r), b.phi_vv * u * u, -quotient(b.phi_r, r))
-    tangential = (quotient(b.phi_ru * v, r * u), b.phi_uv * u)
-    return radial, tangential
-
-
-def rapcsak_terms(b: ProfileBundle) -> list[np.ndarray]:
-    """The five (N, n) terms of F_{x^k y^l} y^k - F_{x^l}."""
-    radial, tangential = _rapcsak_coefficients(b)
-    return [c[:, None] * b.x for c in radial] + [c[:, None] * b.y for c in tangential]
-
-
 def projective_pde_of(b: ProfileBundle) -> tuple[np.ndarray, np.ndarray]:
     """Scale-free residuals of the projectivity PDE pair (radial, tangential):
     the two coefficients of the Rapcsak difference."""
-    _require_radius(b)
-    radial, tangential = _rapcsak_coefficients(b)
+    b.require_radius()
+    radial, tangential = b.rapcsak_coefficients()
     return relative_residual(*radial), relative_residual(*tangential)
-
-
-def q_of(b: ProfileBundle) -> np.ndarray:
-    """Q = v phi_r / r + u^2 phi_v = F_{x^k} y^k (the phi_r term vanishes at r = 0)."""
-    return quotient(b.v, b.r) * b.phi_r + b.u * b.u * b.phi_v
 
 
 def _q_partials(b: ProfileBundle):
     """(Q, Q_r, Q_u, Q_v)."""
-    _require_radius(b)
+    b.require_radius()
     r, u, v = b.r, b.u, b.v
     q_r = -v / (r * r) * b.phi_r + v / r * b.phi_rr + u * u * b.phi_rv
     q_u = v / r * b.phi_ru + 2.0 * u * b.phi_v + u * u * b.phi_uv
     q_v = b.phi_r / r + v / r * b.phi_rv + u * u * b.phi_vv
-    return q_of(b), q_r, q_u, q_v
+    return b.q(), q_r, q_u, q_v
 
 
 def p_of(b: ProfileBundle):
@@ -155,24 +122,10 @@ def curvature_components_of(b: ProfileBundle, lam: float) -> np.ndarray:
 # -- pointwise wrappers ------------------------------------------------------------
 
 
-def rapcsak_residuals(metric, samples, bundle=None) -> np.ndarray:
-    """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n).
-
-    Profile metrics use ``rapcsak_terms`` over a ``ProfileBundle``; general
-    metrics read both sides off an ``AmbientBundle`` (order >= 2).
-    """
-    if isinstance(metric, SphericalMetric):
-        b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
-        _require_radius(b)
-        return relative_residual(*rapcsak_terms(b))
-    b = bundle if bundle is not None else AmbientBundle.of(metric, samples, 2)
-    f_xy, fx = b.f_xy(), b.first_derivatives()[1]
-    return relative_residual(*(f_xy[:, k] * b.y[:, k, None] for k in range(b.n)), -fx)
-
-
 def rapcsak_residual(metric, x, y) -> np.ndarray:
-    """``rapcsak_residuals`` at one point-direction pair, an n-vector."""
-    return rapcsak_residuals(metric, [MetricSample.of(x, y)])[0]
+    """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l} at one
+    point-direction pair, an n-vector (``rapcsak_residuals`` of its bundle)."""
+    return bundle_of(metric, [MetricSample.of(x, y)]).rapcsak_residuals()[0]
 
 
 def projective_pde_residuals(metric: SphericalMetric, r: float, u: float, v: float) -> tuple[float, float]:
@@ -241,7 +194,7 @@ def constant_curvature_verdict(
     ``worst_residual``: a non-finite gate or lambda fails the verdict.
     """
     b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
-    gate = rapcsak_residuals(metric, samples, b).max(axis=1)
+    gate = b.rapcsak_residuals().max(axis=1)
     gate_worst, gate_at, _ = worst_residual(gate)
     if gate_worst > projectivity_gate:
         return CurvatureVerdict(

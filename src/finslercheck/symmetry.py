@@ -26,7 +26,7 @@ import numpy as np
 from .metrics import (
     AmbientBundle,
     MetricSample,
-    first_derivatives,
+    bundle_of,
     quotient,
     relative_residual,
     worst_residual,
@@ -74,9 +74,9 @@ def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
 
 def killing_scalar_residual(metric, field: RotationField, x, y) -> float:
     """Scale-free residual of the contracted Killing equation at (x, y)."""
-    sample = MetricSample.of(x, y)
-    _, fx, fy = first_derivatives(metric, [sample])
-    return float(_scalar_residuals(fx, fy, field, sample.x[None], sample.y[None])[0])
+    b = bundle_of(metric, [MetricSample.of(x, y)])
+    _, fx, fy = b.first_derivatives()
+    return float(_scalar_residuals(fx, fy, field, b.x, b.y)[0])
 
 
 def killing_tensor_terms(b: AmbientBundle, field: RotationField):
@@ -171,14 +171,13 @@ def symmetry_verdict(
     """Scalar Killing residual maximized over every sample and generator.
 
     The worst (sample, field) pair is the first maximum in sample-major
-    order; any non-finite residual fails the verdict.  F_x and F_y come from
-    ``bundle`` when given (see ``first_derivatives``).
+    order; any non-finite residual fails the verdict.  x, y, F_x and F_y are
+    read from ``bundle`` (a derivative bundle of the samples) or ``bundle_of`` them.
     """
-    fields = rotation_fields(len(samples[0].x))
-    _, fx, fy = first_derivatives(metric, samples, bundle)
-    x = np.array([s.x for s in samples])
-    y = np.array([s.y for s in samples])
-    resid = np.stack([_scalar_residuals(fx, fy, f, x, y) for f in fields], axis=1)
+    b = bundle if bundle is not None else bundle_of(metric, samples)
+    fields = rotation_fields(b.x.shape[1])
+    _, fx, fy = b.first_derivatives()
+    resid = np.stack([_scalar_residuals(fx, fy, f, b.x, b.y) for f in fields], axis=1)
     worst, index, non_finite = worst_residual(resid)
     at, field = divmod(index, len(fields))
     return SymmetryReport(

@@ -12,7 +12,7 @@ import numpy as np
 
 from finslercheck import expr as expr_mod
 from finslercheck.cli import run_config
-from finslercheck.checks import run_check
+from finslercheck.checks import Run, run_check
 from finslercheck.expr import EvalDomainError
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 from finslercheck.geodesics import integrate_geodesic, safe_horizon, straightness_deviation
@@ -305,14 +305,14 @@ def test_criterion_08_ad_integrity():
 
 def test_criterion_09_conjecture_probe():
     klein = metric_of("klein")
-    records = run_check("conjecture", klein, samples_of(klein), {}, {})
+    records = run_check("conjecture", Run(klein, samples_of(klein)), {})
     detail = records[0].detail
     assert detail["reversible"] is True
     assert detail["constant_curvature"] is True
     assert detail["riemannian"] is True
     assert records[0].passed
     funk = metric_of("funk")
-    records_f = run_check("conjecture", funk, samples_of(funk), {}, {})
+    records_f = run_check("conjecture", Run(funk, samples_of(funk)), {})
     detail_f = records_f[0].detail
     assert detail_f["reversible"] is False
     assert records_f[0].passed

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from finslercheck.checks import run_check
+from finslercheck.checks import Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.metrics import (
     ClosedFormProfile,
+    ExpressionProfile,
     GeneralMetric,
     MetricSample,
     SphericalMetric,
@@ -57,7 +58,7 @@ def test_nan_residuals_fail_every_reduction():
     assert verdict.worst_sample is samples[0]
     report = Report(metric=metric.name, dimension=2, seed=3, count=len(samples))
     for check in ("symmetry", "symmetry_tensor", "cartan"):
-        [record] = run_check(check, metric, samples, {}, {})
+        [record] = run_check(check, Run(metric, samples), {})
         assert not record.passed, check
         assert record.detail["non_finite_residuals"] >= 1, check
         assert record.worst_x == list(samples[0].x), check
@@ -71,7 +72,7 @@ def test_geodesic_that_stops_early_fails():
     unbounded = SphericalMetric("klein_unbounded", builtin("klein").profile)
     sample = MetricSample.of([0.9, 0.0], [1.9, 0.1])
     [record] = run_check(
-        "geodesics", unbounded, [sample], {"count": 1, "steps": 10, "horizon": 5.0}, {}
+        "geodesics", Run(unbounded, [sample]), {"count": 1, "steps": 10, "horizon": 5.0}
     )
     assert record.max_residual <= 1e-6
     assert not record.passed
@@ -82,7 +83,7 @@ def test_geodesic_that_stops_early_fails():
 def test_completed_geodesics_pass_and_say_so():
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
-    [record] = run_check("geodesics", funk, samples, {"count": 2, "steps": 20}, {})
+    [record] = run_check("geodesics", Run(funk, samples), {"count": 2, "steps": 20})
     assert record.passed
     assert record.detail["min_steps_completed"] == 20
     assert record.detail["first_exit_time"] is None
@@ -95,7 +96,7 @@ def test_overflowing_curvature_fails_both_records(params):
     funk = builtin("funk").profile.fn
     huge = SphericalMetric("huge_funk", ClosedFormProfile(lambda r, u, v: funk(r, u, v) * 1e200 * 1e200), 1.0)
     samples = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=7, domain_radius=1.0))
-    records = run_check("curvature", huge, samples, params, {})
+    records = run_check("curvature", Run(huge, samples), params)
     assert [r.check for r in records] == ["curvature", "curvature_pde"]
     for record in records:
         assert not record.passed, record.check
@@ -153,3 +154,51 @@ def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 0
     assert calls == [3] * 12
+
+
+def test_evaluation_failure_is_a_failed_check(tmp_path):
+    # log(x1+1) has no value where x1 <= -1: each check fails at the first such sample
+    cfg = {
+        "metric": {"general": {"F": "sqrt(y1^2+y2^2)*log(x1+1)"}},
+        "dimension": 2,
+        "sampling": {"count": 20, "seed": 7},
+        "checks": ["symmetry", "rapcsak"],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 1
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7))
+    first = next(s for s in samples if s.x[0] + 1.0 <= 0.0)
+    assert [r.check for r in report.records] == ["symmetry", "rapcsak"]
+    for record in report.records:
+        assert not record.passed, record.check
+        assert math.isfinite(record.max_residual), record.check
+        assert record.worst_x == list(first.x) and record.worst_y == list(first.y), record.check
+        assert "log requires a positive argument" in record.detail["evaluation_error"]
+    assert json.loads(to_json(report))["overall_pass"] is False
+
+
+@given(st.floats(min_value=0.5, max_value=2.5))
+def test_evaluation_failures_name_their_first_sample(shift):
+    metric = GeneralMetric.from_expression(f"sqrt(y1^2+y2^2)*log(x1+{shift!r})", 2)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=8, seed=5))
+    bad = [s for s in samples if s.x[0] + shift <= 0.0]
+    run = Run(metric, samples)
+    for check in ("symmetry", "rapcsak", "cartan"):
+        [record] = run_check(check, run, {})
+        assert ("evaluation_error" in record.detail) == bool(bad), check
+        if bad:
+            assert not record.passed, check
+            assert record.worst_x == list(bad[0].x), check
+
+
+def test_profile_evaluation_failure_fails_each_check_once():
+    # sqrt(1.5 - r) has no value beyond r = 1.5, inside the sampled ball of radius 2
+    metric = SphericalMetric("root", ExpressionProfile("u*sqrt(1.5 - r) + 0.1*v"))
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=30, seed=7))
+    first = next(s for s in samples if s.r >= 1.5)
+    run = Run(metric, samples)
+    for check in ("homogeneity", "reversibility", "curvature", "symmetry_tensor", "conjecture"):
+        [record] = run_check(check, run, {})
+        assert not record.passed, check
+        assert record.worst_x == list(first.x), check
+        assert "sqrt requires a positive argument" in record.detail["evaluation_error"], check

@@ -3,10 +3,14 @@ import math
 import os
 
 import numpy as np
+import pytest
 from conftest import child_env
 
 from finslercheck.cli import main, run_config
 from finslercheck.report import to_json
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -241,3 +245,14 @@ class TestMain:
         lines = (out_dir / files[0]).read_text().strip().split("\n")
         assert lines[0] == "t,x1,x2,y1,y2"
         assert len(lines) == 62
+
+
+@pytest.mark.parametrize("name", ["anisotropic_rejection", "family_funk_reconstruction"])
+def test_json_report_matches_golden(name, capsys):
+    # tests/golden holds each config's report as committed; a change that moves
+    # a bit regenerates it and says so
+    code = main(["verify", os.path.join(REPO, "configs", f"{name}.json"), "--json"])
+    with open(os.path.join(REPO, "tests", "golden", f"{name}.json")) as fh:
+        golden = fh.read()
+    assert capsys.readouterr().out == golden
+    assert code == (0 if json.loads(golden)["overall_pass"] else 1)

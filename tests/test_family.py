@@ -152,10 +152,10 @@ class TestBuiltMetrics:
         # reversible and constant curvature, but carrying a |v| kink: the
         # probe must report the smoothness assumption failing, not a
         # counterexample
-        from finslercheck.checks import run_check
+        from finslercheck.checks import Run, run_check
 
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
-        records = run_check("conjecture", metric, samples_for(metric, n=2, count=25), {}, {})
+        records = run_check("conjecture", Run(metric, samples_for(metric, n=2, count=25)), {})
         assert records[0].passed
         assert records[0].detail["smooth_across_v_zero"] is False
         assert "kink" in records[0].detail["conclusion"]

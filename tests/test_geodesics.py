@@ -15,7 +15,7 @@ from finslercheck.geodesics import (
     spray_projectivity_residual,
     straightness_deviation,
 )
-from finslercheck.metrics import ClosedFormProfile, SphericalMetric, builtin
+from finslercheck.metrics import ClosedFormProfile, GeneralMetric, SphericalMetric, builtin
 from finslercheck.projective import projective_factor
 
 
@@ -123,6 +123,15 @@ class TestIntegration:
         assert len(path.times) < 201
         assert np.linalg.norm(path.points[-1]) < 1.0
 
+    def test_formula_domain_error_halts_path(self):
+        # sqrt(1 - x1) has no value from x1 = 1 on: the general metric's path
+        # halts there like one that leaves the domain
+        metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2)*sqrt(1 - x1)", 2)
+        path = integrate_geodesic(metric, [0.8, 0.0], [1.0, 0.0], 2.0, 200)
+        assert path.exit_time is not None
+        assert len(path.times) < 201
+        assert path.points[-1][0] < 1.0
+
     def test_forward_complete_metric_never_exits(self):
         # funk geodesics decelerate toward the boundary instead of crossing it
         path = integrate_geodesic(builtin("funk"), [0.8, 0.0], [1.0, 0.0], 2.0, 200)
@@ -210,6 +219,20 @@ def test_spray_evaluates_one_profile_jet(monkeypatch):
         calls.clear()
         spray_general(builtin(name), [0.3, -0.2], [0.9, 0.4])
         assert calls == [2]
+
+
+def test_spray_projectivity_residual_evaluates_one_profile_jet(monkeypatch):
+    # G, F and F_x come from one bundle of the point
+    calls = []
+    original = SphericalMetric.phi_jet
+
+    def counting(self, r, u, v, order=2):
+        calls.append(order)
+        return original(self, r, u, v, order)
+
+    monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+    spray_projectivity_residual(builtin("funk"), [0.3, -0.2], [0.9, 0.4])
+    assert calls == [2]
 
 
 def test_spray_at_origin_is_finite():

@@ -11,12 +11,13 @@ from finslercheck.metrics import (
     GeneralMetric,
     MetricDomainError,
     MetricSample,
+    ProfileBundle,
     SphericalMetric,
     builtin,
     builtin_names,
+    bundle_of,
     convexity_report,
     det_g_closed_form,
-    first_derivatives,
     fundamental_tensor,
     fundamental_tensor_ad,
     homogeneity_residual,
@@ -336,7 +337,7 @@ class TestAmbientRoute:
         # profile chain rule vs direct 2n-variable differentiation
         metric = make_metric(name)
         for s in samples_for(metric, n=2, count=10):
-            f, fx, fy = (a[0] for a in first_derivatives(metric, [MetricSample.of(s.x, s.y)]))
+            f, fx, fy = (a[0] for a in bundle_of(metric, [MetricSample.of(s.x, s.y)]).first_derivatives())
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             assert abs(f - amb.value) < 1e-12
@@ -397,3 +398,48 @@ class TestAmbientBundle:
         assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
         bracket = e.hessian()[:3, 3:].T @ s.y - e.gradient()[:3]
         assert np.allclose(b.spray_bracket()[0], bracket, rtol=1e-14, atol=1e-14)
+
+
+SURFACE_CASES = {
+    "funk": (lambda: builtin("funk"), 2),
+    "klein": (lambda: builtin("klein"), 2),
+    "bryant_n3": (lambda: make_metric("bryant"), 3),
+    "family": AMBIENT_CASES["family"],
+    # not projective: its Rapcsak residuals are O(1)
+    "curved_control": (
+        lambda: SphericalMetric("curved_control", ClosedFormProfile(lambda r, u, v: u * (1.0 + r * r))),
+        2,
+    ),
+}
+
+
+def _agree(a, b, rtol=1e-10):
+    return np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+class TestSharedSurface:
+    @pytest.mark.parametrize("case", sorted(SURFACE_CASES))
+    def test_profile_and_ambient_bundles_agree(self, case):
+        build, n = SURFACE_CASES[case]
+        metric = build()
+        spec = SampleSpec.for_metric(n=n, count=6, seed=7, domain_radius=metric.domain_radius)
+        samples = sample_domain(spec)
+        profile = bundle_of(metric, samples)
+        ambient = AmbientBundle.of(metric, samples, 2)
+        assert isinstance(profile, ProfileBundle)
+        for got, want in zip(profile.first_derivatives(), ambient.first_derivatives()):
+            assert _agree(got, want), case
+        assert _agree(profile.g(), ambient.g()), case
+        assert _agree(profile.spray_bracket(), ambient.spray_bracket()), case
+        if case == "curved_control":
+            # each bundle scales the Rapcsak difference by the magnitudes of its own
+            # terms (five profile-space terms, n + 1 ambient ones), so the values
+            # differ; both must find the metric far from projective at every sample
+            for b in (profile, ambient):
+                residuals = b.rapcsak_residuals().max(axis=1)
+                assert (residuals > 1e-2).all() and (residuals <= 1.0).all()
+
+    def test_general_metric_gets_an_order_2_ambient_bundle(self):
+        metric = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
+        b = bundle_of(metric, samples_for(builtin("euclidean"), count=3))
+        assert isinstance(b, AmbientBundle) and b.f.order == 2
