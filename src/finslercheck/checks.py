@@ -5,12 +5,14 @@ Each runner reduces its residuals over the sample list in a fixed order
 fails the check and names its sample), so reports are deterministic
 regardless of how callers might parallelize in the future.  Every runner
 takes the run's ``Run``, which builds each derivative bundle of the samples
-on first use and shares it with every later check.
+on first use and shares it (or the error its build raised) with every later
+check.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -67,23 +69,35 @@ DEFAULT_TOLERANCES = {
 @dataclass
 class Run:
     """One verify run: the metric, its samples and tolerances, and the samples'
-    derivative bundles, each built on first use and then read by every check."""
+    derivative bundles, each built on first use and then read by every check.
+    A build that fails is not retried: every later read raises the same error."""
 
     metric: object
     samples: list
     tolerances: dict = field(default_factory=dict)
     dump_dir: str | None = None
+    _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def tolerance(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
 
-    @functools.cached_property
-    def profile(self) -> ProfileBundle:
-        return ProfileBundle.of(self.metric, self.samples)
+    def _once(self, name, build):
+        if name not in self._built:
+            try:
+                self._built[name] = build()
+            except ValueError as err:  # an evaluation error, naming its sample
+                self._built[name] = err
+        if isinstance(self._built[name], ValueError):
+            raise self._built[name]
+        return self._built[name]
 
-    @functools.cached_property
+    @property
+    def profile(self) -> ProfileBundle:
+        return self._once("profile", lambda: ProfileBundle.of(self.metric, self.samples))
+
+    @property
     def ambient(self) -> AmbientBundle:
-        return AmbientBundle.of(self.metric, self.samples, 3)
+        return self._once("ambient", lambda: AmbientBundle.of(self.metric, self.samples, 3))
 
     @property
     def first_order(self):
@@ -106,14 +120,18 @@ def _record(check, run, worst, at, tol, detail=None, passed=None, F=None, sample
     )
 
 
-def _worst_record(check, run, values, tol, detail=None, ok=True, F=None, samples=None):
-    """Record of one residual per sample: passes if ok, all finite and all <= tol."""
+def _worst_record(check, run, values, tol, detail=None, failed=(), F=None, samples=None):
+    """Record of one residual per sample: passes if all finite and all <= tol.
+    A sample flagged in ``failed`` fails it, and the first one is named."""
     samples = run.samples if samples is None else samples
     worst, at, non_finite = worst_residual(values)
     detail = dict(detail or {})
     if non_finite:
         detail["non_finite_residuals"] = non_finite
-    passed = ok and non_finite == 0 and worst <= tol
+    failed = np.asarray(failed, dtype=bool)
+    if failed.any():
+        at = int(failed.argmax())
+    passed = not failed.any() and non_finite == 0 and worst <= tol
     return _record(check, run, worst, samples[at], tol, detail, passed, F, samples)
 
 
@@ -209,17 +227,30 @@ def check_reversibility(run, tol, params):
     return [_worst_record("reversibility", run, _reversibility(run), tol)]
 
 
+def _geodesic_params(params) -> tuple[int, int, float]:
+    """(count, steps, horizon): integers >= 1 and a finite horizon > 0."""
+    count, steps = params.get("count", 20), params.get("steps", 400)
+    horizon = params.get("horizon", 0.5)
+    for name, value in (("count", count), ("steps", steps)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ConfigError(f"geodesics param '{name}' must be an integer >= 1, got {value!r}")
+    if (
+        isinstance(horizon, bool)
+        or not isinstance(horizon, numbers.Real)
+        or not (math.isfinite(horizon) and horizon > 0.0)
+    ):
+        raise ConfigError(f"geodesics param 'horizon' must be finite and > 0, got {horizon!r}")
+    return int(count), int(steps), float(horizon)
+
+
 def check_geodesics(run, tol, params):
-    """Straightness of integrated geodesics; a path that stopped early fails the check."""
+    """Straightness of integrated geodesics, all launched as one batch; a path
+    that stopped early fails the check and names its launch sample."""
     metric = run.metric
-    count = int(params.get("count", 20))
-    steps = int(params.get("steps", 400))
-    horizon = float(params.get("horizon", 0.5))
+    count, steps, horizon = _geodesic_params(params)
     launched = run.samples[: min(count, len(run.samples))]
-    paths = [
-        geo.integrate_geodesic(metric, s.x, s.y, geo.safe_horizon(metric, s.x, s.y, horizon), steps)
-        for s in launched
-    ]
+    horizons = [geo.safe_horizon(metric, s.x, s.y, horizon) for s in launched]
+    paths = geo.integrate_geodesics(metric, [(s.x, s.y) for s in launched], horizons, steps)
     deviations = [geo.straightness_deviation(p, s.x, s.y) for p, s in zip(paths, launched)]
     if run.dump_dir is not None:
         os.makedirs(run.dump_dir, exist_ok=True)
@@ -227,19 +258,16 @@ def check_geodesics(run, tol, params):
         for i, path in enumerate(paths):
             with open(os.path.join(run.dump_dir, f"{safe_name}_geodesic{i:03d}.csv"), "w") as fh:
                 geo.dump_csv(path, fh)
-    completed = min(len(p.times) - 1 for p in paths)
+    completed = [len(p.times) - 1 for p in paths]
     exits = [p.exit_time for p in paths if p.exit_time is not None]
     detail = {
         "geodesics": len(launched),
         "steps": steps,
-        "min_steps_completed": completed,
+        "min_steps_completed": min(completed),
         "first_exit_time": exits[0] if exits else None,
     }
-    return [
-        _worst_record(
-            "geodesics", run, deviations, tol, detail, completed == steps, samples=launched
-        )
-    ]
+    stopped = np.array(completed) < steps
+    return [_worst_record("geodesics", run, deviations, tol, detail, stopped, samples=launched)]
 
 
 def _smooth_across_v_zero(metric, samples, delta=1e-6, threshold=1e-3):

@@ -10,7 +10,14 @@ deviation from the launch line is the verification quantity.
 
 Integration is fixed-step RK4: the claim being checked is qualitative
 straightness, and determinism across implementations matters more than
-step-count efficiency.
+step-count efficiency.  ``integrate_geodesics`` integrates many paths as one
+(N, n) state, so each RK4 stage is one batched spray: one bundle of the N
+states, one stacked Cholesky factorisation of g and two stacked solves.
+Each path is bit for bit what it would be if integrated alone, and
+``integrate_geodesic`` and ``spray_general`` are the one-path cases.  The
+``geodesics`` check launches all its paths in one ``integrate_geodesics``
+call; its params ``count`` and ``steps`` must be integers >= 1 and
+``horizon`` finite and > 0 (``checks.check_geodesics``).
 """
 
 from __future__ import annotations
@@ -21,37 +28,45 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import EvalDomainError
+from .family import FamilyError
 from .jets import JetDomainError
-from .metrics import MetricDomainError, MetricSample, bundle_of
+from .metrics import MetricDomainError, MetricSample, bundle_at, bundle_of, positive_definite
 
 
 class NotStronglyConvexError(ValueError):
     """g failed its symmetric factorization: the metric is not strongly convex here."""
 
 
+# Raised where a stage cannot be evaluated: the path stops there.
+_STOPS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError, NotStronglyConvexError)
+
+
 def _spray_of(metric, b) -> np.ndarray:
-    """G at the sample of the one-sample bundle b: g G = bracket / 4."""
-    rhs, g = b.spray_bracket()[0], b.g()[0]
+    """G at the N samples of the bundle b, (N, n): g G = bracket / 4, solved
+    through one stacked Cholesky factorisation and two stacked solves."""
+    rhs, g = b.spray_bracket(), b.g()
     try:
         chol = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
+        i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
         raise NotStronglyConvexError(
-            f"{metric.name}: metric is not strongly convex at x={b.x[0]}, y={b.y[0]}"
+            f"{metric.name}: metric is not strongly convex at x={b.x[i]}, y={b.y[i]}"
         ) from None
-    solved = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    return 0.25 * solved
+    solved = np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))
+    return 0.25 * solved[:, :, 0]
 
 
 def spray_general(metric, x, y) -> np.ndarray:
     """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
-    The bracket and g come from one ``bundle_of`` the point: one jet per call."""
-    return _spray_of(metric, bundle_of(metric, [MetricSample.of(x, y)]))
+    The one-path case of the batched spray: one bundle of the point."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return _spray_of(metric, bundle_at(metric, x[None], y[None]))[0]
 
 
 def spray_projectivity_residual(metric, x, y) -> float:
     """Relative size of G - P y, the non-projective part of the spray."""
     b = bundle_of(metric, [MetricSample.of(x, y)])
-    g_vec = _spray_of(metric, b)
+    g_vec = _spray_of(metric, b)[0]
     f, fx, _ = b.first_derivatives()
     py = b.y[0] * (float(fx[0] @ b.y[0]) / (2.0 * float(f[0])))  # P y, P = F_{x^k} y^k / (2F)
     scale = float(np.linalg.norm(g_vec) + np.linalg.norm(py))
@@ -68,46 +83,79 @@ class GeodesicPath:
     exit_time: float | None = None  # set when integration left the domain early
 
 
-def _inside(metric, x: np.ndarray) -> bool:
-    return float(np.linalg.norm(x)) < metric.domain_radius
+def _rk4_step(metric, x, y, h):
+    """One RK4 step of (x', y') = (y, -2 G(x, y)) for every row; h is (N, 1)."""
+
+    def rhs(xc, yc):
+        return yc, -2.0 * _spray_of(metric, bundle_at(metric, xc, yc))
+
+    k1x, k1y = rhs(x, y)
+    k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+    k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+    k4x, k4y = rhs(x + h * k3x, y + h * k3y)
+    x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    return x, y
+
+
+def _step_rows(metric, x, y, h):
+    """(x, y) after one RK4 step of every row.  A batch that raises is rerun
+    row by row, and a row whose own step raises gets a NaN state."""
+    try:
+        return _rk4_step(metric, x, y, h)
+    except _STOPS:
+        pass
+    nx, ny = np.full_like(x, np.nan), np.full_like(y, np.nan)
+    for i in range(len(x)):
+        row = slice(i, i + 1)
+        try:
+            nx[row], ny[row] = _rk4_step(metric, x[row], y[row], h[row])
+        except _STOPS:
+            pass
+    return nx, ny
+
+
+def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPath]:
+    """Fixed-step RK4 on (x', y') = (y, -2 G(x, y)) from each start (x0, y0) over
+    its own horizon, ``steps`` steps each.
+
+    The paths still running form one (N, n) state, and each RK4 stage is one
+    batched spray over them.  A path halts with its partial path (and records
+    the exit time) when its state leaves the metric's domain or its evaluation
+    fails; a failed batch is rerun path by path, so every path stops exactly
+    where it would if integrated alone.
+    """
+    x = np.array([np.asarray(x0, dtype=float) for x0, _ in starts])
+    y = np.array([np.asarray(y0, dtype=float) for _, y0 in starts])
+    h = np.asarray(horizons, dtype=float) / steps
+    points = np.empty((len(x), steps + 1, x.shape[1]))
+    velocities = np.empty_like(points)
+    points[:, 0], velocities[:, 0] = x, y
+    completed = np.full(len(x), steps)
+    running = np.arange(len(x))
+    for k in range(steps):
+        if not running.size:
+            break
+        x, y = _step_rows(metric, x, y, h[running, None])
+        # |x| < radius, and False for a NaN state: a failed or non-finite step stops its path
+        keep = np.sqrt(np.vecdot(x, x)) < metric.domain_radius
+        completed[running[~keep]] = k
+        x, y, running = x[keep], y[keep], running[keep]
+        points[running, k + 1], velocities[running, k + 1] = x, y
+    paths = []
+    for i, done in enumerate(completed):
+        times = np.r_[0.0, np.arange(1, done + 1) * h[i]]
+        exit_time = float(times[-1]) if done < steps else None
+        kept = slice(0, done + 1)
+        paths.append(GeodesicPath(times, points[i, kept].copy(), velocities[i, kept].copy(), exit_time))
+    return paths
 
 
 def integrate_geodesic(metric, x0, y0, horizon: float, steps: int) -> GeodesicPath:
-    """Fixed-step RK4 on (x', y') = (y, -2 G(x, y)).
-
-    Halts with the partial path (and records the exit time) if the state
-    leaves the metric's domain or an evaluation fails.
-    """
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y0, dtype=float).copy()
-    h = horizon / steps
-    times = [0.0]
-    points = [x.copy()]
-    velocities = [y.copy()]
-
-    def rhs(xc, yc):
-        return yc, -2.0 * spray_general(metric, xc, yc)
-
-    for k in range(steps):
-        try:
-            k1x, k1y = rhs(x, y)
-            k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-            k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
-            k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-        except (JetDomainError, MetricDomainError, EvalDomainError, NotStronglyConvexError):
-            return GeodesicPath(
-                np.array(times), np.array(points), np.array(velocities), exit_time=times[-1]
-            )
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        if not _inside(metric, x):
-            return GeodesicPath(
-                np.array(times), np.array(points), np.array(velocities), exit_time=times[-1]
-            )
-        times.append((k + 1) * h)
-        points.append(x.copy())
-        velocities.append(y.copy())
-    return GeodesicPath(np.array(times), np.array(points), np.array(velocities))
+    """One path of ``integrate_geodesics``: halts with the partial path (and
+    records the exit time) if the state leaves the metric's domain or an
+    evaluation fails."""
+    return integrate_geodesics(metric, [(x0, y0)], [horizon], steps)[0]
 
 
 def straightness_deviation(path: GeodesicPath, x0, y0) -> float:

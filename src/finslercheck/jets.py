@@ -75,12 +75,13 @@ class Jet:
         return cls(nvars, order, c)
 
     @classmethod
-    def variable(cls, index: int, value: float, nvars: int, order: int) -> "Jet":
+    def variable(cls, index: int, value, nvars: int, order: int) -> "Jet":
+        """Seed jet of one variable at a point, or at N points for a length-N ``value``."""
         if not 0 <= index < nvars:
             raise IndexError(f"variable index {index} out of range for {nvars} variables")
         if not 0 <= order <= MAX_ORDER:
             raise ValueError(f"order must be 0..{MAX_ORDER}, got {order}")
-        c = np.zeros(coeff_count(nvars, order))
+        c = np.zeros((coeff_count(nvars, order),) + getattr(value, "shape", ()))
         c[0] = value
         if order >= 1:
             c[1 + index] = 1.0
@@ -195,8 +196,9 @@ class Jet:
         return powc(self, exponent)
 
 
-def lift_var(index: int, value: float, nvars: int, order: int) -> Jet:
-    """Seed jet for one input variable: unit gradient slot, zero above."""
+def lift_var(index: int, value, nvars: int, order: int) -> Jet:
+    """Seed jet for one input variable: unit gradient slot, zero above (N points
+    for a length-N ``value``)."""
     return Jet.variable(index, value, nvars, order)
 
 

@@ -12,11 +12,12 @@ which takes no arbitrary jets, goes through multivariate composition of its
 3-variable jet.
 
 Derivatives of F come from a bundle of N samples: a ``ProfileBundle`` (phi
-and its partials, with every profile formula as an array expression over
-them) or an ``AmbientBundle`` (one ambient jet per sample).  Both provide
-F, F_x, F_y, g, the Rapcsak residual and the spray bracket, and
-``bundle_of`` is the one place that picks a bundle by metric kind.  The
-pointwise functions evaluate on a one-sample bundle.
+and its partials from one batched ``phi_jets`` call, with every profile
+formula as an array expression over them) or an ``AmbientBundle`` (one
+ambient jet per sample).  Both provide F, F_x, F_y, g, the Rapcsak residual
+and the spray bracket, and ``bundle_of`` (over samples) and ``bundle_at``
+(over the rows of two arrays) are the only places that pick a bundle by
+metric kind.  The pointwise functions evaluate on a one-sample bundle.
 """
 
 from __future__ import annotations
@@ -60,6 +61,17 @@ def invariants_of(x, y):
     return r, u, v
 
 
+def invariant_rows(x, y):
+    """``invariants_of`` each row of the (N, n) arrays x and y, bit for bit, as
+    three length-N arrays (``vecdot`` is the dot product ``norm`` and ``dot`` take)."""
+    u = np.sqrt(np.vecdot(y, y))
+    if (u == 0.0).any():
+        raise MetricDomainError("y must be nonzero")
+    r = np.sqrt(np.vecdot(x, x))
+    bound = r * u
+    return r, u, np.minimum(np.maximum(np.vecdot(x, y), -bound), bound)
+
+
 @dataclass(frozen=True)
 class MetricSample:
     """A point-direction pair with cached rotation invariants."""
@@ -94,7 +106,8 @@ class ClosedFormProfile:
     def __init__(self, fn):
         self.fn = fn
 
-    def jet(self, r: float, u: float, v: float, order: int) -> Jet:
+    def jet(self, r, u, v, order: int) -> Jet:
+        """The jet at one point, or at N points when r, u and v are length-N arrays."""
         return self.fn(
             lift_var(R, r, 3, order), lift_var(U, u, 3, order), lift_var(V, v, 3, order)
         )
@@ -127,6 +140,26 @@ class SphericalMetric:
                 f"|x| = {r} outside domain of {self.name} (radius {self.domain_radius})"
             )
         return self.profile.jet(r, u, v, order)
+
+    def phi_jets(self, r, u, v, order: int = 2) -> np.ndarray:
+        """``phi_jet`` at N invariant triples (length-N arrays) as (ncoeff, N)
+        coefficients, column i bit for bit ``phi_jet`` at triple i.
+
+        A closed-form profile takes all N triples in one call of its ``fn`` on
+        N-point variables.  A family profile, whose quadrature mesh is chosen
+        per point, goes through ``phi_jet`` one triple at a time, and so does a
+        single triple: a one-point caller evaluates one ``phi_jet``.
+        """
+        if not (isinstance(self.profile, ClosedFormProfile) and len(r) > 1):
+            triples = zip(r.tolist(), u.tolist(), v.tolist())
+            return np.array([self.phi_jet(*t, order).coeffs for t in triples]).T
+        outside = (u <= 0.0) | (r >= self.domain_radius)
+        if outside.any():
+            i = int(outside.argmax())
+            self.phi_jet(r[i], u[i], v[i], order)  # raises the first such triple's domain error
+        c = self.profile.jet(r, u, v, order).coeffs
+        # a phi free of r, u and v is a one-point jet: the same column at every triple
+        return np.broadcast_to(c if c.ndim == 2 else c[:, None], (len(c), len(r)))
 
     def phi_value(self, r: float, u: float, v: float) -> float:
         return self.phi_jet(r, u, v, order=0).value
@@ -241,7 +274,7 @@ def at_samples(evaluate, samples) -> list:
 class ProfileBundle:
     """phi and its nine first and second partials at N samples, as length-N arrays.
 
-    Filled by one order-2 ``phi_jet`` per sample; every profile formula
+    Filled by one batched order-2 ``phi_jets`` call; every profile formula
     (here and in ``projective``) is an array expression over a bundle.  x and
     y are (N, n) arrays; a bundle built from the invariants alone
     (``at_invariants``) has n = 0.
@@ -265,12 +298,28 @@ class ProfileBundle:
 
     @classmethod
     def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
-        coeffs = np.array(at_samples(lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs, samples))
+        """The bundle of the samples.  If the batched build raises, the samples
+        are evaluated one by one, so the error names the first failing sample."""
+        r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
+        try:
+            coeffs = metric.phi_jets(r, u, v)
+        except ValueError:
+            columns = at_samples(lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs, samples)
+            coeffs = np.array(columns).T
+        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+        return cls._of_jets(x, y, r, u, v, coeffs)
+
+    @classmethod
+    def at_rows(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> "ProfileBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, built straight from them."""
+        r, u, v = invariant_rows(x, y)
+        return cls._of_jets(x, y, r, u, v, metric.phi_jets(r, u, v))
+
+    @classmethod
+    def _of_jets(cls, x, y, r, u, v, coeffs) -> "ProfileBundle":
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
-        partials = (coeffs * derivative_factors(3, 2)).T
-        invariants = np.array([(s.r, s.u, s.v) for s in samples]).T
-        x = np.array([s.x for s in samples])
-        return cls(x, np.array([s.y for s in samples]), *invariants, *partials)
+        partials = coeffs * derivative_factors(3, 2)[:, None]
+        return cls(x, y, r, u, v, *partials)
 
     @classmethod
     def at(cls, metric: SphericalMetric, x, y) -> "ProfileBundle":
@@ -478,6 +527,14 @@ def bundle_of(metric, samples):
     if isinstance(metric, SphericalMetric):
         return ProfileBundle.of(metric, samples)
     return AmbientBundle.of(metric, samples, 2)
+
+
+def bundle_at(metric, x: np.ndarray, y: np.ndarray):
+    """``bundle_of`` the rows of the (N, n) arrays x and y; a profile bundle is
+    built straight from the arrays, without samples."""
+    if isinstance(metric, SphericalMetric):
+        return ProfileBundle.at_rows(metric, x, y)
+    return AmbientBundle.of(metric, [MetricSample.of(a, b) for a, b in zip(x, y)], 2)
 
 
 # -- pointwise wrappers -------------------------------------------------------------

@@ -15,7 +15,12 @@ from finslercheck.cli import run_config
 from finslercheck.checks import Run, run_check
 from finslercheck.expr import EvalDomainError
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
-from finslercheck.geodesics import integrate_geodesic, safe_horizon, straightness_deviation
+from finslercheck.geodesics import (
+    integrate_geodesic,
+    integrate_geodesics,
+    safe_horizon,
+    straightness_deviation,
+)
 from finslercheck.jets import lift_var
 from finslercheck.metrics import (
     ClosedFormProfile,
@@ -189,10 +194,11 @@ def test_criterion_06_family_reconstruction():
 def test_criterion_07_geodesic_straightness():
     for name in ("funk", "klein", "bryant"):
         metric = metric_of(name)
+        launched = samples_of(metric, count=COUNT)[:20]
+        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in launched]
+        paths = integrate_geodesics(metric, [(s.x, s.y) for s in launched], horizons, 300)
         worst = 0.0
-        for s in samples_of(metric, count=COUNT)[:20]:
-            horizon = safe_horizon(metric, s.x, s.y, 0.5)
-            path = integrate_geodesic(metric, s.x, s.y, horizon, 300)
+        for path, s in zip(paths, launched):
             worst = max(worst, straightness_deviation(path, s.x, s.y))
         assert worst <= 1e-6, name
     # fourth-order convergence witness on a metric whose geodesics curve

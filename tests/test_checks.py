@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from finslercheck.checks import Run, run_check
+from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.metrics import (
     ClosedFormProfile,
@@ -202,3 +202,115 @@ def test_profile_evaluation_failure_fails_each_check_once():
         assert not record.passed, check
         assert record.worst_x == list(first.x), check
         assert "sqrt requires a positive argument" in record.detail["evaluation_error"], check
+
+
+def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
+    # the first bad sample of log(x1+1) is at index 2: the order-2 bundle that
+    # symmetry and rapcsak share stops there once, not once per check
+    calls = []
+    original = GeneralMetric.ambient_jet
+
+    def counting(self, x, y, order):
+        calls.append(order)
+        return original(self, x, y, order)
+
+    monkeypatch.setattr(GeneralMetric, "ambient_jet", counting)
+    cfg = {
+        "metric": {"general": {"F": "sqrt(y1^2+y2^2)*log(x1+1)"}},
+        "dimension": 2,
+        "sampling": {"count": 20, "seed": 7},
+        "checks": ["symmetry", "rapcsak"],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 1
+    assert len(calls) == 3
+    first, second = report.records
+    assert first.detail["evaluation_error"] == second.detail["evaluation_error"]
+
+
+def test_failed_build_reraises_the_same_error():
+    metric = SphericalMetric("root", ExpressionProfile("u*sqrt(1.5 - r) + 0.1*v"))
+    run = Run(metric, sample_domain(SampleSpec.for_metric(n=2, count=30, seed=7)))
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            run.profile
+        errors.append(err.value)
+    assert errors[0] is errors[1]
+
+
+@pytest.mark.parametrize(
+    "params,name",
+    [
+        ({"count": 0}, "count"),
+        ({"steps": 0}, "steps"),
+        ({"horizon": 0}, "horizon"),
+        ({"horizon": -0.5}, "horizon"),
+        ({"count": 2.5}, "count"),
+        ({"steps": True}, "steps"),
+        ({"horizon": math.inf}, "horizon"),
+        ({"horizon": "0.5"}, "horizon"),
+    ],
+)
+def test_degenerate_geodesic_params_are_config_errors(tmp_path, capsys, params, name):
+    funk = builtin("funk")
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
+    with pytest.raises(ConfigError, match=f"geodesics param '{name}'"):
+        run_check("geodesics", Run(funk, samples), params)
+    cfg = {
+        "metric": {"name": "funk"},
+        "dimension": 2,
+        "sampling": {"count": 5, "seed": 7},
+        "checks": [{"name": "geodesics", "params": params}],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert report is None and code == 2
+    assert f"geodesics param '{name}'" in capsys.readouterr().err
+
+
+def test_quadrature_failure_stops_its_geodesic(monkeypatch):
+    # a family profile whose quadrature fails past r = 0.6 (funk's closed form
+    # below): the path that crosses it stops, and the record names its launch
+    from finslercheck.family import (
+        FamilyProfile,
+        ProjectiveFamilySpec,
+        QuadratureError,
+        _CompiledFamily,
+    )
+
+    funk = builtin("funk")
+
+    def jet(self, r, u, v, order):
+        if r > 0.6:
+            raise QuadratureError(f"no convergence at r={r}")
+        return funk.profile.jet(r, u, v, order)
+
+    monkeypatch.setattr(FamilyProfile, "jet", jet)
+    profile = FamilyProfile(_CompiledFamily(ProjectiveFamilySpec(f="1/sqrt(1+t)")))
+    metric = SphericalMetric("family_cutoff", profile, 1.0)
+    samples = [
+        MetricSample.of([0.1, 0.2], [0.2, -0.1]),
+        MetricSample.of([0.5, 0.0], [1.0, 0.1]),
+        MetricSample.of([0.0, 0.55], [0.1, 1.0]),
+        MetricSample.of([-0.2, 0.1], [-0.1, 0.3]),
+    ]
+    params = {"count": 4, "steps": 20, "horizon": 0.3}
+    [record] = run_check("geodesics", Run(metric, samples), params)
+    assert not record.passed
+    assert 0 < record.detail["min_steps_completed"] < 20
+    assert record.worst_x == list(samples[1].x) and record.worst_y == list(samples[1].y)
+
+
+@given(st.floats(min_value=-2.5, max_value=2.5))
+def test_non_positive_F_fails_and_names_its_first_sample(shift):
+    # F = |y| (x1 + c) is positive exactly where x1 > -c
+    metric = GeneralMetric.from_expression(f"sqrt(y1^2+y2^2)*(x1+{shift!r})", 2)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=8, seed=5))
+    bad = [i for i, s in enumerate(samples) if s.x[0] + shift <= 0.0]
+    run = Run(metric, samples)
+    for check in ("symmetry", "rapcsak", "cartan"):
+        [record] = run_check(check, run, {})
+        assert record.detail.get("non_positive_F", 0) == len(bad), check
+        if bad:
+            assert not record.passed, check
+            assert record.worst_x == list(samples[bad[0]].x), check

@@ -5,17 +5,29 @@ import numpy as np
 import pytest
 
 from conftest import make_metric, samples_for
+from finslercheck.expr import EvalDomainError
+from finslercheck.family import FamilyError
 from finslercheck.geodesics import (
     GeodesicPath,
     NotStronglyConvexError,
     dump_csv,
     integrate_geodesic,
+    integrate_geodesics,
     safe_horizon,
     spray_general,
     spray_projectivity_residual,
     straightness_deviation,
 )
-from finslercheck.metrics import ClosedFormProfile, GeneralMetric, SphericalMetric, builtin
+from finslercheck.jets import JetDomainError
+from finslercheck.metrics import (
+    ClosedFormProfile,
+    GeneralMetric,
+    MetricDomainError,
+    MetricSample,
+    SphericalMetric,
+    builtin,
+    bundle_of,
+)
 from finslercheck.projective import projective_factor
 
 
@@ -240,3 +252,137 @@ def test_spray_at_origin_is_finite():
     g = spray_general(builtin("funk"), [0.0, 0.0], [0.6, 0.8])
     assert np.isfinite(g).all()
     assert np.allclose(g, spray_general(builtin("funk"), [1e-9, 0.0], [0.6, 0.8]), atol=1e-7)
+
+
+# -- batched integration ----------------------------------------------------------
+
+
+def one_path_rk4(metric, x0, y0, horizon, steps):
+    """The one-path RK4 loop that integrated each geodesic before paths were
+    batched: one bundle, one Cholesky factorisation and two solves per stage.
+    Returns the path and why it stopped (None when it ran all steps)."""
+
+    def spray(xc, yc):
+        b = bundle_of(metric, [MetricSample.of(xc, yc)])
+        chol = np.linalg.cholesky(b.g()[0])
+        return 0.25 * np.linalg.solve(chol.T, np.linalg.solve(chol, b.spray_bracket()[0]))
+
+    def rhs(xc, yc):
+        return yc, -2.0 * spray(xc, yc)
+
+    x = np.asarray(x0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).copy()
+    h = horizon / steps
+    times, points, velocities = [0.0], [x.copy()], [y.copy()]
+
+    def partial(why):
+        return GeodesicPath(np.array(times), np.array(points), np.array(velocities), times[-1]), why
+
+    for k in range(steps):
+        try:
+            k1x, k1y = rhs(x, y)
+            k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
+            k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+            k4x, k4y = rhs(x + h * k3x, y + h * k3y)
+        except np.linalg.LinAlgError:
+            return partial("not strongly convex")
+        except (JetDomainError, MetricDomainError, EvalDomainError, FamilyError):
+            return partial("evaluation")
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        if not float(np.linalg.norm(x)) < metric.domain_radius:
+            return partial("left the domain")
+        times.append((k + 1) * h)
+        points.append(x.copy())
+        velocities.append(y.copy())
+    return GeodesicPath(np.array(times), np.array(points), np.array(velocities)), None
+
+
+def assert_same_bits(got, want):
+    for field in ("times", "points", "velocities"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+    assert got.exit_time == want.exit_time
+    assert type(got.exit_time) is type(want.exit_time)
+
+
+def check_batch(metric, starts, horizons, steps):
+    """Integrate the starts as one batch and as one-path loops; the paths must
+    agree bit for bit.  Returns the one-path loops' stop reasons."""
+    paths = integrate_geodesics(metric, starts, horizons, steps)
+    assert len(paths) == len(starts)
+    reasons = []
+    for path, (x0, y0), horizon in zip(paths, starts, horizons):
+        want, why = one_path_rk4(metric, x0, y0, horizon, steps)
+        assert_same_bits(path, want)
+        reasons.append(why)
+    return reasons
+
+
+class TestBatchedIntegration:
+    def test_paths_leave_one_at_a_time_bit_for_bit(self):
+        # F = |y| - <x,y>^2/|y| is strongly convex only near the origin, and the
+        # domain is cut at |x| = 0.9: the middle paths stop early, each for its reason
+        metric = GeneralMetric.from_expression(
+            "sqrt(y1^2 + y2^2) - (x1*y1 + x2*y2)^2/sqrt(y1^2 + y2^2)", 2, domain_radius=0.9
+        )
+        starts = [
+            ([0.1, 0.2], [0.2, 0.1]),
+            ([0.6, 0.0], [0.3, 1.0]),
+            ([0.4, 0.0], [1.0, 0.1]),
+            ([-0.2, 0.1], [-0.1, 0.3]),
+        ]
+        reasons = check_batch(metric, starts, [1.0, 1.0, 1.0, 0.8], 20)
+        assert reasons == [None, "left the domain", "not strongly convex", None]
+
+    def test_profile_paths_leave_one_at_a_time_bit_for_bit(self):
+        # the profile form of the same metric, on a wider domain: two middle
+        # paths lose strong convexity at different steps
+        metric = SphericalMetric("pseudo", ClosedFormProfile(lambda r, u, v: u - v * (v / u)), 2.0)
+        starts = [
+            ([0.1, 0.2], [0.2, 0.1]),
+            ([0.4, 0.0], [1.0, 0.1]),
+            ([0.0, 0.5], [0.05, 2.0]),
+            ([-0.2, 0.1], [-0.1, 0.3]),
+        ]
+        reasons = check_batch(metric, starts, [1.0, 1.0, 1.0, 0.8], 20)
+        assert reasons == [None, "not strongly convex", "not strongly convex", None]
+
+    def test_evaluation_failure_stops_only_its_path(self):
+        # sqrt(1 - x1) has no value from x1 = 1 on
+        metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2)*sqrt(1 - x1)", 2)
+        starts = [([0.0, 0.1], [0.1, 0.2]), ([0.8, 0.0], [1.0, 0.0]), ([-0.5, 0.0], [0.2, -0.3])]
+        reasons = check_batch(metric, starts, [1.0, 2.0, 1.0], 50)
+        assert reasons == [None, "evaluation", None]
+
+    @pytest.mark.parametrize("name,n", [("funk", 2), ("klein", 3), ("bryant", 3), ("spherical", 2)])
+    def test_builtin_batches_bit_for_bit(self, name, n):
+        metric = make_metric(name)
+        samples = samples_for(metric, n=n, count=6, seed=3)
+        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in samples]
+        reasons = check_batch(metric, [(s.x, s.y) for s in samples], horizons, 30)
+        assert reasons == [None] * len(samples)
+
+    def test_general_metric_batch_bit_for_bit(self):
+        funk_expr = (
+            "(sqrt((y1^2 + y2^2)*(1 - x1^2 - x2^2) + (x1*y1 + x2*y2)^2)"
+            " + x1*y1 + x2*y2)/(1 - x1^2 - x2^2)"
+        )
+        metric = GeneralMetric.from_expression(funk_expr, 2, name="funk_general", domain_radius=1.0)
+        samples = samples_for(builtin("funk"), n=2, count=4, seed=5)
+        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in samples]
+        check_batch(metric, [(s.x, s.y) for s in samples], horizons, 20)
+
+    def test_one_spray_per_stage_for_all_paths(self, monkeypatch):
+        calls = []
+        funk = builtin("funk")
+
+        def phi(r, u, v):
+            calls.append(r.coeffs.shape)
+            return funk.profile.fn(r, u, v)
+
+        counted = SphericalMetric("funk", ClosedFormProfile(phi), 1.0)
+        starts = [(s.x, s.y) for s in samples_for(funk, n=2, count=5)]
+        integrate_geodesics(counted, starts, [0.1] * 5, 3)
+        # three steps of four stages, each one profile call over all five paths
+        assert calls == [(10, 5)] * 12

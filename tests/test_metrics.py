@@ -21,6 +21,7 @@ from finslercheck.metrics import (
     fundamental_tensor,
     fundamental_tensor_ad,
     homogeneity_residual,
+    invariant_rows,
     invariants_of,
     relative_residual,
     reversibility_residual,
@@ -49,6 +50,22 @@ class TestInvariants:
         y = 7.0 * x
         r, u, v = invariants_of(x, y)
         assert abs(v) <= r * u
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_match_invariants_of_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(-2.0, 2.0, (2000, n)) * rng.uniform(0.0, 1.0, (2000, 1)) ** 3
+        y = rng.uniform(-2.0, 2.0, (2000, n))
+        x[:50] = 0.3 * y[:50]  # colinear pairs, where the clamp acts
+        x[50] = 0.0
+        rows = invariant_rows(x, y)
+        want = np.array([invariants_of(a, b) for a, b in zip(x, y)]).T
+        for got, expected in zip(rows, want):
+            assert got.tobytes() == expected.tobytes()
+
+    def test_rows_zero_direction_rejected(self):
+        with pytest.raises(MetricDomainError):
+            invariant_rows(np.array([[0.5, 0.0], [0.1, 0.2]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestEvaluate:
@@ -90,6 +107,55 @@ class TestProfileJets:
     def test_u_must_be_positive(self):
         with pytest.raises(MetricDomainError):
             builtin("funk").phi_jet(0.5, 0.0, 0.0, 2)
+
+
+_PARTIALS = ("phi", "phi_r", "phi_u", "phi_v", "phi_rr", "phi_ru", "phi_rv", "phi_uu", "phi_uv", "phi_vv")
+
+
+class TestBatchedProfileBundle:
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_columns_equal_per_sample_bundles(self, name, n):
+        metric = make_metric(name)
+        samples = samples_for(metric, n=n, count=40)
+        batched = ProfileBundle.of(metric, samples)
+        rows = ProfileBundle.at_rows(metric, batched.x, batched.y)
+        for i, s in enumerate(samples):
+            single = ProfileBundle.of(metric, [s])
+            for field in ("r", "u", "v") + _PARTIALS:
+                want = getattr(single, field).tobytes()
+                assert getattr(batched, field)[i : i + 1].tobytes() == want, (field, i)
+                assert getattr(rows, field)[i : i + 1].tobytes() == want, (field, i)
+
+    def test_one_profile_call_for_all_samples(self):
+        calls = []
+        funk = builtin("funk")
+
+        def phi(r, u, v):
+            calls.append(r.coeffs.shape)
+            return funk.profile.fn(r, u, v)
+
+        counted = SphericalMetric("funk", ClosedFormProfile(phi), 1.0)
+        ProfileBundle.of(counted, samples_for(funk, n=2, count=30))
+        assert calls == [(10, 30)]
+
+    def test_failed_batch_names_first_failing_sample(self):
+        # sqrt(1.5 - r) has no value beyond r = 1.5
+        from finslercheck.expr import EvalDomainError
+        from finslercheck.metrics import ExpressionProfile
+
+        metric = SphericalMetric("root", ExpressionProfile("u*sqrt(1.5 - r) + 0.1*v"))
+        samples = sample_domain(SampleSpec.for_metric(n=2, count=30, seed=7))
+        first = next(s for s in samples if s.r >= 1.5)
+        with pytest.raises(EvalDomainError) as err:
+            ProfileBundle.of(metric, samples)
+        assert err.value.sample is first
+
+    def test_outside_domain_batch_raises_first_triple_error(self):
+        metric = builtin("funk")
+        r, u, v = np.array([0.5, 1.2, 1.5]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
+        with pytest.raises(MetricDomainError, match="1.2"):
+            metric.phi_jets(r, u, v)
 
 
 class TestFundamentalTensor:
