@@ -69,7 +69,8 @@ def bench_workload():
     lam_time = (time.perf_counter() - t0) / len(samples)
 
     bryant = builtin("bryant", alpha=math.pi / 6)
-    samples4 = sample_domain(SampleSpec.for_metric(n=4, count=20, seed=7, domain_radius=math.inf))
+    # 200 samples, as a verify run has: the bundle is built in chunks of AMBIENT_CHUNK
+    samples4 = sample_domain(SampleSpec.for_metric(n=4, count=200, seed=7, domain_radius=math.inf))
     t0 = time.perf_counter()
     AmbientBundle.of(bryant, samples4)
     bundle_time = (time.perf_counter() - t0) / len(samples4)

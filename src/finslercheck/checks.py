@@ -245,11 +245,12 @@ def _geodesic_params(params) -> tuple[int, int, float]:
 
 def check_geodesics(run, tol, params):
     """Straightness of integrated geodesics, all launched as one batch; a path
-    that stopped early fails the check and names its launch sample."""
+    that stopped early, or a launch point at |x| >= 0.95 of the domain radius,
+    fails the check and names its launch sample."""
     metric = run.metric
     count, steps, horizon = _geodesic_params(params)
     launched = run.samples[: min(count, len(run.samples))]
-    horizons = [geo.safe_horizon(metric, s.x, s.y, horizon) for s in launched]
+    horizons = at_samples(lambda s: geo.safe_horizon(metric, s.x, s.y, horizon), launched)
     paths = geo.integrate_geodesics(metric, [(s.x, s.y) for s in launched], horizons, steps)
     deviations = [geo.straightness_deviation(p, s.x, s.y) for p, s in zip(paths, launched)]
     if run.dump_dir is not None:

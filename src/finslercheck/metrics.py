@@ -14,10 +14,11 @@ which takes no arbitrary jets, goes through multivariate composition of its
 Derivatives of F come from a bundle of N samples: a ``ProfileBundle`` (phi
 and its partials from one batched ``phi_jets`` call, with every profile
 formula as an array expression over them) or an ``AmbientBundle`` (one
-ambient jet per sample).  Both provide F, F_x, F_y, g, the Rapcsak residual
-and the spray bracket, and ``bundle_of`` (over samples) and ``bundle_at``
-(over the rows of two arrays) are the only places that pick a bundle by
-metric kind.  The pointwise functions evaluate on a one-sample bundle.
+ambient jet per chunk of ``AMBIENT_CHUNK`` = 25 samples).  Both provide F,
+F_x, F_y, g, the Rapcsak residual and the spray bracket, and ``bundle_of``
+(over samples) and ``bundle_at`` (over the rows of two arrays) are the only
+places that pick a bundle by metric kind.  The pointwise functions evaluate
+on a one-sample bundle.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ R, U, V = 0, 1, 2
 # Slack absorbing rounding at the boundary case phi_vv = 0 (Euclidean).
 PHI_VV_SLACK = -1e-12
 MIN_RADIUS = 0.05  # the profile-space formulas carry 1/r (``ProfileBundle.require_radius``)
+# Samples per N-point ambient jet: one order-3 chunk of 200 samples would hold
+# all their product terms at once (+10 MB); 25 keep the batching gain.
+AMBIENT_CHUNK = 25
 
 
 class MetricDomainError(ValueError):
@@ -132,6 +136,12 @@ class SphericalMetric:
     expected_curvature: float | None = None
     params: dict = field(default_factory=dict)
 
+    @property
+    def takes_batches(self) -> bool:
+        """Does the profile take N-point jets?  A family profile chooses its
+        quadrature mesh per point, so it is evaluated one point at a time."""
+        return isinstance(self.profile, ClosedFormProfile)
+
     def phi_jet(self, r: float, u: float, v: float, order: int = 2) -> Jet:
         if u <= 0.0:
             raise MetricDomainError("u must be positive")
@@ -150,16 +160,14 @@ class SphericalMetric:
         per point, goes through ``phi_jet`` one triple at a time, and so does a
         single triple: a one-point caller evaluates one ``phi_jet``.
         """
-        if not (isinstance(self.profile, ClosedFormProfile) and len(r) > 1):
+        if not (self.takes_batches and len(r) > 1):
             triples = zip(r.tolist(), u.tolist(), v.tolist())
             return np.array([self.phi_jet(*t, order).coeffs for t in triples]).T
         outside = (u <= 0.0) | (r >= self.domain_radius)
         if outside.any():
             i = int(outside.argmax())
             self.phi_jet(r[i], u[i], v[i], order)  # raises the first such triple's domain error
-        c = self.profile.jet(r, u, v, order).coeffs
-        # a phi free of r, u and v is a one-point jet: the same column at every triple
-        return np.broadcast_to(c if c.ndim == 2 else c[:, None], (len(c), len(r)))
+        return _columns(self.profile.jet(r, u, v, order).coeffs, len(r))
 
     def phi_value(self, r: float, u: float, v: float) -> float:
         return self.phi_jet(r, u, v, order=0).value
@@ -174,7 +182,8 @@ class SphericalMetric:
         return value
 
     def ambient_jet(self, x, y, order: int) -> Jet:
-        """Jet of F in the 2n variables (x^1..x^n, y^1..y^n)."""
+        """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when
+        x and y are (n, N) arrays (``takes_batches`` profiles only)."""
         v = _ambient_variables(x, y, order)
         xs, ys = v[: len(v) // 2], v[len(v) // 2 :]
         rj = sqrt(sum(c * c for c in xs))
@@ -194,6 +203,7 @@ class GeneralMetric:
     n: int
     fn: object
     domain_radius: float = math.inf
+    takes_batches = True  # fn takes ambient jets at N points
 
     @classmethod
     def from_expression(cls, source: str, n: int, name: str = "general", domain_radius: float = math.inf):
@@ -206,6 +216,7 @@ class GeneralMetric:
         return cls(name, n, fn, domain_radius)
 
     def ambient_jet(self, x, y, order: int) -> Jet:
+        """Jet of F in (x^1..x^n, y^1..y^n), at N points when x and y are (n, N) arrays."""
         if len(x) != self.n:
             raise MetricDomainError(f"{self.name} is {self.n}-dimensional")
         v = _ambient_variables(x, y, order)
@@ -267,6 +278,39 @@ def at_samples(evaluate, samples) -> list:
     return out
 
 
+def _chunks(count: int, size: int) -> list[slice]:
+    return [slice(start, start + size) for start in range(0, count, size)]
+
+
+def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """(ncoeff, count) coefficients of a jet at count points: a one-point jet
+    (of a formula free of its variables) is the same column at every point."""
+    return np.broadcast_to(coeffs if coeffs.ndim == 2 else coeffs[:, None], (len(coeffs), count))
+
+
+def _batched_columns(samples, one, batch, size: int | None = None) -> list[np.ndarray]:
+    """Jet coefficients of the samples as one (ncoeff, k) block per chunk of
+    ``size`` samples (one chunk when size is None); column i is ``one(samples[i])``.
+
+    ``batch(chunk)`` evaluates a slice of two or more samples at once.  A chunk
+    whose batch raises a ValueError is evaluated sample by sample through
+    ``at_samples``, so the error names the first failing sample.  Without
+    ``batch`` every sample is evaluated alone, once.
+    """
+    blocks = []
+    for chunk in _chunks(len(samples), size or len(samples)):
+        block = None
+        if batch is not None and len(samples[chunk]) > 1:
+            try:
+                block = batch(chunk)
+            except ValueError:
+                pass  # rerun below, sample by sample, to name the failing one
+        if block is None:
+            block = np.array(at_samples(one, samples[chunk])).T
+        blocks.append(block)
+    return blocks
+
+
 # -- the profile bundle ----------------------------------------------------------
 
 
@@ -298,14 +342,13 @@ class ProfileBundle:
 
     @classmethod
     def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
-        """The bundle of the samples.  If the batched build raises, the samples
-        are evaluated one by one, so the error names the first failing sample."""
+        """The bundle of the samples, from one batched ``phi_jets`` call.  If it
+        raises, the samples are evaluated one by one, so the error names the
+        first failing sample; a family profile is evaluated one by one, once."""
         r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
-        try:
-            coeffs = metric.phi_jets(r, u, v)
-        except ValueError:
-            columns = at_samples(lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs, samples)
-            coeffs = np.array(columns).T
+        batch = (lambda c: metric.phi_jets(r[c], u[c], v[c])) if metric.takes_batches else None
+        one = lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs
+        [coeffs] = _batched_columns(samples, one, batch)
         x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
         return cls._of_jets(x, y, r, u, v, coeffs)
 
@@ -453,8 +496,10 @@ class ProfileBundle:
 class AmbientBundle:
     """F and E = F^2 with their partials in the 2n ambient variables, at N samples.
 
-    One ``metric.ambient_jet`` per sample, stacked as the columns of an N-point
-    jet, so each column is that sample's jet bit for bit.  The only code that
+    One ``metric.ambient_jet`` on N-point variables per chunk of
+    ``AMBIENT_CHUNK`` samples (per sample for a family profile), the chunks
+    concatenated as the columns of one jet, so each column is that sample's
+    one-point jet bit for bit.  The only code that
     knows the layout (x^1..x^n, y^1..y^n) and the block scalings g = E_yy / 2,
     dg/dx = E_xyy / 2, C = E_yyy / 4.  Arrays have the sample axis first.
     """
@@ -466,11 +511,28 @@ class AmbientBundle:
 
     @classmethod
     def of(cls, metric, samples, order: int = 3) -> "AmbientBundle":
-        jets = at_samples(lambda s: metric.ambient_jet(s.x, s.y, order), samples)
-        f = Jet(jets[0].nvars, order, np.stack([j.coeffs for j in jets], axis=1))
-        # E sample by sample: one N-point product would hold all N samples' product terms at once
-        e = Jet(jets[0].nvars, order, np.stack([(j * j).coeffs for j in jets], axis=1))
-        return cls(np.array([s.x for s in samples]), np.array([s.y for s in samples]), f, e)
+        """The bundle of the samples.  A chunk whose jet raises is evaluated
+        sample by sample, so the error names the first failing sample."""
+        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+        batch = None
+        if metric.takes_batches:
+            batch = lambda c: _ambient_block(metric, x[c], y[c], order)
+        one = lambda s: metric.ambient_jet(s.x, s.y, order).coeffs
+        return cls._of_blocks(x, y, order, _batched_columns(samples, one, batch, AMBIENT_CHUNK))
+
+    @classmethod
+    def at_rows(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, built straight
+        from them chunk by chunk (``takes_batches`` metrics only)."""
+        blocks = [_ambient_block(metric, x[c], y[c], order) for c in _chunks(len(x), AMBIENT_CHUNK)]
+        return cls._of_blocks(x, y, order, blocks)
+
+    @classmethod
+    def _of_blocks(cls, x, y, order, blocks) -> "AmbientBundle":
+        nvars = 2 * x.shape[1]
+        # E chunk by chunk: one N-point product would hold all N samples' product terms at once
+        e = [(Jet(nvars, order, b) * Jet(nvars, order, b)).coeffs for b in blocks]
+        return cls(x, y, *(Jet(nvars, order, np.concatenate(c, axis=1)) for c in (blocks, e)))
 
     @classmethod
     def at(cls, metric, x, y, order: int = 3) -> "AmbientBundle":
@@ -520,6 +582,11 @@ class AmbientBundle:
         return np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
 
 
+def _ambient_block(metric, x, y, order) -> np.ndarray:
+    """(ncoeff, k) ambient jet coefficients at the rows of the (k, n) arrays x and y."""
+    return _columns(metric.ambient_jet(x.T, y.T, order).coeffs, len(x))
+
+
 def bundle_of(metric, samples):
     """The derivative bundle of the samples: a ``ProfileBundle`` for a profile
     metric, an order-2 ``AmbientBundle`` otherwise.  Either provides F,
@@ -530,11 +597,11 @@ def bundle_of(metric, samples):
 
 
 def bundle_at(metric, x: np.ndarray, y: np.ndarray):
-    """``bundle_of`` the rows of the (N, n) arrays x and y; a profile bundle is
-    built straight from the arrays, without samples."""
+    """``bundle_of`` the rows of the (N, n) arrays x and y, built straight from
+    the arrays, without samples."""
     if isinstance(metric, SphericalMetric):
         return ProfileBundle.at_rows(metric, x, y)
-    return AmbientBundle.of(metric, [MetricSample.of(a, b) for a, b in zip(x, y)], 2)
+    return AmbientBundle.at_rows(metric, x, y, 2)
 
 
 # -- pointwise wrappers -------------------------------------------------------------

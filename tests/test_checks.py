@@ -137,23 +137,26 @@ def test_non_positive_general_metric_fails(tmp_path):
 
 
 def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
-    calls = []
+    # the bundle is built once: every sample lifted exactly once, in chunks of at most 25
+    lifted = []
     original = SphericalMetric.ambient_jet
 
     def counting(self, x, y, order):
-        calls.append(order)
+        lifted.append((np.asarray(x).T.reshape(-1, 4), order))
         return original(self, x, y, order)
 
     monkeypatch.setattr(SphericalMetric, "ambient_jet", counting)
     cfg = {
         "metric": {"name": "bryant", "params": {"alpha": 0.5235987755982988}},
         "dimension": 4,
-        "sampling": {"count": 12, "seed": 7},
+        "sampling": {"count": 60, "seed": 7},
         "checks": ["symmetry_tensor", "cartan", "fundamental_ad"],
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 0
-    assert calls == [3] * 12
+    assert [(len(x), order) for x, order in lifted] == [(25, 3), (25, 3), (10, 3)]
+    samples = sample_domain(SampleSpec.for_metric(n=4, count=60, seed=7))
+    assert np.array_equal(np.concatenate([x for x, _ in lifted]), [s.x for s in samples])
 
 
 def test_evaluation_failure_is_a_failed_check(tmp_path):
@@ -206,12 +209,13 @@ def test_profile_evaluation_failure_fails_each_check_once():
 
 def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     # the first bad sample of log(x1+1) is at index 2: the order-2 bundle that
-    # symmetry and rapcsak share stops there once, not once per check
+    # symmetry and rapcsak share fails once (its 20-sample chunk, then samples
+    # 0..2 one by one to name it), not once per check
     calls = []
     original = GeneralMetric.ambient_jet
 
     def counting(self, x, y, order):
-        calls.append(order)
+        calls.append(np.shape(x)[1:])
         return original(self, x, y, order)
 
     monkeypatch.setattr(GeneralMetric, "ambient_jet", counting)
@@ -223,7 +227,7 @@ def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 1
-    assert len(calls) == 3
+    assert calls == [(20,), (), (), ()]
     first, second = report.records
     assert first.detail["evaluation_error"] == second.detail["evaluation_error"]
 
@@ -299,6 +303,26 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
     assert not record.passed
     assert 0 < record.detail["min_steps_completed"] < 20
     assert record.worst_x == list(samples[1].x) and record.worst_y == list(samples[1].y)
+
+
+def test_launch_point_near_the_boundary_fails_geodesics(tmp_path):
+    # safe_horizon refuses a launch at |x| >= 0.95 of funk's radius: a failed record, not exit 2
+    sampling = {"count": 5, "seed": 7, "r_range": [0.96, 0.99]}
+    cfg = {
+        "metric": {"name": "funk"},
+        "dimension": 2,
+        "sampling": sampling,
+        "checks": [{"name": "geodesics", "params": {"count": 2, "steps": 10}}],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 1
+    spec = SampleSpec.for_metric(n=2, count=5, seed=7, domain_radius=1.0, r_range=sampling["r_range"])
+    first = sample_domain(spec)[0]
+    [record] = report.records
+    assert not record.passed
+    assert record.worst_x == list(first.x) and record.worst_y == list(first.y)
+    assert "start point already at |x| >= 0.95" in record.detail["evaluation_error"]
+    assert json.loads(to_json(report))["overall_pass"] is False
 
 
 @given(st.floats(min_value=-2.5, max_value=2.5))

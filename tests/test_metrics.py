@@ -151,6 +151,24 @@ class TestBatchedProfileBundle:
             ProfileBundle.of(metric, samples)
         assert err.value.sample is first
 
+    def test_failed_family_bundle_evaluates_each_sample_once(self, monkeypatch):
+        # a family profile takes no N-point jets: samples 0, 1 and the out-of-domain 2, once each
+        metric = AMBIENT_CASES["family"][0]()
+        calls = []
+        original = SphericalMetric.phi_jet
+
+        def counting(self, r, u, v, order=2):
+            calls.append(r)
+            return original(self, r, u, v, order)
+
+        monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+        xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
+        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        with pytest.raises(MetricDomainError) as err:
+            ProfileBundle.of(metric, samples)
+        assert err.value.sample is samples[2]
+        assert calls == [s.r for s in samples[:3]]
+
     def test_outside_domain_batch_raises_first_triple_error(self):
         metric = builtin("funk")
         r, u, v = np.array([0.5, 1.2, 1.5]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
@@ -464,6 +482,70 @@ class TestAmbientBundle:
         assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
         bracket = e.hessian()[:3, 3:].T @ s.y - e.gradient()[:3]
         assert np.allclose(b.spray_bracket()[0], bracket, rtol=1e-14, atol=1e-14)
+
+
+CHUNKED_CASES = {
+    **AMBIENT_CASES,
+    "constant": (lambda: GeneralMetric.from_expression("1.5", 2), 2),  # a one-point jet per chunk
+}
+
+
+def _ambient_widths(monkeypatch):
+    """Record how many samples each ambient_jet call lifts (1 for one point)."""
+    widths = []
+    for cls in (SphericalMetric, GeneralMetric):
+        original = cls.ambient_jet
+
+        def counting(self, x, y, order, original=original):
+            widths.append(np.shape(x)[1] if np.ndim(x) == 2 else 1)
+            return original(self, x, y, order)
+
+        monkeypatch.setattr(cls, "ambient_jet", counting)
+    return widths
+
+
+class TestChunkedAmbientBundle:
+    @pytest.mark.parametrize("case", sorted(CHUNKED_CASES))
+    def test_columns_equal_one_sample_bundles(self, case):
+        build, n = CHUNKED_CASES[case]
+        metric = build()
+        spec = SampleSpec.for_metric(n=n, count=51, seed=11, domain_radius=metric.domain_radius)
+        samples = sample_domain(spec)
+        ones = [_bundle_parts(AmbientBundle.of(metric, [s])) for s in samples]
+        for count in (1, 24, 25, 26, 51):
+            chunked = _bundle_parts(AmbientBundle.of(metric, samples[:count]))
+            for k in range(count):
+                for got, want in zip(chunked, ones[k]):
+                    assert got[k].tobytes() == want[0].tobytes(), (case, count, k)
+
+    def test_failing_chunk_names_its_first_failing_sample(self, monkeypatch):
+        # log(x1 + 1) has no value where x1 <= -1: samples 30 and 41, both in the second chunk
+        from finslercheck.expr import EvalDomainError
+
+        metric = GeneralMetric.from_expression("sqrt(y1^2+y2^2)*log(x1+1)", 2)
+        rng = np.random.default_rng(5)
+        xs, ys = rng.uniform(-0.9, 0.9, (60, 2)), rng.uniform(-1.0, 1.0, (60, 2))
+        xs[[30, 41], 0] = -1.5
+        samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+        widths = _ambient_widths(monkeypatch)
+        with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
+            AmbientBundle.of(metric, samples)
+        assert err.value.sample is samples[30]
+        # the first chunk, the failing second, then its samples up to the bad one
+        assert widths == [25, 25] + [1] * 6
+
+    def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
+        from finslercheck.metrics import AMBIENT_CHUNK, bundle_at
+
+        widths = _ambient_widths(monkeypatch)
+        bryant = make_metric("bryant")
+        AmbientBundle.of(bryant, samples_for(bryant, n=4, count=60))
+        assert widths == [25, 25, 10]
+        widths.clear()
+        anisotropic = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
+        b = bundle_at(anisotropic, np.ones((60, 2)), np.ones((60, 2)))
+        assert isinstance(b, AmbientBundle) and b.f.coeffs.shape[1] == 60
+        assert widths == [25, 25, 10] and max(widths) == AMBIENT_CHUNK
 
 
 SURFACE_CASES = {
