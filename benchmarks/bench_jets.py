@@ -4,8 +4,9 @@
 Times a jet product and a series composition (sqrt) on representative
 table sizes, for one-point jets and for 15-point batched jets (one
 Gauss-Legendre panel), then a realistic workload (profile jets of the funk
-metric, flag curvature evaluations, the Bryant n=4 ambient bundle and its
-Killing tensor scan).
+metric, flag curvature evaluations, the family funk profile bundle of
+``configs/family_funk_reconstruction.json``, the Bryant n=4 ambient bundle and
+its Killing tensor scan).
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
@@ -50,7 +51,8 @@ def bench_kernels(repeat):
 
 
 def bench_workload():
-    from finslercheck.metrics import AmbientBundle, builtin
+    from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
+    from finslercheck.metrics import AmbientBundle, ProfileBundle, builtin
     from finslercheck.projective import flag_curvature
     from finslercheck.sampling import SampleSpec, sample_domain
     from finslercheck.symmetry import killing_tensor_max_residual
@@ -68,6 +70,17 @@ def bench_workload():
         flag_curvature(funk, s.r, s.u, s.v)
     lam_time = (time.perf_counter() - t0) / len(samples)
 
+    # the family config's metric and its 120 samples: one order-2 profile bundle
+    family = build_projective_metric(
+        ProjectiveFamilySpec(
+            f="1/sqrt(1+t)", g="1/(1-r^2)", h="1/(1-r^2)", baseline="abs_corrected"
+        )
+    )
+    samples_f = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))
+    t0 = time.perf_counter()
+    ProfileBundle.of(family, samples_f)
+    family_time = (time.perf_counter() - t0) / len(samples_f)
+
     bryant = builtin("bryant", alpha=math.pi / 6)
     # 200 samples, as a verify run has: the bundle is built in chunks of AMBIENT_CHUNK
     samples4 = sample_domain(SampleSpec.for_metric(n=4, count=200, seed=7, domain_radius=math.inf))
@@ -80,7 +93,7 @@ def bench_workload():
         killing_tensor_max_residual(bryant, s.x, s.y)
     tensor_time = (time.perf_counter() - t0) / len(samples4)
 
-    return jet_time, lam_time, bundle_time, tensor_time
+    return jet_time, lam_time, family_time, bundle_time, tensor_time
 
 
 def main():
@@ -94,12 +107,13 @@ def main():
     for nvars, order, pairs, times in bench_kernels(args.repeat):
         print(f"{nvars:>2} {order:>5} {pairs:>6}" + "".join(f" {times[l]:>11.3e}" for l in labels))
 
-    jet_time, lam_time, bundle_time, tensor_time = bench_workload()
+    jet_time, lam_time, family_time, bundle_time, tensor_time = bench_workload()
     print("\nworkload:")
-    print(f"  funk profile jet (order 2)      {jet_time * 1e6:9.1f} us/point")
-    print(f"  flag curvature evaluation       {lam_time * 1e6:9.1f} us/point")
-    print(f"  bryant n=4 ambient bundle       {bundle_time * 1e6:9.1f} us/point")
-    print(f"  bryant n=4 Killing tensor scan  {tensor_time * 1e3:9.2f} ms/point")
+    print(f"  funk profile jet (order 2)              {jet_time * 1e6:9.1f} us/point")
+    print(f"  flag curvature evaluation               {lam_time * 1e6:9.1f} us/point")
+    print(f"  family funk profile bundle, 120 samples {family_time * 1e6:9.1f} us/sample")
+    print(f"  bryant n=4 ambient bundle               {bundle_time * 1e6:9.1f} us/point")
+    print(f"  bryant n=4 Killing tensor scan          {tensor_time * 1e3:9.2f} ms/point")
 
 
 if __name__ == "__main__":

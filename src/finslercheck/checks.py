@@ -33,7 +33,7 @@ from .metrics import (
     at_samples,
     positive_definite,
     relative_residual,
-    reversibility_residual,
+    reversibility_residuals,
     riemannian_probe_of,
     worst_residual,
 )
@@ -219,12 +219,9 @@ def check_fundamental_ad(run, tol, params):
     return [_worst_record("fundamental_ad", run, values, tol, F=ambient.F)]
 
 
-def _reversibility(run):
-    return at_samples(lambda s: reversibility_residual(run.metric, s.r, s.u, s.v), run.samples)
-
-
 def check_reversibility(run, tol, params):
-    return [_worst_record("reversibility", run, _reversibility(run), tol)]
+    values = reversibility_residuals(run.metric, run.samples)
+    return [_worst_record("reversibility", run, values, tol)]
 
 
 def _geodesic_params(params) -> tuple[int, int, float]:
@@ -297,7 +294,7 @@ def check_conjecture(run, tol, params):
     Riemannian; it proves nothing either way.
     """
     metric, samples = run.metric, run.samples
-    rev_worst, rev_at, rev_non_finite = worst_residual(_reversibility(run))
+    rev_worst, rev_at, rev_non_finite = worst_residual(reversibility_residuals(metric, samples))
     reversible = rev_non_finite == 0 and rev_worst <= 1e-9
     detail: dict = {"reversible": reversible, "reversibility_residual": rev_worst}
     passed = True

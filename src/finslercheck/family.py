@@ -20,6 +20,13 @@ a u goes through that closed form.  Only the u-free derivatives are
 integrated, with a jet-valued integrand in (r, v) and adaptive
 Gauss-Legendre bisection; differentiating an adaptive mesh would not be
 smooth in the parameters, the split avoids it entirely.
+
+The profile is evaluated at N triples at once.  Their bisections run as one
+lockstep depth-first traversal (``_quadrature``): each round integrates
+both halves of the next pending panel of every unfinished triple through
+one batched integrand jet, and each triple keeps its own mesh, tolerances
+and summation order, so every column is bit for bit the one-triple result.
+One triple is the case N = 1 of the same code.
 """
 
 from __future__ import annotations
@@ -114,60 +121,101 @@ class _CompiledFamily:
             )
 
 
-def _integrand_coeffs(fam: _CompiledFamily, t: np.ndarray, r: float, v: float, order: int) -> np.ndarray:
-    """Taylor coefficients in (r, v) of f(v^2/t^2 - r^2), one column per node in t."""
+def _integrand_coeffs(fam: _CompiledFamily, t, r, v, order: int) -> np.ndarray:
+    """Taylor coefficients in (r, v) of f(v^2/t^2 - r^2), one column per node:
+    t, r and v are equal-length arrays."""
     rj = lift_var(0, r, 2, order)
     vj = lift_var(1, v, 2, order)
-    s = (vj * vj).coeffs[:, None] * (1.0 / (t * t)) - (rj * rj).coeffs[:, None]
+    s = (vj * vj).coeffs * (1.0 / (t * t)) - (rj * rj).coeffs
     c = expr_mod.evaluate(fam.f_ast, {"t": Jet(2, order, s)}).coeffs
     # an f free of t evaluates to a one-point jet: the same column at every node
     return np.broadcast_to(c if c.ndim == 2 else c[:, None], s.shape)
 
 
-def _gauss_panel(fam, a: float, b: float, r: float, v: float, order: int):
-    """(panel integral, integral of |coefficients|) over [a, b].
+def _gauss_panel(fam, a, b, r, v, order: int):
+    """(panel integrals, integrals of |coefficients|) over [a, b] at (r, v).
 
-    All 15 nodes go through one batched integrand jet; the weighted columns
-    are summed in node order (a running sum, not a pairwise reduction).
+    a, b, r and v are numbers (one panel, results of shape (ncoeff,)) or
+    length-m arrays (m panels, results (ncoeff, m)).  All 15 * m nodes go
+    through one batched integrand jet; each panel's weighted columns are
+    summed in node order (a running sum, not a pairwise reduction).
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    c = _integrand_coeffs(fam, mid + half * _GL_NODES, r, v, order)
-    acc = np.cumsum(_GL_WEIGHTS * c, axis=1)[:, -1]
-    acc_abs = np.cumsum(_GL_WEIGHTS * np.abs(c), axis=1)[:, -1]
+    t = np.asarray(mid)[..., None] + np.asarray(half)[..., None] * _GL_NODES
+    nodes = len(_GL_NODES)
+    c = _integrand_coeffs(fam, t.ravel(), np.repeat(r, nodes), np.repeat(v, nodes), order)
+    c = c.reshape((-1,) + t.shape)
+    acc = np.cumsum(_GL_WEIGHTS * c, axis=-1)[..., -1]
+    acc_abs = np.cumsum(_GL_WEIGHTS * np.abs(c), axis=-1)[..., -1]
     return half * acc, half * acc_abs
 
 
-def _adaptive(fam, a, b, estimate, r, v, order, tol, depth, max_depth) -> np.ndarray:
-    mid = 0.5 * (a + b)
-    left, left_abs = _gauss_panel(fam, a, mid, r, v, order)
-    right, right_abs = _gauss_panel(fam, mid, b, r, v, order)
-    refined = left + right
-    floor = _ROUNDOFF_FLOOR * float((left_abs + right_abs).max())
-    if float(np.abs(refined - estimate).max()) <= max(tol, floor):
-        return refined
-    if depth >= max_depth:
-        raise QuadratureError(
-            f"profile integral did not converge on [{a:g}, {b:g}] "
-            f"after {max_depth} bisection levels"
+def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
+    """The u-free quadrature coefficients at N triples (length-N arrays), (ncoeff, N).
+
+    Adaptive Gauss-Legendre bisection of [0, u_i] for every triple, in
+    lockstep: each round takes the next pending node of every unfinished
+    triple, in that triple's own depth-first order (left before right), and
+    integrates both halves of all of them in one ``_gauss_panel`` call.  A node
+    converges when its refined halves differ from its estimate by at most
+    max(tol, rounding floor) in every coefficient; otherwise its children get
+    half its tolerance.  Leaves are added back in tree order (left + right
+    at every node), so each column is bit for bit the one-triple result.
+    """
+    count = len(r)
+    estimates, _ = _gauss_panel(fam, np.zeros(count), u, r, v, order)
+    # a pending node is (a, b, the estimate it refines, tol, heap number): the
+    # root is 1, the children of node p are 2p (left) and 2p + 1 (right)
+    pending = [[(0.0, float(u[i]), estimates[:, i], fam.spec.abs_tol, 1)] for i in range(count)]
+    waiting: list[list[np.ndarray]] = [[] for _ in range(count)]  # finished left siblings
+    result: list = [None] * count
+    while live := [i for i in range(count) if pending[i]]:
+        lo, hi, estimate, tol, heaps = zip(*(pending[i].pop() for i in live))
+        a, b = np.array(lo), np.array(hi)
+        mid = 0.5 * (a + b)
+        k = len(live)
+        halves, halves_abs = _gauss_panel(
+            fam, np.concatenate([a, mid]), np.concatenate([mid, b]),
+            np.tile(r[live], 2), np.tile(v[live], 2), order,
         )
-    return _adaptive(fam, a, mid, left, r, v, order, 0.5 * tol, depth + 1, max_depth) + _adaptive(
-        fam, mid, b, right, r, v, order, 0.5 * tol, depth + 1, max_depth
-    )
-
-
-def _quadrature_jet(fam: _CompiledFamily, r: float, u: float, v: float, order: int) -> np.ndarray:
-    estimate, _ = _gauss_panel(fam, 0.0, u, r, v, order)
-    return _adaptive(fam, 0.0, u, estimate, r, v, order, fam.spec.abs_tol, 0, fam.spec.max_depth)
+        left, right = halves[:, :k], halves[:, k:]
+        refined = left + right
+        floor = _ROUNDOFF_FLOOR * (halves_abs[:, :k] + halves_abs[:, k:]).max(axis=0)
+        error = np.abs(refined - np.stack(estimate, axis=1)).max(axis=0)
+        converged = error <= np.where(floor > tol, floor, tol)  # max(tol, floor)
+        for j, i in enumerate(live):
+            heap = heaps[j]
+            if not converged[j]:
+                if heap >= 1 << fam.spec.max_depth:  # depth max_depth reached
+                    raise QuadratureError(
+                        f"profile integral did not converge on [{lo[j]:g}, {hi[j]:g}] "
+                        f"after {fam.spec.max_depth} bisection levels"
+                    )
+                m = float(mid[j])
+                pending[i].append((m, hi[j], right[:, j], 0.5 * tol[j], 2 * heap + 1))
+                pending[i].append((lo[j], m, left[:, j], 0.5 * tol[j], 2 * heap))
+                continue
+            # a right child completes its parent: add the left sibling, then go up
+            total = refined[:, j]
+            while heap > 1 and heap & 1:
+                total = waiting[i].pop() + total
+                heap >>= 1
+            if heap > 1:
+                waiting[i].append(total)
+            else:
+                result[i] = total
+    return np.stack(result, axis=1)
 
 
 _RV_TO_2VAR = {R: 0, V: 1}
 
 
-def _assemble(fam: _CompiledFamily, r: float, u: float, v: float, order: int) -> Jet:
-    quad = _quadrature_jet(fam, r, u, v, order)
+def _assemble(fam: _CompiledFamily, r, u, v, order: int) -> Jet:
+    """The integral term's jet at N triples (length-N arrays), N points."""
+    quad = _quadrature(fam, r, u, v, order)
     pos2 = position_map(2, order)
-    coeffs = np.zeros(len(index_tuples(3, order)))
+    coeffs = np.zeros((len(index_tuples(3, order)), len(r)))
     if order >= 1:
         s3 = _argument_jet(r, u, v, order - 1)
         ftc = expr_mod.evaluate(fam.f_ast, {"t": s3}).coeffs
@@ -184,7 +232,7 @@ def _assemble(fam: _CompiledFamily, r: float, u: float, v: float, order: int) ->
     return Jet(3, order, coeffs)
 
 
-def _argument_jet(r: float, u: float, v: float, order: int) -> Jet:
+def _argument_jet(r, u, v, order: int) -> Jet:
     rj = lift_var(R, r, 3, order)
     uj = lift_var(U, u, 3, order)
     vj = lift_var(V, v, 3, order)
@@ -201,7 +249,8 @@ def integral_jet(spec: ProjectiveFamilySpec, r: float, u: float, v: float, order
         raise FamilyError("u must be positive")
     fam = _CompiledFamily(spec)
     fam.precheck()
-    return _assemble(fam, r, u, v, order)
+    point = (np.array([w], dtype=float) for w in (r, u, v))
+    return Jet(3, order, _assemble(fam, *point, order).coeffs[:, 0])
 
 
 class FamilyProfile:
@@ -210,14 +259,19 @@ class FamilyProfile:
     def __init__(self, fam: _CompiledFamily):
         self.fam = fam
 
-    def jet(self, r: float, u: float, v: float, order: int) -> Jet:
+    def jet(self, r, u, v, order: int) -> Jet:
+        """The jet at one point, or at N points when r, u and v are length-N
+        arrays: one lockstep quadrature serves all N, and column i is bit for
+        bit the jet at point i alone."""
+        one_point = np.ndim(r) == 0
+        r, u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (r, u, v))
         phi = _assemble(self.fam, r, u, v, order)
         rj = lift_var(R, r, 3, order)
         vj = lift_var(V, v, 3, order)
         phi = phi + expr_mod.evaluate(self.fam.g_ast, {"r": rj}) * vj
         if self.fam.h_ast is not None:
             phi = phi + expr_mod.evaluate(self.fam.h_ast, {"r": rj}) * absval(vj)
-        return phi
+        return Jet(3, order, phi.coeffs[:, 0]) if one_point else phi
 
 
 def build_projective_metric(spec: ProjectiveFamilySpec, name: str | None = None) -> SphericalMetric:

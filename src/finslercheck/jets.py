@@ -202,11 +202,21 @@ def lift_var(index: int, value, nvars: int, order: int) -> Jet:
     return Jet.variable(index, value, nvars, order)
 
 
-@lru_cache(maxsize=64)
-def _scatter(nvars: int, order: int, width: int) -> np.ndarray:
+# Batches up to this many points keep their product scatter in a cache (a
+# geodesic stage makes about ten products at width 2); a wider batch builds
+# its own, since the widths of a bisection that drops finished samples are
+# many and one cached array per width would outlive the run.
+_CACHED_WIDTH = 64
+
+
+def _scatter(target: np.ndarray, width: int) -> np.ndarray:
     """Flat output slot of each product term when every slot holds ``width`` points."""
-    target = product_table(nvars, order)[2].astype(np.intp)
-    return (target[:, None] * width + np.arange(width)).ravel()
+    return (target.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+
+
+@lru_cache(maxsize=64)
+def _cached_scatter(nvars: int, order: int, width: int) -> np.ndarray:
+    return _scatter(product_table(nvars, order)[2], width)
 
 
 def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
@@ -216,10 +226,14 @@ def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray
     order, starting from zero, so every slot is the same ordered sum for
     one point or many.
     """
-    left, right, _ = product_table(nvars, order)
+    left, right, target = product_table(nvars, order)
     terms = a[left] * b[right]
     width = terms[0].size
-    out = np.bincount(_scatter(nvars, order, width), terms.ravel(), len(a) * width)
+    if width <= _CACHED_WIDTH:
+        scatter = _cached_scatter(nvars, order, width)
+    else:
+        scatter = _scatter(target, width)
+    out = np.bincount(scatter, terms.ravel(), len(a) * width)
     return out.reshape((len(a),) + terms.shape[1:])
 
 

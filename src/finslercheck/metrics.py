@@ -9,11 +9,12 @@ General metrics carry F(x, y) directly and are differentiated with jets in
 the 2n ambient variables (x^1..x^n, y^1..y^n).  Spherical metrics support
 both routes; the ambient route for the quadrature-built family profile,
 which takes no arbitrary jets, goes through multivariate composition of its
-3-variable jet.
+3-variable jet, one sample at a time.
 
 Derivatives of F come from a bundle of N samples: a ``ProfileBundle`` (phi
 and its partials from one batched ``phi_jets`` call, with every profile
-formula as an array expression over them) or an ``AmbientBundle`` (one
+formula as an array expression over them; a family profile runs one
+lockstep quadrature over the N samples) or an ``AmbientBundle`` (one
 ambient jet per chunk of ``AMBIENT_CHUNK`` = 25 samples).  Both provide F,
 F_x, F_y, g, the Rapcsak residual and the spray bracket, and ``bundle_of``
 (over samples) and ``bundle_at`` (over the rows of two arrays) are the only
@@ -137,9 +138,10 @@ class SphericalMetric:
     params: dict = field(default_factory=dict)
 
     @property
-    def takes_batches(self) -> bool:
-        """Does the profile take N-point jets?  A family profile chooses its
-        quadrature mesh per point, so it is evaluated one point at a time."""
+    def ambient_batches(self) -> bool:
+        """Does ``ambient_jet`` take N points at once?  Every profile takes
+        N-point triples, but a family profile takes no jets in (x, y): its
+        ambient jet composes one point's profile jet (``compose_multivariate``)."""
         return isinstance(self.profile, ClosedFormProfile)
 
     def phi_jet(self, r: float, u: float, v: float, order: int = 2) -> Jet:
@@ -155,14 +157,13 @@ class SphericalMetric:
         """``phi_jet`` at N invariant triples (length-N arrays) as (ncoeff, N)
         coefficients, column i bit for bit ``phi_jet`` at triple i.
 
-        A closed-form profile takes all N triples in one call of its ``fn`` on
-        N-point variables.  A family profile, whose quadrature mesh is chosen
-        per point, goes through ``phi_jet`` one triple at a time, and so does a
-        single triple: a one-point caller evaluates one ``phi_jet``.
+        The profile's ``jet`` takes all N triples in one call: a closed-form
+        profile lifts them as N-point variables, a family profile runs one
+        lockstep quadrature over them.  A single triple goes through
+        ``phi_jet``: a one-point caller evaluates one ``phi_jet``.
         """
-        if not (self.takes_batches and len(r) > 1):
-            triples = zip(r.tolist(), u.tolist(), v.tolist())
-            return np.array([self.phi_jet(*t, order).coeffs for t in triples]).T
+        if len(r) == 1:
+            return self.phi_jet(r.item(), u.item(), v.item(), order).coeffs[:, None]
         outside = (u <= 0.0) | (r >= self.domain_radius)
         if outside.any():
             i = int(outside.argmax())
@@ -183,7 +184,7 @@ class SphericalMetric:
 
     def ambient_jet(self, x, y, order: int) -> Jet:
         """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when
-        x and y are (n, N) arrays (``takes_batches`` profiles only)."""
+        x and y are (n, N) arrays (``ambient_batches`` profiles only)."""
         v = _ambient_variables(x, y, order)
         xs, ys = v[: len(v) // 2], v[len(v) // 2 :]
         rj = sqrt(sum(c * c for c in xs))
@@ -203,7 +204,7 @@ class GeneralMetric:
     n: int
     fn: object
     domain_radius: float = math.inf
-    takes_batches = True  # fn takes ambient jets at N points
+    ambient_batches = True  # fn takes ambient jets at N points
 
     @classmethod
     def from_expression(cls, source: str, n: int, name: str = "general", domain_radius: float = math.inf):
@@ -344,9 +345,9 @@ class ProfileBundle:
     def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
         """The bundle of the samples, from one batched ``phi_jets`` call.  If it
         raises, the samples are evaluated one by one, so the error names the
-        first failing sample; a family profile is evaluated one by one, once."""
+        first failing sample."""
         r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
-        batch = (lambda c: metric.phi_jets(r[c], u[c], v[c])) if metric.takes_batches else None
+        batch = lambda c: metric.phi_jets(r[c], u[c], v[c])
         one = lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs
         [coeffs] = _batched_columns(samples, one, batch)
         x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
@@ -515,7 +516,7 @@ class AmbientBundle:
         sample by sample, so the error names the first failing sample."""
         x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
         batch = None
-        if metric.takes_batches:
+        if metric.ambient_batches:
             batch = lambda c: _ambient_block(metric, x[c], y[c], order)
         one = lambda s: metric.ambient_jet(s.x, s.y, order).coeffs
         return cls._of_blocks(x, y, order, _batched_columns(samples, one, batch, AMBIENT_CHUNK))
@@ -523,7 +524,7 @@ class AmbientBundle:
     @classmethod
     def at_rows(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
         """The bundle at the rows of the (N, n) arrays x and y, built straight
-        from them chunk by chunk (``takes_batches`` metrics only)."""
+        from them chunk by chunk (``ambient_batches`` metrics only)."""
         blocks = [_ambient_block(metric, x[c], y[c], order) for c in _chunks(len(x), AMBIENT_CHUNK)]
         return cls._of_blocks(x, y, order, blocks)
 
@@ -659,6 +660,21 @@ def reversibility_residual(metric: SphericalMetric, r: float, u: float, v: float
     forward = metric.phi_value(r, u, v)
     backward = metric.phi_value(r, u, -v)
     return abs(backward - forward) / forward
+
+
+def reversibility_residuals(metric: SphericalMetric, samples) -> np.ndarray:
+    """``reversibility_residual`` at every sample, from one order-0 ``phi_jets``
+    at (r, u, v) and one at (r, u, -v).  A batch that raises is rerun sample
+    by sample, so the error names the first failing sample."""
+    r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
+
+    def batch(c):
+        forward, backward = (metric.phi_jets(r[c], u[c], w, 0)[0] for w in (v[c], -v[c]))
+        return (abs(backward - forward) / forward)[None]
+
+    one = lambda s: [reversibility_residual(metric, s.r, s.u, s.v)]
+    [residuals] = _batched_columns(samples, one, batch)
+    return residuals[0]
 
 
 @dataclass(frozen=True)

@@ -284,8 +284,8 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
 
     funk = builtin("funk")
 
-    def jet(self, r, u, v, order):
-        if r > 0.6:
+    def jet(self, r, u, v, order):  # one point or a batch of points, as the family's own jet
+        if np.any(np.asarray(r) > 0.6):
             raise QuadratureError(f"no convergence at r={r}")
         return funk.profile.jet(r, u, v, order)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,23 +246,93 @@ class TestBatchedQuadrature:
             assert np.array_equal(acc, half * ref)
             assert np.array_equal(acc_abs, half * ref_abs)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        # the second one bisects deep enough that summing its leaves in any
+        # other than tree order changes bits at orders 2 and 3
+        [FUNK_SPEC, ProjectiveFamilySpec(f="1/(1+t^2)^0.25", g="r^2")],
+        ids=["funk", "generic"],
+    )
+    def test_lockstep_quadrature_equals_one_triple_recursion(self, spec, order):
+        # the recursive bisection of one triple, as a reference: every column of
+        # the lockstep traversal over all triples must equal it bit for bit
+        from finslercheck.family import _ROUNDOFF_FLOOR, _CompiledFamily, _gauss_panel, _quadrature
+
+        fam = _CompiledFamily(spec)
+
+        def recursive(a, b, estimate, r, v, tol, depth):
+            mid = 0.5 * (a + b)
+            left, left_abs = _gauss_panel(fam, a, mid, r, v, order)
+            right, right_abs = _gauss_panel(fam, mid, b, r, v, order)
+            refined = left + right
+            floor = _ROUNDOFF_FLOOR * float((left_abs + right_abs).max())
+            if float(np.abs(refined - estimate).max()) <= max(tol, floor):
+                return refined
+            assert depth < fam.spec.max_depth
+            return recursive(a, mid, left, r, v, 0.5 * tol, depth + 1) + recursive(
+                mid, b, right, r, v, 0.5 * tol, depth + 1
+            )
+
+        samples = samples_for(build_projective_metric(FUNK_SPEC), n=2, count=12, seed=7)
+        r, u, v = (np.array([getattr(s, k) for s in samples]) for k in "ruv")
+        batched = _quadrature(fam, r, u, v, order)
+        for i in range(len(samples)):
+            estimate, _ = _gauss_panel(fam, 0.0, u[i], r[i], v[i], order)
+            want = recursive(0.0, u[i], estimate, r[i], v[i], fam.spec.abs_tol, 0)
+            assert batched[:, i].tobytes() == want.tobytes(), i
+            alone = _quadrature(fam, r[i : i + 1], u[i : i + 1], v[i : i + 1], order)
+            assert alone[:, 0].tobytes() == want.tobytes(), i
+
+    def test_non_converging_samples_fail_with_their_own_error(self, monkeypatch):
+        # max_depth = 2 is too shallow for samples 1 and 5; sample 2 lies outside
+        from finslercheck import family
+        from finslercheck.family import FamilyProfile, _CompiledFamily
+        from finslercheck.metrics import MetricSample, ProfileBundle, SphericalMetric
+
+        spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
+        metric = SphericalMetric("shallow", FamilyProfile(_CompiledFamily(spec)), 1.0)
+        xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
+        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        widths = []
+        original = family._integrand_coeffs
+
+        def counting(fam, t, r, v, order):
+            widths.append(len(t))
+            return original(fam, t, r, v, order)
+
+        monkeypatch.setattr(family, "_integrand_coeffs", counting)
+        message = "profile integral did not converge on [0, 0.279508] after 2 bisection levels"
+        with pytest.raises(QuadratureError) as err:
+            ProfileBundle.of(metric, samples)
+        assert str(err.value) == message
+        assert err.value.sample is samples[1]
+        # the in-domain samples as one batch: depth first, never a whole tree level
+        inside = [s for s in samples if s.r < 1.0]
+        r, u, v = (np.array([getattr(s, k) for s in inside]) for k in "ruv")
+        widths.clear()
+        with pytest.raises(QuadratureError, match=re.escape(message)):
+            metric.phi_jets(r, u, v)
+        assert widths and max(widths) <= 2 * len(inside) * 15
+
     def test_run_config_evaluates_each_sample_once(self, monkeypatch):
         from pathlib import Path
 
         from finslercheck.cli import run_config
-        from finslercheck.metrics import SphericalMetric
+        from finslercheck.family import FamilyProfile
 
         calls = []
-        original = SphericalMetric.phi_jet
+        original = FamilyProfile.jet
 
-        def counting(self, r, u, v, order=2):
-            calls.append((r, u, v, order))
+        def counting(self, r, u, v, order):
+            calls.append((list(zip(*map(np.atleast_1d, (r, u, v)))), order))
             return original(self, r, u, v, order)
 
-        monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+        monkeypatch.setattr(FamilyProfile, "jet", counting)
         config = Path(__file__).resolve().parent.parent / "configs" / "family_funk_reconstruction.json"
         report, code = run_config(str(config), samples_override=30)
         assert code == 0
-        # four positivity probes while building, then one order-2 jet per sample
-        assert len(calls) == 4 + 30
-        assert len(set(calls[4:])) == 30 and all(c[3] == 2 for c in calls[4:])
+        # four one-point positivity probes while building, then one order-2 jet
+        # over all samples: each sample's quadrature runs once
+        assert [(len(points), order) for points, order in calls] == [(1, 0)] * 4 + [(30, 2)]
+        assert len(set(calls[4][0])) == 30

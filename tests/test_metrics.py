@@ -25,6 +25,7 @@ from finslercheck.metrics import (
     invariants_of,
     relative_residual,
     reversibility_residual,
+    reversibility_residuals,
     riemannian_probe,
 )
 from finslercheck.sampling import SampleSpec, sample_domain
@@ -112,6 +113,16 @@ class TestProfileJets:
 _PARTIALS = ("phi", "phi_r", "phi_u", "phi_v", "phi_rr", "phi_ru", "phi_rv", "phi_uu", "phi_uv", "phi_vv")
 
 
+@pytest.fixture(scope="module")
+def family_bundle_cases():
+    """The funk family metric, the first 60 samples of its config
+    (configs/family_funk_reconstruction.json: 120 samples, seed 7) and one
+    one-sample bundle per sample."""
+    metric = AMBIENT_CASES["family"][0]()
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))[:60]
+    return metric, samples, [ProfileBundle.of(metric, [s]) for s in samples]
+
+
 class TestBatchedProfileBundle:
     @pytest.mark.parametrize("name", builtin_names())
     @pytest.mark.parametrize("n", [2, 3])
@@ -152,22 +163,40 @@ class TestBatchedProfileBundle:
         assert err.value.sample is first
 
     def test_failed_family_bundle_evaluates_each_sample_once(self, monkeypatch):
-        # a family profile takes no N-point jets: samples 0, 1 and the out-of-domain 2, once each
+        # the batch refuses the out-of-domain sample 2 before any quadrature, and
+        # the rerun that names it integrates samples 0 and 1, once each
+        from finslercheck.family import FamilyProfile
+
         metric = AMBIENT_CASES["family"][0]()
         calls = []
-        original = SphericalMetric.phi_jet
+        original = FamilyProfile.jet
 
-        def counting(self, r, u, v, order=2):
+        def counting(self, r, u, v, order):
             calls.append(r)
             return original(self, r, u, v, order)
 
-        monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+        monkeypatch.setattr(FamilyProfile, "jet", counting)
         xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
         samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
         with pytest.raises(MetricDomainError) as err:
             ProfileBundle.of(metric, samples)
         assert err.value.sample is samples[2]
-        assert calls == [s.r for s in samples[:3]]
+        assert calls == [s.r for s in samples[:2]]
+
+    @pytest.mark.parametrize("count", [1, 2, 25, 26, 60])
+    def test_family_columns_equal_per_sample_bundles(self, count, family_bundle_cases):
+        # the lockstep quadrature over all samples against one bundle per sample
+        metric, samples, singles = family_bundle_cases
+        batched = ProfileBundle.of(metric, samples[:count])
+        for field in ("r", "u", "v") + _PARTIALS:
+            want = b"".join(getattr(single, field).tobytes() for single in singles[:count])
+            assert getattr(batched, field).tobytes() == want, field
+
+    def test_reversibility_residuals_equal_per_sample_residuals(self):
+        for metric in (builtin("funk"), builtin("klein"), AMBIENT_CASES["family"][0]()):
+            samples = samples_for(metric, n=2, count=8)
+            want = [reversibility_residual(metric, s.r, s.u, s.v) for s in samples]
+            assert reversibility_residuals(metric, samples).tobytes() == np.array(want).tobytes()
 
     def test_outside_domain_batch_raises_first_triple_error(self):
         metric = builtin("funk")
