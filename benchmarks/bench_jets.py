@@ -6,7 +6,8 @@ table sizes, for one-point jets and for 15-point batched jets (one
 Gauss-Legendre panel), then a realistic workload (profile jets of the funk
 metric, flag curvature evaluations, the family funk profile bundle of
 ``configs/family_funk_reconstruction.json``, the Bryant n=4 ambient bundle and
-its Killing tensor scan).
+its Killing tensor scan) and the fixed cost of one geodesic RK4 stage (funk
+n=2, one batched spray over 2 and over 20 paths).
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
@@ -96,6 +97,23 @@ def bench_workload():
     return jet_time, lam_time, family_time, bundle_time, tensor_time
 
 
+def bench_stage(steps=25):
+    """Seconds per RK4 stage of funk n=2 at 2 and at 20 paths: one
+    ``integrate_geodesics`` call of ``steps`` steps (4 stages each), best of 5."""
+    from finslercheck.geodesics import integrate_geodesics, safe_horizon
+    from finslercheck.metrics import builtin
+    from finslercheck.sampling import SampleSpec, sample_domain
+
+    funk = builtin("funk")
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7, domain_radius=1.0))
+    times = {}
+    for paths in (2, 20):
+        starts = [(s.x, s.y) for s in samples[:paths]]
+        horizons = [safe_horizon(funk, s.x, s.y, 0.5) for s in samples[:paths]]
+        times[paths] = time_fn(lambda: integrate_geodesics(funk, starts, horizons, steps), 1) / (4 * steps)
+    return times
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=int, default=20000, help="kernel loop count")
@@ -114,6 +132,8 @@ def main():
     print(f"  family funk profile bundle, 120 samples {family_time * 1e6:9.1f} us/sample")
     print(f"  bryant n=4 ambient bundle               {bundle_time * 1e6:9.1f} us/point")
     print(f"  bryant n=4 Killing tensor scan          {tensor_time * 1e3:9.2f} ms/point")
+    for paths, stage_time in bench_stage().items():
+        print(f"  funk n=2 RK4 stage, {paths:2d} paths            {stage_time * 1e6:9.1f} us/stage")
 
 
 if __name__ == "__main__":

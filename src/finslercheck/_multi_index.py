@@ -79,7 +79,7 @@ def product_table(nvars: int, order: int):
                 right.append(q)
                 target.append(pos[tuple(sorted(a + b))])
     return (
-        np.array(left, dtype=np.int32),
-        np.array(right, dtype=np.int32),
-        np.array(target, dtype=np.int32),
+        np.array(left, dtype=np.intp),
+        np.array(right, dtype=np.intp),
+        np.array(target, dtype=np.intp),
     )

@@ -161,7 +161,8 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
     converges when its refined halves differ from its estimate by at most
     max(tol, rounding floor) in every coefficient; otherwise its children get
     half its tolerance.  Leaves are added back in tree order (left + right
-    at every node), so each column is bit for bit the one-triple result.
+    at every node), so each column is bit for bit the one-triple result.  A
+    triple failing at max_depth stops; the first one's error, with its ``index``, comes last.
     """
     count = len(r)
     estimates, _ = _gauss_panel(fam, np.zeros(count), u, r, v, order)
@@ -170,6 +171,7 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
     pending = [[(0.0, float(u[i]), estimates[:, i], fam.spec.abs_tol, 1)] for i in range(count)]
     waiting: list[list[np.ndarray]] = [[] for _ in range(count)]  # finished left siblings
     result: list = [None] * count
+    failed: dict[int, QuadratureError] = {}
     while live := [i for i in range(count) if pending[i]]:
         lo, hi, estimate, tol, heaps = zip(*(pending[i].pop() for i in live))
         a, b = np.array(lo), np.array(hi)
@@ -188,10 +190,12 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
             heap = heaps[j]
             if not converged[j]:
                 if heap >= 1 << fam.spec.max_depth:  # depth max_depth reached
-                    raise QuadratureError(
+                    failed[i] = QuadratureError(
                         f"profile integral did not converge on [{lo[j]:g}, {hi[j]:g}] "
                         f"after {fam.spec.max_depth} bisection levels"
                     )
+                    pending[i].clear()
+                    continue
                 m = float(mid[j])
                 pending[i].append((m, hi[j], right[:, j], 0.5 * tol[j], 2 * heap + 1))
                 pending[i].append((lo[j], m, left[:, j], 0.5 * tol[j], 2 * heap))
@@ -205,6 +209,9 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
                 waiting[i].append(total)
             else:
                 result[i] = total
+    if failed:  # every other triple succeeded
+        failed[min(failed)].index = min(failed)
+        raise failed[min(failed)]
     return np.stack(result, axis=1)
 
 
@@ -213,13 +220,13 @@ _RV_TO_2VAR = {R: 0, V: 1}
 
 def _assemble(fam: _CompiledFamily, r, u, v, order: int) -> Jet:
     """The integral term's jet at N triples (length-N arrays), N points."""
-    quad = _quadrature(fam, r, u, v, order)
     pos2 = position_map(2, order)
     coeffs = np.zeros((len(index_tuples(3, order)), len(r)))
     if order >= 1:
         s3 = _argument_jet(r, u, v, order - 1)
         ftc = expr_mod.evaluate(fam.f_ast, {"t": s3}).coeffs
         pos_ftc = position_map(3, order - 1)
+    quad = _quadrature(fam, r, u, v, order)  # last: see FamilyProfile.jet
     for slot, idx in enumerate(index_tuples(3, order)):
         u_count = idx.count(U)
         if u_count == 0:
@@ -260,17 +267,17 @@ class FamilyProfile:
         self.fam = fam
 
     def jet(self, r, u, v, order: int) -> Jet:
-        """The jet at one point, or at N points when r, u and v are length-N
-        arrays: one lockstep quadrature serves all N, and column i is bit for
-        bit the jet at point i alone."""
+        """The jet at one point, or at N points when r, u and v are length-N arrays:
+        one lockstep quadrature serves all N, evaluated last (its error means all else
+        passed), and column i is bit for bit the jet at point i alone."""
         one_point = np.ndim(r) == 0
         r, u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (r, u, v))
-        phi = _assemble(self.fam, r, u, v, order)
         rj = lift_var(R, r, 3, order)
         vj = lift_var(V, v, 3, order)
-        phi = phi + expr_mod.evaluate(self.fam.g_ast, {"r": rj}) * vj
+        terms = [expr_mod.evaluate(self.fam.g_ast, {"r": rj}) * vj]
         if self.fam.h_ast is not None:
-            phi = phi + expr_mod.evaluate(self.fam.h_ast, {"r": rj}) * absval(vj)
+            terms.append(expr_mod.evaluate(self.fam.h_ast, {"r": rj}) * absval(vj))
+        phi = sum(terms, _assemble(self.fam, r, u, v, order))
         return Jet(3, order, phi.coeffs[:, 0]) if one_point else phi
 
 

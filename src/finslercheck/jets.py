@@ -12,8 +12,9 @@ A jet holds one point (``coeffs`` of shape ``(ncoeff,)``) or N points
 vectorised over evaluation points.  Every operation takes either shape
 through the same code, a one-point jet (a constant, say) broadcasts
 against an N-point one, and each column of a result is the one-point
-result at that column's point.  Products accumulate every slot in the
-fixed order of ``product_table``, so results are deterministic.
+result at that column's point.  Products gather with ``take`` over the
+``intp`` tables of ``product_table`` and sum every slot in their order, so
+results are deterministic; a series composition forms h''' at order 3 only.
 
 All operations are pure: jets are immutable after construction and safe to
 share across threads.
@@ -51,7 +52,7 @@ class JetDomainError(ValueError):
 
 def _reject(message: str, values, bad) -> None:
     """Raise JetDomainError at the first point where ``bad`` holds, if any."""
-    if bad.any():
+    if np.count_nonzero(bad):  # cheaper than bad.any() at a few points
         raise JetDomainError(message, float(np.ravel(values)[np.ravel(bad).argmax()]))
 
 
@@ -196,10 +197,7 @@ class Jet:
         return powc(self, exponent)
 
 
-def lift_var(index: int, value, nvars: int, order: int) -> Jet:
-    """Seed jet for one input variable: unit gradient slot, zero above (N points
-    for a length-N ``value``)."""
-    return Jet.variable(index, value, nvars, order)
+lift_var = Jet.variable  # seed jet of one input variable (N points for a length-N value)
 
 
 # Batches up to this many points keep their product scatter in a cache (a
@@ -211,7 +209,7 @@ _CACHED_WIDTH = 64
 
 def _scatter(target: np.ndarray, width: int) -> np.ndarray:
     """Flat output slot of each product term when every slot holds ``width`` points."""
-    return (target.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+    return (target[:, None] * width + np.arange(width)).ravel()
 
 
 @lru_cache(maxsize=64)
@@ -227,7 +225,7 @@ def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray
     one point or many.
     """
     left, right, target = product_table(nvars, order)
-    terms = a[left] * b[right]
+    terms = a.take(left, 0) * b.take(right, 0)  # gathered along the slot axis
     width = terms[0].size
     if width <= _CACHED_WIDTH:
         scatter = _cached_scatter(nvars, order, width)
@@ -238,8 +236,8 @@ def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray
 
 
 def _compose(a: Jet, derivatives) -> Jet:
-    """Truncated series h(a), where ``derivatives(w)`` returns h and its first
-    three derivatives at the value row w:
+    """Truncated series h(a), where ``derivatives(w)`` returns h, h' and h'' at
+    the value row w and a function giving h''' there (called at order 3 only):
 
         h(a) = h + h' d + (h''/2) d^2 + (h'''/6) d^3,   d = a minus its value.
     """
@@ -254,8 +252,8 @@ def _compose(a: Jet, derivatives) -> Jet:
             p2 = _product(d, d, a.nvars, a.order)
             out += (h2 / 2.0) * p2
             if a.order >= 3:
-                out += (h3 / 6.0) * _product(p2, d, a.nvars, a.order)
-    if not np.isfinite(out).all():
+                out += (h3() / 6.0) * _product(p2, d, a.nvars, a.order)
+    if np.count_nonzero(np.isfinite(out)) < out.size:
         _reject("non-finite jet coefficients after composition", w, ~np.isfinite(out).all(axis=0))
     return Jet(a.nvars, a.order, out)
 
@@ -265,7 +263,7 @@ def _reciprocal(b: Jet) -> Jet:
 
     def derivatives(w):
         w2 = w * w
-        return 1.0 / w, -1.0 / w2, 2.0 / (w2 * w), -6.0 / (w2 * w2)
+        return 1.0 / w, -1.0 / w2, 2.0 / (w2 * w), lambda: -6.0 / (w2 * w2)
 
     return _compose(b, derivatives)
 
@@ -279,7 +277,7 @@ def sqrt(a):
 
     def derivatives(w):
         s = np.sqrt(w)
-        return s, 0.5 / s, -0.25 / (s * w), 0.375 / (s * w * w)
+        return s, 0.5 / s, -0.25 / (s * w), lambda: 0.375 / (s * w * w)
 
     return _compose(a, derivatives)
 
@@ -290,7 +288,7 @@ def log(a):
             raise JetDomainError("log requires a positive argument", a)
         return math.log(a)
     _reject("log requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
-    return _compose(a, lambda w: (np.log(w), 1.0 / w, -1.0 / (w * w), 2.0 / (w * w * w)))
+    return _compose(a, lambda w: (np.log(w), 1.0 / w, -1.0 / (w * w), lambda: 2.0 / (w * w * w)))
 
 
 def exp(a):
@@ -299,7 +297,7 @@ def exp(a):
 
     def derivatives(w):
         e = np.exp(w)
-        return e, e, e, e
+        return e, e, e, lambda: e
 
     return _compose(a, derivatives)
 
@@ -307,13 +305,13 @@ def exp(a):
 def sin(a):
     if not isinstance(a, Jet):
         return math.sin(a)
-    return _compose(a, lambda w: (np.sin(w), np.cos(w), -np.sin(w), -np.cos(w)))
+    return _compose(a, lambda w: (np.sin(w), np.cos(w), -np.sin(w), lambda: -np.cos(w)))
 
 
 def cos(a):
     if not isinstance(a, Jet):
         return math.cos(a)
-    return _compose(a, lambda w: (np.cos(w), -np.sin(w), -np.cos(w), np.sin(w)))
+    return _compose(a, lambda w: (np.cos(w), -np.sin(w), -np.cos(w), lambda: np.sin(w)))
 
 
 def absval(a):
@@ -358,7 +356,7 @@ def powc(a, exponent: float):
             w**e,
             e * w ** (e - 1.0),
             e * (e - 1.0) * w ** (e - 2.0),
-            e * (e - 1.0) * (e - 2.0) * w ** (e - 3.0),
+            lambda: e * (e - 1.0) * (e - 2.0) * w ** (e - 3.0),
         )
 
     return _compose(a, derivatives)

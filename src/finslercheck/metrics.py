@@ -70,7 +70,7 @@ def invariant_rows(x, y):
     """``invariants_of`` each row of the (N, n) arrays x and y, bit for bit, as
     three length-N arrays (``vecdot`` is the dot product ``norm`` and ``dot`` take)."""
     u = np.sqrt(np.vecdot(y, y))
-    if (u == 0.0).any():
+    if np.count_nonzero(u == 0.0):
         raise MetricDomainError("y must be nonzero")
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
@@ -165,7 +165,7 @@ class SphericalMetric:
         if len(r) == 1:
             return self.phi_jet(r.item(), u.item(), v.item(), order).coeffs[:, None]
         outside = (u <= 0.0) | (r >= self.domain_radius)
-        if outside.any():
+        if np.count_nonzero(outside):
             i = int(outside.argmax())
             self.phi_jet(r[i], u[i], v[i], order)  # raises the first such triple's domain error
         return _columns(self.profile.jet(r, u, v, order).coeffs, len(r))
@@ -286,7 +286,7 @@ def _chunks(count: int, size: int) -> list[slice]:
 def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
     """(ncoeff, count) coefficients of a jet at count points: a one-point jet
     (of a formula free of its variables) is the same column at every point."""
-    return np.broadcast_to(coeffs if coeffs.ndim == 2 else coeffs[:, None], (len(coeffs), count))
+    return coeffs if coeffs.ndim == 2 else np.broadcast_to(coeffs[:, None], (len(coeffs), count))
 
 
 def _batched_columns(samples, one, batch, size: int | None = None) -> list[np.ndarray]:
@@ -295,8 +295,8 @@ def _batched_columns(samples, one, batch, size: int | None = None) -> list[np.nd
 
     ``batch(chunk)`` evaluates a slice of two or more samples at once.  A chunk
     whose batch raises a ValueError is evaluated sample by sample through
-    ``at_samples``, so the error names the first failing sample.  Without
-    ``batch`` every sample is evaluated alone, once.
+    ``at_samples``, so the error names the first failing sample, unless it has
+    that sample's ``index`` already.  Without ``batch`` each sample is evaluated once.
     """
     blocks = []
     for chunk in _chunks(len(samples), size or len(samples)):
@@ -304,8 +304,10 @@ def _batched_columns(samples, one, batch, size: int | None = None) -> list[np.nd
         if batch is not None and len(samples[chunk]) > 1:
             try:
                 block = batch(chunk)
-            except ValueError:
-                pass  # rerun below, sample by sample, to name the failing one
+            except ValueError as err:
+                if getattr(err, "index", None) is not None:
+                    err.sample = samples[chunk][err.index]
+                    raise
         if block is None:
             block = np.array(at_samples(one, samples[chunk])).T
         blocks.append(block)
@@ -385,10 +387,7 @@ class ProfileBundle:
         (for r = 0 the phi_r term vanishes with x).
         """
         fx = self.phi_r[:, None] * quotient(self.x, self.r[:, None]) + self.phi_v[:, None] * self.y
-        return self.phi, fx, self._f_y()
-
-    def _f_y(self) -> np.ndarray:
-        return (self.phi_u / self.u)[:, None] * self.y + self.phi_v[:, None] * self.x
+        return self.phi, fx, (self.phi_u / self.u)[:, None] * self.y + self.phi_v[:, None] * self.x
 
     def g(self) -> np.ndarray:
         """The fundamental tensor in closed form, (N, n, n):
@@ -412,10 +411,6 @@ class ProfileBundle:
         y, yt = self.y[:, :, None], self.y[:, None, :]
         g = c_delta * np.eye(self.x.shape[1]) + c_xx * (x * xt)
         return g + c_yy * (y * yt) + c_xy * (x * yt + y * xt)
-
-    def q(self) -> np.ndarray:
-        """Q = v phi_r / r + u^2 phi_v = F_{x^k} y^k (the phi_r term vanishes at r = 0)."""
-        return quotient(self.v, self.r) * self.phi_r + self.u * self.u * self.phi_v
 
     def require_radius(self) -> None:
         """Refuse samples with r < MIN_RADIUS, where the 1/r profile formulas lose accuracy."""
@@ -448,10 +443,15 @@ class ProfileBundle:
         return relative_residual(*self._rapcsak_terms())
 
     def spray_bracket(self) -> np.ndarray:
-        """[F^2]_{x^k y^l} y^k - [F^2]_{x^l} = 2 Q F_y + 2 phi D, (N, n), with
-        D = F_{x^k y^l} y^k - F_{x^l}: 4 g G, G the spray."""
-        d = sum(self._rapcsak_terms())
-        return 2.0 * (self.q()[:, None] * self._f_y() + self.phi[:, None] * d)
+        """[F^2]_{x^k y^l} y^k - [F^2]_{x^l} = 2 Q F_y + 2 phi D = 4 g G, (N, n), G the spray,
+        Q = F_{x^k} y^k, D = F_{x^k y^l} y^k - F_{x^l}: one pass over (n, N) views with the terms,
+        order and zero guards of ``rapcsak_coefficients``, D summed from 0.0 (its zero's sign)."""
+        r, u, v, x, y = self.r, self.u, self.v, self.x.T, self.y.T
+        over_r, over_ru = (np.where(w == 0.0, np.inf, w) for w in (r, r * u))  # 1/r -> 0 at r = 0
+        d = (0.0 + self.phi_rv * v / over_r * x + self.phi_vv * u * u * x - self.phi_r / over_r * x
+             + self.phi_ru * v / over_ru * y + self.phi_uv * u * y)
+        q = v / over_r * self.phi_r + u * u * self.phi_v
+        return (2.0 * (q * (self.phi_u / u * y + self.phi_v * x) + self.phi * d)).T
 
     def det_g(self) -> np.ndarray:
         """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
@@ -663,14 +663,18 @@ def reversibility_residual(metric: SphericalMetric, r: float, u: float, v: float
 
 
 def reversibility_residuals(metric: SphericalMetric, samples) -> np.ndarray:
-    """``reversibility_residual`` at every sample, from one order-0 ``phi_jets``
-    at (r, u, v) and one at (r, u, -v).  A batch that raises is rerun sample
-    by sample, so the error names the first failing sample."""
-    r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
+    """``reversibility_residual`` at every sample, from one order-0 ``phi_jets`` over
+    each sample's (r, u, v) and (r, u, -v) in turn.  A batch that raises is rerun sample
+    by sample, so the error names the first failing sample (or triple index // 2)."""
+    r, u, v = np.array([(s.r, s.u, w) for s in samples for w in (s.v, -s.v)]).T
 
     def batch(c):
-        forward, backward = (metric.phi_jets(r[c], u[c], w, 0)[0] for w in (v[c], -v[c]))
-        return (abs(backward - forward) / forward)[None]
+        try:
+            [phi] = metric.phi_jets(*(w[2 * c.start : 2 * c.stop] for w in (r, u, v)), 0)
+        except ValueError as err:
+            err.index = None if getattr(err, "index", None) is None else err.index // 2
+            raise
+        return (abs(phi[1::2] - phi[::2]) / phi[::2])[None]
 
     one = lambda s: [reversibility_residual(metric, s.r, s.u, s.v)]
     [residuals] = _batched_columns(samples, one, batch)
@@ -709,13 +713,13 @@ def _phi_euclidean(r, u, v):
 
 
 def _phi_klein(r, u, v):
-    w = sqrt(u * u * (1.0 - r * r) + v * v)
-    return w / (1.0 - r * r)
+    one_minus = 1.0 - r * r
+    return sqrt(u * u * one_minus + v * v) / one_minus
 
 
 def _phi_funk(r, u, v):
-    w = sqrt(u * u * (1.0 - r * r) + v * v)
-    return (w + v) / (1.0 - r * r)
+    one_minus = 1.0 - r * r
+    return (sqrt(u * u * one_minus + v * v) + v) / one_minus
 
 
 def _phi_berwald(r, u, v):

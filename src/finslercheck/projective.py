@@ -56,13 +56,13 @@ def projective_pde_of(b: ProfileBundle) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _q_partials(b: ProfileBundle):
-    """(Q, Q_r, Q_u, Q_v)."""
+    """(Q, Q_r, Q_u, Q_v), Q = F_{x^k} y^k = v phi_r / r + u^2 phi_v."""
     b.require_radius()
     r, u, v = b.r, b.u, b.v
     q_r = -v / (r * r) * b.phi_r + v / r * b.phi_rr + u * u * b.phi_rv
     q_u = v / r * b.phi_ru + 2.0 * u * b.phi_v + u * u * b.phi_uv
     q_v = b.phi_r / r + v / r * b.phi_rv + u * u * b.phi_vv
-    return b.q(), q_r, q_u, q_v
+    return v / r * b.phi_r + u * u * b.phi_v, q_r, q_u, q_v
 
 
 def p_of(b: ProfileBundle):

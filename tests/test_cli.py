@@ -256,3 +256,31 @@ def test_json_report_matches_golden(name, capsys):
         golden = fh.read()
     assert capsys.readouterr().out == golden
     assert code == (0 if json.loads(golden)["overall_pass"] else 1)
+
+
+GEODESIC_GOLDEN_METRICS = {
+    "funk": ({"name": "funk"}, 2),
+    "bryant": ({"name": "bryant", "params": {"alpha": math.pi / 6}}, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_GOLDEN_METRICS))
+def test_dumped_geodesics_match_golden(name, tmp_path):
+    # tests/golden/geodesics holds the --dump-geodesics CSVs of 2 paths x 60
+    # steps byte for byte: any change to a stage's arithmetic moves a digit
+    metric, dimension = GEODESIC_GOLDEN_METRICS[name]
+    cfg = {
+        "metric": metric,
+        "dimension": dimension,
+        "sampling": {"count": 2, "seed": 7},
+        "checks": [{"name": "geodesics", "params": {"count": 2, "steps": 60}}],
+    }
+    out_dir = tmp_path / "paths"
+    _, code = run_config(write_config(tmp_path, cfg), dump_dir=str(out_dir))
+    assert code == 0
+    golden_dir = os.path.join(REPO, "tests", "golden", "geodesics")
+    files = [f"{name}_geodesic{i:03d}.csv" for i in range(2)]
+    assert sorted(os.listdir(out_dir)) == files
+    for f in files:
+        with open(os.path.join(golden_dir, f), "rb") as fh:
+            assert (out_dir / f).read_bytes() == fh.read(), f

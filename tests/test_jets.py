@@ -333,12 +333,13 @@ def test_batched_domain_error_names_first_bad_point():
 
 @pytest.mark.parametrize("nvars,order", [(1, 3), (3, 2), (3, 3), (8, 3)])
 def test_product_sums_each_slot_in_table_order(nvars, order):
-    # the reference: one term at a time into its slot, in product_table order
+    # the reference: one term at a time into its slot, in product_table order;
+    # widths up to 64 take the cached scatter, 65 builds its own
     from finslercheck._multi_index import coeff_count, product_table
 
     rng = random.Random(nvars * 100 + order)
     n = coeff_count(nvars, order)
-    for width in (None, 4):
+    for width in (None, 1, 2, 4, 64, 65):
         shape = (n,) if width is None else (n, width)
         a = np.array([rng.uniform(-3.0, 3.0) for _ in range(np.prod(shape))]).reshape(shape)
         b = np.array([rng.uniform(-3.0, 3.0) for _ in range(np.prod(shape))]).reshape(shape)

@@ -8,6 +8,7 @@ from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 from finslercheck.metrics import (
     AmbientBundle,
     ClosedFormProfile,
+    ExpressionProfile,
     GeneralMetric,
     MetricDomainError,
     MetricSample,
@@ -23,6 +24,7 @@ from finslercheck.metrics import (
     homogeneity_residual,
     invariant_rows,
     invariants_of,
+    quotient,
     relative_residual,
     reversibility_residual,
     reversibility_residuals,
@@ -198,11 +200,89 @@ class TestBatchedProfileBundle:
             want = [reversibility_residual(metric, s.r, s.u, s.v) for s in samples]
             assert reversibility_residuals(metric, samples).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("evaluate", ["bundle", "reversibility"])
+    def test_failed_quadrature_names_its_sample_without_a_rerun(self, evaluate, monkeypatch):
+        # max_depth = 2 is too shallow for samples 1 and 4: the one batched jet
+        # finishes the others, then raises sample 1's error as the per-sample path does
+        from finslercheck.family import FamilyProfile, QuadratureError, _CompiledFamily
+
+        spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
+        metric = SphericalMetric("shallow", FamilyProfile(_CompiledFamily(spec)), 1.0)
+        xs = [[0.1, 0.2], [0.3, -0.1], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
+        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        build = {
+            "bundle": lambda s: ProfileBundle.of(metric, s),
+            "reversibility": lambda s: reversibility_residuals(metric, s),
+        }[evaluate]
+        with pytest.raises(QuadratureError) as alone:
+            for s in samples:
+                build([s])
+        calls = []
+        original = FamilyProfile.jet
+
+        def counting(self, r, u, v, order):
+            calls.append(len(np.atleast_1d(r)))
+            return original(self, r, u, v, order)
+
+        monkeypatch.setattr(FamilyProfile, "jet", counting)
+        with pytest.raises(QuadratureError) as batched:
+            build(samples)
+        assert calls == [5 if evaluate == "bundle" else 10]
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.sample is alone.value.sample is samples[1]
+
     def test_outside_domain_batch_raises_first_triple_error(self):
         metric = builtin("funk")
         r, u, v = np.array([0.5, 1.2, 1.5]), np.array([1.0, 1.0, 1.0]), np.zeros(3)
         with pytest.raises(MetricDomainError, match="1.2"):
             metric.phi_jets(r, u, v)
+
+
+def five_term_bracket(b):
+    """The reference spray bracket 2 (Q F_y + phi D): D summed from its five
+    (N, n) terms one at a time, each with its own zero-guarded quotient."""
+    r, u, v, x, y = b.r, b.u, b.v, b.x, b.y
+    terms = [
+        quotient(b.phi_rv * v, r)[:, None] * x,
+        (b.phi_vv * u * u)[:, None] * x,
+        -quotient(b.phi_r, r)[:, None] * x,
+        quotient(b.phi_ru * v, r * u)[:, None] * y,
+        (b.phi_uv * u)[:, None] * y,
+    ]
+    q = quotient(v, r) * b.phi_r + u * u * b.phi_v
+    f_y = (b.phi_u / u)[:, None] * y + b.phi_v[:, None] * x
+    return 2.0 * (q[:, None] * f_y + b.phi[:, None] * sum(terms))
+
+
+# a profile at whose antiparallel signed-zero rows all five terms of D are -0.0,
+# so D has the sign of a sum started from 0.0
+SIGNED_ZERO_PROFILE = "u - 0.3*r*v - 0.2*r*r*u + 0.1*v*v/u"
+
+
+class TestSprayBracket:
+    @pytest.mark.parametrize("name", builtin_names() + ["signed_zero"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_pass_equals_five_term_formula(self, name, n):
+        # sampled rows, then rows at x = 0 (every radial term a signed zero), rows
+        # with x parallel or antiparallel to y (v = +-ru), and antiparallel axis
+        # rows whose other components are -0.0
+        if name == "signed_zero":
+            metric = SphericalMetric(name, ExpressionProfile(SIGNED_ZERO_PROFILE), 1.0)
+        else:
+            metric = make_metric(name)
+        samples = samples_for(metric, n=n, count=30)
+        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+        axes = np.eye(n)
+        unit = y / np.linalg.norm(y, axis=1)[:, None]
+        x = np.concatenate([
+            x, np.zeros((n + 3, n)), 0.4 * unit[:4], -0.7 * unit[4:8], 0.4 * axes,
+            np.where(axes == 1.0, 0.5, -0.0),
+        ])
+        y = np.concatenate([y, axes, -axes[:1], y[:2], y[:4], y[4:8], 1.5 * axes, -axes])
+        b = ProfileBundle.at_rows(metric, x, y)
+        got = b.spray_bracket()
+        assert got.shape == x.shape
+        assert got.tobytes() == five_term_bracket(b).tobytes()
 
 
 class TestFundamentalTensor:
