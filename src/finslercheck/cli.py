@@ -142,11 +142,14 @@ def run_config(
             u_range=sampling_cfg.get("u_range"),
         )
         tolerances = {str(k): float(v) for k, v in cfg.get("tolerances", {}).items()}
-        for name in tolerances:
+        for name, tol in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(
                     f"unknown check '{name}' in tolerances{_suggest(name, DEFAULT_TOLERANCES)}"
                 )
+            # an infinite tolerance passes vacuously, and inf or NaN cannot be written as JSON
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise ConfigError(f"tolerance '{name}' must be finite and >= 0, got {tol!r}")
         samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
         run = Run(metric, samples, tolerances, dump_dir)

@@ -246,20 +246,6 @@ def _argument_jet(r, u, v, order: int) -> Jet:
     return vj * vj / (uj * uj) - rj * rj
 
 
-def integral_jet(spec: ProjectiveFamilySpec, r: float, u: float, v: float, order: int) -> Jet:
-    """Jet of integral_0^u f(v^2/t^2 - r^2) dt in the profile variables.
-
-    u-derivatives come from the closed form f(v^2/u^2 - r^2); only u-free
-    derivatives are integrated.
-    """
-    if u <= 0.0:
-        raise FamilyError("u must be positive")
-    fam = _CompiledFamily(spec)
-    fam.precheck()
-    point = (np.array([w], dtype=float) for w in (r, u, v))
-    return Jet(3, order, _assemble(fam, *point, order).coeffs[:, 0])
-
-
 class FamilyProfile:
     """Profile evaluator for a built family metric (3-variable jets only)."""
 

@@ -30,7 +30,7 @@ import numpy as np
 from .expr import EvalDomainError
 from .family import FamilyError
 from .jets import JetDomainError
-from .metrics import MetricDomainError, MetricSample, bundle_at, bundle_of, positive_definite
+from .metrics import MetricDomainError, bundle_at, positive_definite
 
 
 class NotStronglyConvexError(ValueError):
@@ -61,18 +61,6 @@ def spray_general(metric, x, y) -> np.ndarray:
     The one-path case of the batched spray: one bundle of the point."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     return _spray_of(metric, bundle_at(metric, x[None], y[None]))[0]
-
-
-def spray_projectivity_residual(metric, x, y) -> float:
-    """Relative size of G - P y, the non-projective part of the spray."""
-    b = bundle_of(metric, [MetricSample.of(x, y)])
-    g_vec = _spray_of(metric, b)[0]
-    f, fx, _ = b.first_derivatives()
-    py = b.y[0] * (float(fx[0] @ b.y[0]) / (2.0 * float(f[0])))  # P y, P = F_{x^k} y^k / (2F)
-    scale = float(np.linalg.norm(g_vec) + np.linalg.norm(py))
-    if scale == 0.0:
-        return 0.0
-    return float(np.linalg.norm(g_vec - py)) / scale
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Metric representations, the two derivative bundles, and the pointwise checks built on them.
+"""Metric representations and the two derivative bundles the checks read.
 
 A spherically symmetric metric is carried by its profile phi(r, u, v) with
 r = |x|, u = |y|, v = <x,y>; F(x,y) = phi(|x|, |y|, <x,y>).  phi must be
@@ -18,8 +18,8 @@ lockstep quadrature over the N samples) or an ``AmbientBundle`` (one
 ambient jet per chunk of ``AMBIENT_CHUNK`` = 25 samples).  Both provide F,
 F_x, F_y, g, the Rapcsak residual and the spray bracket, and ``bundle_of``
 (over samples) and ``bundle_at`` (over the rows of two arrays) are the only
-places that pick a bundle by metric kind.  The pointwise functions evaluate
-on a one-sample bundle.
+places that pick a bundle by metric kind.  The few pointwise functions left
+(``fundamental_tensor`` here) are library entry points over a one-sample bundle.
 """
 
 from __future__ import annotations
@@ -368,10 +368,6 @@ class ProfileBundle:
         return cls(x, y, r, u, v, *partials)
 
     @classmethod
-    def at(cls, metric: SphericalMetric, x, y) -> "ProfileBundle":
-        return cls.of(metric, [MetricSample.of(x, y)])
-
-    @classmethod
     def at_invariants(cls, metric: SphericalMetric, r: float, u: float, v: float) -> "ProfileBundle":
         return cls.of(metric, [MetricSample(np.zeros(0), np.zeros(0), r, u, v)])
 
@@ -605,23 +601,13 @@ def bundle_at(metric, x: np.ndarray, y: np.ndarray):
     return AmbientBundle.at_rows(metric, x, y, 2)
 
 
-# -- pointwise wrappers -------------------------------------------------------------
+# -- the fundamental tensor at a point, and residuals over samples ----------------
 
 
 def fundamental_tensor(metric, x, y) -> np.ndarray:
     """g_ij = (1/2) d^2 F^2 / dy^i dy^j, read from ``bundle_of`` the point: the closed
     form (``ProfileBundle.g``) for a profile metric, the ambient jet of F^2 otherwise."""
     return bundle_of(metric, [MetricSample.of(x, y)]).g()[0]
-
-
-def fundamental_tensor_ad(metric, x, y) -> np.ndarray:
-    """g via the ambient jet of F^2; the cross-check route for profiles."""
-    return AmbientBundle.at(metric, x, y, 2).g()[0]
-
-
-def det_g_closed_form(metric: SphericalMetric, x, y) -> float:
-    """det(g) from the profile (``ProfileBundle.det_g``)."""
-    return float(ProfileBundle.at(metric, x, y).det_g()[0])
 
 
 def positive_definite(g: np.ndarray) -> bool:
@@ -631,28 +617,6 @@ def positive_definite(g: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-@dataclass(frozen=True)
-class ConvexityReport:
-    lemma_ok: bool
-    direct_pd: bool
-
-
-def convexity_report(metric: SphericalMetric, x, y) -> ConvexityReport:
-    """Strong-convexity check two ways.
-
-    lemma_ok is the sufficient profile condition phi_u > 0 and phi_vv >= 0
-    (up to PHI_VV_SLACK); direct_pd factorizes g.  lemma_ok implies
-    direct_pd.
-    """
-    b = ProfileBundle.at(metric, x, y)
-    return ConvexityReport(bool(b.convexity_lemma()[0]), positive_definite(b.g()[0]))
-
-
-def homogeneity_residual(metric: SphericalMetric, r: float, u: float, v: float) -> float:
-    """Euler-relation residual at one point (``ProfileBundle.homogeneity_residual``)."""
-    return float(ProfileBundle.at_invariants(metric, r, u, v).homogeneity_residual()[0])
 
 
 def reversibility_residual(metric: SphericalMetric, r: float, u: float, v: float) -> float:
@@ -681,12 +645,6 @@ def reversibility_residuals(metric: SphericalMetric, samples) -> np.ndarray:
     return residuals[0]
 
 
-@dataclass(frozen=True)
-class RiemannianProbe:
-    g_deviation: float
-    cartan_max: float
-
-
 def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:
     """How y-dependent is g?  Per base point (``directions`` pairs each, point-major):
     the largest difference of g between two directions and the largest Cartan
@@ -697,12 +655,6 @@ def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, 
     deviation = np.abs(g[:, :, None] - g[:, None, :]).max(axis=(1, 2, 3, 4))
     cartan = np.abs(b.cartan().reshape(len(scale), -1)).max(axis=1)
     return quotient(deviation, scale), quotient(cartan, scale)
-
-
-def riemannian_probe(metric, x, ys) -> RiemannianProbe:
-    """``riemannian_probe_of`` at x over the directions ys."""
-    b = AmbientBundle.of(metric, [MetricSample.of(x, y) for y in ys])
-    return RiemannianProbe(*(float(a[0]) for a in riemannian_probe_of(b, len(ys))))
 
 
 # -- builtin zoo ----------------------------------------------------------------

@@ -128,33 +128,9 @@ def rapcsak_residual(metric, x, y) -> np.ndarray:
     return bundle_of(metric, [MetricSample.of(x, y)]).rapcsak_residuals()[0]
 
 
-def projective_pde_residuals(metric: SphericalMetric, r: float, u: float, v: float) -> tuple[float, float]:
-    """Scale-free residuals of the projectivity PDE pair (radial, tangential)."""
-    rho1, rho2 = projective_pde_of(ProfileBundle.at_invariants(metric, r, u, v))
-    return float(rho1[0]), float(rho2[0])
-
-
-def projective_factor(metric: SphericalMetric, r: float, u: float, v: float) -> float:
-    """P = (v phi_r / r + u^2 phi_v) / (2 phi); 1-homogeneous in (u, v)."""
-    return float(p_of(ProfileBundle.at_invariants(metric, r, u, v))[0][0])
-
-
-def curvature_pde_residuals(
-    metric: SphericalMetric, r: float, u: float, v: float, lam: float
-) -> tuple[float, float]:
-    """Scale-free residuals of the two constant-curvature PDEs at lambda."""
-    c_u, c_v = curvature_pde_of(ProfileBundle.at_invariants(metric, r, u, v), lam)
-    return float(c_u[0]), float(c_v[0])
-
-
 def flag_curvature(metric: SphericalMetric, r: float, u: float, v: float) -> float:
     """Pointwise flag curvature of a projective profile metric."""
     return float(flag_curvature_of(ProfileBundle.at_invariants(metric, r, u, v))[0])
-
-
-def curvature_component_residuals(metric: SphericalMetric, x, y, lam: float) -> np.ndarray:
-    """Cross-check for the contracted evaluator at one point-direction pair."""
-    return curvature_components_of(ProfileBundle.at(metric, x, y), lam)[0]
 
 
 @dataclass(frozen=True)

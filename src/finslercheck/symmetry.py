@@ -72,13 +72,6 @@ def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
     return relative_residual(*terms.T)
 
 
-def killing_scalar_residual(metric, field: RotationField, x, y) -> float:
-    """Scale-free residual of the contracted Killing equation at (x, y)."""
-    b = bundle_of(metric, [MetricSample.of(x, y)])
-    _, fx, fy = b.first_derivatives()
-    return float(_scalar_residuals(fx, fy, field, b.x, b.y)[0])
-
-
 def killing_tensor_terms(b: AmbientBundle, field: RotationField):
     """The four terms of the tensor Killing equation, each (N, n, n):
     the flow of g, its two Jacobian terms, and the Cartan correction."""
@@ -108,21 +101,11 @@ def symmetry_tensor_of(b: AmbientBundle, fields) -> np.ndarray:
     return np.max([killing_tensor_residuals(b, f).max(axis=(1, 2)) for f in fields], axis=0)
 
 
-def killing_tensor_residual(metric, field: RotationField, x, y) -> np.ndarray:
-    """``killing_tensor_residuals`` at one point-direction pair."""
-    return killing_tensor_residuals(AmbientBundle.at(metric, x, y), field)[0]
-
-
 def killing_tensor_max_residual(metric, x, y, fields=None) -> float:
     """Max tensor residual over rotation fields, one ambient jet per point."""
     if fields is None:
         fields = rotation_fields(len(np.asarray(x)))
     return float(symmetry_tensor_of(AmbientBundle.at(metric, x, y), fields)[0])
-
-
-def cartan_tensor(metric, x, y) -> np.ndarray:
-    """C_ijp = (1/2) dg_ij/dy^p = (1/4) d^3 F^2 / dy^i dy^j dy^p."""
-    return AmbientBundle.at(metric, x, y).cartan()[0]
 
 
 def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
@@ -134,11 +117,6 @@ def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
     """
     contracted = np.abs(np.einsum("kijp,kp->kij", b.cartan(), b.y)).max(axis=(1, 2))
     return contracted / np.abs(b.g()).max(axis=(1, 2))
-
-
-def cartan_y_contraction_residual(metric, x, y) -> float:
-    """``cartan_contraction_of`` at one point-direction pair."""
-    return float(cartan_contraction_of(AmbientBundle.at(metric, x, y))[0])
 
 
 @dataclass(frozen=True)

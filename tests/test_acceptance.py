@@ -23,30 +23,23 @@ from finslercheck.geodesics import (
 )
 from finslercheck.jets import lift_var
 from finslercheck.metrics import (
+    AmbientBundle,
     ClosedFormProfile,
     GeneralMetric,
+    MetricSample,
+    ProfileBundle,
     SphericalMetric,
     builtin,
-    det_g_closed_form,
-    fundamental_tensor,
-    fundamental_tensor_ad,
     relative_residual,
 )
 from finslercheck.projective import (
     constant_curvature_verdict,
-    curvature_pde_residuals,
-    projective_pde_residuals,
-    rapcsak_residual,
+    curvature_pde_of,
+    projective_pde_of,
 )
 from finslercheck.report import to_json
 from finslercheck.sampling import SampleSpec, sample_domain
-from finslercheck.symmetry import (
-    RotationField,
-    killing_scalar_residual,
-    killing_tensor_max_residual,
-    rotation_fields,
-    symmetry_verdict,
-)
+from finslercheck.symmetry import rotation_fields, symmetry_tensor_of, symmetry_verdict
 
 SEED = 7
 COUNT = 500
@@ -116,13 +109,9 @@ def test_criterion_01_curvature_constants():
 def test_criterion_02_curvature_pde_discrimination():
     for name, want in CLASSIC_FIVE:
         metric = metric_of(name)
-        worst_right = 0.0
-        worst_wrong = 0.0
-        for s in samples_of(metric):
-            c_u, c_v = curvature_pde_residuals(metric, s.r, s.u, s.v, want)
-            worst_right = max(worst_right, c_u, c_v)
-            c_u, c_v = curvature_pde_residuals(metric, s.r, s.u, s.v, want + 0.5)
-            worst_wrong = max(worst_wrong, c_u, c_v)
+        b = ProfileBundle.of(metric, samples_of(metric))
+        worst_right = np.max(curvature_pde_of(b, want))
+        worst_wrong = np.max(curvature_pde_of(b, want + 0.5))
         assert worst_right <= 1e-8, name
         assert worst_wrong > 1e-3, name
     report("criterion 2 PASS: curvature PDE residuals vanish at the right constant only")
@@ -131,17 +120,12 @@ def test_criterion_02_curvature_pde_discrimination():
 def test_criterion_03_projectivity():
     for name in ALL_BUILTINS:
         metric = metric_of(name)
-        for s in samples_of(metric):
-            assert rapcsak_residual(metric, s.x, s.y).max() <= 1e-8, name
-            assert max(projective_pde_residuals(metric, s.r, s.u, s.v)) <= 1e-8, name
-    control = curved_control()
-    worst = max(
-        max(
-            rapcsak_residual(control, s.x, s.y).max(),
-            *projective_pde_residuals(control, s.r, s.u, s.v),
-        )
-        for s in samples_of(control)
-    )
+        b = ProfileBundle.of(metric, samples_of(metric))
+        assert b.rapcsak_residuals().max() <= 1e-8, name
+        assert np.max(projective_pde_of(b)) <= 1e-8, name
+    metric = curved_control()
+    control = ProfileBundle.of(metric, samples_of(metric))
+    worst = max(control.rapcsak_residuals().max(), np.max(projective_pde_of(control)))
     assert worst > 1e-2
     report("criterion 3 PASS: builtins projective, control metric rejected")
 
@@ -154,10 +138,11 @@ def test_criterion_04_spherical_symmetry():
             metric = metric_of(name)
             verdict = symmetry_verdict(metric, samples_of(metric, n=n), tolerance=1e-9)
             assert verdict.passed, (name, n, verdict.max_residual)
-            for s in samples_of(metric, n=n):
-                assert killing_tensor_max_residual(metric, s.x, s.y, fields) <= 1e-8, (name, n)
+            b = AmbientBundle.of(metric, samples_of(metric, n=n))
+            assert symmetry_tensor_of(b, fields).max() <= 1e-8, (name, n)
     aniso = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2, name="anisotropic")
-    resid = killing_scalar_residual(aniso, RotationField(0, 1), [0.3, 0.2], [1.0, 1.0])
+    # in two dimensions the only field is the (0, 1) rotation
+    resid = symmetry_verdict(aniso, [MetricSample.of([0.3, 0.2], [1.0, 1.0])]).max_residual
     assert resid > 0.1
     # unnormalized value at the documented point is 1/sqrt(3)
     raw = resid * math.sqrt(3.0)  # scale there is |2/sqrt3| + |1/sqrt3| = sqrt(3)
@@ -169,10 +154,9 @@ def test_criterion_05_determinant_closed_form():
     for n in (2, 3, 4):
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            for s in samples_of(metric, n=n):
-                closed = det_g_closed_form(metric, s.x, s.y)
-                direct = float(np.linalg.det(fundamental_tensor(metric, s.x, s.y)))
-                assert relative_residual(closed, -direct) <= 1e-8, (name, n)
+            b = ProfileBundle.of(metric, samples_of(metric, n=n))
+            residuals = relative_residual(b.det_g(), -np.linalg.det(b.g()))
+            assert residuals.max() <= 1e-8, (name, n)
     report("criterion 5 PASS: closed-form determinant matches direct determinants")
 
 
@@ -302,10 +286,11 @@ def test_criterion_08_ad_integrity():
     for n in (2, 3, 4):
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            for s in samples_of(metric, n=n, count=100):
-                closed = fundamental_tensor(metric, s.x, s.y)
-                ad = fundamental_tensor_ad(metric, s.x, s.y)
-                assert np.abs(closed - ad).max() / np.abs(closed).max() <= 1e-9, (name, n)
+            samples = samples_of(metric, n=n, count=100)
+            closed = ProfileBundle.of(metric, samples).g()
+            ad = AmbientBundle.of(metric, samples, 2).g()
+            worst = (np.abs(closed - ad).max(axis=(1, 2)) / np.abs(closed).max(axis=(1, 2))).max()
+            assert worst <= 1e-9, (name, n)
     report("criterion 8 PASS: jets match finite differences; closed-form g matches AD")
 
 

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -22,3 +23,14 @@ def test_bench_jets_runs_with_one_repeat():
     stages = [line for line in out.splitlines() if "RK4 stage" in line]
     assert [line.split()[4] for line in stages] == ["2", "20"]
     assert all(float(line.split()[-2]) > 0.0 for line in stages)
+
+
+def test_perfbench_targets_exist(monkeypatch):
+    # perfbench wraps these public calls by attribute; a deleted one must fail here
+    # rather than in a benchmark run
+    monkeypatch.syspath_prepend(os.path.join(REPO, "perfbench"))
+    layers, tracer = (importlib.import_module(name) for name in ("layers", "tracer"))
+    targets = layers.targets(tracer.Tracer("guard"))
+    assert targets
+    for target in targets:
+        assert callable(getattr(target.owner, target.attr, None)), (target.owner, target.attr)

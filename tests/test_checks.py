@@ -207,6 +207,21 @@ def test_profile_evaluation_failure_fails_each_check_once():
         assert "sqrt requires a positive argument" in record.detail["evaluation_error"], check
 
 
+def test_smoothness_probe_failure_names_its_sample():
+    # phi has a value at every sample (|v| > 3.2e-6) but none at the conjecture's
+    # smoothness probe, v = +-1e-6 off the samples: the record fails at the probed sample
+    profile = ExpressionProfile("sqrt(u^2*(1-r^2)+v^2)/(1-r^2) + 0*sqrt(v^2 - 1e-11)")
+    metric = SphericalMetric("klein_expr", profile, 1.0, -1.0)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=3, domain_radius=1.0))
+    run = Run(metric, samples)
+    for check in ("reversibility", "curvature"):
+        assert all(record.passed for record in run_check(check, run, {})), check
+    [record] = run_check("conjecture", run, {})
+    assert not record.passed
+    assert record.worst_x == list(samples[0].x) and record.worst_y == list(samples[0].y)
+    assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
+
+
 def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     # the first bad sample of log(x1+1) is at index 2: the order-2 bundle that
     # symmetry and rapcsak share fails once (its 20-sample chunk, then samples

@@ -165,6 +165,20 @@ class TestRunConfig:
         report, code = run_config(write_config(tmp_path, cfg))
         assert code == 0
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    def test_non_finite_or_negative_tolerance_exit_two(self, tmp_path, capsys, value):
+        # an infinite tolerance would pass the check vacuously, and a NaN one
+        # would reach the JSON report; json writes and reads them as Infinity and NaN
+        cfg = funk_config(checks=[{"name": "curvature", "params": {"lambda": 5.0}}])
+        cfg["tolerances"] = {"curvature": value, "curvature_pde": 1e-8}
+        path = write_config(tmp_path, cfg)
+        report, code = run_config(path)
+        assert report is None and code == 2
+        assert "tolerance 'curvature' must be finite and >= 0" in capsys.readouterr().err
+        assert main(["verify", path, "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "tolerance 'curvature'" in out.err
+
     def test_sampling_ranges_from_config(self, tmp_path):
         cfg = funk_config(
             sampling={"count": 25, "seed": 7, "r_range": [0.4, 0.6], "u_range": [0.5, 1.5]}

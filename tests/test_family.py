@@ -9,16 +9,20 @@ from finslercheck.family import (
     FamilyError,
     ProjectiveFamilySpec,
     QuadratureError,
+    FamilyProfile,
+    _CompiledFamily,
     build_projective_metric,
-    integral_jet,
 )
 from finslercheck.jets import JetDomainError
-from finslercheck.metrics import builtin, homogeneity_residual
-from finslercheck.projective import constant_curvature_verdict, projective_pde_residuals
+from finslercheck.metrics import MetricDomainError, ProfileBundle, SphericalMetric, builtin
+from finslercheck.projective import constant_curvature_verdict, projective_pde_of
 
 FUNK_SPEC = ProjectiveFamilySpec(
     f="1/sqrt(1+t)", g="1/(1-r^2)", h="1/(1-r^2)", baseline="abs_corrected"
 )
+
+
+FUNK_INTEGRAL = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
 
 
 def funk_integral_oracle(r, u, v):
@@ -29,34 +33,38 @@ def funk_integral_oracle(r, u, v):
 
 
 class TestIntegralJet:
+    # a plain spec with g = 0 has the integral term alone as its profile
+
     def test_unit_f_recovers_length(self):
-        spec = ProjectiveFamilySpec(f="1")
-        j = integral_jet(spec, 0.5, 1.25, 0.3, 1)
+        metric = build_projective_metric(ProjectiveFamilySpec(f="1"))
+        j = metric.phi_jet(0.5, 1.25, 0.3, 1)
         assert abs(j.value - 1.25) < 1e-13
         assert j.partial(1) == 1.0
 
     def test_funk_integrand_value(self):
-        j = integral_jet(FUNK_SPEC, 0.5, 1.0, 0.5, 0)
+        j = FUNK_INTEGRAL.phi_jet(0.5, 1.0, 0.5, 0)
         assert abs(j.value - 2.0 / 3.0) < 1e-12
 
     def test_u_derivative_is_f_at_endpoint(self):
         # s = v^2/u^2 - r^2 = 0 at this point, so phi_u = f(0) = 1 exactly
-        j = integral_jet(FUNK_SPEC, 0.5, 1.0, 0.5, 1)
+        j = FUNK_INTEGRAL.phi_jet(0.5, 1.0, 0.5, 1)
         assert j.partial(1) == 1.0
 
     def test_matches_antiderivative_oracle(self):
         for r, u, v in [(0.3, 1.2, -0.4), (0.7, 0.4, 0.2), (0.5, 2.0, 1.3), (0.2, 1.0, 0.0)]:
-            j = integral_jet(FUNK_SPEC, r, u, v, 0)
+            j = FUNK_INTEGRAL.phi_jet(r, u, v, 0)
             assert abs(j.value - funk_integral_oracle(r, u, v)) < 1e-11
 
     def test_u_must_be_positive(self):
-        with pytest.raises(FamilyError):
-            integral_jet(FUNK_SPEC, 0.5, 0.0, 0.1, 1)
+        with pytest.raises(MetricDomainError):
+            FUNK_INTEGRAL.phi_jet(0.5, 0.0, 0.1, 1)
 
     def test_depth_exhaustion_raises(self):
+        # built without the positivity probes of build_projective_metric, which would raise first
         cramped = ProjectiveFamilySpec(f="1/sqrt(1+t)", abs_tol=1e-15, max_depth=1)
+        metric = SphericalMetric("cramped", FamilyProfile(_CompiledFamily(cramped)), 1.0)
         with pytest.raises(QuadratureError):
-            integral_jet(cramped, 0.5, 1.0, 1e-3, 3)
+            metric.phi_jet(0.5, 1.0, 1e-3, 3)
 
 
 class TestPrechecks:
@@ -124,20 +132,18 @@ class TestBuiltMetrics:
     def test_tangential_pde_exact(self):
         # phi_uv u + phi_ru v/(ru) cancels in exact arithmetic for any family metric
         metric = build_projective_metric(FUNK_SPEC)
-        for s in samples_for(metric, n=2, count=15):
-            _, rho2 = projective_pde_residuals(metric, s.r, s.u, s.v)
-            assert rho2 <= 1e-12
+        _, rho2 = projective_pde_of(ProfileBundle.of(metric, samples_for(metric, n=2, count=15)))
+        assert rho2.max() <= 1e-12
 
     def test_radial_pde_within_quadrature_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        for s in samples_for(metric, n=2, count=15):
-            rho1, _ = projective_pde_residuals(metric, s.r, s.u, s.v)
-            assert rho1 <= 1e-8
+        rho1, _ = projective_pde_of(ProfileBundle.of(metric, samples_for(metric, n=2, count=15)))
+        assert rho1.max() <= 1e-8
 
     def test_euler_relations_within_10x_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        for s in samples_for(metric, n=2, count=15):
-            assert homogeneity_residual(metric, s.r, s.u, s.v) <= 10.0 * FUNK_SPEC.abs_tol * 1e3
+        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=15))
+        assert b.homogeneity_residual().max() <= 10.0 * FUNK_SPEC.abs_tol * 1e3
 
     def test_f_only_funk_integrand_has_constant_curvature(self):
         # dropping the baseline keeps the curvature constant at -1/4: the

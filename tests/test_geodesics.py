@@ -15,7 +15,6 @@ from finslercheck.geodesics import (
     integrate_geodesics,
     safe_horizon,
     spray_general,
-    spray_projectivity_residual,
     straightness_deviation,
 )
 from finslercheck.jets import JetDomainError
@@ -28,11 +27,26 @@ from finslercheck.metrics import (
     builtin,
     bundle_of,
 )
-from finslercheck.projective import projective_factor
 
 
 def curved_control():
     return SphericalMetric("curved_control", ClosedFormProfile(lambda r, u, v: u * (1.0 + r * r)))
+
+
+def p_of_samples(metric, samples):
+    """P = F_{x^k} y^k / (2F) at each sample, from one bundle of the samples."""
+    f, fx, _ = bundle_of(metric, samples).first_derivatives()
+    return np.vecdot(fx, np.array([s.y for s in samples])) / (2.0 * f)
+
+
+def spray_projectivity(metric, samples):
+    """Relative size of G - P y at each sample, the non-projective part of the spray."""
+    out = []
+    for s, p in zip(samples, p_of_samples(metric, samples)):
+        g, py = spray_general(metric, s.x, s.y), p * s.y
+        scale = float(np.linalg.norm(g) + np.linalg.norm(py))
+        out.append(0.0 if scale == 0.0 else float(np.linalg.norm(g - py)) / scale)
+    return out
 
 
 class TestSpray:
@@ -48,7 +62,7 @@ class TestSpray:
         metric = builtin("klein")
         x, y = np.array([0.5, 0.0]), np.array([0.0, 1.0])
         g = spray_general(metric, x, y)
-        p = projective_factor(metric, 0.5, 1.0, 0.0)
+        [p] = p_of_samples(metric, [MetricSample.of(x, y)])
         assert np.abs(g - p * y).max() <= 1e-8
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -84,18 +98,16 @@ class TestProjectivityResidual:
     @pytest.mark.parametrize("name", ["klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_projective(self, name):
         metric = make_metric(name)
-        for s in samples_for(metric, n=2, count=20):
-            assert spray_projectivity_residual(metric, s.x, s.y) <= 1e-8
+        for got in spray_projectivity(metric, samples_for(metric, n=2, count=20)):
+            assert got <= 1e-8
 
     def test_euclidean_zero(self):
-        assert spray_projectivity_residual(builtin("euclidean"), [0.3, 0.2], [1.0, 0.5]) == 0.0
+        sample = MetricSample.of([0.3, 0.2], [1.0, 0.5])
+        assert spray_projectivity(builtin("euclidean"), [sample]) == [0.0]
 
     def test_curved_control_fails(self):
         metric = curved_control()
-        worst = max(
-            spray_projectivity_residual(metric, s.x, s.y)
-            for s in samples_for(metric, n=2, count=20)
-        )
+        worst = max(spray_projectivity(metric, samples_for(metric, n=2, count=20)))
         assert worst > 1e-3
 
 
@@ -231,20 +243,6 @@ def test_spray_evaluates_one_profile_jet(monkeypatch):
         calls.clear()
         spray_general(builtin(name), [0.3, -0.2], [0.9, 0.4])
         assert calls == [2]
-
-
-def test_spray_projectivity_residual_evaluates_one_profile_jet(monkeypatch):
-    # G, F and F_x come from one bundle of the point
-    calls = []
-    original = SphericalMetric.phi_jet
-
-    def counting(self, r, u, v, order=2):
-        calls.append(order)
-        return original(self, r, u, v, order)
-
-    monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
-    spray_projectivity_residual(builtin("funk"), [0.3, -0.2], [0.9, 0.4])
-    assert calls == [2]
 
 
 def test_spray_at_origin_is_finite():

@@ -17,18 +17,15 @@ from finslercheck.metrics import (
     builtin,
     builtin_names,
     bundle_of,
-    convexity_report,
-    det_g_closed_form,
     fundamental_tensor,
-    fundamental_tensor_ad,
-    homogeneity_residual,
     invariant_rows,
     invariants_of,
+    positive_definite,
     quotient,
     relative_residual,
     reversibility_residual,
     reversibility_residuals,
-    riemannian_probe,
+    riemannian_probe_of,
 )
 from finslercheck.sampling import SampleSpec, sample_domain
 
@@ -285,6 +282,17 @@ class TestSprayBracket:
         assert got.tobytes() == five_term_bracket(b).tobytes()
 
 
+def ad_tensors(metric, samples):
+    """g at the samples from the ambient jet of F^2, the cross-check route for profiles."""
+    return AmbientBundle.of(metric, samples, 2).g()
+
+
+def convexity(metric, samples):
+    """(profile lemma holds, g factorizes) per sample; the lemma implies the factorization."""
+    b = ProfileBundle.of(metric, samples)
+    return [(bool(ok), positive_definite(g)) for ok, g in zip(b.convexity_lemma(), b.g())]
+
+
 class TestFundamentalTensor:
     def test_euclidean_identity(self):
         g = fundamental_tensor(builtin("euclidean"), [0.4, 0.1], [1.0, 0.7])
@@ -296,15 +304,15 @@ class TestFundamentalTensor:
 
     def test_klein_matches_ad(self):
         g = fundamental_tensor(builtin("klein"), [0.5, 0.0], [0.0, 1.0])
-        ad = fundamental_tensor_ad(builtin("klein"), [0.5, 0.0], [0.0, 1.0])
+        ad = ad_tensors(builtin("klein"), [MetricSample.of([0.5, 0.0], [0.0, 1.0])])[0]
         assert np.abs(g - ad).max() < 1e-10
 
     @pytest.mark.parametrize("name", ["klein", "funk", "berwald", "spherical", "bryant"])
     def test_closed_form_matches_ad_on_samples(self, name):
         metric = make_metric(name)
-        for s in samples_for(metric, n=2, count=25):
+        samples = samples_for(metric, n=2, count=25)
+        for s, ad in zip(samples, ad_tensors(metric, samples)):
             closed = fundamental_tensor(metric, s.x, s.y)
-            ad = fundamental_tensor_ad(metric, s.x, s.y)
             assert np.abs(closed - ad).max() / np.abs(closed).max() < 1e-9
 
     @pytest.mark.parametrize("name", ["klein", "funk", "berwald", "spherical", "bryant"])
@@ -324,40 +332,41 @@ class TestFundamentalTensor:
 
 class TestDeterminant:
     def test_euclidean_is_one(self):
-        assert det_g_closed_form(builtin("euclidean"), [0.4, 0.1], [1.0, 0.7]) == 1.0
+        b = ProfileBundle.of(builtin("euclidean"), [MetricSample.of([0.4, 0.1], [1.0, 0.7])])
+        assert b.det_g()[0] == 1.0
 
     def test_funk_matches_direct_2x2(self):
         metric = builtin("funk")
-        closed = det_g_closed_form(metric, [0.5, 0.0], [1.0, 0.0])
+        closed = ProfileBundle.of(metric, [MetricSample.of([0.5, 0.0], [1.0, 0.0])]).det_g()[0]
         direct = np.linalg.det(fundamental_tensor(metric, [0.5, 0.0], [1.0, 0.0]))
         assert relative_residual(closed, -direct) < 1e-12
 
     def test_bryant_matches_direct_3d(self):
         metric = make_metric("bryant")
         s = samples_for(metric, n=3, count=5)[3]
-        closed = det_g_closed_form(metric, s.x, s.y)
+        closed = ProfileBundle.of(metric, [s]).det_g()[0]
         direct = np.linalg.det(fundamental_tensor(metric, s.x, s.y))
         assert relative_residual(closed, -direct) < 1e-8
 
 
 class TestConvexity:
     def test_euclidean(self):
-        rep = convexity_report(builtin("euclidean"), [0.4, 0.1], [1.0, 0.7])
-        assert rep.lemma_ok and rep.direct_pd
+        sample = MetricSample.of([0.4, 0.1], [1.0, 0.7])
+        [(lemma_ok, direct_pd)] = convexity(builtin("euclidean"), [sample])
+        assert lemma_ok and direct_pd
 
     def test_funk_in_ball(self):
         metric = builtin("funk")
-        for s in samples_for(metric, n=2, count=30):
-            rep = convexity_report(metric, s.x, s.y)
-            assert rep.lemma_ok and rep.direct_pd
+        for lemma_ok, direct_pd in convexity(metric, samples_for(metric, n=2, count=30)):
+            assert lemma_ok and direct_pd
 
     def test_indefinite_pseudo_profile(self):
         # phi = u - 2 v^2/u stays positive near v=0 but g turns indefinite
         bad = SphericalMetric("pseudo", ClosedFormProfile(lambda r, u, v: u - 2.0 * v * (v / u)))
         x, y = np.array([1.5, 0.0]), np.array([0.0664, 0.9978])  # v = 0.0996
-        rep = convexity_report(bad, x, y)
-        assert not rep.direct_pd
-        assert not rep.lemma_ok
+        [(lemma_ok, direct_pd)] = convexity(bad, [MetricSample.of(x, y)])
+        assert not direct_pd
+        assert not lemma_ok
         # oracle: eigenvalues of g straddle zero
         eig = np.linalg.eigvalsh(fundamental_tensor(bad, x, y))
         assert eig[0] < 0.0 < eig[-1]
@@ -365,18 +374,16 @@ class TestConvexity:
     def test_lemma_implies_direct(self):
         for name in builtin_names():
             metric = make_metric(name)
-            for s in samples_for(metric, n=2, count=15):
-                rep = convexity_report(metric, s.x, s.y)
-                assert (not rep.lemma_ok) or rep.direct_pd
+            for lemma_ok, direct_pd in convexity(metric, samples_for(metric, n=2, count=15)):
+                assert (not lemma_ok) or direct_pd
 
     def test_lemma_is_only_sufficient(self):
         # the projective spherical model has phi_vv < 0 everywhere, so the
         # profile criterion fails while g stays positive definite
         metric = builtin("spherical")
-        for s in samples_for(metric, n=2, count=15):
-            rep = convexity_report(metric, s.x, s.y)
-            assert not rep.lemma_ok
-            assert rep.direct_pd
+        for lemma_ok, direct_pd in convexity(metric, samples_for(metric, n=2, count=15)):
+            assert not lemma_ok
+            assert direct_pd
 
     def test_wide_angle_bryant_loses_convexity_far_out(self):
         # observed (and cross-checked against the AD tensor): at alpha=1.2 the
@@ -384,36 +391,38 @@ class TestConvexity:
         # alpha=pi/6 is positive definite across the sampled range
         wide = builtin("bryant", alpha=1.2)
         x, y = np.array([1.0, 0.0]), np.array([0.3, 1.0])
-        assert convexity_report(wide, 1.2 * x, y).direct_pd
-        rep = convexity_report(wide, 1.5 * x, y)
-        assert not rep.direct_pd
-        eig = np.linalg.eigvalsh(fundamental_tensor_ad(wide, 1.5 * x, y))
+        near, far = MetricSample.of(1.2 * x, y), MetricSample.of(1.5 * x, y)
+        [(_, near_pd), (_, far_pd)] = convexity(wide, [near, far])
+        assert near_pd
+        assert not far_pd
+        eig = np.linalg.eigvalsh(ad_tensors(wide, [far])[0])
         assert eig[0] < 0.0 < eig[-1]
         assert wide.evaluate(1.5 * x, y) > 0.0
         narrow = make_metric("bryant")
-        for s in samples_for(narrow, n=3, count=40):
-            assert convexity_report(narrow, s.x, s.y).direct_pd
+        for _, direct_pd in convexity(narrow, samples_for(narrow, n=3, count=40)):
+            assert direct_pd
 
 
 class TestHomogeneity:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_homogeneous(self, name):
         metric = make_metric(name)
-        for s in samples_for(metric, n=2, count=30):
-            assert homogeneity_residual(metric, s.r, s.u, s.v) <= 1e-10
+        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=30))
+        assert b.homogeneity_residual().max() <= 1e-10
 
     def test_quadratic_profile_fails(self):
         bad = SphericalMetric("usq", ClosedFormProfile(lambda r, u, v: u * u))
-        assert homogeneity_residual(bad, 0.5, 2.0, 0.3) >= 1.0
+        assert ProfileBundle.at_invariants(bad, 0.5, 2.0, 0.3).homogeneity_residual()[0] >= 1.0
 
     def test_euclidean_exactly_zero(self):
-        assert homogeneity_residual(builtin("euclidean"), 0.5, 2.0, 0.3) == 0.0
+        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 2.0, 0.3)
+        assert b.homogeneity_residual()[0] == 0.0
 
     def test_near_orthogonal_sample_stays_clean(self):
         # v ~ 1e-3 once produced a noise ratio ~1e-9 before the identity
         # scales included the generating first-order magnitudes
-        got = homogeneity_residual(builtin("funk"), 0.11371, 1.9815, 0.00073)
-        assert got <= 1e-12
+        b = ProfileBundle.at_invariants(builtin("funk"), 0.11371, 1.9815, 0.00073)
+        assert b.homogeneity_residual()[0] <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
@@ -452,18 +461,24 @@ class TestRiemannianProbe:
     def _directions(self):
         return [np.array(d) for d in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.7, 0.4])]
 
+    def _probe(self, metric):
+        """(g deviation, Cartan maximum) at x = (0.5, 0.1) over the four directions."""
+        ys = self._directions()
+        b = AmbientBundle.of(metric, [MetricSample.of([0.5, 0.1], y) for y in ys])
+        return tuple(float(a[0]) for a in riemannian_probe_of(b, len(ys)))
+
     def test_klein_riemannian(self):
-        probe = riemannian_probe(builtin("klein"), np.array([0.5, 0.1]), self._directions())
-        assert probe.g_deviation <= 1e-9
-        assert probe.cartan_max <= 1e-9
+        g_deviation, cartan_max = self._probe(builtin("klein"))
+        assert g_deviation <= 1e-9
+        assert cartan_max <= 1e-9
 
     def test_funk_not_riemannian(self):
-        probe = riemannian_probe(builtin("funk"), np.array([0.5, 0.1]), self._directions())
-        assert probe.g_deviation > 0.01
+        g_deviation, _ = self._probe(builtin("funk"))
+        assert g_deviation > 0.01
 
     def test_euclidean_zero(self):
-        probe = riemannian_probe(builtin("euclidean"), np.array([0.5, 0.1]), self._directions())
-        assert probe.g_deviation <= 1e-15  # c_yy combines 1/u^2 with u/u^3: rounding only
+        g_deviation, _ = self._probe(builtin("euclidean"))
+        assert g_deviation <= 1e-15  # c_yy combines 1/u^2 with u/u^3: rounding only
 
 
 class TestBuiltins:
@@ -514,7 +529,8 @@ class TestExpressionProfile:
             a = klein_expr.phi_jet(s.r, s.u, s.v, 3)
             b = klein.phi_jet(s.r, s.u, s.v, 3)
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11
-        assert homogeneity_residual(klein_expr, 0.5, 1.2, -0.3) <= 1e-12
+        b = ProfileBundle.at_invariants(klein_expr, 0.5, 1.2, -0.3)
+        assert b.homogeneity_residual()[0] <= 1e-12
 
     def test_expression_profile_rejects_unknown_variable(self):
         from finslercheck.expr import UnknownVariableError

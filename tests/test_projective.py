@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_metric, samples_for
-from finslercheck.metrics import ClosedFormProfile, SphericalMetric, builtin
+from finslercheck.metrics import ClosedFormProfile, ProfileBundle, SphericalMetric, builtin
 from finslercheck.projective import (
     constant_curvature_verdict,
-    curvature_component_residuals,
-    curvature_pde_residuals,
+    curvature_components_of,
+    curvature_pde_of,
     flag_curvature,
-    projective_factor,
-    projective_pde_residuals,
+    p_of,
+    projective_pde_of,
     rapcsak_residual,
 )
 
@@ -20,6 +20,12 @@ CURVATURE_CONSTANTS = {
     "spherical": 1.0,
     "bryant": 1.0,
 }
+
+
+def pde_pair(b, lam=None):
+    """The first sample's projectivity PDE pair, or its curvature PDE pair at lam."""
+    rho1, rho2 = projective_pde_of(b) if lam is None else curvature_pde_of(b, lam)
+    return float(rho1[0]), float(rho2[0])
 
 
 def curved_control():
@@ -65,23 +71,25 @@ class TestRapcsak:
 
 class TestProjectivePDEs:
     def test_funk_point(self):
-        rho1, rho2 = projective_pde_residuals(builtin("funk"), 0.5, 1.0, 0.5)
+        rho1, rho2 = pde_pair(ProfileBundle.at_invariants(builtin("funk"), 0.5, 1.0, 0.5))
         assert rho1 <= 1e-10 and rho2 <= 1e-10
 
     def test_euclidean_zero(self):
-        assert projective_pde_residuals(builtin("euclidean"), 0.5, 1.0, 0.3) == (0.0, 0.0)
+        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 1.0, 0.3)
+        assert pde_pair(b) == (0.0, 0.0)
 
     def test_curved_control_tangential_residual(self):
         # phi_uv u + phi_ru v/(ru) = 2v/u against scale 2v/u: ratio 1
-        rho1, rho2 = projective_pde_residuals(curved_control(), 0.5, 1.0, 0.3)
+        rho1, rho2 = pde_pair(ProfileBundle.at_invariants(curved_control(), 0.5, 1.0, 0.3))
         assert rho2 > 0.1
 
     def test_equivalent_to_rapcsak_on_profiles(self):
         for name in list(CURVATURE_CONSTANTS) + ["euclidean"]:
             metric = make_metric(name)
-            for s in samples_for(metric, n=2, count=15):
+            samples = samples_for(metric, n=2, count=15)
+            pdes = np.maximum(*projective_pde_of(ProfileBundle.of(metric, samples)))
+            for s, pde in zip(samples, pdes):
                 rap = rapcsak_residual(metric, s.x, s.y).max()
-                pde = max(projective_pde_residuals(metric, s.r, s.u, s.v))
                 assert (rap <= 1e-8) == (pde <= 1e-8)
 
     def test_homogeneity_identities_away_from_v_zero(self):
@@ -104,23 +112,28 @@ class TestProjectivePDEs:
                 assert abs(lhs2 - rhs2) / scale2 <= 1e-9 or abs(lhs2 - rhs2) <= 1e-12
 
 
+def factor(metric, r, u, v):
+    """P = (v phi_r / r + u^2 phi_v) / (2 phi) at (r, u, v)."""
+    return float(p_of(ProfileBundle.at_invariants(metric, r, u, v))[0][0])
+
+
 class TestProjectiveFactor:
     def test_funk_half_f(self):
         # Funk satisfies F_x = F F_y, so P = F/2 = 1 at this point
-        assert abs(projective_factor(builtin("funk"), 0.5, 1.0, 0.5) - 1.0) < 1e-14
+        assert abs(factor(builtin("funk"), 0.5, 1.0, 0.5) - 1.0) < 1e-14
 
     def test_euclidean_zero(self):
-        assert projective_factor(builtin("euclidean"), 0.5, 1.0, 0.3) == 0.0
+        assert factor(builtin("euclidean"), 0.5, 1.0, 0.3) == 0.0
 
     def test_klein_odd_in_v(self):
-        assert projective_factor(builtin("klein"), 0.5, 1.0, 0.0) == 0.0
+        assert factor(builtin("klein"), 0.5, 1.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("name", list(CURVATURE_CONSTANTS))
     def test_matches_ambient_contraction(self, name):
         # oracle: P = F_{x^k} y^k / (2F) evaluated by ambient differentiation
         metric = make_metric(name)
-        for s in samples_for(metric, n=2, count=15):
-            p = projective_factor(metric, s.r, s.u, s.v)
+        samples = samples_for(metric, n=2, count=15)
+        for s, p in zip(samples, p_of(ProfileBundle.of(metric, samples))[0]):
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             oracle = float(grad[:2] @ s.y) / (2.0 * amb.value)
@@ -128,24 +141,26 @@ class TestProjectiveFactor:
 
     def test_one_homogeneous_in_uv(self):
         metric = builtin("funk")
-        p1 = projective_factor(metric, 0.5, 1.0, 0.4)
-        p2 = projective_factor(metric, 0.5, 2.0, 0.8)
+        p1 = factor(metric, 0.5, 1.0, 0.4)
+        p2 = factor(metric, 0.5, 2.0, 0.8)
         assert abs(p2 - 2.0 * p1) < 1e-12
 
 
 class TestCurvaturePDEs:
     def test_funk_at_quarter(self):
-        c_u, c_v = curvature_pde_residuals(builtin("funk"), 0.5, 1.0, 0.5, -0.25)
+        c_u, c_v = pde_pair(ProfileBundle.at_invariants(builtin("funk"), 0.5, 1.0, 0.5), -0.25)
         assert c_u <= 1e-8 and c_v <= 1e-8
 
     def test_klein_minus_one_and_wrong_lambda(self):
-        c_u, c_v = curvature_pde_residuals(builtin("klein"), 0.5, 1.0, 0.3, -1.0)
+        b = ProfileBundle.at_invariants(builtin("klein"), 0.5, 1.0, 0.3)
+        c_u, c_v = pde_pair(b, -1.0)
         assert c_u <= 1e-8 and c_v <= 1e-8
-        c_u, _ = curvature_pde_residuals(builtin("klein"), 0.5, 1.0, 0.3, 0.0)
+        c_u, _ = pde_pair(b, 0.0)
         assert c_u > 1e-3
 
     def test_euclidean_zero(self):
-        assert curvature_pde_residuals(builtin("euclidean"), 0.5, 1.0, 0.3, 0.0) == (0.0, 0.0)
+        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 1.0, 0.3)
+        assert pde_pair(b, 0.0) == (0.0, 0.0)
 
 
 class TestFlagCurvature:
@@ -170,8 +185,8 @@ class TestFlagCurvature:
     def test_component_equation_cross_check(self, name):
         metric = make_metric(name)
         want = CURVATURE_CONSTANTS[name]
-        for s in samples_for(metric, n=2, count=20):
-            resid = curvature_component_residuals(metric, s.x, s.y, want)
+        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=20))
+        for resid in curvature_components_of(b, want):
             assert resid.max() <= 1e-9
 
 

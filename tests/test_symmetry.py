@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import make_metric, samples_for
-from finslercheck.metrics import GeneralMetric, builtin, fundamental_tensor
+from finslercheck.metrics import (
+    AmbientBundle,
+    GeneralMetric,
+    MetricSample,
+    builtin,
+    bundle_of,
+    fundamental_tensor,
+)
 from finslercheck.symmetry import (
     RotationField,
-    cartan_tensor,
-    cartan_y_contraction_residual,
-    killing_scalar_residual,
+    _scalar_residuals,
+    cartan_contraction_of,
     killing_tensor_max_residual,
-    killing_tensor_residual,
+    killing_tensor_residuals,
+    killing_tensor_terms,
     rotation_fields,
     symmetry_verdict,
 )
@@ -21,6 +28,28 @@ def anisotropic(n):
     """F^2 = |y|^2 + (y^1)^2: rotation-invariant only around axis 0."""
     terms = " + ".join(["2*y1^2"] + [f"y{i}^2" for i in range(2, n + 1)])
     return GeneralMetric.from_expression(f"sqrt({terms})", n, name="anisotropic")
+
+
+def pairs(*xy):
+    """One sample per (x, y) pair."""
+    return [MetricSample.of(x, y) for x, y in xy]
+
+
+def scalar_residuals(metric, field, samples):
+    """The contracted Killing residual of the field at each sample, from one bundle."""
+    b = bundle_of(metric, samples)
+    _, fx, fy = b.first_derivatives()
+    return _scalar_residuals(fx, fy, field, b.x, b.y)
+
+
+def tensor_residual(metric, field, x, y):
+    """The full Killing residual matrix of the field at one point-direction pair."""
+    return killing_tensor_residuals(AmbientBundle.of(metric, pairs((x, y))), field)[0]
+
+
+def cartan(metric, *xy):
+    """C_ijp at each (x, y) pair, (k, n, n, n)."""
+    return AmbientBundle.of(metric, pairs(*xy)).cartan()
 
 
 class TestRotationField:
@@ -47,18 +76,20 @@ class TestRotationField:
 class TestScalarResidual:
     def test_funk_invariant(self):
         metric = builtin("funk")
-        for s in samples_for(metric, n=2, count=40):
-            assert killing_scalar_residual(metric, RotationField(0, 1), s.x, s.y) <= 1e-10
+        samples = samples_for(metric, n=2, count=40)
+        for got in scalar_residuals(metric, RotationField(0, 1), samples):
+            assert got <= 1e-10
 
     def test_euclidean_exact_zero(self):
-        got = killing_scalar_residual(builtin("euclidean"), RotationField(0, 1), [0.3, 0.2], [1.0, 0.5])
+        sample = pairs(([0.3, 0.2], [1.0, 0.5]))
+        [got] = scalar_residuals(builtin("euclidean"), RotationField(0, 1), sample)
         assert got == 0.0
 
     def test_anisotropic_hand_value(self):
         # F = sqrt(2 y1^2 + y2^2) at y=(1,1): F_y = (2, 1)/sqrt(3); X-terms vanish.
         # residual = |F_y1*y2 - F_y2*y1| = 1/sqrt(3); scale = 3/sqrt(3) -> 1/3.
         metric = anisotropic(2)
-        got = killing_scalar_residual(metric, RotationField(0, 1), [0.3, 0.2], [1.0, 1.0])
+        [got] = scalar_residuals(metric, RotationField(0, 1), pairs(([0.3, 0.2], [1.0, 1.0])))
         assert abs(got - 1.0 / 3.0) < 1e-14
         assert got > 0.1
         # raw (unnormalized) value via an independent chain rule
@@ -69,19 +100,19 @@ class TestScalarResidual:
 
 class TestTensorResidual:
     def test_euclidean_zero_matrix(self):
-        got = killing_tensor_residual(
+        got = tensor_residual(
             builtin("euclidean"), RotationField(0, 1), np.array([0.3, 0.2]), np.array([1.0, 0.5])
         )
         assert np.abs(got).max() <= 1e-15
 
     def test_funk_point(self):
-        got = killing_tensor_residual(
+        got = tensor_residual(
             builtin("funk"), RotationField(0, 1), np.array([0.3, 0.2]), np.array([1.0, 0.5])
         )
         assert np.abs(got).max() <= 1e-8
 
     def test_anisotropic_fails(self):
-        got = killing_tensor_residual(
+        got = tensor_residual(
             anisotropic(2), RotationField(0, 1), np.array([0.3, 0.2]), np.array([1.0, 0.5])
         )
         assert np.abs(got).max() > 0.05
@@ -101,11 +132,8 @@ class TestTensorResidual:
                 return rot.T @ g @ rot
 
             fd = (pullback(h) - pullback(-h)) / (2.0 * h)
-            blocks_resid = killing_tensor_residual(metric, field, x, y)
+            blocks_resid = tensor_residual(metric, field, x, y)
             # reconstruct the unnormalized equation left side for comparison
-            from finslercheck.metrics import AmbientBundle
-            from finslercheck.symmetry import killing_tensor_terms
-
             terms = killing_tensor_terms(AmbientBundle.at(metric, x, y), field)
             total = sum(terms)[0]
             assert np.abs(total - fd).max() < 1e-6
@@ -126,28 +154,28 @@ class TestCartan:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "spherical"])
     def test_riemannian_builtins_vanish(self, name):
         metric = make_metric(name)
-        c = cartan_tensor(metric, np.array([0.5, 0.1]), np.array([0.8, 0.6]))
+        [c] = cartan(metric, (np.array([0.5, 0.1]), np.array([0.8, 0.6])))
         assert np.abs(c).max() <= 1e-12
 
     def test_funk_nonzero_generic_direction(self):
-        c = cartan_tensor(builtin("funk"), np.array([0.5, 0.0]), np.array([0.8, 0.6]))
+        [c] = cartan(builtin("funk"), (np.array([0.5, 0.0]), np.array([0.8, 0.6])))
         assert np.abs(c).max() > 0.01
 
     def test_funk_contraction_vanishes(self):
-        for s in samples_for(builtin("funk"), n=2, count=30):
-            assert cartan_y_contraction_residual(builtin("funk"), s.x, s.y) <= 1e-9
+        b = AmbientBundle.of(builtin("funk"), samples_for(builtin("funk"), n=2, count=30))
+        for got in cartan_contraction_of(b):
+            assert got <= 1e-9
 
     def test_scaling_degree_minus_one(self):
         metric = builtin("funk")
         x = np.array([0.5, 0.0])
         y = np.array([0.8, 0.6])
         lam = 3.0
-        c1 = cartan_tensor(metric, x, y)
-        c2 = cartan_tensor(metric, x, lam * y)
+        c1, c2 = cartan(metric, (x, y), (x, lam * y))
         assert np.abs(c2 - c1 / lam).max() <= 1e-9
 
     def test_fully_symmetric(self):
-        c = cartan_tensor(builtin("funk"), np.array([0.5, 0.0]), np.array([0.8, 0.6]))
+        [c] = cartan(builtin("funk"), (np.array([0.5, 0.0]), np.array([0.8, 0.6])))
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.abs(c - np.transpose(c, perm)).max() < 1e-14
 
@@ -180,20 +208,18 @@ class TestVerdict:
     def test_anisotropic_axis_fixing_field_passes(self):
         metric = anisotropic(3)
         field = RotationField(1, 2)  # rotates the isotropic plane only
-        for s in samples_for(builtin("spherical"), n=3, count=25):
-            assert killing_scalar_residual(metric, field, s.x, s.y) <= 1e-9
+        samples = samples_for(builtin("spherical"), n=3, count=25)
+        for got in scalar_residuals(metric, field, samples):
+            assert got <= 1e-9
         field_moving = RotationField(0, 1)
-        worst = max(
-            killing_scalar_residual(metric, field_moving, s.x, s.y)
-            for s in samples_for(builtin("spherical"), n=3, count=25)
-        )
+        worst = max(scalar_residuals(metric, field_moving, samples))
         assert worst > 0.1
 
     def test_max_residual_helper_consistent(self):
         metric = builtin("funk")
         s = samples_for(metric, n=3, count=3)[0]
         per_field = max(
-            float(killing_tensor_residual(metric, f, s.x, s.y).max())
+            float(tensor_residual(metric, f, s.x, s.y).max())
             for f in rotation_fields(3)
         )
         assert killing_tensor_max_residual(metric, s.x, s.y) == per_field
