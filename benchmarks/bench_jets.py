@@ -79,14 +79,14 @@ def bench_workload():
     )
     samples_f = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))
     t0 = time.perf_counter()
-    ProfileBundle.of(family, samples_f)
+    ProfileBundle.of(family, np.array([s.x for s in samples_f]), np.array([s.y for s in samples_f]))
     family_time = (time.perf_counter() - t0) / len(samples_f)
 
     bryant = builtin("bryant", alpha=math.pi / 6)
     # 200 samples, as a verify run has: the bundle is built in chunks of AMBIENT_CHUNK
     samples4 = sample_domain(SampleSpec.for_metric(n=4, count=200, seed=7, domain_radius=math.inf))
     t0 = time.perf_counter()
-    AmbientBundle.of(bryant, samples4)
+    AmbientBundle.of(bryant, np.array([s.x for s in samples4]), np.array([s.y for s in samples4]))
     bundle_time = (time.perf_counter() - t0) / len(samples4)
 
     t0 = time.perf_counter()

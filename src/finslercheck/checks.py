@@ -5,8 +5,8 @@ Each runner reduces its residuals over the sample list in a fixed order
 fails the check and names its sample), so reports are deterministic
 regardless of how callers might parallelize in the future.  Every runner
 takes the run's ``Run``, which builds each derivative bundle of the samples
-on first use and shares it (or the error its build raised) with every later
-check.
+(from their stacked x and y) on first use, names the sample at which a build
+fails, and shares the bundle (or the error) with every later check.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .metrics import (
     MetricSample,
     ProfileBundle,
     SphericalMetric,
-    at_samples,
     positive_definite,
     relative_residual,
     reversibility_residuals,
@@ -44,7 +43,7 @@ class ConfigError(ValueError):
     """Bad configuration: unknown names, wrong metric kind, invalid params."""
 
 
-# Raised where a metric cannot be evaluated at a point; see ``metrics.at_samples``.
+# Raised where a metric cannot be evaluated at a point; see ``at_samples`` and ``_named``.
 _EVALUATION_ERRORS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError)
 
 
@@ -66,6 +65,35 @@ DEFAULT_TOLERANCES = {
 }
 
 
+def at_samples(evaluate, samples) -> list:
+    """[evaluate(s) for s in samples].  A ValueError raised at a sample (a jet,
+    metric, formula or quadrature domain error) carries that sample as its
+    ``sample`` attribute, so a check can report where evaluation failed."""
+    out = []
+    for s in samples:
+        try:
+            out.append(evaluate(s))
+        except ValueError as err:
+            err.sample = s
+            raise
+    return out
+
+
+def _named(build, samples):
+    """build(x, y) over the samples' stacked x and y.  A ValueError it raises
+    names its failing sample (``sample``): the one at the error's ``index``,
+    else the first sample whose one-row build raises, with that build's error."""
+    x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+    try:
+        return build(x, y)
+    except ValueError as err:
+        if getattr(err, "index", None) is None:
+            at_samples(lambda s: build(s.x[None], s.y[None]), samples)
+            raise  # no sample fails alone
+        err.sample = samples[err.index]
+        raise
+
+
 @dataclass
 class Run:
     """One verify run: the metric, its samples and tolerances, and the samples'
@@ -84,7 +112,7 @@ class Run:
     def _once(self, name, build):
         if name not in self._built:
             try:
-                self._built[name] = build()
+                self._built[name] = _named(build, self.samples)
             except ValueError as err:  # an evaluation error, naming its sample
                 self._built[name] = err
         if isinstance(self._built[name], ValueError):
@@ -93,11 +121,16 @@ class Run:
 
     @property
     def profile(self) -> ProfileBundle:
-        return self._once("profile", lambda: ProfileBundle.of(self.metric, self.samples))
+        return self._once("profile", lambda x, y: ProfileBundle.of(self.metric, x, y))
 
     @property
     def ambient(self) -> AmbientBundle:
-        return self._once("ambient", lambda: AmbientBundle.of(self.metric, self.samples, 3))
+        return self._once("ambient", lambda x, y: AmbientBundle.of(self.metric, x, y, 3))
+
+    @property
+    def reversibility(self) -> np.ndarray:
+        """``reversibility_residuals`` of the samples."""
+        return self._once("reversibility", lambda x, y: reversibility_residuals(self.metric, x, y))
 
     @property
     def first_order(self):
@@ -150,7 +183,7 @@ def check_convexity(run, tol, params):
 
 def check_symmetry(run, tol, params):
     b = run.first_order
-    v = sym.symmetry_verdict(run.metric, run.samples, tolerance=tol, bundle=b)
+    v = sym.symmetry_verdict(b, tol)
     detail = {
         "fields_tested": v.fields_tested,
         "worst_field": list(v.worst_field),
@@ -158,7 +191,8 @@ def check_symmetry(run, tol, params):
     }
     if v.non_finite:
         detail["non_finite_residuals"] = v.non_finite
-    return [_record("symmetry", run, v.max_residual, v.worst_sample, tol, detail, v.passed, b.F)]
+    at = run.samples[v.worst_index]
+    return [_record("symmetry", run, v.max_residual, at, tol, detail, v.passed, b.F)]
 
 
 def check_symmetry_tensor(run, tol, params):
@@ -186,11 +220,12 @@ def check_curvature(run, tol, params):
     """Constant flag curvature, and a second record for the curvature PDE pair
     (tolerance ``curvature_pde``)."""
     lam = params.get("lambda")
-    v = proj.constant_curvature_verdict(run.metric, run.samples, lam, tol, bundle=run.profile)
+    v = proj.constant_curvature_verdict(run.profile, lam, tol)
+    at = run.samples[v.worst_index]
     if v.status == "not_projective":
         detail = {"status": v.status, "projectivity_residual": v.projectivity_residual}
         worst = v.projectivity_residual
-        return [_record("curvature", run, worst, v.worst_sample, tol, detail, False)]
+        return [_record("curvature", run, worst, at, tol, detail, False)]
     deviation = v.max_deviation
     detail = {"status": v.status, "lambda_estimate": v.lambda_estimate, "max_deviation": deviation}
     if lam is not None:
@@ -202,7 +237,7 @@ def check_curvature(run, tol, params):
     pde_detail = {"residual_u": v.pde_residuals[0], "residual_v": v.pde_residuals[1]}
     pde_tol = run.tolerance("curvature_pde")
     return [
-        _record("curvature", run, deviation, v.worst_sample, tol, detail, v.passed),
+        _record("curvature", run, deviation, at, tol, detail, v.passed),
         _worst_record("curvature_pde", run, v.pde_values, pde_tol, pde_detail),
     ]
 
@@ -220,8 +255,7 @@ def check_fundamental_ad(run, tol, params):
 
 
 def check_reversibility(run, tol, params):
-    values = reversibility_residuals(run.metric, run.samples)
-    return [_worst_record("reversibility", run, values, tol)]
+    return [_worst_record("reversibility", run, run.reversibility, tol)]
 
 
 def _geodesic_params(params) -> tuple[int, int, float]:
@@ -296,7 +330,7 @@ def check_conjecture(run, tol, params):
     Riemannian; it proves nothing either way.
     """
     metric, samples = run.metric, run.samples
-    rev_worst, rev_at, rev_non_finite = worst_residual(reversibility_residuals(metric, samples))
+    rev_worst, rev_at, rev_non_finite = worst_residual(run.reversibility)
     reversible = rev_non_finite == 0 and rev_worst <= 1e-9
     detail: dict = {"reversible": reversible, "reversibility_residual": rev_worst}
     passed = True
@@ -304,9 +338,7 @@ def check_conjecture(run, tol, params):
     if not reversible:
         detail["conclusion"] = "consistent: not reversible, no claim applies"
     else:
-        verdict = proj.constant_curvature_verdict(
-            metric, samples, tolerance=run.tolerance("curvature"), bundle=run.profile
-        )
+        verdict = proj.constant_curvature_verdict(run.profile, tolerance=run.tolerance("curvature"))
         detail["constant_curvature"] = verdict.passed
         if verdict.lambda_estimate is not None:
             detail["lambda_estimate"] = verdict.lambda_estimate
@@ -321,7 +353,8 @@ def check_conjecture(run, tol, params):
         else:
             ys = [s.y for s in samples[: min(6, len(samples))]]
             pairs = [MetricSample.of(s.x, y) for s in samples[: min(8, len(samples))] for y in ys]
-            probe = riemannian_probe_of(AmbientBundle.of(metric, pairs), len(ys))
+            b = _named(lambda x, y: AmbientBundle.of(metric, x, y), pairs)  # names a failing pair
+            probe = riemannian_probe_of(b, len(ys))
             probe_max = float(np.maximum(*probe).max())
             riemannian = probe_max <= tol
             detail["riemannian"] = riemannian

@@ -28,6 +28,7 @@ import argparse
 import difflib
 import json
 import math
+import numbers
 import sys
 
 from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, run_check
@@ -36,6 +37,17 @@ from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
 from .metrics import GeneralMetric, builtin, builtin_names
 from .report import Report, to_json, to_text
 from .sampling import SampleSpec, sample_domain
+
+
+_KINDS = {dict: "an object", numbers.Integral: "an integer", numbers.Real: "a number"}
+
+
+def _entry(cfg: dict, key, kind, default, path: str = ""):
+    """cfg[key] (default when absent); a bool or a value of another kind is a config error."""
+    value = cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"'{path}{key}' must be {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def _suggest(name: str, options) -> str:
@@ -94,7 +106,7 @@ def _build_metric(cfg: dict, dimension: int):
 
 def _normalize_checks(cfg: dict) -> list[tuple[str, dict]]:
     raw = cfg.get("checks")
-    if not raw:
+    if not isinstance(raw, list) or not raw:
         raise ConfigError("config needs a nonempty 'checks' list")
     out = []
     for item in raw:
@@ -127,12 +139,14 @@ def run_config(
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return None, 2
     try:
-        dimension = int(cfg.get("dimension", 2))
+        dimension = _entry(cfg, "dimension", numbers.Integral, 2)
         metric = _build_metric(cfg, dimension)
         checks = _normalize_checks(cfg)
-        sampling_cfg = cfg.get("sampling", {})
-        count = samples_override if samples_override is not None else int(sampling_cfg.get("count", 100))
-        seed = seed_override if seed_override is not None else int(sampling_cfg.get("seed", 0))
+        sampling_cfg = _entry(cfg, "sampling", dict, {})
+        count = _entry(sampling_cfg, "count", numbers.Integral, 100, "sampling.")
+        seed = _entry(sampling_cfg, "seed", numbers.Integral, 0, "sampling.")
+        count = count if samples_override is None else samples_override
+        seed = seed if seed_override is None else seed_override
         spec = SampleSpec.for_metric(
             n=dimension,
             count=count,
@@ -141,7 +155,8 @@ def run_config(
             r_range=sampling_cfg.get("r_range"),
             u_range=sampling_cfg.get("u_range"),
         )
-        tolerances = {str(k): float(v) for k, v in cfg.get("tolerances", {}).items()}
+        raw = _entry(cfg, "tolerances", dict, {})
+        tolerances = {k: float(_entry(raw, k, numbers.Real, None, "tolerances.")) for k in raw}
         for name, tol in tolerances.items():
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(

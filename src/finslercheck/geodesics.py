@@ -11,8 +11,8 @@ deviation from the launch line is the verification quantity.
 Integration is fixed-step RK4: the claim being checked is qualitative
 straightness, and determinism across implementations matters more than
 step-count efficiency.  ``integrate_geodesics`` integrates many paths as one
-(N, n) state, so each RK4 stage is one batched spray: one bundle of the N
-states, one stacked Cholesky factorisation of g and two stacked solves.
+(N, n) state, so each RK4 stage is one batched spray: one ``bundle_of`` the
+N state rows, one stacked Cholesky factorisation of g and two stacked solves.
 Each path is bit for bit what it would be if integrated alone, and
 ``integrate_geodesic`` and ``spray_general`` are the one-path cases.  The
 ``geodesics`` check launches all its paths in one ``integrate_geodesics``
@@ -30,7 +30,7 @@ import numpy as np
 from .expr import EvalDomainError
 from .family import FamilyError
 from .jets import JetDomainError
-from .metrics import MetricDomainError, bundle_at, positive_definite
+from .metrics import MetricDomainError, bundle_of, positive_definite
 
 
 class NotStronglyConvexError(ValueError):
@@ -60,7 +60,7 @@ def spray_general(metric, x, y) -> np.ndarray:
     """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
     The one-path case of the batched spray: one bundle of the point."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _spray_of(metric, bundle_at(metric, x[None], y[None]))[0]
+    return _spray_of(metric, bundle_of(metric, x[None], y[None]))[0]
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _rk4_step(metric, x, y, h):
     """One RK4 step of (x', y') = (y, -2 G(x, y)) for every row; h is (N, 1)."""
 
     def rhs(xc, yc):
-        return yc, -2.0 * _spray_of(metric, bundle_at(metric, xc, yc))
+        return yc, -2.0 * _spray_of(metric, bundle_of(metric, xc, yc))
 
     k1x, k1y = rhs(x, y)
     k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)

@@ -8,18 +8,19 @@ variable order r=0, u=1, v=2 throughout.
 General metrics carry F(x, y) directly and are differentiated with jets in
 the 2n ambient variables (x^1..x^n, y^1..y^n).  Spherical metrics support
 both routes; the ambient route for the quadrature-built family profile,
-which takes no arbitrary jets, goes through multivariate composition of its
-3-variable jet, one sample at a time.
+which takes no arbitrary jets, composes each point's 3-variable jet with
+its column of the invariants' jets (multivariate composition).
 
-Derivatives of F come from a bundle of N samples: a ``ProfileBundle`` (phi
-and its partials from one batched ``phi_jets`` call, with every profile
-formula as an array expression over them; a family profile runs one
-lockstep quadrature over the N samples) or an ``AmbientBundle`` (one
-ambient jet per chunk of ``AMBIENT_CHUNK`` = 25 samples).  Both provide F,
-F_x, F_y, g, the Rapcsak residual and the spray bracket, and ``bundle_of``
-(over samples) and ``bundle_at`` (over the rows of two arrays) are the only
-places that pick a bundle by metric kind.  The few pointwise functions left
-(``fundamental_tensor`` here) are library entry points over a one-sample bundle.
+Derivatives of F come from a bundle of the N rows of two (N, n) arrays x
+and y: a ``ProfileBundle`` (phi and its partials from one batched
+``phi_jets`` call, every profile formula an array expression over them; a
+family profile runs one lockstep quadrature over the N rows) or an
+``AmbientBundle`` (one ambient jet per chunk of ``AMBIENT_CHUNK`` = 25
+rows).  Both provide F, F_x, F_y, g, the Rapcsak residual and the spray
+bracket; ``bundle_of`` alone picks a bundle by metric kind.  A bundle
+knows rows, not samples: the caller that holds the samples names a failing
+one (``checks.Run``).  ``fundamental_tensor`` is a library entry point
+over a one-row bundle.
 """
 
 from __future__ import annotations
@@ -48,33 +49,25 @@ class MetricDomainError(ValueError):
     """Evaluation outside the metric's admissible domain."""
 
 
-def invariants_of(x, y):
-    """Rotation invariants (r, u, v) of a point-direction pair.
+def invariant_rows(x, y):
+    """Rotation invariants (r, u, v) of each row of the (N, n) arrays x and y,
+    as three length-N arrays (three scalars when x and y are n-vectors).
 
     v is clamped into [-ru, ru]: Cauchy-Schwarz holds exactly, and rounding
     must not push sqrt(r^2 u^2 - v^2) terms negative.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = float(np.linalg.norm(y))
-    if u == 0.0:
-        raise MetricDomainError("y must be nonzero")
-    r = float(np.linalg.norm(x))
-    v = float(np.dot(x, y))
-    bound = r * u
-    v = min(max(v, -bound), bound)
-    return r, u, v
-
-
-def invariant_rows(x, y):
-    """``invariants_of`` each row of the (N, n) arrays x and y, bit for bit, as
-    three length-N arrays (``vecdot`` is the dot product ``norm`` and ``dot`` take)."""
     u = np.sqrt(np.vecdot(y, y))
     if np.count_nonzero(u == 0.0):
         raise MetricDomainError("y must be nonzero")
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
     return r, u, np.minimum(np.maximum(np.vecdot(x, y), -bound), bound)
+
+
+def invariants_of(x, y) -> tuple[float, float, float]:
+    """``invariant_rows`` of one point-direction pair, as floats."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return tuple(float(w) for w in invariant_rows(x, y))
 
 
 @dataclass(frozen=True)
@@ -137,13 +130,6 @@ class SphericalMetric:
     expected_curvature: float | None = None
     params: dict = field(default_factory=dict)
 
-    @property
-    def ambient_batches(self) -> bool:
-        """Does ``ambient_jet`` take N points at once?  Every profile takes
-        N-point triples, but a family profile takes no jets in (x, y): its
-        ambient jet composes one point's profile jet (``compose_multivariate``)."""
-        return isinstance(self.profile, ClosedFormProfile)
-
     def phi_jet(self, r: float, u: float, v: float, order: int = 2) -> Jet:
         if u <= 0.0:
             raise MetricDomainError("u must be positive")
@@ -183,8 +169,10 @@ class SphericalMetric:
         return value
 
     def ambient_jet(self, x, y, order: int) -> Jet:
-        """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when
-        x and y are (n, N) arrays (``ambient_batches`` profiles only)."""
+        """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when x
+        and y are (n, N) arrays.  A family profile's jet at each point (one
+        ``phi_jets`` over all) is composed with that point's column of the
+        invariants' jets, so each column is the one-point jet bit for bit."""
         v = _ambient_variables(x, y, order)
         xs, ys = v[: len(v) // 2], v[len(v) // 2 :]
         rj = sqrt(sum(c * c for c in xs))
@@ -192,8 +180,13 @@ class SphericalMetric:
         vj = sum(a * b for a, b in zip(xs, ys))
         if isinstance(self.profile, ClosedFormProfile):
             return self.profile.fn(rj, uj, vj)
-        outer = self.phi_jet(rj.value, uj.value, vj.value, order)
-        return compose_multivariate(outer, [rj, uj, vj])
+        inner = [w.coeffs.reshape(len(w.coeffs), -1) for w in (rj, uj, vj)]  # (ncoeff, N)
+        outer = self.phi_jets(*(c[0] for c in inner), order)
+        columns = [
+            compose_multivariate(Jet(3, order, o), [Jet(len(v), order, c[:, j]) for c in inner]).coeffs
+            for j, o in enumerate(outer.T)
+        ]
+        return Jet(len(v), order, np.stack(columns, axis=1) if np.ndim(x) == 2 else columns[0])
 
 
 @dataclass
@@ -204,7 +197,6 @@ class GeneralMetric:
     n: int
     fn: object
     domain_radius: float = math.inf
-    ambient_batches = True  # fn takes ambient jets at N points
 
     @classmethod
     def from_expression(cls, source: str, n: int, name: str = "general", domain_radius: float = math.inf):
@@ -265,20 +257,6 @@ def worst_residual(values) -> tuple[float, int, int]:
     return worst, int(bad.argmax() if bad.any() else values.argmax()), int(bad.sum())
 
 
-def at_samples(evaluate, samples) -> list:
-    """[evaluate(s) for s in samples].  A ValueError raised at a sample (a jet,
-    metric, formula or quadrature domain error) carries that sample as its
-    ``sample`` attribute, so a check can report where evaluation failed."""
-    out = []
-    for s in samples:
-        try:
-            out.append(evaluate(s))
-        except ValueError as err:
-            err.sample = s
-            raise
-    return out
-
-
 def _chunks(count: int, size: int) -> list[slice]:
     return [slice(start, start + size) for start in range(0, count, size)]
 
@@ -287,31 +265,6 @@ def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
     """(ncoeff, count) coefficients of a jet at count points: a one-point jet
     (of a formula free of its variables) is the same column at every point."""
     return coeffs if coeffs.ndim == 2 else np.broadcast_to(coeffs[:, None], (len(coeffs), count))
-
-
-def _batched_columns(samples, one, batch, size: int | None = None) -> list[np.ndarray]:
-    """Jet coefficients of the samples as one (ncoeff, k) block per chunk of
-    ``size`` samples (one chunk when size is None); column i is ``one(samples[i])``.
-
-    ``batch(chunk)`` evaluates a slice of two or more samples at once.  A chunk
-    whose batch raises a ValueError is evaluated sample by sample through
-    ``at_samples``, so the error names the first failing sample, unless it has
-    that sample's ``index`` already.  Without ``batch`` each sample is evaluated once.
-    """
-    blocks = []
-    for chunk in _chunks(len(samples), size or len(samples)):
-        block = None
-        if batch is not None and len(samples[chunk]) > 1:
-            try:
-                block = batch(chunk)
-            except ValueError as err:
-                if getattr(err, "index", None) is not None:
-                    err.sample = samples[chunk][err.index]
-                    raise
-        if block is None:
-            block = np.array(at_samples(one, samples[chunk])).T
-        blocks.append(block)
-    return blocks
 
 
 # -- the profile bundle ----------------------------------------------------------
@@ -324,7 +277,7 @@ class ProfileBundle:
     Filled by one batched order-2 ``phi_jets`` call; every profile formula
     (here and in ``projective``) is an array expression over a bundle.  x and
     y are (N, n) arrays; a bundle built from the invariants alone
-    (``at_invariants``) has n = 0.
+    (``projective.flag_curvature``) has n = 0.
     """
 
     x: np.ndarray
@@ -344,32 +297,15 @@ class ProfileBundle:
     phi_vv: np.ndarray
 
     @classmethod
-    def of(cls, metric: SphericalMetric, samples) -> "ProfileBundle":
-        """The bundle of the samples, from one batched ``phi_jets`` call.  If it
-        raises, the samples are evaluated one by one, so the error names the
-        first failing sample."""
-        r, u, v = np.array([(s.r, s.u, s.v) for s in samples]).T
-        batch = lambda c: metric.phi_jets(r[c], u[c], v[c])
-        one = lambda s: metric.phi_jet(s.r, s.u, s.v, 2).coeffs
-        [coeffs] = _batched_columns(samples, one, batch)
-        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
-        return cls._of_jets(x, y, r, u, v, coeffs)
+    def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> "ProfileBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, from one batched ``phi_jets`` call."""
+        return cls._of_invariants(metric, x, y, *invariant_rows(x, y))
 
     @classmethod
-    def at_rows(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> "ProfileBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, built straight from them."""
-        r, u, v = invariant_rows(x, y)
-        return cls._of_jets(x, y, r, u, v, metric.phi_jets(r, u, v))
-
-    @classmethod
-    def _of_jets(cls, x, y, r, u, v, coeffs) -> "ProfileBundle":
+    def _of_invariants(cls, metric, x, y, r, u, v) -> "ProfileBundle":
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
-        partials = coeffs * derivative_factors(3, 2)[:, None]
+        partials = metric.phi_jets(r, u, v) * derivative_factors(3, 2)[:, None]
         return cls(x, y, r, u, v, *partials)
-
-    @classmethod
-    def at_invariants(cls, metric: SphericalMetric, r: float, u: float, v: float) -> "ProfileBundle":
-        return cls.of(metric, [MetricSample(np.zeros(0), np.zeros(0), r, u, v)])
 
     @property
     def F(self) -> np.ndarray:
@@ -494,11 +430,10 @@ class AmbientBundle:
     """F and E = F^2 with their partials in the 2n ambient variables, at N samples.
 
     One ``metric.ambient_jet`` on N-point variables per chunk of
-    ``AMBIENT_CHUNK`` samples (per sample for a family profile), the chunks
-    concatenated as the columns of one jet, so each column is that sample's
-    one-point jet bit for bit.  The only code that
-    knows the layout (x^1..x^n, y^1..y^n) and the block scalings g = E_yy / 2,
-    dg/dx = E_xyy / 2, C = E_yyy / 4.  Arrays have the sample axis first.
+    ``AMBIENT_CHUNK`` samples, the chunks concatenated as the columns of one
+    jet, so each column is that sample's one-point jet bit for bit.  The only
+    code that knows the layout (x^1..x^n, y^1..y^n) and the block scalings
+    g = E_yy / 2, dg/dx = E_xyy / 2, C = E_yyy / 4.  Arrays have the sample axis first.
     """
 
     x: np.ndarray
@@ -507,33 +442,22 @@ class AmbientBundle:
     e: Jet
 
     @classmethod
-    def of(cls, metric, samples, order: int = 3) -> "AmbientBundle":
-        """The bundle of the samples.  A chunk whose jet raises is evaluated
-        sample by sample, so the error names the first failing sample."""
-        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
-        batch = None
-        if metric.ambient_batches:
-            batch = lambda c: _ambient_block(metric, x[c], y[c], order)
-        one = lambda s: metric.ambient_jet(s.x, s.y, order).coeffs
-        return cls._of_blocks(x, y, order, _batched_columns(samples, one, batch, AMBIENT_CHUNK))
-
-    @classmethod
-    def at_rows(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, built straight
-        from them chunk by chunk (``ambient_batches`` metrics only)."""
-        blocks = [_ambient_block(metric, x[c], y[c], order) for c in _chunks(len(x), AMBIENT_CHUNK)]
-        return cls._of_blocks(x, y, order, blocks)
-
-    @classmethod
-    def _of_blocks(cls, x, y, order, blocks) -> "AmbientBundle":
+    def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.
+        An error's ``index`` counts rows of x."""
         nvars = 2 * x.shape[1]
-        # E chunk by chunk: one N-point product would hold all N samples' product terms at once
-        e = [(Jet(nvars, order, b) * Jet(nvars, order, b)).coeffs for b in blocks]
-        return cls(x, y, *(Jet(nvars, order, np.concatenate(c, axis=1)) for c in (blocks, e)))
-
-    @classmethod
-    def at(cls, metric, x, y, order: int = 3) -> "AmbientBundle":
-        return cls.of(metric, [MetricSample.of(x, y)], order)
+        f, e = [], []
+        for c in _chunks(len(x), AMBIENT_CHUNK):
+            try:
+                block = _columns(metric.ambient_jet(x[c].T, y[c].T, order).coeffs, len(x[c]))
+            except ValueError as err:
+                if getattr(err, "index", None) is not None:
+                    err.index += c.start
+                raise
+            f.append(block)
+            # E chunk by chunk: one N-point product would hold all N samples' product terms at once
+            e.append((Jet(nvars, order, block) * Jet(nvars, order, block)).coeffs)
+        return cls(x, y, *(Jet(nvars, order, np.concatenate(b, axis=1)) for b in (f, e)))
 
     @property
     def n(self) -> int:
@@ -579,26 +503,14 @@ class AmbientBundle:
         return np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
 
 
-def _ambient_block(metric, x, y, order) -> np.ndarray:
-    """(ncoeff, k) ambient jet coefficients at the rows of the (k, n) arrays x and y."""
-    return _columns(metric.ambient_jet(x.T, y.T, order).coeffs, len(x))
-
-
-def bundle_of(metric, samples):
-    """The derivative bundle of the samples: a ``ProfileBundle`` for a profile
-    metric, an order-2 ``AmbientBundle`` otherwise.  Either provides F,
-    ``first_derivatives()``, ``g()``, ``rapcsak_residuals()`` and ``spray_bracket()``."""
+def bundle_of(metric, x: np.ndarray, y: np.ndarray):
+    """The derivative bundle at the rows of the (N, n) arrays x and y: a
+    ``ProfileBundle`` for a profile metric, an order-2 ``AmbientBundle``
+    otherwise.  Either provides F, ``first_derivatives()``, ``g()``,
+    ``rapcsak_residuals()`` and ``spray_bracket()``."""
     if isinstance(metric, SphericalMetric):
-        return ProfileBundle.of(metric, samples)
-    return AmbientBundle.of(metric, samples, 2)
-
-
-def bundle_at(metric, x: np.ndarray, y: np.ndarray):
-    """``bundle_of`` the rows of the (N, n) arrays x and y, built straight from
-    the arrays, without samples."""
-    if isinstance(metric, SphericalMetric):
-        return ProfileBundle.at_rows(metric, x, y)
-    return AmbientBundle.at_rows(metric, x, y, 2)
+        return ProfileBundle.of(metric, x, y)
+    return AmbientBundle.of(metric, x, y, 2)
 
 
 # -- the fundamental tensor at a point, and residuals over samples ----------------
@@ -607,7 +519,7 @@ def bundle_at(metric, x: np.ndarray, y: np.ndarray):
 def fundamental_tensor(metric, x, y) -> np.ndarray:
     """g_ij = (1/2) d^2 F^2 / dy^i dy^j, read from ``bundle_of`` the point: the closed
     form (``ProfileBundle.g``) for a profile metric, the ambient jet of F^2 otherwise."""
-    return bundle_of(metric, [MetricSample.of(x, y)]).g()[0]
+    return bundle_of(metric, np.array([x], dtype=float), np.array([y], dtype=float)).g()[0]
 
 
 def positive_definite(g: np.ndarray) -> bool:
@@ -619,30 +531,18 @@ def positive_definite(g: np.ndarray) -> bool:
     return True
 
 
-def reversibility_residual(metric: SphericalMetric, r: float, u: float, v: float) -> float:
-    """|phi(r,u,-v) - phi(r,u,v)| / phi(r,u,v); zero iff F(x,-y) = F(x,y)."""
-    forward = metric.phi_value(r, u, v)
-    backward = metric.phi_value(r, u, -v)
-    return abs(backward - forward) / forward
-
-
-def reversibility_residuals(metric: SphericalMetric, samples) -> np.ndarray:
-    """``reversibility_residual`` at every sample, from one order-0 ``phi_jets`` over
-    each sample's (r, u, v) and (r, u, -v) in turn.  A batch that raises is rerun sample
-    by sample, so the error names the first failing sample (or triple index // 2)."""
-    r, u, v = np.array([(s.r, s.u, w) for s in samples for w in (s.v, -s.v)]).T
-
-    def batch(c):
-        try:
-            [phi] = metric.phi_jets(*(w[2 * c.start : 2 * c.stop] for w in (r, u, v)), 0)
-        except ValueError as err:
-            err.index = None if getattr(err, "index", None) is None else err.index // 2
-            raise
-        return (abs(phi[1::2] - phi[::2]) / phi[::2])[None]
-
-    one = lambda s: [reversibility_residual(metric, s.r, s.u, s.v)]
-    [residuals] = _batched_columns(samples, one, batch)
-    return residuals[0]
+def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|phi(r,u,-v) - phi(r,u,v)| / phi(r,u,v) at the rows of x and y, zero iff
+    F(x,-y) = F(x,y): one order-0 ``phi_jets`` over each row's (r, u, v) and
+    (r, u, -v) in turn.  An error's ``index`` counts rows."""
+    r, u, v = invariant_rows(x, y)
+    try:
+        [phi] = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.stack([v, -v], axis=1).ravel(), 0)
+    except ValueError as err:
+        if getattr(err, "index", None) is not None:
+            err.index //= 2
+        raise
+    return abs(phi[1::2] - phi[::2]) / phi[::2]
 
 
 def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import (
-    MetricSample,
     ProfileBundle,
     SphericalMetric,
     bundle_of,
@@ -125,12 +124,17 @@ def curvature_components_of(b: ProfileBundle, lam: float) -> np.ndarray:
 def rapcsak_residual(metric, x, y) -> np.ndarray:
     """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l} at one
     point-direction pair, an n-vector (``rapcsak_residuals`` of its bundle)."""
-    return bundle_of(metric, [MetricSample.of(x, y)]).rapcsak_residuals()[0]
+    x, y = np.array([x], dtype=float), np.array([y], dtype=float)
+    return bundle_of(metric, x, y).rapcsak_residuals()[0]
 
 
 def flag_curvature(metric: SphericalMetric, r: float, u: float, v: float) -> float:
-    """Pointwise flag curvature of a projective profile metric."""
-    return float(flag_curvature_of(ProfileBundle.at_invariants(metric, r, u, v))[0])
+    """Pointwise flag curvature of a projective profile metric, from the n = 0
+    bundle of the invariants alone."""
+    empty = np.zeros((1, 0))
+    invariants = (np.array([w], dtype=float) for w in (r, u, v))
+    b = ProfileBundle._of_invariants(metric, empty, empty, *invariants)
+    return float(flag_curvature_of(b)[0])
 
 
 @dataclass(frozen=True)
@@ -142,7 +146,7 @@ class CurvatureVerdict:
     max_deviation: float
     pde_residuals: tuple[float, float]
     projectivity_residual: float = 0.0
-    worst_sample: MetricSample | None = None
+    worst_index: int = 0  # the row of the bundle that decided the verdict
     non_finite: int = 0  # samples whose gate or lambda is not finite
     pde_values: np.ndarray | None = None  # per sample, the larger of the two PDE residuals
 
@@ -152,14 +156,12 @@ class CurvatureVerdict:
 
 
 def constant_curvature_verdict(
-    metric: SphericalMetric,
-    samples: list[MetricSample],
+    b: ProfileBundle,
     lambda_hypothesis: float | None = None,
     tolerance: float = 1e-6,
     projectivity_gate: float = 1e-6,
-    bundle: ProfileBundle | None = None,
 ) -> CurvatureVerdict:
-    """Estimate lambda over the samples and judge whether it is constant.
+    """Estimate lambda over the rows of the bundle and judge whether it is constant.
 
     The estimate is the median of the finite pointwise values (robust to a
     few near-singular samples; None if there are none); the deviation is the
@@ -169,12 +171,11 @@ def constant_curvature_verdict(
     formulas presume a projective metric.  Every reduction goes through
     ``worst_residual``: a non-finite gate or lambda fails the verdict.
     """
-    b = bundle if bundle is not None else ProfileBundle.of(metric, samples)
     gate = b.rapcsak_residuals().max(axis=1)
     gate_worst, gate_at, _ = worst_residual(gate)
     if gate_worst > projectivity_gate:
         return CurvatureVerdict(
-            "not_projective", None, math.inf, (math.inf, math.inf), gate_worst, samples[gate_at]
+            "not_projective", None, math.inf, (math.inf, math.inf), gate_worst, gate_at
         )
     values = flag_curvature_of(b)
     finite = values[np.isfinite(values)]
@@ -193,7 +194,7 @@ def constant_curvature_verdict(
         max_deviation=deviation,
         pde_residuals=(worst_residual(c_u)[0], worst_residual(c_v)[0]),
         projectivity_residual=gate_worst,
-        worst_sample=samples[worst_idx],
+        worst_index=worst_idx,
         non_finite=non_finite,
         pde_values=np.maximum(c_u, c_v),
     )

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricSample
+from .metrics import MetricSample, invariant_rows
 
 _MASK = (1 << 64) - 1
 
@@ -99,16 +99,17 @@ def _unit_vector(rng: SplitMix64, n: int) -> np.ndarray:
 
 
 def sample_domain(spec: SampleSpec) -> list[MetricSample]:
-    """The sample list determined by the spec (identical for equal specs)."""
+    """The sample list determined by the spec (identical for equal specs), with
+    the invariants of all samples from one ``invariant_rows``."""
     spec.validate()
     rng = SplitMix64(spec.seed)
     r_lo, r_hi = spec.r_range
     u_lo, u_hi = spec.u_range
-    out = []
+    xs, ys = [], []
     for _ in range(spec.count):
         radius = r_lo + (r_hi - r_lo) * rng.uniform()
-        x = radius * _unit_vector(rng, spec.n)
+        xs.append(radius * _unit_vector(rng, spec.n))
         speed = u_lo + (u_hi - u_lo) * rng.uniform()
-        y = speed * _unit_vector(rng, spec.n)
-        out.append(MetricSample.of(x, y))
-    return out
+        ys.append(speed * _unit_vector(rng, spec.n))
+    invariants = zip(*(w.tolist() for w in invariant_rows(np.array(xs), np.array(ys))))
+    return [MetricSample(x, y, *rv) for x, y, rv in zip(xs, ys, invariants)]

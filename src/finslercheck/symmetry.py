@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import (
-    AmbientBundle,
-    MetricSample,
-    bundle_of,
-    quotient,
-    relative_residual,
-    worst_residual,
-)
+from .metrics import AmbientBundle, quotient, relative_residual, worst_residual
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,8 @@ def killing_tensor_max_residual(metric, x, y, fields=None) -> float:
     """Max tensor residual over rotation fields, one ambient jet per point."""
     if fields is None:
         fields = rotation_fields(len(np.asarray(x)))
-    return float(symmetry_tensor_of(AmbientBundle.at(metric, x, y), fields)[0])
+    b = AmbientBundle.of(metric, np.array([x], dtype=float), np.array([y], dtype=float))
+    return float(symmetry_tensor_of(b, fields)[0])
 
 
 def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
@@ -124,7 +118,7 @@ class SymmetryReport:
     max_residual: float
     passed: bool
     worst_field: tuple[int, int]
-    worst_sample: MetricSample
+    worst_index: int  # the row of the bundle with the worst residual
     fields_tested: int
     non_finite: int = 0
 
@@ -140,19 +134,13 @@ class SymmetryReport:
         )
 
 
-def symmetry_verdict(
-    metric,
-    samples: list[MetricSample],
-    tolerance: float = 1e-9,
-    bundle=None,
-) -> SymmetryReport:
-    """Scalar Killing residual maximized over every sample and generator.
+def symmetry_verdict(b, tolerance: float = 1e-9) -> SymmetryReport:
+    """Scalar Killing residual maximized over every row of the derivative
+    bundle b (x, y, F_x and F_y) and every generator.
 
-    The worst (sample, field) pair is the first maximum in sample-major
-    order; any non-finite residual fails the verdict.  x, y, F_x and F_y are
-    read from ``bundle`` (a derivative bundle of the samples) or ``bundle_of`` them.
+    The worst (row, field) pair is the first maximum in row-major order; any
+    non-finite residual fails the verdict.
     """
-    b = bundle if bundle is not None else bundle_of(metric, samples)
     fields = rotation_fields(b.x.shape[1])
     _, fx, fy = b.first_derivatives()
     resid = np.stack([_scalar_residuals(fx, fy, f, b.x, b.y) for f in fields], axis=1)
@@ -162,7 +150,7 @@ def symmetry_verdict(
         max_residual=worst,
         passed=non_finite == 0 and worst <= tolerance,
         worst_field=(fields[field].i, fields[field].j),
-        worst_sample=samples[at],
+        worst_index=at,
         fields_tested=len(fields),
         non_finite=non_finite,
     )

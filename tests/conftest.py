@@ -40,6 +40,20 @@ def samples_for(metric, n=2, count=60, seed=7):
     return _SAMPLE_CACHE[key]
 
 
+def rows_of(samples):
+    """The samples' points and directions stacked as the two (N, n) arrays a bundle takes."""
+    return np.array([s.x for s in samples]), np.array([s.y for s in samples])
+
+
+def invariants_bundle(metric, r, u, v):
+    """The one-row profile bundle at the invariants (r, u, v) alone (n = 0), built
+    as ``projective.flag_curvature`` builds it."""
+    from finslercheck.metrics import ProfileBundle
+
+    empty, invariants = np.zeros((1, 0)), (np.array([w], dtype=float) for w in (r, u, v))
+    return ProfileBundle._of_invariants(metric, empty, empty, *invariants)
+
+
 def child_env(**extra):
     """Environment for a child interpreter that must import this same finslercheck.
 

@@ -10,6 +10,7 @@ import random
 
 import numpy as np
 
+from conftest import rows_of
 from finslercheck import expr as expr_mod
 from finslercheck.cli import run_config
 from finslercheck.checks import Run, run_check
@@ -26,10 +27,10 @@ from finslercheck.metrics import (
     AmbientBundle,
     ClosedFormProfile,
     GeneralMetric,
-    MetricSample,
     ProfileBundle,
     SphericalMetric,
     builtin,
+    bundle_of,
     relative_residual,
 )
 from finslercheck.projective import (
@@ -96,9 +97,8 @@ def report(line):
 def test_criterion_01_curvature_constants():
     for name, params, want in CONSTANT_CURVATURES:
         metric = metric_of(name, params)
-        verdict = constant_curvature_verdict(
-            metric, samples_of(metric), lambda_hypothesis=want, tolerance=1e-6
-        )
+        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
+        verdict = constant_curvature_verdict(b, lambda_hypothesis=want, tolerance=1e-6)
         label = f"{name}({params})" if params else name
         assert verdict.status == "constant", label
         assert abs(verdict.lambda_estimate - want) <= 1e-6, label
@@ -109,7 +109,7 @@ def test_criterion_01_curvature_constants():
 def test_criterion_02_curvature_pde_discrimination():
     for name, want in CLASSIC_FIVE:
         metric = metric_of(name)
-        b = ProfileBundle.of(metric, samples_of(metric))
+        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
         worst_right = np.max(curvature_pde_of(b, want))
         worst_wrong = np.max(curvature_pde_of(b, want + 0.5))
         assert worst_right <= 1e-8, name
@@ -120,11 +120,11 @@ def test_criterion_02_curvature_pde_discrimination():
 def test_criterion_03_projectivity():
     for name in ALL_BUILTINS:
         metric = metric_of(name)
-        b = ProfileBundle.of(metric, samples_of(metric))
+        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
         assert b.rapcsak_residuals().max() <= 1e-8, name
         assert np.max(projective_pde_of(b)) <= 1e-8, name
     metric = curved_control()
-    control = ProfileBundle.of(metric, samples_of(metric))
+    control = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
     worst = max(control.rapcsak_residuals().max(), np.max(projective_pde_of(control)))
     assert worst > 1e-2
     report("criterion 3 PASS: builtins projective, control metric rejected")
@@ -136,13 +136,15 @@ def test_criterion_04_spherical_symmetry():
         assert len(fields) == n * (n - 1) // 2
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            verdict = symmetry_verdict(metric, samples_of(metric, n=n), tolerance=1e-9)
+            x, y = rows_of(samples_of(metric, n=n))
+            verdict = symmetry_verdict(bundle_of(metric, x, y), tolerance=1e-9)
             assert verdict.passed, (name, n, verdict.max_residual)
-            b = AmbientBundle.of(metric, samples_of(metric, n=n))
+            b = AmbientBundle.of(metric, x, y)
             assert symmetry_tensor_of(b, fields).max() <= 1e-8, (name, n)
     aniso = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2, name="anisotropic")
     # in two dimensions the only field is the (0, 1) rotation
-    resid = symmetry_verdict(aniso, [MetricSample.of([0.3, 0.2], [1.0, 1.0])]).max_residual
+    b = bundle_of(aniso, np.array([[0.3, 0.2]]), np.array([[1.0, 1.0]]))
+    resid = symmetry_verdict(b).max_residual
     assert resid > 0.1
     # unnormalized value at the documented point is 1/sqrt(3)
     raw = resid * math.sqrt(3.0)  # scale there is |2/sqrt3| + |1/sqrt3| = sqrt(3)
@@ -154,7 +156,7 @@ def test_criterion_05_determinant_closed_form():
     for n in (2, 3, 4):
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            b = ProfileBundle.of(metric, samples_of(metric, n=n))
+            b = ProfileBundle.of(metric, *rows_of(samples_of(metric, n=n)))
             residuals = relative_residual(b.det_g(), -np.linalg.det(b.g()))
             assert residuals.max() <= 1e-8, (name, n)
     report("criterion 5 PASS: closed-form determinant matches direct determinants")
@@ -287,8 +289,8 @@ def test_criterion_08_ad_integrity():
         for name in ALL_BUILTINS:
             metric = metric_of(name)
             samples = samples_of(metric, n=n, count=100)
-            closed = ProfileBundle.of(metric, samples).g()
-            ad = AmbientBundle.of(metric, samples, 2).g()
+            closed = ProfileBundle.of(metric, *rows_of(samples)).g()
+            ad = AmbientBundle.of(metric, *rows_of(samples), 2).g()
             worst = (np.abs(closed - ad).max(axis=(1, 2)) / np.abs(closed).max(axis=(1, 2))).max()
             assert worst <= 1e-9, (name, n)
     report("criterion 8 PASS: jets match finite differences; closed-form g matches AD")

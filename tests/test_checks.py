@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import rows_of
 from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.metrics import (
@@ -16,6 +17,7 @@ from finslercheck.metrics import (
     MetricSample,
     SphericalMetric,
     builtin,
+    bundle_of,
     worst_residual,
 )
 from finslercheck.report import Report, to_json
@@ -53,9 +55,9 @@ def _overflowing_metric():
 def test_nan_residuals_fail_every_reduction():
     metric = _overflowing_metric()
     samples = sample_domain(SampleSpec.for_metric(n=2, count=6, seed=3))
-    verdict = symmetry_verdict(metric, samples)
+    verdict = symmetry_verdict(bundle_of(metric, *rows_of(samples)))
     assert not verdict.passed and verdict.non_finite == len(samples)
-    assert verdict.worst_sample is samples[0]
+    assert verdict.worst_index == 0
     report = Report(metric=metric.name, dimension=2, seed=3, count=len(samples))
     for check in ("symmetry", "symmetry_tensor", "cartan"):
         [record] = run_check(check, Run(metric, samples), {})
@@ -222,10 +224,24 @@ def test_smoothness_probe_failure_names_its_sample():
     assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
 
 
+def test_conjecture_probe_names_its_failing_pair():
+    # phi has a value where r u > 0.1, so at both samples, but not at the Riemannian
+    # probe's pair (x of sample 0, y of sample 1): the record names that pair
+    profile = ExpressionProfile("sqrt(u^2*(1-r^2)+v^2)/(1-r^2) + 0*sqrt(r*u - 0.1)")
+    metric = SphericalMetric("klein_cut", profile, 1.0, -1.0)
+    samples = [MetricSample.of([0.1, 0.0], [0.3, 1.9]), MetricSample.of([0.0, 0.9], [0.25, 0.05])]
+    run = Run(metric, samples)
+    assert all(record.passed for record in run_check("curvature", run, {}))
+    [record] = run_check("conjecture", run, {})
+    assert not record.passed
+    assert record.worst_x == [0.1, 0.0] and record.worst_y == [0.25, 0.05]
+    assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
+
+
 def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     # the first bad sample of log(x1+1) is at index 2: the order-2 bundle that
-    # symmetry and rapcsak share fails once (its 20-sample chunk, then samples
-    # 0..2 one by one to name it), not once per check
+    # symmetry and rapcsak share fails once (its 20-sample chunk, then one-row
+    # bundles of samples 0..2 to name it), not once per check
     calls = []
     original = GeneralMetric.ambient_jet
 
@@ -242,7 +258,7 @@ def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 1
-    assert calls == [(20,), (), (), ()]
+    assert calls == [(20,), (1,), (1,), (1,)]
     first, second = report.records
     assert first.detail["evaluation_error"] == second.detail["evaluation_error"]
 

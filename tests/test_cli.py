@@ -179,6 +179,28 @@ class TestRunConfig:
         out = capsys.readouterr()
         assert out.out == "" and "tolerance 'curvature'" in out.err
 
+    @pytest.mark.parametrize(
+        "overrides,key",
+        [
+            ({"tolerances": None}, "'tolerances'"),
+            ({"tolerances": []}, "'tolerances'"),
+            ({"sampling": None}, "'sampling'"),
+            ({"tolerances": {"symmetry": True}}, "'tolerances.symmetry'"),
+            ({"tolerances": {"symmetry": "1e-9"}}, "'tolerances.symmetry'"),
+            ({"dimension": 2.5}, "'dimension'"),
+            ({"dimension": "3"}, "'dimension'"),
+            ({"sampling": {"count": True}}, "'sampling.count'"),
+            ({"sampling": {"count": 10, "seed": 1.5}}, "'sampling.seed'"),
+            ({"checks": "symmetry"}, "'checks'"),
+        ],
+    )
+    def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):
+        # each once crashed (exit 1), ran with a coerced value, or read a string as a list
+        path = write_config(tmp_path, funk_config(**overrides))
+        assert run_config(path) == (None, 2)
+        assert key in capsys.readouterr().err
+        assert main(["verify", path, "--json"]) == 2
+
     def test_sampling_ranges_from_config(self, tmp_path):
         cfg = funk_config(
             sampling={"count": 25, "seed": 7, "r_range": [0.4, 0.6], "u_range": [0.5, 1.5]}

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import samples_for
+from conftest import rows_of, samples_for
 from finslercheck.family import (
     FamilyError,
     ProjectiveFamilySpec,
@@ -132,17 +132,19 @@ class TestBuiltMetrics:
     def test_tangential_pde_exact(self):
         # phi_uv u + phi_ru v/(ru) cancels in exact arithmetic for any family metric
         metric = build_projective_metric(FUNK_SPEC)
-        _, rho2 = projective_pde_of(ProfileBundle.of(metric, samples_for(metric, n=2, count=15)))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
+        _, rho2 = projective_pde_of(b)
         assert rho2.max() <= 1e-12
 
     def test_radial_pde_within_quadrature_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        rho1, _ = projective_pde_of(ProfileBundle.of(metric, samples_for(metric, n=2, count=15)))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
+        rho1, _ = projective_pde_of(b)
         assert rho1.max() <= 1e-8
 
     def test_euler_relations_within_10x_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=15))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
         assert b.homogeneity_residual().max() <= 10.0 * FUNK_SPEC.abs_tol * 1e3
 
     def test_f_only_funk_integrand_has_constant_curvature(self):
@@ -151,7 +153,8 @@ class TestBuiltMetrics:
         from finslercheck.projective import constant_curvature_verdict
 
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
-        verdict = constant_curvature_verdict(metric, samples_for(metric, n=2, count=25))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=25)))
+        verdict = constant_curvature_verdict(b)
         assert verdict.status == "constant"
         assert abs(verdict.lambda_estimate + 0.25) <= 1e-7
 
@@ -192,7 +195,7 @@ class TestBuiltMetrics:
     def test_generic_f_projective_but_not_constant(self):
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/(1+t)"))
         samples = samples_for(metric, n=2, count=25)
-        verdict = constant_curvature_verdict(metric, samples)
+        verdict = constant_curvature_verdict(ProfileBundle.of(metric, *rows_of(samples)))
         assert verdict.status == "non_constant"
         assert verdict.max_deviation > 1e-3
         assert verdict.projectivity_residual <= 1e-6
@@ -294,7 +297,8 @@ class TestBatchedQuadrature:
         # max_depth = 2 is too shallow for samples 1 and 5; sample 2 lies outside
         from finslercheck import family
         from finslercheck.family import FamilyProfile, _CompiledFamily
-        from finslercheck.metrics import MetricSample, ProfileBundle, SphericalMetric
+        from finslercheck.checks import Run
+        from finslercheck.metrics import MetricSample, SphericalMetric
 
         spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
         metric = SphericalMetric("shallow", FamilyProfile(_CompiledFamily(spec)), 1.0)
@@ -310,7 +314,7 @@ class TestBatchedQuadrature:
         monkeypatch.setattr(family, "_integrand_coeffs", counting)
         message = "profile integral did not converge on [0, 0.279508] after 2 bisection levels"
         with pytest.raises(QuadratureError) as err:
-            ProfileBundle.of(metric, samples)
+            Run(metric, samples).profile
         assert str(err.value) == message
         assert err.value.sample is samples[1]
         # the in-domain samples as one batch: depth first, never a whole tree level

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_metric, samples_for
+from conftest import make_metric, rows_of, samples_for
 from finslercheck.expr import EvalDomainError
 from finslercheck.family import FamilyError
 from finslercheck.geodesics import (
@@ -35,7 +35,7 @@ def curved_control():
 
 def p_of_samples(metric, samples):
     """P = F_{x^k} y^k / (2F) at each sample, from one bundle of the samples."""
-    f, fx, _ = bundle_of(metric, samples).first_derivatives()
+    f, fx, _ = bundle_of(metric, *rows_of(samples)).first_derivatives()
     return np.vecdot(fx, np.array([s.y for s in samples])) / (2.0 * f)
 
 
@@ -261,7 +261,7 @@ def one_path_rk4(metric, x0, y0, horizon, steps):
     Returns the path and why it stopped (None when it ran all steps)."""
 
     def spray(xc, yc):
-        b = bundle_of(metric, [MetricSample.of(xc, yc)])
+        b = bundle_of(metric, *rows_of([MetricSample.of(xc, yc)]))
         chol = np.linalg.cholesky(b.g()[0])
         return 0.25 * np.linalg.solve(chol.T, np.linalg.solve(chol, b.spray_bracket()[0]))
 

@@ -300,7 +300,7 @@ def _series_ops(x, y):
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
-def test_batched_columns_equal_scalar_jets(order):
+def test_batched_jet_columns_equal_scalar_jets(order):
     xb, yb = _variables(BATCH_POINTS, order)
     batched_exact, batched_series = _exact_ops(xb, yb), _series_ops(xb, yb)
     for k, (x0, y0) in enumerate(BATCH_POINTS):

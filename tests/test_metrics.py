@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_metric, samples_for
+from conftest import invariants_bundle, make_metric, rows_of, samples_for
+from finslercheck.checks import Run
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 from finslercheck.metrics import (
     AmbientBundle,
@@ -23,7 +24,6 @@ from finslercheck.metrics import (
     positive_definite,
     quotient,
     relative_residual,
-    reversibility_residual,
     reversibility_residuals,
     riemannian_probe_of,
 )
@@ -53,15 +53,21 @@ class TestInvariants:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_rows_match_invariants_of_bit_for_bit(self, n):
+        # the reference is the scalar formula: norm, dot, then the clamp through min and max
         rng = np.random.default_rng(n)
-        x = rng.uniform(-2.0, 2.0, (2000, n)) * rng.uniform(0.0, 1.0, (2000, 1)) ** 3
-        y = rng.uniform(-2.0, 2.0, (2000, n))
+        x = rng.uniform(-2.0, 2.0, (3000, n)) * rng.uniform(0.0, 1.0, (3000, 1)) ** 3
+        y = rng.uniform(-2.0, 2.0, (3000, n))
         x[:50] = 0.3 * y[:50]  # colinear pairs, where the clamp acts
-        x[50] = 0.0
-        rows = invariant_rows(x, y)
-        want = np.array([invariants_of(a, b) for a, b in zip(x, y)]).T
-        for got, expected in zip(rows, want):
+        x[50:100] = -0.7 * y[50:100]
+        x[100], x[101] = 0.0, -0.0
+        want = []
+        for a, b in zip(x, y):
+            r, u = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+            want.append((r, u, min(max(float(np.dot(a, b)), -r * u), r * u)))
+        for got, expected in zip(invariant_rows(x, y), np.array(want).T):
             assert got.tobytes() == expected.tobytes()
+        for a, b, expected in zip(x[:110], y[:110], want):
+            assert np.array(invariants_of(a, b)).tobytes() == np.array(expected).tobytes()
 
     def test_rows_zero_direction_rejected(self):
         with pytest.raises(MetricDomainError):
@@ -119,7 +125,7 @@ def family_bundle_cases():
     one-sample bundle per sample."""
     metric = AMBIENT_CASES["family"][0]()
     samples = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))[:60]
-    return metric, samples, [ProfileBundle.of(metric, [s]) for s in samples]
+    return metric, samples, [ProfileBundle.of(metric, *rows_of([s])) for s in samples]
 
 
 class TestBatchedProfileBundle:
@@ -128,14 +134,12 @@ class TestBatchedProfileBundle:
     def test_columns_equal_per_sample_bundles(self, name, n):
         metric = make_metric(name)
         samples = samples_for(metric, n=n, count=40)
-        batched = ProfileBundle.of(metric, samples)
-        rows = ProfileBundle.at_rows(metric, batched.x, batched.y)
+        batched = ProfileBundle.of(metric, *rows_of(samples))
         for i, s in enumerate(samples):
-            single = ProfileBundle.of(metric, [s])
+            single = ProfileBundle.of(metric, *rows_of([s]))
             for field in ("r", "u", "v") + _PARTIALS:
                 want = getattr(single, field).tobytes()
                 assert getattr(batched, field)[i : i + 1].tobytes() == want, (field, i)
-                assert getattr(rows, field)[i : i + 1].tobytes() == want, (field, i)
 
     def test_one_profile_call_for_all_samples(self):
         calls = []
@@ -146,7 +150,7 @@ class TestBatchedProfileBundle:
             return funk.profile.fn(r, u, v)
 
         counted = SphericalMetric("funk", ClosedFormProfile(phi), 1.0)
-        ProfileBundle.of(counted, samples_for(funk, n=2, count=30))
+        ProfileBundle.of(counted, *rows_of(samples_for(funk, n=2, count=30)))
         assert calls == [(10, 30)]
 
     def test_failed_batch_names_first_failing_sample(self):
@@ -158,7 +162,7 @@ class TestBatchedProfileBundle:
         samples = sample_domain(SampleSpec.for_metric(n=2, count=30, seed=7))
         first = next(s for s in samples if s.r >= 1.5)
         with pytest.raises(EvalDomainError) as err:
-            ProfileBundle.of(metric, samples)
+            Run(metric, samples).profile
         assert err.value.sample is first
 
     def test_failed_family_bundle_evaluates_each_sample_once(self, monkeypatch):
@@ -178,7 +182,7 @@ class TestBatchedProfileBundle:
         xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
         samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
         with pytest.raises(MetricDomainError) as err:
-            ProfileBundle.of(metric, samples)
+            Run(metric, samples).profile
         assert err.value.sample is samples[2]
         assert calls == [s.r for s in samples[:2]]
 
@@ -186,7 +190,7 @@ class TestBatchedProfileBundle:
     def test_family_columns_equal_per_sample_bundles(self, count, family_bundle_cases):
         # the lockstep quadrature over all samples against one bundle per sample
         metric, samples, singles = family_bundle_cases
-        batched = ProfileBundle.of(metric, samples[:count])
+        batched = ProfileBundle.of(metric, *rows_of(samples[:count]))
         for field in ("r", "u", "v") + _PARTIALS:
             want = b"".join(getattr(single, field).tobytes() for single in singles[:count])
             assert getattr(batched, field).tobytes() == want, field
@@ -194,8 +198,12 @@ class TestBatchedProfileBundle:
     def test_reversibility_residuals_equal_per_sample_residuals(self):
         for metric in (builtin("funk"), builtin("klein"), AMBIENT_CASES["family"][0]()):
             samples = samples_for(metric, n=2, count=8)
-            want = [reversibility_residual(metric, s.r, s.u, s.v) for s in samples]
-            assert reversibility_residuals(metric, samples).tobytes() == np.array(want).tobytes()
+            want = []
+            for s in samples:
+                forward = metric.phi_value(s.r, s.u, s.v)
+                want.append(abs(metric.phi_value(s.r, s.u, -s.v) - forward) / forward)
+            got = reversibility_residuals(metric, *rows_of(samples))
+            assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("evaluate", ["bundle", "reversibility"])
     def test_failed_quadrature_names_its_sample_without_a_rerun(self, evaluate, monkeypatch):
@@ -208,8 +216,8 @@ class TestBatchedProfileBundle:
         xs = [[0.1, 0.2], [0.3, -0.1], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
         samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
         build = {
-            "bundle": lambda s: ProfileBundle.of(metric, s),
-            "reversibility": lambda s: reversibility_residuals(metric, s),
+            "bundle": lambda s: Run(metric, s).profile,
+            "reversibility": lambda s: Run(metric, s).reversibility,
         }[evaluate]
         with pytest.raises(QuadratureError) as alone:
             for s in samples:
@@ -268,7 +276,7 @@ class TestSprayBracket:
         else:
             metric = make_metric(name)
         samples = samples_for(metric, n=n, count=30)
-        x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+        x, y = rows_of(samples)
         axes = np.eye(n)
         unit = y / np.linalg.norm(y, axis=1)[:, None]
         x = np.concatenate([
@@ -276,7 +284,7 @@ class TestSprayBracket:
             np.where(axes == 1.0, 0.5, -0.0),
         ])
         y = np.concatenate([y, axes, -axes[:1], y[:2], y[:4], y[4:8], 1.5 * axes, -axes])
-        b = ProfileBundle.at_rows(metric, x, y)
+        b = ProfileBundle.of(metric, x, y)
         got = b.spray_bracket()
         assert got.shape == x.shape
         assert got.tobytes() == five_term_bracket(b).tobytes()
@@ -284,12 +292,12 @@ class TestSprayBracket:
 
 def ad_tensors(metric, samples):
     """g at the samples from the ambient jet of F^2, the cross-check route for profiles."""
-    return AmbientBundle.of(metric, samples, 2).g()
+    return AmbientBundle.of(metric, *rows_of(samples), 2).g()
 
 
 def convexity(metric, samples):
     """(profile lemma holds, g factorizes) per sample; the lemma implies the factorization."""
-    b = ProfileBundle.of(metric, samples)
+    b = ProfileBundle.of(metric, *rows_of(samples))
     return [(bool(ok), positive_definite(g)) for ok, g in zip(b.convexity_lemma(), b.g())]
 
 
@@ -332,19 +340,19 @@ class TestFundamentalTensor:
 
 class TestDeterminant:
     def test_euclidean_is_one(self):
-        b = ProfileBundle.of(builtin("euclidean"), [MetricSample.of([0.4, 0.1], [1.0, 0.7])])
+        b = ProfileBundle.of(builtin("euclidean"), *rows_of([MetricSample.of([0.4, 0.1], [1.0, 0.7])]))
         assert b.det_g()[0] == 1.0
 
     def test_funk_matches_direct_2x2(self):
         metric = builtin("funk")
-        closed = ProfileBundle.of(metric, [MetricSample.of([0.5, 0.0], [1.0, 0.0])]).det_g()[0]
+        closed = ProfileBundle.of(metric, *rows_of([MetricSample.of([0.5, 0.0], [1.0, 0.0])])).det_g()[0]
         direct = np.linalg.det(fundamental_tensor(metric, [0.5, 0.0], [1.0, 0.0]))
         assert relative_residual(closed, -direct) < 1e-12
 
     def test_bryant_matches_direct_3d(self):
         metric = make_metric("bryant")
         s = samples_for(metric, n=3, count=5)[3]
-        closed = ProfileBundle.of(metric, [s]).det_g()[0]
+        closed = ProfileBundle.of(metric, *rows_of([s])).det_g()[0]
         direct = np.linalg.det(fundamental_tensor(metric, s.x, s.y))
         assert relative_residual(closed, -direct) < 1e-8
 
@@ -407,21 +415,21 @@ class TestHomogeneity:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_homogeneous(self, name):
         metric = make_metric(name)
-        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=30))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=30)))
         assert b.homogeneity_residual().max() <= 1e-10
 
     def test_quadratic_profile_fails(self):
         bad = SphericalMetric("usq", ClosedFormProfile(lambda r, u, v: u * u))
-        assert ProfileBundle.at_invariants(bad, 0.5, 2.0, 0.3).homogeneity_residual()[0] >= 1.0
+        assert invariants_bundle(bad, 0.5, 2.0, 0.3).homogeneity_residual()[0] >= 1.0
 
     def test_euclidean_exactly_zero(self):
-        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 2.0, 0.3)
+        b = invariants_bundle(builtin("euclidean"), 0.5, 2.0, 0.3)
         assert b.homogeneity_residual()[0] == 0.0
 
     def test_near_orthogonal_sample_stays_clean(self):
         # v ~ 1e-3 once produced a noise ratio ~1e-9 before the identity
         # scales included the generating first-order magnitudes
-        b = ProfileBundle.at_invariants(builtin("funk"), 0.11371, 1.9815, 0.00073)
+        b = invariants_bundle(builtin("funk"), 0.11371, 1.9815, 0.00073)
         assert b.homogeneity_residual()[0] <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
@@ -444,17 +452,23 @@ class TestHomogeneity:
             assert abs(f2 - lam * f1) / (lam * f1) <= 1e-12
 
 
+def reversibility_at(metric, x, y):
+    """``reversibility_residuals`` of the one row (x, y)."""
+    return reversibility_residuals(metric, np.array([x], dtype=float), np.array([y], dtype=float))[0]
+
+
 class TestReversibility:
     def test_klein_even(self):
-        assert reversibility_residual(builtin("klein"), 0.5, 1.0, 0.3) <= 1e-12
+        # (r, u, v) = (0.5, 1, 0.3)
+        assert reversibility_at(builtin("klein"), [0.5, 0.0], [0.6, 0.8]) <= 1e-12
 
     def test_funk_hand_value(self):
         # phi(0.5,1,0.5) = 2, phi(0.5,1,-0.5) = (1 - 0.5)/0.75 = 2/3
-        got = reversibility_residual(builtin("funk"), 0.5, 1.0, 0.5)
+        got = reversibility_at(builtin("funk"), [0.5, 0.0], [1.0, 0.0])
         assert abs(got - 2.0 / 3.0) < 1e-14
 
     def test_euclidean_zero(self):
-        assert reversibility_residual(builtin("euclidean"), 0.5, 1.0, 0.3) == 0.0
+        assert reversibility_at(builtin("euclidean"), [0.5, 0.0], [0.6, 0.8]) == 0.0
 
 
 class TestRiemannianProbe:
@@ -464,7 +478,7 @@ class TestRiemannianProbe:
     def _probe(self, metric):
         """(g deviation, Cartan maximum) at x = (0.5, 0.1) over the four directions."""
         ys = self._directions()
-        b = AmbientBundle.of(metric, [MetricSample.of([0.5, 0.1], y) for y in ys])
+        b = AmbientBundle.of(metric, *rows_of([MetricSample.of([0.5, 0.1], y) for y in ys]))
         return tuple(float(a[0]) for a in riemannian_probe_of(b, len(ys)))
 
     def test_klein_riemannian(self):
@@ -529,7 +543,7 @@ class TestExpressionProfile:
             a = klein_expr.phi_jet(s.r, s.u, s.v, 3)
             b = klein.phi_jet(s.r, s.u, s.v, 3)
             assert np.abs(a.coeffs - b.coeffs).max() <= 1e-11
-        b = ProfileBundle.at_invariants(klein_expr, 0.5, 1.2, -0.3)
+        b = invariants_bundle(klein_expr, 0.5, 1.2, -0.3)
         assert b.homogeneity_residual()[0] <= 1e-12
 
     def test_expression_profile_rejects_unknown_variable(self):
@@ -546,7 +560,7 @@ class TestAmbientRoute:
         # profile chain rule vs direct 2n-variable differentiation
         metric = make_metric(name)
         for s in samples_for(metric, n=2, count=10):
-            f, fx, fy = (a[0] for a in bundle_of(metric, [MetricSample.of(s.x, s.y)]).first_derivatives())
+            f, fx, fy = (a[0] for a in bundle_of(metric, *rows_of([s])).first_derivatives())
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             assert abs(f - amb.value) < 1e-12
@@ -590,9 +604,9 @@ class TestAmbientBundle:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=4, seed=7, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        stacked = _bundle_parts(AmbientBundle.of(metric, samples))
+        stacked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples)))
         for k, s in enumerate(samples):
-            one = _bundle_parts(AmbientBundle.of(metric, [s]))
+            one = _bundle_parts(AmbientBundle.of(metric, *rows_of([s])))
             for got, want in zip(stacked, one):
                 assert got[k].tobytes() == want[0].tobytes(), (case, k)
 
@@ -601,7 +615,7 @@ class TestAmbientBundle:
         metric = make_metric("bryant")
         s = samples_for(metric, n=3, count=1)[0]
         e = metric.ambient_jet(s.x, s.y, 3) * metric.ambient_jet(s.x, s.y, 3)
-        b = AmbientBundle.at(metric, s.x, s.y)
+        b = AmbientBundle.of(metric, *rows_of([s]))
         assert np.array_equal(b.g()[0], e.hessian()[3:, 3:] / 2.0)
         assert np.array_equal(b.dg_dx()[0], e.third_tensor()[:3, 3:, 3:] / 2.0)
         assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
@@ -636,9 +650,9 @@ class TestChunkedAmbientBundle:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=51, seed=11, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        ones = [_bundle_parts(AmbientBundle.of(metric, [s])) for s in samples]
+        ones = [_bundle_parts(AmbientBundle.of(metric, *rows_of([s]))) for s in samples]
         for count in (1, 24, 25, 26, 51):
-            chunked = _bundle_parts(AmbientBundle.of(metric, samples[:count]))
+            chunked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples[:count])))
             for k in range(count):
                 for got, want in zip(chunked, ones[k]):
                     assert got[k].tobytes() == want[0].tobytes(), (case, count, k)
@@ -654,21 +668,48 @@ class TestChunkedAmbientBundle:
         samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
         widths = _ambient_widths(monkeypatch)
         with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
-            AmbientBundle.of(metric, samples)
+            Run(metric, samples).ambient
         assert err.value.sample is samples[30]
-        # the first chunk, the failing second, then its samples up to the bad one
-        assert widths == [25, 25] + [1] * 6
+        # the first chunk, the failing second, then the samples from 0 up to the bad one
+        assert widths == [25, 25] + [1] * 31
+
+    def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
+        # a family profile error with an index counts triples of its chunk's one
+        # phi_jets call; the bundle counts it from row 0, so nothing is rebuilt alone
+        from finslercheck.family import FamilyProfile, QuadratureError
+
+        metric = AMBIENT_CASES["family"][0]()
+        original = FamilyProfile.jet
+
+        def jet(self, r, u, v, order):
+            far = np.atleast_1d(r) > 0.6
+            if far.any():
+                err = QuadratureError("no convergence")
+                err.index = int(far.argmax())
+                raise err
+            return original(self, r, u, v, order)
+
+        monkeypatch.setattr(FamilyProfile, "jet", jet)
+        rng = np.random.default_rng(3)
+        xs, ys = rng.uniform(-0.3, 0.3, (40, 2)), rng.uniform(0.5, 1.0, (40, 2))
+        xs[30] = [0.7, 0.0]
+        samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+        widths = _ambient_widths(monkeypatch)
+        with pytest.raises(QuadratureError) as err:
+            Run(metric, samples).ambient
+        assert err.value.sample is samples[30]
+        assert widths == [25, 15]
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
-        from finslercheck.metrics import AMBIENT_CHUNK, bundle_at
+        from finslercheck.metrics import AMBIENT_CHUNK
 
         widths = _ambient_widths(monkeypatch)
         bryant = make_metric("bryant")
-        AmbientBundle.of(bryant, samples_for(bryant, n=4, count=60))
+        AmbientBundle.of(bryant, *rows_of(samples_for(bryant, n=4, count=60)))
         assert widths == [25, 25, 10]
         widths.clear()
         anisotropic = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
-        b = bundle_at(anisotropic, np.ones((60, 2)), np.ones((60, 2)))
+        b = bundle_of(anisotropic, np.ones((60, 2)), np.ones((60, 2)))
         assert isinstance(b, AmbientBundle) and b.f.coeffs.shape[1] == 60
         assert widths == [25, 25, 10] and max(widths) == AMBIENT_CHUNK
 
@@ -697,8 +738,8 @@ class TestSharedSurface:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=6, seed=7, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        profile = bundle_of(metric, samples)
-        ambient = AmbientBundle.of(metric, samples, 2)
+        profile = bundle_of(metric, *rows_of(samples))
+        ambient = AmbientBundle.of(metric, *rows_of(samples), 2)
         assert isinstance(profile, ProfileBundle)
         for got, want in zip(profile.first_derivatives(), ambient.first_derivatives()):
             assert _agree(got, want), case
@@ -714,5 +755,5 @@ class TestSharedSurface:
 
     def test_general_metric_gets_an_order_2_ambient_bundle(self):
         metric = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
-        b = bundle_of(metric, samples_for(builtin("euclidean"), count=3))
+        b = bundle_of(metric, *rows_of(samples_for(builtin("euclidean"), count=3)))
         assert isinstance(b, AmbientBundle) and b.f.order == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_metric, samples_for
+from conftest import invariants_bundle, make_metric, rows_of, samples_for
 from finslercheck.metrics import ClosedFormProfile, ProfileBundle, SphericalMetric, builtin
 from finslercheck.projective import (
     constant_curvature_verdict,
@@ -71,23 +71,23 @@ class TestRapcsak:
 
 class TestProjectivePDEs:
     def test_funk_point(self):
-        rho1, rho2 = pde_pair(ProfileBundle.at_invariants(builtin("funk"), 0.5, 1.0, 0.5))
+        rho1, rho2 = pde_pair(invariants_bundle(builtin("funk"), 0.5, 1.0, 0.5))
         assert rho1 <= 1e-10 and rho2 <= 1e-10
 
     def test_euclidean_zero(self):
-        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 1.0, 0.3)
+        b = invariants_bundle(builtin("euclidean"), 0.5, 1.0, 0.3)
         assert pde_pair(b) == (0.0, 0.0)
 
     def test_curved_control_tangential_residual(self):
         # phi_uv u + phi_ru v/(ru) = 2v/u against scale 2v/u: ratio 1
-        rho1, rho2 = pde_pair(ProfileBundle.at_invariants(curved_control(), 0.5, 1.0, 0.3))
+        rho1, rho2 = pde_pair(invariants_bundle(curved_control(), 0.5, 1.0, 0.3))
         assert rho2 > 0.1
 
     def test_equivalent_to_rapcsak_on_profiles(self):
         for name in list(CURVATURE_CONSTANTS) + ["euclidean"]:
             metric = make_metric(name)
             samples = samples_for(metric, n=2, count=15)
-            pdes = np.maximum(*projective_pde_of(ProfileBundle.of(metric, samples)))
+            pdes = np.maximum(*projective_pde_of(ProfileBundle.of(metric, *rows_of(samples))))
             for s, pde in zip(samples, pdes):
                 rap = rapcsak_residual(metric, s.x, s.y).max()
                 assert (rap <= 1e-8) == (pde <= 1e-8)
@@ -114,7 +114,7 @@ class TestProjectivePDEs:
 
 def factor(metric, r, u, v):
     """P = (v phi_r / r + u^2 phi_v) / (2 phi) at (r, u, v)."""
-    return float(p_of(ProfileBundle.at_invariants(metric, r, u, v))[0][0])
+    return float(p_of(invariants_bundle(metric, r, u, v))[0][0])
 
 
 class TestProjectiveFactor:
@@ -133,7 +133,7 @@ class TestProjectiveFactor:
         # oracle: P = F_{x^k} y^k / (2F) evaluated by ambient differentiation
         metric = make_metric(name)
         samples = samples_for(metric, n=2, count=15)
-        for s, p in zip(samples, p_of(ProfileBundle.of(metric, samples))[0]):
+        for s, p in zip(samples, p_of(ProfileBundle.of(metric, *rows_of(samples)))[0]):
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             oracle = float(grad[:2] @ s.y) / (2.0 * amb.value)
@@ -148,18 +148,18 @@ class TestProjectiveFactor:
 
 class TestCurvaturePDEs:
     def test_funk_at_quarter(self):
-        c_u, c_v = pde_pair(ProfileBundle.at_invariants(builtin("funk"), 0.5, 1.0, 0.5), -0.25)
+        c_u, c_v = pde_pair(invariants_bundle(builtin("funk"), 0.5, 1.0, 0.5), -0.25)
         assert c_u <= 1e-8 and c_v <= 1e-8
 
     def test_klein_minus_one_and_wrong_lambda(self):
-        b = ProfileBundle.at_invariants(builtin("klein"), 0.5, 1.0, 0.3)
+        b = invariants_bundle(builtin("klein"), 0.5, 1.0, 0.3)
         c_u, c_v = pde_pair(b, -1.0)
         assert c_u <= 1e-8 and c_v <= 1e-8
         c_u, _ = pde_pair(b, 0.0)
         assert c_u > 1e-3
 
     def test_euclidean_zero(self):
-        b = ProfileBundle.at_invariants(builtin("euclidean"), 0.5, 1.0, 0.3)
+        b = invariants_bundle(builtin("euclidean"), 0.5, 1.0, 0.3)
         assert pde_pair(b, 0.0) == (0.0, 0.0)
 
 
@@ -185,15 +185,20 @@ class TestFlagCurvature:
     def test_component_equation_cross_check(self, name):
         metric = make_metric(name)
         want = CURVATURE_CONSTANTS[name]
-        b = ProfileBundle.of(metric, samples_for(metric, n=2, count=20))
+        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=20)))
         for resid in curvature_components_of(b, want):
             assert resid.max() <= 1e-9
+
+
+def bundle(metric, count):
+    """The profile bundle of the metric's first ``count`` samples at n = 2."""
+    return ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=count)))
 
 
 class TestVerdict:
     def test_klein_constant_minus_one(self):
         metric = builtin("klein")
-        verdict = constant_curvature_verdict(metric, samples_for(metric, n=2, count=60))
+        verdict = constant_curvature_verdict(bundle(metric, 60))
         assert verdict.status == "constant"
         assert abs(verdict.lambda_estimate + 1.0) <= 1e-7
         assert verdict.max_deviation <= 1e-7
@@ -201,21 +206,19 @@ class TestVerdict:
 
     def test_spherical_constant_plus_one(self):
         metric = builtin("spherical")
-        verdict = constant_curvature_verdict(metric, samples_for(metric, n=2, count=60))
+        verdict = constant_curvature_verdict(bundle(metric, 60))
         assert verdict.status == "constant"
         assert abs(verdict.lambda_estimate - 1.0) <= 1e-7
 
     def test_hypothesis_mismatch_fails(self):
         metric = builtin("funk")
-        verdict = constant_curvature_verdict(
-            metric, samples_for(metric, n=2, count=30), lambda_hypothesis=0.0
-        )
+        verdict = constant_curvature_verdict(bundle(metric, 30), lambda_hypothesis=0.0)
         assert verdict.status == "non_constant"
-        assert verdict.worst_sample is not None
+        assert 0 <= verdict.worst_index < 30
 
     def test_not_projective_gate(self):
         metric = curved_control()
-        verdict = constant_curvature_verdict(metric, samples_for(metric, n=2, count=10))
+        verdict = constant_curvature_verdict(bundle(metric, 10))
         assert verdict.status == "not_projective"
         assert verdict.lambda_estimate is None
         assert verdict.projectivity_residual > 1e-6

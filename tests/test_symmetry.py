@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_metric, samples_for
+from conftest import make_metric, rows_of, samples_for
 from finslercheck.metrics import (
     AmbientBundle,
     GeneralMetric,
@@ -37,19 +37,19 @@ def pairs(*xy):
 
 def scalar_residuals(metric, field, samples):
     """The contracted Killing residual of the field at each sample, from one bundle."""
-    b = bundle_of(metric, samples)
+    b = bundle_of(metric, *rows_of(samples))
     _, fx, fy = b.first_derivatives()
     return _scalar_residuals(fx, fy, field, b.x, b.y)
 
 
 def tensor_residual(metric, field, x, y):
     """The full Killing residual matrix of the field at one point-direction pair."""
-    return killing_tensor_residuals(AmbientBundle.of(metric, pairs((x, y))), field)[0]
+    return killing_tensor_residuals(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), field)[0]
 
 
 def cartan(metric, *xy):
     """C_ijp at each (x, y) pair, (k, n, n, n)."""
-    return AmbientBundle.of(metric, pairs(*xy)).cartan()
+    return AmbientBundle.of(metric, *rows_of(pairs(*xy))).cartan()
 
 
 class TestRotationField:
@@ -134,7 +134,7 @@ class TestTensorResidual:
             fd = (pullback(h) - pullback(-h)) / (2.0 * h)
             blocks_resid = tensor_residual(metric, field, x, y)
             # reconstruct the unnormalized equation left side for comparison
-            terms = killing_tensor_terms(AmbientBundle.at(metric, x, y), field)
+            terms = killing_tensor_terms(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), field)
             total = sum(terms)[0]
             assert np.abs(total - fd).max() < 1e-6
             scale = max(np.abs(fd).max(), 1.0)
@@ -162,7 +162,7 @@ class TestCartan:
         assert np.abs(c).max() > 0.01
 
     def test_funk_contraction_vanishes(self):
-        b = AmbientBundle.of(builtin("funk"), samples_for(builtin("funk"), n=2, count=30))
+        b = AmbientBundle.of(builtin("funk"), *rows_of(samples_for(builtin("funk"), n=2, count=30)))
         for got in cartan_contraction_of(b):
             assert got <= 1e-9
 
@@ -184,7 +184,7 @@ class TestVerdict:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_pass(self, name):
         metric = make_metric(name)
-        report = symmetry_verdict(metric, samples_for(metric, n=3, count=25))
+        report = symmetry_verdict(bundle_of(metric, *rows_of(samples_for(metric, n=3, count=25))))
         assert report.passed
         assert report.max_residual <= 1e-9
         assert report.fields_tested == 3
@@ -193,13 +193,13 @@ class TestVerdict:
 
     def test_two_dimensions_single_field(self):
         metric = builtin("funk")
-        report = symmetry_verdict(metric, samples_for(metric, n=2, count=5))
+        report = symmetry_verdict(bundle_of(metric, *rows_of(samples_for(metric, n=2, count=5))))
         assert report.fields_tested == 1
 
     def test_anisotropic_fails_with_worst_field(self):
         metric = anisotropic(3)
         samples = samples_for(builtin("spherical"), n=3, count=25)
-        report = symmetry_verdict(metric, samples)
+        report = symmetry_verdict(bundle_of(metric, *rows_of(samples)))
         assert not report.passed
         assert report.max_residual > 0.1
         assert 0 in report.worst_field  # a plane moving the special axis
