@@ -21,12 +21,8 @@ import numpy as np
 from . import geodesics as geo
 from . import projective as proj
 from . import symmetry as sym
-from .expr import EvalDomainError
-from .family import FamilyError
-from .jets import JetDomainError
 from .metrics import (
     AmbientBundle,
-    MetricDomainError,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
@@ -41,10 +37,6 @@ from .report import CheckRecord
 
 class ConfigError(ValueError):
     """Bad configuration: unknown names, wrong metric kind, invalid params."""
-
-
-# Raised where a metric cannot be evaluated at a point; see ``at_samples`` and ``_named``.
-_EVALUATION_ERRORS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError)
 
 
 DEFAULT_TOLERANCES = {
@@ -177,8 +169,9 @@ def check_convexity(run, tol, params):
     failed = np.array([not positive_definite(g) for g in b.g()])
     fraction = int(failed.sum()) / len(run.samples)
     detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
-    # the first failing sample, or the first sample when none fails
-    return [_record("convexity", run, fraction, run.samples[failed.argmax()], tol, detail)]
+    # the first failing sample, or the first sample when none fails; F <= 0 fails
+    # too, as g (of F^2) is blind to the sign of F
+    return [_record("convexity", run, fraction, run.samples[failed.argmax()], tol, detail, F=b.F)]
 
 
 def check_symmetry(run, tol, params):
@@ -290,13 +283,15 @@ def check_geodesics(run, tol, params):
         for i, path in enumerate(paths):
             with open(os.path.join(run.dump_dir, f"{safe_name}_geodesic{i:03d}.csv"), "w") as fh:
                 geo.dump_csv(path, fh)
-    completed = [len(p.times) - 1 for p in paths]
-    exits = [p.exit_time for p in paths if p.exit_time is not None]
+    completed, exit_times = [len(p.times) - 1 for p in paths], [p.exit_time for p in paths]
+    exits = [t for t in exit_times if t is not None]
     detail = {
         "geodesics": len(launched),
         "steps": steps,
         "min_steps_completed": min(completed),
         "first_exit_time": exits[0] if exits else None,
+        "exit_times": exit_times,  # per path, None for a path that ran every step
+        "steps_completed": completed,
     }
     stopped = np.array(completed) < steps
     return [_worst_record("geodesics", run, deviations, tol, detail, stopped, samples=launched)]
@@ -403,7 +398,7 @@ def run_check(name, run, params):
     tol = run.tolerance(name)
     try:
         return _RUNNERS[name](run, tol, params)
-    except _EVALUATION_ERRORS as err:
+    except geo.EVALUATION_ERRORS as err:
         if getattr(err, "sample", None) is None:
             raise
         return [_record(name, run, 0.0, err.sample, tol, {"evaluation_error": str(err)}, False)]

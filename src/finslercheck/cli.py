@@ -50,6 +50,15 @@ def _entry(cfg: dict, key, kind, default, path: str = ""):
     return value
 
 
+def _range(sampling_cfg: dict, key: str):
+    """sampling_cfg[key]: absent, or a list of two numbers."""
+    value = sampling_cfg.get(key)
+    numbers_only = isinstance(value, list) and all(type(w) in (int, float) for w in value)
+    if value is not None and not (numbers_only and len(value) == 2):
+        raise ConfigError(f"'sampling.{key}' must be a list of two numbers, got {value!r}")
+    return value
+
+
 def _suggest(name: str, options) -> str:
     close = difflib.get_close_matches(name, list(options), n=1)
     return f" (did you mean '{close[0]}'?)" if close else ""
@@ -70,8 +79,8 @@ def _build_metric(cfg: dict, dimension: int):
         except (ValueError, TypeError) as err:
             raise ConfigError(f"bad parameters for metric '{name}': {err}") from err
     if "family" in metric_cfg:
-        fam = dict(metric_cfg["family"])
-        quad = fam.pop("quad", {})
+        fam = _entry(metric_cfg, "family", dict, None, "metric.")
+        quad = _entry(fam, "quad", dict, {}, "metric.family.")
         try:
             spec = ProjectiveFamilySpec(
                 f=fam["f"],
@@ -88,7 +97,7 @@ def _build_metric(cfg: dict, dimension: int):
         except (FamilyError, ParseError) as err:
             raise ConfigError(f"bad family config: {err}") from err
     if "general" in metric_cfg:
-        gen = metric_cfg["general"]
+        gen = _entry(metric_cfg, "general", dict, None, "metric.")
         try:
             radius = gen.get("domain_radius")
             return GeneralMetric.from_expression(
@@ -109,11 +118,11 @@ def _normalize_checks(cfg: dict) -> list[tuple[str, dict]]:
     if not isinstance(raw, list) or not raw:
         raise ConfigError("config needs a nonempty 'checks' list")
     out = []
-    for item in raw:
+    for i, item in enumerate(raw):
         if isinstance(item, str):
             name, params = item, {}
         elif isinstance(item, dict) and "name" in item:
-            name, params = item["name"], dict(item.get("params", {}))
+            name, params = item["name"], dict(_entry(item, "params", dict, {}, f"checks[{i}]."))
         else:
             raise ConfigError(f"bad check entry: {item!r}")
         if name not in CHECK_NAMES:
@@ -139,6 +148,8 @@ def run_config(
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return None, 2
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"'config' must be an object, got {type(cfg).__name__}")
         dimension = _entry(cfg, "dimension", numbers.Integral, 2)
         metric = _build_metric(cfg, dimension)
         checks = _normalize_checks(cfg)
@@ -152,8 +163,8 @@ def run_config(
             count=count,
             seed=seed,
             domain_radius=metric.domain_radius,
-            r_range=sampling_cfg.get("r_range"),
-            u_range=sampling_cfg.get("u_range"),
+            r_range=_range(sampling_cfg, "r_range"),
+            u_range=_range(sampling_cfg, "u_range"),
         )
         raw = _entry(cfg, "tolerances", dict, {})
         tolerances = {k: float(_entry(raw, k, numbers.Real, None, "tolerances.")) for k in raw}

@@ -11,13 +11,13 @@ deviation from the launch line is the verification quantity.
 Integration is fixed-step RK4: the claim being checked is qualitative
 straightness, and determinism across implementations matters more than
 step-count efficiency.  ``integrate_geodesics`` integrates many paths as one
-(N, n) state, so each RK4 stage is one batched spray: one ``bundle_of`` the
-N state rows, one stacked Cholesky factorisation of g and two stacked solves.
-Each path is bit for bit what it would be if integrated alone, and
-``integrate_geodesic`` and ``spray_general`` are the one-path cases.  The
-``geodesics`` check launches all its paths in one ``integrate_geodesics``
-call; its params ``count`` and ``steps`` must be integers >= 1 and
-``horizon`` finite and > 0 (``checks.check_geodesics``).
+(N, n) state, so each RK4 stage is one batched spray: the ``spray()`` of one
+``bundle_of`` the N state rows, closed-form for a profile metric and a stacked
+Cholesky solve otherwise.  Each path is bit for bit what it would be if
+integrated alone, and ``integrate_geodesic`` and ``spray_general`` are the
+one-path cases.  The ``geodesics`` check launches all its paths in one
+``integrate_geodesics`` call; its params ``count`` and ``steps`` must be
+integers >= 1 and ``horizon`` finite and > 0 (``checks.check_geodesics``).
 """
 
 from __future__ import annotations
@@ -30,37 +30,19 @@ import numpy as np
 from .expr import EvalDomainError
 from .family import FamilyError
 from .jets import JetDomainError
-from .metrics import MetricDomainError, bundle_of, positive_definite
+from .metrics import MetricDomainError, NotStronglyConvexError, bundle_of
 
 
-class NotStronglyConvexError(ValueError):
-    """g failed its symmetric factorization: the metric is not strongly convex here."""
-
-
-# Raised where a stage cannot be evaluated: the path stops there.
-_STOPS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError, NotStronglyConvexError)
-
-
-def _spray_of(metric, b) -> np.ndarray:
-    """G at the N samples of the bundle b, (N, n): g G = bracket / 4, solved
-    through one stacked Cholesky factorisation and two stacked solves."""
-    rhs, g = b.spray_bracket(), b.g()
-    try:
-        chol = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
-        raise NotStronglyConvexError(
-            f"{metric.name}: metric is not strongly convex at x={b.x[i]}, y={b.y[i]}"
-        ) from None
-    solved = np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))
-    return 0.25 * solved[:, :, 0]
+# Raised where a metric cannot be evaluated at a point: a geodesic stops there, and a
+# check fails naming the sample (``checks.run_check``, ``checks.at_samples``).
+EVALUATION_ERRORS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError, NotStronglyConvexError)
 
 
 def spray_general(metric, x, y) -> np.ndarray:
-    """G(x, y); 2-homogeneous in y.  Raises if g is not positive definite.
-    The one-path case of the batched spray: one bundle of the point."""
+    """G(x, y); 2-homogeneous in y.  Raises ``NotStronglyConvexError`` where the metric
+    is not strongly convex.  The one-path case of the batched spray: one bundle of the point."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return _spray_of(metric, bundle_of(metric, x[None], y[None]))[0]
+    return bundle_of(metric, x[None], y[None]).spray()[0]
 
 
 @dataclass(frozen=True)
@@ -75,7 +57,7 @@ def _rk4_step(metric, x, y, h):
     """One RK4 step of (x', y') = (y, -2 G(x, y)) for every row; h is (N, 1)."""
 
     def rhs(xc, yc):
-        return yc, -2.0 * _spray_of(metric, bundle_of(metric, xc, yc))
+        return yc, -2.0 * bundle_of(metric, xc, yc).spray()
 
     k1x, k1y = rhs(x, y)
     k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
@@ -91,14 +73,14 @@ def _step_rows(metric, x, y, h):
     row by row, and a row whose own step raises gets a NaN state."""
     try:
         return _rk4_step(metric, x, y, h)
-    except _STOPS:
+    except EVALUATION_ERRORS:
         pass
     nx, ny = np.full_like(x, np.nan), np.full_like(y, np.nan)
     for i in range(len(x)):
         row = slice(i, i + 1)
         try:
             nx[row], ny[row] = _rk4_step(metric, x[row], y[row], h[row])
-        except _STOPS:
+        except EVALUATION_ERRORS:
             pass
     return nx, ny
 

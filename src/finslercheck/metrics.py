@@ -16,11 +16,13 @@ and y: a ``ProfileBundle`` (phi and its partials from one batched
 ``phi_jets`` call, every profile formula an array expression over them; a
 family profile runs one lockstep quadrature over the N rows) or an
 ``AmbientBundle`` (one ambient jet per chunk of ``AMBIENT_CHUNK`` = 25
-rows).  Both provide F, F_x, F_y, g, the Rapcsak residual and the spray
-bracket; ``bundle_of`` alone picks a bundle by metric kind.  A bundle
-knows rows, not samples: the caller that holds the samples names a failing
-one (``checks.Run``).  ``fundamental_tensor`` is a library entry point
-over a one-row bundle.
+rows).  Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
+(closed-form on span{x, y} for a profile, with strong convexity from the
+profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
+``bundle_of`` alone picks a bundle by metric kind.  A bundle knows rows, not
+samples: the caller that holds the samples names a failing one
+(``checks.Run``).  ``fundamental_tensor`` is a library entry point over a
+one-row bundle.
 """
 
 from __future__ import annotations
@@ -47,6 +49,10 @@ AMBIENT_CHUNK = 25
 
 class MetricDomainError(ValueError):
     """Evaluation outside the metric's admissible domain."""
+
+
+class NotStronglyConvexError(ValueError):
+    """The metric is not strongly convex at a row: F <= 0 or g is not positive definite."""
 
 
 def invariant_rows(x, y):
@@ -374,16 +380,27 @@ class ProfileBundle:
         self.require_radius()
         return relative_residual(*self._rapcsak_terms())
 
-    def spray_bracket(self) -> np.ndarray:
-        """[F^2]_{x^k y^l} y^k - [F^2]_{x^l} = 2 Q F_y + 2 phi D = 4 g G, (N, n), G the spray,
-        Q = F_{x^k} y^k, D = F_{x^k y^l} y^k - F_{x^l}: one pass over (n, N) views with the terms,
-        order and zero guards of ``rapcsak_coefficients``, D summed from 0.0 (its zero's sign)."""
-        r, u, v, x, y = self.r, self.u, self.v, self.x.T, self.y.T
-        over_r, over_ru = (np.where(w == 0.0, np.inf, w) for w in (r, r * u))  # 1/r -> 0 at r = 0
-        d = (0.0 + self.phi_rv * v / over_r * x + self.phi_vv * u * u * x - self.phi_r / over_r * x
-             + self.phi_ru * v / over_ru * y + self.phi_uv * u * y)
-        q = v / over_r * self.phi_r + u * u * self.phi_v
-        return (2.0 * (q * (self.phi_u / u * y + self.phi_v * x) + self.phi * d)).T
+    def spray(self) -> np.ndarray:
+        """The spray G = p x + s y, (N, n), in closed form (Huang & Mo, J. Geom. Phys. 62,
+        2012): with t = r^2 u^2 - v^2, B = phi_u + t phi_vv / u (the bracket of ``det_g``),
+        Q = F_{x^k} y^k = v phi_r / r + u^2 phi_v and 1/r -> 0 at r = 0,
+
+            p = u ((v phi_rv - phi_r) / r + u^2 phi_vv) / (2 B),
+            s = (Q - 2 p (v phi + t phi_v) / u^2) / (2 phi).
+
+        g is positive definite iff phi > 0, B > 0 and (n >= 3) phi_u > 0: Shen's lemma for
+        F = u Phi(r, v/u) (Chern & Shen, Riemann-Finsler Geometry, 2005, sec. 1.1).  The first
+        row that fails it raises ``NotStronglyConvexError``."""
+        phi, phi_u, phi_v, r, u, v = self.phi, self.phi_u, self.phi_v, self.r, self.u, self.v
+        t = r * r * u * u - v * v
+        bracket = phi_u + t * self.phi_vv / u
+        convex = (phi > 0.0) & (bracket > 0.0) & ((phi_u > 0.0) | (self.x.shape[1] < 3))  # NaN fails
+        if np.count_nonzero(convex) < len(convex):
+            raise _not_convex(self, int(convex.argmin()))
+        over_r, uu = np.where(r == 0.0, np.inf, r), u * u  # 1/r -> 0 at r = 0
+        p = u * ((v * self.phi_rv - self.phi_r) / over_r + uu * self.phi_vv) / (2.0 * bracket)
+        s = (v * self.phi_r / over_r + uu * phi_v - 2.0 * p * (v * phi + t * phi_v) / uu) / (2.0 * phi)
+        return p[:, None] * self.x + s[:, None] * self.y
 
     def det_g(self) -> np.ndarray:
         """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
@@ -497,17 +514,30 @@ class AmbientBundle:
         f_xy, fx = self.f_xy(), self.first_derivatives()[1]
         return relative_residual(*(f_xy[:, k] * self.y[:, k, None] for k in range(self.n)), -fx)
 
-    def spray_bracket(self) -> np.ndarray:
-        """E_{x^k y^l} y^k - E_{x^l}, (N, n): 4 g G, G the spray."""
+    def spray(self) -> np.ndarray:
+        """The spray G, (N, n): g G = (E_{x^k y^l} y^k - E_{x^l}) / 4 through one stacked
+        Cholesky factorisation and two stacked solves.  The first row whose g does not
+        factorise raises ``NotStronglyConvexError``."""
         e_xy = np.moveaxis(self.e.hessian(), -1, 0)[:, : self.n, self.n :]
-        return np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
+        rhs = np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
+        g = self.g()
+        try:
+            chol = np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
+            raise _not_convex(self, i) from None
+        return 0.25 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
+
+
+def _not_convex(b, i: int) -> NotStronglyConvexError:
+    return NotStronglyConvexError(f"metric is not strongly convex at x={b.x[i]}, y={b.y[i]}")
 
 
 def bundle_of(metric, x: np.ndarray, y: np.ndarray):
     """The derivative bundle at the rows of the (N, n) arrays x and y: a
     ``ProfileBundle`` for a profile metric, an order-2 ``AmbientBundle``
     otherwise.  Either provides F, ``first_derivatives()``, ``g()``,
-    ``rapcsak_residuals()`` and ``spray_bracket()``."""
+    ``rapcsak_residuals()`` and ``spray()``."""
     if isinstance(metric, SphericalMetric):
         return ProfileBundle.of(metric, x, y)
     return AmbientBundle.of(metric, x, y, 2)

@@ -24,7 +24,7 @@ with y^k; Euler's relation P_{y^k} y^k = P turns it into
 
 which needs only second-order profile jets.  All formulas carry 1/r, so
 operations here require r >= ``metrics.MIN_RADIUS``.  The Rapcsak difference
-and Q live on ``ProfileBundle``, next to the spray bracket that reuses them.
+lives on ``ProfileBundle``, next to the closed-form spray.
 """
 
 from __future__ import annotations

@@ -89,6 +89,8 @@ def test_completed_geodesics_pass_and_say_so():
     assert record.passed
     assert record.detail["min_steps_completed"] == 20
     assert record.detail["first_exit_time"] is None
+    assert record.detail["steps_completed"] == [20, 20]
+    assert record.detail["exit_times"] == [None, None]
     assert np.isfinite(record.max_residual)
 
 
@@ -136,6 +138,17 @@ def test_non_positive_general_metric_fails(tmp_path):
         assert not record.passed, record.check
         assert record.detail["non_positive_F"] == int((f <= 0.0).sum()), record.check
         assert record.worst_x == list(samples[first].x), record.check
+
+
+def test_convexity_fails_a_negative_F():
+    # phi = -u has the positive definite g of |y| (g is read from F^2) but is no metric
+    metric = SphericalMetric("negative", ExpressionProfile("-u"), 1.0)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=7, domain_radius=1.0))
+    [record] = run_check("convexity", Run(metric, samples), {})
+    assert record.max_residual == 0.0  # the fraction of samples whose g does not factorise
+    assert not record.passed
+    assert record.detail["non_positive_F"] == 5
+    assert record.worst_x == list(samples[0].x)
 
 
 def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
@@ -334,6 +347,14 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
     assert not record.passed
     assert 0 < record.detail["min_steps_completed"] < 20
     assert record.worst_x == list(samples[1].x) and record.worst_y == list(samples[1].y)
+    # per path: the two that cross r = 0.6 stop there, the others run every step
+    completed, exit_times = record.detail["steps_completed"], record.detail["exit_times"]
+    assert completed[0] == completed[3] == 20 and exit_times[0] is exit_times[3] is None
+    for i in (1, 2):
+        assert 0 < completed[i] < 20
+        assert exit_times[i] == pytest.approx(completed[i] * 0.3 / 20)
+    assert min(completed) == record.detail["min_steps_completed"]
+    assert exit_times[1] == record.detail["first_exit_time"]
 
 
 def test_launch_point_near_the_boundary_fails_geodesics(tmp_path):

@@ -192,11 +192,19 @@ class TestRunConfig:
             ({"sampling": {"count": True}}, "'sampling.count'"),
             ({"sampling": {"count": 10, "seed": 1.5}}, "'sampling.seed'"),
             ({"checks": "symmetry"}, "'checks'"),
+            ([funk_config()], "'config'"),  # a list stands for the whole config
+            ({"metric": {"family": None}}, "'metric.family'"),
+            ({"metric": {"general": None}}, "'metric.general'"),
+            ({"sampling": {"count": 5, "r_range": 5}}, "'sampling.r_range'"),
+            ({"sampling": {"count": 5, "u_range": 5}}, "'sampling.u_range'"),
+            ({"checks": ["symmetry", {"name": "curvature", "params": None}]}, "'checks[1].params'"),
+            ({"checks": [{"name": "curvature", "params": [1]}]}, "'checks[0].params'"),
         ],
     )
     def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):
         # each once crashed (exit 1), ran with a coerced value, or read a string as a list
-        path = write_config(tmp_path, funk_config(**overrides))
+        payload = overrides if isinstance(overrides, list) else funk_config(**overrides)
+        path = write_config(tmp_path, payload)
         assert run_config(path) == (None, 2)
         assert key in capsys.readouterr().err
         assert main(["verify", path, "--json"]) == 2

@@ -23,9 +23,11 @@ from finslercheck.metrics import (
     GeneralMetric,
     MetricDomainError,
     MetricSample,
+    ProfileBundle,
     SphericalMetric,
     builtin,
     bundle_of,
+    positive_definite,
 )
 
 
@@ -92,6 +94,24 @@ class TestSpray:
         bad = SphericalMetric("pseudo", ClosedFormProfile(lambda r, u, v: u - 2.0 * v * (v / u)))
         with pytest.raises(NotStronglyConvexError):
             spray_general(bad, [1.5, 0.0], [0.0664, 0.9978])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_phi_u_decides_convexity_from_dimension_three(self, n):
+        # phi = u + v^2/u at x = (2, 0, ...), y = (0.55, sqrt(1 - 0.55^2), 0, ...):
+        # phi > 0 and phi_u + t phi_vv / u = 5.37 > 0, but phi_u = -0.21.  In the
+        # plane g is positive definite; from n = 3 on, g = (phi phi_u / u) I on the
+        # directions orthogonal to x and y, so it is not
+        metric = SphericalMetric("wide", ClosedFormProfile(lambda r, u, v: u + v * (v / u)))
+        x, y = np.zeros(n), np.zeros(n)
+        x[0], y[:2] = 2.0, [0.55, math.sqrt(1.0 - 0.55**2)]
+        b = ProfileBundle.of(metric, x[None], y[None])
+        assert b.phi_u[0] == pytest.approx(-0.21)
+        assert positive_definite(b.g()[0]) == (n == 2)
+        if n == 2:
+            assert np.isfinite(spray_general(metric, x, y)).all()
+        else:
+            with pytest.raises(NotStronglyConvexError, match="not strongly convex at x="):
+                spray_general(metric, x, y)
 
 
 class TestProjectivityResidual:
@@ -257,16 +277,11 @@ def test_spray_at_origin_is_finite():
 
 def one_path_rk4(metric, x0, y0, horizon, steps):
     """The one-path RK4 loop that integrated each geodesic before paths were
-    batched: one bundle, one Cholesky factorisation and two solves per stage.
-    Returns the path and why it stopped (None when it ran all steps)."""
-
-    def spray(xc, yc):
-        b = bundle_of(metric, *rows_of([MetricSample.of(xc, yc)]))
-        chol = np.linalg.cholesky(b.g()[0])
-        return 0.25 * np.linalg.solve(chol.T, np.linalg.solve(chol, b.spray_bracket()[0]))
+    batched: the spray of a one-row bundle per stage.  Returns the path and why
+    it stopped (None when it ran all steps)."""
 
     def rhs(xc, yc):
-        return yc, -2.0 * spray(xc, yc)
+        return yc, -2.0 * bundle_of(metric, *rows_of([MetricSample.of(xc, yc)])).spray()[0]
 
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
@@ -282,7 +297,7 @@ def one_path_rk4(metric, x0, y0, horizon, steps):
             k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
             k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
             k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-        except np.linalg.LinAlgError:
+        except NotStronglyConvexError:
             return partial("not strongly convex")
         except (JetDomainError, MetricDomainError, EvalDomainError, FamilyError):
             return partial("evaluation")
@@ -384,3 +399,26 @@ class TestBatchedIntegration:
         integrate_geodesics(counted, starts, [0.1] * 5, 3)
         # three steps of four stages, each one profile call over all five paths
         assert calls == [(10, 5)] * 12
+
+
+def test_profile_stage_builds_no_g_and_runs_no_cholesky(monkeypatch):
+    # a profile metric's stage spray is closed-form: no fundamental tensor, no factorisation
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(ProfileBundle, "g", counting("g", ProfileBundle.g))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    funk = builtin("funk")
+    samples = samples_for(funk, n=2, count=4)
+    paths = integrate_geodesics(funk, [(s.x, s.y) for s in samples], [0.1] * 4, 5)
+    assert [len(p.times) for p in paths] == [6] * 4
+    assert calls == []
+    # the counters see the calls a general metric's stage makes
+    spray_general(GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2), [0.1, 0.2], [1.0, 0.5])
+    assert calls == ["cholesky"]

@@ -13,6 +13,7 @@ from finslercheck.metrics import (
     GeneralMetric,
     MetricDomainError,
     MetricSample,
+    NotStronglyConvexError,
     ProfileBundle,
     SphericalMetric,
     builtin,
@@ -244,8 +245,8 @@ class TestBatchedProfileBundle:
 
 
 def five_term_bracket(b):
-    """The reference spray bracket 2 (Q F_y + phi D): D summed from its five
-    (N, n) terms one at a time, each with its own zero-guarded quotient."""
+    """The reference spray bracket 2 (Q F_y + phi D) = 4 g G: D summed from its
+    five (N, n) terms one at a time, each with its own zero-guarded quotient."""
     r, u, v, x, y = b.r, b.u, b.v, b.x, b.y
     terms = [
         quotient(b.phi_rv * v, r)[:, None] * x,
@@ -264,30 +265,92 @@ def five_term_bracket(b):
 SIGNED_ZERO_PROFILE = "u - 0.3*r*v - 0.2*r*r*u + 0.1*v*v/u"
 
 
+def edge_rows(metric, n, origin=True):
+    """Sampled rows, then rows at x = 0 (every radial term a signed zero; left out
+    unless ``origin``), rows with x parallel or antiparallel to y (v = +-ru), and
+    antiparallel axis rows whose other components are -0.0: (x, y) as (N, n)."""
+    x, y = rows_of(samples_for(metric, n=n, count=30))
+    axes = np.eye(n)
+    unit = y / np.linalg.norm(y, axis=1)[:, None]
+    xs = [x, 0.4 * unit[:4], -0.7 * unit[4:8], 0.4 * axes, np.where(axes == 1.0, 0.5, -0.0)]
+    ys = [y, y[:4], y[4:8], 1.5 * axes, -axes]
+    if origin:
+        xs.insert(1, np.zeros((n + 3, n)))
+        ys.insert(1, np.concatenate([axes, -axes[:1], y[:2]]))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
 class TestSprayBracket:
     @pytest.mark.parametrize("name", builtin_names() + ["signed_zero"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_one_pass_equals_five_term_formula(self, name, n):
-        # sampled rows, then rows at x = 0 (every radial term a signed zero), rows
-        # with x parallel or antiparallel to y (v = +-ru), and antiparallel axis
-        # rows whose other components are -0.0
+        # the closed-form spray against g G = bracket / 4 solved with the closed-form g
+        # and the five-term bracket, on the edge rows
         if name == "signed_zero":
             metric = SphericalMetric(name, ExpressionProfile(SIGNED_ZERO_PROFILE), 1.0)
         else:
             metric = make_metric(name)
-        samples = samples_for(metric, n=n, count=30)
-        x, y = rows_of(samples)
-        axes = np.eye(n)
-        unit = y / np.linalg.norm(y, axis=1)[:, None]
-        x = np.concatenate([
-            x, np.zeros((n + 3, n)), 0.4 * unit[:4], -0.7 * unit[4:8], 0.4 * axes,
-            np.where(axes == 1.0, 0.5, -0.0),
-        ])
-        y = np.concatenate([y, axes, -axes[:1], y[:2], y[:4], y[4:8], 1.5 * axes, -axes])
+        b = ProfileBundle.of(metric, *edge_rows(metric, n))
+        got = b.spray()
+        assert got.shape == b.x.shape
+        want = 0.25 * np.linalg.solve(b.g(), five_term_bracket(b)[:, :, None])[:, :, 0]
+        assert _agree(got, want, 1e-12)
+
+
+# profiles that are strongly convex at some rows and not at others
+LEMMA_PROFILES = {
+    "pseudo": "u - 2*v*v/u",  # phi_u + t phi_vv / u < 0 away from v = 0
+    "wide": "u + v*v/u",  # phi_u < 0 where |v| > u, which only n >= 3 feels
+}
+
+
+def one_row_sprays(metric, x, y):
+    """Per row, does the spray of its one-row profile bundle exist (no NotStronglyConvexError)?"""
+    out = []
+    for i in range(len(x)):
+        try:
+            ProfileBundle.of(metric, x[i : i + 1], y[i : i + 1]).spray()
+        except NotStronglyConvexError as err:
+            assert f"x={x[i]}, y={y[i]}" in str(err)
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+class TestClosedFormSpray:
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_profile_spray_matches_ambient_spray(self, name, n):
+        # the ambient route takes no jets at x = 0, where |x| is not differentiable
+        metric = make_metric(name)
+        x, y = edge_rows(metric, n, origin=False)
+        profile, ambient = ProfileBundle.of(metric, x, y), AmbientBundle.of(metric, x, y, 2)
+        assert _agree(profile.spray(), ambient.spray(), 1e-12)
+
+    @pytest.mark.parametrize("name", builtin_names() + sorted(LEMMA_PROFILES))
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lemma_holds_exactly_where_g_is_positive_definite(self, name, n):
+        # phi > 0, phi_u + t phi_vv / u > 0 and (n >= 3) phi_u > 0, against a Cholesky
+        # of g where F > 0 (g of F^2 is the same for -F, which is no metric)
+        if name in LEMMA_PROFILES:
+            metric = SphericalMetric(name, ExpressionProfile(LEMMA_PROFILES[name]))
+        else:
+            metric = make_metric(name)
+        x, y = edge_rows(metric, n)
         b = ProfileBundle.of(metric, x, y)
-        got = b.spray_bracket()
-        assert got.shape == x.shape
-        assert got.tobytes() == five_term_bracket(b).tobytes()
+        direct = [bool(phi > 0.0) and positive_definite(g) for phi, g in zip(b.phi, b.g())]
+        assert one_row_sprays(metric, x, y) == direct
+        assert all(direct) == (name not in LEMMA_PROFILES)
+
+    def test_ambient_spray_names_its_first_row_without_a_factorisation(self):
+        # F = u (1 - s^2), s = v/u: g is positive definite iff 1 + 3 s^2 - 2 r^2 > 0,
+        # so rows 1 and 2 fail
+        metric = GeneralMetric.from_expression("sqrt(y1^2+y2^2) - (x1*y1+x2*y2)^2/sqrt(y1^2+y2^2)", 2)
+        x = np.array([[0.1, 0.0], [0.0, 0.8], [0.0, 0.9]])
+        y = np.array([[1.0, 0.1], [1.0, 0.1], [1.0, 0.1]])
+        with pytest.raises(NotStronglyConvexError, match=r"x=\[0\. +0\.8\]"):
+            AmbientBundle.of(metric, x, y, 2).spray()
 
 
 def ad_tensors(metric, samples):
@@ -584,7 +647,9 @@ AMBIENT_CASES = {
 }
 
 
-def _bundle_parts(b):
+def _bundle_parts(b, spray=True):
+    """Every array the ambient bundle offers; ``spray`` False leaves out the spray,
+    which needs a positive definite g."""
     return (
         b.f.coeffs.T,
         b.e.coeffs.T,
@@ -593,7 +658,7 @@ def _bundle_parts(b):
         b.g(),
         b.dg_dx(),
         b.cartan(),
-        b.spray_bracket(),
+        *([b.spray()] if spray else []),
     )
 
 
@@ -620,7 +685,9 @@ class TestAmbientBundle:
         assert np.array_equal(b.dg_dx()[0], e.third_tensor()[:3, 3:, 3:] / 2.0)
         assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
         bracket = e.hessian()[:3, 3:].T @ s.y - e.gradient()[:3]
-        assert np.allclose(b.spray_bracket()[0], bracket, rtol=1e-14, atol=1e-14)
+        chol = np.linalg.cholesky(e.hessian()[3:, 3:] / 2.0)
+        spray = 0.25 * np.linalg.solve(chol.T, np.linalg.solve(chol, bracket))
+        assert np.allclose(b.spray()[0], spray, rtol=1e-14, atol=1e-14)
 
 
 CHUNKED_CASES = {
@@ -650,9 +717,10 @@ class TestChunkedAmbientBundle:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=51, seed=11, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        ones = [_bundle_parts(AmbientBundle.of(metric, *rows_of([s]))) for s in samples]
+        spray = case != "constant"  # F = 1.5 has g = 0
+        ones = [_bundle_parts(AmbientBundle.of(metric, *rows_of([s])), spray) for s in samples]
         for count in (1, 24, 25, 26, 51):
-            chunked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples[:count])))
+            chunked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples[:count])), spray)
             for k in range(count):
                 for got, want in zip(chunked, ones[k]):
                     assert got[k].tobytes() == want[0].tobytes(), (case, count, k)
@@ -744,7 +812,7 @@ class TestSharedSurface:
         for got, want in zip(profile.first_derivatives(), ambient.first_derivatives()):
             assert _agree(got, want), case
         assert _agree(profile.g(), ambient.g()), case
-        assert _agree(profile.spray_bracket(), ambient.spray_bracket()), case
+        assert _agree(profile.spray(), ambient.spray()), case
         if case == "curved_control":
             # each bundle scales the Rapcsak difference by the magnitudes of its own
             # terms (five profile-space terms, n + 1 ambient ones), so the values
