@@ -166,7 +166,12 @@ def check_homogeneity(run, tol, params):
 
 def check_convexity(run, tol, params):
     b = run.profile
-    failed = np.array([not positive_definite(g) for g in b.g()])
+    g = b.g()
+    try:
+        np.linalg.cholesky(g)  # one stacked factorisation; row by row only when one fails
+        failed = np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        failed = np.array([not positive_definite(gi) for gi in g])
     fraction = int(failed.sum()) / len(run.samples)
     detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
     # the first failing sample, or the first sample when none fails; F <= 0 fails

@@ -15,6 +15,8 @@ against an N-point one, and each column of a result is the one-point
 result at that column's point.  Products gather with ``take`` over the
 ``intp`` tables of ``product_table`` and sum every slot in their order, so
 results are deterministic; a series composition forms h''' at order 3 only.
+The chain rule through several inner jets (``compose_multivariate``) runs in
+Horner form, one gathered product per degree.
 
 All operations are pure: jets are immutable after construction and safe to
 share across threads.
@@ -362,41 +364,98 @@ def powc(a, exponent: float):
     return _compose(a, derivatives)
 
 
+@lru_cache(maxsize=64)
+def _horner_plan(nvars: int, outer_nvars: int, order: int, nonzero: bytes):
+    """The products of ``compose_multivariate``'s Horner form, one table per degree
+    (``nonzero`` marks, per inner jet, the slots that are not zero at every point).
+
+    A bracket of degree k belongs to a sorted multi-index P of length
+    order - k: its value slot is P's outer coefficient, and the rest is the
+    sum over j >= P's last index of d_j times the bracket of P + (j,),
+    truncated at degree k.  Returns the outer slots of the brackets of degree
+    0 (the longest multi-indices), then per degree k = 1 .. order: the terms of
+    all of its brackets' products as one table -- rows of the stacked d_j
+    (nonzero slots only), rows of the stacked brackets of degree k - 1, rows of
+    the stacked brackets of degree k -- their count, and the row and outer slot
+    of each bracket's value.
+    """
+    pos = position_map(outer_nvars, order)
+    prefixes = [[t for t in index_tuples(outer_nvars, order) if len(t) == m] for m in range(order + 1)]
+    size = coeff_count(nvars, order)
+    read = np.frombuffer(nonzero, dtype=bool).reshape(outer_nvars, size).copy()
+    read[:, 0] = False  # the value slot of d_j is zero
+    degrees = []
+    for k in range(1, order + 1):
+        left, right, target = product_table(nvars, k)
+        below, upper = coeff_count(nvars, k - 1), coeff_count(nvars, k)
+        row = {p: i for i, p in enumerate(prefixes[order - k])}
+        table = [[], [], []]
+        for i, q in enumerate(prefixes[order - k + 1]):  # each bracket of degree k - 1
+            keep = read[q[-1], left]
+            table[0].append(q[-1] * size + left[keep])
+            table[1].append(i * below + right[keep])
+            table[2].append(row[q[:-1]] * upper + target[keep])
+        values = np.arange(len(row)) * upper, np.array([pos[p] for p in row], dtype=np.intp)
+        degrees.append((*(np.concatenate(t) for t in table), len(row) * upper, *values))
+    return np.array([pos[p] for p in prefixes[order]], dtype=np.intp), tuple(degrees)
+
+
+@lru_cache(maxsize=64)
+def _horner_scatters(nvars: int, outer_nvars: int, order: int, nonzero: bytes, width: int) -> list:
+    return [_scatter(d[2], width) for d in _horner_plan(nvars, outer_nvars, order, nonzero)[1]]
+
+
 def compose_multivariate(outer: Jet, inners: list[Jet]) -> Jet:
-    """Chain rule: the jet of f(g_1(x), ..., g_p(x)) from the jet of f.
+    """Chain rule: the jet of f(g_1(x), ..., g_p(x)) from the jet of f, at one
+    point or at N points (any of the jets may hold N columns).
 
     ``outer`` must be expanded exactly at the point (inners[0].value, ...);
-    all inner jets share variables and order with each other.
+    the inners' value slots are not read.  With d_i = g_i minus its value and
+    c the Taylor coefficients of f, the sum over f's sorted multi-indices runs
+    in Horner form, innermost brackets first,
+
+        f = c + sum_i d_i (c_i + sum_{j>=i} d_j (c_ij + sum_{k>=j} c_ijk d_k)).
+
+    A bracket multiplied by d_j is needed only to one degree less, and all
+    brackets of one degree come from one gathered product (``_horner_plan``)
+    over the slots where each d_j is not zero at every point.  Each column is
+    the one-point result at that column's point, bit for bit: every slot is an
+    ordered sum from 0.0, which a skipped term (zero times a finite
+    coefficient) does not change.
     """
     if len(inners) != outer.nvars:
         raise ValueError(f"need {outer.nvars} inner jets, got {len(inners)}")
     first = inners[0]
     for g in inners[1:]:
         first._operands(g)
-    order = first.order
+    nvars, order = first.nvars, first.order
     if order != outer.order:
         raise ValueError("outer and inner jets must share the same order")
-    deltas = [g - g.value for g in inners]
-    result = Jet.constant(outer.coeffs[0], first.nvars, order)
-    pair_cache: dict[tuple, Jet] = {}
+    one_point = outer.coeffs.ndim == first.coeffs.ndim == 1
+    width = max(outer.coeffs[0].size, first.coeffs[0].size)
 
-    def pair(i: int, j: int) -> Jet:
-        key = (i, j)
-        if key not in pair_cache:
-            pair_cache[key] = deltas[i] * deltas[j]
-        return pair_cache[key]
+    def columns(a):
+        if a.ndim == 2 and a.shape[1] == width:
+            return a
+        return np.broadcast_to(a.reshape(len(a), -1), (len(a), width))
 
-    for pos, idx in enumerate(index_tuples(outer.nvars, outer.order)):
-        if not idx:
-            continue
-        c = float(outer.coeffs[pos])
-        if c == 0.0:
-            continue
-        if len(idx) == 1:
-            term = deltas[idx[0]]
-        elif len(idx) == 2:
-            term = pair(idx[0], idx[1])
-        else:
-            term = pair(idx[0], idx[1]) * deltas[idx[2]]
-        result = result + term * c
-    return result
+    c = columns(outer.coeffs)
+    stacked = np.concatenate([columns(g.coeffs) for g in inners])  # the d_j; value slots unread
+    key = (nvars, outer.nvars, order, stacked.any(axis=1).tobytes())
+    leaves, degrees = _horner_plan(*key)
+    if width <= _CACHED_WIDTH:
+        scatters = _horner_scatters(*key, width)
+    else:
+        scatters = [_scatter(target, width) for _, _, target, *_ in degrees]
+    level = c[leaves]  # the brackets of degree 0, stacked
+    for (left, right, _, rows, value_rows, value_slots), scatter in zip(degrees, scatters):
+        level = _gather_sum(stacked, level, left, right, scatter, rows)
+        level[value_rows] = c[value_slots]
+    return Jet(nvars, order, level[:, 0] if one_point else level)
+
+
+def _gather_sum(a: np.ndarray, b: np.ndarray, left, right, scatter, rows: int) -> np.ndarray:
+    """The terms a[left] * b[right] of (ncoeff, width) arrays, each added into
+    its ``scatter`` slot in table order, starting from 0.0: (rows, width)."""
+    terms = a.take(left, 0) * b.take(right, 0)
+    return np.bincount(scatter, terms.ravel(), rows * a.shape[1]).reshape(rows, a.shape[1])

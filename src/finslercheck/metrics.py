@@ -6,10 +6,11 @@ positive and positively 1-homogeneous in (u, v).  Profile jets use the
 variable order r=0, u=1, v=2 throughout.
 
 General metrics carry F(x, y) directly and are differentiated with jets in
-the 2n ambient variables (x^1..x^n, y^1..y^n).  Spherical metrics support
-both routes; the ambient route for the quadrature-built family profile,
-which takes no arbitrary jets, composes each point's 3-variable jet with
-its column of the invariants' jets (multivariate composition).
+the 2n ambient variables (x^1..x^n, y^1..y^n).  A spherical metric's jets in
+those variables come from the chain rule, the same for every profile: its
+3-variable jet, re-expanded in (|x|^2, |y|^2, <x,y>) and composed with their
+exact quadratic jets (``SphericalMetric.ambient_jet``), so a profile is only
+ever evaluated on jets in (r, u, v).
 
 Derivatives of F come from a bundle of the N rows of two (N, n) arrays x
 and y: a ``ProfileBundle`` (phi and its partials from one batched
@@ -34,8 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as expr_mod
-from ._multi_index import derivative_factors
-from .jets import Jet, compose_multivariate, lift_var, sqrt
+from ._multi_index import coeff_count, derivative_factors, position_map
+from .jets import Jet, JetDomainError, compose_multivariate, lift_var, sqrt
 
 R, U, V = 0, 1, 2
 
@@ -104,8 +105,7 @@ def _ambient_variables(x, y, order: int) -> list[Jet]:
 
 
 class ClosedFormProfile:
-    """phi given as a python function of three jets (r, u, v), which may be
-    arbitrary jets (the ambient route passes jets in (x, y))."""
+    """phi given as a python function of three jets (r, u, v)."""
 
     def __init__(self, fn):
         self.fn = fn
@@ -176,23 +176,63 @@ class SphericalMetric:
 
     def ambient_jet(self, x, y, order: int) -> Jet:
         """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when x
-        and y are (n, N) arrays.  A family profile's jet at each point (one
-        ``phi_jets`` over all) is composed with that point's column of the
-        invariants' jets, so each column is the one-point jet bit for bit."""
-        v = _ambient_variables(x, y, order)
-        xs, ys = v[: len(v) // 2], v[len(v) // 2 :]
-        rj = sqrt(sum(c * c for c in xs))
-        uj = sqrt(sum(c * c for c in ys))
-        vj = sum(a * b for a, b in zip(xs, ys))
-        if isinstance(self.profile, ClosedFormProfile):
-            return self.profile.fn(rj, uj, vj)
-        inner = [w.coeffs.reshape(len(w.coeffs), -1) for w in (rj, uj, vj)]  # (ncoeff, N)
-        outer = self.phi_jets(*(c[0] for c in inner), order)
-        columns = [
-            compose_multivariate(Jet(3, order, o), [Jet(len(v), order, c[:, j]) for c in inner]).coeffs
-            for j, o in enumerate(outer.T)
-        ]
-        return Jet(len(v), order, np.stack(columns, axis=1) if np.ndim(x) == 2 else columns[0])
+        and y are (n, N) arrays, by the chain rule for every profile: the profile's
+        jet in (r, u, v) from one ``phi_jets`` call, re-expanded in (rho, mu, v) =
+        (|x|^2, |y|^2, <x,y>) through r = sqrt(rho) and u = sqrt(mu), then composed
+        with the exact quadratic jets of rho, mu and v (``compose_multivariate``
+        twice; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  Each
+        column is the one-point jet bit for bit.  x = 0, where |x| has no
+        derivative, is refused."""
+        one_point = np.ndim(x) == 1
+        x, y = (np.asarray(w, dtype=float).reshape(len(w), -1) for w in (x, y))  # (n, N)
+        r, u, v = invariant_rows(x.T, y.T)
+        if np.count_nonzero(r == 0.0):
+            raise JetDomainError("|x| is not differentiable at x = 0")
+        outer = Jet(3, order, self.phi_jets(r, u, v, order))
+        profile = compose_multivariate(outer, _root_jets(r, u, v, order))
+        f = compose_multivariate(profile, _quadratic_jets(x, y, r, u, v, order)).coeffs
+        return Jet(2 * len(x), order, f[:, 0] if one_point else f)
+
+
+def _root_jets(r, u, v, order: int) -> list[Jet]:
+    """Jets of r = sqrt(rho), u = sqrt(mu) and v in the variables (rho, mu, v)
+    at rho = r^2, mu = u^2: sqrt(w^2 + h) = w + h/(2w) - h^2/(8w^3) + h^3/(16w^5)."""
+    pos = position_map(3, order)
+    out = []
+    for var, w in ((R, r), (U, u)):
+        c = np.zeros((len(pos), len(w)))
+        c[0] = w
+        w3 = w * w * w
+        series = (0.5 / w, -0.125 / w3, 0.0625 / (w3 * w * w))
+        for k in range(order):
+            c[pos[(var,) * (k + 1)]] = series[k]
+        out.append(Jet(3, order, c))
+    return out + [lift_var(V, v, 3, order)]
+
+
+def _quadratic_jets(x, y, r, u, v, order: int) -> list[Jet]:
+    """The exact jets of |x|^2, |y|^2 and <x,y> in (x^1..x^n, y^1..y^n) at the
+    columns of the (n, N) arrays x and y, whose invariants are r, u and v."""
+    n = len(x)
+    c = np.zeros((3, coeff_count(2 * n, order), x.shape[1]))
+    c[:, 0] = r * r, u * u, v
+    if order >= 1:
+        c[0, 1 : 1 + n] = 2.0 * x
+        c[1, 1 + n : 1 + 2 * n] = 2.0 * y
+        c[2, 1 : 1 + n], c[2, 1 + n : 1 + 2 * n] = y, x
+    if order >= 2:
+        xx, yy, xy = _quadratic_slots(n, order)
+        c[0, xx] = c[1, yy] = c[2, xy] = 1.0
+    return [Jet(2 * n, order, w) for w in c]
+
+
+@functools.lru_cache(maxsize=None)
+def _quadratic_slots(n: int, order: int):
+    """Slots of dx_i^2, dy_i^2 and dx_i dy_i among the 2n ambient variables."""
+    pos = position_map(2 * n, order)
+    return tuple(
+        np.array([pos[(a + i, b + i)] for i in range(n)], dtype=np.intp) for a, b in ((0, 0), (n, n), (0, n))
+    )
 
 
 @dataclass
@@ -264,7 +304,7 @@ def worst_residual(values) -> tuple[float, int, int]:
 
 
 def _chunks(count: int, size: int) -> list[slice]:
-    return [slice(start, start + size) for start in range(0, count, size)]
+    return [slice(start, min(start + size, count)) for start in range(0, count, size)]
 
 
 def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
@@ -461,14 +501,17 @@ class AmbientBundle:
     @classmethod
     def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
         """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.
-        An error's ``index`` counts rows of x."""
+        An error's ``index`` counts rows of x: a chunk whose error has none
+        rebuilds its rows one at a time and raises the first one's error."""
         nvars = 2 * x.shape[1]
         f, e = [], []
         for c in _chunks(len(x), AMBIENT_CHUNK):
             try:
                 block = _columns(metric.ambient_jet(x[c].T, y[c].T, order).coeffs, len(x[c]))
             except ValueError as err:
-                if getattr(err, "index", None) is not None:
+                if getattr(err, "index", None) is None:  # rebuild the chunk's rows alone, in order
+                    _first_failing_row(lambda i: metric.ambient_jet(x[i : i + 1].T, y[i : i + 1].T, order), c)
+                else:
                     err.index += c.start
                 raise
             f.append(block)
@@ -527,6 +570,17 @@ class AmbientBundle:
             i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
             raise _not_convex(self, i) from None
         return 0.25 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
+
+
+def _first_failing_row(build, rows: slice) -> None:
+    """build(i) for each row i of ``rows`` in turn; the first ValueError is raised
+    with ``index`` i.  Returns when every row builds."""
+    for i in range(rows.start, rows.stop):
+        try:
+            build(i)
+        except ValueError as err:
+            err.index = i
+            raise
 
 
 def _not_convex(b, i: int) -> NotStronglyConvexError:

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import invariants_bundle, make_metric, rows_of, samples_for
 from finslercheck.checks import Run
+from finslercheck._multi_index import coeff_count
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
+from finslercheck.jets import JetDomainError, lift_var, sqrt
 from finslercheck.metrics import (
     AmbientBundle,
     ClosedFormProfile,
@@ -631,10 +633,115 @@ class TestAmbientRoute:
             assert np.abs(fy - grad[2:]).max() < 1e-10
 
 
+def direct_ambient_jet(metric, x, y, order):
+    """The oracle: a closed-form profile's formula on the 2n-variable seed jets of the
+    rows of x and y, through |x| = sqrt(x.x), |y| = sqrt(y.y) and <x,y>, as
+    (ncoeff, N) coefficients."""
+    n = x.shape[1]
+    xs = [lift_var(i, x[:, i], 2 * n, order) for i in range(n)]
+    ys = [lift_var(n + i, y[:, i], 2 * n, order) for i in range(n)]
+    v = sum(a * b for a, b in zip(xs, ys))
+    return metric.profile.fn(sqrt(sum(a * a for a in xs)), sqrt(sum(b * b for b in ys)), v).coeffs
+
+
+def oracle_rows(metric, n):
+    """30 sampled rows, then rows with x parallel and antiparallel to y and rows with
+    x nearly orthogonal to y (v = 1e-7 |y|): (x, y) as (N, n) arrays."""
+    x, y = rows_of(samples_for(metric, n=n, count=30))
+    unit = y / np.linalg.norm(y, axis=1)[:, None]
+    across = x[8:12] - np.vecdot(x[8:12], unit[8:12])[:, None] * unit[8:12] + 1e-7 * unit[8:12]
+    return np.concatenate([x, 0.4 * unit[:4], -0.7 * unit[4:8], across]), np.concatenate([y, y[:12]])
+
+
+# Funk and Berwald at n = 2, sampled row 14 (r = 0.909, v = -0.977 r u): their w + v
+# cancels about tenfold there, and both routes carry it into the third x-derivatives.
+# Against an mpmath reference (40 digits) the composed jet is 5.9e-13 (funk) and
+# 1.2e-12 (berwald) of the row's largest coefficient off, the direct one 8.2e-13 and
+# 2.9e-13.  Every other (metric, n, order) agrees to <= 4.5e-14.
+ORACLE_RTOL = {("funk", 2, 3): 1e-12, ("berwald", 2, 3): 3e-12}
+
+
+class TestComposedAmbientJet:
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_direct_route(self, name, n):
+        # the profile jet composed through (|x|^2, |y|^2, <x,y>) against the profile's
+        # formula on ambient jets, column by column, relative to the column's largest entry
+        metric = make_metric(name)
+        x, y = oracle_rows(metric, n)
+        for order in range(4):
+            got = metric.ambient_jet(x.T, y.T, order).coeffs
+            want = direct_ambient_jet(metric, x, y, order)
+            error = np.abs(got - want).max(axis=0) / np.abs(want).max(axis=0)
+            assert error.max() <= ORACLE_RTOL.get((name, n, order), 1e-13), (order, error.argmax())
+
+    @pytest.mark.parametrize("name", builtin_names())
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_columns_equal_one_point_jets(self, name, n):
+        # 88 rows (wider than a cached product scatter), signed-zero axis rows among them
+        metric = make_metric(name)
+        x, y = (np.concatenate(p) for p in zip(edge_rows(metric, n, origin=False), oracle_rows(metric, n)))
+        for order in range(4):
+            chunk = metric.ambient_jet(x.T, y.T, order).coeffs
+            for j in range(len(x)):
+                one = metric.ambient_jet(x[j], y[j], order).coeffs
+                assert one.tobytes() == chunk[:, j].tobytes(), (order, j)
+
+    def test_bryant_chunk_makes_at_most_ten_eight_variable_products(self, monkeypatch):
+        # the profile runs on 3-variable jets; in 8 variables only the composition
+        # multiplies (one gathered product per degree), where the profile's formula on
+        # 8-variable jets made about 34
+        from finslercheck import jets
+
+        eight = []
+        for name, is_eight in (
+            ("_product", lambda a, args: args[0] == 8),
+            ("_gather_sum", lambda a, args: len(a) == 3 * coeff_count(8, 3)),  # stacked inner jets
+        ):
+            original = getattr(jets, name)
+
+            def counting(a, b, *args, original=original, is_eight=is_eight):
+                eight.extend([1] if is_eight(a, args) else [])
+                return original(a, b, *args)
+
+            monkeypatch.setattr(jets, name, counting)
+        metric = make_metric("bryant")
+        x, y = rows_of(samples_for(metric, n=4, count=25))
+        metric.ambient_jet(x.T, y.T, 3)
+        assert 0 < len(eight) <= 10
+
+    def test_family_chunk_runs_one_phi_jets_and_no_per_column_composition(self, monkeypatch):
+        from finslercheck import metrics
+        from finslercheck.family import FamilyProfile
+
+        metric = AMBIENT_CASES["family"][0]()
+        x, y = rows_of(samples_for(metric, n=2, count=25))
+        widths, composed = [], []
+        jet, compose = FamilyProfile.jet, metrics.compose_multivariate
+
+        def counting_jet(self, r, u, v, order):
+            widths.append(np.size(r))
+            return jet(self, r, u, v, order)
+
+        def counting_compose(outer, inners):
+            composed.append(outer.coeffs.shape[1:])
+            return compose(outer, inners)
+
+        monkeypatch.setattr(FamilyProfile, "jet", counting_jet)
+        monkeypatch.setattr(metrics, "compose_multivariate", counting_compose)
+        AmbientBundle.of(metric, x, y, 3)
+        assert widths == [25]  # one phi_jets call over the chunk
+        assert composed == [(25,), (25,)]  # (r, u, v) -> (rho, mu, v) -> ambient, all columns at once
+
+    def test_origin_is_refused(self):
+        with pytest.raises(JetDomainError, match="not differentiable at x = 0"):
+            builtin("funk").ambient_jet(np.zeros(2), np.array([0.3, 0.4]), 1)
+
+
 AMBIENT_CASES = {
     "bryant_n4": (lambda: make_metric("bryant"), 4),
     "funk": (lambda: builtin("funk"), 2),
-    # the family's profile takes no general jets: it goes through compose_multivariate
+    # the family's profile takes only its own 3-variable jets, like every profile here
     "family": (
         lambda: build_projective_metric(
             ProjectiveFamilySpec(
@@ -738,8 +845,8 @@ class TestChunkedAmbientBundle:
         with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
             Run(metric, samples).ambient
         assert err.value.sample is samples[30]
-        # the first chunk, the failing second, then the samples from 0 up to the bad one
-        assert widths == [25, 25] + [1] * 31
+        # the first chunk, the failing second, then its rows from 25 up to the bad one
+        assert widths == [25, 25] + [1] * 6
 
     def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
         # a family profile error with an index counts triples of its chunk's one
