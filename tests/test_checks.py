@@ -15,9 +15,11 @@ from finslercheck.metrics import (
     ExpressionProfile,
     GeneralMetric,
     MetricSample,
+    ProfileBundle,
     SphericalMetric,
     builtin,
     bundle_of,
+    positive_definite,
     worst_residual,
 )
 from finslercheck.report import Report, to_json
@@ -149,6 +151,20 @@ def test_convexity_fails_a_negative_F():
     assert not record.passed
     assert record.detail["non_positive_F"] == 5
     assert record.worst_x == list(samples[0].x)
+
+
+def test_convexity_names_the_first_sample_whose_g_does_not_factorise():
+    # u + v^2/u > 0 has phi_u < 0 where |v| > u, so from n = 3 on its g fails there: the
+    # stacked factorisation fails, and the fraction and the named sample are those of
+    # a Cholesky row by row
+    metric = SphericalMetric("wide", ExpressionProfile("u + v*v/u"))
+    samples = sample_domain(SampleSpec.for_metric(n=3, count=30, seed=7))
+    failed = [not positive_definite(g) for g in ProfileBundle.of(metric, *rows_of(samples)).g()]
+    assert any(failed) and not all(failed)
+    [record] = run_check("convexity", Run(metric, samples), {})
+    assert not record.passed
+    assert record.max_residual == sum(failed) / len(samples)
+    assert record.worst_x == list(samples[failed.index(True)].x)
 
 
 def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
