@@ -21,6 +21,7 @@ import numpy as np
 from . import geodesics as geo
 from . import projective as proj
 from . import symmetry as sym
+from .jets import EvaluationError
 from .metrics import (
     AmbientBundle,
     MetricSample,
@@ -58,30 +59,26 @@ DEFAULT_TOLERANCES = {
 
 
 def at_samples(evaluate, samples) -> list:
-    """[evaluate(s) for s in samples].  A ValueError raised at a sample (a jet,
-    metric, formula or quadrature domain error) carries that sample as its
-    ``sample`` attribute, so a check can report where evaluation failed."""
+    """[evaluate(s) for s in samples].  An ``EvaluationError`` raised at a sample
+    (a jet, metric, formula or quadrature domain error) carries that sample as
+    its ``sample`` attribute, so a check can report where evaluation failed."""
     out = []
     for s in samples:
         try:
             out.append(evaluate(s))
-        except ValueError as err:
+        except EvaluationError as err:
             err.sample = s
             raise
     return out
 
 
 def _named(build, samples):
-    """build(x, y) over the samples' stacked x and y.  A ValueError it raises
-    names its failing sample (``sample``): the one at the error's ``index``,
-    else the first sample whose one-row build raises, with that build's error."""
+    """build(x, y) over the samples' stacked x and y.  An ``EvaluationError`` it
+    raises names the sample at its ``index`` (a bundle's lowest failing row)."""
     x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
     try:
         return build(x, y)
-    except ValueError as err:
-        if getattr(err, "index", None) is None:
-            at_samples(lambda s: build(s.x[None], s.y[None]), samples)
-            raise  # no sample fails alone
+    except EvaluationError as err:
         err.sample = samples[err.index]
         raise
 
@@ -105,9 +102,9 @@ class Run:
         if name not in self._built:
             try:
                 self._built[name] = _named(build, self.samples)
-            except ValueError as err:  # an evaluation error, naming its sample
+            except EvaluationError as err:  # naming its sample
                 self._built[name] = err
-        if isinstance(self._built[name], ValueError):
+        if isinstance(self._built[name], EvaluationError):
             raise self._built[name]
         return self._built[name]
 
@@ -403,7 +400,7 @@ def run_check(name, run, params):
     tol = run.tolerance(name)
     try:
         return _RUNNERS[name](run, tol, params)
-    except geo.EVALUATION_ERRORS as err:
+    except EvaluationError as err:
         if getattr(err, "sample", None) is None:
             raise
         return [_record(name, run, 0.0, err.sample, tol, {"evaluation_error": str(err)}, False)]

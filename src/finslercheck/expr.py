@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .jets import Jet, JetDomainError, absval, cos, exp, log, powc, sin, sqrt
+from .jets import EvaluationError, Jet, JetDomainError, absval, cos, exp, log, powc, sin, sqrt
 
 FUNCTIONS = {"sqrt": sqrt, "sin": sin, "cos": cos, "exp": exp, "log": log, "abs": absval}
 
@@ -47,11 +47,11 @@ class UnknownFunctionError(ParseError):
         self.name = name
 
 
-class EvalDomainError(ValueError):
+class EvalDomainError(EvaluationError):
     """A jet domain error, annotated with where in the source it happened."""
 
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (at offset {offset})")
+    def __init__(self, message: str, offset: int, index: int = 0):
+        super().__init__(f"{message} (at offset {offset})", index)
         self.offset = offset
 
 
@@ -238,22 +238,6 @@ def parse(source: str, allowed_vars: set[str]):
     return _Parser(source, allowed_vars).parse()
 
 
-def variables(node) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, (Const,)):
-        return set()
-    if isinstance(node, Neg):
-        return variables(node.arg)
-    if isinstance(node, BinOp):
-        return variables(node.left) | variables(node.right)
-    if isinstance(node, Pow):
-        return variables(node.base)
-    if isinstance(node, Call):
-        return variables(node.arg)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def serialize(node) -> str:
     """Canonical text form; parse(serialize(e)) is structurally identical to e."""
     if isinstance(node, Const):
@@ -311,7 +295,7 @@ def evaluate(node, bindings: dict[str, Jet], nvars: int | None = None, order: in
             if isinstance(n, Call):
                 return FUNCTIONS[n.fn](ev(n.arg))
         except JetDomainError as err:
-            raise EvalDomainError(str(err), n.offset) from err
+            raise EvalDomainError(str(err), n.offset, err.index) from err
         raise TypeError(f"not an AST node: {n!r}")
 
     return ev(node)

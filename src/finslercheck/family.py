@@ -37,11 +37,11 @@ import numpy as np
 
 from . import expr as expr_mod
 from ._multi_index import index_tuples, position_map
-from .jets import Jet, absval, lift_var
+from .jets import EvaluationError, Jet, absval, lift_var
 from .metrics import R, SphericalMetric, U, V
 
 
-class FamilyError(ValueError):
+class FamilyError(EvaluationError):
     """A family construction or evaluation failure."""
 
 
@@ -138,13 +138,18 @@ def _gauss_panel(fam, a, b, r, v, order: int):
     a, b, r and v are numbers (one panel, results of shape (ncoeff,)) or
     length-m arrays (m panels, results (ncoeff, m)).  All 15 * m nodes go
     through one batched integrand jet; each panel's weighted columns are
-    summed in node order (a running sum, not a pairwise reduction).
+    summed in node order (a running sum, not a pairwise reduction).  An
+    error's ``index`` counts panels.
     """
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     t = np.asarray(mid)[..., None] + np.asarray(half)[..., None] * _GL_NODES
     nodes = len(_GL_NODES)
-    c = _integrand_coeffs(fam, t.ravel(), np.repeat(r, nodes), np.repeat(v, nodes), order)
+    try:
+        c = _integrand_coeffs(fam, t.ravel(), np.repeat(r, nodes), np.repeat(v, nodes), order)
+    except EvaluationError as err:
+        err.index //= nodes  # node -> panel
+        raise
     c = c.reshape((-1,) + t.shape)
     acc = np.cumsum(_GL_WEIGHTS * c, axis=-1)[..., -1]
     acc_abs = np.cumsum(_GL_WEIGHTS * np.abs(c), axis=-1)[..., -1]
@@ -162,7 +167,8 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
     max(tol, rounding floor) in every coefficient; otherwise its children get
     half its tolerance.  Leaves are added back in tree order (left + right
     at every node), so each column is bit for bit the one-triple result.  A
-    triple failing at max_depth stops; the first one's error, with its ``index``, comes last.
+    triple failing at max_depth stops; the first one's error, with its ``index``,
+    comes last.  A round that raises names its first failing panel's triple.
     """
     count = len(r)
     estimates, _ = _gauss_panel(fam, np.zeros(count), u, r, v, order)
@@ -177,10 +183,14 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
         a, b = np.array(lo), np.array(hi)
         mid = 0.5 * (a + b)
         k = len(live)
-        halves, halves_abs = _gauss_panel(
-            fam, np.concatenate([a, mid]), np.concatenate([mid, b]),
-            np.tile(r[live], 2), np.tile(v[live], 2), order,
-        )
+        try:
+            halves, halves_abs = _gauss_panel(
+                fam, np.concatenate([a, mid]), np.concatenate([mid, b]),
+                np.tile(r[live], 2), np.tile(v[live], 2), order,
+            )
+        except EvaluationError as err:
+            err.index = live[err.index % k]  # left halves, then right halves -> triple
+            raise
         left, right = halves[:, :k], halves[:, k:]
         refined = left + right
         floor = _ROUNDOFF_FLOOR * (halves_abs[:, :k] + halves_abs[:, k:]).max(axis=0)
@@ -192,7 +202,8 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
                 if heap >= 1 << fam.spec.max_depth:  # depth max_depth reached
                     failed[i] = QuadratureError(
                         f"profile integral did not converge on [{lo[j]:g}, {hi[j]:g}] "
-                        f"after {fam.spec.max_depth} bisection levels"
+                        f"after {fam.spec.max_depth} bisection levels",
+                        i,
                     )
                     pending[i].clear()
                     continue
@@ -210,7 +221,6 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
             else:
                 result[i] = total
     if failed:  # every other triple succeeded
-        failed[min(failed)].index = min(failed)
         raise failed[min(failed)]
     return np.stack(result, axis=1)
 

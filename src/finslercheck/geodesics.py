@@ -15,7 +15,9 @@ step-count efficiency.  ``integrate_geodesics`` integrates many paths as one
 ``bundle_of`` the N state rows, closed-form for a profile metric and a stacked
 Cholesky solve otherwise.  Each path is bit for bit what it would be if
 integrated alone, and ``integrate_geodesic`` and ``spray_general`` are the
-one-path cases.  The ``geodesics`` check launches all its paths in one
+one-path cases.  A step that fails names a failing path (the error's
+``index``): that path stops, and the others take the step again as one
+batch.  The ``geodesics`` check launches all its paths in one
 ``integrate_geodesics`` call; its params ``count`` and ``steps`` must be
 integers >= 1 and ``horizon`` finite and > 0 (``checks.check_geodesics``).
 """
@@ -27,15 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError
-from .family import FamilyError
-from .jets import JetDomainError
-from .metrics import MetricDomainError, NotStronglyConvexError, bundle_of
-
-
-# Raised where a metric cannot be evaluated at a point: a geodesic stops there, and a
-# check fails naming the sample (``checks.run_check``, ``checks.at_samples``).
-EVALUATION_ERRORS = (JetDomainError, MetricDomainError, EvalDomainError, FamilyError, NotStronglyConvexError)
+from .jets import EvaluationError
+from .metrics import MetricDomainError, bundle_of
 
 
 def spray_general(metric, x, y) -> np.ndarray:
@@ -69,19 +64,20 @@ def _rk4_step(metric, x, y, h):
 
 
 def _step_rows(metric, x, y, h):
-    """(x, y) after one RK4 step of every row.  A batch that raises is rerun
-    row by row, and a row whose own step raises gets a NaN state."""
+    """(x, y) after one RK4 step of every row.  While the step raises, the row at
+    the error's ``index`` (one whose own step raises) gets a NaN state, and the
+    other rows take the step again as one batch."""
     try:
         return _rk4_step(metric, x, y, h)
-    except EVALUATION_ERRORS:
-        pass
+    except EvaluationError as err:
+        rows = np.delete(np.arange(len(x)), err.index)
     nx, ny = np.full_like(x, np.nan), np.full_like(y, np.nan)
-    for i in range(len(x)):
-        row = slice(i, i + 1)
+    while rows.size:
         try:
-            nx[row], ny[row] = _rk4_step(metric, x[row], y[row], h[row])
-        except EVALUATION_ERRORS:
-            pass
+            nx[rows], ny[rows] = _rk4_step(metric, x[rows], y[rows], h[rows])
+            break
+        except EvaluationError as err:
+            rows = np.delete(rows, err.index)
     return nx, ny
 
 
@@ -92,8 +88,8 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
     The paths still running form one (N, n) state, and each RK4 stage is one
     batched spray over them.  A path halts with its partial path (and records
     the exit time) when its state leaves the metric's domain or its evaluation
-    fails; a failed batch is rerun path by path, so every path stops exactly
-    where it would if integrated alone.
+    fails; a failed step stops the path it names and the others take it again
+    as one batch, so every path stops exactly where it would if integrated alone.
     """
     x = np.array([np.asarray(x0, dtype=float) for x0, _ in starts])
     y = np.array([np.asarray(y0, dtype=float) for _, y0 in starts])

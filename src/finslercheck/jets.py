@@ -24,7 +24,6 @@ share across threads.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,18 +43,33 @@ MAX_ORDER = 3
 DIVISION_GUARD = 1e-300
 
 
-class JetDomainError(ValueError):
+class EvaluationError(ValueError):
+    """An evaluation failed at some of the columns (points) of a batched operation.
+
+    ``index`` is the first failing column of the operation that raised, 0 for
+    an error that fails every column.  Every column before it passed that
+    operation, so that column's own one-point evaluation raises the same error
+    there.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+class JetDomainError(EvaluationError):
     """A jet operation left the domain of the function being applied."""
 
-    def __init__(self, message: str, value: float | None = None):
-        super().__init__(message if value is None else f"{message} (value {value!r})")
+    def __init__(self, message: str, value: float | None = None, index: int = 0):
+        super().__init__(message if value is None else f"{message} (value {value!r})", index)
         self.value = value
 
 
 def _reject(message: str, values, bad) -> None:
     """Raise JetDomainError at the first point where ``bad`` holds, if any."""
     if np.count_nonzero(bad):  # cheaper than bad.any() at a few points
-        raise JetDomainError(message, float(np.ravel(values)[np.ravel(bad).argmax()]))
+        i = int(np.ravel(bad).argmax())
+        raise JetDomainError(message, float(np.ravel(values)[i]), i)
 
 
 def _point(x):
@@ -270,11 +284,7 @@ def _reciprocal(b: Jet) -> Jet:
     return _compose(b, derivatives)
 
 
-def sqrt(a):
-    if not isinstance(a, Jet):
-        if a <= 0.0:
-            raise JetDomainError("sqrt requires a positive argument", a)
-        return math.sqrt(a)
+def sqrt(a: Jet) -> Jet:
     _reject("sqrt requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
 
     def derivatives(w):
@@ -284,19 +294,12 @@ def sqrt(a):
     return _compose(a, derivatives)
 
 
-def log(a):
-    if not isinstance(a, Jet):
-        if a <= 0.0:
-            raise JetDomainError("log requires a positive argument", a)
-        return math.log(a)
+def log(a: Jet) -> Jet:
     _reject("log requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
     return _compose(a, lambda w: (np.log(w), 1.0 / w, -1.0 / (w * w), lambda: 2.0 / (w * w * w)))
 
 
-def exp(a):
-    if not isinstance(a, Jet):
-        return math.exp(a)
-
+def exp(a: Jet) -> Jet:
     def derivatives(w):
         e = np.exp(w)
         return e, e, e, lambda: e
@@ -304,37 +307,27 @@ def exp(a):
     return _compose(a, derivatives)
 
 
-def sin(a):
-    if not isinstance(a, Jet):
-        return math.sin(a)
+def sin(a: Jet) -> Jet:
     return _compose(a, lambda w: (np.sin(w), np.cos(w), -np.sin(w), lambda: -np.cos(w)))
 
 
-def cos(a):
-    if not isinstance(a, Jet):
-        return math.cos(a)
+def cos(a: Jet) -> Jet:
     return _compose(a, lambda w: (np.cos(w), -np.sin(w), -np.cos(w), lambda: np.sin(w)))
 
 
-def absval(a):
+def absval(a: Jet) -> Jet:
     """|a| away from zero; refuses the kink rather than guessing a subgradient."""
-    if not isinstance(a, Jet):
-        if a == 0.0:
-            raise JetDomainError("abs is not differentiable at 0", a)
-        return abs(a)
     _reject("abs is not differentiable at 0", a.coeffs[0], a.coeffs[0] == 0.0)
     return a * np.copysign(1.0, a.coeffs[0])
 
 
-def powc(a, exponent: float):
+def powc(a: Jet, exponent: float) -> Jet:
     """a raised to a constant exponent.
 
     Integer exponents are computed by repeated multiplication (exact for
     polynomials, valid for any base value); fractional exponents require a
     positive base.
     """
-    if not isinstance(a, Jet):
-        return float(a) ** exponent
     e = float(exponent)
     if e == int(e):
         n = int(e)

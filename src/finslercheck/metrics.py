@@ -21,9 +21,10 @@ rows).  Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
 (closed-form on span{x, y} for a profile, with strong convexity from the
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
 ``bundle_of`` alone picks a bundle by metric kind.  A bundle knows rows, not
-samples: the caller that holds the samples names a failing one
-(``checks.Run``).  ``fundamental_tensor`` is a library entry point over a
-one-row bundle.
+samples: a failed build raises its lowest failing row's own error with that
+row as its ``index`` (``_first_failure``), and the caller that holds the
+samples names the sample (``checks.Run``).  ``fundamental_tensor`` is a
+library entry point over a one-row bundle.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from ._multi_index import coeff_count, derivative_factors, position_map
-from .jets import Jet, JetDomainError, compose_multivariate, lift_var, sqrt
+from .jets import EvaluationError, Jet, JetDomainError, compose_multivariate, lift_var, sqrt
 
 R, U, V = 0, 1, 2
 
@@ -48,11 +49,11 @@ MIN_RADIUS = 0.05  # the profile-space formulas carry 1/r (``ProfileBundle.requi
 AMBIENT_CHUNK = 25
 
 
-class MetricDomainError(ValueError):
+class MetricDomainError(EvaluationError):
     """Evaluation outside the metric's admissible domain."""
 
 
-class NotStronglyConvexError(ValueError):
+class NotStronglyConvexError(EvaluationError):
     """The metric is not strongly convex at a row: F <= 0 or g is not positive definite."""
 
 
@@ -65,7 +66,7 @@ def invariant_rows(x, y):
     """
     u = np.sqrt(np.vecdot(y, y))
     if np.count_nonzero(u == 0.0):
-        raise MetricDomainError("y must be nonzero")
+        raise MetricDomainError("y must be nonzero", int(np.argmax(u == 0.0)))
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
     return r, u, np.minimum(np.maximum(np.vecdot(x, y), -bound), bound)
@@ -137,13 +138,16 @@ class SphericalMetric:
     params: dict = field(default_factory=dict)
 
     def phi_jet(self, r: float, u: float, v: float, order: int = 2) -> Jet:
-        if u <= 0.0:
-            raise MetricDomainError("u must be positive")
-        if r >= self.domain_radius:
-            raise MetricDomainError(
-                f"|x| = {r} outside domain of {self.name} (radius {self.domain_radius})"
-            )
+        if u <= 0.0 or r >= self.domain_radius:
+            raise self._outside(r, u)
         return self.profile.jet(r, u, v, order)
+
+    def _outside(self, r: float, u: float, index: int = 0) -> MetricDomainError:
+        """The domain error of a triple with u <= 0 or r >= domain_radius."""
+        if u <= 0.0:
+            return MetricDomainError("u must be positive", index)
+        message = f"|x| = {r} outside domain of {self.name} (radius {self.domain_radius})"
+        return MetricDomainError(message, index)
 
     def phi_jets(self, r, u, v, order: int = 2) -> np.ndarray:
         """``phi_jet`` at N invariant triples (length-N arrays) as (ncoeff, N)
@@ -159,7 +163,7 @@ class SphericalMetric:
         outside = (u <= 0.0) | (r >= self.domain_radius)
         if np.count_nonzero(outside):
             i = int(outside.argmax())
-            self.phi_jet(r[i], u[i], v[i], order)  # raises the first such triple's domain error
+            raise self._outside(float(r[i]), float(u[i]), i)
         return _columns(self.profile.jet(r, u, v, order).coeffs, len(r))
 
     def phi_value(self, r: float, u: float, v: float) -> float:
@@ -187,7 +191,7 @@ class SphericalMetric:
         x, y = (np.asarray(w, dtype=float).reshape(len(w), -1) for w in (x, y))  # (n, N)
         r, u, v = invariant_rows(x.T, y.T)
         if np.count_nonzero(r == 0.0):
-            raise JetDomainError("|x| is not differentiable at x = 0")
+            raise JetDomainError("|x| is not differentiable at x = 0", index=int((r == 0.0).argmax()))
         outer = Jet(3, order, self.phi_jets(r, u, v, order))
         profile = compose_multivariate(outer, _root_jets(r, u, v, order))
         f = compose_multivariate(profile, _quadratic_jets(x, y, r, u, v, order)).coeffs
@@ -344,8 +348,9 @@ class ProfileBundle:
 
     @classmethod
     def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> "ProfileBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, from one batched ``phi_jets`` call."""
-        return cls._of_invariants(metric, x, y, *invariant_rows(x, y))
+        """The bundle at the rows of the (N, n) arrays x and y, from one batched ``phi_jets``
+        call; an error names its lowest failing row (``_first_failure``)."""
+        return _first_failure(lambda x, y: cls._of_invariants(metric, x, y, *invariant_rows(x, y)), x, y)
 
     @classmethod
     def _of_invariants(cls, metric, x, y, r, u, v) -> "ProfileBundle":
@@ -501,19 +506,12 @@ class AmbientBundle:
     @classmethod
     def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
         """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.
-        An error's ``index`` counts rows of x: a chunk whose error has none
-        rebuilds its rows one at a time and raises the first one's error."""
+        An error names its lowest failing row of x (``_first_failure`` of its chunk)."""
         nvars = 2 * x.shape[1]
         f, e = [], []
         for c in _chunks(len(x), AMBIENT_CHUNK):
-            try:
-                block = _columns(metric.ambient_jet(x[c].T, y[c].T, order).coeffs, len(x[c]))
-            except ValueError as err:
-                if getattr(err, "index", None) is None:  # rebuild the chunk's rows alone, in order
-                    _first_failing_row(lambda i: metric.ambient_jet(x[i : i + 1].T, y[i : i + 1].T, order), c)
-                else:
-                    err.index += c.start
-                raise
+            jet = _first_failure(lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order), x[c], y[c], c.start)
+            block = _columns(jet.coeffs, c.stop - c.start)
             f.append(block)
             # E chunk by chunk: one N-point product would hold all N samples' product terms at once
             e.append((Jet(nvars, order, block) * Jet(nvars, order, block)).coeffs)
@@ -572,19 +570,33 @@ class AmbientBundle:
         return 0.25 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
 
 
-def _first_failing_row(build, rows: slice) -> None:
-    """build(i) for each row i of ``rows`` in turn; the first ValueError is raised
-    with ``index`` i.  Returns when every row builds."""
-    for i in range(rows.start, rows.stop):
+def _first_failure(build, x: np.ndarray, y: np.ndarray, start: int = 0):
+    """build(x, y) at the rows of the (N, n) arrays x and y.  An ``EvaluationError``
+    it raises is re-raised as the lowest failing row's own error, with ``index``
+    that row counted from ``start``.
+
+    A build that fails at row j (its first failing column of one operation) has
+    built rows [0, j) only up to that operation, and they may fail at a later
+    one: they are built again as one batch, down to a prefix that passes (each
+    prefix shorter than the last, so the loop ends)."""
+    try:
+        return build(x, y)
+    except EvaluationError as err:
+        failure = err
+    rows = len(x)
+    while 0 < failure.index < rows:
+        rows = failure.index
         try:
-            build(i)
-        except ValueError as err:
-            err.index = i
-            raise
+            build(x[:rows], y[:rows])
+            break
+        except EvaluationError as err:
+            failure = err
+    failure.index += start
+    raise failure
 
 
 def _not_convex(b, i: int) -> NotStronglyConvexError:
-    return NotStronglyConvexError(f"metric is not strongly convex at x={b.x[i]}, y={b.y[i]}")
+    return NotStronglyConvexError(f"metric is not strongly convex at x={b.x[i]}, y={b.y[i]}", i)
 
 
 def bundle_of(metric, x: np.ndarray, y: np.ndarray):
@@ -618,15 +630,18 @@ def positive_definite(g: np.ndarray) -> bool:
 def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|phi(r,u,-v) - phi(r,u,v)| / phi(r,u,v) at the rows of x and y, zero iff
     F(x,-y) = F(x,y): one order-0 ``phi_jets`` over each row's (r, u, v) and
-    (r, u, -v) in turn.  An error's ``index`` counts rows."""
-    r, u, v = invariant_rows(x, y)
-    try:
-        [phi] = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.stack([v, -v], axis=1).ravel(), 0)
-    except ValueError as err:
-        if getattr(err, "index", None) is not None:
-            err.index //= 2
-        raise
-    return abs(phi[1::2] - phi[::2]) / phi[::2]
+    (r, u, -v) in turn.  An error names its lowest failing row (``_first_failure``)."""
+
+    def build(x, y):
+        r, u, v = invariant_rows(x, y)
+        try:
+            [phi] = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.stack([v, -v], axis=1).ravel(), 0)
+        except EvaluationError as err:
+            err.index //= 2  # triple -> row
+            raise
+        return abs(phi[1::2] - phi[::2]) / phi[::2]
+
+    return _first_failure(build, x, y)
 
 
 def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from conftest import rows_of
 from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
+from finslercheck.jets import EvaluationError
 from finslercheck.metrics import (
     ClosedFormProfile,
     ExpressionProfile,
@@ -22,7 +23,7 @@ from finslercheck.metrics import (
     positive_definite,
     worst_residual,
 )
-from finslercheck.report import Report, to_json
+from finslercheck.report import Report, to_json, to_text
 from finslercheck.sampling import SampleSpec, sample_domain
 from finslercheck.symmetry import symmetry_verdict
 
@@ -269,8 +270,8 @@ def test_conjecture_probe_names_its_failing_pair():
 
 def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     # the first bad sample of log(x1+1) is at index 2: the order-2 bundle that
-    # symmetry and rapcsak share fails once (its 20-sample chunk, then one-row
-    # bundles of samples 0..2 to name it), not once per check
+    # symmetry and rapcsak share fails once (its 20-sample chunk, then one bundle
+    # of samples 0..1 to confirm they pass), not once per check
     calls = []
     original = GeneralMetric.ambient_jet
 
@@ -287,9 +288,69 @@ def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 1
-    assert calls == [(20,), (1,), (1,), (1,)]
+    assert calls == [(20,), (2,)]
     first, second = report.records
     assert first.detail["evaluation_error"] == second.detail["evaluation_error"]
+
+
+def _first_sample_failing_alone(read, metric, samples):
+    """The reference naming rule: the first sample whose own one-sample ``Run``
+    raises on ``read``, with that error's message (None, None if none does)."""
+    for s in samples:
+        try:
+            read(Run(metric, [s]))
+        except EvaluationError as err:
+            return s, str(err)
+    return None, None
+
+
+# |x| of each kind of row: inside both limits, past sqrt(1.5 - r), past the domain radius
+ROW_RADII = {"in": (0.1, 1.4), "root": (1.55, 1.75), "outside": (1.85, 2.5)}
+
+
+@given(
+    st.dictionaries(st.integers(0, 59), st.sampled_from(["root", "outside"]), min_size=1, max_size=4),
+    st.integers(0, 10),
+    st.integers(0, 2**32 - 1),
+)
+def test_a_failed_build_names_the_first_sample_that_fails_alone(failing, tail, seed):
+    # two operations fail: the domain test (r >= 1.8) before the profile jet, and
+    # sqrt(1.5 - r) inside it; a batch names the sample a per-sample loop names first
+    metric = SphericalMetric("root", ExpressionProfile("u*sqrt(1.5 - r) + 0.1*v"), 1.8)
+    kinds = [failing.get(i, "in") for i in range(max(failing) + 1 + tail)]
+    rng = np.random.default_rng(seed)
+    radii = np.array([rng.uniform(*ROW_RADII[k]) for k in kinds])
+    turn = rng.uniform(0.0, 2.0 * np.pi, (2, len(kinds)))
+    xs = (radii * [np.cos(turn[0]), np.sin(turn[0])]).T
+    ys = (rng.uniform(0.2, 1.5, len(kinds)) * [np.cos(turn[1]), np.sin(turn[1])]).T
+    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    reads = {
+        "profile": lambda run: run.profile,
+        "reversibility": lambda run: run.reversibility,
+        "ambient": lambda run: run.ambient,
+    }
+    for name, read in reads.items():
+        want, message = _first_sample_failing_alone(read, metric, samples)
+        with pytest.raises(EvaluationError) as err:
+            read(Run(metric, samples))
+        assert err.value.sample is want, name
+        assert str(err.value) == message, name
+
+
+def test_non_projective_curvature_record_fails_without_a_pde_record():
+    # u (1 + r^2) is not projective: the curvature check stops at the gate
+    metric = SphericalMetric("curved_control", ExpressionProfile("u*(1+r*r)"))
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7))
+    records = run_check("curvature", Run(metric, samples), {"lambda": 0.0})
+    [record] = records
+    assert record.check == "curvature" and not record.passed
+    assert record.detail == {"status": "not_projective", "projectivity_residual": 1.0}
+    assert record.max_residual == 1.0
+    text = to_text(Report(metric=metric.name, dimension=2, seed=7, count=10, records=records))
+    x = ", ".join(f"{c:.6g}" for c in record.worst_x)
+    y = ", ".join(f"{c:.6g}" for c in record.worst_y)
+    assert f"worst at x = ({x}), y = ({y})" in text
+    assert "status = not_projective" in text and "overall: FAIL" in text
 
 
 def test_failed_build_reraises_the_same_error():
@@ -345,8 +406,9 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
     funk = builtin("funk")
 
     def jet(self, r, u, v, order):  # one point or a batch of points, as the family's own jet
-        if np.any(np.asarray(r) > 0.6):
-            raise QuadratureError(f"no convergence at r={r}")
+        far = np.atleast_1d(r) > 0.6
+        if far.any():  # the index of the first failing triple, as the real quadrature sets it
+            raise QuadratureError(f"no convergence at r={r}", int(far.argmax()))
         return funk.profile.jet(r, u, v, order)
 
     monkeypatch.setattr(FamilyProfile, "jet", jet)

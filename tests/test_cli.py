@@ -199,6 +199,13 @@ class TestRunConfig:
             ({"sampling": {"count": 5, "u_range": 5}}, "'sampling.u_range'"),
             ({"checks": ["symmetry", {"name": "curvature", "params": None}]}, "'checks[1].params'"),
             ({"checks": [{"name": "curvature", "params": [1]}]}, "'checks[0].params'"),
+            # a missing or unparsable formula, a bad check entry, a misspelt tolerance key
+            ({"metric": {"family": {"g": "0"}}}, "family config is missing 'f'"),
+            ({"metric": {"family": {"f": "1/(1+t"}}}, "bad family config: expected ')'"),
+            ({"metric": {"general": {"name": "aniso"}}}, "general config is missing 'F'"),
+            ({"metric": {"general": {"F": "sqrt(y1^2 +)"}}}, "bad general metric formula: unexpected token ')'"),
+            ({"checks": ["symmetry", 3]}, "bad check entry: 3"),
+            ({"tolerances": {"symetry": 1e-9}}, "unknown check 'symetry' in tolerances (did you mean 'symmetry'?)"),
         ],
     )
     def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):
@@ -208,6 +215,12 @@ class TestRunConfig:
         assert run_config(path) == (None, 2)
         assert key in capsys.readouterr().err
         assert main(["verify", path, "--json"]) == 2
+
+    def test_config_without_metric_exit_two(self, tmp_path, capsys):
+        cfg = funk_config()
+        del cfg["metric"]
+        assert run_config(write_config(tmp_path, cfg)) == (None, 2)
+        assert "config needs a 'metric' entry (name, family, or general)" in capsys.readouterr().err
 
     def test_sampling_ranges_from_config(self, tmp_path):
         cfg = funk_config(

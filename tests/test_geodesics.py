@@ -9,7 +9,6 @@ from finslercheck.expr import EvalDomainError
 from finslercheck.family import FamilyError
 from finslercheck.geodesics import (
     GeodesicPath,
-    NotStronglyConvexError,
     dump_csv,
     integrate_geodesic,
     integrate_geodesics,
@@ -19,10 +18,12 @@ from finslercheck.geodesics import (
 )
 from finslercheck.jets import JetDomainError
 from finslercheck.metrics import (
+    AmbientBundle,
     ClosedFormProfile,
     GeneralMetric,
     MetricDomainError,
     MetricSample,
+    NotStronglyConvexError,
     ProfileBundle,
     SphericalMetric,
     builtin,
@@ -367,6 +368,32 @@ class TestBatchedIntegration:
         starts = [([0.0, 0.1], [0.1, 0.2]), ([0.8, 0.0], [1.0, 0.0]), ([-0.5, 0.0], [0.2, -0.3])]
         reasons = check_batch(metric, starts, [1.0, 2.0, 1.0], 50)
         assert reasons == [None, "evaluation", None]
+
+    def test_failing_path_leaves_the_others_in_one_batch(self, monkeypatch):
+        # path 1 leaves sqrt(1 - x1)'s domain mid-run: the other three take that step
+        # again as one batch, and every later one; no path is stepped alone
+        widths = []
+        original = AmbientBundle.spray
+
+        def counting(self):
+            widths.append(len(self.x))
+            return original(self)
+
+        monkeypatch.setattr(AmbientBundle, "spray", counting)
+        metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2)*sqrt(1 - x1)", 2)
+        starts = [
+            ([0.0, 0.1], [0.1, 0.2]),
+            ([0.8, 0.0], [1.0, 0.0]),
+            ([-0.5, 0.0], [0.2, -0.3]),
+            ([0.1, -0.2], [-0.2, 0.1]),
+        ]
+        paths = integrate_geodesics(metric, starts, [1.0, 2.0, 1.0, 1.0], 50)
+        completed = [len(p.times) - 1 for p in paths]
+        stop = completed[1]
+        assert 0 < stop < 50 and completed[:1] + completed[2:] == [50] * 3
+        # the failing step's stages before the one that raised ran at width 4
+        assert widths == [4] * (len(widths) - 4 * (50 - stop)) + [3] * 4 * (50 - stop)
+        assert 4 * stop <= widths.count(4) < 4 * (stop + 1)
 
     @pytest.mark.parametrize("name,n", [("funk", 2), ("klein", 3), ("bryant", 3), ("spherical", 2)])
     def test_builtin_batches_bit_for_bit(self, name, n):

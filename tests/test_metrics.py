@@ -170,7 +170,7 @@ class TestBatchedProfileBundle:
 
     def test_failed_family_bundle_evaluates_each_sample_once(self, monkeypatch):
         # the batch refuses the out-of-domain sample 2 before any quadrature, and
-        # the rerun that names it integrates samples 0 and 1, once each
+        # the one batch that confirms samples 0 and 1 pass integrates each once
         from finslercheck.family import FamilyProfile
 
         metric = AMBIENT_CASES["family"][0]()
@@ -187,7 +187,7 @@ class TestBatchedProfileBundle:
         with pytest.raises(MetricDomainError) as err:
             Run(metric, samples).profile
         assert err.value.sample is samples[2]
-        assert calls == [s.r for s in samples[:2]]
+        assert [list(r) for r in calls] == [[s.r for s in samples[:2]]]
 
     @pytest.mark.parametrize("count", [1, 2, 25, 26, 60])
     def test_family_columns_equal_per_sample_bundles(self, count, family_bundle_cases):
@@ -209,9 +209,10 @@ class TestBatchedProfileBundle:
             assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("evaluate", ["bundle", "reversibility"])
-    def test_failed_quadrature_names_its_sample_without_a_rerun(self, evaluate, monkeypatch):
+    def test_failed_quadrature_names_its_sample_after_one_batch(self, evaluate, monkeypatch):
         # max_depth = 2 is too shallow for samples 1 and 4: the one batched jet
-        # finishes the others, then raises sample 1's error as the per-sample path does
+        # finishes the others, then raises sample 1's error as the per-sample path does,
+        # once sample 0 alone (its two triples for reversibility) is built again and passes
         from finslercheck.family import FamilyProfile, QuadratureError, _CompiledFamily
 
         spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
@@ -235,7 +236,34 @@ class TestBatchedProfileBundle:
         monkeypatch.setattr(FamilyProfile, "jet", counting)
         with pytest.raises(QuadratureError) as batched:
             build(samples)
-        assert calls == [5 if evaluate == "bundle" else 10]
+        assert calls == ([5, 1] if evaluate == "bundle" else [10, 2])
+        assert str(batched.value) == str(alone.value)
+        assert batched.value.sample is alone.value.sample is samples[1]
+
+    def test_failing_quadrature_panel_names_its_triple(self):
+        # f carries sqrt(t + 0.65), which fails where v^2/tau^2 - r^2 <= -0.65: for sample 3
+        # at a node of the root panel [0, u], for sample 1 only at tau >= 0.9955 u, a node of
+        # the right half [u/2, u] in the next lockstep round; each panel maps to its triple
+        from finslercheck.expr import EvalDomainError
+
+        spec = ProjectiveFamilySpec(
+            f="1/sqrt(1+t) + 0*sqrt(t + 0.65)", g="1/(1-r^2)", h="1/(1-r^2)", baseline="abs_corrected"
+        )
+        metric = build_projective_metric(spec)
+        c = 0.398 / 0.9
+        samples = [
+            MetricSample.of([0.1, 0.2], [0.5, 1.0]),
+            MetricSample.of([0.9, 0.0], [c, math.sqrt(1.0 - c * c)]),
+            MetricSample.of([0.3, -0.1], [0.5, 1.0]),
+            MetricSample.of([0.0, 0.9], [1.0, 0.05]),
+            MetricSample.of([-0.3, 0.1], [0.5, 1.0]),
+        ]
+        with pytest.raises(EvalDomainError) as alone:
+            for s in samples:
+                Run(metric, [s]).reversibility
+        with pytest.raises(EvalDomainError) as batched:
+            Run(metric, samples).reversibility
+        assert "sqrt requires a positive argument" in str(alone.value)
         assert str(batched.value) == str(alone.value)
         assert batched.value.sample is alone.value.sample is samples[1]
 
@@ -845,12 +873,13 @@ class TestChunkedAmbientBundle:
         with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
             Run(metric, samples).ambient
         assert err.value.sample is samples[30]
-        # the first chunk, the failing second, then its rows from 25 up to the bad one
-        assert widths == [25, 25] + [1] * 6
+        # the first chunk, the failing second, then its rows 25..29 before the bad one
+        assert widths == [25, 25, 5]
 
     def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
         # a family profile error with an index counts triples of its chunk's one
-        # phi_jets call; the bundle counts it from row 0, so nothing is rebuilt alone
+        # phi_jets call; the bundle counts it from row 0, and only the chunk's rows
+        # before it are built again, as one batch
         from finslercheck.family import FamilyProfile, QuadratureError
 
         metric = AMBIENT_CASES["family"][0]()
@@ -873,7 +902,7 @@ class TestChunkedAmbientBundle:
         with pytest.raises(QuadratureError) as err:
             Run(metric, samples).ambient
         assert err.value.sample is samples[30]
-        assert widths == [25, 15]
+        assert widths == [25, 15, 5]
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
         from finslercheck.metrics import AMBIENT_CHUNK
