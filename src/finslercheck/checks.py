@@ -293,6 +293,7 @@ def check_geodesics(run, tol, params):
         "min_steps_completed": min(completed),
         "first_exit_time": exits[0] if exits else None,
         "exit_times": exit_times,  # per path, None for a path that ran every step
+        "stop_reasons": [p.stop_reason for p in paths],  # likewise
         "steps_completed": completed,
     }
     stopped = np.array(completed) < steps

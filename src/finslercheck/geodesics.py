@@ -46,6 +46,7 @@ class GeodesicPath:
     points: np.ndarray  # (k+1, n)
     velocities: np.ndarray  # (k+1, n)
     exit_time: float | None = None  # set when integration left the domain early
+    stop_reason: str | None = None  # why it stopped early: an evaluation error's text, or the domain
 
 
 def _rk4_step(metric, x, y, h):
@@ -64,12 +65,14 @@ def _rk4_step(metric, x, y, h):
 
 
 def _step_rows(metric, x, y, h):
-    """(x, y) after one RK4 step of every row.  While the step raises, the row at
-    the error's ``index`` (one whose own step raises) gets a NaN state, and the
-    other rows take the step again as one batch."""
+    """(x, y, errors) after one RK4 step of every row.  While the step raises, the
+    row at the error's ``index`` (one whose own step raises) gets a NaN state and
+    the error's text in ``errors`` (row -> text), and the other rows take the step
+    again as one batch."""
     try:
-        return _rk4_step(metric, x, y, h)
+        return (*_rk4_step(metric, x, y, h), {})
     except EvaluationError as err:
+        errors = {err.index: str(err)}
         rows = np.delete(np.arange(len(x)), err.index)
     nx, ny = np.full_like(x, np.nan), np.full_like(y, np.nan)
     while rows.size:
@@ -77,8 +80,9 @@ def _step_rows(metric, x, y, h):
             nx[rows], ny[rows] = _rk4_step(metric, x[rows], y[rows], h[rows])
             break
         except EvaluationError as err:
+            errors[int(rows[err.index])] = str(err)
             rows = np.delete(rows, err.index)
-    return nx, ny
+    return nx, ny, errors
 
 
 def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPath]:
@@ -90,6 +94,8 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
     the exit time) when its state leaves the metric's domain or its evaluation
     fails; a failed step stops the path it names and the others take it again
     as one batch, so every path stops exactly where it would if integrated alone.
+    A stopped path's ``stop_reason`` is the text of the error that stopped it, or
+    says that it left the domain.
     """
     x = np.array([np.asarray(x0, dtype=float) for x0, _ in starts])
     y = np.array([np.asarray(y0, dtype=float) for _, y0 in starts])
@@ -98,14 +104,19 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
     velocities = np.empty_like(points)
     points[:, 0], velocities[:, 0] = x, y
     completed = np.full(len(x), steps)
+    reasons = [None] * len(x)
     running = np.arange(len(x))
     for k in range(steps):
         if not running.size:
             break
-        x, y = _step_rows(metric, x, y, h[running, None])
+        x, y, errors = _step_rows(metric, x, y, h[running, None])
         # |x| < radius, and False for a NaN state: a failed or non-finite step stops its path
         keep = np.sqrt(np.vecdot(x, x)) < metric.domain_radius
-        completed[running[~keep]] = k
+        if not keep.all():
+            for row in np.flatnonzero(~keep).tolist():
+                path = running[row]
+                completed[path] = k
+                reasons[path] = errors.get(row, f"left the domain (|x| >= {metric.domain_radius})")
         x, y, running = x[keep], y[keep], running[keep]
         points[running, k + 1], velocities[running, k + 1] = x, y
     paths = []
@@ -113,7 +124,9 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
         times = np.r_[0.0, np.arange(1, done + 1) * h[i]]
         exit_time = float(times[-1]) if done < steps else None
         kept = slice(0, done + 1)
-        paths.append(GeodesicPath(times, points[i, kept].copy(), velocities[i, kept].copy(), exit_time))
+        paths.append(
+            GeodesicPath(times, points[i, kept].copy(), velocities[i, kept].copy(), exit_time, reasons[i])
+        )
     return paths
 
 

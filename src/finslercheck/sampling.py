@@ -7,12 +7,17 @@ machines and implementations:
     z = state; z ^= z >> 30; z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27; z *= 0x94D049BB133111EB; z ^= z >> 31
 
-uniforms are (z >> 11) * 2^-53 in [0, 1).
+uniforms are (z >> 11) * 2^-53 in [0, 1).  The state after k steps is
+seed + k * 0x9E3779B97F4A7C15 mod 2^64, so word k is the mix of that sum
+alone, and ``splitmix64_words`` draws a whole block of words as one uint64
+array expression.
 
 Each sample consumes draws in this order: the x radius (one uniform), the
 x direction (n uniforms per rejection attempt on the cube [-1,1]^n,
 repeated until 0 < |w|^2 <= 1), the y radius, then the y direction the
-same way.
+same way.  ``sample_domain`` scores every window of n consecutive draws of
+a block at once, walks the windows in that order to find each sample's
+draws, and gathers all samples in one expression.
 """
 
 from __future__ import annotations
@@ -25,24 +30,23 @@ import numpy as np
 from .metrics import MetricSample, invariant_rows
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
-class SplitMix64:
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
+def splitmix64_words(seed: int, start: int, count: int) -> np.ndarray:
+    """Words start+1 .. start+count of the stream of ``seed``, as uint64 (which wraps)."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA) + np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z ^= z >> 30
-        z = (z * 0xBF58476D1CE4E5B9) & _MASK
-        z ^= z >> 27
-        z = (z * 0x94D049BB133111EB) & _MASK
-        z ^= z >> 31
-        return z
 
-    def uniform(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """The uniforms of ``splitmix64_words``; z >> 11 < 2^53 converts exactly."""
+    return (splitmix64_words(seed, start, count) >> np.uint64(11)) * 2.0**-53
 
 
 def default_r_range(domain_radius: float) -> tuple[float, float]:
@@ -90,26 +94,42 @@ class SampleSpec:
         return spec
 
 
-def _unit_vector(rng: SplitMix64, n: int) -> np.ndarray:
-    while True:
-        w = np.array([2.0 * rng.uniform() - 1.0 for _ in range(n)])
-        ss = float(np.dot(w, w))
-        if 0.0 < ss <= 1.0:
-            return w / math.sqrt(ss)
+def _scored_windows(u: np.ndarray, n: int):
+    """Every window w_i = t[i:i+n] of t = 2u - 1 (a view), its |w_i|^2 (the
+    ``np.dot`` of one attempt), and whether the cube rejection accepts it."""
+    w = np.lib.stride_tricks.sliding_window_view(2.0 * u - 1.0, n)
+    ss = np.vecdot(w, w)
+    return w, ss, ((0.0 < ss) & (ss <= 1.0)).tolist()
 
 
 def sample_domain(spec: SampleSpec) -> list[MetricSample]:
     """The sample list determined by the spec (identical for equal specs), with
-    the invariants of all samples from one ``invariant_rows``."""
+    the invariants of all samples from one ``invariant_rows``.
+
+    The draws come in blocks sized by the expected count, 2 + 2n 2^n/vol(B^n)
+    a sample; a walk that runs past the drawn words appends the next block."""
     spec.validate()
-    rng = SplitMix64(spec.seed)
-    r_lo, r_hi = spec.r_range
-    u_lo, u_hi = spec.u_range
-    xs, ys = [], []
-    for _ in range(spec.count):
-        radius = r_lo + (r_hi - r_lo) * rng.uniform()
-        xs.append(radius * _unit_vector(rng, spec.n))
-        speed = u_lo + (u_hi - u_lo) * rng.uniform()
-        ys.append(speed * _unit_vector(rng, spec.n))
-    invariants = zip(*(w.tolist() for w in invariant_rows(np.array(xs), np.array(ys))))
+    n = spec.n
+    attempts = 2**n * math.gamma(n / 2 + 1) / math.pi ** (n / 2)
+    block = math.ceil(spec.count * (2 + 2 * n * attempts))
+    u, accepted = np.empty(0), []
+    scalars, starts = [], []  # radius then speed of each sample; their directions
+    pos = 0
+    for _ in range(2 * spec.count):
+        scalars.append(pos)
+        pos += 1
+        while True:
+            if pos >= len(accepted):
+                u = np.concatenate([u, uniforms(spec.seed, len(u), block)])
+                w, ss, accepted = _scored_windows(u, n)
+            if accepted[pos]:
+                break
+            pos += n
+        starts.append(pos)
+        pos += n
+    lo, hi = np.array([spec.r_range, spec.u_range]).T  # radius and speed columns
+    scale = lo + (hi - lo) * u[scalars].reshape(-1, 2)
+    points = scale.reshape(-1, 1) * (w[starts] / np.sqrt(ss[starts])[:, None])
+    xs, ys = points[0::2], points[1::2]
+    invariants = zip(*(col.tolist() for col in invariant_rows(xs, ys)))
     return [MetricSample(x, y, *rv) for x, y, rv in zip(xs, ys, invariants)]

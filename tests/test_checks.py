@@ -433,6 +433,11 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
         assert exit_times[i] == pytest.approx(completed[i] * 0.3 / 20)
     assert min(completed) == record.detail["min_steps_completed"]
     assert exit_times[1] == record.detail["first_exit_time"]
+    # each stopped path keeps the text of the quadrature error that stopped it
+    reasons = record.detail["stop_reasons"]
+    assert reasons[0] is reasons[3] is None
+    for i in (1, 2):
+        assert reasons[i].startswith("no convergence at r=")
 
 
 def test_launch_point_near_the_boundary_fails_geodesics(tmp_path):

@@ -289,8 +289,9 @@ def one_path_rk4(metric, x0, y0, horizon, steps):
     h = horizon / steps
     times, points, velocities = [0.0], [x.copy()], [y.copy()]
 
-    def partial(why):
-        return GeodesicPath(np.array(times), np.array(points), np.array(velocities), times[-1]), why
+    def partial(why, text):
+        path = GeodesicPath(np.array(times), np.array(points), np.array(velocities), times[-1], text)
+        return path, why
 
     for k in range(steps):
         try:
@@ -298,14 +299,14 @@ def one_path_rk4(metric, x0, y0, horizon, steps):
             k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
             k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
             k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-        except NotStronglyConvexError:
-            return partial("not strongly convex")
-        except (JetDomainError, MetricDomainError, EvalDomainError, FamilyError):
-            return partial("evaluation")
+        except NotStronglyConvexError as err:
+            return partial("not strongly convex", str(err))
+        except (JetDomainError, MetricDomainError, EvalDomainError, FamilyError) as err:
+            return partial("evaluation", str(err))
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
         if not float(np.linalg.norm(x)) < metric.domain_radius:
-            return partial("left the domain")
+            return partial("left the domain", f"left the domain (|x| >= {metric.domain_radius})")
         times.append((k + 1) * h)
         points.append(x.copy())
         velocities.append(y.copy())
@@ -318,6 +319,7 @@ def assert_same_bits(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
     assert got.exit_time == want.exit_time
     assert type(got.exit_time) is type(want.exit_time)
+    assert got.stop_reason == want.stop_reason
 
 
 def check_batch(metric, starts, horizons, steps):

@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from finslercheck.sampling import SampleSpec, SplitMix64, default_r_range, sample_domain
+from finslercheck import sampling
+from finslercheck.metrics import MetricSample
+from finslercheck.sampling import (
+    SampleSpec,
+    default_r_range,
+    sample_domain,
+    splitmix64_words,
+    uniforms,
+)
 
 # Reference values from a direct transcription of the documented generator
 # (state += 0x9E3779B97F4A7C15; z ^= z>>30; z *= 0xBF58476D1CE4E5B9;
@@ -45,23 +53,48 @@ class _Transcription:
 
 class TestSplitMix64:
     def test_first_word_frozen(self):
-        assert SplitMix64(42).next_u64() == SEED42_FIRST_U64
+        assert splitmix64_words(42, 0, 1).tolist() == [SEED42_FIRST_U64]
 
     def test_uniform_stream_frozen(self):
-        rng = SplitMix64(42)
-        got = [rng.uniform() for _ in range(4)]
-        assert got == SEED42_UNIFORMS
+        assert uniforms(42, 0, 4).tolist() == SEED42_UNIFORMS
 
     def test_matches_transcription_for_many_words(self):
-        ours = SplitMix64(123456789)
         ref = _Transcription(123456789)
-        for _ in range(1000):
-            assert ours.next_u64() == ref.next_u64()
+        assert splitmix64_words(123456789, 0, 1000).tolist() == [ref.next_u64() for _ in range(1000)]
+
+    def test_block_continues_the_stream(self):
+        # words 1..1000 drawn as two blocks, and at seeds where seed + k*gamma wraps
+        for seed in (123456789, 2**63 + 5, 2**64 - 1):
+            whole = splitmix64_words(seed, 0, 1000)
+            parts = np.concatenate([splitmix64_words(seed, 0, 300), splitmix64_words(seed, 300, 700)])
+            assert whole.tolist() == parts.tolist()
+            ref = _Transcription(seed)
+            assert whole.tolist() == [ref.next_u64() for _ in range(1000)]
 
     def test_uniforms_in_unit_interval(self):
-        rng = SplitMix64(7)
-        for _ in range(1000):
-            assert 0.0 <= rng.uniform() < 1.0
+        got = uniforms(7, 0, 1000)
+        assert ((0.0 <= got) & (got < 1.0)).all()
+
+
+def _walked_samples(spec):
+    """Today's per-draw walk of the documented order over ``_Transcription``:
+    one ``np.dot`` per rejection attempt, one sample at a time."""
+    rng = _Transcription(spec.seed)
+
+    def unit_vector():
+        while True:
+            w = np.array([2.0 * rng.uniform() - 1.0 for _ in range(spec.n)])
+            ss = float(np.dot(w, w))
+            if 0.0 < ss <= 1.0:
+                return w / math.sqrt(ss)
+
+    (r_lo, r_hi), (u_lo, u_hi) = spec.r_range, spec.u_range
+    pairs = []
+    for _ in range(spec.count):
+        x = (r_lo + (r_hi - r_lo) * rng.uniform()) * unit_vector()
+        y = (u_lo + (u_hi - u_lo) * rng.uniform()) * unit_vector()
+        pairs.append((x, y))
+    return pairs
 
 
 class TestSampleDomain:
@@ -114,3 +147,31 @@ class TestSampleDomain:
         a = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=1, domain_radius=1.0))
         b = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=2, domain_radius=1.0))
         assert not np.array_equal(a[0].x, b[0].x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("radius", [1.0, math.inf])
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+    def test_matches_per_draw_walk(self, n, radius, seed):
+        spec = SampleSpec.for_metric(n=n, count=40, seed=seed, domain_radius=radius)
+        got = sample_domain(spec)
+        assert len(got) == spec.count
+        for s, (x, y) in zip(got, _walked_samples(spec)):
+            assert s.x.tobytes() == x.tobytes() and s.y.tobytes() == y.tobytes()
+            ref = MetricSample.of(x, y)
+            assert (s.r, s.u, s.v) == (ref.r, ref.u, ref.v)
+
+    def test_walk_past_the_first_block_draws_the_next(self, monkeypatch):
+        # seed 0 at n = 4 needs more than the expected draws for one sample
+        spec = SampleSpec.for_metric(n=4, count=1, seed=0, domain_radius=1.0)
+        blocks = []
+
+        def counted(seed, start, count):
+            blocks.append((start, count))
+            return uniforms(seed, start, count)
+
+        monkeypatch.setattr(sampling, "uniforms", counted)
+        [s] = sample_domain(spec)
+        # the second block starts at the first undrawn word
+        assert len(blocks) >= 2 and blocks[0][0] == 0 and blocks[1][0] == blocks[0][1]
+        [(x, y)] = _walked_samples(spec)
+        assert s.x.tobytes() == x.tobytes() and s.y.tobytes() == y.tobytes()
