@@ -94,14 +94,6 @@ class SampleSpec:
         return spec
 
 
-def _scored_windows(u: np.ndarray, n: int):
-    """Every window w_i = t[i:i+n] of t = 2u - 1 (a view), its |w_i|^2 (the
-    ``np.dot`` of one attempt), and whether the cube rejection accepts it."""
-    w = np.lib.stride_tricks.sliding_window_view(2.0 * u - 1.0, n)
-    ss = np.vecdot(w, w)
-    return w, ss, ((0.0 < ss) & (ss <= 1.0)).tolist()
-
-
 def sample_domain(spec: SampleSpec) -> list[MetricSample]:
     """The sample list determined by the spec (identical for equal specs), with
     the invariants of all samples from one ``invariant_rows``.
@@ -119,9 +111,11 @@ def sample_domain(spec: SampleSpec) -> list[MetricSample]:
         scalars.append(pos)
         pos += 1
         while True:
-            if pos >= len(accepted):
+            if pos >= len(accepted):  # score every window w_i = t[i:i+n] of t = 2u - 1
                 u = np.concatenate([u, uniforms(spec.seed, len(u), block)])
-                w, ss, accepted = _scored_windows(u, n)
+                w = np.lib.stride_tricks.sliding_window_view(2.0 * u - 1.0, n)
+                ss = np.vecdot(w, w)  # the BLAS dot of one attempt's np.dot(w, w), bit for bit
+                accepted = ((0.0 < ss) & (ss <= 1.0)).tolist()
             if accepted[pos]:
                 break
             pos += n
