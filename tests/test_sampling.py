@@ -77,8 +77,8 @@ class TestSplitMix64:
 
 
 def _walked_samples(spec):
-    """Today's per-draw walk of the documented order over ``_Transcription``:
-    one ``np.dot`` per rejection attempt, one sample at a time."""
+    """An independent per-draw walk of the documented order over
+    ``_Transcription``: one ``np.dot`` per rejection attempt, one sample at a time."""
     rng = _Transcription(spec.seed)
 
     def unit_vector():
