@@ -28,6 +28,7 @@ from .metrics import (
     ProfileBundle,
     SphericalMetric,
     positive_definite,
+    profile_columns,
     relative_residual,
     reversibility_residuals,
     riemannian_probe_of,
@@ -85,14 +86,17 @@ def _named(build, samples):
 
 @dataclass
 class Run:
-    """One verify run: the metric, its samples and tolerances, and the samples'
-    derivative bundles, each built on first use and then read by every check.
-    A build that fails is not retried: every later read raises the same error."""
+    """One verify run: the metric, its samples, tolerances and check names, and the
+    samples' derivative bundles, each built on first use and then read by every
+    check.  A spherical metric's profile is evaluated once for both bundles, at
+    ``profile_order``.  A build that fails is not retried: every later read
+    raises the same error."""
 
     metric: object
     samples: list
     tolerances: dict = field(default_factory=dict)
     dump_dir: str | None = None
+    checks: tuple = ()
     _built: dict = field(default_factory=dict, init=False, repr=False)
 
     def tolerance(self, name: str) -> float:
@@ -109,12 +113,33 @@ class Run:
         return self._built[name]
 
     @property
+    def profile_order(self) -> int:
+        """3 when a spherical metric's checks read ``ambient``, composed from order-3
+        profile jets, else 2."""
+        spherical = isinstance(self.metric, SphericalMetric)
+        return 3 if spherical and _AMBIENT_CHECKS.intersection(self.checks) else 2
+
+    def _columns(self):
+        """The samples' ``profile_columns`` at ``profile_order``, from one call.  If an
+        order-3 call fails, None: each bundle then evaluates its own, so a failure
+        at order 3 alone fails only the checks that read ``ambient``."""
+        try:
+            return self._once("columns", lambda x, y: profile_columns(self.metric, x, y, self.profile_order))
+        except EvaluationError:
+            if self.profile_order == 2:
+                raise
+            return None
+
+    @property
     def profile(self) -> ProfileBundle:
-        return self._once("profile", lambda x, y: ProfileBundle.of(self.metric, x, y))
+        return self._once("profile", lambda x, y: ProfileBundle.of(self.metric, x, y, self._columns()))
 
     @property
     def ambient(self) -> AmbientBundle:
-        return self._once("ambient", lambda x, y: AmbientBundle.of(self.metric, x, y, 3))
+        def build(x, y):
+            return AmbientBundle.of(self.metric, x, y, 3, self._columns() if self.profile_order == 3 else None)
+
+        return self._once("ambient", build)
 
     @property
     def reversibility(self) -> np.ndarray:
@@ -386,6 +411,7 @@ _RUNNERS = {
 
 CHECK_NAMES = sorted(_RUNNERS)
 
+_AMBIENT_CHECKS = {"symmetry_tensor", "cartan", "fundamental_ad"}  # they read run.ambient
 _PROFILE_CHECKS = {"homogeneity", "convexity", "projective_pde", "curvature", "det_g",
                    "fundamental_ad", "reversibility", "conjecture"}  # they read phi(r, u, v)
 

@@ -178,7 +178,7 @@ def run_config(
                 raise ConfigError(f"tolerance '{name}' must be finite and >= 0, got {tol!r}")
         samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
-        run = Run(metric, samples, tolerances, dump_dir)
+        run = Run(metric, samples, tolerances, dump_dir, tuple(name for name, _ in checks))
         for name, params in checks:
             report.records.extend(run_check(name, run, params))
     except (ConfigError, ValueError) as err:

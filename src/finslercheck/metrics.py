@@ -16,8 +16,11 @@ Derivatives of F come from a bundle of the N rows of two (N, n) arrays x
 and y: a ``ProfileBundle`` (phi and its partials from one batched
 ``phi_jets`` call, every profile formula an array expression over them; a
 family profile runs one lockstep quadrature over the N rows) or an
-``AmbientBundle`` (one ambient jet per chunk of ``AMBIENT_CHUNK`` = 25
-rows).  Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
+``AmbientBundle`` (one ambient jet of F per chunk of ``AMBIENT_CHUNK`` = 25
+rows, g, dg/dx and C from it by the product rule).  A spherical metric's
+bundles can share one ``profile_columns`` call at order 3: the profile bundle
+reads its low rows, the ambient bundle composes each chunk from its slice.
+Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
 (closed-form on span{x, y} for a profile, with strong convexity from the
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
 ``bundle_of`` alone picks a bundle by metric kind.  A bundle knows rows, not
@@ -44,8 +47,8 @@ R, U, V = 0, 1, 2
 # Slack absorbing rounding at the boundary case phi_vv = 0 (Euclidean).
 PHI_VV_SLACK = -1e-12
 MIN_RADIUS = 0.05  # the profile-space formulas carry 1/r (``ProfileBundle.require_radius``)
-# Samples per N-point ambient jet: one order-3 chunk of 200 samples would hold
-# all their product terms at once (+10 MB); 25 keep the batching gain.
+# Samples per N-point ambient jet: a Bryant n = 4 bundle of 200 samples peaks at
+# 6.2 MB (tracemalloc) as one chunk and at 0.95 MB in chunks of 25, no slower.
 AMBIENT_CHUNK = 25
 
 
@@ -178,24 +181,39 @@ class SphericalMetric:
             )
         return value
 
-    def ambient_jet(self, x, y, order: int) -> Jet:
+    def ambient_jet(self, x, y, order: int, columns=None) -> Jet:
         """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when x
         and y are (n, N) arrays, by the chain rule for every profile: the profile's
-        jet in (r, u, v) from one ``phi_jets`` call, re-expanded in (rho, mu, v) =
-        (|x|^2, |y|^2, <x,y>) through r = sqrt(rho) and u = sqrt(mu), then composed
-        with the exact quadratic jets of rho, mu and v (``compose_multivariate``
-        twice; Griewank & Walther, Evaluating Derivatives, 2008, ch. 13).  Each
-        column is the one-point jet bit for bit.  x = 0, where |x| has no
-        derivative, is refused."""
+        jet in (r, u, v) from one ``phi_jets`` call (or its (ncoeff, N) ``columns``,
+        when the caller has evaluated it at these points), re-expanded in
+        (rho, mu, v) = (|x|^2, |y|^2, <x,y>) through r = sqrt(rho) and u = sqrt(mu),
+        then composed with the exact quadratic jets of rho, mu and v
+        (``compose_multivariate`` twice; Griewank & Walther, Evaluating Derivatives,
+        2008, ch. 13).  Each column is the one-point jet bit for bit.  x = 0, where
+        |x| has no derivative, is refused."""
         one_point = np.ndim(x) == 1
         x, y = (np.asarray(w, dtype=float).reshape(len(w), -1) for w in (x, y))  # (n, N)
-        r, u, v = invariant_rows(x.T, y.T)
-        if np.count_nonzero(r == 0.0):
-            raise JetDomainError("|x| is not differentiable at x = 0", index=int((r == 0.0).argmax()))
-        outer = Jet(3, order, self.phi_jets(r, u, v, order))
+        r, u, v = _ambient_invariants(x.T, y.T)
+        outer = Jet(3, order, self.phi_jets(r, u, v, order) if columns is None else columns)
         profile = compose_multivariate(outer, _root_jets(r, u, v, order))
         f = compose_multivariate(profile, _quadratic_jets(x, y, r, u, v, order)).coeffs
         return Jet(2 * len(x), order, f[:, 0] if one_point else f)
+
+
+def _ambient_invariants(x, y):
+    """``invariant_rows`` of the (N, n) arrays x and y, refusing x = 0, where |x|
+    has no derivative."""
+    r, u, v = invariant_rows(x, y)
+    if np.count_nonzero(r == 0.0):
+        raise JetDomainError("|x| is not differentiable at x = 0", index=int((r == 0.0).argmax()))
+    return r, u, v
+
+
+def profile_columns(metric: SphericalMetric, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
+    """``phi_jets`` at the invariants of the rows of the (N, n) arrays x and y, as
+    (ncoeff, N) columns of one call; an error names its lowest failing row
+    (``_first_failure``)."""
+    return _first_failure(lambda x, y: metric.phi_jets(*invariant_rows(x, y), order), x, y)
 
 
 def _root_jets(r, u, v, order: int) -> list[Jet]:
@@ -347,16 +365,25 @@ class ProfileBundle:
     phi_vv: np.ndarray
 
     @classmethod
-    def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> "ProfileBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, from one batched ``phi_jets``
-        call; an error names its lowest failing row (``_first_failure``)."""
-        return _first_failure(lambda x, y: cls._of_invariants(metric, x, y, *invariant_rows(x, y)), x, y)
+    def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray, columns=None) -> "ProfileBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, from one batched order-2
+        ``phi_jets`` call, or from the low rows of ``columns``, the rows'
+        ``profile_columns`` of any order >= 2; an error names its lowest failing row
+        (``_first_failure``)."""
+        if columns is not None:
+            return cls._of_columns(x, y, invariant_rows(x, y), columns)
+
+        def build(x, y):
+            invariants = invariant_rows(x, y)
+            return cls._of_columns(x, y, invariants, metric.phi_jets(*invariants))
+
+        return _first_failure(build, x, y)
 
     @classmethod
-    def _of_invariants(cls, metric, x, y, r, u, v) -> "ProfileBundle":
+    def _of_columns(cls, x, y, invariants, columns) -> "ProfileBundle":
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
-        partials = metric.phi_jets(r, u, v) * derivative_factors(3, 2)[:, None]
-        return cls(x, y, r, u, v, *partials)
+        partials = columns[:10] * derivative_factors(3, 2)[:, None]
+        return cls(x, y, *invariants, *partials)
 
     @property
     def F(self) -> np.ndarray:
@@ -489,33 +516,41 @@ class ProfileBundle:
 
 @dataclass(frozen=True, eq=False)
 class AmbientBundle:
-    """F and E = F^2 with their partials in the 2n ambient variables, at N samples.
+    """F with its partials in the 2n ambient variables, at N samples.
 
     One ``metric.ambient_jet`` on N-point variables per chunk of
     ``AMBIENT_CHUNK`` samples, the chunks concatenated as the columns of one
     jet, so each column is that sample's one-point jet bit for bit.  The only
-    code that knows the layout (x^1..x^n, y^1..y^n) and the block scalings
-    g = E_yy / 2, dg/dx = E_xyy / 2, C = E_yyy / 4.  Arrays have the sample axis first.
+    code that knows the layout (x^1..x^n, y^1..y^n).  g, dg/dx, C and the
+    spray's bracket are the y-blocks of E = F^2, formed from F's Hessian and
+    third tensor by the product rule (Griewank & Walther, Evaluating
+    Derivatives, 2008, ch. 13), each once per bundle; E itself is never a
+    jet.  Arrays have the sample axis first.
     """
 
     x: np.ndarray
     y: np.ndarray
     f: Jet
-    e: Jet
 
     @classmethod
-    def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3) -> "AmbientBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.
-        An error names its lowest failing row of x (``_first_failure`` of its chunk)."""
-        nvars = 2 * x.shape[1]
-        f, e = [], []
-        for c in _chunks(len(x), AMBIENT_CHUNK):
-            jet = _first_failure(lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order), x[c], y[c], c.start)
-            block = _columns(jet.coeffs, c.stop - c.start)
-            f.append(block)
-            # E chunk by chunk: one N-point product would hold all N samples' product terms at once
-            e.append((Jet(nvars, order, block) * Jet(nvars, order, block)).coeffs)
-        return cls(x, y, *(Jet(nvars, order, np.concatenate(b, axis=1)) for b in (f, e)))
+    def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3, columns=None) -> "AmbientBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.  A
+        spherical metric's profile is evaluated once, over all rows, or read from
+        ``columns``, the rows' order-``order`` ``profile_columns``.  An error names its
+        lowest failing row of x (``_first_failure``, of all rows or of its chunk)."""
+        if isinstance(metric, SphericalMetric) and columns is None:  # x = 0 is refused first
+            columns = _first_failure(lambda x, y: metric.phi_jets(*_ambient_invariants(x, y), order), x, y)
+
+        def lift(c):
+            if columns is None:
+                return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order)
+            return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order, columns[:, c])
+
+        f = [
+            _columns(_first_failure(lift(c), x[c], y[c], c.start).coeffs, c.stop - c.start)
+            for c in _chunks(len(x), AMBIENT_CHUNK)
+        ]
+        return cls(x, y, Jet(2 * x.shape[1], order, np.concatenate(f, axis=1)))
 
     @property
     def n(self) -> int:
@@ -531,24 +566,49 @@ class AmbientBundle:
         return self.F, self.f.coeffs[1 : 1 + n].T, self.f.coeffs[1 + n : 1 + 2 * n].T
 
     @functools.cached_property
-    def _e3(self) -> np.ndarray:
-        return np.moveaxis(self.e.third_tensor(), -1, 0)
+    def _hessian(self) -> np.ndarray:
+        return np.moveaxis(self.f.hessian(), -1, 0)
+
+    @functools.cached_property
+    def _third(self) -> np.ndarray:
+        return np.moveaxis(self.f.third_tensor(), -1, 0)
 
     def f_xy(self) -> np.ndarray:
         """F_{x^k y^l} as (N, k, l)."""
-        return np.moveaxis(self.f.hessian(), -1, 0)[:, : self.n, self.n :]
+        return self._hessian[:, : self.n, self.n :]
 
     def g(self) -> np.ndarray:
-        """The fundamental tensor g_ij = E_{y^i y^j} / 2, (N, n, n)."""
-        return np.moveaxis(self.e.hessian(), -1, 0)[:, self.n :, self.n :] / 2.0
+        """The fundamental tensor g = (F^2)_yy / 2 = F F_yy + F_y F_y^T, (N, n, n)."""
+        return self._g
+
+    @functools.cached_property
+    def _g(self) -> np.ndarray:
+        F, _, fy = self.first_derivatives()
+        return F[:, None, None] * self._hessian[:, self.n :, self.n :] + fy[:, :, None] * fy[:, None, :]
 
     def dg_dx(self) -> np.ndarray:
-        """dg_ij/dx^p = E_{x^p y^i y^j} / 2 as (N, p, i, j)."""
-        return self._e3[:, : self.n, self.n :, self.n :] / 2.0
+        """dg_ij/dx^p = F_{x^p} F_{y^i y^j} + F F_{x^p y^i y^j} + F_{x^p y^i} F_{y^j}
+        + F_{y^i} F_{x^p y^j}, as (N, p, i, j)."""
+        return self._dg_dx
+
+    @functools.cached_property
+    def _dg_dx(self) -> np.ndarray:
+        n, (F, fx, fy), f_xy = self.n, self.first_derivatives(), self.f_xy()
+        f_yy = self._hessian[:, None, n:, n:]
+        flow = fx[:, :, None, None] * f_yy + F[:, None, None, None] * self._third[:, :n, n:, n:]
+        return flow + f_xy[:, :, :, None] * fy[:, None, None, :] + fy[:, None, :, None] * f_xy[:, :, None, :]
 
     def cartan(self) -> np.ndarray:
-        """C_ijp = (1/2) dg_ij/dy^p = E_{y^i y^j y^p} / 4, (N, n, n, n)."""
-        return self._e3[:, self.n :, self.n :, self.n :] / 4.0
+        """C_ijp = (1/2) dg_ij/dy^p = (F F_{y^i y^j y^p} + F_{y^i y^j} F_{y^p}
+        + F_{y^i y^p} F_{y^j} + F_{y^j y^p} F_{y^i}) / 2, (N, n, n, n)."""
+        return self._cartan
+
+    @functools.cached_property
+    def _cartan(self) -> np.ndarray:
+        n, (F, _, fy) = self.n, self.first_derivatives()
+        f_yy = self._hessian[:, n:, n:]
+        c = F[:, None, None, None] * self._third[:, n:, n:, n:] + f_yy[:, :, :, None] * fy[:, None, None, :]
+        return 0.5 * (c + f_yy[:, :, None, :] * fy[:, None, :, None] + f_yy[:, None, :, :] * fy[:, :, None, None])
 
     def rapcsak_residuals(self) -> np.ndarray:
         """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n)."""
@@ -556,18 +616,20 @@ class AmbientBundle:
         return relative_residual(*(f_xy[:, k] * self.y[:, k, None] for k in range(self.n)), -fx)
 
     def spray(self) -> np.ndarray:
-        """The spray G, (N, n): g G = (E_{x^k y^l} y^k - E_{x^l}) / 4 through one stacked
-        Cholesky factorisation and two stacked solves.  The first row whose g does not
+        """The spray G, (N, n): g G = (E_{x^k y^l} y^k - E_{x^l}) / 4 with E = F^2, so
+        E_x = 2 F F_x and E_xy = 2 (F F_xy + F_x F_y^T), through one stacked Cholesky
+        factorisation and two stacked solves.  The first row whose g does not
         factorise raises ``NotStronglyConvexError``."""
-        e_xy = np.moveaxis(self.e.hessian(), -1, 0)[:, : self.n, self.n :]
-        rhs = np.einsum("nkl,nk->nl", e_xy, self.y) - self.e.coeffs[1 : 1 + self.n].T
+        F, fx, fy = self.first_derivatives()
+        e_xy = F[:, None, None] * self.f_xy() + fx[:, :, None] * fy[:, None, :]  # E_xy / 2
+        rhs = np.einsum("nkl,nk->nl", e_xy, self.y) - F[:, None] * fx
         g = self.g()
         try:
             chol = np.linalg.cholesky(g)
         except np.linalg.LinAlgError:
             i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
             raise _not_convex(self, i) from None
-        return 0.25 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
+        return 0.5 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
 
 
 def _first_failure(build, x: np.ndarray, y: np.ndarray, start: int = 0):
@@ -614,7 +676,8 @@ def bundle_of(metric, x: np.ndarray, y: np.ndarray):
 
 def fundamental_tensor(metric, x, y) -> np.ndarray:
     """g_ij = (1/2) d^2 F^2 / dy^i dy^j, read from ``bundle_of`` the point: the closed
-    form (``ProfileBundle.g``) for a profile metric, the ambient jet of F^2 otherwise."""
+    form (``ProfileBundle.g``) for a profile metric, F F_yy + F_y F_y^T from the ambient
+    jet of F otherwise."""
     return bundle_of(metric, np.array([x], dtype=float), np.array([y], dtype=float)).g()[0]
 
 

@@ -132,8 +132,8 @@ def flag_curvature(metric: SphericalMetric, r: float, u: float, v: float) -> flo
     """Pointwise flag curvature of a projective profile metric, from the n = 0
     bundle of the invariants alone."""
     empty = np.zeros((1, 0))
-    invariants = (np.array([w], dtype=float) for w in (r, u, v))
-    b = ProfileBundle._of_invariants(metric, empty, empty, *invariants)
+    invariants = tuple(np.array([w], dtype=float) for w in (r, u, v))
+    b = ProfileBundle._of_columns(empty, empty, invariants, metric.phi_jets(*invariants))
     return float(flag_curvature_of(b)[0])
 
 

@@ -94,28 +94,36 @@ class SampleSpec:
         return spec
 
 
+def _accepted(t: np.ndarray, n: int) -> bytes:
+    """Is 0 < |w|^2 <= 1, for each window w_i = t[i:i+n] of t?  One byte per window,
+    1 or 0; |w|^2 is the BLAS dot of one attempt's np.dot(w, w), bit for bit."""
+    w = np.lib.stride_tricks.sliding_window_view(t, n)
+    ss = np.vecdot(w, w)
+    return ((0.0 < ss) & (ss <= 1.0)).tobytes()
+
+
 def sample_domain(spec: SampleSpec) -> list[MetricSample]:
     """The sample list determined by the spec (identical for equal specs), with
     the invariants of all samples from one ``invariant_rows``.
 
     The draws come in blocks sized by the expected count, 2 + 2n 2^n/vol(B^n)
-    a sample; a walk that runs past the drawn words appends the next block."""
+    a sample; a walk that runs past the drawn words appends the next block and
+    scores only its windows, with the n - 1 that straddle the seam."""
     spec.validate()
     n = spec.n
     attempts = 2**n * math.gamma(n / 2 + 1) / math.pi ** (n / 2)
     block = math.ceil(spec.count * (2 + 2 * n * attempts))
-    u, accepted = np.empty(0), []
+    u, accepted = np.empty(0), bytearray()
     scalars, starts = [], []  # radius then speed of each sample; their directions
     pos = 0
     for _ in range(2 * spec.count):
         scalars.append(pos)
         pos += 1
         while True:
-            if pos >= len(accepted):  # score every window w_i = t[i:i+n] of t = 2u - 1
-                u = np.concatenate([u, uniforms(spec.seed, len(u), block)])
-                w = np.lib.stride_tricks.sliding_window_view(2.0 * u - 1.0, n)
-                ss = np.vecdot(w, w)  # the BLAS dot of one attempt's np.dot(w, w), bit for bit
-                accepted = ((0.0 < ss) & (ss <= 1.0)).tolist()
+            if pos >= len(accepted):  # score the windows of t = 2u - 1 that end in a new block
+                new = uniforms(spec.seed, len(u), block)
+                accepted += _accepted(2.0 * np.concatenate([u[len(accepted) :], new]) - 1.0, n)
+                u = np.concatenate([u, new])
             if accepted[pos]:
                 break
             pos += n
@@ -123,7 +131,8 @@ def sample_domain(spec: SampleSpec) -> list[MetricSample]:
         pos += n
     lo, hi = np.array([spec.r_range, spec.u_range]).T  # radius and speed columns
     scale = lo + (hi - lo) * u[scalars].reshape(-1, 2)
-    points = scale.reshape(-1, 1) * (w[starts] / np.sqrt(ss[starts])[:, None])
+    w = 2.0 * u[np.add.outer(starts, np.arange(n))] - 1.0
+    points = scale.reshape(-1, 1) * (w / np.sqrt(np.vecdot(w, w))[:, None])
     xs, ys = points[0::2], points[1::2]
     invariants = zip(*(col.tolist() for col in invariant_rows(xs, ys)))
     return [MetricSample(x, y, *rv) for x, y, rv in zip(xs, ys, invariants)]

@@ -65,33 +65,34 @@ def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
     return relative_residual(*terms.T)
 
 
-def killing_tensor_terms(b: AmbientBundle, field: RotationField):
-    """The four terms of the tensor Killing equation, each (N, n, n):
-    the flow of g, its two Jacobian terms, and the Cartan correction."""
-    a = field.jacobian(b.n)
+def killing_tensor_terms(b: AmbientBundle, fields):
+    """The four terms of the tensor Killing equation for each field, each
+    (fields, N, n, n): the flow of g, its two Jacobian terms, and the Cartan
+    correction, one einsum per term over the stacked fields."""
+    a = np.stack([f.jacobian(b.n) for f in fields])
     g = b.g()
-    t_flow = np.einsum("kpij,kp->kij", b.dg_dx(), field.vector(b.x))
-    t_left = np.einsum("kpj,pi->kij", g, a)
-    t_right = np.einsum("kip,pj->kij", g, a)
-    t_cartan = 2.0 * np.einsum("kijp,kp->kij", b.cartan(), field.vector(b.y))
+    t_flow = np.einsum("kpij,mkp->mkij", b.dg_dx(), np.stack([f.vector(b.x) for f in fields]))
+    t_left = np.einsum("kpj,mpi->mkij", g, a)
+    t_right = np.einsum("kip,mpj->mkij", g, a)
+    t_cartan = 2.0 * np.einsum("kijp,mkp->mkij", b.cartan(), np.stack([f.vector(b.y) for f in fields]))
     return t_flow, t_left, t_right, t_cartan
 
 
-def killing_tensor_residuals(b: AmbientBundle, field: RotationField) -> np.ndarray:
-    """Scale-free residual matrices of the full Killing equation, (N, n, n).
+def killing_tensor_residuals(b: AmbientBundle, fields) -> np.ndarray:
+    """Scale-free residual matrices of the full Killing equation, (fields, N, n, n).
 
     Entries are scaled by the largest combined term magnitude across the
     whole tensor; entrywise scales would turn pure rounding noise at
     mathematically-zero entries into order-one ratios.
     """
-    terms = killing_tensor_terms(b, field)
-    scale = sum(np.abs(t) for t in terms).max(axis=(1, 2))
-    return quotient(np.abs(sum(terms)), scale[:, None, None])
+    terms = killing_tensor_terms(b, fields)
+    scale = sum(np.abs(t) for t in terms).max(axis=(2, 3))
+    return quotient(np.abs(sum(terms)), scale[:, :, None, None])
 
 
 def symmetry_tensor_of(b: AmbientBundle, fields) -> np.ndarray:
     """Largest tensor residual over the fields, per sample."""
-    return np.max([killing_tensor_residuals(b, f).max(axis=(1, 2)) for f in fields], axis=0)
+    return killing_tensor_residuals(b, fields).max(axis=(2, 3)).max(axis=0)
 
 
 def killing_tensor_max_residual(metric, x, y, fields=None) -> float:

@@ -50,8 +50,8 @@ def invariants_bundle(metric, r, u, v):
     as ``projective.flag_curvature`` builds it."""
     from finslercheck.metrics import ProfileBundle
 
-    empty, invariants = np.zeros((1, 0)), (np.array([w], dtype=float) for w in (r, u, v))
-    return ProfileBundle._of_invariants(metric, empty, empty, *invariants)
+    empty, invariants = np.zeros((1, 0)), tuple(np.array([w], dtype=float) for w in (r, u, v))
+    return ProfileBundle._of_columns(empty, empty, invariants, metric.phi_jets(*invariants))
 
 
 def child_env(**extra):

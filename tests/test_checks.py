@@ -169,13 +169,14 @@ def test_convexity_names_the_first_sample_whose_g_does_not_factorise():
 
 
 def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
-    # the bundle is built once: every sample lifted exactly once, in chunks of at most 25
+    # the bundle is built once: every sample composed exactly once, in chunks of at
+    # most 25, from the profile columns the run evaluated once over all samples
     lifted = []
     original = SphericalMetric.ambient_jet
 
-    def counting(self, x, y, order):
-        lifted.append((np.asarray(x).T.reshape(-1, 4), order))
-        return original(self, x, y, order)
+    def counting(self, x, y, order, *columns):
+        lifted.append((np.asarray(x).T.reshape(-1, 4), order, [c.shape for c in columns]))
+        return original(self, x, y, order, *columns)
 
     monkeypatch.setattr(SphericalMetric, "ambient_jet", counting)
     cfg = {
@@ -186,9 +187,89 @@ def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 0
-    assert [(len(x), order) for x, order in lifted] == [(25, 3), (25, 3), (10, 3)]
+    assert [(len(x), order, shapes) for x, order, shapes in lifted] == [
+        (25, 3, [(20, 25)]),
+        (25, 3, [(20, 25)]),
+        (10, 3, [(20, 10)]),
+    ]
     samples = sample_domain(SampleSpec.for_metric(n=4, count=60, seed=7))
-    assert np.array_equal(np.concatenate([x for x, _ in lifted]), [s.x for s in samples])
+    assert np.array_equal(np.concatenate([x for x, _, _ in lifted]), [s.x for s in samples])
+
+
+BRYANT_N4_PROFILE_CHECKS = [
+    "symmetry",
+    "rapcsak",
+    {"name": "curvature", "params": {"lambda": 1.0}},
+    "det_g",
+    "convexity",
+    "homogeneity",
+]
+
+
+@pytest.mark.parametrize(
+    "checks, order",
+    [
+        (BRYANT_N4_PROFILE_CHECKS + ["symmetry_tensor", "cartan", "fundamental_ad"], 3),
+        (["symmetry_tensor"] + BRYANT_N4_PROFILE_CHECKS, 3),
+        (BRYANT_N4_PROFILE_CHECKS, 2),
+    ],
+)
+def test_run_config_evaluates_the_profile_once(tmp_path, monkeypatch, checks, order):
+    # both bundles read one phi_jets call over all samples, at order 3 when a check
+    # reads the ambient bundle and at order 2 otherwise; the records are those of
+    # the checks run one config each
+    cfg = {
+        "metric": {"name": "bryant", "params": {"alpha": 0.5235987755982988}},
+        "dimension": 4,
+        "sampling": {"count": 60, "seed": 7},
+        "checks": checks,
+    }
+    alone = [run_config(_write(tmp_path, dict(cfg, checks=[c])))[0].records[0] for c in checks]
+    calls = []
+    original = SphericalMetric.phi_jets
+
+    def counting(self, r, u, v, order=2):
+        calls.append((len(r), order))
+        return original(self, r, u, v, order)
+
+    monkeypatch.setattr(SphericalMetric, "phi_jets", counting)
+    report, code = run_config(_write(tmp_path, cfg))
+    assert code == 0
+    assert calls == [(60, order)]
+    assert [r for r in report.records if r.check != "curvature_pde"] == alone
+
+
+def test_order_3_failure_fails_only_the_ambient_checks(monkeypatch):
+    # sqrt(q) at q = 1e-150 (sample 3, r = 0.5): h''' = 0.375 / (sqrt(q) q^2) overflows
+    # and h'' does not, and q's jet there has no first-order part, so the order-3 jet
+    # is not finite and the order-2 jet is.  The profile checks fall back to their own
+    # order-2 call and pass; the ambient checks fail and name sample 3
+    metric = SphericalMetric("near_kink", ExpressionProfile("u*(1 + sqrt((r - 0.5)^2 + 1e-150)) + 0*v"))
+    rng = np.random.default_rng(2)
+    xs, ys = rng.uniform(0.2, 0.4, (8, 2)), rng.uniform(0.5, 1.0, (8, 2))
+    xs[3] = [0.3, 0.4]
+    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    names = ("homogeneity", "convexity", "det_g", "symmetry_tensor", "cartan")
+    calls = []
+    original = SphericalMetric.phi_jets
+
+    def counting(self, r, u, v, order=2):
+        calls.append((len(r), order))
+        return original(self, r, u, v, order)
+
+    monkeypatch.setattr(SphericalMetric, "phi_jets", counting)
+    run = Run(metric, samples, checks=names)
+    records = {name: run_check(name, run, {}) for name in names}
+    for name in names[:3]:
+        [record] = records[name]
+        assert record.passed, name
+    for name in names[3:]:
+        [record] = records[name]
+        assert not record.passed and record.worst_x == [0.3, 0.4], name
+        assert "non-finite jet coefficients" in record.detail["evaluation_error"], name
+    # the shared order-3 call and the rerun confirming samples 0..2, the profile's own
+    # order-2 call, then the ambient bundle's own order-3 call and its rerun
+    assert calls == [(8, 3), (3, 3), (8, 2), (8, 3), (3, 3)]
 
 
 def test_evaluation_failure_is_a_failed_check(tmp_path):

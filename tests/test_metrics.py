@@ -7,7 +7,7 @@ from conftest import invariants_bundle, make_metric, rows_of, samples_for
 from finslercheck.checks import Run
 from finslercheck._multi_index import coeff_count
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
-from finslercheck.jets import JetDomainError, lift_var, sqrt
+from finslercheck.jets import Jet, JetDomainError, lift_var, sqrt
 from finslercheck.metrics import (
     AmbientBundle,
     ClosedFormProfile,
@@ -743,7 +743,7 @@ class TestComposedAmbientJet:
         from finslercheck.family import FamilyProfile
 
         metric = AMBIENT_CASES["family"][0]()
-        x, y = rows_of(samples_for(metric, n=2, count=25))
+        x, y = rows_of(samples_for(metric, n=2, count=60))
         widths, composed = [], []
         jet, compose = FamilyProfile.jet, metrics.compose_multivariate
 
@@ -758,8 +758,9 @@ class TestComposedAmbientJet:
         monkeypatch.setattr(FamilyProfile, "jet", counting_jet)
         monkeypatch.setattr(metrics, "compose_multivariate", counting_compose)
         AmbientBundle.of(metric, x, y, 3)
-        assert widths == [25]  # one phi_jets call over the chunk
-        assert composed == [(25,), (25,)]  # (r, u, v) -> (rho, mu, v) -> ambient, all columns at once
+        assert widths == [60]  # one phi_jets call over every row
+        # per chunk, (r, u, v) -> (rho, mu, v) -> ambient, all its columns at once
+        assert composed == [(25,), (25,)] * 2 + [(10,), (10,)]
 
     def test_origin_is_refused(self):
         with pytest.raises(JetDomainError, match="not differentiable at x = 0"):
@@ -787,7 +788,6 @@ def _bundle_parts(b, spray=True):
     which needs a positive definite g."""
     return (
         b.f.coeffs.T,
-        b.e.coeffs.T,
         *b.first_derivatives(),
         b.f_xy(),
         b.g(),
@@ -811,18 +811,34 @@ class TestAmbientBundle:
                 assert got[k].tobytes() == want[0].tobytes(), (case, k)
 
     def test_blocks_match_the_energy_jet(self):
-        # g, dg/dx and C are the y-blocks of E = F^2, scaled by 1/2, 1/2, 1/4
-        metric = make_metric("bryant")
-        s = samples_for(metric, n=3, count=1)[0]
-        e = metric.ambient_jet(s.x, s.y, 3) * metric.ambient_jet(s.x, s.y, 3)
-        b = AmbientBundle.of(metric, *rows_of([s]))
-        assert np.array_equal(b.g()[0], e.hessian()[3:, 3:] / 2.0)
-        assert np.array_equal(b.dg_dx()[0], e.third_tensor()[:3, 3:, 3:] / 2.0)
-        assert np.array_equal(b.cartan()[0], e.third_tensor()[3:, 3:, 3:] / 4.0)
-        bracket = e.hessian()[:3, 3:].T @ s.y - e.gradient()[:3]
-        chol = np.linalg.cholesky(e.hessian()[3:, 3:] / 2.0)
-        spray = 0.25 * np.linalg.solve(chol.T, np.linalg.solve(chol, bracket))
-        assert np.allclose(b.spray()[0], spray, rtol=1e-14, atol=1e-14)
+        # g, dg/dx, C and the spray's bracket are the y-blocks of E = F^2, scaled by
+        # 1/2, 1/2, 1/4 and 1/4; the bundle forms them from F alone by the product rule
+        cases = [(lambda name=name: make_metric(name), n) for name in builtin_names() for n in (2, 3, 4)]
+        cases += [AMBIENT_CASES["family"], AMBIENT_CASES["anisotropic"]]
+        for build, n in cases:
+            metric = build()
+            spec = SampleSpec.for_metric(n=n, count=3, seed=7, domain_radius=metric.domain_radius)
+            x, y = rows_of(sample_domain(spec))
+            f = AmbientBundle.of(metric, x, y).f
+            e = Jet(f.nvars, 3, f.coeffs) * Jet(f.nvars, 3, f.coeffs)
+            e2, e3 = np.moveaxis(e.hessian(), -1, 0), np.moveaxis(e.third_tensor(), -1, 0)
+            bracket = np.einsum("nkl,nk->nl", e2[:, :n, n:], y) - e.coeffs[1 : 1 + n].T
+            spray = 0.25 * np.linalg.solve(e2[:, n:, n:] / 2.0, bracket[:, :, None])[:, :, 0]
+            b = AmbientBundle.of(metric, x, y)
+            g_scale = np.abs(b.g()).reshape(len(x), -1).max(axis=1)  # for blocks that vanish (euclidean)
+            for got, want in (
+                (b.g(), e2[:, n:, n:] / 2.0),
+                (b.dg_dx(), e3[:, :n, n:, n:] / 2.0),
+                (b.cartan(), e3[:, n:, n:, n:] / 4.0),
+                (b.spray(), spray),
+            ):
+                scale = np.maximum(np.abs(want).reshape(len(x), -1).max(axis=1), g_scale)
+                error = np.abs(got - want).reshape(len(x), -1).max(axis=1) / scale
+                assert error.max() <= 1e-14, (metric.name, n, error)
+
+    def test_tensors_are_built_once(self):
+        b = AmbientBundle.of(make_metric("bryant"), *rows_of(samples_for(make_metric("bryant"), n=3, count=2)))
+        assert b.g() is b.g() and b.dg_dx() is b.dg_dx() and b.cartan() is b.cartan()
 
 
 CHUNKED_CASES = {
@@ -837,9 +853,9 @@ def _ambient_widths(monkeypatch):
     for cls in (SphericalMetric, GeneralMetric):
         original = cls.ambient_jet
 
-        def counting(self, x, y, order, original=original):
+        def counting(self, x, y, order, *columns, original=original):
             widths.append(np.shape(x)[1] if np.ndim(x) == 2 else 1)
-            return original(self, x, y, order)
+            return original(self, x, y, order, *columns)
 
         monkeypatch.setattr(cls, "ambient_jet", counting)
     return widths
@@ -877,15 +893,16 @@ class TestChunkedAmbientBundle:
         assert widths == [25, 25, 5]
 
     def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
-        # a family profile error with an index counts triples of its chunk's one
-        # phi_jets call; the bundle counts it from row 0, and only the chunk's rows
-        # before it are built again, as one batch
+        # a family profile error with an index counts triples of the bundle's one
+        # phi_jets call over all rows; only the rows before it are evaluated again,
+        # as one batch, and no chunk is composed
         from finslercheck.family import FamilyProfile, QuadratureError
 
         metric = AMBIENT_CASES["family"][0]()
-        original = FamilyProfile.jet
+        original, evaluated = FamilyProfile.jet, []
 
         def jet(self, r, u, v, order):
+            evaluated.append(np.size(r))
             far = np.atleast_1d(r) > 0.6
             if far.any():
                 err = QuadratureError("no convergence")
@@ -902,7 +919,7 @@ class TestChunkedAmbientBundle:
         with pytest.raises(QuadratureError) as err:
             Run(metric, samples).ambient
         assert err.value.sample is samples[30]
-        assert widths == [25, 15, 5]
+        assert evaluated == [40, 30] and widths == []
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
         from finslercheck.metrics import AMBIENT_CHUNK

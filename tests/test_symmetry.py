@@ -44,7 +44,7 @@ def scalar_residuals(metric, field, samples):
 
 def tensor_residual(metric, field, x, y):
     """The full Killing residual matrix of the field at one point-direction pair."""
-    return killing_tensor_residuals(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), field)[0]
+    return killing_tensor_residuals(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), [field])[0, 0]
 
 
 def cartan(metric, *xy):
@@ -134,8 +134,8 @@ class TestTensorResidual:
             fd = (pullback(h) - pullback(-h)) / (2.0 * h)
             blocks_resid = tensor_residual(metric, field, x, y)
             # reconstruct the unnormalized equation left side for comparison
-            terms = killing_tensor_terms(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), field)
-            total = sum(terms)[0]
+            terms = killing_tensor_terms(AmbientBundle.of(metric, *rows_of(pairs((x, y)))), [field])
+            total = sum(terms)[0, 0]
             assert np.abs(total - fd).max() < 1e-6
             scale = max(np.abs(fd).max(), 1.0)
             assert np.abs(total - fd).max() / scale < 1e-5
