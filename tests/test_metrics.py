@@ -837,7 +837,8 @@ class TestAmbientBundle:
                 assert error.max() <= 1e-14, (metric.name, n, error)
 
     def test_tensors_are_built_once(self):
-        b = AmbientBundle.of(make_metric("bryant"), *rows_of(samples_for(make_metric("bryant"), n=3, count=2)))
+        metric = make_metric("bryant")
+        b = AmbientBundle.of(metric, *rows_of(samples_for(metric, n=3, count=2)))
         assert b.g() is b.g() and b.dg_dx() is b.dg_dx() and b.cartan() is b.cartan()
 
 
