@@ -27,6 +27,7 @@ from .metrics import (
     MetricSample,
     ProfileBundle,
     SphericalMetric,
+    ambient_invariants,
     positive_definite,
     profile_columns,
     relative_residual,
@@ -90,7 +91,9 @@ class Run:
     samples' derivative bundles, each built on first use and then read by every
     check.  A spherical metric's profile is evaluated once for both bundles, at
     ``profile_order``.  A build that fails is not retried: every later read
-    raises the same error."""
+    raises the same error.  If that evaluation fails at order 3, the profile
+    bundle makes its own order-2 call and the ambient bundle fails with the
+    same error, or with the refusal of x = 0 at a row that is not higher."""
 
     metric: object
     samples: list
@@ -120,24 +123,33 @@ class Run:
         return 3 if spherical and _AMBIENT_CHECKS.intersection(self.checks) else 2
 
     def _columns(self):
-        """The samples' ``profile_columns`` at ``profile_order``, from one call.  If an
-        order-3 call fails, None: each bundle then evaluates its own, so a failure
-        at order 3 alone fails only the checks that read ``ambient``."""
-        try:
-            return self._once("columns", lambda x, y: profile_columns(self.metric, x, y, self.profile_order))
-        except EvaluationError:
-            if self.profile_order == 2:
-                raise
-            return None
+        """The samples' ``profile_columns`` at ``profile_order``, from one call."""
+        return self._once("columns", lambda x, y: profile_columns(self.metric, x, y, self.profile_order))
 
     @property
     def profile(self) -> ProfileBundle:
-        return self._once("profile", lambda x, y: ProfileBundle.of(self.metric, x, y, self._columns()))
+        def build(x, y):
+            try:
+                columns = self._columns()
+            except EvaluationError:
+                if self.profile_order == 2:
+                    raise
+                columns = None  # its own order-2 call: an order-3 failure fails only ``ambient``
+            return ProfileBundle.of(self.metric, x, y, columns)
+
+        return self._once("profile", build)
 
     @property
     def ambient(self) -> AmbientBundle:
         def build(x, y):
-            return AmbientBundle.of(self.metric, x, y, 3, self._columns() if self.profile_order == 3 else None)
+            if self.profile_order == 2:
+                return AmbientBundle.of(self.metric, x, y, 3)
+            try:
+                columns = self._columns()
+            except EvaluationError as err:  # the bundle's own call would fail alike
+                ambient_invariants(x[: err.index + 1], y[: err.index + 1])  # x = 0 is refused first
+                raise
+            return AmbientBundle.of(self.metric, x, y, 3, columns)
 
         return self._once("ambient", build)
 

@@ -26,7 +26,14 @@ lockstep depth-first traversal (``_quadrature``): each round integrates
 both halves of the next pending panel of every unfinished triple through
 one batched integrand jet, and each triple keeps its own mesh, tolerances
 and summation order, so every column is bit for bit the one-triple result.
-One triple is the case N = 1 of the same code.
+One triple is the case N = 1 of the same code.  The integrand's argument
+v^2/t^2 - r^2 is written from its exact coefficients, not multiplied out.
+
+A build checks f on its probe grid with one N-point order-0 jet, and the
+built profile at its four spot triples with one order-0 ``phi_jets`` call
+(one lockstep quadrature).  Either check fails with its lowest failing
+point's own error (``metrics._first_failure``); an f that cannot be
+evaluated there is a ``FamilyError`` naming the grid point.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import numpy as np
 from . import expr as expr_mod
 from ._multi_index import index_tuples, position_map
 from .jets import EvaluationError, Jet, absval, lift_var
-from .metrics import R, SphericalMetric, U, V
+from .metrics import R, SphericalMetric, U, V, _first_failure
 
 
 class FamilyError(EvaluationError):
@@ -99,19 +106,13 @@ class _CompiledFamily:
         self.g_ast = expr_mod.parse(spec.g, {"r"})
         self.h_ast = expr_mod.parse(spec.h, {"r"}) if spec.h is not None else None
 
-    def f_scalar(self, t: float) -> float:
-        return expr_mod.evaluate(self.f_ast, {"t": Jet.constant(t, 1, 0)}).value
-
     def precheck(self) -> None:
-        """Positivity of f on the probe grid, and integrable growth at +inf."""
-        values = []
-        for s in _PROBE_GRID:
-            val = self.f_scalar(float(s))
-            if not val > 0.0:
-                raise FamilyError(f"f must be positive: f({s:g}) = {val:g}")
-            values.append(val)
+        """Positivity of f on the probe grid, from one N-point jet over the grid,
+        and integrable growth at +inf.  A failure is the lowest failing grid
+        point's own error (``_first_failure``)."""
+        values = _first_failure(self._positive_f, _PROBE_GRID)
         tail = _PROBE_GRID >= 1e2
-        logs = np.log(np.array(values)[tail])
+        logs = np.log(values[tail])
         logt = np.log(_PROBE_GRID[tail])
         slope = float(np.polyfit(logt, logs, 1)[0])
         if slope >= _DECAY_SLOPE_LIMIT:
@@ -120,13 +121,40 @@ class _CompiledFamily:
                 f"needs growth below s^0.5 to converge"
             )
 
+    def _positive_f(self, grid: np.ndarray) -> np.ndarray:
+        """f at the points of grid, refusing the first that cannot be evaluated or
+        is not positive."""
+        try:
+            f = expr_mod.evaluate(self.f_ast, {"t": lift_var(0, grid, 1, 0)}).coeffs[0]
+        except EvaluationError as err:
+            raise FamilyError(f"f cannot be evaluated at t = {grid[err.index]:g}: {err}", err.index) from err
+        f = np.broadcast_to(f, grid.shape)  # an f free of t is one point
+        _refuse_first(~(f > 0.0), lambda i: f"f must be positive: f({grid[i]:g}) = {f[i]:g}")
+        return f
+
+
+def _refuse_first(bad: np.ndarray, message) -> None:
+    """Raise FamilyError(message(i)) at the first point i where ``bad`` holds, if any."""
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
+        raise FamilyError(message(i), i)
+
 
 def _integrand_coeffs(fam: _CompiledFamily, t, r, v, order: int) -> np.ndarray:
     """Taylor coefficients in (r, v) of f(v^2/t^2 - r^2), one column per node:
-    t, r and v are equal-length arrays."""
-    rj = lift_var(0, r, 2, order)
-    vj = lift_var(1, v, 2, order)
-    s = (vj * vj).coeffs * (1.0 / (t * t)) - (rj * rj).coeffs
+    t, r and v are equal-length arrays.
+
+    The argument's jet is written from its exact coefficients: v^2 and r^2 are
+    v^2 + 2v dv + dv^2 and r^2 + 2r dr + dr^2, summed from 0.0 as a jet product
+    sums them (0.0 + v + v keeps a product's +0.0 at v = -0.0)."""
+    pos = position_map(2, order)
+    v2, r2 = np.zeros((2, len(pos), len(t)))
+    v2[0], r2[0] = v * v, r * r
+    if order >= 1:
+        v2[pos[(1,)]], r2[pos[(0,)]] = 0.0 + v + v, 0.0 + r + r
+    if order >= 2:
+        v2[pos[(1, 1)]] = r2[pos[(0, 0)]] = 1.0
+    s = v2 * (1.0 / (t * t)) - r2
     c = expr_mod.evaluate(fam.f_ast, {"t": Jet(2, order, s)}).coeffs
     # an f free of t evaluates to a one-point jet: the same column at every node
     return np.broadcast_to(c if c.ndim == 2 else c[:, None], s.shape)
@@ -292,16 +320,26 @@ def build_projective_metric(spec: ProjectiveFamilySpec, name: str | None = None)
             f", h={spec.h})" if spec.h is not None else ")"
         )
     metric = SphericalMetric(name, profile, spec.domain_radius)
-    r_hi = 0.9 * min(spec.domain_radius, 2.0)
-    for r, u, v in [
+    _first_failure(lambda r, u, v: _positive_profile(metric, r, u, v), *_spot_triples(spec.domain_radius).T)
+    return metric
+
+
+def _spot_triples(radius: float) -> np.ndarray:
+    """The four (r, u, v) rows at which a built profile must be positive."""
+    r_hi = 0.9 * min(radius, 2.0)
+    return np.array([
         (0.06, 1.0, 0.03),
         (0.5 * r_hi, 0.5, -0.2 * r_hi),
         (r_hi, 2.0, 0.9 * r_hi * 2.0),
         (r_hi, 0.1, -0.05 * r_hi),
-    ]:
-        value = metric.phi_value(r, u, v)
-        if not value > 0.0:
-            raise FamilyError(
-                f"built profile is not positive at r={r:g}, u={u:g}, v={v:g}: phi={value:g}"
-            )
-    return metric
+    ])
+
+
+def _positive_profile(metric: SphericalMetric, r, u, v) -> None:
+    """Refuse the first of the N triples (length-N arrays) where the profile, from
+    one order-0 ``phi_jets`` call (one lockstep quadrature), is not positive."""
+    [phi] = metric.phi_jets(r, u, v, 0)
+    _refuse_first(
+        ~(phi > 0.0),
+        lambda i: f"built profile is not positive at r={r[i]:g}, u={u[i]:g}, v={v[i]:g}: phi={phi[i]:g}",
+    )

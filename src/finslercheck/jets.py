@@ -14,7 +14,10 @@ through the same code, a one-point jet (a constant, say) broadcasts
 against an N-point one, and each column of a result is the one-point
 result at that column's point.  Products gather with ``take`` over the
 ``intp`` tables of ``product_table`` and sum every slot in their order, so
-results are deterministic; a series composition forms h''' at order 3 only.
+results are deterministic.  A series composition forms h''' at order 3 only,
+and its powers of the argument's zero-value part multiply only the slots
+that can be nonzero (degree >= 1, and >= 2 for the square's slots in the
+cube), bit for bit the full products wherever they are finite.
 The chain rule through several inner jets (``compose_multivariate``) runs in
 Horner form, one gathered product per degree.
 
@@ -228,23 +231,38 @@ def _scatter(target: np.ndarray, width: int) -> np.ndarray:
     return (target[:, None] * width + np.arange(width)).ravel()
 
 
+@lru_cache(maxsize=None)
+def _live_table(nvars: int, order: int, low: int) -> tuple:
+    """The ``product_table`` terms whose left factor has degree >= low and whose
+    right factor has degree >= min(low, 1); low = 0 is the whole table."""
+    left, right, target = product_table(nvars, order)
+    if low == 0:
+        return left, right, target
+    keep = (left >= coeff_count(nvars, low - 1)) & (right >= 1)
+    return left[keep], right[keep], target[keep]
+
+
 @lru_cache(maxsize=64)
-def _cached_scatter(nvars: int, order: int, width: int) -> np.ndarray:
-    return _scatter(product_table(nvars, order)[2], width)
+def _cached_scatter(nvars: int, order: int, low: int, width: int) -> np.ndarray:
+    return _scatter(_live_table(nvars, order, low)[2], width)
 
 
-def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int) -> np.ndarray:
-    """Coefficients of the truncated product of two aligned coefficient arrays.
+def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int, low: int = 0) -> np.ndarray:
+    """Coefficients of the truncated product of two aligned coefficient arrays,
+    from the terms of ``_live_table(nvars, order, low)``: all of them, or, when
+    a's slots of degree < low and b's value slot are zero, those that can be
+    nonzero.
 
     ``np.bincount`` adds the terms into their slots one by one in table
     order, starting from zero, so every slot is the same ordered sum for
-    one point or many.
+    one point or many.  A dropped term is zero times a finite coefficient,
+    which leaves such a sum as it is: a sum from +0.0 is never -0.0.
     """
-    left, right, target = product_table(nvars, order)
+    left, right, target = _live_table(nvars, order, low)
     terms = a.take(left, 0) * b.take(right, 0)  # gathered along the slot axis
     width = terms[0].size
     if width <= _CACHED_WIDTH:
-        scatter = _cached_scatter(nvars, order, width)
+        scatter = _cached_scatter(nvars, order, low, width)
     else:
         scatter = _scatter(target, width)
     out = np.bincount(scatter, terms.ravel(), len(a) * width)
@@ -256,6 +274,11 @@ def _compose(a: Jet, derivatives) -> Jet:
     the value row w and a function giving h''' there (called at order 3 only):
 
         h(a) = h + h' d + (h''/2) d^2 + (h'''/6) d^3,   d = a minus its value.
+
+    d's value slot is zero, so d^2 takes only the product terms of two factors
+    of degree >= 1, and d^3 those of d^2's slots of degree >= 2 and d's of
+    degree >= 1 (``_live_table``).  Where d is finite that is the full product
+    bit for bit; a column that is not finite is rejected either way.
     """
     w = a.coeffs[0]
     with np.errstate(all="ignore"):
@@ -265,10 +288,10 @@ def _compose(a: Jet, derivatives) -> Jet:
         out = h1 * d
         out[0] += h0
         if a.order >= 2:
-            p2 = _product(d, d, a.nvars, a.order)
+            p2 = _product(d, d, a.nvars, a.order, 1)
             out += (h2 / 2.0) * p2
             if a.order >= 3:
-                out += (h3() / 6.0) * _product(p2, d, a.nvars, a.order)
+                out += (h3() / 6.0) * _product(p2, d, a.nvars, a.order, 2)
     if np.count_nonzero(np.isfinite(out)) < out.size:
         _reject("non-finite jet coefficients after composition", w, ~np.isfinite(out).all(axis=0))
     return Jet(a.nvars, a.order, out)

@@ -193,14 +193,14 @@ class SphericalMetric:
         |x| has no derivative, is refused."""
         one_point = np.ndim(x) == 1
         x, y = (np.asarray(w, dtype=float).reshape(len(w), -1) for w in (x, y))  # (n, N)
-        r, u, v = _ambient_invariants(x.T, y.T)
+        r, u, v = ambient_invariants(x.T, y.T)
         outer = Jet(3, order, self.phi_jets(r, u, v, order) if columns is None else columns)
         profile = compose_multivariate(outer, _root_jets(r, u, v, order))
         f = compose_multivariate(profile, _quadratic_jets(x, y, r, u, v, order)).coeffs
         return Jet(2 * len(x), order, f[:, 0] if one_point else f)
 
 
-def _ambient_invariants(x, y):
+def ambient_invariants(x, y):
     """``invariant_rows`` of the (N, n) arrays x and y, refusing x = 0, where |x|
     has no derivative."""
     r, u, v = invariant_rows(x, y)
@@ -539,7 +539,7 @@ class AmbientBundle:
         ``columns``, the rows' order-``order`` ``profile_columns``.  An error names its
         lowest failing row of x (``_first_failure``, of all rows or of its chunk)."""
         if isinstance(metric, SphericalMetric) and columns is None:  # x = 0 is refused first
-            columns = _first_failure(lambda x, y: metric.phi_jets(*_ambient_invariants(x, y), order), x, y)
+            columns = _first_failure(lambda x, y: metric.phi_jets(*ambient_invariants(x, y), order), x, y)
 
         def lift(c):
             if columns is None:
@@ -547,7 +547,7 @@ class AmbientBundle:
             return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order, columns[:, c])
 
         f = [
-            _columns(_first_failure(lift(c), x[c], y[c], c.start).coeffs, c.stop - c.start)
+            _columns(_first_failure(lift(c), x[c], y[c], start=c.start).coeffs, c.stop - c.start)
             for c in _chunks(len(x), AMBIENT_CHUNK)
         ]
         return cls(x, y, Jet(2 * x.shape[1], order, np.concatenate(f, axis=1)))
@@ -632,24 +632,24 @@ class AmbientBundle:
         return 0.5 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
 
 
-def _first_failure(build, x: np.ndarray, y: np.ndarray, start: int = 0):
-    """build(x, y) at the rows of the (N, n) arrays x and y.  An ``EvaluationError``
-    it raises is re-raised as the lowest failing row's own error, with ``index``
-    that row counted from ``start``.
+def _first_failure(build, *rows: np.ndarray, start: int = 0):
+    """build(*rows) at the rows of equal-length arrays, such as the (N, n) arrays x
+    and y.  An ``EvaluationError`` it raises is re-raised as the lowest failing
+    row's own error, with ``index`` that row counted from ``start``.
 
     A build that fails at row j (its first failing column of one operation) has
     built rows [0, j) only up to that operation, and they may fail at a later
     one: they are built again as one batch, down to a prefix that passes (each
     prefix shorter than the last, so the loop ends)."""
     try:
-        return build(x, y)
+        return build(*rows)
     except EvaluationError as err:
         failure = err
-    rows = len(x)
-    while 0 < failure.index < rows:
-        rows = failure.index
+    count = len(rows[0])
+    while 0 < failure.index < count:
+        count = failure.index
         try:
-            build(x[:rows], y[:rows])
+            build(*(a[:count] for a in rows))
             break
         except EvaluationError as err:
             failure = err

@@ -12,6 +12,7 @@ from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.jets import EvaluationError
 from finslercheck.metrics import (
+    AmbientBundle,
     ClosedFormProfile,
     ExpressionProfile,
     GeneralMetric,
@@ -267,9 +268,29 @@ def test_order_3_failure_fails_only_the_ambient_checks(monkeypatch):
         [record] = records[name]
         assert not record.passed and record.worst_x == [0.3, 0.4], name
         assert "non-finite jet coefficients" in record.detail["evaluation_error"], name
-    # the shared order-3 call and the rerun confirming samples 0..2, the profile's own
-    # order-2 call, then the ambient bundle's own order-3 call and its rerun
-    assert calls == [(8, 3), (3, 3), (8, 2), (8, 3), (3, 3)]
+    # the shared order-3 call and the rerun confirming samples 0..2, then the profile's
+    # own order-2 call; the ambient bundle re-raises the shared call's error
+    assert calls == [(8, 3), (3, 3), (8, 2)]
+
+
+@pytest.mark.parametrize("origin", [1, 5])
+def test_order_3_failure_or_an_earlier_origin_fails_the_ambient_checks(origin):
+    # the failure of the shared order-3 call above (sample 3), and x = 0 at sample
+    # ``origin``: the ambient checks name whichever comes first, as the ambient
+    # bundle's own evaluation does
+    metric = SphericalMetric("near_kink", ExpressionProfile("u*(1 + sqrt((r - 0.5)^2 + 1e-150)) + 0*v"))
+    rng = np.random.default_rng(2)
+    xs, ys = rng.uniform(0.2, 0.4, (8, 2)), rng.uniform(0.5, 1.0, (8, 2))
+    xs[3], xs[origin] = [0.3, 0.4], [0.0, 0.0]
+    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    with pytest.raises(EvaluationError) as own:
+        AmbientBundle.of(metric, xs, ys)
+    run = Run(metric, samples, checks=("symmetry_tensor", "cartan"))
+    for name in run.checks:
+        [record] = run_check(name, run, {})
+        assert not record.passed
+        assert record.worst_x == list(xs[min(origin, 3)])
+        assert record.detail["evaluation_error"] == str(own.value)
 
 
 def test_evaluation_failure_is_a_failed_check(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,15 +6,19 @@ import numpy as np
 import pytest
 
 from conftest import rows_of, samples_for
+from finslercheck import expr
+from finslercheck.cli import run_config
 from finslercheck.family import (
+    _PROBE_GRID,
     FamilyError,
     ProjectiveFamilySpec,
     QuadratureError,
     FamilyProfile,
     _CompiledFamily,
+    _spot_triples,
     build_projective_metric,
 )
-from finslercheck.jets import JetDomainError
+from finslercheck.jets import EvaluationError, Jet, JetDomainError
 from finslercheck.metrics import MetricDomainError, ProfileBundle, SphericalMetric, builtin
 from finslercheck.projective import constant_curvature_verdict, projective_pde_of
 
@@ -84,6 +89,39 @@ class TestPrechecks:
     def test_bounded_f_accepted(self):
         build_projective_metric(ProjectiveFamilySpec(f="1"))
 
+    def test_f_that_cannot_be_evaluated_names_its_grid_point(self, tmp_path):
+        message = (
+            "f cannot be evaluated at t = 0.001: "
+            "sqrt requires a positive argument (value -4.999) (at offset 0)"
+        )
+        with pytest.raises(FamilyError) as err:
+            build_projective_metric(ProjectiveFamilySpec(f="sqrt(t - 5)"))
+        assert str(err.value) == message
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"metric": {"family": {"f": "sqrt(t - 5)"}}, "checks": ["homogeneity"]}))
+        assert run_config(str(config)) == (None, 2)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ProjectiveFamilySpec(f="t - 100"),
+            # log of 0 at grid point 20 alone
+            ProjectiveFamilySpec(f=f"1 + 0*log((t - {float(_PROBE_GRID[20])!r})^2)"),
+            # not positive at spot triple 2
+            ProjectiveFamilySpec(f="1/sqrt(1+t)", g="-1"),
+            # not positive at spot triple 0, and g has no value at triples 2 and 3,
+            # which the batched build meets first
+            ProjectiveFamilySpec(f="1/sqrt(1+t)", g="-40 + log(0.85 - r)"),
+            # the quadrature of spot triple 0 does not converge
+            ProjectiveFamilySpec(f="1/sqrt(1+t)", g="-1", max_depth=3),
+        ],
+        ids=["non_positive_f", "f_fails_at_one_point", "spot", "spot_before_formula", "spot_quadrature"],
+    )
+    def test_batched_build_fails_as_the_one_point_loop(self, spec):
+        with pytest.raises(EvaluationError) as err:
+            build_projective_metric(spec)
+        assert str(err.value) == _one_point_build_failure(spec)
+
     def test_baseline_validation(self):
         with pytest.raises(FamilyError):
             ProjectiveFamilySpec(f="1", baseline="nope").validate()
@@ -91,6 +129,29 @@ class TestPrechecks:
             ProjectiveFamilySpec(f="1", baseline="abs_corrected").validate()
         with pytest.raises(FamilyError):
             ProjectiveFamilySpec(f="1", abs_tol=0.0).validate()
+
+
+def _one_point_build_failure(spec):
+    """The build's checks one point at a time, in order, as the batched build
+    replaced them: f at each probe grid point, then the profile at each spot
+    triple.  The first failure's text (None if all pass)."""
+    fam = _CompiledFamily(spec)
+    for s in _PROBE_GRID:
+        try:
+            value = expr.evaluate(fam.f_ast, {"t": Jet.constant(float(s), 1, 0)}).value
+        except EvaluationError as err:
+            return f"f cannot be evaluated at t = {s:g}: {err}"
+        if not value > 0.0:
+            return f"f must be positive: f({s:g}) = {value:g}"
+    metric = SphericalMetric("spots", FamilyProfile(fam), spec.domain_radius)
+    for r, u, v in _spot_triples(spec.domain_radius).tolist():
+        try:
+            phi = metric.phi_value(r, u, v)
+        except EvaluationError as err:
+            return str(err)
+        if not phi > 0.0:
+            return f"built profile is not positive at r={r:g}, u={u:g}, v={v:g}: phi={phi:g}"
+    return None
 
 
 class TestBuiltMetrics:
@@ -259,6 +320,24 @@ class TestBatchedQuadrature:
             assert np.array_equal(acc_abs, half * ref_abs)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("f", ["1/sqrt(1+t)", "1/(1+t^2)^0.25", "exp(-t)", "1"])
+    def test_integrand_argument_equals_the_jet_squares(self, f, order):
+        # the argument v^2/t^2 - r^2 from its exact coefficients, against the generic
+        # jet products it replaces, bit for bit: signed zeros at v = -0.0 and r = 0.0
+        # included, and an f free of t
+        from finslercheck.family import _integrand_coeffs
+        from finslercheck.jets import lift_var
+
+        fam = _CompiledFamily(ProjectiveFamilySpec(f=f))
+        t = np.array([0.3, 1e-3, 2.0, 0.7, 0.05])
+        r = np.array([0.4, 0.0, 0.9, 0.2, 0.6])
+        v = np.array([-0.2, 0.5, -0.0, 0.0, 1e-3])
+        rj, vj = lift_var(0, r, 2, order), lift_var(1, v, 2, order)
+        want = expr.evaluate(fam.f_ast, {"t": vj * vj * (1.0 / (t * t)) - rj * rj}).coeffs
+        got = _integrand_coeffs(fam, t, r, v, order)
+        assert got.tobytes() == np.broadcast_to(want.T, got.T.shape).T.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "spec",
         # the second one bisects deep enough that summing its leaves in any
@@ -345,7 +424,7 @@ class TestBatchedQuadrature:
         config = Path(__file__).resolve().parent.parent / "configs" / "family_funk_reconstruction.json"
         report, code = run_config(str(config), samples_override=30)
         assert code == 0
-        # four one-point positivity probes while building, then one order-2 jet
+        # the four positivity probes as one jet while building, then one order-2 jet
         # over all samples: each sample's quadrature runs once
-        assert [(len(points), order) for points, order in calls] == [(1, 0)] * 4 + [(30, 2)]
-        assert len(set(calls[4][0])) == 30
+        assert [(len(points), order) for points, order in calls] == [(4, 0), (30, 2)]
+        assert len(set(calls[1][0])) == 30

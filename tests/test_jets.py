@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from finslercheck.jets import (
     DIVISION_GUARD,
+    _reciprocal,
     Jet,
     JetDomainError,
     absval,
@@ -348,3 +349,79 @@ def test_product_sums_each_slot_in_table_order(nvars, order):
             expected[target] = expected[target] + a[left] * b[right]
         got = (Jet(nvars, order, a) * Jet(nvars, order, b)).coeffs
         assert np.array_equal(got, expected)
+
+
+_SERIES = {
+    "sqrt": sqrt,
+    "log": log,
+    "exp": exp,
+    "sin": sin,
+    "reciprocal": _reciprocal,
+    "powc": lambda a: powc(a, -0.75),
+}
+
+
+def _full_table_series(fn, a):
+    """fn(a) as the series h + h' d + (h''/2) d^2 + (h'''/6) d^3 with d^2 and d^3
+    multiplied through the whole product table, from fn's own h, h', h'', h'''."""
+    from unittest import mock
+
+    from finslercheck import jets
+
+    seen = []
+    with mock.patch.object(jets, "_compose", lambda a, derivatives: seen.append(derivatives)):
+        fn(a)
+    with np.errstate(all="ignore"):
+        h0, h1, h2, h3 = seen[0](a.coeffs[0])
+        d = a.coeffs.copy()
+        d[0] = 0.0
+        out = h1 * d
+        out[0] += h0
+        if a.order >= 2:
+            p2 = Jet(a.nvars, a.order, d) * Jet(a.nvars, a.order, d)
+            out += (h2 / 2.0) * p2.coeffs
+            if a.order >= 3:
+                out += (h3() / 6.0) * (p2 * Jet(a.nvars, a.order, d)).coeffs
+    if not np.isfinite(out).all():
+        jets._reject("non-finite jet coefficients after composition", a.coeffs[0], ~np.isfinite(out).all(axis=0))
+    return out
+
+
+@st.composite
+def _series_arguments(draw):
+    """A jet in 1-3 variables of order 0-3 at one point or up to 4, its value slots
+    positive, the rest from a mix of signed zeros, moderate and huge values, and
+    sometimes one infinite coefficient."""
+    from finslercheck._multi_index import coeff_count
+
+    nvars, order = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    width = draw(st.sampled_from([None, 1, 2, 4]))
+    shape = (coeff_count(nvars, order),) + (() if width is None else (width,))
+    entries = st.one_of(st.sampled_from([0.0, -0.0, 1e200, -1e155]), st.floats(-3.0, 3.0))
+    c = np.array(draw(st.lists(entries, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))))).reshape(shape)
+    c[0] = np.reshape(draw(st.lists(st.floats(0.1, 3.0), min_size=c[0].size, max_size=c[0].size)), c[0].shape)
+    if order >= 1 and draw(st.booleans()):
+        flat = c[1:].reshape(-1)
+        flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([math.inf, -math.inf]))
+    return Jet(nvars, order, c)
+
+
+@pytest.mark.parametrize("name", list(_SERIES))
+@given(_series_arguments())
+def test_compositions_over_live_slots_equal_the_full_table(name, a):
+    # the kernel multiplies only slots of degree >= 1 (and >= 2 for d^2 in d^3);
+    # results must be the full-table series bit for bit, signed zeros included,
+    # and a column that is not finite must be refused with the same index and text
+    fn = _SERIES[name]
+    try:
+        want, want_err = _full_table_series(fn, a), None
+    except JetDomainError as err:
+        want_err = err
+    if want_err is None:
+        got = fn(a)
+        assert got.coeffs.shape == want.shape
+        assert got.coeffs.tobytes() == want.tobytes()
+        return
+    with pytest.raises(JetDomainError) as err:
+        fn(a)
+    assert (err.value.index, err.value.value, str(err.value)) == (want_err.index, want_err.value, str(want_err))
