@@ -251,7 +251,7 @@ def check_projective_pde(run, tol, params):
 def check_curvature(run, tol, params):
     """Constant flag curvature, and a second record for the curvature PDE pair
     (tolerance ``curvature_pde``)."""
-    lam = params.get("lambda")
+    lam = _curvature_lambda(params)
     v = proj.constant_curvature_verdict(run.profile, lam, tol)
     at = run.samples[v.worst_index]
     if v.status == "not_projective":
@@ -272,6 +272,16 @@ def check_curvature(run, tol, params):
         _record("curvature", run, deviation, at, tol, detail, v.passed),
         _worst_record("curvature_pde", run, v.pde_values, pde_tol, pde_detail),
     ]
+
+
+def _curvature_lambda(params) -> float | None:
+    """The hypothesised lambda: absent, or a finite number."""
+    lam = params.get("lambda")
+    if lam is None:
+        return None
+    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
+        raise ConfigError(f"curvature param 'lambda' must be a finite number, got {lam!r}")
+    return float(lam)
 
 
 def check_det_g(run, tol, params):

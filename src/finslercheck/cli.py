@@ -81,15 +81,18 @@ def _build_metric(cfg: dict, dimension: int):
     if "family" in metric_cfg:
         fam = _entry(metric_cfg, "family", dict, None, "metric.")
         quad = _entry(fam, "quad", dict, {}, "metric.family.")
+        abs_tol = _entry(quad, "abs_tol", numbers.Real, 1e-12, "metric.family.quad.")
+        max_depth = _entry(quad, "max_depth", numbers.Integral, 40, "metric.family.quad.")
+        radius = _entry(fam, "domain_radius", numbers.Real, 1.0, "metric.family.")
         try:
             spec = ProjectiveFamilySpec(
                 f=fam["f"],
                 g=fam.get("g", "0"),
                 baseline=fam.get("baseline", "plain"),
                 h=fam.get("h"),
-                abs_tol=float(quad.get("abs_tol", 1e-12)),
-                max_depth=int(quad.get("max_depth", 40)),
-                domain_radius=float(fam.get("domain_radius", 1.0)),
+                abs_tol=float(abs_tol),
+                max_depth=int(max_depth),
+                domain_radius=float(radius),
             )
             return build_projective_metric(spec)
         except KeyError as err:
@@ -98,13 +101,10 @@ def _build_metric(cfg: dict, dimension: int):
             raise ConfigError(f"bad family config: {err}") from err
     if "general" in metric_cfg:
         gen = _entry(metric_cfg, "general", dict, None, "metric.")
+        radius = _entry(gen, "domain_radius", numbers.Real, math.inf, "metric.general.")
         try:
-            radius = gen.get("domain_radius")
             return GeneralMetric.from_expression(
-                gen["F"],
-                dimension,
-                name=gen.get("name", "general"),
-                domain_radius=float(radius) if radius is not None else math.inf,
+                gen["F"], dimension, name=gen.get("name", "general"), domain_radius=float(radius)
             )
         except KeyError as err:
             raise ConfigError(f"general config is missing {err}") from err

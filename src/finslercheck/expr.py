@@ -298,4 +298,7 @@ def evaluate(node, bindings: dict[str, Jet], nvars: int | None = None, order: in
             raise EvalDomainError(str(err), n.offset, err.index) from err
         raise TypeError(f"not an AST node: {n!r}")
 
-    return ev(node)
+    try:
+        return ev(node)
+    finally:
+        del ev  # ev's cell refers to ev: without this, the cycle keeps the bindings until a gc pass

@@ -21,12 +21,15 @@ integrated, with a jet-valued integrand in (r, v) and adaptive
 Gauss-Legendre bisection; differentiating an adaptive mesh would not be
 smooth in the parameters, the split avoids it entirely.
 
-The profile is evaluated at N triples at once.  Their bisections run as one
-lockstep depth-first traversal (``_quadrature``): each round integrates
-both halves of the next pending panel of every unfinished triple through
-one batched integrand jet, and each triple keeps its own mesh, tolerances
-and summation order, so every column is bit for bit the one-triple result.
-One triple is the case N = 1 of the same code.  The integrand's argument
+The profile is evaluated at N triples at once.  Their bisections run in
+pooled depth-first rounds (``_quadrature``): each round takes up to N
+pending panels, shared among the unfinished triples and taken from the top
+of each triple's own depth-first stack, and integrates both halves of all
+of them through one batched integrand jet.  So the rounds follow the depth
+of the deepest tree, not its size, and no round is wider than 2 N panels.
+Each triple keeps its own mesh, tolerances and summation order, so every
+column is bit for bit the one-triple result, and one triple is the case
+N = 1 of the same code: the plain recursion.  The integrand's argument
 v^2/t^2 - r^2 is written from its exact coefficients, not multiplied out.
 
 A build checks f on its probe grid with one N-point order-0 jet, and the
@@ -38,6 +41,7 @@ evaluated there is a ``FamilyError`` naming the grid point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,8 +96,8 @@ class ProjectiveFamilySpec:
             raise FamilyError(f"unknown baseline '{self.baseline}'")
         if self.baseline == "abs_corrected" and self.h is None:
             raise FamilyError("abs_corrected baseline needs an h formula")
-        if self.abs_tol <= 0.0:
-            raise FamilyError("quadrature abs_tol must be positive")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):  # inf converges every panel at once
+            raise FamilyError(f"quadrature abs_tol must be finite and positive, got {self.abs_tol!r}")
         if self.max_depth < 1:
             raise FamilyError("max_depth must be at least 1")
 
@@ -187,45 +191,67 @@ def _gauss_panel(fam, a, b, r, v, order: int):
 def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
     """The u-free quadrature coefficients at N triples (length-N arrays), (ncoeff, N).
 
-    Adaptive Gauss-Legendre bisection of [0, u_i] for every triple, in
-    lockstep: each round takes the next pending node of every unfinished
-    triple, in that triple's own depth-first order (left before right), and
-    integrates both halves of all of them in one ``_gauss_panel`` call.  A node
-    converges when its refined halves differ from its estimate by at most
-    max(tol, rounding floor) in every coefficient; otherwise its children get
-    half its tolerance.  Leaves are added back in tree order (left + right
-    at every node), so each column is bit for bit the one-triple result.  A
-    triple failing at max_depth stops; the first one's error, with its ``index``,
-    comes last.  A round that raises names its first failing panel's triple.
+    Adaptive Gauss-Legendre bisection of [0, u_i] for every triple, in pooled
+    rounds: a round shares N nodes among the L unfinished triples, max(1, N // L)
+    from the top of each one's own depth-first stack (left before right), and
+    integrates both halves of all of them in one ``_gauss_panel`` call, so no
+    round is wider than 2 N panels of 15 nodes; N = 1 is the plain recursion.
+    Breadth-first rounds would be fewer still, but would expand a
+    non-converging triple toward 2^max_depth panels at once.  A node converges
+    when its refined halves differ from its estimate by at most max(tol,
+    rounding floor) in every coefficient; otherwise its children get half its
+    tolerance.  That is decided node by node, and a finished subtotal waits
+    under its heap number for its sibling to be added in tree order (left +
+    right), so each column is bit for bit the one-triple result.
+
+    The nodes of a round are handled right to left, so each one's children,
+    pushed left child last, keep the stack in depth-first order with the
+    leftmost taken node's children on top.  A node fails
+    if not converged at depth max_depth, and drops every pending node of its
+    triple, all of which lie right of it.  A stack's depths never grow from
+    top to bottom, so the nodes a round takes left of a failing one are at
+    that depth too: the last failure a triple records is its leftmost, the one
+    the recursion meets.  The first failed triple's error, with its ``index``,
+    is raised once all are done.  A round whose integrand raises names its
+    first failing panel's triple at once, so a triple that also fails to
+    converge reports whichever failure its rounds meet first, which can depend
+    on the batch.
     """
     count = len(r)
     estimates, _ = _gauss_panel(fam, np.zeros(count), u, r, v, order)
     # a pending node is (a, b, the estimate it refines, tol, heap number): the
     # root is 1, the children of node p are 2p (left) and 2p + 1 (right)
     pending = [[(0.0, float(u[i]), estimates[:, i], fam.spec.abs_tol, 1)] for i in range(count)]
-    waiting: list[list[np.ndarray]] = [[] for _ in range(count)]  # finished left siblings
+    finished: list[dict] = [{} for _ in range(count)]  # heap number -> subtotal awaiting its sibling
     result: list = [None] * count
     failed: dict[int, QuadratureError] = {}
     while live := [i for i in range(count) if pending[i]]:
-        lo, hi, estimate, tol, heaps = zip(*(pending[i].pop() for i in live))
+        quota = count // len(live)
+        owners, nodes = [], []
+        for i in live:
+            taken = pending[i][: -quota - 1 : -1]  # the top of the stack: left to right
+            del pending[i][-quota:]
+            owners += [i] * len(taken)
+            nodes += taken
+        lo, hi, estimate, tol, heaps = zip(*nodes)
         a, b = np.array(lo), np.array(hi)
         mid = 0.5 * (a + b)
-        k = len(live)
+        k = len(nodes)
         try:
             halves, halves_abs = _gauss_panel(
                 fam, np.concatenate([a, mid]), np.concatenate([mid, b]),
-                np.tile(r[live], 2), np.tile(v[live], 2), order,
+                np.tile(r[owners], 2), np.tile(v[owners], 2), order,
             )
         except EvaluationError as err:
-            err.index = live[err.index % k]  # left halves, then right halves -> triple
+            err.index = owners[err.index % k]  # left halves, then right halves -> triple
             raise
         left, right = halves[:, :k], halves[:, k:]
         refined = left + right
         floor = _ROUNDOFF_FLOOR * (halves_abs[:, :k] + halves_abs[:, k:]).max(axis=0)
         error = np.abs(refined - np.stack(estimate, axis=1)).max(axis=0)
         converged = error <= np.where(floor > tol, floor, tol)  # max(tol, floor)
-        for j, i in enumerate(live):
-            heap = heaps[j]
+        for j in reversed(range(k)):  # right to left: each triple's leftmost failure comes last
+            i, heap = owners[j], heaps[j]
             if not converged[j]:
                 if heap >= 1 << fam.spec.max_depth:  # depth max_depth reached
                     failed[i] = QuadratureError(
@@ -233,19 +259,19 @@ def _quadrature(fam: _CompiledFamily, r, u, v, order: int) -> np.ndarray:
                         f"after {fam.spec.max_depth} bisection levels",
                         i,
                     )
-                    pending[i].clear()
+                    pending[i].clear()  # all of it lies right of this node
                     continue
                 m = float(mid[j])
                 pending[i].append((m, hi[j], right[:, j], 0.5 * tol[j], 2 * heap + 1))
                 pending[i].append((lo[j], m, left[:, j], 0.5 * tol[j], 2 * heap))
                 continue
-            # a right child completes its parent: add the left sibling, then go up
             total = refined[:, j]
-            while heap > 1 and heap & 1:
-                total = waiting[i].pop() + total
+            while heap > 1 and heap ^ 1 in finished[i]:  # add the sibling, then go up
+                sibling = finished[i].pop(heap ^ 1)
+                total = sibling + total if heap & 1 else total + sibling
                 heap >>= 1
             if heap > 1:
-                waiting[i].append(total)
+                finished[i][heap] = total
             else:
                 result[i] = total
     if failed:  # every other triple succeeded

@@ -34,6 +34,12 @@ def funk_config(**overrides):
     return cfg
 
 
+def family_metric(**entries):
+    """The overrides that make funk_config's metric the family funk, with entries added."""
+    family = {"f": "1/sqrt(1+t)", "g": "1/(1-r^2)", "h": "1/(1-r^2)", "baseline": "abs_corrected"}
+    return {"metric": {"family": dict(family, **entries)}, "checks": ["homogeneity"]}
+
+
 class TestRunConfig:
     def test_passing_run_exit_zero(self, tmp_path):
         report, code = run_config(write_config(tmp_path, funk_config()))
@@ -206,6 +212,19 @@ class TestRunConfig:
             ({"metric": {"general": {"F": "sqrt(y1^2 +)"}}}, "bad general metric formula: unexpected token ')'"),
             ({"checks": ["symmetry", 3]}, "bad check entry: 3"),
             ({"tolerances": {"symetry": 1e-9}}, "unknown check 'symetry' in tolerances (did you mean 'symmetry'?)"),
+            # a string lambda crashed in numpy; true ran as 1.0 and reached the report
+            ({"checks": [{"name": "curvature", "params": {"lambda": "-0.25"}}]}, "curvature param 'lambda'"),
+            ({"checks": [{"name": "curvature", "params": {"lambda": True}}]}, "curvature param 'lambda'"),
+            ({"checks": [{"name": "curvature", "params": {"lambda": math.nan}}]}, "curvature param 'lambda'"),
+            # an infinite abs_tol converged every sample on one panel, and the
+            # projectivity checks then failed (exit 1)
+            (family_metric(quad={"abs_tol": math.inf}), "quadrature abs_tol must be finite and positive, got inf"),
+            (family_metric(quad={"abs_tol": math.nan}), "quadrature abs_tol must be finite and positive, got nan"),
+            (family_metric(quad={"abs_tol": True}), "'metric.family.quad.abs_tol'"),
+            (family_metric(quad={"abs_tol": "1e-12"}), "'metric.family.quad.abs_tol'"),
+            (family_metric(quad={"max_depth": 40.9}), "'metric.family.quad.max_depth'"),
+            (family_metric(domain_radius="1"), "'metric.family.domain_radius'"),
+            ({"metric": {"general": {"F": "sqrt(y1^2 + y2^2)", "domain_radius": True}}}, "'metric.general.domain_radius'"),
         ],
     )
     def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):

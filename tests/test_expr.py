@@ -104,6 +104,26 @@ class TestEvaluate:
         j = expr.evaluate(ast, {}, nvars=2, order=1)
         assert j.value == 5.0
 
+    def test_bindings_are_freed_without_a_gc_pass(self):
+        # a family quadrature round's integrand argument must not outlive its round
+        import gc
+        import weakref
+
+        import numpy as np
+
+        ast = expr.parse("1/sqrt(1+t)", {"t"})
+        t = lift_var(0, np.linspace(0.1, 2.0, 50), 2, 2)
+        freed = weakref.ref(t.coeffs)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            expr.evaluate(ast, {"t": t})
+            del t
+            assert freed() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_mixed_binding_shapes_rejected(self):
         ast = expr.parse("a + b", {"a", "b"})
         with pytest.raises(ValueError):

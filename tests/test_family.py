@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from finslercheck.jets import EvaluationError, Jet, JetDomainError
 from finslercheck.metrics import MetricDomainError, ProfileBundle, SphericalMetric, builtin
 from finslercheck.projective import constant_curvature_verdict, projective_pde_of
 
+REPO = Path(__file__).resolve().parent.parent
 FUNK_SPEC = ProjectiveFamilySpec(
     f="1/sqrt(1+t)", g="1/(1-r^2)", h="1/(1-r^2)", baseline="abs_corrected"
 )
@@ -127,8 +130,9 @@ class TestPrechecks:
             ProjectiveFamilySpec(f="1", baseline="nope").validate()
         with pytest.raises(FamilyError):
             ProjectiveFamilySpec(f="1", baseline="abs_corrected").validate()
-        with pytest.raises(FamilyError):
-            ProjectiveFamilySpec(f="1", abs_tol=0.0).validate()
+        for tol in (0.0, math.inf, math.nan):  # an infinite tolerance converges every panel at once
+            with pytest.raises(FamilyError, match="abs_tol must be finite and positive"):
+                ProjectiveFamilySpec(f="1", abs_tol=tol).validate()
 
 
 def _one_point_build_failure(spec):
@@ -298,6 +302,40 @@ class TestBuiltMetrics:
         assert np.abs(a.third_tensor() - b.third_tensor()).max() < 1e-7
 
 
+# bisects deep enough that summing its leaves in any other than tree order
+# changes bits at orders 2 and 3
+GENERIC_SPEC = ProjectiveFamilySpec(f="1/(1+t^2)^0.25", g="r^2")
+
+
+def _triples(count: int):
+    """The invariants (r, u, v) of the family funk's first count samples (seed 7)."""
+    samples = samples_for(build_projective_metric(FUNK_SPEC), n=2, count=count, seed=7)
+    return (np.array([getattr(s, k) for s in samples]) for k in "ruv")
+
+
+def _recursive_quadrature(fam, r, u, v, order):
+    """The recursive bisection of one triple, as a reference: its coefficients, or
+    the first failure it meets (left before right)."""
+    from finslercheck.family import _ROUNDOFF_FLOOR, _gauss_panel
+
+    def recursive(a, b, estimate, tol, depth):
+        mid = 0.5 * (a + b)
+        left, left_abs = _gauss_panel(fam, a, mid, r, v, order)
+        right, right_abs = _gauss_panel(fam, mid, b, r, v, order)
+        refined = left + right
+        floor = _ROUNDOFF_FLOOR * float((left_abs + right_abs).max())
+        if float(np.abs(refined - estimate).max()) <= max(tol, floor):
+            return refined
+        if depth == fam.spec.max_depth:
+            raise QuadratureError(
+                f"profile integral did not converge on [{a:g}, {b:g}] after {depth} bisection levels"
+            )
+        return recursive(a, mid, left, 0.5 * tol, depth + 1) + recursive(mid, b, right, 0.5 * tol, depth + 1)
+
+    estimate, _ = _gauss_panel(fam, 0.0, u, r, v, order)
+    return recursive(0.0, u, estimate, fam.spec.abs_tol, 0)
+
+
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("order", [0, 2, 3])
     def test_gauss_panel_equals_node_by_node_sum(self, order):
@@ -338,42 +376,85 @@ class TestBatchedQuadrature:
         assert got.tobytes() == np.broadcast_to(want.T, got.T.shape).T.tobytes()
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
-    @pytest.mark.parametrize(
-        "spec",
-        # the second one bisects deep enough that summing its leaves in any
-        # other than tree order changes bits at orders 2 and 3
-        [FUNK_SPEC, ProjectiveFamilySpec(f="1/(1+t^2)^0.25", g="r^2")],
-        ids=["funk", "generic"],
-    )
+    @pytest.mark.parametrize("spec", [FUNK_SPEC, GENERIC_SPEC], ids=["funk", "generic"])
     def test_lockstep_quadrature_equals_one_triple_recursion(self, spec, order):
-        # the recursive bisection of one triple, as a reference: every column of
-        # the lockstep traversal over all triples must equal it bit for bit
-        from finslercheck.family import _ROUNDOFF_FLOOR, _CompiledFamily, _gauss_panel, _quadrature
+        # every column of the pooled rounds over all triples, and of each triple
+        # alone, equals the recursive bisection bit for bit
+        from finslercheck.family import _quadrature
 
         fam = _CompiledFamily(spec)
-
-        def recursive(a, b, estimate, r, v, tol, depth):
-            mid = 0.5 * (a + b)
-            left, left_abs = _gauss_panel(fam, a, mid, r, v, order)
-            right, right_abs = _gauss_panel(fam, mid, b, r, v, order)
-            refined = left + right
-            floor = _ROUNDOFF_FLOOR * float((left_abs + right_abs).max())
-            if float(np.abs(refined - estimate).max()) <= max(tol, floor):
-                return refined
-            assert depth < fam.spec.max_depth
-            return recursive(a, mid, left, r, v, 0.5 * tol, depth + 1) + recursive(
-                mid, b, right, r, v, 0.5 * tol, depth + 1
-            )
-
-        samples = samples_for(build_projective_metric(FUNK_SPEC), n=2, count=12, seed=7)
-        r, u, v = (np.array([getattr(s, k) for s in samples]) for k in "ruv")
+        r, u, v = _triples(12)
         batched = _quadrature(fam, r, u, v, order)
-        for i in range(len(samples)):
-            estimate, _ = _gauss_panel(fam, 0.0, u[i], r[i], v[i], order)
-            want = recursive(0.0, u[i], estimate, r[i], v[i], fam.spec.abs_tol, 0)
+        for i in range(len(r)):
+            want = _recursive_quadrature(fam, r[i], u[i], v[i], order)
             assert batched[:, i].tobytes() == want.tobytes(), i
             alone = _quadrature(fam, r[i : i + 1], u[i : i + 1], v[i : i + 1], order)
             assert alone[:, 0].tobytes() == want.tobytes(), i
+
+    @pytest.mark.parametrize("max_depth", [1, 2, 3, 4])
+    def test_failing_batches_raise_the_recursions_first_failure(self, max_depth):
+        # the batch raises its first failing triple's error, with the text of the
+        # recursion's first failure; once the converging triples finish, the
+        # failing one takes several nodes a round, one of its own failures among them
+        from finslercheck.family import _quadrature
+
+        fam = _CompiledFamily(dataclasses.replace(GENERIC_SPEC, max_depth=max_depth))
+        # then a triple whose integrand peaks near t = |v| = 0.2, between two nodes
+        # of depth 3 that both fail, and one that converges at once: from the
+        # second round on, the first takes both nodes in one round
+        extra = np.array([(0.8, 1.4, -0.2), (0.75, 1.23, 0.77)]).T
+        r, u, v = (np.append(w, more) for w, more in zip(_triples(24), extra))
+        want = []
+        for i in range(len(r)):
+            try:
+                _recursive_quadrature(fam, r[i], u[i], v[i], 2)
+                want.append(None)
+            except QuadratureError as err:
+                want.append(str(err))
+        failing = [i for i, w in enumerate(want) if w is not None]
+        converging = [i for i, w in enumerate(want) if w is None]
+        assert failing and converging
+        batches = [list(range(start, len(r))) for start in range(len(r))]
+        batches += [[i] + converging for i in failing]
+        for batch in batches:
+            first = next((j for j, i in enumerate(batch) if want[i] is not None), None)
+            if first is None:
+                _quadrature(fam, r[batch], u[batch], v[batch], 2)
+                continue
+            with pytest.raises(QuadratureError) as err:
+                _quadrature(fam, r[batch], u[batch], v[batch], 2)
+            assert (str(err.value), err.value.index) == (want[batch[first]], first), batch
+
+    def test_rounds_follow_tree_depth(self, monkeypatch):
+        # on the family config's samples, the pooled rounds are fewer than the
+        # nodes of the largest tree, which one node per triple a round would take
+        from finslercheck import family
+        from finslercheck.cli import _build_metric
+        from finslercheck.sampling import SampleSpec, sample_domain
+
+        with open(REPO / "configs" / "family_funk_reconstruction.json") as fh:
+            cfg = json.load(fh)
+        metric = _build_metric(cfg, cfg["dimension"])
+        spec = SampleSpec.for_metric(n=cfg["dimension"], domain_radius=1.0, **cfg["sampling"])
+        r, u, v = (np.array([getattr(s, k) for s in sample_domain(spec)]) for k in "ruv")
+        widths = []
+        original = family._integrand_coeffs
+
+        def counting(fam, t, r, v, order):
+            widths.append(len(t))
+            return original(fam, t, r, v, order)
+
+        monkeypatch.setattr(family, "_integrand_coeffs", counting)
+        fam = metric.profile.fam
+        family._quadrature(fam, r, u, v, 2)
+        rounds = len(widths) - 1  # the first call is the estimates
+        assert max(widths) <= 2 * len(r) * 15
+        tree_sizes = []
+        for i in range(len(r)):
+            widths.clear()
+            family._quadrature(fam, r[i : i + 1], u[i : i + 1], v[i : i + 1], 2)
+            tree_sizes.append(len(widths) - 1)
+        assert rounds < max(tree_sizes)
 
     def test_non_converging_samples_fail_with_their_own_error(self, monkeypatch):
         # max_depth = 2 is too shallow for samples 1 and 5; sample 2 lies outside
@@ -408,8 +489,6 @@ class TestBatchedQuadrature:
         assert widths and max(widths) <= 2 * len(inside) * 15
 
     def test_run_config_evaluates_each_sample_once(self, monkeypatch):
-        from pathlib import Path
-
         from finslercheck.cli import run_config
         from finslercheck.family import FamilyProfile
 
@@ -421,7 +500,7 @@ class TestBatchedQuadrature:
             return original(self, r, u, v, order)
 
         monkeypatch.setattr(FamilyProfile, "jet", counting)
-        config = Path(__file__).resolve().parent.parent / "configs" / "family_funk_reconstruction.json"
+        config = REPO / "configs" / "family_funk_reconstruction.json"
         report, code = run_config(str(config), samples_override=30)
         assert code == 0
         # the four positivity probes as one jet while building, then one order-2 jet
