@@ -7,7 +7,7 @@ Gauss-Legendre panel), then a realistic workload (profile jets of the funk
 metric, flag curvature evaluations, the family funk profile bundle of
 ``configs/family_funk_reconstruction.json``, the Bryant n=4 ambient bundle and
 its Killing tensor scan) and the fixed cost of one geodesic RK4 stage (funk
-n=2, one batched spray over 2 and over 20 paths).
+n=2, one batched spray over 2 and over 20 paths), with the parts of a stage.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
@@ -97,21 +97,39 @@ def bench_workload():
     return jet_time, lam_time, family_time, bundle_time, tensor_time
 
 
-def bench_stage(steps=25):
+STAGE_PARTS = ("invariant_rows", "phi_jets", "bundle assembly", "spray", "integrator")
+
+
+def bench_stage(steps=25, repeat=2000):
     """Seconds per RK4 stage of funk n=2 at 2 and at 20 paths: one
-    ``integrate_geodesics`` call of ``steps`` steps (4 stages each), best of 5."""
+    ``integrate_geodesics`` call of ``steps`` steps (4 stages each), best of 5.
+
+    Also the parts of a stage, each best of 5 loops of ``repeat`` calls at the
+    launch states: ``invariant_rows``, ``phi_jets`` at those invariants, the rest
+    of ``ProfileBundle.of``, ``spray()`` of the built bundle, and the integrator's
+    own share (the stage less the bundle and its spray)."""
     from finslercheck.geodesics import integrate_geodesics, safe_horizon
-    from finslercheck.metrics import builtin
+    from finslercheck.metrics import ProfileBundle, builtin, invariant_rows
     from finslercheck.sampling import SampleSpec, sample_domain
 
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7, domain_radius=1.0))
-    times = {}
+    times, parts = {}, {}
     for paths in (2, 20):
         starts = [(s.x, s.y) for s in samples[:paths]]
         horizons = [safe_horizon(funk, s.x, s.y, 0.5) for s in samples[:paths]]
         times[paths] = time_fn(lambda: integrate_geodesics(funk, starts, horizons, steps), 1) / (4 * steps)
-    return times
+        x, y = np.array([s.x for s in samples[:paths]]), np.array([s.y for s in samples[:paths]])
+        r, u, v = invariant_rows(x, y)
+        bundle = ProfileBundle.of(funk, x, y)
+        invariants = time_fn(lambda: invariant_rows(x, y), repeat)
+        phi = time_fn(lambda: funk.phi_jets(r, u, v), repeat)
+        build = time_fn(lambda: ProfileBundle.of(funk, x, y), repeat)
+        spray = time_fn(bundle.spray, repeat)
+        parts[paths] = dict(
+            zip(STAGE_PARTS, (invariants, phi, build - invariants - phi, spray, times[paths] - build - spray))
+        )
+    return times, parts
 
 
 def main():
@@ -132,8 +150,13 @@ def main():
     print(f"  family funk profile bundle, 120 samples {family_time * 1e6:9.1f} us/sample")
     print(f"  bryant n=4 ambient bundle               {bundle_time * 1e6:9.1f} us/point")
     print(f"  bryant n=4 Killing tensor scan          {tensor_time * 1e3:9.2f} ms/point")
-    for paths, stage_time in bench_stage().items():
+    times, parts = bench_stage(repeat=max(1, args.repeat // 10))
+    for paths, stage_time in times.items():
         print(f"  funk n=2 RK4 stage, {paths:2d} paths            {stage_time * 1e6:9.1f} us/stage")
+    print("\nparts of a funk n=2 stage (us per call):")
+    print(f"  {'part':<16}" + "".join(f" {f'{paths} paths':>10}" for paths in parts))
+    for part in STAGE_PARTS:
+        print(f"  {part:<16}" + "".join(f" {p[part] * 1e6:10.1f}" for p in parts.values()))
 
 
 if __name__ == "__main__":

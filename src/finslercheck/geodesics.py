@@ -55,12 +55,13 @@ def _rk4_step(metric, x, y, h):
     def rhs(xc, yc):
         return yc, -2.0 * bundle_of(metric, xc, yc).spray()
 
+    half, sixth = 0.5 * h, h / 6.0
     k1x, k1y = rhs(x, y)
-    k2x, k2y = rhs(x + 0.5 * h * k1x, y + 0.5 * h * k1y)
-    k3x, k3y = rhs(x + 0.5 * h * k2x, y + 0.5 * h * k2y)
+    k2x, k2y = rhs(x + half * k1x, y + half * k1y)
+    k3x, k3y = rhs(x + half * k2x, y + half * k2y)
     k4x, k4y = rhs(x + h * k3x, y + h * k3y)
-    x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+    x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
     return x, y
 
 
@@ -106,19 +107,21 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
     completed = np.full(len(x), steps)
     reasons = [None] * len(x)
     running = np.arange(len(x))
+    rows, h_rows = slice(None), h[:, None]  # while every path runs, its rows are all rows
     for k in range(steps):
         if not running.size:
             break
-        x, y, errors = _step_rows(metric, x, y, h[running, None])
+        x, y, errors = _step_rows(metric, x, y, h_rows)
         # |x| < radius, and False for a NaN state: a failed or non-finite step stops its path
         keep = np.sqrt(np.vecdot(x, x)) < metric.domain_radius
-        if not keep.all():
+        if np.count_nonzero(keep) < len(keep):
             for row in np.flatnonzero(~keep).tolist():
                 path = running[row]
                 completed[path] = k
                 reasons[path] = errors.get(row, f"left the domain (|x| >= {metric.domain_radius})")
-        x, y, running = x[keep], y[keep], running[keep]
-        points[running, k + 1], velocities[running, k + 1] = x, y
+            x, y, running = x[keep], y[keep], running[keep]
+            rows, h_rows = running, h[running, None]
+        points[rows, k + 1], velocities[rows, k + 1] = x, y
     paths = []
     for i, done in enumerate(completed):
         times = np.r_[0.0, np.arange(1, done + 1) * h[i]]
@@ -157,13 +160,18 @@ def safe_horizon(metric, x0, y0, requested: float, radius_cap: float = 0.95) -> 
 
     The chord is the Euclidean prediction; projective geodesics follow it,
     so this keeps in-domain integration comfortably away from the boundary.
+    ``requested`` must be finite and > 0, and y0 nonzero.
     """
-    if not math.isfinite(metric.domain_radius):
-        return requested
-    limit = radius_cap * metric.domain_radius
+    if not (math.isfinite(requested) and requested > 0.0):
+        raise ValueError(f"requested horizon must be finite and > 0, got {requested!r}")
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     a = float(y0 @ y0)
+    if a == 0.0:
+        raise MetricDomainError("y must be nonzero")
+    if not math.isfinite(metric.domain_radius):
+        return requested
+    limit = radius_cap * metric.domain_radius
     b = 2.0 * float(x0 @ y0)
     c = float(x0 @ x0) - limit * limit
     if c >= 0.0:

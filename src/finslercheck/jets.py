@@ -157,11 +157,11 @@ class Jet:
                 f"({other.nvars},{other.order})"
             )
         a, b = self.coeffs, other.coeffs
+        if a.ndim == b.ndim:
+            return a, b
         if a.ndim < b.ndim:
-            a = a[:, None]
-        elif b.ndim < a.ndim:
-            b = b[:, None]
-        return a, b
+            return a[:, None], b
+        return a, b[:, None]
 
     def __add__(self, other):
         if isinstance(other, Jet):
@@ -219,10 +219,10 @@ class Jet:
 lift_var = Jet.variable  # seed jet of one input variable (N points for a length-N value)
 
 
-# Batches up to this many points keep their product scatter in a cache (a
+# Batches up to this many points keep their product plan in a cache (a
 # geodesic stage makes about ten products at width 2); a wider batch builds
 # its own, since the widths of a bisection that drops finished samples are
-# many and one cached array per width would outlive the run.
+# many and one cached scatter per width would outlive the run.
 _CACHED_WIDTH = 64
 
 
@@ -242,31 +242,35 @@ def _live_table(nvars: int, order: int, low: int) -> tuple:
     return left[keep], right[keep], target[keep]
 
 
-@lru_cache(maxsize=64)
-def _cached_scatter(nvars: int, order: int, low: int, width: int) -> np.ndarray:
-    return _scatter(_live_table(nvars, order, low)[2], width)
+def _plan(nvars: int, order: int, low: int, width: int) -> tuple:
+    """(left, right, scatter): the terms of ``_live_table(nvars, order, low)`` and
+    their flat output slots when every slot holds ``width`` points."""
+    left, right, target = _live_table(nvars, order, low)
+    return left, right, _scatter(target, width)
+
+
+_cached_plan = lru_cache(maxsize=64)(_plan)
 
 
 def _product(a: np.ndarray, b: np.ndarray, nvars: int, order: int, low: int = 0) -> np.ndarray:
     """Coefficients of the truncated product of two aligned coefficient arrays,
     from the terms of ``_live_table(nvars, order, low)``: all of them, or, when
-    a's slots of degree < low and b's value slot are zero, those that can be
-    nonzero.
+    a's slots of degree < low and b's value slot are zero (or are not to be
+    read), those that can be nonzero.
 
     ``np.bincount`` adds the terms into their slots one by one in table
     order, starting from zero, so every slot is the same ordered sum for
     one point or many.  A dropped term is zero times a finite coefficient,
     which leaves such a sum as it is: a sum from +0.0 is never -0.0.
     """
-    left, right, target = _live_table(nvars, order, low)
-    terms = a.take(left, 0) * b.take(right, 0)  # gathered along the slot axis
-    width = terms[0].size
+    width = 1 if a.ndim == 1 else max(a.shape[1], b.shape[1])
     if width <= _CACHED_WIDTH:
-        scatter = _cached_scatter(nvars, order, low, width)
+        left, right, scatter = _cached_plan(nvars, order, low, width)
     else:
-        scatter = _scatter(target, width)
+        left, right, scatter = _plan(nvars, order, low, width)
+    terms = a.take(left, 0) * b.take(right, 0)  # gathered along the slot axis
     out = np.bincount(scatter, terms.ravel(), len(a) * width)
-    return out.reshape((len(a),) + terms.shape[1:])
+    return out if a.ndim == 1 else out.reshape(len(a), width)
 
 
 def _compose(a: Jet, derivatives) -> Jet:
@@ -275,18 +279,19 @@ def _compose(a: Jet, derivatives) -> Jet:
 
         h(a) = h + h' d + (h''/2) d^2 + (h'''/6) d^3,   d = a minus its value.
 
-    d's value slot is zero, so d^2 takes only the product terms of two factors
-    of degree >= 1, and d^3 those of d^2's slots of degree >= 2 and d's of
-    degree >= 1 (``_live_table``).  Where d is finite that is the full product
-    bit for bit; a column that is not finite is rejected either way.
+    d is a's coefficients with the value slot read as zero, and is not copied:
+    the value slot of the result is written h' * 0.0 + h, and d^2 takes only
+    the product terms of two factors of degree >= 1, d^3 those of d^2's slots
+    of degree >= 2 and d's of degree >= 1 (``_live_table``), so neither reads
+    it.  Where d is finite that is the full product bit for bit; a column that
+    is not finite is rejected either way.
     """
-    w = a.coeffs[0]
+    d = a.coeffs
+    w = d[0]
     with np.errstate(all="ignore"):
         h0, h1, h2, h3 = derivatives(w)
-        d = a.coeffs.copy()
-        d[0] = 0.0
         out = h1 * d
-        out[0] += h0
+        out[0] = h1 * 0.0 + h0
         if a.order >= 2:
             p2 = _product(d, d, a.nvars, a.order, 1)
             out += (h2 / 2.0) * p2
@@ -297,24 +302,24 @@ def _compose(a: Jet, derivatives) -> Jet:
     return Jet(a.nvars, a.order, out)
 
 
+def _reciprocal_derivatives(w):
+    w2 = w * w
+    return 1.0 / w, -1.0 / w2, 2.0 / (w2 * w), lambda: -6.0 / (w2 * w2)
+
+
 def _reciprocal(b: Jet) -> Jet:
     _reject("division by (near-)zero jet", b.coeffs[0], abs(b.coeffs[0]) < DIVISION_GUARD)
+    return _compose(b, _reciprocal_derivatives)
 
-    def derivatives(w):
-        w2 = w * w
-        return 1.0 / w, -1.0 / w2, 2.0 / (w2 * w), lambda: -6.0 / (w2 * w2)
 
-    return _compose(b, derivatives)
+def _sqrt_derivatives(w):
+    s = np.sqrt(w)
+    return s, 0.5 / s, -0.25 / (s * w), lambda: 0.375 / (s * w * w)
 
 
 def sqrt(a: Jet) -> Jet:
     _reject("sqrt requires a positive argument", a.coeffs[0], a.coeffs[0] <= 0.0)
-
-    def derivatives(w):
-        s = np.sqrt(w)
-        return s, 0.5 / s, -0.25 / (s * w), lambda: 0.375 / (s * w * w)
-
-    return _compose(a, derivatives)
+    return _compose(a, _sqrt_derivatives)
 
 
 def log(a: Jet) -> Jet:

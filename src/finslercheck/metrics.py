@@ -40,7 +40,7 @@ import numpy as np
 
 from . import expr as expr_mod
 from ._multi_index import coeff_count, derivative_factors, position_map
-from .jets import EvaluationError, Jet, JetDomainError, compose_multivariate, lift_var, sqrt
+from .jets import MAX_ORDER, EvaluationError, Jet, JetDomainError, compose_multivariate, lift_var, sqrt
 
 R, U, V = 0, 1, 2
 
@@ -68,7 +68,7 @@ def invariant_rows(x, y):
     must not push sqrt(r^2 u^2 - v^2) terms negative.
     """
     u = np.sqrt(np.vecdot(y, y))
-    if np.count_nonzero(u == 0.0):
+    if np.count_nonzero(u) < u.size:  # a NaN is nonzero
         raise MetricDomainError("y must be nonzero", int(np.argmax(u == 0.0)))
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
@@ -115,10 +115,17 @@ class ClosedFormProfile:
         self.fn = fn
 
     def jet(self, r, u, v, order: int) -> Jet:
-        """The jet at one point, or at N points when r, u and v are length-N arrays."""
-        return self.fn(
-            lift_var(R, r, 3, order), lift_var(U, u, 3, order), lift_var(V, v, 3, order)
-        )
+        """The jet at one point, or at N points when r, u and v are length-N arrays:
+        ``fn`` of the seed jets of r, u and v (``Jet.variable``), cut from one array."""
+        if not 0 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be 0..{MAX_ORDER}, got {order}")
+        c = np.zeros((3, coeff_count(3, order)) + np.shape(r))
+        c[R, 0] = r
+        c[U, 0] = u
+        c[V, 0] = v
+        if order >= 1:
+            c[R, 1 + R] = c[U, 1 + U] = c[V, 1 + V] = 1.0
+        return self.fn(Jet(3, order, c[R]), Jet(3, order, c[U]), Jet(3, order, c[V]))
 
 
 class ExpressionProfile(ClosedFormProfile):
@@ -338,14 +345,21 @@ def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
 # -- the profile bundle ----------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+# a! of the slots (), r, u, v, rr, ru, rv, uu, uv, vv, as a column
+_PARTIAL_FACTORS = derivative_factors(3, 2)[:, None]
+
+
+@dataclass(eq=False)
 class ProfileBundle:
     """phi and its nine first and second partials at N samples, as length-N arrays.
 
     Filled by one batched order-2 ``phi_jets`` call; every profile formula
     (here and in ``projective``) is an array expression over a bundle.  x and
     y are (N, n) arrays; a bundle built from the invariants alone
-    (``projective.flag_curvature``) has n = 0.
+    (``projective.flag_curvature``) has n = 0.  Nothing assigns to a bundle
+    after it is built (it is not frozen only because a geodesic stage builds
+    one per RK4 stage, and a frozen dataclass sets each field through
+    ``object.__setattr__``).
     """
 
     x: np.ndarray
@@ -382,8 +396,7 @@ class ProfileBundle:
     @classmethod
     def _of_columns(cls, x, y, invariants, columns) -> "ProfileBundle":
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
-        partials = columns[:10] * derivative_factors(3, 2)[:, None]
-        return cls(x, y, *invariants, *partials)
+        return cls(x, y, *invariants, *(columns[:10] * _PARTIAL_FACTORS))
 
     @property
     def F(self) -> np.ndarray:
@@ -466,10 +479,14 @@ class ProfileBundle:
         phi, phi_u, phi_v, r, u, v = self.phi, self.phi_u, self.phi_v, self.r, self.u, self.v
         t = r * r * u * u - v * v
         bracket = phi_u + t * self.phi_vv / u
-        convex = (phi > 0.0) & (bracket > 0.0) & ((phi_u > 0.0) | (self.x.shape[1] < 3))  # NaN fails
+        convex = (phi > 0.0) & (bracket > 0.0)  # NaN fails
+        if self.x.shape[1] >= 3:
+            convex &= phi_u > 0.0
         if np.count_nonzero(convex) < len(convex):
             raise _not_convex(self, int(convex.argmin()))
-        over_r, uu = np.where(r == 0.0, np.inf, r), u * u  # 1/r -> 0 at r = 0
+        # 1/r -> 0 at r = 0
+        over_r = r if np.count_nonzero(r) == len(r) else np.where(r == 0.0, np.inf, r)
+        uu = u * u
         p = u * ((v * self.phi_rv - self.phi_r) / over_r + uu * self.phi_vv) / (2.0 * bracket)
         s = (v * self.phi_r / over_r + uu * phi_v - 2.0 * p * (v * phi + t * phi_v) / uu) / (2.0 * phi)
         return p[:, None] * self.x + s[:, None] * self.y

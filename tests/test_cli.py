@@ -334,9 +334,17 @@ def test_json_report_matches_golden(name, capsys):
     assert code == (0 if json.loads(golden)["overall_pass"] else 1)
 
 
+# golden name -> (metric entry, dimension); a golden's files are named
+# <golden name>_geodesic00i.csv, the dumped ones <metric name>_geodesic00i.csv.
+# berwald divides by w and spherical takes sqrt(u^2 (1 + r^2) - v^2), so
+# together they pin every jet operation a profile stage makes.
 GEODESIC_GOLDEN_METRICS = {
     "funk": ({"name": "funk"}, 2),
     "bryant": ({"name": "bryant", "params": {"alpha": math.pi / 6}}, 3),
+    "klein": ({"name": "klein"}, 2),
+    "berwald": ({"name": "berwald"}, 2),
+    "berwald_n3": ({"name": "berwald"}, 3),
+    "spherical": ({"name": "spherical"}, 2),
 }
 
 
@@ -355,8 +363,8 @@ def test_dumped_geodesics_match_golden(name, tmp_path):
     _, code = run_config(write_config(tmp_path, cfg), dump_dir=str(out_dir))
     assert code == 0
     golden_dir = os.path.join(REPO, "tests", "golden", "geodesics")
-    files = [f"{name}_geodesic{i:03d}.csv" for i in range(2)]
-    assert sorted(os.listdir(out_dir)) == files
-    for f in files:
-        with open(os.path.join(golden_dir, f), "rb") as fh:
+    dumped = [f"{metric['name']}_geodesic{i:03d}.csv" for i in range(2)]
+    assert sorted(os.listdir(out_dir)) == dumped
+    for i, f in enumerate(dumped):
+        with open(os.path.join(golden_dir, f"{name}_geodesic{i:03d}.csv"), "rb") as fh:
             assert (out_dir / f).read_bytes() == fh.read(), f

@@ -234,6 +234,20 @@ class TestSafeHorizon:
         metric = builtin("funk")
         assert safe_horizon(metric, [0.1, 0.0], [1.0, 0.0], 0.2) == 0.2
 
+    @pytest.mark.parametrize("name", ["funk", "spherical"])
+    def test_zero_direction_is_a_domain_error(self, name):
+        # the chord's quadratic has leading coefficient |y|^2: y = 0 is refused as
+        # invariant_rows refuses it, on bounded and unbounded domains alike
+        with pytest.raises(MetricDomainError, match="y must be nonzero") as err:
+            safe_horizon(builtin(name), [0.1, 0.2], [0.0, 0.0], 0.5)
+        assert err.value.index == 0
+
+    @pytest.mark.parametrize("requested", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("name", ["funk", "spherical"])
+    def test_requested_must_be_finite_and_positive(self, name, requested):
+        with pytest.raises(ValueError, match="requested horizon must be finite and > 0"):
+            safe_horizon(builtin(name), [0.1, 0.2], [1.0, 0.0], requested)
+
 
 class TestCsvDump:
     def test_format_and_precision(self):

@@ -425,3 +425,52 @@ def test_compositions_over_live_slots_equal_the_full_table(name, a):
     with pytest.raises(JetDomainError) as err:
         fn(a)
     assert (err.value.index, err.value.value, str(err.value)) == (want_err.index, want_err.value, str(want_err))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_copy_free_composition_at_a_negative_zero_value(order):
+    # sin(-0.0) = -0.0, and the copy-and-zero series gives the value slot
+    # cos(-0.0) * 0.0 + sin(-0.0) = +0.0; the kernel, which reads d in place,
+    # must round that slot the same way, at one point and at N
+    from finslercheck._multi_index import coeff_count
+
+    n = coeff_count(3, order)
+    c = np.linspace(-1.5, 1.5, 3 * n).reshape(n, 3)
+    c[0] = [-0.0, 0.25, -0.0]
+    for a in (Jet(3, order, c), Jet(3, order, c[:, 0].copy())):
+        got, want = sin(a).coeffs, _full_table_series(sin, a)
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, np.ravel(got[0])[0]) == 1.0
+        assert np.array_equal(a.coeffs, c if a.coeffs.ndim == 2 else c[:, 0])  # the argument is untouched
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_reciprocal_overflowing_past_the_division_guard_is_refused_at_its_column(order):
+    # 2e-300 passes DIVISION_GUARD, but h' = -1/w^2 overflows: h' * 0.0 is NaN in
+    # that column's value slot, as h' * d with d[0] = 0.0 was, so the constant
+    # N-point jet is refused at that column with the same text
+    from finslercheck._multi_index import coeff_count
+
+    c = np.zeros((coeff_count(3, order), 4))
+    c[0] = [1.0, -3.0, 2.0 * DIVISION_GUARD, 4.0]
+    a = Jet(3, order, c)
+    with pytest.raises(JetDomainError) as want:
+        _full_table_series(_reciprocal, a)
+    for fn in (_reciprocal, lambda a: Jet.constant(1.0, 3, order) / a):
+        with pytest.raises(JetDomainError) as got:
+            fn(a)
+        assert (got.value.index, got.value.value, str(got.value)) == (2, want.value.value, str(want.value))
+        assert want.value.index == 2
+
+
+def test_product_plans_share_the_live_tables():
+    # a cached plan adds one scatter array per width; its factor rows are the
+    # live table's own arrays, not copies
+    from finslercheck import jets
+
+    for low in (0, 1, 2):
+        left, right, _ = jets._live_table(3, 3, low)
+        for width in (1, 2, 7):
+            plan = jets._cached_plan(3, 3, low, width)
+            assert plan[0] is left and plan[1] is right
+            assert plan[2].shape == (width * len(left),)

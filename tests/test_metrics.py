@@ -76,6 +76,35 @@ class TestInvariants:
         with pytest.raises(MetricDomainError):
             invariant_rows(np.array([[0.5, 0.0], [0.1, 0.2]]), np.array([[1.0, 0.0], [0.0, 0.0]]))
 
+    def test_rows_zero_direction_names_its_first_row(self):
+        # a NaN direction is not refused here (it fails later, where it is read)
+        x = np.full((4, 2), 0.1)
+        y = np.array([[1.0, 0.0], [np.nan, 0.0], [0.0, -0.0], [0.0, 0.0]])
+        with pytest.raises(MetricDomainError, match="y must be nonzero") as err:
+            invariant_rows(x, y)
+        assert err.value.index == 2
+        assert np.isnan(invariant_rows(x[:2], y[:2])[1][1])
+
+
+class TestClosedFormProfile:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_seeds_are_the_variable_jets(self, order):
+        # the seeds of r, u and v are cut from one array; each is Jet.variable bit for bit
+        seeds = ClosedFormProfile(lambda r, u, v: (r, u, v))
+        points = (np.array([0.3, 0.0, 0.9]), np.array([1.0, 2.5, 0.1]), np.array([-0.2, -0.0, 0.05]))
+        for args in (points, tuple(float(p[1]) for p in points)):
+            for var, (got, value) in enumerate(zip(seeds.jet(*args, order), args)):
+                want = lift_var(var, value, 3, order)
+                assert (got.nvars, got.order) == (3, order)
+                assert got.coeffs.shape == want.coeffs.shape
+                assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+    def test_order_above_three_is_refused(self):
+        with pytest.raises(ValueError, match=r"order must be 0\.\.3, got 4"):
+            builtin("funk").profile.jet(0.3, 1.0, 0.2, 4)
+        with pytest.raises(ValueError, match=r"order must be 0\.\.3, got -1"):
+            builtin("funk").profile.jet(np.array([0.3, 0.4]), np.ones(2), np.zeros(2), -1)
+
 
 class TestEvaluate:
     def test_funk_hand_value(self):
