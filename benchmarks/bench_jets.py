@@ -100,14 +100,29 @@ def bench_workload():
 STAGE_PARTS = ("invariant_rows", "phi_jets", "bundle assembly", "spray", "integrator")
 
 
+def time_interleaved(loops, rounds=5):
+    """Best seconds per call of each (fn, count) loop over ``rounds`` rounds, each
+    round running every loop once in turn, so that all of them see the host's
+    speed of the same few seconds."""
+    best = [math.inf] * len(loops)
+    for _ in range(rounds):
+        for i, (fn, count) in enumerate(loops):
+            t0 = time.perf_counter()
+            for _ in range(count):
+                fn()
+            best[i] = min(best[i], (time.perf_counter() - t0) / count)
+    return best
+
+
 def bench_stage(steps=25, repeat=2000):
     """Seconds per RK4 stage of funk n=2 at 2 and at 20 paths: one
     ``integrate_geodesics`` call of ``steps`` steps (4 stages each), best of 5.
 
-    Also the parts of a stage, each best of 5 loops of ``repeat`` calls at the
-    launch states: ``invariant_rows``, ``phi_jets`` at those invariants, the rest
-    of ``ProfileBundle.of``, ``spray()`` of the built bundle, and the integrator's
-    own share (the stage less the bundle and its spray)."""
+    Also the parts of a stage, loops of ``repeat`` calls at the launch states
+    interleaved with the stage's (``time_interleaved``): ``invariant_rows``,
+    ``phi_jets`` at those invariants, the rest of ``ProfileBundle.of``, ``spray()``
+    of the built bundle, and the integrator's own share (the stage less the
+    bundle and its spray).  The last two are differences of best times."""
     from finslercheck.geodesics import integrate_geodesics, safe_horizon
     from finslercheck.metrics import ProfileBundle, builtin, invariant_rows
     from finslercheck.sampling import SampleSpec, sample_domain
@@ -118,14 +133,17 @@ def bench_stage(steps=25, repeat=2000):
     for paths in (2, 20):
         starts = [(s.x, s.y) for s in samples[:paths]]
         horizons = [safe_horizon(funk, s.x, s.y, 0.5) for s in samples[:paths]]
-        times[paths] = time_fn(lambda: integrate_geodesics(funk, starts, horizons, steps), 1) / (4 * steps)
         x, y = np.array([s.x for s in samples[:paths]]), np.array([s.y for s in samples[:paths]])
         r, u, v = invariant_rows(x, y)
         bundle = ProfileBundle.of(funk, x, y)
-        invariants = time_fn(lambda: invariant_rows(x, y), repeat)
-        phi = time_fn(lambda: funk.phi_jets(r, u, v), repeat)
-        build = time_fn(lambda: ProfileBundle.of(funk, x, y), repeat)
-        spray = time_fn(bundle.spray, repeat)
+        stage, invariants, phi, build, spray = time_interleaved([
+            (lambda: integrate_geodesics(funk, starts, horizons, steps), 1),
+            (lambda: invariant_rows(x, y), repeat),
+            (lambda: funk.phi_jets(r, u, v), repeat),
+            (lambda: ProfileBundle.of(funk, x, y), repeat),
+            (bundle.spray, repeat),
+        ])
+        times[paths] = stage / (4 * steps)
         parts[paths] = dict(
             zip(STAGE_PARTS, (invariants, phi, build - invariants - phi, spray, times[paths] - build - spray))
         )
