@@ -79,14 +79,14 @@ def bench_workload():
     )
     samples_f = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))
     t0 = time.perf_counter()
-    ProfileBundle.of(family, np.array([s.x for s in samples_f]), np.array([s.y for s in samples_f]))
+    ProfileBundle.of(family, samples_f.x, samples_f.y)
     family_time = (time.perf_counter() - t0) / len(samples_f)
 
     bryant = builtin("bryant", alpha=math.pi / 6)
     # 200 samples, as a verify run has: the bundle is built in chunks of AMBIENT_CHUNK
     samples4 = sample_domain(SampleSpec.for_metric(n=4, count=200, seed=7, domain_radius=math.inf))
     t0 = time.perf_counter()
-    AmbientBundle.of(bryant, np.array([s.x for s in samples4]), np.array([s.y for s in samples4]))
+    AmbientBundle.of(bryant, samples4.x, samples4.y)
     bundle_time = (time.perf_counter() - t0) / len(samples4)
 
     t0 = time.perf_counter()
@@ -131,13 +131,12 @@ def bench_stage(steps=25, repeat=2000):
     samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7, domain_radius=1.0))
     times, parts = {}, {}
     for paths in (2, 20):
-        starts = [(s.x, s.y) for s in samples[:paths]]
-        horizons = [safe_horizon(funk, s.x, s.y, 0.5) for s in samples[:paths]]
-        x, y = np.array([s.x for s in samples[:paths]]), np.array([s.y for s in samples[:paths]])
+        x, y = samples.x[:paths], samples.y[:paths]
+        horizons = safe_horizon(funk, x, y, 0.5)
         r, u, v = invariant_rows(x, y)
         bundle = ProfileBundle.of(funk, x, y)
         stage, invariants, phi, build, spray = time_interleaved([
-            (lambda: integrate_geodesics(funk, starts, horizons, steps), 1),
+            (lambda: integrate_geodesics(funk, x, y, horizons, steps), 1),
             (lambda: invariant_rows(x, y), repeat),
             (lambda: funk.phi_jets(r, u, v), repeat),
             (lambda: ProfileBundle.of(funk, x, y), repeat),

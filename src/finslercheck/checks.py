@@ -5,8 +5,8 @@ Each runner reduces its residuals over the sample list in a fixed order
 fails the check and names its sample), so reports are deterministic
 regardless of how callers might parallelize in the future.  Every runner
 takes the run's ``Run``, which builds each derivative bundle of the samples
-(from their stacked x and y) on first use, names the sample at which a build
-fails, and shares the bundle (or the error) with every later check.
+(the rows of one ``MetricSample``) on first use, names the sample at which a
+build fails, and shares the bundle (or the error) with every later check.
 """
 
 from __future__ import annotations
@@ -23,10 +23,13 @@ from . import projective as proj
 from . import symmetry as sym
 from .jets import EvaluationError
 from .metrics import (
+    U,
+    V,
     AmbientBundle,
     MetricSample,
     ProfileBundle,
     SphericalMetric,
+    _first_failure,
     ambient_invariants,
     positive_definite,
     profile_columns,
@@ -60,26 +63,12 @@ DEFAULT_TOLERANCES = {
 }
 
 
-def at_samples(evaluate, samples) -> list:
-    """[evaluate(s) for s in samples].  An ``EvaluationError`` raised at a sample
-    (a jet, metric, formula or quadrature domain error) carries that sample as
-    its ``sample`` attribute, so a check can report where evaluation failed."""
-    out = []
-    for s in samples:
-        try:
-            out.append(evaluate(s))
-        except EvaluationError as err:
-            err.sample = s
-            raise
-    return out
-
-
-def _named(build, samples):
-    """build(x, y) over the samples' stacked x and y.  An ``EvaluationError`` it
-    raises names the sample at its ``index`` (a bundle's lowest failing row)."""
-    x, y = np.array([s.x for s in samples]), np.array([s.y for s in samples])
+def _named(build, samples: MetricSample):
+    """build(samples.x, samples.y).  An ``EvaluationError`` it raises names the
+    sample at its ``index`` (the lowest failing row) as its ``sample`` attribute,
+    so a check can report where evaluation failed."""
     try:
-        return build(x, y)
+        return build(samples.x, samples.y)
     except EvaluationError as err:
         err.sample = samples[err.index]
         raise
@@ -96,7 +85,7 @@ class Run:
     same error, or with the refusal of x = 0 at a row that is not higher."""
 
     metric: object
-    samples: list
+    samples: MetricSample
     tolerances: dict = field(default_factory=dict)
     dump_dir: str | None = None
     checks: tuple = ()
@@ -322,10 +311,10 @@ def check_geodesics(run, tol, params):
     fails the check and names its launch sample."""
     metric = run.metric
     count, steps, horizon = _geodesic_params(params)
-    launched = run.samples[: min(count, len(run.samples))]
-    horizons = at_samples(lambda s: geo.safe_horizon(metric, s.x, s.y, horizon), launched)
-    paths = geo.integrate_geodesics(metric, [(s.x, s.y) for s in launched], horizons, steps)
-    deviations = [geo.straightness_deviation(p, s.x, s.y) for p, s in zip(paths, launched)]
+    launched = run.samples[:count]
+    horizons = _named(lambda x, y: geo.safe_horizon(metric, x, y, horizon), launched)
+    paths = geo.integrate_geodesics(metric, launched.x, launched.y, horizons, steps)
+    deviations = [geo.straightness_deviation(p, x, y) for p, x, y in zip(paths, launched.x, launched.y)]
     if run.dump_dir is not None:
         os.makedirs(run.dump_dir, exist_ok=True)
         safe_name = "".join(c if c.isalnum() else "_" for c in metric.name)
@@ -348,23 +337,28 @@ def check_geodesics(run, tol, params):
 
 
 def _smooth_across_v_zero(metric, samples, delta=1e-6, threshold=1e-3):
-    """Is the profile differentiable across <x,y> = 0?
+    """Is the profile differentiable across <x,y> = 0 at the first four samples?
 
     An even profile can still carry an h(r)|v| term (the reversible family
     metrics built from an integrand do); phi_v then jumps by 2 h(r) across
     v = 0 instead of varying like 2 delta phi_vv.  The conjectured statement
     assumes smooth metrics, so kinked ones must not be probed against it.
-    The probe points lie off the samples; an evaluation error there names the
-    probed sample (``at_samples``).
+    The probe points (r, u, +delta) and (r, u, -delta) of each sample lie off
+    the samples, in one order-1 ``phi_jets`` call; an evaluation error there
+    names the lowest failing sample (``_first_failure``).
     """
 
-    def kinked(s):
-        up = metric.phi_jet(s.r, s.u, delta, 1)
-        down = metric.phi_jet(s.r, s.u, -delta, 1)
-        jump = abs(up.partial(2) - down.partial(2))
-        return jump > threshold * (abs(up.partial(1)) + abs(up.partial(2)))
+    def kinked(r, u):
+        try:
+            jets = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.tile([delta, -delta], len(r)), 1)
+        except EvaluationError as err:
+            err.index //= 2  # triple -> sample
+            raise
+        up_u, up_v, down_v = jets[1 + U, 0::2], jets[1 + V, 0::2], jets[1 + V, 1::2]
+        return abs(up_v - down_v) > threshold * (abs(up_u) + abs(up_v))
 
-    return not any(at_samples(kinked, [s])[0] for s in samples[: min(4, len(samples))])
+    probed = samples[:4]
+    return not _named(lambda x, y: _first_failure(kinked, probed.r, probed.u), probed).any()
 
 
 def check_conjecture(run, tol, params):
@@ -396,8 +390,8 @@ def check_conjecture(run, tol, params):
                 "claim does not apply"
             )
         else:
-            ys = [s.y for s in samples[: min(6, len(samples))]]
-            pairs = [MetricSample.of(s.x, y) for s in samples[: min(8, len(samples))] for y in ys]
+            xs, ys = samples.x[:8], samples.y[:6]
+            pairs = MetricSample.of(np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1)))
             b = _named(lambda x, y: AmbientBundle.of(metric, x, y), pairs)  # names a failing pair
             probe = riemannian_probe_of(b, len(ys))
             probe_max = float(np.maximum(*probe).max())

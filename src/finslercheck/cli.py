@@ -34,18 +34,18 @@ import sys
 from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, run_check
 from .expr import ParseError
 from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
-from .metrics import GeneralMetric, builtin, builtin_names
+from .metrics import GeneralMetric, builtin, builtin_names, builtin_params
 from .report import Report, to_json, to_text
 from .sampling import SampleSpec, sample_domain
 
 
-_KINDS = {dict: "an object", numbers.Integral: "an integer", numbers.Real: "a number"}
+_KINDS = {dict: "an object", numbers.Integral: "an integer", numbers.Real: "a number", str: "a string"}
 
 
 def _entry(cfg: dict, key, kind, default, path: str = ""):
     """cfg[key] (default when absent); a bool or a value of another kind is a config error."""
     value = cfg.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if key in cfg and (isinstance(value, bool) or not isinstance(value, kind)):
         raise ConfigError(f"'{path}{key}' must be {_KINDS[kind]}, got {value!r}")
     return value
 
@@ -74,40 +74,46 @@ def _build_metric(cfg: dict, dimension: int):
         name = metric_cfg["name"]
         if name not in builtin_names():
             raise ConfigError(f"unknown metric '{name}'{_suggest(name, builtin_names())}")
+        params = _entry(metric_cfg, "params", dict, {}, "metric.")
+        for key in params:
+            if key not in builtin_params(name):
+                hint = _suggest(key, builtin_params(name))
+                raise ConfigError(f"unknown parameter 'metric.params.{key}' of metric '{name}'{hint}")
         try:
-            return builtin(name, **metric_cfg.get("params", {}))
-        except (ValueError, TypeError) as err:
+            return builtin(name, **params)
+        except ValueError as err:
             raise ConfigError(f"bad parameters for metric '{name}': {err}") from err
     if "family" in metric_cfg:
         fam = _entry(metric_cfg, "family", dict, None, "metric.")
+        if "f" not in fam:
+            raise ConfigError("family config is missing 'f'")
+        f, g, h = (_entry(fam, k, str, d, "metric.family.") for k, d in (("f", None), ("g", "0"), ("h", None)))
         quad = _entry(fam, "quad", dict, {}, "metric.family.")
         abs_tol = _entry(quad, "abs_tol", numbers.Real, 1e-12, "metric.family.quad.")
         max_depth = _entry(quad, "max_depth", numbers.Integral, 40, "metric.family.quad.")
         radius = _entry(fam, "domain_radius", numbers.Real, 1.0, "metric.family.")
         try:
             spec = ProjectiveFamilySpec(
-                f=fam["f"],
-                g=fam.get("g", "0"),
+                f=f,
+                g=g,
                 baseline=fam.get("baseline", "plain"),
-                h=fam.get("h"),
+                h=h,
                 abs_tol=float(abs_tol),
                 max_depth=int(max_depth),
                 domain_radius=float(radius),
             )
             return build_projective_metric(spec)
-        except KeyError as err:
-            raise ConfigError(f"family config is missing {err}") from err
         except (FamilyError, ParseError) as err:
             raise ConfigError(f"bad family config: {err}") from err
     if "general" in metric_cfg:
         gen = _entry(metric_cfg, "general", dict, None, "metric.")
+        if "F" not in gen:
+            raise ConfigError("general config is missing 'F'")
+        formula = _entry(gen, "F", str, None, "metric.general.")
+        name = _entry(gen, "name", str, "general", "metric.general.")
         radius = _entry(gen, "domain_radius", numbers.Real, math.inf, "metric.general.")
         try:
-            return GeneralMetric.from_expression(
-                gen["F"], dimension, name=gen.get("name", "general"), domain_radius=float(radius)
-            )
-        except KeyError as err:
-            raise ConfigError(f"general config is missing {err}") from err
+            return GeneralMetric.from_expression(formula, dimension, name=name, domain_radius=float(radius))
         except ParseError as err:
             raise ConfigError(f"bad general metric formula: {err}") from err
     raise ConfigError("metric entry must contain 'name', 'family', or 'general'")

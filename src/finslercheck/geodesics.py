@@ -86,9 +86,9 @@ def _step_rows(metric, x, y, h):
     return nx, ny, errors
 
 
-def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPath]:
-    """Fixed-step RK4 on (x', y') = (y, -2 G(x, y)) from each start (x0, y0) over
-    its own horizon, ``steps`` steps each.
+def integrate_geodesics(metric, x0, y0, horizons, steps: int) -> list[GeodesicPath]:
+    """Fixed-step RK4 on (x', y') = (y, -2 G(x, y)) from each start, a row of the
+    (N, n) arrays x0 and y0, over its own horizon, ``steps`` steps each.
 
     The paths still running form one (N, n) state, and each RK4 stage is one
     batched spray over them.  A path halts with its partial path (and records
@@ -98,8 +98,7 @@ def integrate_geodesics(metric, starts, horizons, steps: int) -> list[GeodesicPa
     A stopped path's ``stop_reason`` is the text of the error that stopped it, or
     says that it left the domain.
     """
-    x = np.array([np.asarray(x0, dtype=float) for x0, _ in starts])
-    y = np.array([np.asarray(y0, dtype=float) for _, y0 in starts])
+    x, y = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     h = np.asarray(horizons, dtype=float) / steps
     points = np.empty((len(x), steps + 1, x.shape[1]))
     velocities = np.empty_like(points)
@@ -137,7 +136,7 @@ def integrate_geodesic(metric, x0, y0, horizon: float, steps: int) -> GeodesicPa
     """One path of ``integrate_geodesics``: halts with the partial path (and
     records the exit time) if the state leaves the metric's domain or an
     evaluation fails."""
-    return integrate_geodesics(metric, [(x0, y0)], [horizon], steps)[0]
+    return integrate_geodesics(metric, [x0], [y0], [horizon], steps)[0]
 
 
 def straightness_deviation(path: GeodesicPath, x0, y0) -> float:
@@ -155,29 +154,31 @@ def straightness_deviation(path: GeodesicPath, x0, y0) -> float:
     return max_dist / arc
 
 
-def safe_horizon(metric, x0, y0, requested: float, radius_cap: float = 0.95) -> float:
+def safe_horizon(metric, x0, y0, requested: float, radius_cap: float = 0.95):
     """Shrink the horizon so the straight chord stays at |x| <= cap * domain radius.
 
     The chord is the Euclidean prediction; projective geodesics follow it,
     so this keeps in-domain integration comfortably away from the boundary.
-    ``requested`` must be finite and > 0, and y0 nonzero.
+    x0 and y0 are one start (a float horizon) or the rows of two (N, n) arrays
+    (N horizons).  ``requested`` must be finite and > 0, and y0 nonzero; an
+    error's ``index`` is the lowest failing row.
     """
     if not (math.isfinite(requested) and requested > 0.0):
         raise ValueError(f"requested horizon must be finite and > 0, got {requested!r}")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-    a = float(y0 @ y0)
-    if a == 0.0:
-        raise MetricDomainError("y must be nonzero")
-    if not math.isfinite(metric.domain_radius):
-        return requested
+    x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
+    a = np.vecdot(y0, y0)
     limit = radius_cap * metric.domain_radius
-    b = 2.0 * float(x0 @ y0)
-    c = float(x0 @ x0) - limit * limit
-    if c >= 0.0:
-        raise MetricDomainError(f"start point already at |x| >= {limit}")
-    s = (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-    return min(requested, s)
+    b = 2.0 * np.vecdot(x0, y0)
+    c = np.vecdot(x0, x0) - limit * limit  # -inf on an unbounded domain, where s is inf
+    failed = (a == 0.0) | (c >= 0.0)
+    if np.count_nonzero(failed):
+        i = int(np.argmax(failed))
+        if np.ravel(a)[i] == 0.0:
+            raise MetricDomainError("y must be nonzero", i)
+        raise MetricDomainError(f"start point already at |x| >= {limit}", i)
+    s = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
+    horizons = np.where(s < requested, s, requested)
+    return float(horizons) if horizons.ndim == 0 else horizons
 
 
 def dump_csv(path: GeodesicPath, stream) -> None:

@@ -3,7 +3,9 @@
 A spherically symmetric metric is carried by its profile phi(r, u, v) with
 r = |x|, u = |y|, v = <x,y>; F(x,y) = phi(|x|, |y|, <x,y>).  phi must be
 positive and positively 1-homogeneous in (u, v).  Profile jets use the
-variable order r=0, u=1, v=2 throughout.
+variable order r=0, u=1, v=2 throughout.  A ``MetricSample`` holds one
+point-direction pair, or the rows of two (N, n) arrays x and y, with their
+invariants r, u and v (scalars, or length-N arrays).
 
 General metrics carry F(x, y) directly and are differentiated with jets in
 the 2n ambient variables (x^1..x^n, y^1..y^n).  A spherical metric's jets in
@@ -33,7 +35,9 @@ library entry point over a one-row bundle.
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,20 +87,27 @@ def invariants_of(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class MetricSample:
-    """A point-direction pair with cached rotation invariants."""
+    """One pair or N rows, with their ``invariant_rows``.  ``len`` counts the rows,
+    ``samples[i]`` is row i's one pair and ``samples[a:b]`` the rows a to b."""
 
     x: np.ndarray
     y: np.ndarray
-    r: float
-    u: float
-    v: float
+    r: float | np.ndarray
+    u: float | np.ndarray
+    v: float | np.ndarray
 
     @classmethod
     def of(cls, x, y) -> "MetricSample":
+        """One pair, or the rows of two (N, n) arrays, as ``invariant_rows`` takes them."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        r, u, v = invariants_of(x, y)
-        return cls(x, y, r, u, v)
+        return cls(x, y, *invariant_rows(x, y))
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, rows) -> "MetricSample":
+        return MetricSample(self.x[rows], self.y[rows], self.r[rows], self.u[rows], self.v[rows])
 
 
 def _ambient_variables(x, y, order: int) -> list[Jet]:
@@ -783,30 +794,10 @@ def _make_phi_bryant(alpha: float):
     return phi
 
 
-def _build_euclidean(params):
-    return SphericalMetric("euclidean", ClosedFormProfile(_phi_euclidean), math.inf, 0.0)
-
-
-def _build_klein(params):
-    return SphericalMetric("klein", ClosedFormProfile(_phi_klein), 1.0, -1.0)
-
-
-def _build_funk(params):
-    return SphericalMetric("funk", ClosedFormProfile(_phi_funk), 1.0, -0.25)
-
-
-def _build_berwald(params):
-    return SphericalMetric("berwald", ClosedFormProfile(_phi_berwald), 1.0, 0.0)
-
-
-def _build_spherical(params):
-    return SphericalMetric("spherical", ClosedFormProfile(_phi_spherical), math.inf, 1.0)
-
-
-def _build_bryant(params):
-    alpha = float(params.get("alpha", 0.0))
-    if not 0.0 <= alpha < math.pi / 2.0:
-        raise ValueError(f"bryant parameter alpha must be in [0, pi/2), got {alpha}")
+def _build_bryant(alpha=0.0):
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha < math.pi / 2.0:
+        raise ValueError(f"bryant parameter alpha must be a number in [0, pi/2), got {alpha!r}")
+    alpha = float(alpha)
     return SphericalMetric(
         "bryant",
         ClosedFormProfile(_make_phi_bryant(alpha)),
@@ -816,12 +807,13 @@ def _build_bryant(params):
     )
 
 
+# name -> factory; a factory's keyword arguments are the metric's parameters
 _BUILTINS = {
-    "euclidean": _build_euclidean,
-    "klein": _build_klein,
-    "funk": _build_funk,
-    "berwald": _build_berwald,
-    "spherical": _build_spherical,
+    "euclidean": lambda: SphericalMetric("euclidean", ClosedFormProfile(_phi_euclidean), math.inf, 0.0),
+    "klein": lambda: SphericalMetric("klein", ClosedFormProfile(_phi_klein), 1.0, -1.0),
+    "funk": lambda: SphericalMetric("funk", ClosedFormProfile(_phi_funk), 1.0, -0.25),
+    "berwald": lambda: SphericalMetric("berwald", ClosedFormProfile(_phi_berwald), 1.0, 0.0),
+    "spherical": lambda: SphericalMetric("spherical", ClosedFormProfile(_phi_spherical), math.inf, 1.0),
     "bryant": _build_bryant,
 }
 
@@ -830,10 +822,16 @@ def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
+def builtin_params(name: str) -> tuple[str, ...]:
+    """The parameter names the builtin metric ``name`` takes."""
+    return tuple(inspect.signature(_BUILTINS[name]).parameters)
+
+
 def builtin(name: str, **params) -> SphericalMetric:
-    """Construct a builtin metric by name (parameters: bryant takes alpha)."""
+    """Construct a builtin metric by name (parameters: bryant takes alpha, a number
+    in [0, pi/2)); an unknown parameter name is a ``TypeError``."""
     try:
         factory = _BUILTINS[name]
     except KeyError:
         raise KeyError(f"unknown builtin metric '{name}'") from None
-    return factory(params)
+    return factory(**params)

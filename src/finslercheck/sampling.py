@@ -17,7 +17,8 @@ x direction (n uniforms per rejection attempt on the cube [-1,1]^n,
 repeated until 0 < |w|^2 <= 1), the y radius, then the y direction the
 same way.  ``sample_domain`` scores every window of n consecutive draws of
 a block at once, walks the windows in that order to find each sample's
-draws, and gathers all samples in one expression.
+draws, and gathers all samples in one expression: one ``MetricSample`` of
+(N, n) rows.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricSample, invariant_rows
+from .metrics import MetricSample
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -102,9 +103,9 @@ def _accepted(t: np.ndarray, n: int) -> bytes:
     return ((0.0 < ss) & (ss <= 1.0)).tobytes()
 
 
-def sample_domain(spec: SampleSpec) -> list[MetricSample]:
-    """The sample list determined by the spec (identical for equal specs), with
-    the invariants of all samples from one ``invariant_rows``.
+def sample_domain(spec: SampleSpec) -> MetricSample:
+    """The samples determined by the spec (identical for equal specs): the rows
+    of one ``MetricSample``, with their invariants from one ``invariant_rows``.
 
     The draws come in blocks sized by the expected count, 2 + 2n 2^n/vol(B^n)
     a sample; a walk that runs past the drawn words appends the next block and
@@ -133,6 +134,5 @@ def sample_domain(spec: SampleSpec) -> list[MetricSample]:
     scale = lo + (hi - lo) * u[scalars].reshape(-1, 2)
     w = 2.0 * u[np.add.outer(starts, np.arange(n))] - 1.0
     points = scale.reshape(-1, 1) * (w / np.sqrt(np.vecdot(w, w))[:, None])
-    xs, ys = points[0::2], points[1::2]
-    invariants = zip(*(col.tolist() for col in invariant_rows(xs, ys)))
-    return [MetricSample(x, y, *rv) for x, y, rv in zip(xs, ys, invariants)]
+    x, y = points.reshape(-1, 2, n).swapaxes(0, 1).copy()  # each a contiguous (N, n) array
+    return MetricSample.of(x, y)

@@ -40,9 +40,9 @@ def samples_for(metric, n=2, count=60, seed=7):
     return _SAMPLE_CACHE[key]
 
 
-def rows_of(samples):
-    """The samples' points and directions stacked as the two (N, n) arrays a bundle takes."""
-    return np.array([s.x for s in samples]), np.array([s.y for s in samples])
+def same_pair(a, b):
+    """Do the one-pair samples a and b hold the same point and direction, bit for bit?"""
+    return a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
 
 
 def invariants_bundle(metric, r, u, v):

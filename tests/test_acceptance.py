@@ -10,7 +10,6 @@ import random
 
 import numpy as np
 
-from conftest import rows_of
 from finslercheck import expr as expr_mod
 from finslercheck.cli import run_config
 from finslercheck.checks import Run, run_check
@@ -97,7 +96,8 @@ def report(line):
 def test_criterion_01_curvature_constants():
     for name, params, want in CONSTANT_CURVATURES:
         metric = metric_of(name, params)
-        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
+        rows = samples_of(metric)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         verdict = constant_curvature_verdict(b, lambda_hypothesis=want, tolerance=1e-6)
         label = f"{name}({params})" if params else name
         assert verdict.status == "constant", label
@@ -109,7 +109,8 @@ def test_criterion_01_curvature_constants():
 def test_criterion_02_curvature_pde_discrimination():
     for name, want in CLASSIC_FIVE:
         metric = metric_of(name)
-        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
+        rows = samples_of(metric)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         worst_right = np.max(curvature_pde_of(b, want))
         worst_wrong = np.max(curvature_pde_of(b, want + 0.5))
         assert worst_right <= 1e-8, name
@@ -120,11 +121,13 @@ def test_criterion_02_curvature_pde_discrimination():
 def test_criterion_03_projectivity():
     for name in ALL_BUILTINS:
         metric = metric_of(name)
-        b = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
+        rows = samples_of(metric)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         assert b.rapcsak_residuals().max() <= 1e-8, name
         assert np.max(projective_pde_of(b)) <= 1e-8, name
     metric = curved_control()
-    control = ProfileBundle.of(metric, *rows_of(samples_of(metric)))
+    rows = samples_of(metric)
+    control = ProfileBundle.of(metric, rows.x, rows.y)
     worst = max(control.rapcsak_residuals().max(), np.max(projective_pde_of(control)))
     assert worst > 1e-2
     report("criterion 3 PASS: builtins projective, control metric rejected")
@@ -136,7 +139,8 @@ def test_criterion_04_spherical_symmetry():
         assert len(fields) == n * (n - 1) // 2
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            x, y = rows_of(samples_of(metric, n=n))
+            rows = samples_of(metric, n=n)
+            x, y = rows.x, rows.y
             verdict = symmetry_verdict(bundle_of(metric, x, y), tolerance=1e-9)
             assert verdict.passed, (name, n, verdict.max_residual)
             b = AmbientBundle.of(metric, x, y)
@@ -156,7 +160,8 @@ def test_criterion_05_determinant_closed_form():
     for n in (2, 3, 4):
         for name in ALL_BUILTINS:
             metric = metric_of(name)
-            b = ProfileBundle.of(metric, *rows_of(samples_of(metric, n=n)))
+            rows = samples_of(metric, n=n)
+            b = ProfileBundle.of(metric, rows.x, rows.y)
             residuals = relative_residual(b.det_g(), -np.linalg.det(b.g()))
             assert residuals.max() <= 1e-8, (name, n)
     report("criterion 5 PASS: closed-form determinant matches direct determinants")
@@ -181,11 +186,11 @@ def test_criterion_07_geodesic_straightness():
     for name in ("funk", "klein", "bryant"):
         metric = metric_of(name)
         launched = samples_of(metric, count=COUNT)[:20]
-        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in launched]
-        paths = integrate_geodesics(metric, [(s.x, s.y) for s in launched], horizons, 300)
+        horizons = safe_horizon(metric, launched.x, launched.y, 0.5)
+        paths = integrate_geodesics(metric, launched.x, launched.y, horizons, 300)
         worst = 0.0
-        for path, s in zip(paths, launched):
-            worst = max(worst, straightness_deviation(path, s.x, s.y))
+        for path, x, y in zip(paths, launched.x, launched.y):
+            worst = max(worst, straightness_deviation(path, x, y))
         assert worst <= 1e-6, name
     # fourth-order convergence witness on a metric whose geodesics curve
     control = curved_control()
@@ -289,8 +294,8 @@ def test_criterion_08_ad_integrity():
         for name in ALL_BUILTINS:
             metric = metric_of(name)
             samples = samples_of(metric, n=n, count=100)
-            closed = ProfileBundle.of(metric, *rows_of(samples)).g()
-            ad = AmbientBundle.of(metric, *rows_of(samples), 2).g()
+            closed = ProfileBundle.of(metric, samples.x, samples.y).g()
+            ad = AmbientBundle.of(metric, samples.x, samples.y, 2).g()
             worst = (np.abs(closed - ad).max(axis=(1, 2)) / np.abs(closed).max(axis=(1, 2))).max()
             assert worst <= 1e-9, (name, n)
     report("criterion 8 PASS: jets match finite differences; closed-form g matches AD")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import rows_of
 from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.jets import EvaluationError
@@ -59,7 +58,7 @@ def _overflowing_metric():
 def test_nan_residuals_fail_every_reduction():
     metric = _overflowing_metric()
     samples = sample_domain(SampleSpec.for_metric(n=2, count=6, seed=3))
-    verdict = symmetry_verdict(bundle_of(metric, *rows_of(samples)))
+    verdict = symmetry_verdict(bundle_of(metric, samples.x, samples.y))
     assert not verdict.passed and verdict.non_finite == len(samples)
     assert verdict.worst_index == 0
     report = Report(metric=metric.name, dimension=2, seed=3, count=len(samples))
@@ -76,10 +75,8 @@ def test_geodesic_that_stops_early_fails():
     # klein's profile leaves its domain at |x| = 1, but with an unbounded
     # domain radius the horizon is not shortened, so the path stops early
     unbounded = SphericalMetric("klein_unbounded", builtin("klein").profile)
-    sample = MetricSample.of([0.9, 0.0], [1.9, 0.1])
-    [record] = run_check(
-        "geodesics", Run(unbounded, [sample]), {"count": 1, "steps": 10, "horizon": 5.0}
-    )
+    sample = MetricSample.of([[0.9, 0.0]], [[1.9, 0.1]])
+    [record] = run_check("geodesics", Run(unbounded, sample), {"count": 1, "steps": 10, "horizon": 5.0})
     assert record.max_residual <= 1e-6
     assert not record.passed
     assert record.detail["min_steps_completed"] == 0
@@ -161,7 +158,7 @@ def test_convexity_names_the_first_sample_whose_g_does_not_factorise():
     # a Cholesky row by row
     metric = SphericalMetric("wide", ExpressionProfile("u + v*v/u"))
     samples = sample_domain(SampleSpec.for_metric(n=3, count=30, seed=7))
-    failed = [not positive_definite(g) for g in ProfileBundle.of(metric, *rows_of(samples)).g()]
+    failed = [not positive_definite(g) for g in ProfileBundle.of(metric, samples.x, samples.y).g()]
     assert any(failed) and not all(failed)
     [record] = run_check("convexity", Run(metric, samples), {})
     assert not record.passed
@@ -194,7 +191,7 @@ def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
         (10, 3, [(20, 10)]),
     ]
     samples = sample_domain(SampleSpec.for_metric(n=4, count=60, seed=7))
-    assert np.array_equal(np.concatenate([x for x, _, _ in lifted]), [s.x for s in samples])
+    assert np.array_equal(np.concatenate([x for x, _, _ in lifted]), samples.x)
 
 
 BRYANT_N4_PROFILE_CHECKS = [
@@ -249,7 +246,7 @@ def test_order_3_failure_fails_only_the_ambient_checks(monkeypatch):
     rng = np.random.default_rng(2)
     xs, ys = rng.uniform(0.2, 0.4, (8, 2)), rng.uniform(0.5, 1.0, (8, 2))
     xs[3] = [0.3, 0.4]
-    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    samples = MetricSample.of(xs, ys)
     names = ("homogeneity", "convexity", "det_g", "symmetry_tensor", "cartan")
     calls = []
     original = SphericalMetric.phi_jets
@@ -282,7 +279,7 @@ def test_order_3_failure_or_an_earlier_origin_fails_the_ambient_checks(origin):
     rng = np.random.default_rng(2)
     xs, ys = rng.uniform(0.2, 0.4, (8, 2)), rng.uniform(0.5, 1.0, (8, 2))
     xs[3], xs[origin] = [0.3, 0.4], [0.0, 0.0]
-    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    samples = MetricSample.of(xs, ys)
     with pytest.raises(EvaluationError) as own:
         AmbientBundle.of(metric, xs, ys)
     run = Run(metric, samples, checks=("symmetry_tensor", "cartan"))
@@ -361,12 +358,27 @@ def test_conjecture_probe_names_its_failing_pair():
     # probe's pair (x of sample 0, y of sample 1): the record names that pair
     profile = ExpressionProfile("sqrt(u^2*(1-r^2)+v^2)/(1-r^2) + 0*sqrt(r*u - 0.1)")
     metric = SphericalMetric("klein_cut", profile, 1.0, -1.0)
-    samples = [MetricSample.of([0.1, 0.0], [0.3, 1.9]), MetricSample.of([0.0, 0.9], [0.25, 0.05])]
+    samples = MetricSample.of([[0.1, 0.0], [0.0, 0.9]], [[0.3, 1.9], [0.25, 0.05]])
     run = Run(metric, samples)
     assert all(record.passed for record in run_check("curvature", run, {}))
     [record] = run_check("conjecture", run, {})
     assert not record.passed
     assert record.worst_x == [0.1, 0.0] and record.worst_y == [0.25, 0.05]
+    assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
+
+
+def test_kink_probe_names_its_first_failing_sample():
+    # phi has a value at the samples (|v| >= 0.01), but at the kink probe's
+    # v = +-1e-6 only where r < 0.3: samples 0 and 1 probe smooth, sample 2 fails
+    profile = ExpressionProfile("sqrt(u^2*(1-r^2)+v^2)/(1-r^2) + 0*sqrt(v^2 - 1e-12*(r + 0.7))")
+    metric = SphericalMetric("klein_probe_cut", profile, 1.0, -1.0)
+    x = [[0.1, 0.0], [0.2, 0.05], [0.5, 0.1], [0.1, 0.6], [0.4, 0.0]]
+    y = [[1.0, 0.3], [0.5, 1.0], [0.2, 1.0], [1.0, 0.5], [0.3, 1.0]]
+    run = Run(metric, MetricSample.of(x, y))
+    assert all(record.passed for record in run_check("curvature", run, {}))
+    [record] = run_check("conjecture", run, {})
+    assert not record.passed
+    assert record.worst_x == x[2] and record.worst_y == y[2]
     assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
 
 
@@ -398,11 +410,11 @@ def test_failed_bundle_build_is_cached(tmp_path, monkeypatch):
 def _first_sample_failing_alone(read, metric, samples):
     """The reference naming rule: the first sample whose own one-sample ``Run``
     raises on ``read``, with that error's message (None, None if none does)."""
-    for s in samples:
+    for i in range(len(samples)):
         try:
-            read(Run(metric, [s]))
+            read(Run(metric, samples[i : i + 1]))
         except EvaluationError as err:
-            return s, str(err)
+            return samples[i], str(err)
     return None, None
 
 
@@ -425,7 +437,7 @@ def test_a_failed_build_names_the_first_sample_that_fails_alone(failing, tail, s
     turn = rng.uniform(0.0, 2.0 * np.pi, (2, len(kinds)))
     xs = (radii * [np.cos(turn[0]), np.sin(turn[0])]).T
     ys = (rng.uniform(0.2, 1.5, len(kinds)) * [np.cos(turn[1]), np.sin(turn[1])]).T
-    samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+    samples = MetricSample.of(xs, ys)
     reads = {
         "profile": lambda run: run.profile,
         "reversibility": lambda run: run.reversibility,
@@ -435,7 +447,8 @@ def test_a_failed_build_names_the_first_sample_that_fails_alone(failing, tail, s
         want, message = _first_sample_failing_alone(read, metric, samples)
         with pytest.raises(EvaluationError) as err:
             read(Run(metric, samples))
-        assert err.value.sample is want, name
+        named = err.value.sample
+        assert [list(named.x), list(named.y)] == [list(want.x), list(want.y)], name
         assert str(err.value) == message, name
 
 
@@ -516,12 +529,9 @@ def test_quadrature_failure_stops_its_geodesic(monkeypatch):
     monkeypatch.setattr(FamilyProfile, "jet", jet)
     profile = FamilyProfile(_CompiledFamily(ProjectiveFamilySpec(f="1/sqrt(1+t)")))
     metric = SphericalMetric("family_cutoff", profile, 1.0)
-    samples = [
-        MetricSample.of([0.1, 0.2], [0.2, -0.1]),
-        MetricSample.of([0.5, 0.0], [1.0, 0.1]),
-        MetricSample.of([0.0, 0.55], [0.1, 1.0]),
-        MetricSample.of([-0.2, 0.1], [-0.1, 0.3]),
-    ]
+    samples = MetricSample.of(
+        [[0.1, 0.2], [0.5, 0.0], [0.0, 0.55], [-0.2, 0.1]], [[0.2, -0.1], [1.0, 0.1], [0.1, 1.0], [-0.1, 0.3]]
+    )
     params = {"count": 4, "steps": 20, "horizon": 0.3}
     [record] = run_check("geodesics", Run(metric, samples), params)
     assert not record.passed

@@ -225,6 +225,22 @@ class TestRunConfig:
             (family_metric(quad={"max_depth": 40.9}), "'metric.family.quad.max_depth'"),
             (family_metric(domain_radius="1"), "'metric.family.domain_radius'"),
             ({"metric": {"general": {"F": "sqrt(y1^2 + y2^2)", "domain_radius": True}}}, "'metric.general.domain_radius'"),
+            # a formula that is not a string crashed (exit 1); a general name 7 reached the report
+            ({"metric": {"family": {"f": 1}}}, "'metric.family.f'"),
+            (family_metric(g=0), "'metric.family.g'"),
+            (family_metric(h=["1/(1-r^2)"]), "'metric.family.h'"),
+            ({"metric": {"general": {"F": 7}}}, "'metric.general.F'"),
+            ({"metric": {"general": {"F": "sqrt(y1^2 + y2^2)", "name": 7}}}, "'metric.general.name'"),
+            # builtin params: true ran as alpha = 1, "0.5" as 0.5, a misspelt or
+            # unknown name was ignored
+            ({"metric": {"name": "bryant", "params": {"alpha": True}}}, "bryant parameter alpha must be a number"),
+            ({"metric": {"name": "bryant", "params": {"alpha": "0.5"}}}, "bryant parameter alpha must be a number"),
+            (
+                {"metric": {"name": "bryant", "params": {"alpah": 0.5}}},
+                "unknown parameter 'metric.params.alpah' of metric 'bryant' (did you mean 'alpha'?)",
+            ),
+            ({"metric": {"name": "funk", "params": {"alpha": 0.5}}}, "unknown parameter 'metric.params.alpha' of metric 'funk'"),
+            ({"metric": {"name": "funk", "params": [0.5]}}, "'metric.params'"),
         ],
     )
     def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):
@@ -323,7 +339,9 @@ class TestMain:
         assert len(lines) == 62
 
 
-@pytest.mark.parametrize("name", ["anisotropic_rejection", "family_funk_reconstruction"])
+@pytest.mark.parametrize(
+    "name", ["anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full"]
+)
 def test_json_report_matches_golden(name, capsys):
     # tests/golden holds each config's report as committed; a change that moves
     # a bit regenerates it and says so

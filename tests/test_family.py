@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rows_of, samples_for
+from conftest import same_pair, samples_for
 from finslercheck import expr
 from finslercheck.cli import run_config
 from finslercheck.family import (
@@ -197,19 +197,22 @@ class TestBuiltMetrics:
     def test_tangential_pde_exact(self):
         # phi_uv u + phi_ru v/(ru) cancels in exact arithmetic for any family metric
         metric = build_projective_metric(FUNK_SPEC)
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
+        rows = samples_for(metric, n=2, count=15)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         _, rho2 = projective_pde_of(b)
         assert rho2.max() <= 1e-12
 
     def test_radial_pde_within_quadrature_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
+        rows = samples_for(metric, n=2, count=15)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         rho1, _ = projective_pde_of(b)
         assert rho1.max() <= 1e-8
 
     def test_euler_relations_within_10x_tolerance(self):
         metric = build_projective_metric(FUNK_SPEC)
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=15)))
+        rows = samples_for(metric, n=2, count=15)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         assert b.homogeneity_residual().max() <= 10.0 * FUNK_SPEC.abs_tol * 1e3
 
     def test_f_only_funk_integrand_has_constant_curvature(self):
@@ -218,7 +221,8 @@ class TestBuiltMetrics:
         from finslercheck.projective import constant_curvature_verdict
 
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=25)))
+        rows = samples_for(metric, n=2, count=25)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         verdict = constant_curvature_verdict(b)
         assert verdict.status == "constant"
         assert abs(verdict.lambda_estimate + 0.25) <= 1e-7
@@ -260,7 +264,7 @@ class TestBuiltMetrics:
     def test_generic_f_projective_but_not_constant(self):
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/(1+t)"))
         samples = samples_for(metric, n=2, count=25)
-        verdict = constant_curvature_verdict(ProfileBundle.of(metric, *rows_of(samples)))
+        verdict = constant_curvature_verdict(ProfileBundle.of(metric, samples.x, samples.y))
         assert verdict.status == "non_constant"
         assert verdict.max_deviation > 1e-3
         assert verdict.projectivity_residual <= 1e-6
@@ -466,7 +470,7 @@ class TestBatchedQuadrature:
         spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
         metric = SphericalMetric("shallow", FamilyProfile(_CompiledFamily(spec)), 1.0)
         xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
-        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        samples = MetricSample.of(xs, [[0.5, 1.0]] * len(xs))
         widths = []
         original = family._integrand_coeffs
 
@@ -479,10 +483,10 @@ class TestBatchedQuadrature:
         with pytest.raises(QuadratureError) as err:
             Run(metric, samples).profile
         assert str(err.value) == message
-        assert err.value.sample is samples[1]
+        assert same_pair(err.value.sample, samples[1])
         # the in-domain samples as one batch: depth first, never a whole tree level
-        inside = [s for s in samples if s.r < 1.0]
-        r, u, v = (np.array([getattr(s, k) for s in inside]) for k in "ruv")
+        inside = samples[samples.r < 1.0]
+        r, u, v = inside.r, inside.u, inside.v
         widths.clear()
         with pytest.raises(QuadratureError, match=re.escape(message)):
             metric.phi_jets(r, u, v)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_metric, rows_of, samples_for
+from conftest import make_metric, samples_for
 from finslercheck.expr import EvalDomainError
 from finslercheck.family import FamilyError
 from finslercheck.geodesics import (
@@ -38,8 +38,8 @@ def curved_control():
 
 def p_of_samples(metric, samples):
     """P = F_{x^k} y^k / (2F) at each sample, from one bundle of the samples."""
-    f, fx, _ = bundle_of(metric, *rows_of(samples)).first_derivatives()
-    return np.vecdot(fx, np.array([s.y for s in samples])) / (2.0 * f)
+    f, fx, _ = bundle_of(metric, samples.x, samples.y).first_derivatives()
+    return np.vecdot(fx, samples.y) / (2.0 * f)
 
 
 def spray_projectivity(metric, samples):
@@ -65,7 +65,7 @@ class TestSpray:
         metric = builtin("klein")
         x, y = np.array([0.5, 0.0]), np.array([0.0, 1.0])
         g = spray_general(metric, x, y)
-        [p] = p_of_samples(metric, [MetricSample.of(x, y)])
+        [p] = p_of_samples(metric, MetricSample.of([x], [y]))
         assert np.abs(g - p * y).max() <= 1e-8
 
     @pytest.mark.parametrize("lam", [0.5, 2.0])
@@ -123,8 +123,8 @@ class TestProjectivityResidual:
             assert got <= 1e-8
 
     def test_euclidean_zero(self):
-        sample = MetricSample.of([0.3, 0.2], [1.0, 0.5])
-        assert spray_projectivity(builtin("euclidean"), [sample]) == [0.0]
+        sample = MetricSample.of([[0.3, 0.2]], [[1.0, 0.5]])
+        assert spray_projectivity(builtin("euclidean"), sample) == [0.0]
 
     def test_curved_control_fails(self):
         metric = curved_control()
@@ -242,6 +242,32 @@ class TestSafeHorizon:
             safe_horizon(builtin(name), [0.1, 0.2], [0.0, 0.0], 0.5)
         assert err.value.index == 0
 
+    @pytest.mark.parametrize("name", ["funk", "spherical"])
+    def test_rows_are_each_rows_horizon_bit_for_bit(self, name):
+        # one vectorised quadratic over the rows; each row is the one-start horizon
+        # and the one-start quadratic in Python floats, the reference
+        metric = builtin(name)
+        samples = samples_for(metric, n=3, count=20)
+        horizons = safe_horizon(metric, samples.x, samples.y, 0.5)
+        alone = [safe_horizon(metric, x, y, 0.5) for x, y in zip(samples.x, samples.y)]
+        assert horizons.tobytes() == np.array(alone).tobytes()
+        assert all(type(h) is float for h in alone)
+        limit = 0.95 * metric.domain_radius
+        for x, y, h in zip(samples.x, samples.y, alone):
+            a, b, c = float(y @ y), 2.0 * float(x @ y), float(x @ x) - limit * limit
+            assert h == (0.5 if math.isinf(limit) else min(0.5, (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)))
+
+    def test_rows_name_their_lowest_failing_row(self):
+        # row 1 starts past the cap, row 2 has y = 0: the error is row 1's
+        x0 = [[0.1, 0.2], [0.96, 0.0], [0.1, 0.0], [0.99, 0.0]]
+        y0 = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(MetricDomainError, match="start point already at") as err:
+            safe_horizon(builtin("funk"), x0, y0, 0.5)
+        assert err.value.index == 1
+        with pytest.raises(MetricDomainError, match="y must be nonzero") as err:
+            safe_horizon(builtin("funk"), x0[2:], y0[2:], 0.5)
+        assert err.value.index == 0
+
     @pytest.mark.parametrize("requested", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     @pytest.mark.parametrize("name", ["funk", "spherical"])
     def test_requested_must_be_finite_and_positive(self, name, requested):
@@ -296,7 +322,7 @@ def one_path_rk4(metric, x0, y0, horizon, steps):
     it stopped (None when it ran all steps)."""
 
     def rhs(xc, yc):
-        return yc, -2.0 * bundle_of(metric, *rows_of([MetricSample.of(xc, yc)])).spray()[0]
+        return yc, -2.0 * bundle_of(metric, xc[None], yc[None]).spray()[0]
 
     x = np.asarray(x0, dtype=float).copy()
     y = np.asarray(y0, dtype=float).copy()
@@ -336,14 +362,15 @@ def assert_same_bits(got, want):
     assert got.stop_reason == want.stop_reason
 
 
-def check_batch(metric, starts, horizons, steps):
-    """Integrate the starts as one batch and as one-path loops; the paths must
-    agree bit for bit.  Returns the one-path loops' stop reasons."""
-    paths = integrate_geodesics(metric, starts, horizons, steps)
-    assert len(paths) == len(starts)
+def check_batch(metric, x0, y0, horizons, steps):
+    """Integrate the starts (rows of x0 and y0) as one batch and as one-path
+    loops; the paths must agree bit for bit.  Returns the one-path loops' stop
+    reasons."""
+    paths = integrate_geodesics(metric, x0, y0, horizons, steps)
+    assert len(paths) == len(x0)
     reasons = []
-    for path, (x0, y0), horizon in zip(paths, starts, horizons):
-        want, why = one_path_rk4(metric, x0, y0, horizon, steps)
+    for path, x, y, horizon in zip(paths, x0, y0, np.asarray(horizons).tolist()):
+        want, why = one_path_rk4(metric, x, y, horizon, steps)
         assert_same_bits(path, want)
         reasons.append(why)
     return reasons
@@ -356,33 +383,25 @@ class TestBatchedIntegration:
         metric = GeneralMetric.from_expression(
             "sqrt(y1^2 + y2^2) - (x1*y1 + x2*y2)^2/sqrt(y1^2 + y2^2)", 2, domain_radius=0.9
         )
-        starts = [
-            ([0.1, 0.2], [0.2, 0.1]),
-            ([0.6, 0.0], [0.3, 1.0]),
-            ([0.4, 0.0], [1.0, 0.1]),
-            ([-0.2, 0.1], [-0.1, 0.3]),
-        ]
-        reasons = check_batch(metric, starts, [1.0, 1.0, 1.0, 0.8], 20)
+        x0 = [[0.1, 0.2], [0.6, 0.0], [0.4, 0.0], [-0.2, 0.1]]
+        y0 = [[0.2, 0.1], [0.3, 1.0], [1.0, 0.1], [-0.1, 0.3]]
+        reasons = check_batch(metric, x0, y0, [1.0, 1.0, 1.0, 0.8], 20)
         assert reasons == [None, "left the domain", "not strongly convex", None]
 
     def test_profile_paths_leave_one_at_a_time_bit_for_bit(self):
         # the profile form of the same metric, on a wider domain: two middle
         # paths lose strong convexity at different steps
         metric = SphericalMetric("pseudo", ClosedFormProfile(lambda r, u, v: u - v * (v / u)), 2.0)
-        starts = [
-            ([0.1, 0.2], [0.2, 0.1]),
-            ([0.4, 0.0], [1.0, 0.1]),
-            ([0.0, 0.5], [0.05, 2.0]),
-            ([-0.2, 0.1], [-0.1, 0.3]),
-        ]
-        reasons = check_batch(metric, starts, [1.0, 1.0, 1.0, 0.8], 20)
+        x0 = [[0.1, 0.2], [0.4, 0.0], [0.0, 0.5], [-0.2, 0.1]]
+        y0 = [[0.2, 0.1], [1.0, 0.1], [0.05, 2.0], [-0.1, 0.3]]
+        reasons = check_batch(metric, x0, y0, [1.0, 1.0, 1.0, 0.8], 20)
         assert reasons == [None, "not strongly convex", "not strongly convex", None]
 
     def test_evaluation_failure_stops_only_its_path(self):
         # sqrt(1 - x1) has no value from x1 = 1 on
         metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2)*sqrt(1 - x1)", 2)
-        starts = [([0.0, 0.1], [0.1, 0.2]), ([0.8, 0.0], [1.0, 0.0]), ([-0.5, 0.0], [0.2, -0.3])]
-        reasons = check_batch(metric, starts, [1.0, 2.0, 1.0], 50)
+        x0, y0 = [[0.0, 0.1], [0.8, 0.0], [-0.5, 0.0]], [[0.1, 0.2], [1.0, 0.0], [0.2, -0.3]]
+        reasons = check_batch(metric, x0, y0, [1.0, 2.0, 1.0], 50)
         assert reasons == [None, "evaluation", None]
 
     def test_failing_path_leaves_the_others_in_one_batch(self, monkeypatch):
@@ -397,13 +416,9 @@ class TestBatchedIntegration:
 
         monkeypatch.setattr(AmbientBundle, "spray", counting)
         metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2)*sqrt(1 - x1)", 2)
-        starts = [
-            ([0.0, 0.1], [0.1, 0.2]),
-            ([0.8, 0.0], [1.0, 0.0]),
-            ([-0.5, 0.0], [0.2, -0.3]),
-            ([0.1, -0.2], [-0.2, 0.1]),
-        ]
-        paths = integrate_geodesics(metric, starts, [1.0, 2.0, 1.0, 1.0], 50)
+        x0 = [[0.0, 0.1], [0.8, 0.0], [-0.5, 0.0], [0.1, -0.2]]
+        y0 = [[0.1, 0.2], [1.0, 0.0], [0.2, -0.3], [-0.2, 0.1]]
+        paths = integrate_geodesics(metric, x0, y0, [1.0, 2.0, 1.0, 1.0], 50)
         completed = [len(p.times) - 1 for p in paths]
         stop = completed[1]
         assert 0 < stop < 50 and completed[:1] + completed[2:] == [50] * 3
@@ -415,8 +430,8 @@ class TestBatchedIntegration:
     def test_builtin_batches_bit_for_bit(self, name, n):
         metric = make_metric(name)
         samples = samples_for(metric, n=n, count=6, seed=3)
-        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in samples]
-        reasons = check_batch(metric, [(s.x, s.y) for s in samples], horizons, 30)
+        horizons = safe_horizon(metric, samples.x, samples.y, 0.5)
+        reasons = check_batch(metric, samples.x, samples.y, horizons, 30)
         assert reasons == [None] * len(samples)
 
     def test_general_metric_batch_bit_for_bit(self):
@@ -426,8 +441,8 @@ class TestBatchedIntegration:
         )
         metric = GeneralMetric.from_expression(funk_expr, 2, name="funk_general", domain_radius=1.0)
         samples = samples_for(builtin("funk"), n=2, count=4, seed=5)
-        horizons = [safe_horizon(metric, s.x, s.y, 0.5) for s in samples]
-        check_batch(metric, [(s.x, s.y) for s in samples], horizons, 20)
+        horizons = safe_horizon(metric, samples.x, samples.y, 0.5)
+        check_batch(metric, samples.x, samples.y, horizons, 20)
 
     def test_one_spray_per_stage_for_all_paths(self, monkeypatch):
         calls = []
@@ -438,8 +453,8 @@ class TestBatchedIntegration:
             return funk.profile.fn(r, u, v)
 
         counted = SphericalMetric("funk", ClosedFormProfile(phi), 1.0)
-        starts = [(s.x, s.y) for s in samples_for(funk, n=2, count=5)]
-        integrate_geodesics(counted, starts, [0.1] * 5, 3)
+        samples = samples_for(funk, n=2, count=5)
+        integrate_geodesics(counted, samples.x, samples.y, [0.1] * 5, 3)
         # three steps of four stages, each one profile call over all five paths
         assert calls == [(10, 5)] * 12
 
@@ -459,7 +474,7 @@ def test_profile_stage_builds_no_g_and_runs_no_cholesky(monkeypatch):
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
     funk = builtin("funk")
     samples = samples_for(funk, n=2, count=4)
-    paths = integrate_geodesics(funk, [(s.x, s.y) for s in samples], [0.1] * 4, 5)
+    paths = integrate_geodesics(funk, samples.x, samples.y, [0.1] * 4, 5)
     assert [len(p.times) for p in paths] == [6] * 4
     assert calls == []
     # the counters see the calls a general metric's stage makes

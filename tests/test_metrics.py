@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import invariants_bundle, make_metric, rows_of, samples_for
+from conftest import invariants_bundle, make_metric, same_pair, samples_for
 from finslercheck.checks import Run
 from finslercheck._multi_index import coeff_count
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
@@ -157,7 +157,7 @@ def family_bundle_cases():
     one-sample bundle per sample."""
     metric = AMBIENT_CASES["family"][0]()
     samples = sample_domain(SampleSpec.for_metric(n=2, count=120, seed=7, domain_radius=1.0))[:60]
-    return metric, samples, [ProfileBundle.of(metric, *rows_of([s])) for s in samples]
+    return metric, samples, [ProfileBundle.of(metric, x[None], y[None]) for x, y in zip(samples.x, samples.y)]
 
 
 class TestBatchedProfileBundle:
@@ -166,9 +166,9 @@ class TestBatchedProfileBundle:
     def test_columns_equal_per_sample_bundles(self, name, n):
         metric = make_metric(name)
         samples = samples_for(metric, n=n, count=40)
-        batched = ProfileBundle.of(metric, *rows_of(samples))
-        for i, s in enumerate(samples):
-            single = ProfileBundle.of(metric, *rows_of([s]))
+        batched = ProfileBundle.of(metric, samples.x, samples.y)
+        for i in range(len(samples)):
+            single = ProfileBundle.of(metric, samples.x[i : i + 1], samples.y[i : i + 1])
             for field in ("r", "u", "v") + _PARTIALS:
                 want = getattr(single, field).tobytes()
                 assert getattr(batched, field)[i : i + 1].tobytes() == want, (field, i)
@@ -182,7 +182,8 @@ class TestBatchedProfileBundle:
             return funk.profile.fn(r, u, v)
 
         counted = SphericalMetric("funk", ClosedFormProfile(phi), 1.0)
-        ProfileBundle.of(counted, *rows_of(samples_for(funk, n=2, count=30)))
+        rows = samples_for(funk, n=2, count=30)
+        ProfileBundle.of(counted, rows.x, rows.y)
         assert calls == [(10, 30)]
 
     def test_failed_batch_names_first_failing_sample(self):
@@ -192,10 +193,11 @@ class TestBatchedProfileBundle:
 
         metric = SphericalMetric("root", ExpressionProfile("u*sqrt(1.5 - r) + 0.1*v"))
         samples = sample_domain(SampleSpec.for_metric(n=2, count=30, seed=7))
-        first = next(s for s in samples if s.r >= 1.5)
+        first = samples[np.argmax(samples.r >= 1.5)]
+        assert first.r >= 1.5
         with pytest.raises(EvalDomainError) as err:
             Run(metric, samples).profile
-        assert err.value.sample is first
+        assert same_pair(err.value.sample, first)
 
     def test_failed_family_bundle_evaluates_each_sample_once(self, monkeypatch):
         # the batch refuses the out-of-domain sample 2 before any quadrature, and
@@ -212,17 +214,17 @@ class TestBatchedProfileBundle:
 
         monkeypatch.setattr(FamilyProfile, "jet", counting)
         xs = [[0.1, 0.2], [0.3, -0.1], [1.2, 0.0], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
-        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        samples = MetricSample.of(xs, [[0.5, 1.0]] * len(xs))
         with pytest.raises(MetricDomainError) as err:
             Run(metric, samples).profile
-        assert err.value.sample is samples[2]
-        assert [list(r) for r in calls] == [[s.r for s in samples[:2]]]
+        assert same_pair(err.value.sample, samples[2])
+        assert [list(r) for r in calls] == [list(samples.r[:2])]
 
     @pytest.mark.parametrize("count", [1, 2, 25, 26, 60])
     def test_family_columns_equal_per_sample_bundles(self, count, family_bundle_cases):
         # the lockstep quadrature over all samples against one bundle per sample
         metric, samples, singles = family_bundle_cases
-        batched = ProfileBundle.of(metric, *rows_of(samples[:count]))
+        batched = ProfileBundle.of(metric, samples.x[:count], samples.y[:count])
         for field in ("r", "u", "v") + _PARTIALS:
             want = b"".join(getattr(single, field).tobytes() for single in singles[:count])
             assert getattr(batched, field).tobytes() == want, field
@@ -234,7 +236,7 @@ class TestBatchedProfileBundle:
             for s in samples:
                 forward = metric.phi_value(s.r, s.u, s.v)
                 want.append(abs(metric.phi_value(s.r, s.u, -s.v) - forward) / forward)
-            got = reversibility_residuals(metric, *rows_of(samples))
+            got = reversibility_residuals(metric, samples.x, samples.y)
             assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("evaluate", ["bundle", "reversibility"])
@@ -247,14 +249,14 @@ class TestBatchedProfileBundle:
         spec = ProjectiveFamilySpec(f="1/sqrt(1+t)", max_depth=2)
         metric = SphericalMetric("shallow", FamilyProfile(_CompiledFamily(spec)), 1.0)
         xs = [[0.1, 0.2], [0.3, -0.1], [0.2, 0.2], [0.0, 0.4], [-0.3, 0.1]]
-        samples = [MetricSample.of(x, [0.5, 1.0]) for x in xs]
+        samples = MetricSample.of(xs, [[0.5, 1.0]] * len(xs))
         build = {
             "bundle": lambda s: Run(metric, s).profile,
             "reversibility": lambda s: Run(metric, s).reversibility,
         }[evaluate]
         with pytest.raises(QuadratureError) as alone:
-            for s in samples:
-                build([s])
+            for i in range(len(samples)):
+                build(samples[i : i + 1])
         calls = []
         original = FamilyProfile.jet
 
@@ -267,7 +269,7 @@ class TestBatchedProfileBundle:
             build(samples)
         assert calls == ([5, 1] if evaluate == "bundle" else [10, 2])
         assert str(batched.value) == str(alone.value)
-        assert batched.value.sample is alone.value.sample is samples[1]
+        assert same_pair(batched.value.sample, samples[1]) and same_pair(alone.value.sample, samples[1])
 
     def test_failing_quadrature_panel_names_its_triple(self):
         # f carries sqrt(t + 0.65), which fails where v^2/tau^2 - r^2 <= -0.65: for sample 3
@@ -280,21 +282,18 @@ class TestBatchedProfileBundle:
         )
         metric = build_projective_metric(spec)
         c = 0.398 / 0.9
-        samples = [
-            MetricSample.of([0.1, 0.2], [0.5, 1.0]),
-            MetricSample.of([0.9, 0.0], [c, math.sqrt(1.0 - c * c)]),
-            MetricSample.of([0.3, -0.1], [0.5, 1.0]),
-            MetricSample.of([0.0, 0.9], [1.0, 0.05]),
-            MetricSample.of([-0.3, 0.1], [0.5, 1.0]),
-        ]
+        samples = MetricSample.of(
+            [[0.1, 0.2], [0.9, 0.0], [0.3, -0.1], [0.0, 0.9], [-0.3, 0.1]],
+            [[0.5, 1.0], [c, math.sqrt(1.0 - c * c)], [0.5, 1.0], [1.0, 0.05], [0.5, 1.0]],
+        )
         with pytest.raises(EvalDomainError) as alone:
-            for s in samples:
-                Run(metric, [s]).reversibility
+            for i in range(len(samples)):
+                Run(metric, samples[i : i + 1]).reversibility
         with pytest.raises(EvalDomainError) as batched:
             Run(metric, samples).reversibility
         assert "sqrt requires a positive argument" in str(alone.value)
         assert str(batched.value) == str(alone.value)
-        assert batched.value.sample is alone.value.sample is samples[1]
+        assert same_pair(batched.value.sample, samples[1]) and same_pair(alone.value.sample, samples[1])
 
     def test_outside_domain_batch_raises_first_triple_error(self):
         metric = builtin("funk")
@@ -328,7 +327,8 @@ def edge_rows(metric, n, origin=True):
     """Sampled rows, then rows at x = 0 (every radial term a signed zero; left out
     unless ``origin``), rows with x parallel or antiparallel to y (v = +-ru), and
     antiparallel axis rows whose other components are -0.0: (x, y) as (N, n)."""
-    x, y = rows_of(samples_for(metric, n=n, count=30))
+    rows = samples_for(metric, n=n, count=30)
+    x, y = rows.x, rows.y
     axes = np.eye(n)
     unit = y / np.linalg.norm(y, axis=1)[:, None]
     xs = [x, 0.4 * unit[:4], -0.7 * unit[4:8], 0.4 * axes, np.where(axes == 1.0, 0.5, -0.0)]
@@ -414,12 +414,12 @@ class TestClosedFormSpray:
 
 def ad_tensors(metric, samples):
     """g at the samples from the ambient jet of F^2, the cross-check route for profiles."""
-    return AmbientBundle.of(metric, *rows_of(samples), 2).g()
+    return AmbientBundle.of(metric, samples.x, samples.y, 2).g()
 
 
 def convexity(metric, samples):
     """(profile lemma holds, g factorizes) per sample; the lemma implies the factorization."""
-    b = ProfileBundle.of(metric, *rows_of(samples))
+    b = ProfileBundle.of(metric, samples.x, samples.y)
     return [(bool(ok), positive_definite(g)) for ok, g in zip(b.convexity_lemma(), b.g())]
 
 
@@ -434,7 +434,7 @@ class TestFundamentalTensor:
 
     def test_klein_matches_ad(self):
         g = fundamental_tensor(builtin("klein"), [0.5, 0.0], [0.0, 1.0])
-        ad = ad_tensors(builtin("klein"), [MetricSample.of([0.5, 0.0], [0.0, 1.0])])[0]
+        ad = ad_tensors(builtin("klein"), MetricSample.of([[0.5, 0.0]], [[0.0, 1.0]]))[0]
         assert np.abs(g - ad).max() < 1e-10
 
     @pytest.mark.parametrize("name", ["klein", "funk", "berwald", "spherical", "bryant"])
@@ -462,27 +462,27 @@ class TestFundamentalTensor:
 
 class TestDeterminant:
     def test_euclidean_is_one(self):
-        b = ProfileBundle.of(builtin("euclidean"), *rows_of([MetricSample.of([0.4, 0.1], [1.0, 0.7])]))
+        b = ProfileBundle.of(builtin("euclidean"), np.array([[0.4, 0.1]]), np.array([[1.0, 0.7]]))
         assert b.det_g()[0] == 1.0
 
     def test_funk_matches_direct_2x2(self):
         metric = builtin("funk")
-        closed = ProfileBundle.of(metric, *rows_of([MetricSample.of([0.5, 0.0], [1.0, 0.0])])).det_g()[0]
+        closed = ProfileBundle.of(metric, np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]])).det_g()[0]
         direct = np.linalg.det(fundamental_tensor(metric, [0.5, 0.0], [1.0, 0.0]))
         assert relative_residual(closed, -direct) < 1e-12
 
     def test_bryant_matches_direct_3d(self):
         metric = make_metric("bryant")
-        s = samples_for(metric, n=3, count=5)[3]
-        closed = ProfileBundle.of(metric, *rows_of([s])).det_g()[0]
-        direct = np.linalg.det(fundamental_tensor(metric, s.x, s.y))
+        s = samples_for(metric, n=3, count=5)[3:4]
+        closed = ProfileBundle.of(metric, s.x, s.y).det_g()[0]
+        direct = np.linalg.det(fundamental_tensor(metric, s.x[0], s.y[0]))
         assert relative_residual(closed, -direct) < 1e-8
 
 
 class TestConvexity:
     def test_euclidean(self):
-        sample = MetricSample.of([0.4, 0.1], [1.0, 0.7])
-        [(lemma_ok, direct_pd)] = convexity(builtin("euclidean"), [sample])
+        sample = MetricSample.of([[0.4, 0.1]], [[1.0, 0.7]])
+        [(lemma_ok, direct_pd)] = convexity(builtin("euclidean"), sample)
         assert lemma_ok and direct_pd
 
     def test_funk_in_ball(self):
@@ -494,7 +494,7 @@ class TestConvexity:
         # phi = u - 2 v^2/u stays positive near v=0 but g turns indefinite
         bad = SphericalMetric("pseudo", ClosedFormProfile(lambda r, u, v: u - 2.0 * v * (v / u)))
         x, y = np.array([1.5, 0.0]), np.array([0.0664, 0.9978])  # v = 0.0996
-        [(lemma_ok, direct_pd)] = convexity(bad, [MetricSample.of(x, y)])
+        [(lemma_ok, direct_pd)] = convexity(bad, MetricSample.of([x], [y]))
         assert not direct_pd
         assert not lemma_ok
         # oracle: eigenvalues of g straddle zero
@@ -521,11 +521,11 @@ class TestConvexity:
         # alpha=pi/6 is positive definite across the sampled range
         wide = builtin("bryant", alpha=1.2)
         x, y = np.array([1.0, 0.0]), np.array([0.3, 1.0])
-        near, far = MetricSample.of(1.2 * x, y), MetricSample.of(1.5 * x, y)
-        [(_, near_pd), (_, far_pd)] = convexity(wide, [near, far])
+        near_far = MetricSample.of([1.2 * x, 1.5 * x], [y, y])
+        [(_, near_pd), (_, far_pd)] = convexity(wide, near_far)
         assert near_pd
         assert not far_pd
-        eig = np.linalg.eigvalsh(ad_tensors(wide, [far])[0])
+        eig = np.linalg.eigvalsh(ad_tensors(wide, near_far)[1])
         assert eig[0] < 0.0 < eig[-1]
         assert wide.evaluate(1.5 * x, y) > 0.0
         narrow = make_metric("bryant")
@@ -537,7 +537,8 @@ class TestHomogeneity:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_homogeneous(self, name):
         metric = make_metric(name)
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=30)))
+        rows = samples_for(metric, n=2, count=30)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         assert b.homogeneity_residual().max() <= 1e-10
 
     def test_quadratic_profile_fails(self):
@@ -600,7 +601,7 @@ class TestRiemannianProbe:
     def _probe(self, metric):
         """(g deviation, Cartan maximum) at x = (0.5, 0.1) over the four directions."""
         ys = self._directions()
-        b = AmbientBundle.of(metric, *rows_of([MetricSample.of([0.5, 0.1], y) for y in ys]))
+        b = AmbientBundle.of(metric, np.array([[0.5, 0.1]] * len(ys)), np.array(ys))
         return tuple(float(a[0]) for a in riemannian_probe_of(b, len(ys)))
 
     def test_klein_riemannian(self):
@@ -644,6 +645,16 @@ class TestBuiltins:
             builtin("bryant", alpha=-0.1)
         assert builtin("bryant", alpha=1.2).params["alpha"] == 1.2
 
+    @pytest.mark.parametrize("alpha", [True, "0.5", None])
+    def test_bryant_parameter_is_a_number(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be a number"):
+            builtin("bryant", alpha=alpha)
+
+    @pytest.mark.parametrize("name,params", [("bryant", {"alpah": 0.5}), ("funk", {"alpha": 0.5})])
+    def test_unknown_parameter_is_refused(self, name, params):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{next(iter(params))}'"):
+            builtin(name, **params)
+
     def test_bryant_zero_equals_spherical(self):
         bryant0 = builtin("bryant", alpha=0.0)
         spherical = builtin("spherical")
@@ -682,7 +693,7 @@ class TestAmbientRoute:
         # profile chain rule vs direct 2n-variable differentiation
         metric = make_metric(name)
         for s in samples_for(metric, n=2, count=10):
-            f, fx, fy = (a[0] for a in bundle_of(metric, *rows_of([s])).first_derivatives())
+            f, fx, fy = (a[0] for a in bundle_of(metric, s.x[None], s.y[None]).first_derivatives())
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             assert abs(f - amb.value) < 1e-12
@@ -704,7 +715,8 @@ def direct_ambient_jet(metric, x, y, order):
 def oracle_rows(metric, n):
     """30 sampled rows, then rows with x parallel and antiparallel to y and rows with
     x nearly orthogonal to y (v = 1e-7 |y|): (x, y) as (N, n) arrays."""
-    x, y = rows_of(samples_for(metric, n=n, count=30))
+    rows = samples_for(metric, n=n, count=30)
+    x, y = rows.x, rows.y
     unit = y / np.linalg.norm(y, axis=1)[:, None]
     across = x[8:12] - np.vecdot(x[8:12], unit[8:12])[:, None] * unit[8:12] + 1e-7 * unit[8:12]
     return np.concatenate([x, 0.4 * unit[:4], -0.7 * unit[4:8], across]), np.concatenate([y, y[:12]])
@@ -763,7 +775,8 @@ class TestComposedAmbientJet:
 
             monkeypatch.setattr(jets, name, counting)
         metric = make_metric("bryant")
-        x, y = rows_of(samples_for(metric, n=4, count=25))
+        rows = samples_for(metric, n=4, count=25)
+        x, y = rows.x, rows.y
         metric.ambient_jet(x.T, y.T, 3)
         assert 0 < len(eight) <= 10
 
@@ -772,7 +785,8 @@ class TestComposedAmbientJet:
         from finslercheck.family import FamilyProfile
 
         metric = AMBIENT_CASES["family"][0]()
-        x, y = rows_of(samples_for(metric, n=2, count=60))
+        rows = samples_for(metric, n=2, count=60)
+        x, y = rows.x, rows.y
         widths, composed = [], []
         jet, compose = FamilyProfile.jet, metrics.compose_multivariate
 
@@ -833,9 +847,9 @@ class TestAmbientBundle:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=4, seed=7, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        stacked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples)))
-        for k, s in enumerate(samples):
-            one = _bundle_parts(AmbientBundle.of(metric, *rows_of([s])))
+        stacked = _bundle_parts(AmbientBundle.of(metric, samples.x, samples.y))
+        for k in range(len(samples)):
+            one = _bundle_parts(AmbientBundle.of(metric, samples.x[k : k + 1], samples.y[k : k + 1]))
             for got, want in zip(stacked, one):
                 assert got[k].tobytes() == want[0].tobytes(), (case, k)
 
@@ -847,7 +861,8 @@ class TestAmbientBundle:
         for build, n in cases:
             metric = build()
             spec = SampleSpec.for_metric(n=n, count=3, seed=7, domain_radius=metric.domain_radius)
-            x, y = rows_of(sample_domain(spec))
+            rows = sample_domain(spec)
+            x, y = rows.x, rows.y
             f = AmbientBundle.of(metric, x, y).f
             e = Jet(f.nvars, 3, f.coeffs) * Jet(f.nvars, 3, f.coeffs)
             e2, e3 = np.moveaxis(e.hessian(), -1, 0), np.moveaxis(e.third_tensor(), -1, 0)
@@ -867,7 +882,8 @@ class TestAmbientBundle:
 
     def test_tensors_are_built_once(self):
         metric = make_metric("bryant")
-        b = AmbientBundle.of(metric, *rows_of(samples_for(metric, n=3, count=2)))
+        rows = samples_for(metric, n=3, count=2)
+        b = AmbientBundle.of(metric, rows.x, rows.y)
         assert b.g() is b.g() and b.dg_dx() is b.dg_dx() and b.cartan() is b.cartan()
 
 
@@ -899,9 +915,11 @@ class TestChunkedAmbientBundle:
         spec = SampleSpec.for_metric(n=n, count=51, seed=11, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
         spray = case != "constant"  # F = 1.5 has g = 0
-        ones = [_bundle_parts(AmbientBundle.of(metric, *rows_of([s])), spray) for s in samples]
+        ones = [
+            _bundle_parts(AmbientBundle.of(metric, x[None], y[None]), spray) for x, y in zip(samples.x, samples.y)
+        ]
         for count in (1, 24, 25, 26, 51):
-            chunked = _bundle_parts(AmbientBundle.of(metric, *rows_of(samples[:count])), spray)
+            chunked = _bundle_parts(AmbientBundle.of(metric, samples.x[:count], samples.y[:count]), spray)
             for k in range(count):
                 for got, want in zip(chunked, ones[k]):
                     assert got[k].tobytes() == want[0].tobytes(), (case, count, k)
@@ -914,11 +932,11 @@ class TestChunkedAmbientBundle:
         rng = np.random.default_rng(5)
         xs, ys = rng.uniform(-0.9, 0.9, (60, 2)), rng.uniform(-1.0, 1.0, (60, 2))
         xs[[30, 41], 0] = -1.5
-        samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+        samples = MetricSample.of(xs, ys)
         widths = _ambient_widths(monkeypatch)
         with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
             Run(metric, samples).ambient
-        assert err.value.sample is samples[30]
+        assert same_pair(err.value.sample, samples[30])
         # the first chunk, the failing second, then its rows 25..29 before the bad one
         assert widths == [25, 25, 5]
 
@@ -944,11 +962,11 @@ class TestChunkedAmbientBundle:
         rng = np.random.default_rng(3)
         xs, ys = rng.uniform(-0.3, 0.3, (40, 2)), rng.uniform(0.5, 1.0, (40, 2))
         xs[30] = [0.7, 0.0]
-        samples = [MetricSample.of(x, y) for x, y in zip(xs, ys)]
+        samples = MetricSample.of(xs, ys)
         widths = _ambient_widths(monkeypatch)
         with pytest.raises(QuadratureError) as err:
             Run(metric, samples).ambient
-        assert err.value.sample is samples[30]
+        assert same_pair(err.value.sample, samples[30])
         assert evaluated == [40, 30] and widths == []
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
@@ -956,7 +974,8 @@ class TestChunkedAmbientBundle:
 
         widths = _ambient_widths(monkeypatch)
         bryant = make_metric("bryant")
-        AmbientBundle.of(bryant, *rows_of(samples_for(bryant, n=4, count=60)))
+        rows = samples_for(bryant, n=4, count=60)
+        AmbientBundle.of(bryant, rows.x, rows.y)
         assert widths == [25, 25, 10]
         widths.clear()
         anisotropic = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
@@ -989,8 +1008,8 @@ class TestSharedSurface:
         metric = build()
         spec = SampleSpec.for_metric(n=n, count=6, seed=7, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
-        profile = bundle_of(metric, *rows_of(samples))
-        ambient = AmbientBundle.of(metric, *rows_of(samples), 2)
+        profile = bundle_of(metric, samples.x, samples.y)
+        ambient = AmbientBundle.of(metric, samples.x, samples.y, 2)
         assert isinstance(profile, ProfileBundle)
         for got, want in zip(profile.first_derivatives(), ambient.first_derivatives()):
             assert _agree(got, want), case
@@ -1006,5 +1025,6 @@ class TestSharedSurface:
 
     def test_general_metric_gets_an_order_2_ambient_bundle(self):
         metric = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
-        b = bundle_of(metric, *rows_of(samples_for(builtin("euclidean"), count=3)))
+        rows = samples_for(builtin("euclidean"), count=3)
+        b = bundle_of(metric, rows.x, rows.y)
         assert isinstance(b, AmbientBundle) and b.f.order == 2

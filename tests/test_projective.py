@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import invariants_bundle, make_metric, rows_of, samples_for
+from conftest import invariants_bundle, make_metric, samples_for
 from finslercheck.metrics import ClosedFormProfile, ProfileBundle, SphericalMetric, builtin
 from finslercheck.projective import (
     constant_curvature_verdict,
@@ -87,7 +87,7 @@ class TestProjectivePDEs:
         for name in list(CURVATURE_CONSTANTS) + ["euclidean"]:
             metric = make_metric(name)
             samples = samples_for(metric, n=2, count=15)
-            pdes = np.maximum(*projective_pde_of(ProfileBundle.of(metric, *rows_of(samples))))
+            pdes = np.maximum(*projective_pde_of(ProfileBundle.of(metric, samples.x, samples.y)))
             for s, pde in zip(samples, pdes):
                 rap = rapcsak_residual(metric, s.x, s.y).max()
                 assert (rap <= 1e-8) == (pde <= 1e-8)
@@ -133,7 +133,7 @@ class TestProjectiveFactor:
         # oracle: P = F_{x^k} y^k / (2F) evaluated by ambient differentiation
         metric = make_metric(name)
         samples = samples_for(metric, n=2, count=15)
-        for s, p in zip(samples, p_of(ProfileBundle.of(metric, *rows_of(samples)))[0]):
+        for s, p in zip(samples, p_of(ProfileBundle.of(metric, samples.x, samples.y))[0]):
             amb = metric.ambient_jet(s.x, s.y, 1)
             grad = amb.gradient()
             oracle = float(grad[:2] @ s.y) / (2.0 * amb.value)
@@ -185,14 +185,16 @@ class TestFlagCurvature:
     def test_component_equation_cross_check(self, name):
         metric = make_metric(name)
         want = CURVATURE_CONSTANTS[name]
-        b = ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=20)))
+        rows = samples_for(metric, n=2, count=20)
+        b = ProfileBundle.of(metric, rows.x, rows.y)
         for resid in curvature_components_of(b, want):
             assert resid.max() <= 1e-9
 
 
 def bundle(metric, count):
     """The profile bundle of the metric's first ``count`` samples at n = 2."""
-    return ProfileBundle.of(metric, *rows_of(samples_for(metric, n=2, count=count)))
+    rows = samples_for(metric, n=2, count=count)
+    return ProfileBundle.of(metric, rows.x, rows.y)
 
 
 class TestVerdict:
