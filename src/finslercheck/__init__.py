@@ -14,7 +14,6 @@ from .metrics import (
     SphericalMetric,
     builtin,
     builtin_names,
-    invariants_of,
 )
 from .sampling import SampleSpec, sample_domain
 
@@ -32,7 +31,6 @@ __all__ = [
     "MetricSample",
     "builtin",
     "builtin_names",
-    "invariants_of",
     "SampleSpec",
     "sample_domain",
     "__version__",

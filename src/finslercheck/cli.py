@@ -59,6 +59,14 @@ def _range(sampling_cfg: dict, key: str):
     return value
 
 
+def _radius(cfg: dict, default: float, path: str) -> float:
+    """cfg["domain_radius"] (default when absent): a positive number, inf included."""
+    radius = _entry(cfg, "domain_radius", numbers.Real, default, path)
+    if not radius > 0.0:  # NaN fails
+        raise ConfigError(f"'{path}domain_radius' must be positive, got {radius!r}")
+    return float(radius)
+
+
 def _suggest(name: str, options) -> str:
     close = difflib.get_close_matches(name, list(options), n=1)
     return f" (did you mean '{close[0]}'?)" if close else ""
@@ -91,7 +99,7 @@ def _build_metric(cfg: dict, dimension: int):
         quad = _entry(fam, "quad", dict, {}, "metric.family.")
         abs_tol = _entry(quad, "abs_tol", numbers.Real, 1e-12, "metric.family.quad.")
         max_depth = _entry(quad, "max_depth", numbers.Integral, 40, "metric.family.quad.")
-        radius = _entry(fam, "domain_radius", numbers.Real, 1.0, "metric.family.")
+        radius = _radius(fam, 1.0, "metric.family.")
         try:
             spec = ProjectiveFamilySpec(
                 f=f,
@@ -100,7 +108,7 @@ def _build_metric(cfg: dict, dimension: int):
                 h=h,
                 abs_tol=float(abs_tol),
                 max_depth=int(max_depth),
-                domain_radius=float(radius),
+                domain_radius=radius,
             )
             return build_projective_metric(spec)
         except (FamilyError, ParseError) as err:
@@ -111,9 +119,9 @@ def _build_metric(cfg: dict, dimension: int):
             raise ConfigError("general config is missing 'F'")
         formula = _entry(gen, "F", str, None, "metric.general.")
         name = _entry(gen, "name", str, "general", "metric.general.")
-        radius = _entry(gen, "domain_radius", numbers.Real, math.inf, "metric.general.")
+        radius = _radius(gen, math.inf, "metric.general.")
         try:
-            return GeneralMetric.from_expression(formula, dimension, name=name, domain_radius=float(radius))
+            return GeneralMetric.from_expression(formula, dimension, name=name, domain_radius=radius)
         except ParseError as err:
             raise ConfigError(f"bad general metric formula: {err}") from err
     raise ConfigError("metric entry must contain 'name', 'family', or 'general'")

@@ -96,6 +96,8 @@ class ProjectiveFamilySpec:
             raise FamilyError(f"unknown baseline '{self.baseline}'")
         if self.baseline == "abs_corrected" and self.h is None:
             raise FamilyError("abs_corrected baseline needs an h formula")
+        if self.baseline == "plain" and self.h is not None:  # h(r)|v| is the abs_corrected term
+            raise FamilyError("plain baseline takes no h formula (h(r)|v| needs baseline abs_corrected)")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0.0):  # inf converges every panel at once
             raise FamilyError(f"quadrature abs_tol must be finite and positive, got {self.abs_tol!r}")
         if self.max_depth < 1:
@@ -317,18 +319,15 @@ class FamilyProfile:
         self.fam = fam
 
     def jet(self, r, u, v, order: int) -> Jet:
-        """The jet at one point, or at N points when r, u and v are length-N arrays:
-        one lockstep quadrature serves all N, evaluated last (its error means all else
-        passed), and column i is bit for bit the jet at point i alone."""
-        one_point = np.ndim(r) == 0
-        r, u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (r, u, v))
+        """The jet at N points (r, u and v length-N arrays): one lockstep quadrature
+        serves all N, evaluated last (its error means all else passed), and column i
+        is bit for bit the jet at point i alone."""
         rj = lift_var(R, r, 3, order)
         vj = lift_var(V, v, 3, order)
         terms = [expr_mod.evaluate(self.fam.g_ast, {"r": rj}) * vj]
         if self.fam.h_ast is not None:
             terms.append(expr_mod.evaluate(self.fam.h_ast, {"r": rj}) * absval(vj))
-        phi = sum(terms, _assemble(self.fam, r, u, v, order))
-        return Jet(3, order, phi.coeffs[:, 0]) if one_point else phi
+        return sum(terms, _assemble(self.fam, r, u, v, order))
 
 
 def build_projective_metric(spec: ProjectiveFamilySpec, name: str | None = None) -> SphericalMetric:

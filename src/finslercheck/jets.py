@@ -124,9 +124,6 @@ class Jet:
             ) from None
         return _point(self.coeffs[pos] * derivative_factors(self.nvars, self.order)[pos])
 
-    def gradient(self) -> np.ndarray:
-        return self.coeffs[1 : 1 + self.nvars].copy()
-
     def _dense(self, degree: int) -> np.ndarray:
         m = self.nvars
         derivs = (self.coeffs.T * derivative_factors(m, self.order)).T

@@ -3,9 +3,10 @@
 A spherically symmetric metric is carried by its profile phi(r, u, v) with
 r = |x|, u = |y|, v = <x,y>; F(x,y) = phi(|x|, |y|, <x,y>).  phi must be
 positive and positively 1-homogeneous in (u, v).  Profile jets use the
-variable order r=0, u=1, v=2 throughout.  A ``MetricSample`` holds one
-point-direction pair, or the rows of two (N, n) arrays x and y, with their
-invariants r, u and v (scalars, or length-N arrays).
+variable order r=0, u=1, v=2 throughout, and ``SphericalMetric.phi_jets`` is
+the one evaluator of a profile (``phi_jet`` its one-row case).  A
+``MetricSample`` holds one point-direction pair, or the rows of two (N, n)
+arrays x and y, with their invariants r, u and v (scalars, or length-N arrays).
 
 General metrics carry F(x, y) directly and are differentiated with jets in
 the 2n ambient variables (x^1..x^n, y^1..y^n).  A spherical metric's jets in
@@ -77,12 +78,6 @@ def invariant_rows(x, y):
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
     return r, u, np.minimum(np.maximum(np.vecdot(x, y), -bound), bound)
-
-
-def invariants_of(x, y) -> tuple[float, float, float]:
-    """``invariant_rows`` of one point-direction pair, as floats."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return tuple(float(w) for w in invariant_rows(x, y))
 
 
 @dataclass(frozen=True)
@@ -159,45 +154,24 @@ class SphericalMetric:
     params: dict = field(default_factory=dict)
 
     def phi_jet(self, r: float, u: float, v: float, order: int = 2) -> Jet:
-        if u <= 0.0 or r >= self.domain_radius:
-            raise self._outside(r, u)
-        return self.profile.jet(r, u, v, order)
-
-    def _outside(self, r: float, u: float, index: int = 0) -> MetricDomainError:
-        """The domain error of a triple with u <= 0 or r >= domain_radius."""
-        if u <= 0.0:
-            return MetricDomainError("u must be positive", index)
-        message = f"|x| = {r} outside domain of {self.name} (radius {self.domain_radius})"
-        return MetricDomainError(message, index)
+        """The profile's jet at one triple: the one-row case of ``phi_jets``."""
+        triple = (np.array([w], dtype=float) for w in (r, u, v))
+        return Jet(3, order, self.phi_jets(*triple, order)[:, 0])
 
     def phi_jets(self, r, u, v, order: int = 2) -> np.ndarray:
-        """``phi_jet`` at N invariant triples (length-N arrays) as (ncoeff, N)
-        coefficients, column i bit for bit ``phi_jet`` at triple i.
-
-        The profile's ``jet`` takes all N triples in one call: a closed-form
-        profile lifts them as N-point variables, a family profile runs one
-        lockstep quadrature over them.  A single triple goes through
-        ``phi_jet``: a one-point caller evaluates one ``phi_jet``.
-        """
-        if len(r) == 1:
-            return self.phi_jet(r.item(), u.item(), v.item(), order).coeffs[:, None]
+        """The profile's jet at N invariant triples (length-N arrays), as (ncoeff, N)
+        coefficients: the profile's ``jet`` takes all N in one call (a closed-form
+        profile lifts them as N-point variables, a family profile runs one lockstep
+        quadrature over them), and column i is bit for bit the jet at triple i alone.
+        The first triple with u <= 0 or r >= domain_radius is refused first."""
         outside = (u <= 0.0) | (r >= self.domain_radius)
         if np.count_nonzero(outside):
             i = int(outside.argmax())
-            raise self._outside(float(r[i]), float(u[i]), i)
+            if u[i] <= 0.0:
+                raise MetricDomainError("u must be positive", i)
+            message = f"|x| = {float(r[i])} outside domain of {self.name} (radius {self.domain_radius})"
+            raise MetricDomainError(message, i)
         return _columns(self.profile.jet(r, u, v, order).coeffs, len(r))
-
-    def phi_value(self, r: float, u: float, v: float) -> float:
-        return self.phi_jet(r, u, v, order=0).value
-
-    def evaluate(self, x, y) -> float:
-        r, u, v = invariants_of(x, y)
-        value = self.phi_value(r, u, v)
-        if not value > 0.0:
-            raise MetricDomainError(
-                f"{self.name} is not positive at r={r}, u={u}, v={v}: phi={value}"
-            )
-        return value
 
     def ambient_jet(self, x, y, order: int, columns=None) -> Jet:
         """Jet of F in the 2n variables (x^1..x^n, y^1..y^n), at N points when x
@@ -300,12 +274,6 @@ class GeneralMetric:
             raise MetricDomainError(f"{self.name} is {self.n}-dimensional")
         v = _ambient_variables(x, y, order)
         return self.fn(v[: self.n], v[self.n :])
-
-    def evaluate(self, x, y) -> float:
-        value = self.ambient_jet(x, y, 0).value
-        if not value > 0.0:
-            raise MetricDomainError(f"{self.name} is not positive at x={x}, y={y}")
-        return value
 
 
 # -- scale-free residual helpers -----------------------------------------------

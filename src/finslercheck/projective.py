@@ -103,21 +103,6 @@ def curvature_pde_of(b: ProfileBundle, lam: float) -> tuple[np.ndarray, np.ndarr
     return c_u, c_v
 
 
-def curvature_components_of(b: ProfileBundle, lam: float) -> np.ndarray:
-    """Component-wise residual of P_{x^k} = P P_{y^k} - lambda F F_{y^k}, (N, n)."""
-    p, p_r, p_u, p_v = (a[:, None] for a in p_of(b))
-    x, y, r, u = b.x, b.y, b.r[:, None], b.u[:, None]
-    lam_phi = lam * b.phi[:, None]
-    return relative_residual(
-        p_r * x / r,
-        p_v * y,
-        -p * (p_u * y / u),
-        -p * (p_v * x),
-        lam_phi * (b.phi_u[:, None] * y / u),
-        lam_phi * (b.phi_v[:, None] * x),
-    )
-
-
 # -- pointwise wrappers ------------------------------------------------------------
 
 

@@ -92,6 +92,8 @@ class SampleSpec:
             u_range=tuple(u_range) if u_range else DEFAULT_U_RANGE,
         )
         spec.validate()
+        if spec.r_range[1] >= domain_radius:  # such points lie outside the metric's domain
+            raise ValueError(f"r_range {list(spec.r_range)} must end below the domain radius {domain_radius}")
         return spec
 
 

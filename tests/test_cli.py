@@ -241,6 +241,29 @@ class TestRunConfig:
             ),
             ({"metric": {"name": "funk", "params": {"alpha": 0.5}}}, "unknown parameter 'metric.params.alpha' of metric 'funk'"),
             ({"metric": {"name": "funk", "params": [0.5]}}, "'metric.params'"),
+            # an h under the plain baseline added h(r)|v| without a word; a radius of 0,
+            # below 0 or NaN failed the build without naming its key; an r_range
+            # reaching the domain radius sampled points outside it, and every check failed (exit 1)
+            (family_metric(baseline="plain"), "plain baseline takes no h formula"),
+            (family_metric(domain_radius=0), "'metric.family.domain_radius' must be positive, got 0"),
+            (family_metric(domain_radius=-1.0), "'metric.family.domain_radius' must be positive, got -1.0"),
+            (family_metric(domain_radius=math.nan), "'metric.family.domain_radius' must be positive, got nan"),
+            (
+                {"metric": {"general": {"F": "sqrt(y1^2 + y2^2)", "domain_radius": 0.0}}},
+                "'metric.general.domain_radius' must be positive, got 0.0",
+            ),
+            (
+                {"metric": {"general": {"F": "sqrt(y1^2 + y2^2)", "domain_radius": math.nan}}},
+                "'metric.general.domain_radius' must be positive, got nan",
+            ),
+            (
+                {"sampling": {"count": 5, "seed": 7, "r_range": [0.05, 1.5]}},
+                "r_range [0.05, 1.5] must end below the domain radius 1.0",
+            ),
+            (
+                {"sampling": {"count": 5, "seed": 7, "r_range": [0.5, 1.0]}},
+                "r_range [0.5, 1.0] must end below the domain radius 1.0",
+            ),
         ],
     )
     def test_malformed_config_type_exit_two(self, tmp_path, capsys, overrides, key):

@@ -130,6 +130,9 @@ class TestPrechecks:
             ProjectiveFamilySpec(f="1", baseline="nope").validate()
         with pytest.raises(FamilyError):
             ProjectiveFamilySpec(f="1", baseline="abs_corrected").validate()
+        # h(r)|v| is the abs_corrected term; under plain it was added all the same
+        with pytest.raises(FamilyError, match="plain baseline takes no h formula"):
+            ProjectiveFamilySpec(f="1", h="1/(1-r^2)").validate()
         for tol in (0.0, math.inf, math.nan):  # an infinite tolerance converges every panel at once
             with pytest.raises(FamilyError, match="abs_tol must be finite and positive"):
                 ProjectiveFamilySpec(f="1", abs_tol=tol).validate()
@@ -150,7 +153,7 @@ def _one_point_build_failure(spec):
     metric = SphericalMetric("spots", FamilyProfile(fam), spec.domain_radius)
     for r, u, v in _spot_triples(spec.domain_radius).tolist():
         try:
-            phi = metric.phi_value(r, u, v)
+            phi = metric.phi_jet(r, u, v, 0).value
         except EvaluationError as err:
             return str(err)
         if not phi > 0.0:
@@ -162,30 +165,30 @@ class TestBuiltMetrics:
     def test_unit_f_is_euclidean(self):
         metric = build_projective_metric(ProjectiveFamilySpec(f="1"))
         euclid = builtin("euclidean")
-        for s in samples_for(euclid, n=2, count=20, seed=3):
-            if s.r >= 0.9:
-                continue
-            assert abs(metric.phi_value(s.r, s.u, s.v) - s.u) < 1e-12
+        s = samples_for(euclid, n=2, count=20, seed=3)
+        inside = s.r < 0.9
+        [phi] = metric.phi_jets(s.r[inside], s.u[inside], s.v[inside], 0)
+        assert np.abs(phi - s.u[inside]).max() < 1e-12
 
     def test_funk_reconstruction_pointwise(self):
         metric = build_projective_metric(FUNK_SPEC)
         funk = builtin("funk")
-        for s in samples_for(funk, n=2, count=100):
-            a = metric.phi_value(s.r, s.u, s.v)
-            b = funk.phi_value(s.r, s.u, s.v)
-            assert abs(a - b) / b <= 1e-10
+        s = samples_for(funk, n=2, count=100)
+        [a] = metric.phi_jets(s.r, s.u, s.v, 0)
+        [b] = funk.phi_jets(s.r, s.u, s.v, 0)
+        assert (abs(a - b) / b).max() <= 1e-10
 
     def test_funk_reconstruction_spot_value(self):
         metric = build_projective_metric(FUNK_SPEC)
         # 2/3 from the integral plus (0.5 + 0.5)/0.75 from the baseline
-        assert abs(metric.phi_value(0.5, 1.0, 0.5) - 2.0) < 1e-11
+        assert abs(metric.phi_jet(0.5, 1.0, 0.5, 0).value - 2.0) < 1e-11
 
     def test_f_only_metric_reversible(self):
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
-        for s in samples_for(metric, n=2, count=20):
-            a = metric.phi_value(s.r, s.u, s.v)
-            b = metric.phi_value(s.r, s.u, -s.v)
-            assert abs(a - b) / a <= 1e-12
+        s = samples_for(metric, n=2, count=20)
+        [a] = metric.phi_jets(s.r, s.u, s.v, 0)
+        [b] = metric.phi_jets(s.r, s.u, -s.v, 0)
+        assert (abs(a - b) / a).max() <= 1e-12
 
     def test_phi_u_equals_f_of_invariant(self):
         metric = build_projective_metric(FUNK_SPEC)
@@ -280,7 +283,7 @@ class TestBuiltMetrics:
         mc = build_projective_metric(coarse)
         mf = build_projective_metric(fine)
         for r, u, v in [(0.3, 1.2, -0.4), (0.7, 0.4, 0.2), (0.5, 2.0, 1.3)]:
-            assert abs(mc.phi_value(r, u, v) - mf.phi_value(r, u, v)) <= 1e-10
+            assert abs(mc.phi_jet(r, u, v, 0).value - mf.phi_jet(r, u, v, 0).value) <= 1e-10
 
     def test_third_order_profile_jet_matches_closed_form(self):
         metric = build_projective_metric(FUNK_SPEC)
@@ -301,7 +304,7 @@ class TestBuiltMetrics:
             a = metric.ambient_jet(x.T, y.T, order)
             b = funk.ambient_jet(x.T, y.T, order)
             assert np.abs(a.coeffs[0] - b.coeffs[0]).max() < 1e-11
-            assert np.abs(a.gradient() - b.gradient()).max() < 1e-9
+            assert np.abs(a.coeffs[1:5] - b.coeffs[1:5]).max() < 1e-9
             assert np.abs(a.hessian() - b.hessian()).max() < 1e-8
         assert np.abs(a.third_tensor() - b.third_tensor()).max() < 1e-7
 

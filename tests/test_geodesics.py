@@ -292,18 +292,19 @@ class TestCsvDump:
 
 
 def test_spray_evaluates_one_profile_jet(monkeypatch):
+    # one one-row order-2 ``phi_jets`` call
     calls = []
-    original = SphericalMetric.phi_jet
+    original = SphericalMetric.phi_jets
 
     def counting(self, r, u, v, order=2):
-        calls.append(order)
+        calls.append((len(r), order))
         return original(self, r, u, v, order)
 
-    monkeypatch.setattr(SphericalMetric, "phi_jet", counting)
+    monkeypatch.setattr(SphericalMetric, "phi_jets", counting)
     for name in ("funk", "klein"):
         calls.clear()
         spray_general(builtin(name), [0.3, -0.2], [0.9, 0.4])
-        assert calls == [2]
+        assert calls == [(1, 2)]
 
 
 def test_spray_at_origin_is_finite():

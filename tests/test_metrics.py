@@ -23,7 +23,6 @@ from finslercheck.metrics import (
     bundle_of,
     fundamental_tensor,
     invariant_rows,
-    invariants_of,
     positive_definite,
     quotient,
     relative_residual,
@@ -35,23 +34,23 @@ from finslercheck.sampling import SampleSpec, sample_domain
 
 class TestInvariants:
     def test_orthogonal_pair(self):
-        assert invariants_of([0.5, 0.0], [0.0, 1.0]) == (0.5, 1.0, 0.0)
+        assert invariant_rows([0.5, 0.0], [0.0, 1.0]) == (0.5, 1.0, 0.0)
 
     def test_parallel_pair(self):
-        assert invariants_of([0.5, 0.0], [1.0, 0.0]) == (0.5, 1.0, 0.5)
+        assert invariant_rows([0.5, 0.0], [1.0, 0.0]) == (0.5, 1.0, 0.5)
 
     def test_origin(self):
-        assert invariants_of([0.0, 0.0], [3.0, 4.0]) == (0.0, 5.0, 0.0)
+        assert invariant_rows([0.0, 0.0], [3.0, 4.0]) == (0.0, 5.0, 0.0)
 
     def test_zero_direction_rejected(self):
         with pytest.raises(MetricDomainError):
-            invariants_of([0.5, 0.0], [0.0, 0.0])
+            invariant_rows([0.5, 0.0], [0.0, 0.0])
 
     def test_cauchy_schwarz_clamp(self):
         # colinear with rounding: |v| must never exceed r*u
         x = np.array([0.1234567890123456] * 3)
         y = 7.0 * x
-        r, u, v = invariants_of(x, y)
+        r, u, v = invariant_rows(x, y)
         assert abs(v) <= r * u
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -69,8 +68,8 @@ class TestInvariants:
             want.append((r, u, min(max(float(np.dot(a, b)), -r * u), r * u)))
         for got, expected in zip(invariant_rows(x, y), np.array(want).T):
             assert got.tobytes() == expected.tobytes()
-        for a, b, expected in zip(x[:110], y[:110], want):
-            assert np.array(invariants_of(a, b)).tobytes() == np.array(expected).tobytes()
+        for a, b, expected in zip(x[:110], y[:110], want):  # one pair: n-vectors
+            assert np.array(invariant_rows(a, b)).tobytes() == np.array(expected).tobytes()
 
     def test_rows_zero_direction_rejected(self):
         with pytest.raises(MetricDomainError):
@@ -106,26 +105,34 @@ class TestClosedFormProfile:
             builtin("funk").profile.jet(np.array([0.3, 0.4]), np.ones(2), np.zeros(2), -1)
 
 
+def F_at(metric, x, y):
+    """F at one point-direction pair, from ``bundle_of`` its one row."""
+    return bundle_of(metric, np.array([x], dtype=float), np.array([y], dtype=float)).F[0]
+
+
 class TestEvaluate:
     def test_funk_hand_value(self):
         # (sqrt(1*(1-0.25)+0.25) + 0.5) / 0.75 = (1 + 0.5)/0.75
-        assert builtin("funk").evaluate([0.5, 0.0], [1.0, 0.0]) == 2.0
+        assert F_at(builtin("funk"), [0.5, 0.0], [1.0, 0.0]) == 2.0
 
     def test_klein_hand_value(self):
         want = math.sqrt(0.75) / 0.75
-        assert abs(builtin("klein").evaluate([0.5, 0.0], [0.0, 1.0]) - want) < 1e-15
+        assert abs(F_at(builtin("klein"), [0.5, 0.0], [0.0, 1.0]) - want) < 1e-15
 
     def test_euclidean_norm(self):
-        assert builtin("euclidean").evaluate([0.3, -0.1], [3.0, 4.0]) == 5.0
+        assert F_at(builtin("euclidean"), [0.3, -0.1], [3.0, 4.0]) == 5.0
 
     def test_outside_domain_rejected(self):
         with pytest.raises(MetricDomainError):
-            builtin("funk").evaluate([1.2, 0.0], [1.0, 0.0])
+            F_at(builtin("funk"), [1.2, 0.0], [1.0, 0.0])
 
     def test_nonpositive_profile_flagged(self):
+        # phi = 1 - 2*1.5^2 < 0: the spray refuses it (the checks count F <= 0 as failing)
         bad = SphericalMetric("bad", ClosedFormProfile(lambda r, u, v: u - 2.0 * v * (v / u)))
-        with pytest.raises(MetricDomainError):
-            bad.evaluate([1.5, 0.0], [1.0, 0.0])  # phi = 1 - 2*1.5^2 < 0
+        b = bundle_of(bad, np.array([[1.5, 0.0]]), np.array([[1.0, 0.0]]))
+        assert b.F[0] < 0.0
+        with pytest.raises(NotStronglyConvexError):
+            b.spray()
 
 
 class TestProfileJets:
@@ -234,8 +241,8 @@ class TestBatchedProfileBundle:
             samples = samples_for(metric, n=2, count=8)
             want = []
             for s in samples:
-                forward = metric.phi_value(s.r, s.u, s.v)
-                want.append(abs(metric.phi_value(s.r, s.u, -s.v) - forward) / forward)
+                forward = metric.phi_jet(s.r, s.u, s.v, 0).value
+                want.append(abs(metric.phi_jet(s.r, s.u, -s.v, 0).value - forward) / forward)
             got = reversibility_residuals(metric, samples.x, samples.y)
             assert got.tobytes() == np.array(want).tobytes()
 
@@ -450,7 +457,7 @@ class TestFundamentalTensor:
         metric = make_metric(name)
         for s in samples_for(metric, n=3, count=25):
             g = fundamental_tensor(metric, s.x, s.y)
-            f = metric.evaluate(s.x, s.y)
+            f = F_at(metric, s.x, s.y)
             assert abs(float(s.y @ g @ s.y) - f * f) / (f * f) < 1e-10
 
     def test_zero_homogeneous_in_y(self):
@@ -527,7 +534,7 @@ class TestConvexity:
         assert not far_pd
         eig = np.linalg.eigvalsh(ad_tensors(wide, near_far)[1])
         assert eig[0] < 0.0 < eig[-1]
-        assert wide.evaluate(1.5 * x, y) > 0.0
+        assert F_at(wide, 1.5 * x, y) > 0.0
         narrow = make_metric("bryant")
         for _, direct_pd in convexity(narrow, samples_for(narrow, n=3, count=40)):
             assert direct_pd
@@ -559,20 +566,20 @@ class TestHomogeneity:
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_metric_scaling_invariance(self, name, lam):
         metric = make_metric(name)
-        for s in samples_for(metric, n=2, count=20):
-            f1 = metric.evaluate(s.x, s.y)
-            f2 = metric.evaluate(s.x, lam * s.y)
-            assert abs(f2 - lam * f1) / (lam * f1) <= 1e-12
+        s = samples_for(metric, n=2, count=20)
+        f1 = bundle_of(metric, s.x, s.y).F
+        f2 = bundle_of(metric, s.x, lam * s.y).F
+        assert (abs(f2 - lam * f1) / (lam * f1)).max() <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.7])
     def test_general_metric_scaling_invariance(self, lam):
         from finslercheck.metrics import GeneralMetric
 
         metric = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
-        for s in samples_for(builtin("spherical"), n=2, count=10):
-            f1 = metric.evaluate(s.x, s.y)
-            f2 = metric.evaluate(s.x, lam * s.y)
-            assert abs(f2 - lam * f1) / (lam * f1) <= 1e-12
+        s = samples_for(builtin("spherical"), n=2, count=10)
+        f1 = bundle_of(metric, s.x, s.y).F
+        f2 = bundle_of(metric, s.x, lam * s.y).F
+        assert (abs(f2 - lam * f1) / (lam * f1)).max() <= 1e-12
 
 
 def reversibility_at(metric, x, y):
@@ -658,10 +665,10 @@ class TestBuiltins:
     def test_bryant_zero_equals_spherical(self):
         bryant0 = builtin("bryant", alpha=0.0)
         spherical = builtin("spherical")
-        for s in samples_for(spherical, n=2, count=500):
-            a = bryant0.phi_value(s.r, s.u, s.v)
-            b = spherical.phi_value(s.r, s.u, s.v)
-            assert abs(a - b) / b <= 1e-12
+        s = samples_for(spherical, n=2, count=500)
+        [a] = bryant0.phi_jets(s.r, s.u, s.v, 0)
+        [b] = spherical.phi_jets(s.r, s.u, s.v, 0)
+        assert (abs(a - b) / b).max() <= 1e-12
 
 
 class TestExpressionProfile:
@@ -695,7 +702,7 @@ class TestAmbientRoute:
         for s in samples_for(metric, n=2, count=10):
             f, fx, fy = (a[0] for a in bundle_of(metric, s.x[None], s.y[None]).first_derivatives())
             amb = metric.ambient_jet(s.x, s.y, 1)
-            grad = amb.gradient()
+            grad = amb.coeffs[1:5]
             assert abs(f - amb.value) < 1e-12
             assert np.abs(fx - grad[:2]).max() < 1e-10
             assert np.abs(fy - grad[2:]).max() < 1e-10

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import invariants_bundle, make_metric, samples_for
-from finslercheck.metrics import ClosedFormProfile, ProfileBundle, SphericalMetric, builtin
+from finslercheck.metrics import (
+    ClosedFormProfile,
+    ProfileBundle,
+    SphericalMetric,
+    builtin,
+    relative_residual,
+)
 from finslercheck.projective import (
     constant_curvature_verdict,
-    curvature_components_of,
     curvature_pde_of,
     flag_curvature,
     p_of,
@@ -101,7 +106,7 @@ class TestProjectivePDEs:
                 if abs(s.v) < 1e-6:
                     continue
                 p = metric.phi_jet(s.r, s.u, s.v, 2)
-                phi_r, phi_u, phi_v = p.gradient()
+                phi_r, phi_u, phi_v = p.coeffs[1:4]
                 lhs1 = p.partial(0, 2)
                 rhs1 = (phi_r - s.u * p.partial(0, 1)) / s.v
                 scale1 = abs(lhs1) + abs(rhs1) + 1e-30
@@ -135,7 +140,7 @@ class TestProjectiveFactor:
         samples = samples_for(metric, n=2, count=15)
         for s, p in zip(samples, p_of(ProfileBundle.of(metric, samples.x, samples.y))[0]):
             amb = metric.ambient_jet(s.x, s.y, 1)
-            grad = amb.gradient()
+            grad = amb.coeffs[1:5]
             oracle = float(grad[:2] @ s.y) / (2.0 * amb.value)
             assert abs(p - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
@@ -183,12 +188,24 @@ class TestFlagCurvature:
 
     @pytest.mark.parametrize("name", list(CURVATURE_CONSTANTS))
     def test_component_equation_cross_check(self, name):
+        # P_{x^k} = P P_{y^k} - lambda F F_{y^k}, component by component, with
+        # P_x = P_r x/r + P_v y, P_y = P_u y/u + P_v x and F_y = phi_u y/u + phi_v x
         metric = make_metric(name)
-        want = CURVATURE_CONSTANTS[name]
+        lam = CURVATURE_CONSTANTS[name]
         rows = samples_for(metric, n=2, count=20)
         b = ProfileBundle.of(metric, rows.x, rows.y)
-        for resid in curvature_components_of(b, want):
-            assert resid.max() <= 1e-9
+        p, p_r, p_u, p_v = (a[:, None] for a in p_of(b))
+        x, y, r, u = b.x, b.y, b.r[:, None], b.u[:, None]
+        lam_phi = lam * b.phi[:, None]
+        resid = relative_residual(
+            p_r * x / r,
+            p_v * y,
+            -p * (p_u * y / u),
+            -p * (p_v * x),
+            lam_phi * (b.phi_u[:, None] * y / u),
+            lam_phi * (b.phi_v[:, None] * x),
+        )
+        assert resid.max() <= 1e-9
 
 
 def bundle(metric, count):

@@ -142,6 +142,9 @@ class TestSampleDomain:
             SampleSpec.for_metric(n=2, count=5, seed=7, r_range=(0.01, 0.9))
         with pytest.raises(ValueError):
             SampleSpec.for_metric(n=2, count=5, seed=7, u_range=(0.1, 3.0))
+        for hi in (1.0, 1.5):  # points at r >= 1 lie outside a unit ball
+            with pytest.raises(ValueError, match=rf"r_range \[0.05, {hi}\] must end below the domain radius 1.0"):
+                SampleSpec.for_metric(n=2, count=5, seed=7, domain_radius=1.0, r_range=(0.05, hi))
 
     def test_different_seeds_differ(self):
         a = sample_domain(SampleSpec.for_metric(n=2, count=5, seed=1, domain_radius=1.0))
