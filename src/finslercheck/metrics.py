@@ -163,7 +163,7 @@ class SphericalMetric:
         coefficients: the profile's ``jet`` takes all N in one call (a closed-form
         profile lifts them as N-point variables, a family profile runs one lockstep
         quadrature over them), and column i is bit for bit the jet at triple i alone.
-        The first triple with u <= 0 or r >= domain_radius is refused first."""
+        The first triple with u <= 0 or r >= domain_radius is refused before any evaluation."""
         outside = (u <= 0.0) | (r >= self.domain_radius)
         if np.count_nonzero(outside):
             i = int(outside.argmax())
