@@ -7,6 +7,8 @@ regardless of how callers might parallelize in the future.  Every runner
 takes the run's ``Run``, which builds each derivative bundle of the samples
 (the rows of one ``MetricSample``) on first use, names the sample at which a
 build fails, and shares the bundle (or the error) with every later check.
+``CHECKS`` is the one table of the checks: each name's runner, default
+tolerance and what it reads of the run.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .metrics import (
     SphericalMetric,
     _first_failure,
     ambient_invariants,
-    positive_definite,
-    profile_columns,
+    cholesky_rows,
     relative_residual,
     reversibility_residuals,
     riemannian_probe_of,
@@ -43,24 +44,6 @@ from .report import CheckRecord
 
 class ConfigError(ValueError):
     """Bad configuration: unknown names, wrong metric kind, invalid params."""
-
-
-DEFAULT_TOLERANCES = {
-    "homogeneity": 1e-9,
-    "convexity": 0.0,
-    "symmetry": 1e-9,
-    "symmetry_tensor": 1e-8,
-    "cartan": 1e-9,
-    "rapcsak": 1e-8,
-    "projective_pde": 1e-8,
-    "curvature": 1e-6,
-    "curvature_pde": 1e-8,
-    "det_g": 1e-8,
-    "fundamental_ad": 1e-9,
-    "reversibility": 1e-9,
-    "geodesics": 1e-6,
-    "conjecture": 1e-8,
-}
 
 
 def _named(build, samples: MetricSample):
@@ -78,11 +61,12 @@ def _named(build, samples: MetricSample):
 class Run:
     """One verify run: the metric, its samples, tolerances and check names, and the
     samples' derivative bundles, each built on first use and then read by every
-    check.  A spherical metric's profile is evaluated once for both bundles, at
-    ``profile_order``.  A build that fails is not retried: every later read
-    raises the same error.  If that evaluation fails at order 3, the profile
-    bundle makes its own order-2 call and the ambient bundle fails with the
-    same error, or with the refusal of x = 0 at a row that is not higher."""
+    check.  A spherical metric's profile is evaluated once, by the profile
+    bundle at ``profile_order``, and its ambient bundle is composed from that
+    bundle's ``columns``.  A build that fails is not retried: every later read
+    raises the same error.  So if that evaluation fails, every check that reads
+    either bundle fails at the same sample; the ambient bundle names x = 0
+    instead at a row that is not higher."""
 
     metric: object
     samples: MetricSample
@@ -109,24 +93,11 @@ class Run:
         """3 when a spherical metric's checks read ``ambient``, composed from order-3
         profile jets, else 2."""
         spherical = isinstance(self.metric, SphericalMetric)
-        return 3 if spherical and _AMBIENT_CHECKS.intersection(self.checks) else 2
-
-    def _columns(self):
-        """The samples' ``profile_columns`` at ``profile_order``, from one call."""
-        return self._once("columns", lambda x, y: profile_columns(self.metric, x, y, self.profile_order))
+        return 3 if spherical and any("ambient" in CHECKS[name][2] for name in self.checks) else 2
 
     @property
     def profile(self) -> ProfileBundle:
-        def build(x, y):
-            try:
-                columns = self._columns()
-            except EvaluationError:
-                if self.profile_order == 2:
-                    raise
-                columns = None  # its own order-2 call: an order-3 failure fails only ``ambient``
-            return ProfileBundle.of(self.metric, x, y, columns)
-
-        return self._once("profile", build)
+        return self._once("profile", lambda x, y: ProfileBundle.of(self.metric, x, y, self.profile_order))
 
     @property
     def ambient(self) -> AmbientBundle:
@@ -134,7 +105,7 @@ class Run:
             if self.profile_order == 2:
                 return AmbientBundle.of(self.metric, x, y, 3)
             try:
-                columns = self._columns()
+                columns = self.profile.columns
             except EvaluationError as err:  # the bundle's own call would fail alike
                 ambient_invariants(x[: err.index + 1], y[: err.index + 1])  # x = 0 is refused first
                 raise
@@ -189,12 +160,7 @@ def check_homogeneity(run, tol, params):
 
 def check_convexity(run, tol, params):
     b = run.profile
-    g = b.g()
-    try:
-        np.linalg.cholesky(g)  # one stacked factorisation; row by row only when one fails
-        failed = np.zeros(len(g), dtype=bool)
-    except np.linalg.LinAlgError:
-        failed = np.array([not positive_definite(gi) for gi in g])
+    _, failed = cholesky_rows(b.g())
     fraction = int(failed.sum()) / len(run.samples)
     detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
     # the first failing sample, or the first sample when none fails; F <= 0 fails
@@ -409,40 +375,42 @@ def check_conjecture(run, tol, params):
     return [_record("conjecture", run, probe_max, samples[rev_at], tol, detail, passed)]
 
 
-_RUNNERS = {
-    "homogeneity": check_homogeneity,
-    "convexity": check_convexity,
-    "symmetry": check_symmetry,
-    "symmetry_tensor": check_symmetry_tensor,
-    "cartan": check_cartan,
-    "rapcsak": check_rapcsak,
-    "projective_pde": check_projective_pde,
-    "curvature": check_curvature,
-    "det_g": check_det_g,
-    "fundamental_ad": check_fundamental_ad,
-    "reversibility": check_reversibility,
-    "geodesics": check_geodesics,
-    "conjecture": check_conjecture,
+# name -> (runner, default tolerance, the ``Run`` items it reads).  ``profile`` and
+# ``reversibility`` evaluate phi, so a check reading either needs a spherical metric;
+# ``first_order`` is the profile bundle of a spherical metric, else the ambient one.
+CHECKS = {
+    "homogeneity": (check_homogeneity, 1e-9, ("profile",)),
+    "convexity": (check_convexity, 0.0, ("profile",)),
+    "symmetry": (check_symmetry, 1e-9, ("first_order",)),
+    "symmetry_tensor": (check_symmetry_tensor, 1e-8, ("ambient",)),
+    "cartan": (check_cartan, 1e-9, ("ambient",)),
+    "rapcsak": (check_rapcsak, 1e-8, ("first_order",)),
+    "projective_pde": (check_projective_pde, 1e-8, ("profile",)),
+    "curvature": (check_curvature, 1e-6, ("profile",)),
+    "det_g": (check_det_g, 1e-8, ("profile",)),
+    "fundamental_ad": (check_fundamental_ad, 1e-9, ("profile", "ambient")),
+    "reversibility": (check_reversibility, 1e-9, ("reversibility",)),
+    "geodesics": (check_geodesics, 1e-6, ()),
+    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile")),
 }
 
-CHECK_NAMES = sorted(_RUNNERS)
-
-_AMBIENT_CHECKS = {"symmetry_tensor", "cartan", "fundamental_ad"}  # they read run.ambient
-_PROFILE_CHECKS = {"homogeneity", "convexity", "projective_pde", "curvature", "det_g",
-                   "fundamental_ad", "reversibility", "conjecture"}  # they read phi(r, u, v)
+CHECK_NAMES = sorted(CHECKS)
+# the checks' tolerances, and that of the curvature check's second record
+DEFAULT_TOLERANCES = {name: tol for name, (_, tol, _) in CHECKS.items()} | {"curvature_pde": 1e-8}
 
 
 def run_check(name, run, params):
     """Run one named check over ``run``; sharing one ``Run`` across a run's checks
     builds each bundle at most once.  An evaluation failure at one of the samples
     fails the check with one record naming that sample (``detail.evaluation_error``)."""
-    if name not in _RUNNERS:
+    if name not in CHECKS:
         raise ConfigError(f"unknown check '{name}'")
-    if name in _PROFILE_CHECKS and not isinstance(run.metric, SphericalMetric):
+    runner, _, reads = CHECKS[name]
+    if {"profile", "reversibility"}.intersection(reads) and not isinstance(run.metric, SphericalMetric):
         raise ConfigError(f"check '{name}' needs a spherically symmetric metric")
     tol = run.tolerance(name)
     try:
-        return _RUNNERS[name](run, tol, params)
+        return runner(run, tol, params)
     except EvaluationError as err:
         if getattr(err, "sample", None) is None:
             raise

@@ -255,50 +255,44 @@ def serialize(node) -> str:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def evaluate(node, bindings: dict[str, Jet], nvars: int | None = None, order: int | None = None):
+def evaluate(node, bindings: dict[str, Jet]):
     """Evaluate an AST over jet bindings by structural recursion.
 
-    Jet shape is taken from the bindings unless given explicitly (needed
-    only for expressions with no variables and no bindings).
+    The bindings (at least one) share one jet shape, which constants take.
     """
-    if bindings:
-        sample = next(iter(bindings.values()))
-        nvars, order = sample.nvars, sample.order
-        for v in bindings.values():
-            if v.nvars != nvars or v.order != order:
-                raise ValueError("all bound jets must share nvars and order")
-    elif nvars is None or order is None:
-        raise ValueError("need nvars and order to evaluate a variable-free expression")
+    if not bindings:
+        raise ValueError("need a bound jet to evaluate an expression over")
+    sample = next(iter(bindings.values()))
+    for v in bindings.values():
+        if v.nvars != sample.nvars or v.order != sample.order:
+            raise ValueError("all bound jets must share nvars and order")
+    return _evaluate(node, bindings, sample.nvars, sample.order)
 
-    def ev(n):
-        try:
-            if isinstance(n, Const):
-                return Jet.constant(n.value, nvars, order)
-            if isinstance(n, Var):
-                try:
-                    return bindings[n.name]
-                except KeyError:
-                    raise UnknownVariableError(n.name, n.offset) from None
-            if isinstance(n, Neg):
-                return -ev(n.arg)
-            if isinstance(n, BinOp):
-                a, b = ev(n.left), ev(n.right)
-                if n.op == "+":
-                    return a + b
-                if n.op == "-":
-                    return a - b
-                if n.op == "*":
-                    return a * b
-                return a / b
-            if isinstance(n, Pow):
-                return powc(ev(n.base), n.exponent)
-            if isinstance(n, Call):
-                return FUNCTIONS[n.fn](ev(n.arg))
-        except JetDomainError as err:
-            raise EvalDomainError(str(err), n.offset, err.index) from err
-        raise TypeError(f"not an AST node: {n!r}")
 
+def _evaluate(n, bindings: dict[str, Jet], nvars: int, order: int):
     try:
-        return ev(node)
-    finally:
-        del ev  # ev's cell refers to ev: without this, the cycle keeps the bindings until a gc pass
+        if isinstance(n, Const):
+            return Jet.constant(n.value, nvars, order)
+        if isinstance(n, Var):
+            try:
+                return bindings[n.name]
+            except KeyError:
+                raise UnknownVariableError(n.name, n.offset) from None
+        if isinstance(n, Neg):
+            return -_evaluate(n.arg, bindings, nvars, order)
+        if isinstance(n, BinOp):
+            a, b = _evaluate(n.left, bindings, nvars, order), _evaluate(n.right, bindings, nvars, order)
+            if n.op == "+":
+                return a + b
+            if n.op == "-":
+                return a - b
+            if n.op == "*":
+                return a * b
+            return a / b
+        if isinstance(n, Pow):
+            return powc(_evaluate(n.base, bindings, nvars, order), n.exponent)
+        if isinstance(n, Call):
+            return FUNCTIONS[n.fn](_evaluate(n.arg, bindings, nvars, order))
+    except JetDomainError as err:
+        raise EvalDomainError(str(err), n.offset, err.index) from err
+    raise TypeError(f"not an AST node: {n!r}")

@@ -154,8 +154,8 @@ def straightness_deviation(path: GeodesicPath, x0, y0) -> float:
     return max_dist / arc
 
 
-def safe_horizon(metric, x0, y0, requested: float, radius_cap: float = 0.95):
-    """Shrink the horizon so the straight chord stays at |x| <= cap * domain radius.
+def safe_horizon(metric, x0, y0, requested: float):
+    """Shrink the horizon so the straight chord stays at |x| <= 0.95 domain radius.
 
     The chord is the Euclidean prediction; projective geodesics follow it,
     so this keeps in-domain integration comfortably away from the boundary.
@@ -167,7 +167,7 @@ def safe_horizon(metric, x0, y0, requested: float, radius_cap: float = 0.95):
         raise ValueError(f"requested horizon must be finite and > 0, got {requested!r}")
     x0, y0 = np.asarray(x0, dtype=float), np.asarray(y0, dtype=float)
     a = np.vecdot(y0, y0)
-    limit = radius_cap * metric.domain_radius
+    limit = 0.95 * metric.domain_radius
     b = 2.0 * np.vecdot(x0, y0)
     c = np.vecdot(x0, x0) - limit * limit  # -inf on an unbounded domain, where s is inf
     failed = (a == 0.0) | (c >= 0.0)

@@ -20,9 +20,10 @@ and y: a ``ProfileBundle`` (phi and its partials from one batched
 ``phi_jets`` call, every profile formula an array expression over them; a
 family profile runs one lockstep quadrature over the N rows) or an
 ``AmbientBundle`` (one ambient jet of F per chunk of ``AMBIENT_CHUNK`` = 25
-rows, g, dg/dx and C from it by the product rule).  A spherical metric's
-bundles can share one ``profile_columns`` call at order 3: the profile bundle
-reads its low rows, the ambient bundle composes each chunk from its slice.
+rows, g, dg/dx and C from it by the product rule).  A profile bundle keeps
+the coefficients it read as ``columns``: at order 3 a spherical metric's
+ambient bundle composes each chunk from their slice, so one ``phi_jets``
+call serves both bundles.
 Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
 (closed-form on span{x, y} for a profile, with strong convexity from the
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
@@ -201,13 +202,6 @@ def ambient_invariants(x, y):
     return r, u, v
 
 
-def profile_columns(metric: SphericalMetric, x: np.ndarray, y: np.ndarray, order: int) -> np.ndarray:
-    """``phi_jets`` at the invariants of the rows of the (N, n) arrays x and y, as
-    (ncoeff, N) columns of one call; an error names its lowest failing row
-    (``_first_failure``)."""
-    return _first_failure(lambda x, y: metric.phi_jets(*invariant_rows(x, y), order), x, y)
-
-
 def _root_jets(r, u, v, order: int) -> list[Jet]:
     """Jets of r = sqrt(rho), u = sqrt(mu) and v in the variables (rho, mu, v)
     at rho = r^2, mu = u^2: sqrt(w^2 + h) = w + h/(2w) - h^2/(8w^3) + h^3/(16w^5)."""
@@ -332,13 +326,14 @@ _PARTIAL_FACTORS = derivative_factors(3, 2)[:, None]
 class ProfileBundle:
     """phi and its nine first and second partials at N samples, as length-N arrays.
 
-    Filled by one batched order-2 ``phi_jets`` call; every profile formula
-    (here and in ``projective``) is an array expression over a bundle.  x and
-    y are (N, n) arrays; a bundle built from the invariants alone
-    (``projective.flag_curvature``) has n = 0.  Nothing assigns to a bundle
-    after it is built (it is not frozen only because a geodesic stage builds
-    one per RK4 stage, and a frozen dataclass sets each field through
-    ``object.__setattr__``).
+    Filled by one batched ``phi_jets`` call, whose (ncoeff, N) coefficients it
+    keeps as ``columns`` (at order 3 an ``AmbientBundle`` is composed from
+    them too); every profile formula (here and in ``projective``) is an array
+    expression over a bundle.  x and y are (N, n) arrays; a bundle built from
+    the invariants alone (``projective.flag_curvature``) has n = 0.  Nothing
+    assigns to a bundle after it is built (it is not frozen only because a
+    geodesic stage builds one per RK4 stage, and a frozen dataclass sets each
+    field through ``object.__setattr__``).
     """
 
     x: np.ndarray
@@ -356,26 +351,24 @@ class ProfileBundle:
     phi_uu: np.ndarray
     phi_uv: np.ndarray
     phi_vv: np.ndarray
+    columns: np.ndarray
 
     @classmethod
-    def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray, columns=None) -> "ProfileBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, from one batched order-2
-        ``phi_jets`` call, or from the low rows of ``columns``, the rows'
-        ``profile_columns`` of any order >= 2; an error names its lowest failing row
+    def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray, order: int = 2) -> "ProfileBundle":
+        """The bundle at the rows of the (N, n) arrays x and y, from one batched
+        ``phi_jets`` call at ``order`` >= 2; an error names its lowest failing row
         (``_first_failure``)."""
-        if columns is not None:
-            return cls._of_columns(x, y, invariant_rows(x, y), columns)
 
         def build(x, y):
             invariants = invariant_rows(x, y)
-            return cls._of_columns(x, y, invariants, metric.phi_jets(*invariants))
+            return cls._of_columns(x, y, invariants, metric.phi_jets(*invariants, order))
 
         return _first_failure(build, x, y)
 
     @classmethod
     def _of_columns(cls, x, y, invariants, columns) -> "ProfileBundle":
         # slots (), r, u, v, rr, ru, rv, uu, uv, vv; times a! they are the partials
-        return cls(x, y, *invariants, *(columns[:10] * _PARTIAL_FACTORS))
+        return cls(x, y, *invariants, *(columns[:10] * _PARTIAL_FACTORS), columns)
 
     @property
     def F(self) -> np.ndarray:
@@ -532,8 +525,9 @@ class AmbientBundle:
     def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3, columns=None) -> "AmbientBundle":
         """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.  A
         spherical metric's profile is evaluated once, over all rows, or read from
-        ``columns``, the rows' order-``order`` ``profile_columns``.  An error names its
-        lowest failing row of x (``_first_failure``, of all rows or of its chunk)."""
+        ``columns``, an order-``order`` ``ProfileBundle``'s of the same rows.  An error
+        names its lowest failing row of x (``_first_failure``, of all rows or of its
+        chunk)."""
         if isinstance(metric, SphericalMetric) and columns is None:  # x = 0 is refused first
             columns = _first_failure(lambda x, y: metric.phi_jets(*ambient_invariants(x, y), order), x, y)
 
@@ -619,12 +613,9 @@ class AmbientBundle:
         F, fx, fy = self.first_derivatives()
         e_xy = F[:, None, None] * self.f_xy() + fx[:, :, None] * fy[:, None, :]  # E_xy / 2
         rhs = np.einsum("nkl,nk->nl", e_xy, self.y) - F[:, None] * fx
-        g = self.g()
-        try:
-            chol = np.linalg.cholesky(g)
-        except np.linalg.LinAlgError:
-            i = next(i for i, gi in enumerate(g) if not positive_definite(gi))
-            raise _not_convex(self, i) from None
+        chol, failed = cholesky_rows(self.g())
+        if chol is None:
+            raise _not_convex(self, int(failed.argmax()))
         return 0.5 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
 
 
@@ -684,6 +675,16 @@ def positive_definite(g: np.ndarray) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def cholesky_rows(g: np.ndarray):
+    """(L, failed) for the (N, n, n) stack g: one stacked Cholesky factor L and no
+    failed row, or, when some row does not factorise, None and the mask of those
+    rows (``positive_definite`` row by row)."""
+    try:
+        return np.linalg.cholesky(g), np.zeros(len(g), dtype=bool)
+    except np.linalg.LinAlgError:
+        return None, np.array([not positive_definite(gi) for gi in g])
 
 
 def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -144,7 +144,6 @@ def constant_curvature_verdict(
     b: ProfileBundle,
     lambda_hypothesis: float | None = None,
     tolerance: float = 1e-6,
-    projectivity_gate: float = 1e-6,
 ) -> CurvatureVerdict:
     """Estimate lambda over the rows of the bundle and judge whether it is constant.
 
@@ -152,13 +151,13 @@ def constant_curvature_verdict(
     few near-singular samples; None if there are none); the deviation is the
     max (strictest).  The constant-curvature PDE residuals are evaluated at
     the hypothesis when given, else at the estimate.  When the projectivity
-    residual exceeds the gate the verdict refuses to run: the curvature
+    residual exceeds the gate, 1e-6, the verdict refuses to run: the curvature
     formulas presume a projective metric.  Every reduction goes through
     ``worst_residual``: a non-finite gate or lambda fails the verdict.
     """
     gate = b.rapcsak_residuals().max(axis=1)
     gate_worst, gate_at, _ = worst_residual(gate)
-    if gate_worst > projectivity_gate:
+    if gate_worst > 1e-6:
         return CurvatureVerdict(
             "not_projective", None, math.inf, (math.inf, math.inf), gate_worst, gate_at
         )

@@ -95,12 +95,10 @@ def symmetry_tensor_of(b: AmbientBundle, fields) -> np.ndarray:
     return killing_tensor_residuals(b, fields).max(axis=(2, 3)).max(axis=0)
 
 
-def killing_tensor_max_residual(metric, x, y, fields=None) -> float:
-    """Max tensor residual over rotation fields, one ambient jet per point."""
-    if fields is None:
-        fields = rotation_fields(len(np.asarray(x)))
+def killing_tensor_max_residual(metric, x, y) -> float:
+    """Max tensor residual over the rotation fields, from the ambient jet of one point."""
     b = AmbientBundle.of(metric, np.array([x], dtype=float), np.array([y], dtype=float))
-    return float(symmetry_tensor_of(b, fields)[0])
+    return float(symmetry_tensor_of(b, rotation_fields(b.n))[0])
 
 
 def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:

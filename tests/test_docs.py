@@ -1,4 +1,5 @@
-"""README's library sketch and module paragraph cite names that exist."""
+"""README's library sketch and module paragraph cite names that exist, and its check
+table lists the checks with their default tolerances."""
 
 import importlib
 import pkgutil
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import finslercheck
+from finslercheck.checks import CHECK_NAMES, CHECKS, DEFAULT_TOLERANCES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,3 +44,19 @@ def test_readme_names_resolve():
         for part in rest:
             assert hasattr(obj, part), dotted
             obj = getattr(obj, part)
+
+
+def test_readme_check_table_matches_the_check_table():
+    # one row per check, its tolerance the table's default ("exact" is 0); the
+    # curvature row also gives the default of its second record, curvature_pde
+    text = README.read_text()
+    start = text.index("Available checks and default tolerances:")
+    table = text[start : text.index("`curvature_pde` is a tolerance key")]
+    rows = re.findall(r"^\| `(\w+)` \|.*\| ([^|]+) \|$", table, re.MULTILINE)
+    assert sorted(name for name, _ in rows) == CHECK_NAMES
+    for name, cell in rows:
+        value, *extra = cell.split(", ")
+        assert (0.0 if value == "exact" else float(value)) == CHECKS[name][1], name
+        for entry in extra:
+            key, tol = entry.split()
+            assert float(tol) == DEFAULT_TOLERANCES[key.strip("`")], name

@@ -101,8 +101,6 @@ class TestEvaluate:
         ast = expr.parse("2 + 3", set())
         with pytest.raises(ValueError):
             expr.evaluate(ast, {})
-        j = expr.evaluate(ast, {}, nvars=2, order=1)
-        assert j.value == 5.0
 
     def test_bindings_are_freed_without_a_gc_pass(self):
         # a family quadrature round's integrand argument must not outlive its round
