@@ -5,9 +5,10 @@ Times a jet product and a series composition (sqrt) on representative
 table sizes, for one-point jets and for 15-point batched jets (one
 Gauss-Legendre panel), then a realistic workload (profile jets of the funk
 metric, flag curvature evaluations, the family funk profile bundle of
-``configs/family_funk_reconstruction.json``, the Bryant n=4 ambient bundle and
-its Killing tensor scan) and the fixed cost of one geodesic RK4 stage (funk
-n=2, one batched spray over 2 and over 20 paths), with the parts of a stage.
+``configs/family_funk_reconstruction.json``, the Bryant n=4 ambient bundle of
+200 samples and the tensor Killing scan over it that ``symmetry_tensor`` runs)
+and the fixed cost of one geodesic RK4 stage (funk n=2, one batched spray over
+2 and over 20 paths), with the parts of a stage.
 Run from the repository root:
 
     PYTHONPATH=src python benchmarks/bench_jets.py [--repeat N]
@@ -56,7 +57,7 @@ def bench_workload():
     from finslercheck.metrics import AmbientBundle, ProfileBundle, builtin
     from finslercheck.projective import flag_curvature
     from finslercheck.sampling import SampleSpec, sample_domain
-    from finslercheck.symmetry import killing_tensor_max_residual
+    from finslercheck.symmetry import rotation_fields, symmetry_tensor_of
 
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=200, seed=7, domain_radius=1.0))
@@ -86,13 +87,13 @@ def bench_workload():
     # 200 samples, as a verify run has: the bundle is built in chunks of AMBIENT_CHUNK
     samples4 = sample_domain(SampleSpec.for_metric(n=4, count=200, seed=7, domain_radius=math.inf))
     t0 = time.perf_counter()
-    AmbientBundle.of(bryant, samples4.x, samples4.y)
+    b = AmbientBundle.of(bryant, samples4.x, samples4.y)
     bundle_time = (time.perf_counter() - t0) / len(samples4)
 
-    t0 = time.perf_counter()
-    for s in samples4:
-        killing_tensor_max_residual(bryant, s.x, s.y)
-    tensor_time = (time.perf_counter() - t0) / len(samples4)
+    # what check_symmetry_tensor runs: the scan over the rotation fields, with the
+    # bundle's g, dg/dx and C, which a bundle forms once (a fresh one each call)
+    fields = rotation_fields(4)
+    tensor_time = time_fn(lambda: symmetry_tensor_of(AmbientBundle(b.x, b.y, b.f), fields), 5)
 
     return jet_time, lam_time, family_time, bundle_time, tensor_time
 
@@ -166,7 +167,7 @@ def main():
     print(f"  flag curvature evaluation               {lam_time * 1e6:9.1f} us/point")
     print(f"  family funk profile bundle, 120 samples {family_time * 1e6:9.1f} us/sample")
     print(f"  bryant n=4 ambient bundle               {bundle_time * 1e6:9.1f} us/point")
-    print(f"  bryant n=4 Killing tensor scan          {tensor_time * 1e3:9.2f} ms/point")
+    print(f"  bryant n=4 Killing tensor scan, 200 samples {tensor_time * 1e3:5.2f} ms/scan")
     times, parts = bench_stage(repeat=max(1, args.repeat // 10))
     for paths, stage_time in times.items():
         print(f"  funk n=2 RK4 stage, {paths:2d} paths            {stage_time * 1e6:9.1f} us/stage")

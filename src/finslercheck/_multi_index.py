@@ -10,7 +10,7 @@ where a! is the product of the factorials of the variable multiplicities.
 """
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import numpy as np
@@ -46,20 +46,11 @@ def derivative_factors(nvars: int, order: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def dense_scatter(nvars: int, order: int, degree: int):
-    """(slots, flat positions) scattering the unique degree-coefficients
-    into a dense symmetric rank-`degree` tensor of shape (nvars,)*degree."""
-    slots, flats = [], []
-    for p, t in enumerate(index_tuples(nvars, order)):
-        if len(t) != degree:
-            continue
-        for perm in set(permutations(t)):
-            flat = 0
-            for v in perm:
-                flat = flat * nvars + v
-            slots.append(p)
-            flats.append(flat)
-    return np.array(slots, dtype=np.intp), np.array(flats, dtype=np.intp)
+def block_slots(nvars: int, order: int, ranges: tuple) -> np.ndarray:
+    """The slot of each partial D_{a_1..a_k} with a_i in ranges[i], in the
+    row-major order of the dense block of shape (len(ranges[0]), ...)."""
+    pos = position_map(nvars, order)
+    return np.array([pos[tuple(sorted(t))] for t in product(*ranges)], dtype=np.intp)
 
 
 @lru_cache(maxsize=None)

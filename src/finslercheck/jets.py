@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._multi_index import (
+    block_slots,
     coeff_count,
-    dense_scatter,
     derivative_factors,
     index_tuples,
     position_map,
@@ -124,19 +124,24 @@ class Jet:
             ) from None
         return _point(self.coeffs[pos] * derivative_factors(self.nvars, self.order)[pos])
 
-    def _dense(self, degree: int) -> np.ndarray:
-        m = self.nvars
-        derivs = (self.coeffs.T * derivative_factors(m, self.order)).T
-        slots, flats = dense_scatter(m, self.order, degree)
-        out = np.zeros((m**degree,) + derivs.shape[1:])
-        out[flats] = derivs[slots]
-        return out.reshape((m,) * degree + derivs.shape[1:])
+    def partials(self, *ranges: range) -> np.ndarray:
+        """The dense block of partials D_{a_1..a_k} f, each a_i in ranges[i], of shape
+        (len(ranges[0]), ...) with the point axis last (as in ``coeffs``): one
+        ``take`` of their slots along the coefficient axis times the slots' a!
+        (``derivative_factors``), so no partial outside the block is formed."""
+        try:
+            slots = block_slots(self.nvars, self.order, ranges)
+        except KeyError:
+            raise ValueError(f"jet of order {self.order} has no partials of degree {len(ranges)}") from None
+        factors = derivative_factors(self.nvars, self.order)[slots]
+        block = self.coeffs.take(slots, 0) * factors.reshape(factors.shape + (1,) * (self.coeffs.ndim - 1))
+        return block.reshape(tuple(map(len, ranges)) + self.coeffs.shape[1:])
 
     def hessian(self) -> np.ndarray:
-        return self._dense(2)
+        return self.partials(*[range(self.nvars)] * 2)
 
     def third_tensor(self) -> np.ndarray:
-        return self._dense(3)
+        return self.partials(*[range(self.nvars)] * 3)
 
     def __repr__(self) -> str:
         return f"Jet(m={self.nvars}, order={self.order}, value={self.value!r})"

@@ -19,11 +19,11 @@ Derivatives of F come from a bundle of the N rows of two (N, n) arrays x
 and y: a ``ProfileBundle`` (phi and its partials from one batched
 ``phi_jets`` call, every profile formula an array expression over them; a
 family profile runs one lockstep quadrature over the N rows) or an
-``AmbientBundle`` (one ambient jet of F per chunk of ``AMBIENT_CHUNK`` = 25
-rows, g, dg/dx and C from it by the product rule).  A profile bundle keeps
-the coefficients it read as ``columns``: at order 3 a spherical metric's
-ambient bundle composes each chunk from their slice, so one ``phi_jets``
-call serves both bundles.
+``AmbientBundle`` (one ambient jet of F per chunk of ``AMBIENT_CHUNK`` = 50
+rows, g, dg/dx and C by the product rule from the blocks of its partials
+they read).  A profile bundle keeps the coefficients it read as
+``columns``: at order 3 a spherical metric's ambient bundle composes each
+chunk from their slice, so one ``phi_jets`` call serves both bundles.
 Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
 (closed-form on span{x, y} for a profile, with strong convexity from the
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
@@ -53,9 +53,10 @@ R, U, V = 0, 1, 2
 # Slack absorbing rounding at the boundary case phi_vv = 0 (Euclidean).
 PHI_VV_SLACK = -1e-12
 MIN_RADIUS = 0.05  # the profile-space formulas carry 1/r (``ProfileBundle.require_radius``)
-# Samples per N-point ambient jet: a Bryant n = 4 bundle of 200 samples peaks at
-# 6.2 MB (tracemalloc) as one chunk and at 0.95 MB in chunks of 25, no slower.
-AMBIENT_CHUNK = 25
+# Samples per N-point ambient jet: a Bryant n = 4 bundle of 200 samples peaks at 6.2 MB
+# (tracemalloc) as one chunk, 1.30 MB in chunks of 50 and 0.98 MB in chunks of 25, and
+# with its g, dg/dx, C and the Killing scan over it at 1.47 MB for either chunk size.
+AMBIENT_CHUNK = 50
 
 
 class MetricDomainError(EvaluationError):
@@ -511,10 +512,10 @@ class AmbientBundle:
     ``AMBIENT_CHUNK`` samples, the chunks concatenated as the columns of one
     jet, so each column is that sample's one-point jet bit for bit.  The only
     code that knows the layout (x^1..x^n, y^1..y^n).  g, dg/dx, C and the
-    spray's bracket are the y-blocks of E = F^2, formed from F's Hessian and
-    third tensor by the product rule (Griewank & Walther, Evaluating
-    Derivatives, 2008, ch. 13), each once per bundle; E itself is never a
-    jet.  Arrays have the sample axis first.
+    spray's bracket are the y-blocks of E = F^2, each formed once per bundle by
+    the product rule (Griewank & Walther, Evaluating Derivatives, 2008, ch. 13)
+    from the blocks F_xy, F_yy, F_xyy and F_yyy of F's partials (``Jet.partials``),
+    the only ones they read; E itself is never a jet.  Arrays have the sample axis first.
     """
 
     x: np.ndarray
@@ -555,17 +556,23 @@ class AmbientBundle:
         n = self.n
         return self.F, self.f.coeffs[1 : 1 + n].T, self.f.coeffs[1 + n : 1 + 2 * n].T
 
-    @functools.cached_property
-    def _hessian(self) -> np.ndarray:
-        return np.moveaxis(self.f.hessian(), -1, 0)
+    def _partials(self, blocks: str) -> np.ndarray:
+        """F's partials over the x or y variables that ``blocks`` names in turn, such
+        as "xyy" for F_{x^p y^i y^j}, as (N, p, i, j) (``Jet.partials``)."""
+        ranges = {"x": range(self.n), "y": range(self.n, 2 * self.n)}
+        return np.moveaxis(self.f.partials(*(ranges[b] for b in blocks)), -1, 0)
 
     @functools.cached_property
-    def _third(self) -> np.ndarray:
-        return np.moveaxis(self.f.third_tensor(), -1, 0)
+    def _f_xy(self) -> np.ndarray:
+        return self._partials("xy")
+
+    @functools.cached_property
+    def _f_yy(self) -> np.ndarray:
+        return self._partials("yy")
 
     def f_xy(self) -> np.ndarray:
         """F_{x^k y^l} as (N, k, l)."""
-        return self._hessian[:, : self.n, self.n :]
+        return self._f_xy
 
     def g(self) -> np.ndarray:
         """The fundamental tensor g = (F^2)_yy / 2 = F F_yy + F_y F_y^T, (N, n, n)."""
@@ -574,7 +581,7 @@ class AmbientBundle:
     @functools.cached_property
     def _g(self) -> np.ndarray:
         F, _, fy = self.first_derivatives()
-        return F[:, None, None] * self._hessian[:, self.n :, self.n :] + fy[:, :, None] * fy[:, None, :]
+        return F[:, None, None] * self._f_yy + fy[:, :, None] * fy[:, None, :]
 
     def dg_dx(self) -> np.ndarray:
         """dg_ij/dx^p = F_{x^p} F_{y^i y^j} + F F_{x^p y^i y^j} + F_{x^p y^i} F_{y^j}
@@ -583,9 +590,8 @@ class AmbientBundle:
 
     @functools.cached_property
     def _dg_dx(self) -> np.ndarray:
-        n, (F, fx, fy), f_xy = self.n, self.first_derivatives(), self.f_xy()
-        f_yy = self._hessian[:, None, n:, n:]
-        flow = fx[:, :, None, None] * f_yy + F[:, None, None, None] * self._third[:, :n, n:, n:]
+        (F, fx, fy), f_xy = self.first_derivatives(), self.f_xy()
+        flow = fx[:, :, None, None] * self._f_yy[:, None] + F[:, None, None, None] * self._partials("xyy")
         return flow + f_xy[:, :, :, None] * fy[:, None, None, :] + fy[:, None, :, None] * f_xy[:, :, None, :]
 
     def cartan(self) -> np.ndarray:
@@ -595,9 +601,8 @@ class AmbientBundle:
 
     @functools.cached_property
     def _cartan(self) -> np.ndarray:
-        n, (F, _, fy) = self.n, self.first_derivatives()
-        f_yy = self._hessian[:, n:, n:]
-        c = F[:, None, None, None] * self._third[:, n:, n:, n:] + f_yy[:, :, :, None] * fy[:, None, None, :]
+        (F, _, fy), f_yy = self.first_derivatives(), self._f_yy
+        c = F[:, None, None, None] * self._partials("yyy") + f_yy[:, :, :, None] * fy[:, None, None, :]
         return 0.5 * (c + f_yy[:, :, None, :] * fy[:, None, :, None] + f_yy[:, None, :, :] * fy[:, :, None, None])
 
     def rapcsak_residuals(self) -> np.ndarray:

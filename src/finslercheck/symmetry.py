@@ -44,12 +44,6 @@ class RotationField:
         out[..., self.j] = -x[..., self.i]
         return out
 
-    def jacobian(self, n: int) -> np.ndarray:
-        a = np.zeros((n, n))
-        a[self.i, self.j] = 1.0
-        a[self.j, self.i] = -1.0
-        return a
-
 
 def rotation_fields(n: int) -> list[RotationField]:
     """All n(n-1)/2 coordinate-plane generators."""
@@ -68,14 +62,18 @@ def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
 def killing_tensor_terms(b: AmbientBundle, fields):
     """The four terms of the tensor Killing equation for each field, each
     (fields, N, n, n): the flow of g, its two Jacobian terms, and the Cartan
-    correction, one einsum per term over the stacked fields."""
-    a = np.stack([f.jacobian(b.n) for f in fields])
-    g = b.g()
-    t_flow = np.einsum("kpij,mkp->mkij", b.dg_dx(), np.stack([f.vector(b.x) for f in fields]))
-    t_left = np.einsum("kpj,mpi->mkij", g, a)
-    t_right = np.einsum("kip,mpj->mkij", g, a)
-    t_cartan = 2.0 * np.einsum("kijp,mkp->mkij", b.cartan(), np.stack([f.vector(b.y) for f in fields]))
-    return t_flow, t_left, t_right, t_cartan
+    correction.  X = x^j e_i - x^i e_j has two nonzero components, so the flow
+    term is (dg/dx^i) x^j - (dg/dx^j) x^i and the Cartan term 2 (C_..i y^j -
+    C_..j y^i); X's Jacobian sends row i of g to row j and -(row j) to row i,
+    the left Jacobian term, whose transpose is the right one (g is symmetric)."""
+    g, dg, c = b.g(), b.dg_dx(), b.cartan()
+    x, y = b.x[:, :, None, None], b.y[:, :, None, None]
+    t_flow, t_left, t_cartan = (np.zeros((len(fields),) + g.shape) for _ in range(3))
+    for m, (i, j) in enumerate((f.i, f.j) for f in fields):
+        t_flow[m] = dg[:, i] * x[:, j] + dg[:, j] * -x[:, i]
+        t_left[m, :, j], t_left[m, :, i] = g[:, i], -g[:, j]
+        t_cartan[m] = 2.0 * (c[..., i] * y[:, j] + c[..., j] * -y[:, i])
+    return t_flow, t_left, t_left.swapaxes(2, 3), t_cartan
 
 
 def killing_tensor_residuals(b: AmbientBundle, fields) -> np.ndarray:

@@ -11,6 +11,7 @@ from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.jets import EvaluationError
 from finslercheck.metrics import (
+    AMBIENT_CHUNK,
     AmbientBundle,
     ClosedFormProfile,
     ExpressionProfile,
@@ -168,7 +169,8 @@ def test_convexity_names_the_first_sample_whose_g_does_not_factorise():
 
 def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
     # the bundle is built once: every sample composed exactly once, in chunks of at
-    # most 25, from the profile columns the run evaluated once over all samples
+    # most AMBIENT_CHUNK, from the profile columns the run evaluated once over all samples
+    chunk = AMBIENT_CHUNK
     lifted = []
     original = SphericalMetric.ambient_jet
 
@@ -180,17 +182,17 @@ def test_run_config_builds_one_ambient_jet_per_sample(tmp_path, monkeypatch):
     cfg = {
         "metric": {"name": "bryant", "params": {"alpha": 0.5235987755982988}},
         "dimension": 4,
-        "sampling": {"count": 60, "seed": 7},
+        "sampling": {"count": 2 * chunk + 10, "seed": 7},
         "checks": ["symmetry_tensor", "cartan", "fundamental_ad"],
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert code == 0
     assert [(len(x), order, shapes) for x, order, shapes in lifted] == [
-        (25, 3, [(20, 25)]),
-        (25, 3, [(20, 25)]),
+        (chunk, 3, [(20, chunk)]),
+        (chunk, 3, [(20, chunk)]),
         (10, 3, [(20, 10)]),
     ]
-    samples = sample_domain(SampleSpec.for_metric(n=4, count=60, seed=7))
+    samples = sample_domain(SampleSpec.for_metric(n=4, count=2 * chunk + 10, seed=7))
     assert np.array_equal(np.concatenate([x for x, _, _ in lifted]), samples.x)
 
 

@@ -362,13 +362,41 @@ class TestMain:
         assert len(lines) == 62
 
 
+# goldens of configs written here rather than shipped under configs/: Bryant at
+# n = 4 with perfbench's ambient_tensor_n4 checks pins the order-3 ambient
+# bundle's blocks and the tensor Killing terms of six rotation fields
+INLINE_GOLDEN_CONFIGS = {
+    "bryant_n4_ambient": {
+        "metric": {"name": "bryant", "params": {"alpha": math.pi / 6}},
+        "dimension": 4,
+        "sampling": {"count": 200, "seed": 7},
+        "checks": [
+            "symmetry",
+            "symmetry_tensor",
+            "cartan",
+            "fundamental_ad",
+            "det_g",
+            "rapcsak",
+            {"name": "curvature", "params": {"lambda": 1.0}},
+            "convexity",
+        ],
+    },
+}
+
+
 @pytest.mark.parametrize(
-    "name", ["anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full"]
+    "name",
+    ["anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full"]
+    + sorted(INLINE_GOLDEN_CONFIGS),
 )
-def test_json_report_matches_golden(name, capsys):
+def test_json_report_matches_golden(name, capsys, tmp_path):
     # tests/golden holds each config's report as committed; a change that moves
     # a bit regenerates it and says so
-    code = main(["verify", os.path.join(REPO, "configs", f"{name}.json"), "--json"])
+    if name in INLINE_GOLDEN_CONFIGS:
+        path = write_config(tmp_path, INLINE_GOLDEN_CONFIGS[name])
+    else:
+        path = os.path.join(REPO, "configs", f"{name}.json")
+    code = main(["verify", path, "--json"])
     with open(os.path.join(REPO, "tests", "golden", f"{name}.json")) as fh:
         golden = fh.read()
     assert capsys.readouterr().out == golden

@@ -44,6 +44,8 @@ class TestLiftVar:
         j = lift_var(0, 1.0, 2, 2)
         with pytest.raises(ValueError, match="no.*derivative"):
             j.partial(0, 0, 1)
+        with pytest.raises(ValueError, match="no partials of degree 3"):
+            j.third_tensor()
 
 
 class TestArithmetic:
@@ -319,6 +321,24 @@ def test_batched_accessors_are_arrays():
     assert np.array_equal(j.partial(0, 1), [2.0 * p[0] for p in BATCH_POINTS])
     assert j.hessian().shape == (2, 2, len(BATCH_POINTS))
     assert np.array_equal(j.hessian()[:, :, 1], (lift_var(0, 1.7, 2, 2) ** 2 * lift_var(1, 0.25, 2, 2)).hessian())
+
+
+@pytest.mark.parametrize("points", [1, 4])
+def test_partials_blocks_equal_each_partial(points):
+    # a block over any variable ranges holds, at each point, partial(*t) bit for bit;
+    # the dense tensors are the all-variables blocks
+    rng = np.random.default_rng(3)
+    xs = [lift_var(i, rng.uniform(0.5, 1.5, points), 4, 3) for i in range(4)]
+    f = sqrt(xs[0] * xs[1] + xs[2] * xs[3] * xs[0] + 2.0) * exp(xs[3] * xs[1] * 0.2)
+    if points == 1:
+        f = Jet(4, 3, f.coeffs[:, 0])
+    blocks = [(f.partials(*r), r) for r in [(range(2), range(2, 4)), (range(1, 3), range(4), range(3, 4))]]
+    blocks += [(f.hessian(), (range(4),) * 2), (f.third_tensor(), (range(4),) * 3)]
+    for block, ranges in blocks:
+        assert block.shape == tuple(map(len, ranges)) + f.coeffs.shape[1:]
+        for index in np.ndindex(*map(len, ranges)):
+            t = [r[k] for r, k in zip(ranges, index)]
+            assert np.array_equal(block[index], f.partial(*t)), (ranges, t)
 
 
 def test_batched_domain_error_names_first_bad_point():

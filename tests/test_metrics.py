@@ -9,6 +9,7 @@ from finslercheck._multi_index import coeff_count
 from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 from finslercheck.jets import Jet, JetDomainError, lift_var, sqrt
 from finslercheck.metrics import (
+    AMBIENT_CHUNK,
     AmbientBundle,
     ClosedFormProfile,
     ExpressionProfile,
@@ -792,7 +793,8 @@ class TestComposedAmbientJet:
         from finslercheck.family import FamilyProfile
 
         metric = AMBIENT_CASES["family"][0]()
-        rows = samples_for(metric, n=2, count=60)
+        chunk = AMBIENT_CHUNK
+        rows = samples_for(metric, n=2, count=2 * chunk + 10)
         x, y = rows.x, rows.y
         widths, composed = [], []
         jet, compose = FamilyProfile.jet, metrics.compose_multivariate
@@ -808,9 +810,9 @@ class TestComposedAmbientJet:
         monkeypatch.setattr(FamilyProfile, "jet", counting_jet)
         monkeypatch.setattr(metrics, "compose_multivariate", counting_compose)
         AmbientBundle.of(metric, x, y, 3)
-        assert widths == [60]  # one phi_jets call over every row
+        assert widths == [2 * chunk + 10]  # one phi_jets call over every row
         # per chunk, (r, u, v) -> (rho, mu, v) -> ambient, all its columns at once
-        assert composed == [(25,), (25,)] * 2 + [(10,), (10,)]
+        assert composed == [(chunk,), (chunk,)] * 2 + [(10,), (10,)]
 
     def test_origin_is_refused(self):
         with pytest.raises(JetDomainError, match="not differentiable at x = 0"):
@@ -919,33 +921,36 @@ class TestChunkedAmbientBundle:
     def test_columns_equal_one_sample_bundles(self, case):
         build, n = CHUNKED_CASES[case]
         metric = build()
-        spec = SampleSpec.for_metric(n=n, count=51, seed=11, domain_radius=metric.domain_radius)
+        chunk = AMBIENT_CHUNK
+        spec = SampleSpec.for_metric(n=n, count=2 * chunk + 1, seed=11, domain_radius=metric.domain_radius)
         samples = sample_domain(spec)
         spray = case != "constant"  # F = 1.5 has g = 0
         ones = [
             _bundle_parts(AmbientBundle.of(metric, x[None], y[None]), spray) for x, y in zip(samples.x, samples.y)
         ]
-        for count in (1, 24, 25, 26, 51):
+        for count in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
             chunked = _bundle_parts(AmbientBundle.of(metric, samples.x[:count], samples.y[:count]), spray)
             for k in range(count):
                 for got, want in zip(chunked, ones[k]):
                     assert got[k].tobytes() == want[0].tobytes(), (case, count, k)
 
     def test_failing_chunk_names_its_first_failing_sample(self, monkeypatch):
-        # log(x1 + 1) has no value where x1 <= -1: samples 30 and 41, both in the second chunk
+        # log(x1 + 1) has no value where x1 <= -1: samples chunk + 5 and chunk + 16,
+        # both in the second chunk
         from finslercheck.expr import EvalDomainError
 
+        chunk = AMBIENT_CHUNK
         metric = GeneralMetric.from_expression("sqrt(y1^2+y2^2)*log(x1+1)", 2)
         rng = np.random.default_rng(5)
-        xs, ys = rng.uniform(-0.9, 0.9, (60, 2)), rng.uniform(-1.0, 1.0, (60, 2))
-        xs[[30, 41], 0] = -1.5
+        xs, ys = rng.uniform(-0.9, 0.9, (2 * chunk + 10, 2)), rng.uniform(-1.0, 1.0, (2 * chunk + 10, 2))
+        xs[[chunk + 5, chunk + 16], 0] = -1.5
         samples = MetricSample.of(xs, ys)
         widths = _ambient_widths(monkeypatch)
         with pytest.raises(EvalDomainError, match="log requires a positive argument") as err:
             Run(metric, samples).ambient
-        assert same_pair(err.value.sample, samples[30])
-        # the first chunk, the failing second, then its rows 25..29 before the bad one
-        assert widths == [25, 25, 5]
+        assert same_pair(err.value.sample, samples[chunk + 5])
+        # the first chunk, the failing second, then its rows chunk..chunk+4 before the bad one
+        assert widths == [chunk, chunk, 5]
 
     def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
         # a family profile error with an index counts triples of the bundle's one
@@ -977,18 +982,18 @@ class TestChunkedAmbientBundle:
         assert evaluated == [40, 30] and widths == []
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
-        from finslercheck.metrics import AMBIENT_CHUNK
-
+        chunk = AMBIENT_CHUNK
+        count = 2 * chunk + 10
         widths = _ambient_widths(monkeypatch)
         bryant = make_metric("bryant")
-        rows = samples_for(bryant, n=4, count=60)
+        rows = samples_for(bryant, n=4, count=count)
         AmbientBundle.of(bryant, rows.x, rows.y)
-        assert widths == [25, 25, 10]
+        assert widths == [chunk, chunk, 10]
         widths.clear()
         anisotropic = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2)
-        b = bundle_of(anisotropic, np.ones((60, 2)), np.ones((60, 2)))
-        assert isinstance(b, AmbientBundle) and b.f.coeffs.shape[1] == 60
-        assert widths == [25, 25, 10] and max(widths) == AMBIENT_CHUNK
+        b = bundle_of(anisotropic, np.ones((count, 2)), np.ones((count, 2)))
+        assert isinstance(b, AmbientBundle) and b.f.coeffs.shape[1] == count
+        assert widths == [chunk, chunk, 10] and max(widths) == AMBIENT_CHUNK
 
 
 SURFACE_CASES = {

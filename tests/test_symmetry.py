@@ -12,6 +12,7 @@ from finslercheck.metrics import (
     bundle_of,
     fundamental_tensor,
 )
+from finslercheck.sampling import SampleSpec, sample_domain
 from finslercheck.symmetry import (
     RotationField,
     _scalar_residuals,
@@ -54,16 +55,21 @@ def cartan(metric, *xy):
     return AmbientBundle.of(metric, p.x, p.y).cartan()
 
 
+def jacobian(field, n):
+    """dX^p/dx^q of the rotation field as a dense (n, n) matrix."""
+    a = np.zeros((n, n))
+    a[field.i, field.j] = 1.0
+    a[field.j, field.i] = -1.0
+    return a
+
+
 class TestRotationField:
     def test_vector_and_jacobian(self):
         f = RotationField(0, 2)
         x = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(f.vector(x), [3.0, 0.0, -1.0])
-        a = f.jacobian(3)
-        assert np.array_equal(a, -a.T)
-        assert set(np.unique(a)) <= {-1.0, 0.0, 1.0}
-        # X is linear: jacobian reproduces it
-        assert np.array_equal(a @ x, f.vector(x))
+        # X is linear: its Jacobian reproduces it
+        assert np.array_equal(jacobian(f, 3) @ x, f.vector(x))
 
     def test_distinct_axes_required(self):
         with pytest.raises(ValueError):
@@ -144,9 +150,34 @@ class TestTensorResidual:
             assert np.abs(total - fd).max() / scale < 1e-5
             assert blocks_resid.shape == (2, 2)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["general", "spherical"])
+    def test_terms_equal_the_dense_jacobian_einsums(self, kind, n):
+        # the terms move rows of g and read X's two nonzero components; the dense
+        # form contracts with every component of X and its whole Jacobian.  Both
+        # give the same values (zeros may differ in sign only)
+        if kind == "general":
+            terms = ["2*y1^2"] + [f"y{i}^2" for i in range(2, n + 1)] + ["(x1*y2)^2"]
+            metric = GeneralMetric.from_expression(f"sqrt({' + '.join(terms)}) + 0.1*x2*y1", n)
+        else:
+            metric = make_metric("bryant")
+        rows = sample_domain(SampleSpec.for_metric(n=n, count=30, seed=7, domain_radius=metric.domain_radius))
+        b = AmbientBundle.of(metric, rows.x, rows.y)
+        fields = rotation_fields(n)
+        a = np.stack([jacobian(f, n) for f in fields])
+        want = (
+            np.einsum("kpij,mkp->mkij", b.dg_dx(), np.stack([f.vector(b.x) for f in fields])),
+            np.einsum("kpj,mpi->mkij", b.g(), a),
+            np.einsum("kip,mpj->mkij", b.g(), a),
+            2.0 * np.einsum("kijp,mkp->mkij", b.cartan(), np.stack([f.vector(b.y) for f in fields])),
+        )
+        got = killing_tensor_terms(b, fields)
+        for k, (term, dense) in enumerate(zip(got, want)):
+            assert np.count_nonzero(dense) and np.array_equal(term, dense), k
+
     def test_jacobian_exponential_is_rotation(self):
         # exp(t A) for A = jacobian(0,1) is the rotation used by the oracle above
-        a = RotationField(0, 1).jacobian(2)
+        a = jacobian(RotationField(0, 1), 2)
         t = 0.3
         series = np.eye(2) + t * a + (t * a) @ (t * a) / 2 + (t * a) @ (t * a) @ (t * a) / 6
         c, s = math.cos(t), math.sin(t)
