@@ -7,6 +7,9 @@ regardless of how callers might parallelize in the future.  Every runner
 takes the run's ``Run``, which builds each derivative bundle of the samples
 (the rows of one ``MetricSample``) on first use, names the sample at which a
 build fails, and shares the bundle (or the error) with every later check.
+Each runner builds its records straight from the per-sample formulas over
+those bundles (``symmetry``, ``projective`` and the bundles' own methods),
+reduced by ``metrics.worst_residual``.
 ``CHECKS`` is the one table of the checks: each name's runner, default
 tolerance and what it reads of the run.
 """
@@ -169,17 +172,24 @@ def check_convexity(run, tol, params):
 
 
 def check_symmetry(run, tol, params):
+    """The scalar Killing residual over every sample and rotation field; the worst
+    (sample, field) pair is the first maximum in sample-major order."""
     b = run.first_order
-    v = sym.symmetry_verdict(b, tol)
-    detail = {
-        "fields_tested": v.fields_tested,
-        "worst_field": list(v.worst_field),
-        "conclusion": v.conclusion,
-    }
-    if v.non_finite:
-        detail["non_finite_residuals"] = v.non_finite
-    at = run.samples[v.worst_index]
-    return [_record("symmetry", run, v.max_residual, at, tol, detail, v.passed, b.F)]
+    fields = sym.rotation_fields(b.x.shape[1])
+    worst, index, non_finite = worst_residual(sym.scalar_residuals_of(b, fields))
+    at, m = divmod(index, len(fields))
+    field = (fields[m].i, fields[m].j)
+    passed = non_finite == 0 and worst <= tol
+    if passed:
+        conclusion = "consistent with spherical symmetry"
+    elif non_finite:
+        conclusion = f"undecided: non-finite residual for field {field}"
+    else:
+        conclusion = f"not spherically symmetric: field {field} residual {worst:.3e}"
+    detail = {"fields_tested": len(fields), "worst_field": list(field), "conclusion": conclusion}
+    if non_finite:
+        detail["non_finite_residuals"] = non_finite
+    return [_record("symmetry", run, worst, run.samples[at], tol, detail, passed, b.F)]
 
 
 def check_symmetry_tensor(run, tol, params):
@@ -205,27 +215,48 @@ def check_projective_pde(run, tol, params):
 
 def check_curvature(run, tol, params):
     """Constant flag curvature, and a second record for the curvature PDE pair
-    (tolerance ``curvature_pde``)."""
+    (tolerance ``curvature_pde``).
+
+    The estimate is the median of the finite pointwise lambdas (robust to a few
+    near-singular samples; None if there are none); the deviation is the max
+    (strictest).  The PDE residuals are evaluated at the hypothesis when given,
+    else at the estimate.  A Rapcsak residual over 1e-6 means the metric is not
+    projective, which the curvature formulas presume: then the one record fails
+    and names the worst sample.  A non-finite gate or lambda fails the check.
+    """
     lam = _curvature_lambda(params)
-    v = proj.constant_curvature_verdict(run.profile, lam, tol)
-    at = run.samples[v.worst_index]
-    if v.status == "not_projective":
-        detail = {"status": v.status, "projectivity_residual": v.projectivity_residual}
-        worst = v.projectivity_residual
-        return [_record("curvature", run, worst, at, tol, detail, False)]
-    deviation = v.max_deviation
-    detail = {"status": v.status, "lambda_estimate": v.lambda_estimate, "max_deviation": deviation}
+    b = run.profile
+    gate = b.rapcsak_residuals().max(axis=1)
+    gate_worst, gate_at, _ = worst_residual(gate)
+    if gate_worst > 1e-6:
+        detail = {"status": "not_projective", "projectivity_residual": gate_worst}
+        return [_record("curvature", run, gate_worst, run.samples[gate_at], tol, detail, False)]
+    values = proj.flag_curvature_of(b)
+    finite = values[np.isfinite(values)]
+    estimate = float(np.median(finite)) if finite.size else math.nan
+    deviation = worst_residual(np.abs(values - estimate))[0]
+    at_lam = lam if lam is not None else estimate
+    spread = np.where(np.isfinite(gate), np.abs(values - at_lam), math.nan)
+    _, at, non_finite = worst_residual(spread)
+    c_u, c_v = proj.curvature_pde_of(b, at_lam)
+    passed = non_finite == 0 and deviation <= tol and (lam is None or abs(estimate - lam) <= tol)
+    detail = {
+        "status": "constant" if passed else "non_constant",
+        "lambda_estimate": estimate if finite.size else None,
+        "max_deviation": deviation,
+    }
+    worst = deviation
     if lam is not None:
         detail["lambda_hypothesis"] = lam
-        if v.lambda_estimate is not None:
-            deviation = max(deviation, abs(v.lambda_estimate - lam))
-    if v.non_finite:
-        detail["non_finite_residuals"] = v.non_finite
-    pde_detail = {"residual_u": v.pde_residuals[0], "residual_v": v.pde_residuals[1]}
+        if finite.size:
+            worst = max(deviation, abs(estimate - lam))
+    if non_finite:
+        detail["non_finite_residuals"] = non_finite
+    pde_detail = {"residual_u": worst_residual(c_u)[0], "residual_v": worst_residual(c_v)[0]}
     pde_tol = run.tolerance("curvature_pde")
     return [
-        _record("curvature", run, deviation, at, tol, detail, v.passed),
-        _worst_record("curvature_pde", run, v.pde_values, pde_tol, pde_detail),
+        _record("curvature", run, worst, run.samples[at], tol, detail, passed),
+        _worst_record("curvature_pde", run, np.maximum(c_u, c_v), pde_tol, pde_detail),
     ]
 
 
@@ -343,11 +374,11 @@ def check_conjecture(run, tol, params):
     if not reversible:
         detail["conclusion"] = "consistent: not reversible, no claim applies"
     else:
-        verdict = proj.constant_curvature_verdict(run.profile, tolerance=run.tolerance("curvature"))
-        detail["constant_curvature"] = verdict.passed
-        if verdict.lambda_estimate is not None:
-            detail["lambda_estimate"] = verdict.lambda_estimate
-        if not verdict.passed:
+        curvature = check_curvature(run, run.tolerance("curvature"), {})[0]
+        detail["constant_curvature"] = curvature.passed
+        if curvature.detail.get("lambda_estimate") is not None:
+            detail["lambda_estimate"] = curvature.detail["lambda_estimate"]
+        if not curvature.passed:
             detail["conclusion"] = "consistent: curvature is not constant, no claim applies"
         elif not _smooth_across_v_zero(metric, samples):
             detail["smooth_across_v_zero"] = False

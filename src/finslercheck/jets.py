@@ -137,12 +137,6 @@ class Jet:
         block = self.coeffs.take(slots, 0) * factors.reshape(factors.shape + (1,) * (self.coeffs.ndim - 1))
         return block.reshape(tuple(map(len, ranges)) + self.coeffs.shape[1:])
 
-    def hessian(self) -> np.ndarray:
-        return self.partials(*[range(self.nvars)] * 2)
-
-    def third_tensor(self) -> np.ndarray:
-        return self.partials(*[range(self.nvars)] * 3)
-
     def __repr__(self) -> str:
         return f"Jet(m={self.nvars}, order={self.order}, value={self.value!r})"
 

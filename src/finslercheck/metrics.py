@@ -409,8 +409,11 @@ class ProfileBundle:
         return g + c_yy * (y * yt) + c_xy * (x * yt + y * xt)
 
     def require_radius(self) -> None:
-        """Refuse samples with r < MIN_RADIUS, where the 1/r profile formulas lose accuracy."""
-        low = self.r[self.r < MIN_RADIUS]
+        """Refuse samples with r < MIN_RADIUS, where the 1/r profile formulas lose accuracy.
+        An r short of it by rounding alone (up to 4 ulps) passes: ``sample_domain`` draws a
+        radius of at least the ``r_range`` start, but the r = |x| read back from the scaled
+        point can fall an ulp under it, so an ``r_range`` starting at MIN_RADIUS is valid."""
+        low = self.r[self.r < MIN_RADIUS - 4 * np.spacing(MIN_RADIUS)]
         if low.size:
             raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {low[0]}")
 

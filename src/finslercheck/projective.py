@@ -24,13 +24,13 @@ with y^k; Euler's relation P_{y^k} y^k = P turns it into
 
 which needs only second-order profile jets.  All formulas carry 1/r, so
 operations here require r >= ``metrics.MIN_RADIUS``.  The Rapcsak difference
-lives on ``ProfileBundle``, next to the closed-form spray.
+lives on ``ProfileBundle``, next to the closed-form spray.  Each formula
+gives one value (or one pair) per sample; ``checks.check_curvature`` reduces
+them to its records: the median lambda, the projectivity gate and the PDE
+pair at the hypothesis.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .metrics import (
     SphericalMetric,
     bundle_of,
     relative_residual,
-    worst_residual,
 )
 
 
@@ -120,65 +119,3 @@ def flag_curvature(metric: SphericalMetric, r: float, u: float, v: float) -> flo
     invariants = tuple(np.array([w], dtype=float) for w in (r, u, v))
     b = ProfileBundle._of_columns(empty, empty, invariants, metric.phi_jets(*invariants))
     return float(flag_curvature_of(b)[0])
-
-
-@dataclass(frozen=True)
-class CurvatureVerdict:
-    """Outcome of a constant-flag-curvature scan over samples."""
-
-    status: str  # "constant" | "non_constant" | "not_projective"
-    lambda_estimate: float | None
-    max_deviation: float
-    pde_residuals: tuple[float, float]
-    projectivity_residual: float = 0.0
-    worst_index: int = 0  # the row of the bundle that decided the verdict
-    non_finite: int = 0  # samples whose gate or lambda is not finite
-    pde_values: np.ndarray | None = None  # per sample, the larger of the two PDE residuals
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "constant"
-
-
-def constant_curvature_verdict(
-    b: ProfileBundle,
-    lambda_hypothesis: float | None = None,
-    tolerance: float = 1e-6,
-) -> CurvatureVerdict:
-    """Estimate lambda over the rows of the bundle and judge whether it is constant.
-
-    The estimate is the median of the finite pointwise values (robust to a
-    few near-singular samples; None if there are none); the deviation is the
-    max (strictest).  The constant-curvature PDE residuals are evaluated at
-    the hypothesis when given, else at the estimate.  When the projectivity
-    residual exceeds the gate, 1e-6, the verdict refuses to run: the curvature
-    formulas presume a projective metric.  Every reduction goes through
-    ``worst_residual``: a non-finite gate or lambda fails the verdict.
-    """
-    gate = b.rapcsak_residuals().max(axis=1)
-    gate_worst, gate_at, _ = worst_residual(gate)
-    if gate_worst > 1e-6:
-        return CurvatureVerdict(
-            "not_projective", None, math.inf, (math.inf, math.inf), gate_worst, gate_at
-        )
-    values = flag_curvature_of(b)
-    finite = values[np.isfinite(values)]
-    estimate = float(np.median(finite)) if finite.size else math.nan
-    deviation = worst_residual(np.abs(values - estimate))[0]
-    lam = lambda_hypothesis if lambda_hypothesis is not None else estimate
-    spread = np.where(np.isfinite(gate), np.abs(values - lam), math.nan)
-    _, worst_idx, non_finite = worst_residual(spread)
-    c_u, c_v = curvature_pde_of(b, lam)
-    constant = non_finite == 0 and deviation <= tolerance
-    if lambda_hypothesis is not None:
-        constant = constant and abs(estimate - lambda_hypothesis) <= tolerance
-    return CurvatureVerdict(
-        status="constant" if constant else "non_constant",
-        lambda_estimate=estimate if finite.size else None,
-        max_deviation=deviation,
-        pde_residuals=(worst_residual(c_u)[0], worst_residual(c_v)[0]),
-        projectivity_residual=gate_worst,
-        worst_index=worst_idx,
-        non_finite=non_finite,
-        pde_values=np.maximum(c_u, c_v),
-    )

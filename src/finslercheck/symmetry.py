@@ -13,8 +13,10 @@ derivative of g:
     (dg_ij/dx^p) X^p + g_pj dX^p/dx^i + g_ip dX^p/dx^j
         + 2 C_ijp (dX^p/dx^k) y^k = 0.
 
-Both are necessary conditions, so verdicts say "consistent with spherical
-symmetry" rather than claiming proof.
+Both are necessary conditions, so a passing check says "consistent with
+spherical symmetry" rather than claiming proof.  The residuals here are
+formulas over a derivative bundle, one value per sample (and per field for
+``scalar_residuals_of``); ``checks`` reduces them to records.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import AmbientBundle, quotient, relative_residual, worst_residual
+from .metrics import AmbientBundle, quotient, relative_residual
 
 
 @dataclass(frozen=True)
@@ -48,15 +50,6 @@ class RotationField:
 def rotation_fields(n: int) -> list[RotationField]:
     """All n(n-1)/2 coordinate-plane generators."""
     return [RotationField(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def _scalar_residuals(fx, fy, field: RotationField, x, y) -> np.ndarray:
-    """Scale-free contracted Killing residual per sample, from (N, n) arrays.
-
-    The Jacobian action on y is the field evaluated at y: A x = X(x) pointwise.
-    """
-    terms = np.concatenate([fx * field.vector(x), fy * field.vector(y)], axis=1)
-    return relative_residual(*terms.T)
 
 
 def killing_tensor_terms(b: AmbientBundle, fields):
@@ -88,6 +81,17 @@ def killing_tensor_residuals(b: AmbientBundle, fields) -> np.ndarray:
     return quotient(np.abs(sum(terms)), scale[:, :, None, None])
 
 
+def scalar_residuals_of(b, fields) -> np.ndarray:
+    """Scale-free scalar Killing residual per sample and field, (N, fields), from
+    the rows of either derivative bundle b (x, y, F_x and F_y).
+
+    The Jacobian action on y is the field evaluated at y: A x = X(x) pointwise.
+    """
+    _, fx, fy = b.first_derivatives()
+    terms = [np.concatenate([fx * f.vector(b.x), fy * f.vector(b.y)], axis=1) for f in fields]
+    return np.stack([relative_residual(*t.T) for t in terms], axis=1)
+
+
 def symmetry_tensor_of(b: AmbientBundle, fields) -> np.ndarray:
     """Largest tensor residual over the fields, per sample."""
     return killing_tensor_residuals(b, fields).max(axis=(2, 3)).max(axis=0)
@@ -108,46 +112,3 @@ def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
     """
     contracted = np.abs(np.einsum("kijp,kp->kij", b.cartan(), b.y)).max(axis=(1, 2))
     return contracted / np.abs(b.g()).max(axis=(1, 2))
-
-
-@dataclass(frozen=True)
-class SymmetryReport:
-    max_residual: float
-    passed: bool
-    worst_field: tuple[int, int]
-    worst_index: int  # the row of the bundle with the worst residual
-    fields_tested: int
-    non_finite: int = 0
-
-    @property
-    def conclusion(self) -> str:
-        if self.passed:
-            return "consistent with spherical symmetry"
-        if self.non_finite:
-            return f"undecided: non-finite residual for field {self.worst_field}"
-        return (
-            f"not spherically symmetric: field {self.worst_field} "
-            f"residual {self.max_residual:.3e}"
-        )
-
-
-def symmetry_verdict(b, tolerance: float = 1e-9) -> SymmetryReport:
-    """Scalar Killing residual maximized over every row of the derivative
-    bundle b (x, y, F_x and F_y) and every generator.
-
-    The worst (row, field) pair is the first maximum in row-major order; any
-    non-finite residual fails the verdict.
-    """
-    fields = rotation_fields(b.x.shape[1])
-    _, fx, fy = b.first_derivatives()
-    resid = np.stack([_scalar_residuals(fx, fy, f, b.x, b.y) for f in fields], axis=1)
-    worst, index, non_finite = worst_residual(resid)
-    at, field = divmod(index, len(fields))
-    return SymmetryReport(
-        max_residual=worst,
-        passed=non_finite == 0 and worst <= tolerance,
-        worst_field=(fields[field].i, fields[field].j),
-        worst_index=at,
-        fields_tested=len(fields),
-        non_finite=non_finite,
-    )

@@ -31,15 +31,12 @@ from finslercheck.metrics import (
     builtin,
     bundle_of,
     relative_residual,
+    worst_residual,
 )
-from finslercheck.projective import (
-    constant_curvature_verdict,
-    curvature_pde_of,
-    projective_pde_of,
-)
+from finslercheck.projective import curvature_pde_of, projective_pde_of
 from finslercheck.report import to_json
 from finslercheck.sampling import SampleSpec, sample_domain
-from finslercheck.symmetry import rotation_fields, symmetry_tensor_of, symmetry_verdict
+from finslercheck.symmetry import rotation_fields, scalar_residuals_of, symmetry_tensor_of
 
 SEED = 7
 COUNT = 500
@@ -97,12 +94,11 @@ def test_criterion_01_curvature_constants():
     for name, params, want in CONSTANT_CURVATURES:
         metric = metric_of(name, params)
         rows = samples_of(metric)
-        b = ProfileBundle.of(metric, rows.x, rows.y)
-        verdict = constant_curvature_verdict(b, lambda_hypothesis=want, tolerance=1e-6)
+        curvature, _ = run_check("curvature", Run(metric, rows, {"curvature": 1e-6}), {"lambda": want})
         label = f"{name}({params})" if params else name
-        assert verdict.status == "constant", label
-        assert abs(verdict.lambda_estimate - want) <= 1e-6, label
-        assert verdict.max_deviation <= 1e-6, label
+        assert curvature.passed and curvature.detail["status"] == "constant", label
+        assert abs(curvature.detail["lambda_estimate"] - want) <= 1e-6, label
+        assert curvature.detail["max_deviation"] <= 1e-6, label
     report("criterion 1 PASS: flag curvature medians and deviations match the constants")
 
 
@@ -141,14 +137,14 @@ def test_criterion_04_spherical_symmetry():
             metric = metric_of(name)
             rows = samples_of(metric, n=n)
             x, y = rows.x, rows.y
-            verdict = symmetry_verdict(bundle_of(metric, x, y), tolerance=1e-9)
-            assert verdict.passed, (name, n, verdict.max_residual)
+            [record] = run_check("symmetry", Run(metric, rows, {"symmetry": 1e-9}), {})
+            assert record.passed, (name, n, record.max_residual)
             b = AmbientBundle.of(metric, x, y)
             assert symmetry_tensor_of(b, fields).max() <= 1e-8, (name, n)
     aniso = GeneralMetric.from_expression("sqrt(2*y1^2 + y2^2)", 2, name="anisotropic")
     # in two dimensions the only field is the (0, 1) rotation
     b = bundle_of(aniso, np.array([[0.3, 0.2]]), np.array([[1.0, 1.0]]))
-    resid = symmetry_verdict(b).max_residual
+    resid = worst_residual(scalar_residuals_of(b, rotation_fields(2)))[0]
     assert resid > 0.1
     # unnormalized value at the documented point is 1/sqrt(3)
     raw = resid * math.sqrt(3.0)  # scale there is |2/sqrt3| + |1/sqrt3| = sqrt(3)
@@ -278,11 +274,11 @@ def test_criterion_08_ad_integrity():
             if abs(ad - fd_grad_i) > 1e-5 * max(1.0, abs(fd_grad_i)):
                 ok = False
             fd_hess_col = (up.coeffs[1 : 1 + m] - down.coeffs[1 : 1 + m]) / (2.0 * h)
-            ad_col = jet.hessian()[:, i]
+            ad_col = jet.partials(*[range(m)] * 2)[:, i]
             if np.abs(ad_col - fd_hess_col).max() > 1e-5 * max(1.0, np.abs(fd_hess_col).max()):
                 ok = False
-            fd_third_slice = (up.hessian() - down.hessian()) / (2.0 * h)
-            ad_slice = jet.third_tensor()[:, :, i]
+            fd_third_slice = (up.partials(*[range(m)] * 2) - down.partials(*[range(m)] * 2)) / (2.0 * h)
+            ad_slice = jet.partials(*[range(m)] * 3)[:, :, i]
             if np.abs(ad_slice - fd_third_slice).max() > 1e-5 * max(
                 1.0, np.abs(fd_third_slice).max()
             ):

@@ -20,13 +20,11 @@ from finslercheck.metrics import (
     ProfileBundle,
     SphericalMetric,
     builtin,
-    bundle_of,
     positive_definite,
     worst_residual,
 )
 from finslercheck.report import Report, to_json, to_text
 from finslercheck.sampling import SampleSpec, sample_domain
-from finslercheck.symmetry import symmetry_verdict
 
 residuals = st.lists(
     st.one_of(
@@ -59,14 +57,12 @@ def _overflowing_metric():
 def test_nan_residuals_fail_every_reduction():
     metric = _overflowing_metric()
     samples = sample_domain(SampleSpec.for_metric(n=2, count=6, seed=3))
-    verdict = symmetry_verdict(bundle_of(metric, samples.x, samples.y))
-    assert not verdict.passed and verdict.non_finite == len(samples)
-    assert verdict.worst_index == 0
     report = Report(metric=metric.name, dimension=2, seed=3, count=len(samples))
     for check in ("symmetry", "symmetry_tensor", "cartan"):
         [record] = run_check(check, Run(metric, samples), {})
         assert not record.passed, check
-        assert record.detail["non_finite_residuals"] >= 1, check
+        # one residual per sample (and per field: n = 2 has one), every one NaN
+        assert record.detail["non_finite_residuals"] == len(samples), check
         assert record.worst_x == list(samples[0].x), check
         report.records.append(record)
     assert json.loads(to_json(report))["overall_pass"] is False
@@ -467,6 +463,39 @@ def test_non_projective_curvature_record_fails_without_a_pde_record():
     y = ", ".join(f"{c:.6g}" for c in record.worst_y)
     assert f"worst at x = ({x}), y = ({y})" in text
     assert "status = not_projective" in text and "overall: FAIL" in text
+
+
+def _funk_integrand():
+    from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
+
+    return build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
+
+
+@pytest.mark.parametrize(
+    "build, constant",
+    [
+        # builtin funk is not reversible, so its conjecture record reads no curvature;
+        # the integrand alone gives a reversible metric of the same lambda, -1/4
+        (_funk_integrand, True),
+        (lambda: builtin("klein"), True),
+        (lambda: SphericalMetric("curved_control", ExpressionProfile("u*(1+r^2)")), False),
+    ],
+    ids=["funk_integrand", "klein", "curved_control"],
+)
+def test_conjecture_reads_the_curvature_record(build, constant):
+    metric = build()
+    spec = SampleSpec.for_metric(n=2, count=25, seed=7, domain_radius=metric.domain_radius)
+    run = Run(metric, sample_domain(spec))
+    [conjecture] = run_check("conjecture", run, {})
+    curvature = run_check("curvature", run, {})[0]
+    assert conjecture.detail["reversible"]
+    assert conjecture.detail["constant_curvature"] is curvature.passed is constant
+    assert conjecture.detail.get("lambda_estimate") == curvature.detail.get("lambda_estimate")
+    if constant:
+        assert curvature.detail["status"] == "constant" and "lambda_estimate" in conjecture.detail
+    else:
+        assert curvature.detail["status"] == "not_projective" and "lambda_estimate" not in conjecture.detail
+        assert conjecture.detail["conclusion"] == "consistent: curvature is not constant, no claim applies"
 
 
 def test_failed_build_reraises_the_same_error():

@@ -7,7 +7,9 @@ import pytest
 from conftest import child_env
 
 from finslercheck.cli import main, run_config
+from finslercheck.metrics import MIN_RADIUS
 from finslercheck.report import to_json
+from finslercheck.sampling import SampleSpec, sample_domain
 
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -289,6 +291,18 @@ class TestRunConfig:
         assert code == 0
         r = np.linalg.norm(report.records[0].worst_x)
         assert 0.4 <= r <= 0.6
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_r_range_at_the_minimum_radius_runs(self, tmp_path, n):
+        # r = |x| of a sample scaled to radius 0.05 can round an ulp under MIN_RADIUS
+        # (24 of these 200 samples at n = 3); that is no reason to refuse the config
+        sampling = {"count": 200, "seed": 7, "r_range": [0.05, 0.05]}
+        spec = SampleSpec.for_metric(n=n, count=200, seed=7, r_range=sampling["r_range"])
+        assert (sample_domain(spec).r < MIN_RADIUS).any()
+        cfg = {"metric": {"name": "funk"}, "dimension": n, "sampling": sampling}
+        cfg["checks"] = ["rapcsak", "projective_pde", "curvature"]
+        report, code = run_config(write_config(tmp_path, cfg))
+        assert code == 0 and len(report.records) == 4
 
     def test_bad_sampling_range_exit_two(self, tmp_path, capsys):
         cfg = funk_config(sampling={"count": 5, "seed": 7, "r_range": [0.001, 0.5]})

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import same_pair, samples_for
 from finslercheck import expr
+from finslercheck.checks import Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.family import (
     _PROBE_GRID,
@@ -22,7 +23,7 @@ from finslercheck.family import (
 )
 from finslercheck.jets import EvaluationError, Jet, JetDomainError
 from finslercheck.metrics import MetricDomainError, ProfileBundle, SphericalMetric, builtin
-from finslercheck.projective import constant_curvature_verdict, projective_pde_of
+from finslercheck.projective import projective_pde_of
 
 REPO = Path(__file__).resolve().parent.parent
 FUNK_SPEC = ProjectiveFamilySpec(
@@ -221,21 +222,15 @@ class TestBuiltMetrics:
     def test_f_only_funk_integrand_has_constant_curvature(self):
         # dropping the baseline keeps the curvature constant at -1/4: the
         # curvature PDEs see the same integrand
-        from finslercheck.projective import constant_curvature_verdict
-
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
-        rows = samples_for(metric, n=2, count=25)
-        b = ProfileBundle.of(metric, rows.x, rows.y)
-        verdict = constant_curvature_verdict(b)
-        assert verdict.status == "constant"
-        assert abs(verdict.lambda_estimate + 0.25) <= 1e-7
+        curvature, _ = run_check("curvature", Run(metric, samples_for(metric, n=2, count=25)), {})
+        assert curvature.passed and curvature.detail["status"] == "constant"
+        assert abs(curvature.detail["lambda_estimate"] + 0.25) <= 1e-7
 
     def test_conjecture_probe_detects_kinked_profile(self):
         # reversible and constant curvature, but carrying a |v| kink: the
         # probe must report the smoothness assumption failing, not a
         # counterexample
-        from finslercheck.checks import Run, run_check
-
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/sqrt(1+t)"))
         records = run_check("conjecture", Run(metric, samples_for(metric, n=2, count=25)), {})
         assert records[0].passed
@@ -266,11 +261,12 @@ class TestBuiltMetrics:
 
     def test_generic_f_projective_but_not_constant(self):
         metric = build_projective_metric(ProjectiveFamilySpec(f="1/(1+t)"))
-        samples = samples_for(metric, n=2, count=25)
-        verdict = constant_curvature_verdict(ProfileBundle.of(metric, samples.x, samples.y))
-        assert verdict.status == "non_constant"
-        assert verdict.max_deviation > 1e-3
-        assert verdict.projectivity_residual <= 1e-6
+        run = Run(metric, samples_for(metric, n=2, count=25))
+        curvature, _ = run_check("curvature", run, {})
+        assert not curvature.passed and curvature.detail["status"] == "non_constant"
+        assert curvature.detail["max_deviation"] > 1e-3
+        # past the 1e-6 projectivity gate, which a non-projective metric stops at
+        assert run.profile.rapcsak_residuals().max() <= 1e-6
 
     def test_abs_baseline_refuses_v_zero(self):
         metric = build_projective_metric(FUNK_SPEC)
@@ -305,8 +301,10 @@ class TestBuiltMetrics:
             b = funk.ambient_jet(x.T, y.T, order)
             assert np.abs(a.coeffs[0] - b.coeffs[0]).max() < 1e-11
             assert np.abs(a.coeffs[1:5] - b.coeffs[1:5]).max() < 1e-9
-            assert np.abs(a.hessian() - b.hessian()).max() < 1e-8
-        assert np.abs(a.third_tensor() - b.third_tensor()).max() < 1e-7
+            second = [range(4)] * 2
+            assert np.abs(a.partials(*second) - b.partials(*second)).max() < 1e-8
+        third = [range(4)] * 3
+        assert np.abs(a.partials(*third) - b.partials(*third)).max() < 1e-7
 
 
 # bisects deep enough that summing its leaves in any other than tree order

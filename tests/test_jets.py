@@ -27,14 +27,14 @@ class TestLiftVar:
         j = lift_var(0, 4.0, 3, 2)
         assert j.value == 4.0
         assert np.array_equal(j.coeffs[1:4], [1.0, 0.0, 0.0])
-        assert np.all(j.hessian() == 0.0)
+        assert np.all(j.partials(range(3), range(3)) == 0.0)
 
     def test_higher_orders_zero(self):
         j = lift_var(2, -1.5, 3, 3)
         assert j.value == -1.5
         assert np.array_equal(j.coeffs[1:4], [0.0, 0.0, 1.0])
-        assert np.all(j.hessian() == 0.0)
-        assert np.all(j.third_tensor() == 0.0)
+        assert np.all(j.partials(*[range(3)] * 2) == 0.0)
+        assert np.all(j.partials(*[range(3)] * 3) == 0.0)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -45,7 +45,7 @@ class TestLiftVar:
         with pytest.raises(ValueError, match="no.*derivative"):
             j.partial(0, 0, 1)
         with pytest.raises(ValueError, match="no partials of degree 3"):
-            j.third_tensor()
+            j.partials(*[range(2)] * 3)
 
 
 class TestArithmetic:
@@ -65,7 +65,7 @@ class TestArithmetic:
         j = (x + y) * (x - y)
         assert j.value == 3.0
         assert np.array_equal(j.coeffs[1:3], [4.0, -2.0])
-        assert np.array_equal(j.hessian(), [[2.0, 0.0], [0.0, -2.0]])
+        assert np.array_equal(j.partials(range(2), range(2)), [[2.0, 0.0], [0.0, -2.0]])
 
     def test_scalar_mixing(self):
         x = lift_var(0, 2.0, 1, 2)
@@ -231,7 +231,7 @@ def test_third_order_matches_hessian_finite_differences():
     jet3 = _sample_fn([lift_var(i, point[i], 2, 3) for i in range(2)])
 
     def hessian_at(p):
-        return _sample_fn([lift_var(i, p[i], 2, 2) for i in range(2)]).hessian()
+        return _sample_fn([lift_var(i, p[i], 2, 2) for i in range(2)]).partials(range(2), range(2))
 
     for k in range(2):
         shifted = list(point)
@@ -240,7 +240,7 @@ def test_third_order_matches_hessian_finite_differences():
         shifted[k] = point[k] - h
         down = hessian_at(shifted)
         fd = (up - down) / (2 * h)
-        ad = jet3.third_tensor()[:, :, k]
+        ad = jet3.partials(*[range(2)] * 3)[:, :, k]
         assert np.abs(ad - fd).max() <= 1e-5 * max(1.0, np.abs(fd).max())
 
 
@@ -319,22 +319,22 @@ def test_batched_accessors_are_arrays():
     j = x * x * y
     assert np.array_equal(j.value, [p[0] ** 2 * p[1] for p in BATCH_POINTS])
     assert np.array_equal(j.partial(0, 1), [2.0 * p[0] for p in BATCH_POINTS])
-    assert j.hessian().shape == (2, 2, len(BATCH_POINTS))
-    assert np.array_equal(j.hessian()[:, :, 1], (lift_var(0, 1.7, 2, 2) ** 2 * lift_var(1, 0.25, 2, 2)).hessian())
+    one = lift_var(0, 1.7, 2, 2) ** 2 * lift_var(1, 0.25, 2, 2)
+    assert j.partials(range(2), range(2)).shape == (2, 2, len(BATCH_POINTS))
+    assert np.array_equal(j.partials(range(2), range(2))[:, :, 1], one.partials(range(2), range(2)))
 
 
 @pytest.mark.parametrize("points", [1, 4])
 def test_partials_blocks_equal_each_partial(points):
-    # a block over any variable ranges holds, at each point, partial(*t) bit for bit;
-    # the dense tensors are the all-variables blocks
+    # a block over any variable ranges holds, at each point, partial(*t) bit for bit,
+    # the dense all-variables blocks included
     rng = np.random.default_rng(3)
     xs = [lift_var(i, rng.uniform(0.5, 1.5, points), 4, 3) for i in range(4)]
     f = sqrt(xs[0] * xs[1] + xs[2] * xs[3] * xs[0] + 2.0) * exp(xs[3] * xs[1] * 0.2)
     if points == 1:
         f = Jet(4, 3, f.coeffs[:, 0])
-    blocks = [(f.partials(*r), r) for r in [(range(2), range(2, 4)), (range(1, 3), range(4), range(3, 4))]]
-    blocks += [(f.hessian(), (range(4),) * 2), (f.third_tensor(), (range(4),) * 3)]
-    for block, ranges in blocks:
+    blocks = [(range(2), range(2, 4)), (range(1, 3), range(4), range(3, 4)), (range(4),) * 2, (range(4),) * 3]
+    for block, ranges in ((f.partials(*r), r) for r in blocks):
         assert block.shape == tuple(map(len, ranges)) + f.coeffs.shape[1:]
         for index in np.ndindex(*map(len, ranges)):
             t = [r[k] for r, k in zip(ranges, index)]

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import invariants_bundle, make_metric, samples_for
+from finslercheck.checks import Run, run_check
 from finslercheck.metrics import (
+    MIN_RADIUS,
     ClosedFormProfile,
     ProfileBundle,
     SphericalMetric,
@@ -10,9 +12,9 @@ from finslercheck.metrics import (
     relative_residual,
 )
 from finslercheck.projective import (
-    constant_curvature_verdict,
     curvature_pde_of,
     flag_curvature,
+    flag_curvature_of,
     p_of,
     projective_pde_of,
     rapcsak_residual,
@@ -60,6 +62,13 @@ class TestRapcsak:
     def test_minimum_radius_enforced(self):
         with pytest.raises(ValueError):
             rapcsak_residual(builtin("funk"), [0.01, 0.0], [1.0, 0.5])
+
+    def test_minimum_radius_forgives_rounding_only(self):
+        funk = builtin("funk")
+        ulps_short = MIN_RADIUS - 2 * np.spacing(MIN_RADIUS)
+        assert rapcsak_residual(funk, [0.0, ulps_short], [1.0, 0.5]).max() <= 1e-8
+        with pytest.raises(ValueError, match="need r >= 0.05"):
+            rapcsak_residual(funk, [0.0, 0.04], [1.0, 0.5])
 
     def test_general_metric_route_agrees(self):
         # same metric through the profile chain rule and the ambient jets
@@ -208,36 +217,43 @@ class TestFlagCurvature:
         assert resid.max() <= 1e-9
 
 
-def bundle(metric, count):
-    """The profile bundle of the metric's first ``count`` samples at n = 2."""
-    rows = samples_for(metric, n=2, count=count)
-    return ProfileBundle.of(metric, rows.x, rows.y)
+def curvature_records(metric, count, **params):
+    """The curvature and curvature_pde records of the metric's first ``count``
+    samples at n = 2 (only the first when the metric is not projective)."""
+    return run_check("curvature", Run(metric, samples_for(metric, n=2, count=count)), params)
 
 
 class TestVerdict:
+    """The curvature check's records: status, estimate, deviation and PDE pair."""
+
     def test_klein_constant_minus_one(self):
-        metric = builtin("klein")
-        verdict = constant_curvature_verdict(bundle(metric, 60))
-        assert verdict.status == "constant"
-        assert abs(verdict.lambda_estimate + 1.0) <= 1e-7
-        assert verdict.max_deviation <= 1e-7
-        assert max(verdict.pde_residuals) <= 1e-8
+        curvature, pde = curvature_records(builtin("klein"), 60)
+        assert curvature.passed and curvature.detail["status"] == "constant"
+        assert abs(curvature.detail["lambda_estimate"] + 1.0) <= 1e-7
+        assert curvature.detail["max_deviation"] <= 1e-7
+        assert pde.passed
+        assert max(pde.detail["residual_u"], pde.detail["residual_v"]) <= 1e-8
 
     def test_spherical_constant_plus_one(self):
-        metric = builtin("spherical")
-        verdict = constant_curvature_verdict(bundle(metric, 60))
-        assert verdict.status == "constant"
-        assert abs(verdict.lambda_estimate - 1.0) <= 1e-7
+        curvature, _ = curvature_records(builtin("spherical"), 60)
+        assert curvature.detail["status"] == "constant"
+        assert abs(curvature.detail["lambda_estimate"] - 1.0) <= 1e-7
 
     def test_hypothesis_mismatch_fails(self):
         metric = builtin("funk")
-        verdict = constant_curvature_verdict(bundle(metric, 30), lambda_hypothesis=0.0)
-        assert verdict.status == "non_constant"
-        assert 0 <= verdict.worst_index < 30
+        curvature, pde = curvature_records(metric, 30, **{"lambda": 0.0})
+        assert not curvature.passed and curvature.detail["status"] == "non_constant"
+        assert curvature.detail["lambda_hypothesis"] == 0.0
+        # the estimate is -1/4, so the record's residual is its distance from 0
+        assert curvature.max_residual == abs(curvature.detail["lambda_estimate"])
+        # it names the sample whose lambda lies farthest from the hypothesis
+        samples = samples_for(metric, n=2, count=30)
+        worst = int(np.abs(flag_curvature_of(ProfileBundle.of(metric, samples.x, samples.y))).argmax())
+        assert curvature.worst_x == list(samples[worst].x)
+        assert not pde.passed  # the PDE pair is evaluated at the hypothesis
 
     def test_not_projective_gate(self):
-        metric = curved_control()
-        verdict = constant_curvature_verdict(bundle(metric, 10))
-        assert verdict.status == "not_projective"
-        assert verdict.lambda_estimate is None
-        assert verdict.projectivity_residual > 1e-6
+        [curvature] = curvature_records(curved_control(), 10)
+        assert not curvature.passed and curvature.detail["status"] == "not_projective"
+        assert "lambda_estimate" not in curvature.detail
+        assert curvature.detail["projectivity_residual"] > 1e-6

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_metric, samples_for
+from finslercheck.checks import Run, run_check
 from finslercheck.metrics import (
     AmbientBundle,
     GeneralMetric,
@@ -11,17 +12,17 @@ from finslercheck.metrics import (
     builtin,
     bundle_of,
     fundamental_tensor,
+    worst_residual,
 )
 from finslercheck.sampling import SampleSpec, sample_domain
 from finslercheck.symmetry import (
     RotationField,
-    _scalar_residuals,
     cartan_contraction_of,
     killing_tensor_max_residual,
     killing_tensor_residuals,
     killing_tensor_terms,
     rotation_fields,
-    symmetry_verdict,
+    scalar_residuals_of,
 )
 
 
@@ -38,9 +39,7 @@ def pairs(*xy):
 
 def scalar_residuals(metric, field, samples):
     """The contracted Killing residual of the field at each sample, from one bundle."""
-    b = bundle_of(metric, samples.x, samples.y)
-    _, fx, fy = b.first_derivatives()
-    return _scalar_residuals(fx, fy, field, b.x, b.y)
+    return scalar_residuals_of(bundle_of(metric, samples.x, samples.y), [field])[:, 0]
 
 
 def tensor_residual(metric, field, x, y):
@@ -215,32 +214,57 @@ class TestCartan:
             assert np.abs(c - np.transpose(c, perm)).max() < 1e-14
 
 
+def symmetry_record(metric, samples):
+    [record] = run_check("symmetry", Run(metric, samples), {})
+    return record
+
+
 class TestVerdict:
+    """The symmetry check's record: its verdict, worst sample and field."""
+
     @pytest.mark.parametrize("name", ["euclidean", "klein", "funk", "berwald", "spherical", "bryant"])
     def test_builtins_pass(self, name):
         metric = make_metric(name)
-        rows = samples_for(metric, n=3, count=25)
-        report = symmetry_verdict(bundle_of(metric, rows.x, rows.y))
-        assert report.passed
-        assert report.max_residual <= 1e-9
-        assert report.fields_tested == 3
-        assert "consistent" in report.conclusion
-        assert "proved" not in report.conclusion
+        record = symmetry_record(metric, samples_for(metric, n=3, count=25))
+        assert record.passed
+        assert record.max_residual <= 1e-9
+        assert record.detail["fields_tested"] == 3
+        assert "consistent" in record.detail["conclusion"]
+        assert "proved" not in record.detail["conclusion"]
 
     def test_two_dimensions_single_field(self):
         metric = builtin("funk")
-        rows = samples_for(metric, n=2, count=5)
-        report = symmetry_verdict(bundle_of(metric, rows.x, rows.y))
-        assert report.fields_tested == 1
+        record = symmetry_record(metric, samples_for(metric, n=2, count=5))
+        assert record.detail["fields_tested"] == 1
+        assert record.detail["worst_field"] == [0, 1]
 
     def test_anisotropic_fails_with_worst_field(self):
         metric = anisotropic(3)
         samples = samples_for(builtin("spherical"), n=3, count=25)
-        report = symmetry_verdict(bundle_of(metric, samples.x, samples.y))
-        assert not report.passed
-        assert report.max_residual > 0.1
-        assert 0 in report.worst_field  # a plane moving the special axis
-        assert "not spherically symmetric" in report.conclusion
+        record = symmetry_record(metric, samples)
+        assert not record.passed
+        assert record.max_residual > 0.1
+        assert 0 in record.detail["worst_field"]  # a plane moving the special axis
+        assert "not spherically symmetric" in record.detail["conclusion"]
+        # the first maximum over (sample, field) in sample-major order
+        fields = rotation_fields(3)
+        worst, index, _ = worst_residual(scalar_residuals_of(bundle_of(metric, samples.x, samples.y), fields))
+        at, m = divmod(index, len(fields))
+        assert record.max_residual == worst
+        assert record.worst_x == list(samples[at].x) and record.worst_y == list(samples[at].y)
+        assert record.detail["worst_field"] == [fields[m].i, fields[m].j]
+
+    def test_ties_go_to_the_first_sample(self):
+        # |y| exp(x1) is invariant under rotations of axes 1 and 2 only; the second row
+        # swaps those axes of the first (every value exact in binary), so its (0, 1)
+        # residual equals the first row's (0, 2) residual bit for bit, the largest:
+        # sample-major order names the first row and field (0, 2)
+        metric = GeneralMetric.from_expression("sqrt(y1^2 + y2^2 + y3^2)*exp(x1)", 3)
+        rows = pairs(([0.125, 0.25, 0.75], [1.0, 0.75, 0.25]), ([0.125, 0.75, 0.25], [1.0, 0.25, 0.75]))
+        values = scalar_residuals_of(bundle_of(metric, rows.x, rows.y), rotation_fields(3))
+        assert values[1, 0] == values[0, 1] == values.max()
+        record = symmetry_record(metric, rows)
+        assert record.worst_x == list(rows[0].x) and record.detail["worst_field"] == [0, 2]
 
     def test_anisotropic_axis_fixing_field_passes(self):
         metric = anisotropic(3)
