@@ -11,11 +11,12 @@ Each runner builds its records straight from the per-sample formulas over
 those bundles (``symmetry``, ``projective`` and the bundles' own methods),
 reduced by ``metrics.worst_residual``.
 ``CHECKS`` is the one table of the checks: each name's runner, default
-tolerance and what it reads of the run.
+tolerance, what it reads of the run and the params it takes.
 """
 
 from __future__ import annotations
 
+import difflib
 import math
 import numbers
 import os
@@ -47,6 +48,11 @@ from .report import CheckRecord
 
 class ConfigError(ValueError):
     """Bad configuration: unknown names, wrong metric kind, invalid params."""
+
+
+def _suggest(name: str, options) -> str:
+    close = difflib.get_close_matches(name, list(options), n=1)
+    return f" (did you mean '{close[0]}'?)" if close else ""
 
 
 def _named(build, samples: MetricSample):
@@ -224,7 +230,7 @@ def check_curvature(run, tol, params):
     projective, which the curvature formulas presume: then the one record fails
     and names the worst sample.  A non-finite gate or lambda fails the check.
     """
-    lam = _curvature_lambda(params)
+    lam = params["lambda"]
     b = run.profile
     gate = b.rapcsak_residuals().max(axis=1)
     gate_worst, gate_at, _ = worst_residual(gate)
@@ -260,16 +266,6 @@ def check_curvature(run, tol, params):
     ]
 
 
-def _curvature_lambda(params) -> float | None:
-    """The hypothesised lambda: absent, or a finite number."""
-    lam = params.get("lambda")
-    if lam is None:
-        return None
-    if isinstance(lam, bool) or not isinstance(lam, numbers.Real) or not math.isfinite(lam):
-        raise ConfigError(f"curvature param 'lambda' must be a finite number, got {lam!r}")
-    return float(lam)
-
-
 def check_det_g(run, tol, params):
     b = run.profile
     values = relative_residual(b.det_g(), -np.linalg.det(b.g()))
@@ -286,28 +282,12 @@ def check_reversibility(run, tol, params):
     return [_worst_record("reversibility", run, run.reversibility, tol)]
 
 
-def _geodesic_params(params) -> tuple[int, int, float]:
-    """(count, steps, horizon): integers >= 1 and a finite horizon > 0."""
-    count, steps = params.get("count", 20), params.get("steps", 400)
-    horizon = params.get("horizon", 0.5)
-    for name, value in (("count", count), ("steps", steps)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-            raise ConfigError(f"geodesics param '{name}' must be an integer >= 1, got {value!r}")
-    if (
-        isinstance(horizon, bool)
-        or not isinstance(horizon, numbers.Real)
-        or not (math.isfinite(horizon) and horizon > 0.0)
-    ):
-        raise ConfigError(f"geodesics param 'horizon' must be finite and > 0, got {horizon!r}")
-    return int(count), int(steps), float(horizon)
-
-
 def check_geodesics(run, tol, params):
     """Straightness of integrated geodesics, all launched as one batch; a path
     that stopped early, or a launch point at |x| >= 0.95 of the domain radius,
     fails the check and names its launch sample."""
     metric = run.metric
-    count, steps, horizon = _geodesic_params(params)
+    count, steps, horizon = params["count"], params["steps"], params["horizon"]
     launched = run.samples[:count]
     horizons = _named(lambda x, y: geo.safe_horizon(metric, x, y, horizon), launched)
     paths = geo.integrate_geodesics(metric, launched.x, launched.y, horizons, steps)
@@ -333,13 +313,17 @@ def check_geodesics(run, tol, params):
     return [_worst_record("geodesics", run, deviations, tol, detail, stopped, samples=launched)]
 
 
-def _smooth_across_v_zero(metric, samples, delta=1e-6, threshold=1e-3):
+_KINK_DELTA, _KINK_THRESHOLD = 1e-6, 1e-3  # see _smooth_across_v_zero
+
+
+def _smooth_across_v_zero(metric, samples):
     """Is the profile differentiable across <x,y> = 0 at the first four samples?
 
     An even profile can still carry an h(r)|v| term (the reversible family
     metrics built from an integrand do); phi_v then jumps by 2 h(r) across
-    v = 0 instead of varying like 2 delta phi_vv.  The conjectured statement
-    assumes smooth metrics, so kinked ones must not be probed against it.
+    v = 0 instead of varying like 2 delta phi_vv (delta is ``_KINK_DELTA``), so a
+    jump over ``_KINK_THRESHOLD`` times |phi_u| + |phi_v| is a kink.  The conjectured
+    statement assumes smooth metrics, so kinked ones must not be probed against it.
     The probe points (r, u, +delta) and (r, u, -delta) of each sample lie off
     the samples, in one order-1 ``phi_jets`` call; an evaluation error there
     names the lowest failing sample (``_first_failure``).
@@ -347,12 +331,13 @@ def _smooth_across_v_zero(metric, samples, delta=1e-6, threshold=1e-3):
 
     def kinked(r, u):
         try:
-            jets = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.tile([delta, -delta], len(r)), 1)
+            v = np.tile([_KINK_DELTA, -_KINK_DELTA], len(r))
+            jets = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), v, 1)
         except EvaluationError as err:
             err.index //= 2  # triple -> sample
             raise
         up_u, up_v, down_v = jets[1 + U, 0::2], jets[1 + V, 0::2], jets[1 + V, 1::2]
-        return abs(up_v - down_v) > threshold * (abs(up_u) + abs(up_v))
+        return abs(up_v - down_v) > _KINK_THRESHOLD * (abs(up_u) + abs(up_v))
 
     probed = samples[:4]
     return not _named(lambda x, y: _first_failure(kinked, probed.r, probed.u), probed).any()
@@ -374,7 +359,7 @@ def check_conjecture(run, tol, params):
     if not reversible:
         detail["conclusion"] = "consistent: not reversible, no claim applies"
     else:
-        curvature = check_curvature(run, run.tolerance("curvature"), {})[0]
+        curvature = check_curvature(run, run.tolerance("curvature"), {"lambda": None})[0]
         detail["constant_curvature"] = curvature.passed
         if curvature.detail.get("lambda_estimate") is not None:
             detail["lambda_estimate"] = curvature.detail["lambda_estimate"]
@@ -406,39 +391,70 @@ def check_conjecture(run, tol, params):
     return [_record("conjecture", run, probe_max, samples[rev_at], tol, detail, passed)]
 
 
-# name -> (runner, default tolerance, the ``Run`` items it reads).  ``profile`` and
-# ``reversibility`` evaluate phi, so a check reading either needs a spherical metric;
+# the checks' params: name -> (default, type, test, what the test asks); the default
+# lambda, None, tests no hypothesis
+_CURVATURE_PARAMS = {"lambda": (None, float, math.isfinite, "a finite number")}
+_GEODESIC_PARAMS = {
+    "count": (20, int, lambda n: n >= 1, "an integer >= 1"),
+    "steps": (400, int, lambda n: n >= 1, "an integer >= 1"),
+    "horizon": (0.5, float, lambda t: math.isfinite(t) and t > 0.0, "finite and > 0"),
+}
+
+# name -> (runner, default tolerance, the ``Run`` items it reads, its params).  ``profile``
+# and ``reversibility`` evaluate phi, so a check reading either needs a spherical metric;
 # ``first_order`` is the profile bundle of a spherical metric, else the ambient one.
+# ``run_check`` gives a runner every param it declares and refuses any other key.
 CHECKS = {
-    "homogeneity": (check_homogeneity, 1e-9, ("profile",)),
-    "convexity": (check_convexity, 0.0, ("profile",)),
-    "symmetry": (check_symmetry, 1e-9, ("first_order",)),
-    "symmetry_tensor": (check_symmetry_tensor, 1e-8, ("ambient",)),
-    "cartan": (check_cartan, 1e-9, ("ambient",)),
-    "rapcsak": (check_rapcsak, 1e-8, ("first_order",)),
-    "projective_pde": (check_projective_pde, 1e-8, ("profile",)),
-    "curvature": (check_curvature, 1e-6, ("profile",)),
-    "det_g": (check_det_g, 1e-8, ("profile",)),
-    "fundamental_ad": (check_fundamental_ad, 1e-9, ("profile", "ambient")),
-    "reversibility": (check_reversibility, 1e-9, ("reversibility",)),
-    "geodesics": (check_geodesics, 1e-6, ()),
-    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile")),
+    "homogeneity": (check_homogeneity, 1e-9, ("profile",), {}),
+    "convexity": (check_convexity, 0.0, ("profile",), {}),
+    "symmetry": (check_symmetry, 1e-9, ("first_order",), {}),
+    "symmetry_tensor": (check_symmetry_tensor, 1e-8, ("ambient",), {}),
+    "cartan": (check_cartan, 1e-9, ("ambient",), {}),
+    "rapcsak": (check_rapcsak, 1e-8, ("first_order",), {}),
+    "projective_pde": (check_projective_pde, 1e-8, ("profile",), {}),
+    "curvature": (check_curvature, 1e-6, ("profile",), _CURVATURE_PARAMS),
+    "det_g": (check_det_g, 1e-8, ("profile",), {}),
+    "fundamental_ad": (check_fundamental_ad, 1e-9, ("profile", "ambient"), {}),
+    "reversibility": (check_reversibility, 1e-9, ("reversibility",), {}),
+    "geodesics": (check_geodesics, 1e-6, (), _GEODESIC_PARAMS),
+    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile"), {}),
 }
 
 CHECK_NAMES = sorted(CHECKS)
 # the checks' tolerances, and that of the curvature check's second record
-DEFAULT_TOLERANCES = {name: tol for name, (_, tol, _) in CHECKS.items()} | {"curvature_pde": 1e-8}
+DEFAULT_TOLERANCES = {name: tol for name, (_, tol, _, _) in CHECKS.items()} | {"curvature_pde": 1e-8}
+
+
+def _checked_params(name, params) -> dict:
+    """Every declared param of check ``name``: its value in ``params``, converted to the
+    declared type, or its default.  An undeclared key, a bool, a value of another kind
+    or one that fails the declared test is a config error."""
+    declared = CHECKS[name][3]
+    out = {key: default for key, (default, *_) in declared.items()}
+    for key, value in params.items():
+        if key not in declared:
+            raise ConfigError(f"unknown param '{key}' of check '{name}'{_suggest(key, declared)}")
+        default, kind, test, what = declared[key]
+        if value is None and default is None:  # an optional param, left unset
+            continue
+        real = numbers.Integral if kind is int else numbers.Real
+        if isinstance(value, bool) or not isinstance(value, real) or not test(value):
+            raise ConfigError(f"{name} param '{key}' must be {what}, got {value!r}")
+        out[key] = kind(value)
+    return out
 
 
 def run_check(name, run, params):
-    """Run one named check over ``run``; sharing one ``Run`` across a run's checks
-    builds each bundle at most once.  An evaluation failure at one of the samples
-    fails the check with one record naming that sample (``detail.evaluation_error``)."""
+    """Run one named check over ``run`` with its ``params`` checked against its declared
+    ones; sharing one ``Run`` across a run's checks builds each bundle at most once.  An
+    evaluation failure at one of the samples fails the check with one record naming that
+    sample (``detail.evaluation_error``)."""
     if name not in CHECKS:
         raise ConfigError(f"unknown check '{name}'")
-    runner, _, reads = CHECKS[name]
+    runner, _, reads, _ = CHECKS[name]
     if {"profile", "reversibility"}.intersection(reads) and not isinstance(run.metric, SphericalMetric):
         raise ConfigError(f"check '{name}' needs a spherically symmetric metric")
+    params = _checked_params(name, params)
     tol = run.tolerance(name)
     try:
         return runner(run, tol, params)

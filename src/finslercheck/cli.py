@@ -25,13 +25,12 @@ byte-identical JSON reports.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import math
 import numbers
 import sys
 
-from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, run_check
+from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, _suggest, run_check
 from .expr import ParseError
 from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
 from .metrics import GeneralMetric, builtin, builtin_names, builtin_params
@@ -42,34 +41,21 @@ from .sampling import SampleSpec, sample_domain
 _KINDS = {dict: "an object", numbers.Integral: "an integer", numbers.Real: "a number", str: "a string"}
 
 
-def _entry(cfg: dict, key, kind, default, path: str = ""):
-    """cfg[key] (default when absent); a bool or a value of another kind is a config error."""
+def _entry(cfg: dict, key, kind, default, path: str = "", valid=None, what=None):
+    """cfg[key] (default when absent).  A bool, a value of another kind or one that
+    ``valid`` refuses is a config error that says what it must be (``what``)."""
     value = cfg.get(key, default)
-    if key in cfg and (isinstance(value, bool) or not isinstance(value, kind)):
-        raise ConfigError(f"'{path}{key}' must be {_KINDS[kind]}, got {value!r}")
+    wrong = isinstance(value, bool) or not isinstance(value, kind)
+    if key in cfg and (wrong or not (valid is None or valid(value))):
+        raise ConfigError(f"'{path}{key}' must be {what or _KINDS[kind]}, got {value!r}")
     return value
 
 
-def _range(sampling_cfg: dict, key: str):
-    """sampling_cfg[key]: absent, or a list of two numbers."""
-    value = sampling_cfg.get(key)
-    numbers_only = isinstance(value, list) and all(type(w) in (int, float) for w in value)
-    if value is not None and not (numbers_only and len(value) == 2):
-        raise ConfigError(f"'sampling.{key}' must be a list of two numbers, got {value!r}")
-    return value
-
-
-def _radius(cfg: dict, default: float, path: str) -> float:
-    """cfg["domain_radius"] (default when absent): a positive number, inf included."""
-    radius = _entry(cfg, "domain_radius", numbers.Real, default, path)
-    if not radius > 0.0:  # NaN fails
-        raise ConfigError(f"'{path}domain_radius' must be positive, got {radius!r}")
-    return float(radius)
-
-
-def _suggest(name: str, options) -> str:
-    close = difflib.get_close_matches(name, list(options), n=1)
-    return f" (did you mean '{close[0]}'?)" if close else ""
+# (valid, what) of an entry that not every value of its kind may take
+_POSITIVE = (lambda r: r > 0.0, "positive")  # inf passes, NaN fails
+# an infinite tolerance passes vacuously, and inf or NaN cannot be written as JSON
+_TOLERANCE = (lambda t: math.isfinite(t) and t >= 0.0, "finite and >= 0")
+_TWO_NUMBERS = (lambda w: len(w) == 2 and all(type(c) in (int, float) for c in w), "a list of two numbers")
 
 
 def _build_metric(cfg: dict, dimension: int):
@@ -99,7 +85,7 @@ def _build_metric(cfg: dict, dimension: int):
         quad = _entry(fam, "quad", dict, {}, "metric.family.")
         abs_tol = _entry(quad, "abs_tol", numbers.Real, 1e-12, "metric.family.quad.")
         max_depth = _entry(quad, "max_depth", numbers.Integral, 40, "metric.family.quad.")
-        radius = _radius(fam, 1.0, "metric.family.")
+        radius = float(_entry(fam, "domain_radius", numbers.Real, 1.0, "metric.family.", *_POSITIVE))
         try:
             spec = ProjectiveFamilySpec(
                 f=f,
@@ -119,7 +105,7 @@ def _build_metric(cfg: dict, dimension: int):
             raise ConfigError("general config is missing 'F'")
         formula = _entry(gen, "F", str, None, "metric.general.")
         name = _entry(gen, "name", str, "general", "metric.general.")
-        radius = _radius(gen, math.inf, "metric.general.")
+        radius = float(_entry(gen, "domain_radius", numbers.Real, math.inf, "metric.general.", *_POSITIVE))
         try:
             return GeneralMetric.from_expression(formula, dimension, name=name, domain_radius=radius)
         except ParseError as err:
@@ -177,19 +163,16 @@ def run_config(
             count=count,
             seed=seed,
             domain_radius=metric.domain_radius,
-            r_range=_range(sampling_cfg, "r_range"),
-            u_range=_range(sampling_cfg, "u_range"),
+            r_range=_entry(sampling_cfg, "r_range", list, None, "sampling.", *_TWO_NUMBERS),
+            u_range=_entry(sampling_cfg, "u_range", list, None, "sampling.", *_TWO_NUMBERS),
         )
         raw = _entry(cfg, "tolerances", dict, {})
-        tolerances = {k: float(_entry(raw, k, numbers.Real, None, "tolerances.")) for k in raw}
-        for name, tol in tolerances.items():
+        for name in raw:
             if name not in DEFAULT_TOLERANCES:
                 raise ConfigError(
                     f"unknown check '{name}' in tolerances{_suggest(name, DEFAULT_TOLERANCES)}"
                 )
-            # an infinite tolerance passes vacuously, and inf or NaN cannot be written as JSON
-            if not (math.isfinite(tol) and tol >= 0.0):
-                raise ConfigError(f"tolerance '{name}' must be finite and >= 0, got {tol!r}")
+        tolerances = {k: float(_entry(raw, k, numbers.Real, None, "tolerances.", *_TOLERANCE)) for k in raw}
         samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
         run = Run(metric, samples, tolerances, dump_dir, tuple(name for name, _ in checks))

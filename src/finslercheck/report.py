@@ -7,6 +7,7 @@ order: identical configs must produce byte-identical reports.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -37,40 +38,27 @@ class Report:
         return all(r.passed for r in self.records)
 
 
-def _emit(value, out: list[str]) -> None:
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode  # escapes control characters too
+
+
+def _emit(value) -> str:
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"non-finite value in report: {value}")
-        out.append(format(value, ".17g"))
-    elif isinstance(value, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(value):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(",")
-            _emit(str(k), out)
-            out.append(":")
-            _emit(v, out)
-        out.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__} in report")
+        return format(value, ".17g")
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join([_emit(item) for item in value]) + "]"
+    if isinstance(value, dict):
+        return "{" + ",".join([f"{_encode_string(str(k))}:{_emit(v)}" for k, v in value.items()]) + "}"
+    raise TypeError(f"cannot serialize {type(value).__name__} in report")
 
 
 def _record_payload(r: CheckRecord) -> dict:
@@ -96,9 +84,7 @@ def to_json(report: Report) -> str:
         "overall_pass": report.overall_pass,
         "records": [_record_payload(r) for r in report.records],
     }
-    out: list[str] = []
-    _emit(payload, out)
-    return "".join(out) + "\n"
+    return _emit(payload) + "\n"
 
 
 def to_text(report: Report) -> str:

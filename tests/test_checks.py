@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from finslercheck import geodesics as geo
 from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.jets import EvaluationError
@@ -536,6 +537,72 @@ def test_degenerate_geodesic_params_are_config_errors(tmp_path, capsys, params, 
     report, code = run_config(_write(tmp_path, cfg))
     assert report is None and code == 2
     assert f"geodesics param '{name}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "check,params,message",
+    [
+        # each ran as if the key were absent: curvature tested no hypothesis and
+        # passed as "constant", geodesics ran its default 400 steps
+        ("curvature", {"lamda": 3}, "unknown param 'lamda' of check 'curvature' (did you mean 'lambda'?)"),
+        ("geodesics", {"step": 10}, "unknown param 'step' of check 'geodesics' (did you mean 'steps'?)"),
+        ("symmetry", {"lambda": 3}, "unknown param 'lambda' of check 'symmetry'"),
+    ],
+)
+def test_undeclared_check_params_are_config_errors(tmp_path, capsys, check, params, message):
+    funk = builtin("funk")
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
+    with pytest.raises(ConfigError) as err:
+        run_check(check, Run(funk, samples), params)
+    assert str(err.value) == message
+    cfg = {
+        "metric": {"name": "funk"},
+        "dimension": 2,
+        "sampling": {"count": 5, "seed": 7},
+        "checks": [{"name": check, "params": params}],
+    }
+    report, code = run_config(_write(tmp_path, cfg))
+    assert report is None and code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_geodesic_params_default_to_the_declared_ones(monkeypatch):
+    funk = builtin("funk")
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
+    requested = []
+    safe_horizon = geo.safe_horizon
+
+    def spy(metric, x, y, horizon):
+        requested.append(horizon)
+        return safe_horizon(metric, x, y, horizon)
+
+    monkeypatch.setattr(geo, "safe_horizon", spy)
+    [record] = run_check("geodesics", Run(funk, samples), {})
+    assert requested == [0.5] and type(requested[0]) is float
+    assert record.detail["steps"] == 400 and record.detail["geodesics"] == 3  # count 20 > 3 samples
+    assert record.detail["steps_completed"] == [400] * 3
+    [explicit] = run_check("geodesics", Run(funk, samples), {"count": 20, "steps": 400, "horizon": 0.5})
+    assert explicit == record
+
+
+def test_integer_lambda_reports_as_its_float(tmp_path):
+    # the declared type converts 1 to 1.0, so the text report prints its
+    # lambda_hypothesis (a float detail) as it does for 1.0
+    reports = []
+    for lam in (1, 1.0):
+        cfg = {
+            "metric": {"name": "bryant", "params": {"alpha": 0.5235987755982988}},
+            "dimension": 3,
+            "sampling": {"count": 20, "seed": 7},
+            "checks": [{"name": "curvature", "params": {"lambda": lam}}],
+        }
+        report, code = run_config(_write(tmp_path, cfg))
+        assert code == 0
+        reports.append(report)
+    assert type(reports[0].records[0].detail["lambda_hypothesis"]) is float
+    assert to_json(reports[0]) == to_json(reports[1])
+    assert to_text(reports[0]) == to_text(reports[1])
+    assert "lambda_hypothesis = 1" in to_text(reports[0])
 
 
 def test_quadrature_failure_stops_its_geodesic(monkeypatch):

@@ -182,10 +182,10 @@ class TestRunConfig:
         path = write_config(tmp_path, cfg)
         report, code = run_config(path)
         assert report is None and code == 2
-        assert "tolerance 'curvature' must be finite and >= 0" in capsys.readouterr().err
+        assert f"'tolerances.curvature' must be finite and >= 0, got {value!r}" in capsys.readouterr().err
         assert main(["verify", path, "--json"]) == 2
         out = capsys.readouterr()
-        assert out.out == "" and "tolerance 'curvature'" in out.err
+        assert out.out == "" and "'tolerances.curvature'" in out.err
 
     @pytest.mark.parametrize(
         "overrides,key",
@@ -338,6 +338,27 @@ class TestMain:
         payload = json.loads(first)
         assert payload["overall_pass"] is True
         assert payload["records"][0]["check"] == "symmetry"
+
+    @pytest.mark.parametrize(
+        "metric,check,name",
+        [
+            ({"general": {"F": "sqrt(y1^2 + y2^2)", "name": "tab\there"}}, "symmetry", "tab\there"),
+            # the tokenizer skips the tab, and the family's name keeps it
+            (
+                family_metric(f="1/sqrt(1+\tt)")["metric"],
+                "homogeneity",
+                "family(f=1/sqrt(1+\tt), g=1/(1-r^2), h=1/(1-r^2))",
+            ),
+        ],
+    )
+    def test_json_report_escapes_control_characters(self, tmp_path, capsys, metric, check, name):
+        # a tab in a string reached the report raw, which JSON forbids
+        path = write_config(tmp_path, funk_config(metric=metric, checks=[check]))
+        assert main(["verify", path, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "\t" not in out
+        payload = json.loads(out)
+        assert payload["metric"] == name and payload["records"][0]["metric"] == name
 
     def test_seed_flag_changes_report(self, tmp_path, capsys):
         path = write_config(tmp_path, funk_config())

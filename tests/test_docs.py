@@ -1,5 +1,6 @@
-"""README's library sketch and module paragraph cite names that exist, and its check
-table lists the checks with their default tolerances."""
+"""README's library sketch and module paragraph cite names that exist, its check
+table lists the checks with their default tolerances, and its params table lists
+the checks' params with their defaults."""
 
 import importlib
 import pkgutil
@@ -60,3 +61,22 @@ def test_readme_check_table_matches_the_check_table():
         for entry in extra:
             key, tol = entry.split()
             assert float(tol) == DEFAULT_TOLERANCES[key.strip("`")], name
+
+
+def test_readme_params_table_matches_the_declared_params():
+    # one row per declared param of CHECKS: its default ("none" is None) and what
+    # it must be, so the docs cannot drift from the table
+    text = README.read_text()
+    start = text.index("The checks that take params")
+    table = text[start : text.index("`lambda` is the hypothesised")]
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([^|]+) \| ([^|]+) \|$", table, re.MULTILINE)
+    declared = {
+        (check, param): (default, what)
+        for check, entry in CHECKS.items()
+        for param, (default, _, _, what) in entry[3].items()
+    }
+    assert sorted((check, param) for check, param, _, _ in rows) == sorted(declared)
+    for check, param, default, what in rows:
+        want_default, want_what = declared[check, param]
+        assert (None if default == "none" else float(default)) == want_default, (check, param)
+        assert what == want_what, (check, param)
