@@ -11,7 +11,9 @@ Each runner builds its records straight from the per-sample formulas over
 those bundles (``symmetry``, ``projective`` and the bundles' own methods),
 reduced by ``metrics.worst_residual``.
 ``CHECKS`` is the one table of the checks: each name's runner, default
-tolerance, what it reads of the run and the params it takes.
+tolerance, what it reads of the run and the params it takes.  ``read_object``
+reads a JSON object of a config, such as a check's params, against the table
+of its keys.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import difflib
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +56,42 @@ class ConfigError(ValueError):
 def _suggest(name: str, options) -> str:
     close = difflib.get_close_matches(name, list(options), n=1)
     return f" (did you mean '{close[0]}'?)" if close else ""
+
+
+REQUIRED = object()  # the default of a key that must be given
+
+
+def read_object(obj, declared, path: str) -> dict:
+    """Every key of ``declared`` (key -> (default, type, test, what the value must be)),
+    read from the JSON object ``obj`` at dotted ``path``: its value, converted to the
+    type when that is int or float, or its default.  A type that is itself a table is
+    an object read against it, and a null is the absent value of a key whose default
+    is None.  An undeclared key, a missing required one, a value of another type (a
+    bool is no number), an integer too large for a float and a value the test refuses
+    are each a config error that names the key's path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"'{path or 'config'}' must be an object, got {obj!r}")
+    prefix = f"{path}." if path else ""
+    for key in obj:
+        if key not in declared:
+            raise ConfigError(f"unknown key '{prefix}{key}'{_suggest(key, declared)}")
+    out = {}
+    for key, (default, kind, test, what) in declared.items():
+        at, value = prefix + key, obj.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing key '{at}', which must be {what}")
+        if isinstance(kind, dict):
+            value = read_object(value, kind, at)
+        elif key in obj and not (value is None and default is None):
+            number = {int: numbers.Integral, float: numbers.Real}.get(kind)
+            huge = number and isinstance(value, int) and abs(value) > sys.float_info.max
+            wrong = not isinstance(value, number or kind) or number and isinstance(value, bool)
+            if huge or wrong or test and not test(value):
+                got = "an integer too large for a float" if huge else repr(value)
+                raise ConfigError(f"'{at}' must be {what}, got {got}")
+            value = kind(value) if number else value
+        out[key] = value
+    return out
 
 
 def _named(build, samples: MetricSample):
@@ -226,17 +265,22 @@ def check_curvature(run, tol, params):
     The estimate is the median of the finite pointwise lambdas (robust to a few
     near-singular samples; None if there are none); the deviation is the max
     (strictest).  The PDE residuals are evaluated at the hypothesis when given,
-    else at the estimate.  A Rapcsak residual over 1e-6 means the metric is not
-    projective, which the curvature formulas presume: then the one record fails
-    and names the worst sample.  A non-finite gate or lambda fails the check.
+    else at the estimate.  A homogeneity or Rapcsak residual over 1e-6 means the
+    profile is not 1-homogeneous or the metric not projective, which the curvature
+    formulas presume: then the one record fails and names the worst sample.  A
+    non-finite projectivity gate or lambda fails the check.
     """
     lam = params["lambda"]
     b = run.profile
     gate = b.rapcsak_residuals().max(axis=1)
-    gate_worst, gate_at, _ = worst_residual(gate)
-    if gate_worst > 1e-6:
-        detail = {"status": "not_projective", "projectivity_residual": gate_worst}
-        return [_record("curvature", run, gate_worst, run.samples[gate_at], tol, detail, False)]
+    for status, key, values in (
+        ("not_homogeneous", "homogeneity_residual", b.homogeneity_residual()),
+        ("not_projective", "projectivity_residual", gate),
+    ):
+        gate_worst, gate_at, _ = worst_residual(values)
+        if gate_worst > 1e-6:
+            detail = {"status": status, key: gate_worst}
+            return [_record("curvature", run, gate_worst, run.samples[gate_at], tol, detail, False)]
     values = proj.flag_curvature_of(b)
     finite = values[np.isfinite(values)]
     estimate = float(np.median(finite)) if finite.size else math.nan
@@ -425,25 +469,6 @@ CHECK_NAMES = sorted(CHECKS)
 DEFAULT_TOLERANCES = {name: tol for name, (_, tol, _, _) in CHECKS.items()} | {"curvature_pde": 1e-8}
 
 
-def _checked_params(name, params) -> dict:
-    """Every declared param of check ``name``: its value in ``params``, converted to the
-    declared type, or its default.  An undeclared key, a bool, a value of another kind
-    or one that fails the declared test is a config error."""
-    declared = CHECKS[name][3]
-    out = {key: default for key, (default, *_) in declared.items()}
-    for key, value in params.items():
-        if key not in declared:
-            raise ConfigError(f"unknown param '{key}' of check '{name}'{_suggest(key, declared)}")
-        default, kind, test, what = declared[key]
-        if value is None and default is None:  # an optional param, left unset
-            continue
-        real = numbers.Integral if kind is int else numbers.Real
-        if isinstance(value, bool) or not isinstance(value, real) or not test(value):
-            raise ConfigError(f"{name} param '{key}' must be {what}, got {value!r}")
-        out[key] = kind(value)
-    return out
-
-
 def run_check(name, run, params):
     """Run one named check over ``run`` with its ``params`` checked against its declared
     ones; sharing one ``Run`` across a run's checks builds each bundle at most once.  An
@@ -454,7 +479,7 @@ def run_check(name, run, params):
     runner, _, reads, _ = CHECKS[name]
     if {"profile", "reversibility"}.intersection(reads) and not isinstance(run.metric, SphericalMetric):
         raise ConfigError(f"check '{name}' needs a spherically symmetric metric")
-    params = _checked_params(name, params)
+    params = read_object(params, CHECKS[name][3], name)
     tol = run.tolerance(name)
     try:
         return runner(run, tol, params)

@@ -1,20 +1,8 @@
 """Config-driven batch runner.
 
-A config is one JSON document:
-
-    {
-      "metric": {"name": "funk"}
-                | {"name": "bryant", "params": {"alpha": 0.5235987755982988}}
-                | {"family": {"f": "1/sqrt(1+t)", "g": "1/(1-r^2)",
-                              "h": "1/(1-r^2)", "baseline": "abs_corrected",
-                              "domain_radius": 1.0,
-                              "quad": {"abs_tol": 1e-12, "max_depth": 40}}}
-                | {"general": {"F": "sqrt(2*y1^2 + y2^2)"}},
-      "dimension": 2,
-      "sampling": {"count": 500, "seed": 7},
-      "checks": ["symmetry", {"name": "curvature", "params": {"lambda": -0.25}}],
-      "tolerances": {"symmetry": 1e-9}
-    }
+A config is one JSON document, such as those in ``configs/``.  Each JSON object
+in it is read against one of the tables below, which declare every key it may
+hold (README's config table lists them).
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 config or parse
 error.  Checks run in declared order and the report reduction is an
@@ -27,107 +15,109 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 
-from .checks import CHECK_NAMES, DEFAULT_TOLERANCES, ConfigError, Run, _suggest, run_check
+from .checks import CHECKS, DEFAULT_TOLERANCES, REQUIRED, ConfigError, Run, _suggest, read_object, run_check
 from .expr import ParseError
 from .family import FamilyError, ProjectiveFamilySpec, build_projective_metric
 from .metrics import GeneralMetric, builtin, builtin_names, builtin_params
 from .report import Report, to_json, to_text
-from .sampling import SampleSpec, sample_domain
+from .sampling import DIMENSIONS, SampleSpec, sample_domain
 
-
-_KINDS = {dict: "an object", numbers.Integral: "an integer", numbers.Real: "a number", str: "a string"}
-
-
-def _entry(cfg: dict, key, kind, default, path: str = "", valid=None, what=None):
-    """cfg[key] (default when absent).  A bool, a value of another kind or one that
-    ``valid`` refuses is a config error that says what it must be (``what``)."""
-    value = cfg.get(key, default)
-    wrong = isinstance(value, bool) or not isinstance(value, kind)
-    if key in cfg and (wrong or not (valid is None or valid(value))):
-        raise ConfigError(f"'{path}{key}' must be {what or _KINDS[kind]}, got {value!r}")
-    return value
-
-
-# (valid, what) of an entry that not every value of its kind may take
-_POSITIVE = (lambda r: r > 0.0, "positive")  # inf passes, NaN fails
+# The tables ``checks.read_object`` reads a config's objects against: key -> (default,
+# type, test, what the value must be).  A value that a library object tests
+# (``SampleSpec``, ``ProjectiveFamilySpec``, a builtin's factory) is tested there only.
+_POSITIVE = (float, lambda r: r > 0.0, "positive")  # a domain radius may be inf, not NaN
+_RANGE = (
+    None,
+    list,
+    lambda w: len(w) == 2 and all(type(c) in (int, float) and abs(c) <= sys.float_info.max for c in w),
+    "a list of two numbers",
+)
+_QUAD = {"abs_tol": (1e-12, float, None, "finite and > 0"), "max_depth": (40, int, None, "an integer >= 1")}
+_FAMILY = {
+    "f": (REQUIRED, str, None, "a formula in t"),
+    "g": ("0", str, None, "a formula in r"),
+    "h": (None, str, None, "a formula in r"),
+    "baseline": ("plain", str, None, "plain or abs_corrected"),
+    "domain_radius": (1.0, *_POSITIVE),
+    "quad": ({}, _QUAD, None, "an object"),
+}
+_GENERAL = {
+    "F": (REQUIRED, str, None, "a formula in x1..xn, y1..yn"),
+    "name": ("general", str, None, "a string"),
+    "domain_radius": (math.inf, *_POSITIVE),
+}
+# a metric object's form is the first of these keys that it holds
+METRIC_FORMS = {
+    "name": {"name": (REQUIRED, str, None, "a builtin's name"), "params": ({}, dict, None, "an object")},
+    "family": {"family": (REQUIRED, _FAMILY, None, "an object")},
+    "general": {"general": (REQUIRED, _GENERAL, None, "an object")},
+}
+CHECK_ENTRY = {"name": (REQUIRED, str, None, "a check name"), "params": ({}, dict, None, "an object")}
+_SAMPLING = {
+    "count": (100, int, None, "an integer >= 1"),
+    "seed": (0, int, None, "an integer in [0, 2^64)"),
+    "r_range": _RANGE,
+    "u_range": _RANGE,
+}
 # an infinite tolerance passes vacuously, and inf or NaN cannot be written as JSON
-_TOLERANCE = (lambda t: math.isfinite(t) and t >= 0.0, "finite and >= 0")
-_TWO_NUMBERS = (lambda w: len(w) == 2 and all(type(c) in (int, float) for c in w), "a list of two numbers")
+_TOLERANCE = (float, lambda t: math.isfinite(t) and t >= 0.0, "finite and >= 0")
+_CHECK_LIST = (list, lambda c: c and all(isinstance(e, (str, dict)) for e in c), "a nonempty list of checks")
+CONFIG = {
+    "metric": (REQUIRED, (str, dict), None, "a builtin metric name or an object"),
+    "dimension": (2, int, DIMENSIONS.__contains__, "an integer from 2 to 4"),
+    "sampling": ({}, _SAMPLING, None, "an object"),
+    "checks": (REQUIRED, *_CHECK_LIST),
+    "tolerances": ({}, {k: (tol, *_TOLERANCE) for k, tol in DEFAULT_TOLERANCES.items()}, None, "an object"),
+}
 
 
-def _build_metric(cfg: dict, dimension: int):
-    metric_cfg = cfg.get("metric")
-    if isinstance(metric_cfg, str):
-        metric_cfg = {"name": metric_cfg}
-    if not isinstance(metric_cfg, dict):
-        raise ConfigError("config needs a 'metric' entry (name, family, or general)")
-    if "name" in metric_cfg:
-        name = metric_cfg["name"]
+def build_metric(cfg):
+    """The metric of ``cfg``, a parsed config, which is read whole: a bad entry anywhere
+    in it is a ``ConfigError``."""
+    return _metric(read_object(cfg, CONFIG, ""))
+
+
+def _metric(top: dict):
+    metric = {"name": top["metric"]} if isinstance(top["metric"], str) else top["metric"]
+    form = next((key for key in METRIC_FORMS if key in metric), None)
+    if form is None:
+        raise ConfigError("metric entry must contain 'name', 'family', or 'general'")
+    entry = read_object(metric, METRIC_FORMS[form], "metric")
+    if form == "name":
+        name = entry["name"]
         if name not in builtin_names():
             raise ConfigError(f"unknown metric '{name}'{_suggest(name, builtin_names())}")
-        params = _entry(metric_cfg, "params", dict, {}, "metric.")
-        for key in params:
-            if key not in builtin_params(name):
-                hint = _suggest(key, builtin_params(name))
-                raise ConfigError(f"unknown parameter 'metric.params.{key}' of metric '{name}'{hint}")
+        declared = {key: (default, object, None, None) for key, default in builtin_params(name).items()}
+        params = read_object(entry["params"], declared, "metric.params")
         try:
             return builtin(name, **params)
         except ValueError as err:
             raise ConfigError(f"bad parameters for metric '{name}': {err}") from err
-    if "family" in metric_cfg:
-        fam = _entry(metric_cfg, "family", dict, None, "metric.")
-        if "f" not in fam:
-            raise ConfigError("family config is missing 'f'")
-        f, g, h = (_entry(fam, k, str, d, "metric.family.") for k, d in (("f", None), ("g", "0"), ("h", None)))
-        quad = _entry(fam, "quad", dict, {}, "metric.family.")
-        abs_tol = _entry(quad, "abs_tol", numbers.Real, 1e-12, "metric.family.quad.")
-        max_depth = _entry(quad, "max_depth", numbers.Integral, 40, "metric.family.quad.")
-        radius = float(_entry(fam, "domain_radius", numbers.Real, 1.0, "metric.family.", *_POSITIVE))
+    if form == "family":  # its keys and those of its quad are the spec's fields
+        quad = entry["family"].pop("quad")
         try:
-            spec = ProjectiveFamilySpec(
-                f=f,
-                g=g,
-                baseline=fam.get("baseline", "plain"),
-                h=h,
-                abs_tol=float(abs_tol),
-                max_depth=int(max_depth),
-                domain_radius=radius,
-            )
-            return build_projective_metric(spec)
+            return build_projective_metric(ProjectiveFamilySpec(**entry["family"], **quad))
         except (FamilyError, ParseError) as err:
             raise ConfigError(f"bad family config: {err}") from err
-    if "general" in metric_cfg:
-        gen = _entry(metric_cfg, "general", dict, None, "metric.")
-        if "F" not in gen:
-            raise ConfigError("general config is missing 'F'")
-        formula = _entry(gen, "F", str, None, "metric.general.")
-        name = _entry(gen, "name", str, "general", "metric.general.")
-        radius = float(_entry(gen, "domain_radius", numbers.Real, math.inf, "metric.general.", *_POSITIVE))
-        try:
-            return GeneralMetric.from_expression(formula, dimension, name=name, domain_radius=radius)
-        except ParseError as err:
-            raise ConfigError(f"bad general metric formula: {err}") from err
-    raise ConfigError("metric entry must contain 'name', 'family', or 'general'")
+    general = entry["general"]  # F, and the keyword arguments name and domain_radius
+    try:
+        return GeneralMetric.from_expression(general.pop("F"), top["dimension"], **general)
+    except ParseError as err:
+        raise ConfigError(f"bad general metric formula: {err}") from err
 
 
-def _normalize_checks(cfg: dict) -> list[tuple[str, dict]]:
-    raw = cfg.get("checks")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("config needs a nonempty 'checks' list")
+def _checks(entries: list) -> list[tuple[str, dict]]:
+    """(name, params) of each check entry, all read before any check runs, so that a
+    bad param is refused under its entry's path (``run_check`` reads them again)."""
     out = []
-    for i, item in enumerate(raw):
-        if isinstance(item, str):
-            name, params = item, {}
-        elif isinstance(item, dict) and "name" in item:
-            name, params = item["name"], dict(_entry(item, "params", dict, {}, f"checks[{i}]."))
-        else:
-            raise ConfigError(f"bad check entry: {item!r}")
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check '{name}'{_suggest(name, CHECK_NAMES)}")
-        out.append((name, params))
+    for i, item in enumerate(entries):
+        entry = read_object({"name": item} if isinstance(item, str) else item, CHECK_ENTRY, f"checks[{i}]")
+        name = entry["name"]
+        if name not in CHECKS:
+            raise ConfigError(f"unknown check '{name}'{_suggest(name, CHECKS)}")
+        out.append((name, read_object(entry["params"], CHECKS[name][3], f"checks[{i}].params")))
     return out
 
 
@@ -141,41 +131,24 @@ def run_config(
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except OSError as err:
-        print(f"error: cannot read config: {err}", file=sys.stderr)
-        return None, 2
     except json.JSONDecodeError as err:
         print(f"error: config is not valid JSON: {err}", file=sys.stderr)
         return None, 2
+    except (OSError, ValueError) as err:  # ValueError: an integer of more digits than int() reads
+        print(f"error: cannot read config: {err}", file=sys.stderr)
+        return None, 2
     try:
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"'config' must be an object, got {type(cfg).__name__}")
-        dimension = _entry(cfg, "dimension", numbers.Integral, 2)
-        metric = _build_metric(cfg, dimension)
-        checks = _normalize_checks(cfg)
-        sampling_cfg = _entry(cfg, "sampling", dict, {})
-        count = _entry(sampling_cfg, "count", numbers.Integral, 100, "sampling.")
-        seed = _entry(sampling_cfg, "seed", numbers.Integral, 0, "sampling.")
-        count = count if samples_override is None else samples_override
-        seed = seed if seed_override is None else seed_override
+        top = read_object(cfg, CONFIG, "")
+        metric = _metric(top)
+        checks = _checks(top["checks"])
+        sampling, dimension = top["sampling"], top["dimension"]
+        count = sampling["count"] if samples_override is None else samples_override
+        seed = sampling["seed"] if seed_override is None else seed_override
         spec = SampleSpec.for_metric(
-            n=dimension,
-            count=count,
-            seed=seed,
-            domain_radius=metric.domain_radius,
-            r_range=_entry(sampling_cfg, "r_range", list, None, "sampling.", *_TWO_NUMBERS),
-            u_range=_entry(sampling_cfg, "u_range", list, None, "sampling.", *_TWO_NUMBERS),
+            dimension, count, seed, metric.domain_radius, sampling["r_range"], sampling["u_range"]
         )
-        raw = _entry(cfg, "tolerances", dict, {})
-        for name in raw:
-            if name not in DEFAULT_TOLERANCES:
-                raise ConfigError(
-                    f"unknown check '{name}' in tolerances{_suggest(name, DEFAULT_TOLERANCES)}"
-                )
-        tolerances = {k: float(_entry(raw, k, numbers.Real, None, "tolerances.", *_TOLERANCE)) for k in raw}
-        samples = sample_domain(spec)
         report = Report(metric=metric.name, dimension=dimension, seed=seed, count=count)
-        run = Run(metric, samples, tolerances, dump_dir, tuple(name for name, _ in checks))
+        run = Run(metric, sample_domain(spec), top["tolerances"], dump_dir, tuple(name for name, _ in checks))
         for name, params in checks:
             report.records.extend(run_check(name, run, params))
     except (ConfigError, ValueError) as err:

@@ -799,9 +799,9 @@ def builtin_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
-def builtin_params(name: str) -> tuple[str, ...]:
-    """The parameter names the builtin metric ``name`` takes."""
-    return tuple(inspect.signature(_BUILTINS[name]).parameters)
+def builtin_params(name: str) -> dict:
+    """The parameters the builtin metric ``name`` takes, each with its default."""
+    return {p.name: p.default for p in inspect.signature(_BUILTINS[name]).parameters.values()}
 
 
 def builtin(name: str, **params) -> SphericalMetric:

@@ -55,6 +55,7 @@ def default_r_range(domain_radius: float) -> tuple[float, float]:
 
 
 DEFAULT_U_RANGE = (0.1, 2.0)
+DIMENSIONS = range(2, 5)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,7 @@ class SampleSpec:
     u_range: tuple[float, float] = DEFAULT_U_RANGE
 
     def validate(self) -> None:
-        if not 2 <= self.n <= 4:
+        if self.n not in DIMENSIONS:
             raise ValueError(f"dimension must be 2..4, got {self.n}")
         if self.count < 1:
             raise ValueError(f"sample count must be >= 1, got {self.count}")

@@ -466,6 +466,21 @@ def test_non_projective_curvature_record_fails_without_a_pde_record():
     assert "status = not_projective" in text and "overall: FAIL" in text
 
 
+@pytest.mark.parametrize("phi,degree", [("u^2", 2.0), ("sqrt(u^3)", 1.5)])
+def test_curvature_refuses_a_profile_that_is_not_1_homogeneous(phi, degree):
+    # the curvature formulas presume F(x, ty) = t F(x, y); each of these read
+    # "constant, lambda = 0" before, while its homogeneity check failed
+    metric = SphericalMetric("inhomogeneous", ExpressionProfile(phi))
+    run = Run(metric, sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7)))
+    [homogeneity] = run_check("homogeneity", run, {})
+    [record] = run_check("curvature", run, {"lambda": 0.0})
+    assert not record.passed and record.detail["status"] == "not_homogeneous"
+    # the Euler residual |u phi_u - phi| / |phi| is degree - 1 at every sample
+    assert record.max_residual == homogeneity.max_residual == pytest.approx(degree - 1.0)
+    assert record.detail["homogeneity_residual"] == record.max_residual
+    assert (record.worst_x, record.worst_y) == (homogeneity.worst_x, homogeneity.worst_y)
+
+
 def _funk_integrand():
     from finslercheck.family import ProjectiveFamilySpec, build_projective_metric
 
@@ -526,7 +541,7 @@ def test_failed_build_reraises_the_same_error():
 def test_degenerate_geodesic_params_are_config_errors(tmp_path, capsys, params, name):
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
-    with pytest.raises(ConfigError, match=f"geodesics param '{name}'"):
+    with pytest.raises(ConfigError, match=f"^'geodesics.{name}' must be "):
         run_check("geodesics", Run(funk, samples), params)
     cfg = {
         "metric": {"name": "funk"},
@@ -536,25 +551,42 @@ def test_degenerate_geodesic_params_are_config_errors(tmp_path, capsys, params, 
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert report is None and code == 2
-    assert f"geodesics param '{name}'" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: 'checks[0].params.{name}' must be ")
 
 
 @pytest.mark.parametrize(
     "check,params,message",
     [
         # each ran as if the key were absent: curvature tested no hypothesis and
-        # passed as "constant", geodesics ran its default 400 steps
-        ("curvature", {"lamda": 3}, "unknown param 'lamda' of check 'curvature' (did you mean 'lambda'?)"),
-        ("geodesics", {"step": 10}, "unknown param 'step' of check 'geodesics' (did you mean 'steps'?)"),
-        ("symmetry", {"lambda": 3}, "unknown param 'lambda' of check 'symmetry'"),
+        # passed as "constant", geodesics ran its default 400 steps.  The ids name
+        # the messages before they named the key's path, so the cases keep their names
+        pytest.param(
+            "curvature",
+            {"lamda": 3},
+            "unknown key '{}.lamda' (did you mean 'lambda'?)",
+            id="curvature-params0-unknown param 'lamda' of check 'curvature' (did you mean 'lambda'?)",
+        ),
+        pytest.param(
+            "geodesics",
+            {"step": 10},
+            "unknown key '{}.step' (did you mean 'steps'?)",
+            id="geodesics-params1-unknown param 'step' of check 'geodesics' (did you mean 'steps'?)",
+        ),
+        pytest.param(
+            "symmetry",
+            {"lambda": 3},
+            "unknown key '{}.lambda'",
+            id="symmetry-params2-unknown param 'lambda' of check 'symmetry'",
+        ),
     ],
 )
 def test_undeclared_check_params_are_config_errors(tmp_path, capsys, check, params, message):
+    # run_check names the key under the check's name, verify under its entry's path
     funk = builtin("funk")
     samples = sample_domain(SampleSpec.for_metric(n=2, count=3, seed=11, domain_radius=1.0))
     with pytest.raises(ConfigError) as err:
         run_check(check, Run(funk, samples), params)
-    assert str(err.value) == message
+    assert str(err.value) == message.format(check)
     cfg = {
         "metric": {"name": "funk"},
         "dimension": 2,
@@ -563,7 +595,7 @@ def test_undeclared_check_params_are_config_errors(tmp_path, capsys, check, para
     }
     report, code = run_config(_write(tmp_path, cfg))
     assert report is None and code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format('checks[0].params')}\n"
 
 
 def test_geodesic_params_default_to_the_declared_ones(monkeypatch):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -5,8 +6,10 @@ import os
 import numpy as np
 import pytest
 from conftest import child_env
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from finslercheck.cli import main, run_config
+from finslercheck.checks import CHECKS
+from finslercheck.cli import CONFIG, METRIC_FORMS, main, run_config
 from finslercheck.metrics import MIN_RADIUS
 from finslercheck.report import to_json
 from finslercheck.sampling import SampleSpec, sample_domain
@@ -207,17 +210,46 @@ class TestRunConfig:
             ({"sampling": {"count": 5, "u_range": 5}}, "'sampling.u_range'"),
             ({"checks": ["symmetry", {"name": "curvature", "params": None}]}, "'checks[1].params'"),
             ({"checks": [{"name": "curvature", "params": [1]}]}, "'checks[0].params'"),
-            # a missing or unparsable formula, a bad check entry, a misspelt tolerance key
-            ({"metric": {"family": {"g": "0"}}}, "family config is missing 'f'"),
+            # a missing or unparsable formula, a bad check entry, a misspelt tolerance key;
+            # an id names a case whose message changed, so that the case keeps its name
+            pytest.param(
+                {"metric": {"family": {"g": "0"}}},
+                "missing key 'metric.family.f', which must be a formula in t",
+                id="overrides17-family config is missing 'f'",
+            ),
             ({"metric": {"family": {"f": "1/(1+t"}}}, "bad family config: expected ')'"),
-            ({"metric": {"general": {"name": "aniso"}}}, "general config is missing 'F'"),
+            pytest.param(
+                {"metric": {"general": {"name": "aniso"}}},
+                "missing key 'metric.general.F', which must be a formula in x1..xn, y1..yn",
+                id="overrides19-general config is missing 'F'",
+            ),
             ({"metric": {"general": {"F": "sqrt(y1^2 +)"}}}, "bad general metric formula: unexpected token ')'"),
-            ({"checks": ["symmetry", 3]}, "bad check entry: 3"),
-            ({"tolerances": {"symetry": 1e-9}}, "unknown check 'symetry' in tolerances (did you mean 'symmetry'?)"),
+            pytest.param(
+                {"checks": ["symmetry", 3]},
+                "'checks' must be a nonempty list of checks, got ['symmetry', 3]",
+                id="overrides21-bad check entry: 3",
+            ),
+            pytest.param(
+                {"tolerances": {"symetry": 1e-9}},
+                "unknown key 'tolerances.symetry' (did you mean 'symmetry'?)",
+                id="overrides22-unknown check 'symetry' in tolerances (did you mean 'symmetry'?)",
+            ),
             # a string lambda crashed in numpy; true ran as 1.0 and reached the report
-            ({"checks": [{"name": "curvature", "params": {"lambda": "-0.25"}}]}, "curvature param 'lambda'"),
-            ({"checks": [{"name": "curvature", "params": {"lambda": True}}]}, "curvature param 'lambda'"),
-            ({"checks": [{"name": "curvature", "params": {"lambda": math.nan}}]}, "curvature param 'lambda'"),
+            pytest.param(
+                {"checks": [{"name": "curvature", "params": {"lambda": "-0.25"}}]},
+                "'checks[0].params.lambda' must be a finite number, got '-0.25'",
+                id="overrides23-curvature param 'lambda'",
+            ),
+            pytest.param(
+                {"checks": [{"name": "curvature", "params": {"lambda": True}}]},
+                "'checks[0].params.lambda' must be a finite number, got True",
+                id="overrides24-curvature param 'lambda'",
+            ),
+            pytest.param(
+                {"checks": [{"name": "curvature", "params": {"lambda": math.nan}}]},
+                "'checks[0].params.lambda' must be a finite number, got nan",
+                id="overrides25-curvature param 'lambda'",
+            ),
             # an infinite abs_tol converged every sample on one panel, and the
             # projectivity checks then failed (exit 1)
             (family_metric(quad={"abs_tol": math.inf}), "quadrature abs_tol must be finite and positive, got inf"),
@@ -237,11 +269,16 @@ class TestRunConfig:
             # unknown name was ignored
             ({"metric": {"name": "bryant", "params": {"alpha": True}}}, "bryant parameter alpha must be a number"),
             ({"metric": {"name": "bryant", "params": {"alpha": "0.5"}}}, "bryant parameter alpha must be a number"),
-            (
+            pytest.param(
                 {"metric": {"name": "bryant", "params": {"alpah": 0.5}}},
-                "unknown parameter 'metric.params.alpah' of metric 'bryant' (did you mean 'alpha'?)",
+                "unknown key 'metric.params.alpah' (did you mean 'alpha'?)",
+                id="overrides40-unknown parameter 'metric.params.alpah' of metric 'bryant' (did you mean 'alpha'?)",
             ),
-            ({"metric": {"name": "funk", "params": {"alpha": 0.5}}}, "unknown parameter 'metric.params.alpha' of metric 'funk'"),
+            pytest.param(
+                {"metric": {"name": "funk", "params": {"alpha": 0.5}}},
+                "unknown key 'metric.params.alpha'",
+                id="overrides41-unknown parameter 'metric.params.alpha' of metric 'funk'",
+            ),
             ({"metric": {"name": "funk", "params": [0.5]}}, "'metric.params'"),
             # an h under the plain baseline added h(r)|v| without a word; a radius of 0,
             # below 0 or NaN failed the build without naming its key; an r_range
@@ -276,11 +313,54 @@ class TestRunConfig:
         assert key in capsys.readouterr().err
         assert main(["verify", path, "--json"]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # each ran as if the key were absent: curvature tested no lambda and read
+            # "constant", bryant ran at alpha = 0, the sample count stayed 100
+            (
+                {"checks": [{"name": "curvature", "parms": {"lambda": 3.0}}]},
+                "unknown key 'checks[0].parms' (did you mean 'params'?)",
+            ),
+            (
+                {"metric": {"name": "bryant", "parms": {"alpha": 0.5}}},
+                "unknown key 'metric.parms' (did you mean 'params'?)",
+            ),
+            ({"sampling": {"cuont": 5}}, "unknown key 'sampling.cuont' (did you mean 'count'?)"),
+            ({"tolerence": {"symmetry": 1e-9}}, "unknown key 'tolerence' (did you mean 'tolerances'?)"),
+            (
+                family_metric(quad={"abs_tl": 1e-9}),
+                "unknown key 'metric.family.quad.abs_tl' (did you mean 'abs_tol'?)",
+            ),
+            # a key of another metric form was ignored
+            ({"metric": {"name": "funk", "general": {"F": "sqrt(y1^2 + y2^2)"}}}, "unknown key 'metric.general'"),
+        ],
+    )
+    def test_undeclared_keys_exit_two(self, tmp_path, capsys, overrides, message):
+        assert run_config(write_config(tmp_path, funk_config(**overrides))) == (None, 2)
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("dimension", [0, 5, 10**400])
+    def test_dimension_is_refused_before_the_metric_is_built(self, tmp_path, capsys, dimension):
+        # a general metric was built first and reported "unknown variable 'y1'" at 0
+        cfg = funk_config(metric={"general": {"F": "sqrt(y1^2+y2^2)"}}, dimension=dimension)
+        assert run_config(write_config(tmp_path, cfg)) == (None, 2)
+        assert capsys.readouterr().err.startswith("error: 'dimension' must be an integer from 2 to 4, got ")
+
+    def test_unreadably_long_integer_exit_two(self, tmp_path, capsys):
+        # json refuses an integer of more than 4300 digits with a ValueError, which
+        # ended in a traceback (exit 1)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(funk_config()).replace('"count": 40', '"count": ' + "1" * 5000))
+        assert run_config(str(path)) == (None, 2)
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config: ") and err.count("\n") == 1
+
     def test_config_without_metric_exit_two(self, tmp_path, capsys):
         cfg = funk_config()
         del cfg["metric"]
         assert run_config(write_config(tmp_path, cfg)) == (None, 2)
-        assert "config needs a 'metric' entry (name, family, or general)" in capsys.readouterr().err
+        assert "missing key 'metric', which must be a builtin metric name or an object" in capsys.readouterr().err
 
     def test_sampling_ranges_from_config(self, tmp_path):
         cfg = funk_config(
@@ -472,3 +552,122 @@ def test_dumped_geodesics_match_golden(name, tmp_path):
     for i, f in enumerate(dumped):
         with open(os.path.join(golden_dir, f"{name}_geodesic{i:03d}.csv"), "rb") as fh:
             assert (out_dir / f).read_bytes() == fh.read(), f
+
+
+def numeric_keys():
+    """The dotted path of every key the config tables declare as a number (a check's
+    params under the check's name), of bryant's alpha, which the metric tests, and
+    of the two range lists."""
+
+    def walk(table, path):
+        for key, (_, kind, _, _) in table.items():
+            if isinstance(kind, dict):
+                yield from walk(kind, f"{path}{key}.")
+            elif kind in (int, float):
+                yield path + key
+
+    yield from walk(CONFIG, "")
+    for form in METRIC_FORMS.values():
+        yield from walk(form, "metric.")
+    for name, entry in CHECKS.items():
+        yield from walk(entry[3], f"{name}.")
+    yield from ("metric.params.alpha", "sampling.r_range", "sampling.u_range")
+
+
+# the metric entry of a config that holds a key under each of these paths
+METRIC_OF = {
+    "metric.family": family_metric()["metric"],
+    "metric.family.quad": family_metric()["metric"],
+    "metric.general": {"general": {"F": "sqrt(y1^2 + y2^2)"}},
+    "metric.params": {"name": "bryant", "params": {}},
+}
+
+
+def config_with(path, value):
+    """A config with the key at ``path`` set to ``value`` (a check's param runs that
+    check alone), and the path the error must name."""
+    head, _, key = path.rpartition(".")
+    if head in CHECKS:
+        return funk_config(checks=[{"name": head, "params": {key: value}}]), f"checks[0].params.{key}"
+    cfg = funk_config(metric=copy.deepcopy(METRIC_OF.get(head, {"name": "funk"})))
+    node = cfg
+    for part in head.split(".") if head else ():
+        node = node.setdefault(part, {})
+    node[key] = [0.1, value] if key.endswith("_range") else value
+    return cfg, path
+
+
+@pytest.mark.parametrize("path", sorted(numeric_keys()))
+def test_integer_too_large_for_a_float_exit_two(tmp_path, capsys, path):
+    # a 401-digit horizon, lambda or tolerance ended in an OverflowError
+    # traceback (exit 1); a count or steps reached int * float later
+    cfg, named = config_with(path, 10**400)
+    assert run_config(write_config(tmp_path, cfg)) == (None, 2)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (f"'{named}'" if named != "metric.params.alpha" else "bryant parameter alpha") in err
+
+
+def shrunk(name):
+    """The shipped config ``name`` with at most 8 samples, and geodesics of 2 paths x 8 steps."""
+    with open(os.path.join(REPO, "configs", f"{name}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["sampling"]["count"] = min(cfg["sampling"]["count"], 8)
+    for entry in cfg["checks"]:
+        if isinstance(entry, dict) and entry["name"] == "geodesics":
+            entry["params"].update(count=2, steps=8)
+    return cfg
+
+
+SHIPPED = {
+    name: shrunk(name)
+    for name in ("anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full")
+}
+
+# no large finite number: a valid count or steps of 10^9 would allocate gigabytes
+JSON_VALUES = ["text", [], {}, True, None, math.nan, math.inf, -math.inf, -1, 0, 0.5, 10**400]
+
+
+def slots(node, path=()):
+    """The path of every object key and list item under ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from slots(value, path + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped config, shrunk, with one key dropped, misspelt or added, or one
+    value replaced."""
+    cfg = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
+    mutation = draw(st.sampled_from(["drop", "misspell", "add", "replace"]))
+    paths = [p for p in slots(cfg) if mutation in ("drop", "replace") or isinstance(p[-1], str)]
+    *head, key = draw(st.sampled_from(paths))
+    parent = cfg
+    for part in head:
+        parent = parent[part]
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "misspell":
+        i = draw(st.integers(0, len(key) - 1))
+        parent[key[:i] + key[i + 1 :] if draw(st.booleans()) else key[:i] + key[i] + key[i:]] = parent.pop(key)
+    elif mutation == "add":
+        parent["junk"] = draw(st.sampled_from(JSON_VALUES))
+    else:
+        parent[key] = draw(st.sampled_from(JSON_VALUES))
+    return cfg
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutated_configs())
+def test_mutated_shipped_configs_exit_cleanly(tmp_path, capsys, cfg):
+    # whatever one mutation does, verify raises nothing: it runs (exit 1 exactly
+    # when a record failed) or refuses the config with one error line (exit 2)
+    report, code = run_config(write_config(tmp_path, cfg))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert report is None and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == "" and code == (0 if report.overall_pass else 1)

@@ -1,14 +1,18 @@
 """README's library sketch and module paragraph cite names that exist, its check
-table lists the checks with their default tolerances, and its params table lists
-the checks' params with their defaults."""
+table lists the checks with their default tolerances, its params table lists
+the checks' params with their defaults, and its config table lists every other
+key the config reader declares."""
 
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
 
 import finslercheck
-from finslercheck.checks import CHECK_NAMES, CHECKS, DEFAULT_TOLERANCES
+from finslercheck.checks import CHECK_NAMES, CHECKS, DEFAULT_TOLERANCES, REQUIRED
+from finslercheck.cli import CHECK_ENTRY, CONFIG, METRIC_FORMS
+from finslercheck.metrics import builtin_names, builtin_params
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -80,3 +84,49 @@ def test_readme_params_table_matches_the_declared_params():
         want_default, want_what = declared[check, param]
         assert (None if default == "none" else float(default)) == want_default, (check, param)
         assert what == want_what, (check, param)
+
+
+def declared_config_keys():
+    """dotted path -> (default, what) of every key a config's tables declare, a
+    check's params aside (the params table has them).  The tolerances of all
+    checks share the row ``tolerances.<check>``; a builtin's params are tested by
+    the metric, so their ``what`` is None."""
+
+    def walk(table, path):
+        for key, (default, kind, _, what) in table.items():
+            yield f"{path}{key}", (default, what)
+            if isinstance(kind, dict):
+                yield from walk(kind, f"{path}{key}.")
+
+    keys = dict(walk(CONFIG, ""))
+    for form in METRIC_FORMS.values():
+        keys.update(walk(form, "metric."))
+    keys.update(walk(CHECK_ENTRY, "checks[i]."))
+    for name in builtin_names():
+        keys.update({f"metric.params.{key}": (default, None) for key, default in builtin_params(name).items()})
+    tolerances = {keys.pop(f"tolerances.{name}") for name in DEFAULT_TOLERANCES}
+    assert {what for _, what in tolerances} == {"finite and >= 0"}
+    keys["tolerances.<check>"] = ("the check's", "finite and >= 0")
+    return keys
+
+
+def test_readme_config_table_matches_the_declared_tables():
+    # one row per declared key: its default ("required", "none", a JSON value in
+    # backticks, or the check's tolerance) and what it must be
+    text = README.read_text()
+    start = text.index("these are all the keys")
+    table = text[start : text.index("Any other key, a missing required key")]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+) \| ([^|]+) \|$", table, re.MULTILINE)
+    declared = declared_config_keys()
+    assert sorted(path for path, _, _ in rows) == sorted(declared)
+    for path, default, what in rows:
+        want_default, want_what = declared[path]
+        if default == "required":
+            assert want_default is REQUIRED, path
+        elif default == "none":
+            assert want_default is None, path
+        elif default.startswith("`"):
+            assert json.loads(default.strip("`")) == want_default, path
+        else:
+            assert default == want_default, path
+        assert want_what is None or what == want_what, path

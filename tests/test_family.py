@@ -434,12 +434,12 @@ class TestBatchedQuadrature:
         # on the family config's samples, the pooled rounds are fewer than the
         # nodes of the largest tree, which one node per triple a round would take
         from finslercheck import family
-        from finslercheck.cli import _build_metric
+        from finslercheck.cli import build_metric
         from finslercheck.sampling import SampleSpec, sample_domain
 
         with open(REPO / "configs" / "family_funk_reconstruction.json") as fh:
             cfg = json.load(fh)
-        metric = _build_metric(cfg, cfg["dimension"])
+        metric = build_metric(cfg)
         spec = SampleSpec.for_metric(n=cfg["dimension"], domain_radius=1.0, **cfg["sampling"])
         r, u, v = (np.array([getattr(s, k) for s in sample_domain(spec)]) for k in "ruv")
         widths = []
