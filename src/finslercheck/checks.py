@@ -30,7 +30,7 @@ import numpy as np
 from . import geodesics as geo
 from . import projective as proj
 from . import symmetry as sym
-from .jets import EvaluationError
+from .jets import EvaluationError, first_failure
 from .metrics import (
     U,
     V,
@@ -38,9 +38,9 @@ from .metrics import (
     MetricSample,
     ProfileBundle,
     SphericalMetric,
-    _first_failure,
     ambient_invariants,
     cholesky_rows,
+    mirrored_phi_jets,
     relative_residual,
     reversibility_residuals,
     riemannian_probe_of,
@@ -369,22 +369,16 @@ def _smooth_across_v_zero(metric, samples):
     jump over ``_KINK_THRESHOLD`` times |phi_u| + |phi_v| is a kink.  The conjectured
     statement assumes smooth metrics, so kinked ones must not be probed against it.
     The probe points (r, u, +delta) and (r, u, -delta) of each sample lie off
-    the samples, in one order-1 ``phi_jets`` call; an evaluation error there
-    names the lowest failing sample (``_first_failure``).
+    the samples, in one order-1 ``mirrored_phi_jets``; an evaluation error there
+    names the lowest failing sample (``first_failure``).
     """
 
     def kinked(r, u):
-        try:
-            v = np.tile([_KINK_DELTA, -_KINK_DELTA], len(r))
-            jets = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), v, 1)
-        except EvaluationError as err:
-            err.index //= 2  # triple -> sample
-            raise
-        up_u, up_v, down_v = jets[1 + U, 0::2], jets[1 + V, 0::2], jets[1 + V, 1::2]
-        return abs(up_v - down_v) > _KINK_THRESHOLD * (abs(up_u) + abs(up_v))
+        up, down = mirrored_phi_jets(metric, r, u, np.full(len(r), _KINK_DELTA), 1)
+        return abs(up[1 + V] - down[1 + V]) > _KINK_THRESHOLD * (abs(up[1 + U]) + abs(up[1 + V]))
 
     probed = samples[:4]
-    return not _named(lambda x, y: _first_failure(kinked, probed.r, probed.u), probed).any()
+    return not _named(lambda x, y: first_failure(kinked, probed.r, probed.u), probed).any()
 
 
 def check_conjecture(run, tol, params):

@@ -5,9 +5,10 @@ in it is read against one of the tables below, which declare every key it may
 hold (README's config table lists them).
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 config or parse
-error.  Checks run in declared order and the report reduction is an
-ordered fold over sample index, so identical configs produce
-byte-identical JSON reports.
+error, 3 an internal error (any other exception, one ``internal error:`` line
+on stderr; ``run_config`` raises it to a library caller).  Checks run in
+declared order and the report reduction is an ordered fold over sample
+index, so identical configs produce byte-identical JSON reports.
 """
 
 from __future__ import annotations
@@ -175,14 +176,18 @@ def main(argv=None) -> int:
         help="write integrated geodesics as CSV files into DIR",
     )
     args = parser.parse_args(argv)
-    report, code = run_config(
-        args.config,
-        seed_override=args.seed,
-        samples_override=args.samples,
-        dump_dir=args.dump_geodesics,
-    )
-    if report is not None:
-        sys.stdout.write(to_json(report) if args.json else to_text(report))
+    try:
+        report, code = run_config(
+            args.config,
+            seed_override=args.seed,
+            samples_override=args.samples,
+            dump_dir=args.dump_geodesics,
+        )
+        if report is not None:
+            sys.stdout.write(to_json(report) if args.json else to_text(report))
+    except Exception as err:  # a fault of the program: exit 1 must mean a failed record
+        print(f"internal error: {err!r}", file=sys.stderr)
+        return 3
     return code
 
 

@@ -6,7 +6,7 @@ Grammar (whitespace insignificant, no implicit multiplication):
     term     := unary (('*' | '/') unary)*
     unary    := '-' unary | power
     power    := atom ('^' exponent)?        right-associative
-    exponent := '-' exponent | power        must fold to a number
+    exponent := '-' exponent | power        must fold to a finite number
     atom     := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 NUMBER is a decimal or scientific-notation literal.  A bare NAME must be
@@ -15,18 +15,29 @@ functions sqrt, sin, cos, exp, log, abs.  '^' binds tighter than unary
 minus and takes a constant exponent, so jets stay exact for the
 half-integer powers that metric formulas use.
 
+Parsing and evaluation recurse, so a formula is bounded: parentheses, function
+calls, unary minuses and exponents nest at most ``MAX_NESTING`` = 50 deep inside
+one another, and the parse tree has at most ``MAX_DEPTH`` = 400 levels (each
+operator of a chain such as a sum adds one, so a sum of 400 terms is the most).
+A formula beyond either bound is a ``ParseError``.
+
 This text format is the public contract for the f/g/h and F fields of
 config files.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass, field
 
 from .jets import EvaluationError, Jet, JetDomainError, absval, cos, exp, log, powc, sin, sqrt
 
 FUNCTIONS = {"sqrt": sqrt, "sin": sin, "cos": cos, "exp": exp, "log": log, "abs": absval}
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+MAX_NESTING = 50  # parentheses, calls, unary minuses and exponents inside one another
+MAX_DEPTH = 400  # levels of a parse tree, one per node that evaluation recurses through
 
 
 class ParseError(ValueError):
@@ -129,6 +140,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.depth = 0  # the nesting of the construct being parsed
         self.allowed = set(allowed_vars)
 
     def _peek(self):
@@ -172,10 +184,19 @@ class _Parser:
                 return node
             node = BinOp(t[1], node, self.unary(), offset=t[2])
 
+    def _nested(self, parse, offset: int):
+        """parse() one level deeper, refusing a formula nested more than MAX_NESTING deep."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"formula nests more than {MAX_NESTING} levels deep", offset)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def unary(self):
         t = self._eat_op("-")
         if t is not None:
-            return Neg(self.unary(), offset=t[2])
+            return Neg(self._nested(self.unary, t[2]), offset=t[2])
         return self.power()
 
     def power(self):
@@ -183,13 +204,19 @@ class _Parser:
         t = self._eat_op("^")
         if t is None:
             return base
-        exponent_node = self._exponent()
-        return Pow(base, _fold_constant(exponent_node), offset=t[2])
+        exponent_node = _bounded(self._nested(self._exponent, t[2]))
+        try:
+            exponent = _fold_constant(exponent_node)
+        except ArithmeticError:  # a division by zero, or a power out of range
+            exponent = math.nan
+        if not (isinstance(exponent, float) and math.isfinite(exponent)):  # (-8)^0.5 is complex
+            raise ParseError("exponent must fold to a finite number", t[2])
+        return Pow(base, exponent, offset=t[2])
 
     def _exponent(self):
         t = self._eat_op("-")
         if t is not None:
-            return Neg(self._exponent(), offset=t[2])
+            return Neg(self._nested(self._exponent, t[2]), offset=t[2])
         return self.power()
 
     def atom(self):
@@ -205,7 +232,7 @@ class _Parser:
             if self._eat_op("("):
                 if text not in FUNCTIONS:
                     raise UnknownFunctionError(text, offset)
-                arg = self.expr()
+                arg = self._nested(self.expr, offset)
                 self._expect_op(")")
                 return Call(text, arg, offset=offset)
             if text not in self.allowed:
@@ -213,7 +240,7 @@ class _Parser:
             return Var(text, offset=offset)
         if text == "(":
             self.pos += 1
-            node = self.expr()
+            node = self._nested(self.expr, offset)
             self._expect_op(")")
             return node
         raise ParseError(f"unexpected token {text!r}", offset)
@@ -225,21 +252,39 @@ def _fold_constant(node) -> float:
     if isinstance(node, Neg):
         return -_fold_constant(node.arg)
     if isinstance(node, BinOp):
-        a, b = _fold_constant(node.left), _fold_constant(node.right)
-        return {"+": a + b, "-": a - b, "*": a * b, "/": a / b}[node.op]
+        return OPERATORS[node.op](_fold_constant(node.left), _fold_constant(node.right))
     if isinstance(node, Pow):
         return _fold_constant(node.base) ** node.exponent
     offset = getattr(node, "offset", 0)
     raise ParseError("exponent must be a constant", offset)
 
 
-def parse(source: str, allowed_vars: set[str]):
-    """Parse a formula into an AST over the declared variable names."""
-    return _Parser(source, allowed_vars).parse()
+def _bounded(node):
+    """node, refused when its tree has more than MAX_DEPTH levels (counted level by
+    level, without recursion), at the offset of a node below the last level."""
+    level = [node]
+    for _ in range(MAX_DEPTH):
+        level = [getattr(n, k) for n in level for k in ("arg", "left", "right", "base") if hasattr(n, k)]
+        if not level:
+            return node
+    raise ParseError(f"formula is more than {MAX_DEPTH} levels deep", level[0].offset)
+
+
+def parse(source: str, allowed_vars: set[str], name: str | None = None):
+    """Parse a formula into an AST over the declared variable names.  A ``ParseError``
+    names the formula as ``name``, when given."""
+    try:
+        return _bounded(_Parser(source, allowed_vars).parse())
+    except ParseError as err:
+        if name is not None:
+            err.args = (f"{err} in formula {name}",)
+        raise
 
 
 def serialize(node) -> str:
-    """Canonical text form; parse(serialize(e)) is structurally identical to e."""
+    """Canonical text form; parse(serialize(e)) is structurally identical to e unless
+    the text nests deeper than MAX_NESTING.  Every operation is bracketed but the left
+    operand of a chain of sums or of products, so a long sum nests one level."""
     if isinstance(node, Const):
         return repr(node.value)
     if isinstance(node, Var):
@@ -247,7 +292,10 @@ def serialize(node) -> str:
     if isinstance(node, Neg):
         return f"(-{serialize(node.arg)})"
     if isinstance(node, BinOp):
-        return f"({serialize(node.left)} {node.op} {serialize(node.right)})"
+        left = serialize(node.left)
+        if isinstance(node.left, BinOp) and (node.left.op in "+-") == (node.op in "+-"):
+            left = left[1:-1]  # left-associative: a + b - c is (a + b) - c
+        return f"({left} {node.op} {serialize(node.right)})"
     if isinstance(node, Pow):
         return f"({serialize(node.base)} ^ {repr(node.exponent)})"
     if isinstance(node, Call):
@@ -282,13 +330,7 @@ def _evaluate(n, bindings: dict[str, Jet], nvars: int, order: int):
             return -_evaluate(n.arg, bindings, nvars, order)
         if isinstance(n, BinOp):
             a, b = _evaluate(n.left, bindings, nvars, order), _evaluate(n.right, bindings, nvars, order)
-            if n.op == "+":
-                return a + b
-            if n.op == "-":
-                return a - b
-            if n.op == "*":
-                return a * b
-            return a / b
+            return OPERATORS[n.op](a, b)
         if isinstance(n, Pow):
             return powc(_evaluate(n.base, bindings, nvars, order), n.exponent)
         if isinstance(n, Call):

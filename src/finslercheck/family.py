@@ -35,7 +35,7 @@ v^2/t^2 - r^2 is written from its exact coefficients, not multiplied out.
 A build checks f on its probe grid with one N-point order-0 jet, and the
 built profile at its four spot triples with one order-0 ``phi_jets`` call
 (one lockstep quadrature).  Either check fails with its lowest failing
-point's own error (``metrics._first_failure``); an f that cannot be
+point's own error (``jets.first_failure``); an f that cannot be
 evaluated there is a ``FamilyError`` naming the grid point.
 """
 
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import expr as expr_mod
 from ._multi_index import index_tuples, position_map
-from .jets import EvaluationError, Jet, absval, lift_var
-from .metrics import R, SphericalMetric, U, V, _first_failure
+from .jets import EvaluationError, Jet, absval, first_failure, lift_var, refuse
+from .metrics import R, SphericalMetric, U, V
 
 
 class FamilyError(EvaluationError):
@@ -108,15 +108,15 @@ class _CompiledFamily:
     def __init__(self, spec: ProjectiveFamilySpec):
         spec.validate()
         self.spec = spec
-        self.f_ast = expr_mod.parse(spec.f, {"t"})
-        self.g_ast = expr_mod.parse(spec.g, {"r"})
-        self.h_ast = expr_mod.parse(spec.h, {"r"}) if spec.h is not None else None
+        self.f_ast = expr_mod.parse(spec.f, {"t"}, "f")
+        self.g_ast = expr_mod.parse(spec.g, {"r"}, "g")
+        self.h_ast = expr_mod.parse(spec.h, {"r"}, "h") if spec.h is not None else None
 
     def precheck(self) -> None:
         """Positivity of f on the probe grid, from one N-point jet over the grid,
         and integrable growth at +inf.  A failure is the lowest failing grid
-        point's own error (``_first_failure``)."""
-        values = _first_failure(self._positive_f, _PROBE_GRID)
+        point's own error (``first_failure``)."""
+        values = first_failure(self._positive_f, _PROBE_GRID)
         tail = _PROBE_GRID >= 1e2
         logs = np.log(values[tail])
         logt = np.log(_PROBE_GRID[tail])
@@ -135,15 +135,8 @@ class _CompiledFamily:
         except EvaluationError as err:
             raise FamilyError(f"f cannot be evaluated at t = {grid[err.index]:g}: {err}", err.index) from err
         f = np.broadcast_to(f, grid.shape)  # an f free of t is one point
-        _refuse_first(~(f > 0.0), lambda i: f"f must be positive: f({grid[i]:g}) = {f[i]:g}")
+        refuse(~(f > 0.0), lambda i: FamilyError(f"f must be positive: f({grid[i]:g}) = {f[i]:g}", i))
         return f
-
-
-def _refuse_first(bad: np.ndarray, message) -> None:
-    """Raise FamilyError(message(i)) at the first point i where ``bad`` holds, if any."""
-    if np.count_nonzero(bad):
-        i = int(bad.argmax())
-        raise FamilyError(message(i), i)
 
 
 def _integrand_coeffs(fam: _CompiledFamily, t, r, v, order: int) -> np.ndarray:
@@ -345,7 +338,7 @@ def build_projective_metric(spec: ProjectiveFamilySpec, name: str | None = None)
             f", h={spec.h})" if spec.h is not None else ")"
         )
     metric = SphericalMetric(name, profile, spec.domain_radius)
-    _first_failure(lambda r, u, v: _positive_profile(metric, r, u, v), *_spot_triples(spec.domain_radius).T)
+    first_failure(lambda r, u, v: _positive_profile(metric, r, u, v), *_spot_triples(spec.domain_radius).T)
     return metric
 
 
@@ -364,7 +357,5 @@ def _positive_profile(metric: SphericalMetric, r, u, v) -> None:
     """Refuse the first of the N triples (length-N arrays) where the profile, from
     one order-0 ``phi_jets`` call (one lockstep quadrature), is not positive."""
     [phi] = metric.phi_jets(r, u, v, 0)
-    _refuse_first(
-        ~(phi > 0.0),
-        lambda i: f"built profile is not positive at r={r[i]:g}, u={u[i]:g}, v={v[i]:g}: phi={phi[i]:g}",
-    )
+    message = "built profile is not positive at r={:g}, u={:g}, v={:g}: phi={:g}"
+    refuse(~(phi > 0.0), lambda i: FamilyError(message.format(r[i], u[i], v[i], phi[i]), i))

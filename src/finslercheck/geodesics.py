@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationError
+from .jets import EvaluationError, refuse
 from .metrics import MetricDomainError, bundle_of
 
 
@@ -170,12 +170,8 @@ def safe_horizon(metric, x0, y0, requested: float):
     limit = 0.95 * metric.domain_radius
     b = 2.0 * np.vecdot(x0, y0)
     c = np.vecdot(x0, x0) - limit * limit  # -inf on an unbounded domain, where s is inf
-    failed = (a == 0.0) | (c >= 0.0)
-    if np.count_nonzero(failed):
-        i = int(np.argmax(failed))
-        if np.ravel(a)[i] == 0.0:
-            raise MetricDomainError("y must be nonzero", i)
-        raise MetricDomainError(f"start point already at |x| >= {limit}", i)
+    at = f"start point already at |x| >= {limit}"
+    refuse((a == 0.0) | (c >= 0.0), lambda i: MetricDomainError(at if np.ravel(a)[i] else "y must be nonzero", i))
     s = (-b + np.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
     horizons = np.where(s < requested, s, requested)
     return float(horizons) if horizons.ndim == 0 else horizons

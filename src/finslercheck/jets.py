@@ -49,10 +49,10 @@ DIVISION_GUARD = 1e-300
 class EvaluationError(ValueError):
     """An evaluation failed at some of the columns (points) of a batched operation.
 
-    ``index`` is the first failing column of the operation that raised, 0 for
-    an error that fails every column.  Every column before it passed that
-    operation, so that column's own one-point evaluation raises the same error
-    there.
+    ``index`` is the first failing column of the operation that raised (``refuse``), 0
+    for an error that fails every column.  Every column before it passed that operation,
+    so that column's own one-point evaluation raises the same error there, and
+    ``first_failure`` resolves a build of several operations to its lowest failing row.
     """
 
     def __init__(self, message: str, index: int = 0):
@@ -68,11 +68,37 @@ class JetDomainError(EvaluationError):
         self.value = value
 
 
+def refuse(bad, error) -> None:
+    """Raise ``error(i)`` at the first row i where ``bad`` holds: the row a one-row loop refuses first."""
+    if np.count_nonzero(bad):  # cheaper than bad.any() at a few points
+        raise error(int(np.ravel(bad).argmax()))
+
+
+def first_failure(build, *rows: np.ndarray, start: int = 0):
+    """build(*rows) at the rows of equal-length arrays, such as the (N, n) x and y, its
+    ``EvaluationError`` re-raised as the lowest failing row's own, ``index`` counted from
+    ``start``: a build failing at row j (one operation's first failing column) built rows
+    [0, j) only that far, so they are built again as one batch, down to a prefix that passes."""
+    try:
+        return build(*rows)
+    except EvaluationError as err:
+        failure = err
+    count = len(rows[0])
+    while 0 < failure.index < count:
+        count = failure.index
+        try:
+            build(*(a[:count] for a in rows))
+            break
+        except EvaluationError as err:
+            failure = err
+    failure.index += start
+    raise failure
+
+
 def _reject(message: str, values, bad) -> None:
     """Raise JetDomainError at the first point where ``bad`` holds, if any."""
-    if np.count_nonzero(bad):  # cheaper than bad.any() at a few points
-        i = int(np.ravel(bad).argmax())
-        raise JetDomainError(message, float(np.ravel(values)[i]), i)
+    if np.count_nonzero(bad):  # several per RK4 stage: no closure or call on a pass
+        refuse(bad, lambda i: JetDomainError(message, float(np.ravel(values)[i]), i))
 
 
 def _point(x):

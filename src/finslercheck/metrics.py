@@ -29,7 +29,7 @@ Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
 ``bundle_of`` alone picks a bundle by metric kind.  A bundle knows rows, not
 samples: a failed build raises its lowest failing row's own error with that
-row as its ``index`` (``_first_failure``), and the caller that holds the
+row as its ``index`` (``jets.first_failure``), and the caller that holds the
 samples names the sample (``checks.Run``).  ``fundamental_tensor`` is a
 library entry point over a one-row bundle.
 """
@@ -47,6 +47,7 @@ import numpy as np
 from . import expr as expr_mod
 from ._multi_index import coeff_count, derivative_factors, position_map
 from .jets import MAX_ORDER, EvaluationError, Jet, JetDomainError, compose_multivariate, lift_var, sqrt
+from .jets import first_failure, refuse  # the failing-row rule
 
 R, U, V = 0, 1, 2
 
@@ -75,8 +76,8 @@ def invariant_rows(x, y):
     must not push sqrt(r^2 u^2 - v^2) terms negative.
     """
     u = np.sqrt(np.vecdot(y, y))
-    if np.count_nonzero(u) < u.size:  # a NaN is nonzero
-        raise MetricDomainError("y must be nonzero", int(np.argmax(u == 0.0)))
+    if np.count_nonzero(u) < u.size:  # a NaN is nonzero; the mask is formed only to name a row
+        refuse(u == 0.0, lambda i: MetricDomainError("y must be nonzero", i))
     r = np.sqrt(np.vecdot(x, x))
     bound = r * u
     return r, u, np.minimum(np.maximum(np.vecdot(x, y), -bound), bound)
@@ -141,7 +142,7 @@ class ExpressionProfile(ClosedFormProfile):
 
     def __init__(self, source: str):
         self.source = source
-        ast = expr_mod.parse(source, {"r", "u", "v"})
+        ast = expr_mod.parse(source, {"r", "u", "v"}, "phi")
         super().__init__(lambda r, u, v: expr_mod.evaluate(ast, {"r": r, "u": u, "v": v}))
 
 
@@ -166,13 +167,12 @@ class SphericalMetric:
         profile lifts them as N-point variables, a family profile runs one lockstep
         quadrature over them), and column i is bit for bit the jet at triple i alone.
         The first triple with u <= 0 or r >= domain_radius is refused before any evaluation."""
-        outside = (u <= 0.0) | (r >= self.domain_radius)
-        if np.count_nonzero(outside):
-            i = int(outside.argmax())
-            if u[i] <= 0.0:
-                raise MetricDomainError("u must be positive", i)
-            message = f"|x| = {float(r[i])} outside domain of {self.name} (radius {self.domain_radius})"
-            raise MetricDomainError(message, i)
+
+        def outside(i):
+            where = f"|x| = {float(r[i])} outside domain of {self.name} (radius {self.domain_radius})"
+            return MetricDomainError("u must be positive" if u[i] <= 0.0 else where, i)
+
+        refuse((u <= 0.0) | (r >= self.domain_radius), outside)
         return _columns(self.profile.jet(r, u, v, order).coeffs, len(r))
 
     def ambient_jet(self, x, y, order: int, columns=None) -> Jet:
@@ -198,8 +198,7 @@ def ambient_invariants(x, y):
     """``invariant_rows`` of the (N, n) arrays x and y, refusing x = 0, where |x|
     has no derivative."""
     r, u, v = invariant_rows(x, y)
-    if np.count_nonzero(r == 0.0):
-        raise JetDomainError("|x| is not differentiable at x = 0", index=int((r == 0.0).argmax()))
+    refuse(r == 0.0, lambda i: JetDomainError("|x| is not differentiable at x = 0", index=i))
     return r, u, v
 
 
@@ -256,7 +255,7 @@ class GeneralMetric:
     @classmethod
     def from_expression(cls, source: str, n: int, name: str = "general", domain_radius: float = math.inf):
         names = [f"x{i+1}" for i in range(n)] + [f"y{i+1}" for i in range(n)]
-        ast = expr_mod.parse(source, set(names))
+        ast = expr_mod.parse(source, set(names), "F")
 
         def fn(xs, ys):
             return expr_mod.evaluate(ast, dict(zip(names, list(xs) + list(ys))))
@@ -358,13 +357,13 @@ class ProfileBundle:
     def of(cls, metric: SphericalMetric, x: np.ndarray, y: np.ndarray, order: int = 2) -> "ProfileBundle":
         """The bundle at the rows of the (N, n) arrays x and y, from one batched
         ``phi_jets`` call at ``order`` >= 2; an error names its lowest failing row
-        (``_first_failure``)."""
+        (``jets.first_failure``)."""
 
         def build(x, y):
             invariants = invariant_rows(x, y)
             return cls._of_columns(x, y, invariants, metric.phi_jets(*invariants, order))
 
-        return _first_failure(build, x, y)
+        return first_failure(build, x, y)
 
     @classmethod
     def _of_columns(cls, x, y, invariants, columns) -> "ProfileBundle":
@@ -413,9 +412,8 @@ class ProfileBundle:
         An r short of it by rounding alone (up to 4 ulps) passes: ``sample_domain`` draws a
         radius of at least the ``r_range`` start, but the r = |x| read back from the scaled
         point can fall an ulp under it, so an ``r_range`` starting at MIN_RADIUS is valid."""
-        low = self.r[self.r < MIN_RADIUS - 4 * np.spacing(MIN_RADIUS)]
-        if low.size:
-            raise ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {low[0]}")
+        low = self.r < MIN_RADIUS - 4 * np.spacing(MIN_RADIUS)
+        refuse(low, lambda i: ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {self.r[i]}"))
 
     def rapcsak_coefficients(self):
         """(radial, tangential): the terms of the two coefficients in
@@ -458,8 +456,8 @@ class ProfileBundle:
         convex = (phi > 0.0) & (bracket > 0.0)  # NaN fails
         if self.x.shape[1] >= 3:
             convex &= phi_u > 0.0
-        if np.count_nonzero(convex) < len(convex):
-            raise _not_convex(self, int(convex.argmin()))
+        if np.count_nonzero(convex) < len(convex):  # inverted only to name a row
+            refuse(~convex, lambda i: _not_convex(self, i))
         # 1/r -> 0 at r = 0
         over_r = r if np.count_nonzero(r) == len(r) else np.where(r == 0.0, np.inf, r)
         uu = u * u
@@ -530,10 +528,10 @@ class AmbientBundle:
         """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.  A
         spherical metric's profile is evaluated once, over all rows, or read from
         ``columns``, an order-``order`` ``ProfileBundle``'s of the same rows.  An error
-        names its lowest failing row of x (``_first_failure``, of all rows or of its
-        chunk)."""
+        names its lowest failing row of x (``jets.first_failure``, of all rows or of
+        its chunk)."""
         if isinstance(metric, SphericalMetric) and columns is None:  # x = 0 is refused first
-            columns = _first_failure(lambda x, y: metric.phi_jets(*ambient_invariants(x, y), order), x, y)
+            columns = first_failure(lambda x, y: metric.phi_jets(*ambient_invariants(x, y), order), x, y)
 
         def lift(c):
             if columns is None:
@@ -541,7 +539,7 @@ class AmbientBundle:
             return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order, columns[:, c])
 
         f = [
-            _columns(_first_failure(lift(c), x[c], y[c], start=c.start).coeffs, c.stop - c.start)
+            _columns(first_failure(lift(c), x[c], y[c], start=c.start).coeffs, c.stop - c.start)
             for c in _chunks(len(x), AMBIENT_CHUNK)
         ]
         return cls(x, y, Jet(2 * x.shape[1], order, np.concatenate(f, axis=1)))
@@ -622,34 +620,8 @@ class AmbientBundle:
         e_xy = F[:, None, None] * self.f_xy() + fx[:, :, None] * fy[:, None, :]  # E_xy / 2
         rhs = np.einsum("nkl,nk->nl", e_xy, self.y) - F[:, None] * fx
         chol, failed = cholesky_rows(self.g())
-        if chol is None:
-            raise _not_convex(self, int(failed.argmax()))
+        refuse(failed, lambda i: _not_convex(self, i))
         return 0.5 * np.linalg.solve(chol.mT, np.linalg.solve(chol, rhs[:, :, None]))[:, :, 0]
-
-
-def _first_failure(build, *rows: np.ndarray, start: int = 0):
-    """build(*rows) at the rows of equal-length arrays, such as the (N, n) arrays x
-    and y.  An ``EvaluationError`` it raises is re-raised as the lowest failing
-    row's own error, with ``index`` that row counted from ``start``.
-
-    A build that fails at row j (its first failing column of one operation) has
-    built rows [0, j) only up to that operation, and they may fail at a later
-    one: they are built again as one batch, down to a prefix that passes (each
-    prefix shorter than the last, so the loop ends)."""
-    try:
-        return build(*rows)
-    except EvaluationError as err:
-        failure = err
-    count = len(rows[0])
-    while 0 < failure.index < count:
-        count = failure.index
-        try:
-            build(*(a[:count] for a in rows))
-            break
-        except EvaluationError as err:
-            failure = err
-    failure.index += start
-    raise failure
 
 
 def _not_convex(b, i: int) -> NotStronglyConvexError:
@@ -695,21 +667,28 @@ def cholesky_rows(g: np.ndarray):
         return None, np.array([not positive_definite(gi) for gi in g])
 
 
+def mirrored_phi_jets(metric: SphericalMetric, r, u, w, order: int):
+    """(plus, minus): the profile's jets at each row's (r, u, w) and (r, u, -w), as two
+    (ncoeff, N) arrays from one ``phi_jets`` call; an error's ``index`` names its row."""
+    try:
+        both = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.stack([w, -w], axis=1).ravel(), order)
+    except EvaluationError as err:
+        err.index //= 2  # triple -> row
+        raise
+    return both[:, 0::2], both[:, 1::2]
+
+
 def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|phi(r,u,-v) - phi(r,u,v)| / phi(r,u,v) at the rows of x and y, zero iff
-    F(x,-y) = F(x,y): one order-0 ``phi_jets`` over each row's (r, u, v) and
-    (r, u, -v) in turn.  An error names its lowest failing row (``_first_failure``)."""
+    F(x,-y) = F(x,y): one order-0 ``mirrored_phi_jets``.  An error names its lowest
+    failing row (``jets.first_failure``)."""
 
     def build(x, y):
         r, u, v = invariant_rows(x, y)
-        try:
-            [phi] = metric.phi_jets(np.repeat(r, 2), np.repeat(u, 2), np.stack([v, -v], axis=1).ravel(), 0)
-        except EvaluationError as err:
-            err.index //= 2  # triple -> row
-            raise
-        return abs(phi[1::2] - phi[::2]) / phi[::2]
+        [plus], [minus] = mirrored_phi_jets(metric, r, u, v, 0)
+        return abs(minus - plus) / plus
 
-    return _first_failure(build, x, y)
+    return first_failure(build, x, y)
 
 
 def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:

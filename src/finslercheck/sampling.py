@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import MetricSample
+from .metrics import MIN_RADIUS, MetricSample
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -51,7 +51,7 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def default_r_range(domain_radius: float) -> tuple[float, float]:
-    return (0.05, min(0.95 * domain_radius, 2.0))
+    return (MIN_RADIUS, min(0.95 * domain_radius, 2.0))
 
 
 DEFAULT_U_RANGE = (0.1, 2.0)
@@ -65,7 +65,7 @@ class SampleSpec:
     n: int
     count: int
     seed: int
-    r_range: tuple[float, float] = (0.05, 2.0)
+    r_range: tuple[float, float] = (MIN_RADIUS, 2.0)
     u_range: tuple[float, float] = DEFAULT_U_RANGE
 
     def validate(self) -> None:
@@ -76,8 +76,8 @@ class SampleSpec:
         if not 0 <= self.seed <= _MASK:
             raise ValueError("seed must fit in 64 unsigned bits")
         lo, hi = self.r_range
-        if not (0.05 <= lo <= hi <= 2.0):
-            raise ValueError(f"r_range must lie within [0.05, 2], got {self.r_range}")
+        if not (MIN_RADIUS <= lo <= hi <= 2.0):
+            raise ValueError(f"r_range must lie within [{MIN_RADIUS}, 2], got {self.r_range}")
         lo, hi = self.u_range
         if not (0.1 <= lo <= hi <= 2.0):
             raise ValueError(f"u_range must lie within [0.1, 2], got {self.u_range}")

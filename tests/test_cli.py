@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from finslercheck.checks import CHECKS
 from finslercheck.cli import CONFIG, METRIC_FORMS, main, run_config
+from finslercheck.expr import MAX_NESTING
 from finslercheck.metrics import MIN_RADIUS
 from finslercheck.report import to_json
 from finslercheck.sampling import SampleSpec, sample_domain
@@ -636,18 +637,45 @@ def slots(node, path=()):
         yield from slots(value, path + (key,))
 
 
+def bad_formulas(formula):
+    """The six formulas around ``formula`` that once crashed verify or named no formula:
+    200 nested parentheses, 1000 unary minuses, a sum of 1500 terms, an exponent tower
+    past the float range, and the exponents 1e400 and NaN."""
+    wrapped = f"({formula})"
+    return [
+        "(" * 200 + formula + ")" * 200,
+        "-" * 1000 + wrapped,
+        " + ".join([wrapped] * 1500),
+        wrapped + "^2" * 11,
+        wrapped + "^1e400",
+        wrapped + "^(1e400-1e400)",
+    ]
+
+
+def formula_paths(cfg):
+    """The path of every formula (f, g, h or F) in ``cfg``."""
+    return [p for p in slots(cfg) if p[-1] in ("f", "g", "h", "F") and p[-2] in ("family", "general")]
+
+
 @st.composite
 def mutated_configs(draw):
     """A shipped config, shrunk, with one key dropped, misspelt or added, or one
-    value replaced."""
+    value replaced; or one of its formulas replaced by a bad formula around it or
+    nested to a random depth."""
     cfg = copy.deepcopy(SHIPPED[draw(st.sampled_from(sorted(SHIPPED)))])
-    mutation = draw(st.sampled_from(["drop", "misspell", "add", "replace"]))
+    formulas = formula_paths(cfg)
+    mutation = draw(st.sampled_from(["drop", "misspell", "add", "replace"] + ["formula"] * bool(formulas)))
     paths = [p for p in slots(cfg) if mutation in ("drop", "replace") or isinstance(p[-1], str)]
-    *head, key = draw(st.sampled_from(paths))
+    *head, key = draw(st.sampled_from(formulas if mutation == "formula" else paths))
     parent = cfg
     for part in head:
         parent = parent[part]
-    if mutation == "drop":
+    if mutation == "formula":
+        formula, depth = parent[key], draw(st.integers(0, 2 * MAX_NESTING))
+        nested = ["(" * depth + formula + ")" * depth, "abs(" * depth + formula + ")" * depth]
+        nested.append("-" * depth + f"({formula})")
+        parent[key] = draw(st.sampled_from(bad_formulas(formula) + nested))
+    elif mutation == "drop":
         del parent[key]
     elif mutation == "misspell":
         i = draw(st.integers(0, len(key) - 1))
@@ -671,3 +699,42 @@ def test_mutated_shipped_configs_exit_cleanly(tmp_path, capsys, cfg):
         assert report is None and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == "" and code == (0 if report.overall_pass else 1)
+
+
+@pytest.mark.parametrize("kind", range(6))
+@pytest.mark.parametrize(
+    "name, key", [("family_funk_reconstruction", "f"), ("family_funk_reconstruction", "g"),
+                  ("family_funk_reconstruction", "h"), ("anisotropic_rejection", "F")]
+)
+def test_bad_formula_exit_two(tmp_path, capsys, name, key, kind):
+    # each ended in a RecursionError or OverflowError traceback with exit 1, or
+    # (NaN) in an error that named no formula
+    cfg = copy.deepcopy(SHIPPED[name])
+    form = cfg["metric"]["family" if key in "fgh" else "general"]
+    form[key] = bad_formulas(form[key])[kind]
+    assert main(["verify", write_config(tmp_path, cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith(f" in formula {key}\n")
+
+
+def test_sum_of_300_terms_runs(tmp_path):
+    cfg = copy.deepcopy(SHIPPED["anisotropic_rejection"])
+    cfg["metric"]["general"]["F"] = " + ".join(["sqrt(2*y1^2 + y2^2)"] * 300)
+    report, code = run_config(write_config(tmp_path, cfg))
+    shipped, _ = run_config(write_config(tmp_path, SHIPPED["anisotropic_rejection"], "shipped.json"))
+    assert code == 1 and [r.passed for r in report.records] == [r.passed for r in shipped.records]
+
+
+def test_internal_error_exit_three(tmp_path, capsys, monkeypatch):
+    # an exception that is neither a config error nor an evaluation error is a fault
+    # of the program: one line and exit 3, so that exit 1 means a failed record
+    def broken(run, tol, params):
+        raise RuntimeError("broken runner")
+
+    monkeypatch.setitem(CHECKS, "symmetry", (broken,) + CHECKS["symmetry"][1:])
+    path = write_config(tmp_path, funk_config())
+    with pytest.raises(RuntimeError):  # a library caller gets the exception itself
+        run_config(path)
+    assert main(["verify", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "internal error: RuntimeError('broken runner')\n"

@@ -79,6 +79,57 @@ class TestParse:
             expr.parse("2 r", {"r"})
 
 
+class TestBounds:
+    # each of these once ended in a RecursionError, OverflowError or ValueError
+    # traceback instead of a ParseError
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("(" * 200 + "t" + ")" * 200, "formula nests more than 50 levels deep"),
+            ("-" * 1000 + "t", "formula nests more than 50 levels deep"),
+            ("sqrt(" * 60 + "t" + ")" * 60, "formula nests more than 50 levels deep"),
+            (" + ".join(["t"] * 1500), "formula is more than 400 levels deep"),
+            ("t" + "^2" * 11, "exponent must fold to a finite number"),
+            ("t^1e400", "exponent must fold to a finite number"),
+            ("t^(1e400-1e400)", "exponent must fold to a finite number"),
+            ("t^(1/0)", "exponent must fold to a finite number"),
+            ("t^((-8)^0.5)", "exponent must fold to a finite number"),
+            ("t^(" + " + ".join(["1"] * 1500) + ")", "formula is more than 400 levels deep"),
+        ],
+    )
+    def test_refused_as_a_parse_error(self, source, message):
+        with pytest.raises(ParseError, match=message):
+            expr.parse(source, {"t"})
+
+    def test_parse_error_names_the_formula(self):
+        with pytest.raises(ParseError) as err:
+            expr.parse("1/(1+t", {"t"}, "f")
+        assert str(err.value) == "expected ')' (at offset 6) in formula f"
+        assert err.value.offset == 6
+
+    def test_formulas_at_the_bounds_parse_and_evaluate(self):
+        t = lift_var(0, 0.5, 1, 2)
+        nested = expr.parse("(" * 50 + "t" + ")" * 50, {"t"})
+        assert expr.evaluate(nested, {"t": t}).value == 0.5
+        calls = expr.parse("abs(" * 50 + "t" + ")" * 50, {"t"})
+        assert expr.evaluate(calls, {"t": t}).value == 0.5
+        long_sum = expr.parse(" + ".join(["t"] * 400), {"t"})
+        assert expr.evaluate(long_sum, {"t": t}).value == 200.0
+        # serialize brackets each operation but the left operand of a chain (trees this
+        # deep are compared as text: dataclass equality recurses more than once a level)
+        text = expr.serialize(long_sum)
+        assert text.count("(") == 1 and expr.serialize(expr.parse(text, {"t"})) == text
+        text = expr.serialize(expr.parse(" - ".join(["t * 2 / t"] * 130), {"t"}))
+        assert text.count("(") == 131 and expr.serialize(expr.parse(text, {"t"})) == text
+        with pytest.raises(ParseError, match="more than 400 levels"):
+            expr.parse(" + ".join(["t"] * 401), {"t"})
+
+    def test_exponent_with_a_zero_operand_folds(self):
+        # the fold formed all four results of an operation, so 1 + 0 divided by zero
+        assert expr.parse("t^(1+0)", {"t"}) == Pow(Var("t"), 1.0)
+        assert expr.parse("t^(2*0)", {"t"}) == Pow(Var("t"), 0.0)
+
+
 class TestEvaluate:
     def test_reciprocal_sqrt_jet(self):
         ast = expr.parse("1/sqrt(1+t)", {"t"})

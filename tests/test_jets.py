@@ -8,15 +8,18 @@ from hypothesis import given, strategies as st
 from finslercheck.jets import (
     DIVISION_GUARD,
     _reciprocal,
+    EvaluationError,
     Jet,
     JetDomainError,
     absval,
     compose_multivariate,
     cos,
     exp,
+    first_failure,
     lift_var,
     log,
     powc,
+    refuse,
     sin,
     sqrt,
 )
@@ -494,3 +497,30 @@ def test_product_plans_share_the_live_tables():
             plan = jets._cached_plan(3, 3, low, width)
             assert plan[0] is left and plan[1] is right
             assert plan[2].shape == (width * len(left),)
+
+
+class TestFailingRowRule:
+    def test_refuse_raises_at_the_first_bad_row(self):
+        with pytest.raises(EvaluationError) as err:
+            refuse(np.array([False, False, True, True]), lambda i: EvaluationError(f"row {i}", i))
+        assert (str(err.value), err.value.index) == ("row 2", 2)
+
+    def test_refuse_passes_a_clean_mask_and_reads_one_point(self):
+        refuse(np.zeros(5, dtype=bool), lambda i: EvaluationError("never", i))
+        with pytest.raises(EvaluationError) as err:
+            refuse(np.bool_(True), lambda i: EvaluationError("one point", i))
+        assert err.value.index == 0
+
+    def test_first_failure_names_a_row_that_fails_a_later_operation(self):
+        # rows 1 and 3 fail the first operation; row 0 passes it but fails the second,
+        # so a loop over single rows would meet row 0 first
+        def build(a):
+            refuse(a < 0.0, lambda i: EvaluationError(f"negative at {i}", i))
+            refuse(a > 5.0, lambda i: EvaluationError(f"large at {i}", i))
+            return a
+
+        a = np.array([9.0, -1.0, 2.0, -3.0])
+        with pytest.raises(EvaluationError) as err:
+            first_failure(build, a, start=10)
+        assert (str(err.value), err.value.index) == ("large at 0", 10)
+        assert first_failure(build, a[2:3]).tolist() == [2.0]

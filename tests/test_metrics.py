@@ -24,6 +24,7 @@ from finslercheck.metrics import (
     bundle_of,
     fundamental_tensor,
     invariant_rows,
+    mirrored_phi_jets,
     positive_definite,
     quotient,
     relative_residual,
@@ -246,6 +247,16 @@ class TestBatchedProfileBundle:
                 want.append(abs(metric.phi_jet(s.r, s.u, -s.v, 0).value - forward) / forward)
             got = reversibility_residuals(metric, samples.x, samples.y)
             assert got.tobytes() == np.array(want).tobytes()
+
+    def test_mirrored_phi_jets_equal_two_calls_and_name_the_row(self):
+        metric = builtin("funk")
+        r, u, v = np.array([0.2, 0.5, 0.7]), np.array([1.0, 0.4, 1.5]), np.array([0.1, -0.2, 0.3])
+        plus, minus = mirrored_phi_jets(metric, r, u, v, 2)
+        assert plus.tobytes() == metric.phi_jets(r, u, v, 2).tobytes()
+        assert minus.tobytes() == metric.phi_jets(r, u, -v, 2).tobytes()
+        with pytest.raises(MetricDomainError) as err:  # the third triple, row 1's mirror image
+            mirrored_phi_jets(metric, np.array([0.2, 1.5]), u[:2], v[:2], 0)
+        assert err.value.index == 1
 
     @pytest.mark.parametrize("evaluate", ["bundle", "reversibility"])
     def test_failed_quadrature_names_its_sample_after_one_batch(self, evaluate, monkeypatch):
