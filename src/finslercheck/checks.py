@@ -149,17 +149,21 @@ class Run:
 
     @property
     def ambient(self) -> AmbientBundle:
+        def columns(x, y):  # x = 0 is refused first, as the bundle's own call refuses it
+            ambient_invariants(x, y)
+            return self.profile.columns
+
         def build(x, y):
             if self.profile_order == 2:
                 return AmbientBundle.of(self.metric, x, y, 3)
-            try:
-                columns = self.profile.columns
-            except EvaluationError as err:  # the bundle's own call would fail alike
-                ambient_invariants(x[: err.index + 1], y[: err.index + 1])  # x = 0 is refused first
-                raise
-            return AmbientBundle.of(self.metric, x, y, 3, columns)
+            return AmbientBundle.of(self.metric, x, y, 3, first_failure(columns, x, y))
 
         return self._once("ambient", build)
+
+    @property
+    def homogeneity(self) -> np.ndarray:
+        """``homogeneity_residual()`` of the first-order bundle, read by every gated check."""
+        return self._once("homogeneity", lambda x, y: self.first_order.homogeneity_residual())
 
     @property
     def reversibility(self) -> np.ndarray:
@@ -202,12 +206,27 @@ def _worst_record(check, run, values, tol, detail=None, failed=(), F=None, sampl
     return _record(check, run, worst, samples[at], tol, detail, passed, F, samples)
 
 
+def _gated(check, run, tol, *gates, F=None):
+    """The one failed record of ``check``, whose formulas presume a 1-homogeneous F (and
+    what the ``gates`` test, each (status, key, residual per sample)), at the first of
+    ``run.homogeneity`` and the gates whose worst exceeds 1e-6: it names the worst
+    sample, or the first with F <= 0 in ``F``.  None when every precondition holds."""
+    for status, key, values in (("not_homogeneous", "homogeneity_residual", run.homogeneity), *gates):
+        worst, at, _ = worst_residual(values)
+        if worst > 1e-6:
+            detail = {"status": status, key: worst}
+            return [_record(check, run, worst, run.samples[at], tol, detail, False, F)]
+    return None
+
+
 def check_homogeneity(run, tol, params):
-    return [_worst_record("homogeneity", run, run.profile.homogeneity_residual(), tol)]
+    return [_worst_record("homogeneity", run, run.homogeneity, tol)]
 
 
 def check_convexity(run, tol, params):
     b = run.profile
+    if gated := _gated("convexity", run, tol, F=b.F):
+        return gated
     _, failed = cholesky_rows(b.g())
     fraction = int(failed.sum()) / len(run.samples)
     detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
@@ -250,12 +269,15 @@ def check_cartan(run, tol, params):
 
 def check_rapcsak(run, tol, params):
     b = run.first_order
-    return [_worst_record("rapcsak", run, b.rapcsak_residuals().max(axis=1), tol, F=b.F)]
+    return _gated("rapcsak", run, tol, F=b.F) or [
+        _worst_record("rapcsak", run, b.rapcsak_residuals().max(axis=1), tol, F=b.F)
+    ]
 
 
 def check_projective_pde(run, tol, params):
-    values = np.maximum(*proj.projective_pde_of(run.profile))
-    return [_worst_record("projective_pde", run, values, tol)]
+    return _gated("projective_pde", run, tol) or [
+        _worst_record("projective_pde", run, np.maximum(*proj.projective_pde_of(run.profile)), tol)
+    ]
 
 
 def check_curvature(run, tol, params):
@@ -273,14 +295,8 @@ def check_curvature(run, tol, params):
     lam = params["lambda"]
     b = run.profile
     gate = b.rapcsak_residuals().max(axis=1)
-    for status, key, values in (
-        ("not_homogeneous", "homogeneity_residual", b.homogeneity_residual()),
-        ("not_projective", "projectivity_residual", gate),
-    ):
-        gate_worst, gate_at, _ = worst_residual(values)
-        if gate_worst > 1e-6:
-            detail = {"status": status, key: gate_worst}
-            return [_record("curvature", run, gate_worst, run.samples[gate_at], tol, detail, False)]
+    if gated := _gated("curvature", run, tol, ("not_projective", "projectivity_residual", gate)):
+        return gated
     values = proj.flag_curvature_of(b)
     finite = values[np.isfinite(values)]
     estimate = float(np.median(finite)) if finite.size else math.nan

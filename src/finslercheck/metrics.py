@@ -24,7 +24,7 @@ rows, g, dg/dx and C by the product rule from the blocks of its partials
 they read).  A profile bundle keeps the coefficients it read as
 ``columns``: at order 3 a spherical metric's ambient bundle composes each
 chunk from their slice, so one ``phi_jets`` call serves both bundles.
-Both provide F, F_x, F_y, g, the Rapcsak residual and the spray G
+Both provide F, F_x, F_y, F_xy, g, the one Rapcsak residual and the spray G
 (closed-form on span{x, y} for a profile, with strong convexity from the
 profile lemma; a stacked Cholesky solve of g G = bracket / 4 otherwise);
 ``bundle_of`` alone picks a bundle by metric kind.  A bundle knows rows, not
@@ -315,7 +315,22 @@ def _columns(coeffs: np.ndarray, count: int) -> np.ndarray:
     return coeffs if coeffs.ndim == 2 else np.broadcast_to(coeffs[:, None], (len(coeffs), count))
 
 
-# -- the profile bundle ----------------------------------------------------------
+# -- the formulas both bundles share, and the profile bundle ------------------------
+
+
+class _Surface:
+    """The formulas both bundles share, over their x, y, ``first_derivatives()`` and
+    ``f_xy()``: one definition each, so a metric reads the same from either bundle."""
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[1]
+
+    def rapcsak_residuals(self) -> np.ndarray:
+        """Component-wise scale-free residual of Rapcsak's F_{x^k y^l} y^k - F_{x^l}, (N, n):
+        per component l, over the n terms F_{x^k y^l} y^k and -F_{x^l}."""
+        f_xy, fx = self.f_xy(), self.first_derivatives()[1]
+        return relative_residual(*(f_xy[:, k] * self.y[:, k, None] for k in range(self.n)), -fx)
 
 
 # a! of the slots (), r, u, v, rr, ru, rv, uu, uv, vv, as a column
@@ -323,7 +338,7 @@ _PARTIAL_FACTORS = derivative_factors(3, 2)[:, None]
 
 
 @dataclass(eq=False)
-class ProfileBundle:
+class ProfileBundle(_Surface):
     """phi and its nine first and second partials at N samples, as length-N arrays.
 
     Filled by one batched ``phi_jets`` call, whose (ncoeff, N) coefficients it
@@ -404,7 +419,7 @@ class ProfileBundle:
         )
         x, xt = self.x[:, :, None], self.x[:, None, :]
         y, yt = self.y[:, :, None], self.y[:, None, :]
-        g = c_delta * np.eye(self.x.shape[1]) + c_xx * (x * xt)
+        g = c_delta * np.eye(self.n) + c_xx * (x * xt)
         return g + c_yy * (y * yt) + c_xy * (x * yt + y * xt)
 
     def require_radius(self) -> None:
@@ -415,29 +430,15 @@ class ProfileBundle:
         low = self.r < MIN_RADIUS - 4 * np.spacing(MIN_RADIUS)
         refuse(low, lambda i: ValueError(f"profile-space operators need r >= {MIN_RADIUS}, got {self.r[i]}"))
 
-    def rapcsak_coefficients(self):
-        """(radial, tangential): the terms of the two coefficients in
-
-            F_{x^k y^l} y^k - F_{x^l} = (phi_rv v/r + phi_vv u^2 - phi_r/r) x^l
-                                        + (phi_ru v/(ru) + phi_uv u) y^l
-
-        (at r = 0 the 1/r terms vanish with x and v).
-        """
-        r, u, v = self.r, self.u, self.v
-        radial = (quotient(self.phi_rv * v, r), self.phi_vv * u * u, -quotient(self.phi_r, r))
-        tangential = (quotient(self.phi_ru * v, r * u), self.phi_uv * u)
-        return radial, tangential
-
-    def _rapcsak_terms(self) -> list[np.ndarray]:
-        """The five (N, n) terms of F_{x^k y^l} y^k - F_{x^l}."""
-        radial, tangential = self.rapcsak_coefficients()
-        return [c[:, None] * self.x for c in radial] + [c[:, None] * self.y for c in tangential]
-
-    def rapcsak_residuals(self) -> np.ndarray:
-        """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n);
-        refuses samples with r < MIN_RADIUS."""
+    def f_xy(self) -> np.ndarray:
+        """F_{x^k y^l} = (x^k/r)(phi_ru y^l/u + phi_rv x^l) + y^k (phi_uv y^l/u + phi_vv x^l)
+        + phi_v delta_kl, (N, k, l), from F_x = phi_r x/r + phi_v y; refuses r < MIN_RADIUS."""
         self.require_radius()
-        return relative_residual(*self._rapcsak_terms())
+        x, y, u = self.x, self.y, self.u[:, None]
+        d_phi_r = self.phi_ru[:, None] * y / u + self.phi_rv[:, None] * x  # d phi_r / dy^l
+        d_phi_v = self.phi_uv[:, None] * y / u + self.phi_vv[:, None] * x  # d phi_v / dy^l
+        f_xy = (x / self.r[:, None])[:, :, None] * d_phi_r[:, None, :] + y[:, :, None] * d_phi_v[:, None, :]
+        return f_xy + self.phi_v[:, None, None] * np.eye(self.n)
 
     def spray(self) -> np.ndarray:
         """The spray G = p x + s y, (N, n), in closed form (Huang & Mo, J. Geom. Phys. 62,
@@ -454,7 +455,7 @@ class ProfileBundle:
         t = r * r * u * u - v * v
         bracket = phi_u + t * self.phi_vv / u
         convex = (phi > 0.0) & (bracket > 0.0)  # NaN fails
-        if self.x.shape[1] >= 3:
+        if self.n >= 3:
             convex &= phi_u > 0.0
         if np.count_nonzero(convex) < len(convex):  # inverted only to name a row
             refuse(~convex, lambda i: _not_convex(self, i))
@@ -467,8 +468,7 @@ class ProfileBundle:
 
     def det_g(self) -> np.ndarray:
         """det(g) = (phi/u)^(n+1) phi_u^(n-2) [phi_u + (r^2 u^2 - v^2) phi_vv / u]."""
-        n = self.x.shape[1]
-        r, u, v = self.r, self.u, self.v
+        n, r, u, v = self.n, self.r, self.u, self.v
         bracket = self.phi_u + (r * r * u * u - v * v) * self.phi_vv / u
         return (self.phi / u) ** (n + 1) * self.phi_u ** (n - 2) * bracket
 
@@ -506,7 +506,7 @@ class ProfileBundle:
 
 
 @dataclass(frozen=True, eq=False)
-class AmbientBundle:
+class AmbientBundle(_Surface):
     """F with its partials in the 2n ambient variables, at N samples.
 
     One ``metric.ambient_jet`` on N-point variables per chunk of
@@ -543,10 +543,6 @@ class AmbientBundle:
             for c in _chunks(len(x), AMBIENT_CHUNK)
         ]
         return cls(x, y, Jet(2 * x.shape[1], order, np.concatenate(f, axis=1)))
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[1]
 
     @property
     def F(self) -> np.ndarray:
@@ -606,10 +602,12 @@ class AmbientBundle:
         c = F[:, None, None, None] * self._partials("yyy") + f_yy[:, :, :, None] * fy[:, None, None, :]
         return 0.5 * (c + f_yy[:, :, None, :] * fy[:, None, :, None] + f_yy[:, None, :, :] * fy[:, :, None, None])
 
-    def rapcsak_residuals(self) -> np.ndarray:
-        """Component-wise scale-free residual of F_{x^k y^l} y^k - F_{x^l}, (N, n)."""
-        f_xy, fx = self.f_xy(), self.first_derivatives()[1]
-        return relative_residual(*(f_xy[:, k] * self.y[:, k, None] for k in range(self.n)), -fx)
+    def homogeneity_residual(self) -> np.ndarray:
+        """The Euler residual |F_{y^k} y^k - F| / |F| (0 where F = 0), zero for a
+        1-homogeneous F; the n columns are added in order."""
+        F, _, fy = self.first_derivatives()
+        euler = sum(fy[:, k] * self.y[:, k] for k in range(self.n))
+        return quotient(abs(euler - F), abs(F))
 
     def spray(self) -> np.ndarray:
         """The spray G, (N, n): g G = (E_{x^k y^l} y^k - E_{x^l}) / 4 with E = F^2, so
@@ -631,8 +629,8 @@ def _not_convex(b, i: int) -> NotStronglyConvexError:
 def bundle_of(metric, x: np.ndarray, y: np.ndarray):
     """The derivative bundle at the rows of the (N, n) arrays x and y: a
     ``ProfileBundle`` for a profile metric, an order-2 ``AmbientBundle``
-    otherwise.  Either provides F, ``first_derivatives()``, ``g()``,
-    ``rapcsak_residuals()`` and ``spray()``."""
+    otherwise.  Either provides F, ``first_derivatives()``, ``f_xy()``, ``g()``,
+    ``rapcsak_residuals()``, ``homogeneity_residual()`` and ``spray()``."""
     if isinstance(metric, SphericalMetric):
         return ProfileBundle.of(metric, x, y)
     return AmbientBundle.of(metric, x, y, 2)

@@ -23,8 +23,8 @@ with y^k; Euler's relation P_{y^k} y^k = P turns it into
     lambda = (P^2 - P_{x^k} y^k) / F^2,   P_{x^k} y^k = P_r v/r + P_v u^2,
 
 which needs only second-order profile jets.  All formulas carry 1/r, so
-operations here require r >= ``metrics.MIN_RADIUS``.  The Rapcsak difference
-lives on ``ProfileBundle``, next to the closed-form spray.  Each formula
+operations here require r >= ``metrics.MIN_RADIUS``.  Both bundles share the
+one Rapcsak residual (``rapcsak_residuals``, from F_x and F_xy).  Each formula
 gives one value (or one pair) per sample; ``checks.check_curvature`` reduces
 them to its records: the median lambda, the projectivity gate and the PDE
 pair at the hypothesis.
@@ -34,23 +34,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .metrics import (
-    ProfileBundle,
-    SphericalMetric,
-    bundle_of,
-    relative_residual,
-)
+from .metrics import ProfileBundle, SphericalMetric, bundle_of, relative_residual
 
 
 # -- formulas over a profile bundle ---------------------------------------------
 
 
 def projective_pde_of(b: ProfileBundle) -> tuple[np.ndarray, np.ndarray]:
-    """Scale-free residuals of the projectivity PDE pair (radial, tangential):
-    the two coefficients of the Rapcsak difference."""
+    """Scale-free residuals of the projectivity PDE pair (radial, tangential), the
+    coefficients of x^l and of y^l in the Rapcsak difference F_{x^k y^l} y^k - F_{x^l}."""
     b.require_radius()
-    radial, tangential = b.rapcsak_coefficients()
-    return relative_residual(*radial), relative_residual(*tangential)
+    r, u, v = b.r, b.u, b.v
+    radial = relative_residual(b.phi_rv * v / r, b.phi_vv * u * u, -b.phi_r / r)
+    return radial, relative_residual(b.phi_ru * v / (r * u), b.phi_uv * u)
 
 
 def _q_partials(b: ProfileBundle):

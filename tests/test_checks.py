@@ -457,8 +457,10 @@ def test_non_projective_curvature_record_fails_without_a_pde_record():
     records = run_check("curvature", Run(metric, samples), {"lambda": 0.0})
     [record] = records
     assert record.check == "curvature" and not record.passed
-    assert record.detail == {"status": "not_projective", "projectivity_residual": 1.0}
-    assert record.max_residual == 1.0
+    # the Rapcsak difference against its n + 1 terms per component: nearly all of it
+    worst = 0.9998595384881792
+    assert record.detail == {"status": "not_projective", "projectivity_residual": worst}
+    assert record.max_residual == worst
     text = to_text(Report(metric=metric.name, dimension=2, seed=7, count=10, records=records))
     x = ", ".join(f"{c:.6g}" for c in record.worst_x)
     y = ", ".join(f"{c:.6g}" for c in record.worst_y)
@@ -466,19 +468,45 @@ def test_non_projective_curvature_record_fails_without_a_pde_record():
     assert "status = not_projective" in text and "overall: FAIL" in text
 
 
-@pytest.mark.parametrize("phi,degree", [("u^2", 2.0), ("sqrt(u^3)", 1.5)])
-def test_curvature_refuses_a_profile_that_is_not_1_homogeneous(phi, degree):
-    # the curvature formulas presume F(x, ty) = t F(x, y); each of these read
-    # "constant, lambda = 0" before, while its homogeneity check failed
+# the checks whose formulas presume F(x, ty) = t F(x, y), with their params
+HOMOGENEITY_GATED = {"curvature": {"lambda": 0.0}, "rapcsak": {}, "projective_pde": {}, "convexity": {}}
+
+
+@pytest.mark.parametrize(
+    "check,phi,degree",
+    [
+        # the curvature cases keep the ids they had before the other checks were gated
+        pytest.param(check, phi, degree, id=f"{'' if check == 'curvature' else check + '-'}{phi}-{degree}")
+        for check in HOMOGENEITY_GATED
+        for phi, degree in [("u^2", 2.0), ("sqrt(u^3)", 1.5)]
+    ],
+)
+def test_curvature_refuses_a_profile_that_is_not_1_homogeneous(check, phi, degree):
+    # curvature read "constant, lambda = 0" on each of these, and rapcsak,
+    # projective_pde and convexity passed, while the homogeneity check failed
     metric = SphericalMetric("inhomogeneous", ExpressionProfile(phi))
     run = Run(metric, sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7)))
     [homogeneity] = run_check("homogeneity", run, {})
-    [record] = run_check("curvature", run, {"lambda": 0.0})
+    [record] = run_check(check, run, HOMOGENEITY_GATED[check])
     assert not record.passed and record.detail["status"] == "not_homogeneous"
     # the Euler residual |u phi_u - phi| / |phi| is degree - 1 at every sample
     assert record.max_residual == homogeneity.max_residual == pytest.approx(degree - 1.0)
     assert record.detail["homogeneity_residual"] == record.max_residual
     assert (record.worst_x, record.worst_y) == (homogeneity.worst_x, homogeneity.worst_y)
+
+
+@pytest.mark.parametrize("formula", ["y1^2 + y2^2", "(y1^2 + y2^2)*(x1 - 0.3)"])
+def test_rapcsak_refuses_a_general_metric_that_is_not_1_homogeneous(formula):
+    # the ambient Euler residual |F_y . y - F| / |F| is 2 - 1 at every sample; the
+    # gated record still fails where F <= 0 and names the first such sample
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7))
+    [record] = run_check("rapcsak", Run(GeneralMetric.from_expression(formula, 2), samples), {})
+    assert not record.passed and record.detail["status"] == "not_homogeneous"
+    assert record.max_residual == record.detail["homogeneity_residual"] == pytest.approx(1.0)
+    non_positive = samples.x[:, 0] <= 0.3 if "x1" in formula else np.zeros(len(samples), dtype=bool)
+    assert record.detail.get("non_positive_F", 0) == int(non_positive.sum())
+    if non_positive.any():  # 14 of the 20 samples
+        assert record.worst_x == list(samples.x[non_positive.argmax()])
 
 
 def _funk_integrand():

@@ -500,19 +500,23 @@ INLINE_GOLDEN_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full"]
-    + sorted(INLINE_GOLDEN_CONFIGS),
-)
+# the shipped configs/<name>.json whose reports are goldens
+CONFIG_GOLDENS = ("anisotropic_rejection", "bryant_curvature", "family_funk_reconstruction", "funk_full")
+
+
+def golden_config_path(name, tmp_path) -> str:
+    """The config whose --json report is tests/golden/<name>.json (an inline one
+    written under tmp_path)."""
+    if name in INLINE_GOLDEN_CONFIGS:
+        return write_config(tmp_path, INLINE_GOLDEN_CONFIGS[name])
+    return os.path.join(REPO, "configs", f"{name}.json")
+
+
+@pytest.mark.parametrize("name", list(CONFIG_GOLDENS) + sorted(INLINE_GOLDEN_CONFIGS))
 def test_json_report_matches_golden(name, capsys, tmp_path):
     # tests/golden holds each config's report as committed; a change that moves
-    # a bit regenerates it and says so
-    if name in INLINE_GOLDEN_CONFIGS:
-        path = write_config(tmp_path, INLINE_GOLDEN_CONFIGS[name])
-    else:
-        path = os.path.join(REPO, "configs", f"{name}.json")
-    code = main(["verify", path, "--json"])
+    # a bit regenerates it (tests/regen_goldens.py) and says so
+    code = main(["verify", golden_config_path(name, tmp_path), "--json"])
     with open(os.path.join(REPO, "tests", "golden", f"{name}.json")) as fh:
         golden = fh.read()
     assert capsys.readouterr().out == golden
@@ -533,22 +537,26 @@ GEODESIC_GOLDEN_METRICS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GEODESIC_GOLDEN_METRICS))
-def test_dumped_geodesics_match_golden(name, tmp_path):
-    # tests/golden/geodesics holds the --dump-geodesics CSVs of 2 paths x 60
-    # steps byte for byte: any change to a stage's arithmetic moves a digit
+def geodesic_golden_config(name) -> dict:
+    """The config whose --dump-geodesics CSVs are the golden ``name``'s: 2 paths x 60 steps."""
     metric, dimension = GEODESIC_GOLDEN_METRICS[name]
-    cfg = {
+    return {
         "metric": metric,
         "dimension": dimension,
         "sampling": {"count": 2, "seed": 7},
         "checks": [{"name": "geodesics", "params": {"count": 2, "steps": 60}}],
     }
+
+
+@pytest.mark.parametrize("name", sorted(GEODESIC_GOLDEN_METRICS))
+def test_dumped_geodesics_match_golden(name, tmp_path):
+    # tests/golden/geodesics holds the --dump-geodesics CSVs of 2 paths x 60
+    # steps byte for byte: any change to a stage's arithmetic moves a digit
     out_dir = tmp_path / "paths"
-    _, code = run_config(write_config(tmp_path, cfg), dump_dir=str(out_dir))
+    _, code = run_config(write_config(tmp_path, geodesic_golden_config(name)), dump_dir=str(out_dir))
     assert code == 0
     golden_dir = os.path.join(REPO, "tests", "golden", "geodesics")
-    dumped = [f"{metric['name']}_geodesic{i:03d}.csv" for i in range(2)]
+    dumped = [f"{GEODESIC_GOLDEN_METRICS[name][0]['name']}_geodesic{i:03d}.csv" for i in range(2)]
     assert sorted(os.listdir(out_dir)) == dumped
     for i, f in enumerate(dumped):
         with open(os.path.join(golden_dir, f"{name}_geodesic{i:03d}.csv"), "rb") as fh:

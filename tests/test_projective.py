@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import invariants_bundle, make_metric, samples_for
 from finslercheck.checks import Run, run_check
 from finslercheck.metrics import (
     MIN_RADIUS,
+    AmbientBundle,
     ClosedFormProfile,
+    ExpressionProfile,
+    GeneralMetric,
     ProfileBundle,
     SphericalMetric,
     builtin,
@@ -19,6 +23,7 @@ from finslercheck.projective import (
     projective_pde_of,
     rapcsak_residual,
 )
+from finslercheck.sampling import SampleSpec, sample_domain
 
 CURVATURE_CONSTANTS = {
     "klein": -1.0,
@@ -81,6 +86,34 @@ class TestRapcsak:
             a = rapcsak_residual(profile, s.x, s.y)
             b = rapcsak_residual(general, s.x, s.y)
             assert a.max() <= 1e-9 and b.max() <= 1e-9
+
+
+# phi = u (1 + a r^2) + b v + c v^2/u + d r^2 v + e v^3/u^2: 1-homogeneous, and projective
+# only where a = c = e = 0 (then u plus the closed 1-form (b + d r^2) <x,y>)
+NON_PROJECTIVE = "{u}*(1 + ({a})*{r}^2) + ({b})*{v} + ({c})*{v}^2/{u} + ({d})*{r}^2*{v} + ({e})*{v}^3/{u}^2"
+
+
+def non_projective_draw(coefficients, n):
+    """One ``NON_PROJECTIVE`` profile on |x| < 1, and the same formula in ``general`` form."""
+    c = dict(zip("abcde", map(repr, coefficients)))
+    profile = SphericalMetric("draw", ExpressionProfile(NON_PROJECTIVE.format(r="r", u="u", v="v", **c)), 1.0)
+    terms = {w: "+".join(f"{w}{i}^2" for i in range(1, n + 1)) for w in "xy"}
+    v = "(" + "+".join(f"x{i}*y{i}" for i in range(1, n + 1)) + ")"
+    formula = NON_PROJECTIVE.format(r=f"sqrt({terms['x']})", u=f"sqrt({terms['y']})", v=v, **c)
+    return profile, GeneralMetric.from_expression(formula, n, "draw", domain_radius=1.0)
+
+
+@settings(max_examples=20, derandomize=True)
+@given(st.tuples(*[st.floats(-0.3, 0.3)] * 5), st.sampled_from([2, 3]))
+def test_one_rapcsak_residual_for_a_profile_and_its_general_formula(coefficients, n):
+    profile, general = non_projective_draw(coefficients, n)
+    samples = sample_domain(SampleSpec.for_metric(n=n, count=30, seed=7, domain_radius=1.0))
+    closed = ProfileBundle.of(profile, samples.x, samples.y).rapcsak_residuals()
+    ambient = AmbientBundle.of(general, samples.x, samples.y, 2).rapcsak_residuals()
+    far = (closed > 1e-6) | (ambient > 1e-6)
+    assert (np.abs(closed - ambient)[far] <= 1e-10 * ambient[far]).all()
+    [a], [b] = (run_check("rapcsak", Run(m, samples), {}) for m in (profile, general))
+    assert (a.passed, a.detail.get("status")) == (b.passed, b.detail.get("status"))
 
 
 class TestProjectivePDEs:
