@@ -43,7 +43,6 @@ from .metrics import (
     mirrored_phi_jets,
     relative_residual,
     reversibility_residuals,
-    riemannian_probe_of,
     worst_residual,
 )
 from .report import CheckRecord
@@ -149,14 +148,13 @@ class Run:
 
     @property
     def ambient(self) -> AmbientBundle:
-        def columns(x, y):  # x = 0 is refused first, as the bundle's own call refuses it
-            ambient_invariants(x, y)
-            return self.profile.columns
-
         def build(x, y):
-            if self.profile_order == 2:
-                return AmbientBundle.of(self.metric, x, y, 3)
-            return AmbientBundle.of(self.metric, x, y, 3, first_failure(columns, x, y))
+            try:
+                columns = self.profile.columns if self.profile_order == 3 else None
+            except EvaluationError as err:  # x = 0 at a row not higher is named first
+                ambient_invariants(x[: err.index + 1], y[: err.index + 1])
+                raise
+            return AmbientBundle.of(self.metric, x, y, 3, columns)
 
         return self._once("ambient", build)
 
@@ -275,8 +273,9 @@ def check_rapcsak(run, tol, params):
 
 
 def check_projective_pde(run, tol, params):
-    return _gated("projective_pde", run, tol) or [
-        _worst_record("projective_pde", run, np.maximum(*proj.projective_pde_of(run.profile)), tol)
+    b = run.profile
+    return _gated("projective_pde", run, tol, F=b.F) or [
+        _worst_record("projective_pde", run, np.maximum(*proj.projective_pde_of(b)), tol, F=b.F)
     ]
 
 
@@ -345,7 +344,10 @@ def check_reversibility(run, tol, params):
 def check_geodesics(run, tol, params):
     """Straightness of integrated geodesics, all launched as one batch; a path
     that stopped early, or a launch point at |x| >= 0.95 of the domain radius,
-    fails the check and names its launch sample."""
+    fails the check and names its launch sample.  Gated on homogeneity, which the
+    spray presumes."""
+    if gated := _gated("geodesics", run, tol):
+        return gated
     metric = run.metric
     count, steps, horizon = params["count"], params["steps"], params["horizon"]
     launched = run.samples[:count]
@@ -400,12 +402,13 @@ def _smooth_across_v_zero(metric, samples):
 def check_conjecture(run, tol, params):
     """Reversibility + constant curvature + Riemannian probe, reported together.
 
-    The probe can only be consistent or inconsistent with the expectation
-    that reversible projective metrics of constant flag curvature are
-    Riemannian; it proves nothing either way.
+    The probe, ``symmetry.cartan_size_of`` the run's ambient bundle, can only be
+    consistent or inconsistent with the expectation that reversible projective
+    metrics of constant flag curvature are Riemannian; it proves nothing either way.
+    The record names the probe's worst sample, else the least reversible one.
     """
-    metric, samples = run.metric, run.samples
-    rev_worst, rev_at, rev_non_finite = worst_residual(run.reversibility)
+    samples = run.samples
+    rev_worst, at, rev_non_finite = worst_residual(run.reversibility)
     reversible = rev_non_finite == 0 and rev_worst <= 1e-9
     detail: dict = {"reversible": reversible, "reversibility_residual": rev_worst}
     passed = True
@@ -419,30 +422,29 @@ def check_conjecture(run, tol, params):
             detail["lambda_estimate"] = curvature.detail["lambda_estimate"]
         if not curvature.passed:
             detail["conclusion"] = "consistent: curvature is not constant, no claim applies"
-        elif not _smooth_across_v_zero(metric, samples):
+        elif not _smooth_across_v_zero(run.metric, samples):
             detail["smooth_across_v_zero"] = False
             detail["conclusion"] = (
                 "consistent: profile has a |<x,y>| kink, so the smooth-metric "
                 "claim does not apply"
             )
         else:
-            xs, ys = samples.x[:8], samples.y[:6]
-            pairs = MetricSample.of(np.repeat(xs, len(ys), axis=0), np.tile(ys, (len(xs), 1)))
-            b = _named(lambda x, y: AmbientBundle.of(metric, x, y), pairs)  # names a failing pair
-            probe = riemannian_probe_of(b, len(ys))
-            probe_max = float(np.maximum(*probe).max())
-            riemannian = probe_max <= tol
+            probe_max, at, non_finite = worst_residual(sym.cartan_size_of(run.ambient))
+            riemannian = non_finite == 0 and probe_max <= tol
             detail["riemannian"] = riemannian
             detail["probe_deviation"] = probe_max
             if riemannian:
                 detail["conclusion"] = "consistent: reversible, constant curvature, and Riemannian"
+            elif non_finite:
+                passed, detail["non_finite_residuals"] = False, non_finite
+                detail["conclusion"] = "undecided: non-finite Cartan size"
             else:
                 passed = False
                 detail["conclusion"] = (
                     "inconsistent: reversible constant-curvature metric "
                     "with y-dependent fundamental tensor"
                 )
-    return [_record("conjecture", run, probe_max, samples[rev_at], tol, detail, passed)]
+    return [_record("conjecture", run, probe_max, samples[at], tol, detail, passed)]
 
 
 # the checks' params: name -> (default, type, test, what the test asks); the default
@@ -470,8 +472,8 @@ CHECKS = {
     "det_g": (check_det_g, 1e-8, ("profile",), {}),
     "fundamental_ad": (check_fundamental_ad, 1e-9, ("profile", "ambient"), {}),
     "reversibility": (check_reversibility, 1e-9, ("reversibility",), {}),
-    "geodesics": (check_geodesics, 1e-6, (), _GEODESIC_PARAMS),
-    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile"), {}),
+    "geodesics": (check_geodesics, 1e-6, ("first_order",), _GEODESIC_PARAMS),
+    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile", "ambient"), {}),
 }
 
 CHECK_NAMES = sorted(CHECKS)

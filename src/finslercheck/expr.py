@@ -5,8 +5,7 @@ Grammar (whitespace insignificant, no implicit multiplication):
     expr     := term (('+' | '-') term)*
     term     := unary (('*' | '/') unary)*
     unary    := '-' unary | power
-    power    := atom ('^' exponent)?        right-associative
-    exponent := '-' exponent | power        must fold to a finite number
+    power    := atom ('^' unary)?           right-associative; the exponent folds to a finite number
     atom     := NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
 
 NUMBER is a decimal or scientific-notation literal.  A bare NAME must be
@@ -204,7 +203,7 @@ class _Parser:
         t = self._eat_op("^")
         if t is None:
             return base
-        exponent_node = _bounded(self._nested(self._exponent, t[2]))
+        exponent_node = _bounded(self._nested(self.unary, t[2]))
         try:
             exponent = _fold_constant(exponent_node)
         except ArithmeticError:  # a division by zero, or a power out of range
@@ -212,12 +211,6 @@ class _Parser:
         if not (isinstance(exponent, float) and math.isfinite(exponent)):  # (-8)^0.5 is complex
             raise ParseError("exponent must fold to a finite number", t[2])
         return Pow(base, exponent, offset=t[2])
-
-    def _exponent(self):
-        t = self._eat_op("-")
-        if t is not None:
-            return Neg(self._nested(self._exponent, t[2]), offset=t[2])
-        return self.power()
 
     def atom(self):
         t = self._peek()

@@ -78,9 +78,7 @@ def first_failure(build, *rows: np.ndarray, start: int = 0):
     """build(*rows) at the rows of equal-length arrays, such as the (N, n) x and y, its
     ``EvaluationError`` re-raised as the lowest failing row's own, ``index`` counted from
     ``start``: a build failing at row j (one operation's first failing column) built rows
-    [0, j) only that far, so they are built again as one batch, down to a prefix that passes.
-    An error at or past a prefix's end (one the build read from outside its rows, such as
-    a cached failure of the whole run) passes the prefix."""
+    [0, j) only that far, so they are built again as one batch, down to a prefix that passes."""
     try:
         return build(*rows)
     except EvaluationError as err:
@@ -92,8 +90,6 @@ def first_failure(build, *rows: np.ndarray, start: int = 0):
             build(*(a[:count] for a in rows))
             break
         except EvaluationError as err:
-            if err.index >= count:
-                break
             failure = err
     failure.index += start
     raise failure

@@ -477,7 +477,7 @@ class ProfileBundle(_Surface):
         return (self.phi_u > 0.0) & (self.phi_vv >= PHI_VV_SLACK)
 
     def homogeneity_residual(self) -> np.ndarray:
-        """Largest violation of the degree-1 Euler relations of the profile.
+        """Largest violation of the degree-1 Euler relations of the profile (NaN where phi = 0).
 
         Checks u phi_u + v phi_v = phi (scaled by phi) and the three
         second-order identities u phi_uu + v phi_uv = 0, u phi_uv + v phi_vv = 0
@@ -493,7 +493,7 @@ class ProfileBundle(_Surface):
         def scaled(a, b, anchor):
             return quotient(abs(a + b), abs(a) + abs(b) + abs(anchor))
 
-        first = abs(u * phi_u + v * phi_v - self.phi) / abs(self.phi)
+        first = abs(u * phi_u + v * phi_v - self.phi) / np.where(self.phi == 0.0, np.nan, abs(self.phi))
         return np.maximum.reduce([
             first,
             scaled(u * phi_uu, v * phi_uv, phi_u),
@@ -525,18 +525,16 @@ class AmbientBundle(_Surface):
 
     @classmethod
     def of(cls, metric, x: np.ndarray, y: np.ndarray, order: int = 3, columns=None) -> "AmbientBundle":
-        """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk.  A
-        spherical metric's profile is evaluated once, over all rows, or read from
-        ``columns``, an order-``order`` ``ProfileBundle``'s of the same rows.  An error
-        names its lowest failing row of x (``jets.first_failure``, of all rows or of
-        its chunk)."""
-        if isinstance(metric, SphericalMetric) and columns is None:  # x = 0 is refused first
-            columns = first_failure(lambda x, y: metric.phi_jets(*ambient_invariants(x, y), order), x, y)
+        """The bundle at the rows of the (N, n) arrays x and y, chunk by chunk: each
+        chunk's ``metric.ambient_jet`` evaluates its own rows, or a spherical metric's
+        reads them from ``columns``, an order-``order`` ``ProfileBundle``'s of the same
+        rows, sliced to the rows it builds.  An error names its lowest failing row of x
+        (``jets.first_failure`` of its chunk)."""
 
         def lift(c):
             if columns is None:
                 return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order)
-            return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order, columns[:, c])
+            return lambda xc, yc: metric.ambient_jet(xc.T, yc.T, order, columns[:, c.start : c.start + len(xc)])
 
         f = [
             _columns(first_failure(lift(c), x[c], y[c], start=c.start).coeffs, c.stop - c.start)
@@ -687,18 +685,6 @@ def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarra
         return abs(minus - plus) / plus
 
     return first_failure(build, x, y)
-
-
-def riemannian_probe_of(b: AmbientBundle, directions: int) -> tuple[np.ndarray, np.ndarray]:
-    """How y-dependent is g?  Per base point (``directions`` pairs each, point-major):
-    the largest difference of g between two directions and the largest Cartan
-    entry, both relative to the largest g entry; zero for a Riemannian metric."""
-    n = b.n
-    g = b.g().reshape(-1, directions, n, n)
-    scale = np.abs(g).max(axis=(1, 2, 3))
-    deviation = np.abs(g[:, :, None] - g[:, None, :]).max(axis=(1, 2, 3, 4))
-    cartan = np.abs(b.cartan().reshape(len(scale), -1)).max(axis=1)
-    return quotient(deviation, scale), quotient(cartan, scale)
 
 
 # -- builtin zoo ----------------------------------------------------------------

@@ -112,3 +112,9 @@ def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
     """
     contracted = np.abs(np.einsum("kijp,kp->kij", b.cartan(), b.y)).max(axis=(1, 2))
     return contracted / np.abs(b.g()).max(axis=(1, 2))
+
+
+def cartan_size_of(b: AmbientBundle) -> np.ndarray:
+    """Largest entry of C relative to the largest entry of g, per sample: zero
+    exactly where g does not depend on y, as for a Riemannian metric."""
+    return quotient(np.abs(b.cartan()).max(axis=(1, 2, 3)), np.abs(b.g()).max(axis=(1, 2)))

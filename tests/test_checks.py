@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import samples_for
 from finslercheck import geodesics as geo
 from finslercheck.checks import ConfigError, Run, run_check
 from finslercheck.cli import run_config
@@ -351,18 +352,82 @@ def test_smoothness_probe_failure_names_its_sample():
     assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
 
 
-def test_conjecture_probe_names_its_failing_pair():
-    # phi has a value where r u > 0.1, so at both samples, but not at the Riemannian
-    # probe's pair (x of sample 0, y of sample 1): the record names that pair
-    profile = ExpressionProfile("sqrt(u^2*(1-r^2)+v^2)/(1-r^2) + 0*sqrt(r*u - 0.1)")
-    metric = SphericalMetric("klein_cut", profile, 1.0, -1.0)
-    samples = MetricSample.of([[0.1, 0.0], [0.0, 0.9]], [[0.3, 1.9], [0.25, 0.05]])
-    run = Run(metric, samples)
-    assert all(record.passed for record in run_check("curvature", run, {}))
+def test_conjecture_probe_reads_the_runs_ambient_bundle(monkeypatch):
+    # klein is reversible, of constant curvature and Riemannian: the probe reads the
+    # Cartan size at every sample from the ambient bundle composed from the run's one
+    # order-3 profile evaluation; the other calls are reversibility's and the kink probe's
+    klein = builtin("klein")
+    samples = samples_for(klein, n=2, count=25)
+    calls = []
+    original = SphericalMetric.phi_jets
+
+    def counting(self, r, u, v, order=2):
+        calls.append((len(r), order))
+        return original(self, r, u, v, order)
+
+    monkeypatch.setattr(SphericalMetric, "phi_jets", counting)
+    run = Run(klein, samples, checks=("conjecture",))
     [record] = run_check("conjecture", run, {})
+    assert record.passed and record.detail["riemannian"]
+    assert record.max_residual == record.detail["probe_deviation"] <= 1e-12
+    assert calls == [(50, 0), (25, 3), (8, 1)]  # the mirrored calls evaluate two triples a row
+    assert "ambient" in run._built
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.5])
+def test_conjecture_probe_fails_and_names_its_worst_sample(monkeypatch, value):
+    # a y-dependent g, or a probe with no value, at sample 3 of klein: the record
+    # fails there, and a non-finite value is counted, not lost to the finite max
+    from finslercheck import symmetry
+
+    klein = builtin("klein")
+    samples = samples_for(klein, n=2, count=25)
+
+    def planted(b):
+        sizes = np.zeros(len(b.x))
+        sizes[3] = value
+        return sizes
+
+    monkeypatch.setattr(symmetry, "cartan_size_of", planted)
+    [record] = run_check("conjecture", Run(klein, samples), {})
+    assert not record.passed and not record.detail["riemannian"]
+    assert record.worst_x == list(samples[3].x) and record.worst_y == list(samples[3].y)
+    assert record.detail.get("non_finite_residuals", 0) == (0 if value == 0.5 else 1)
+    assert record.max_residual == (value if value == 0.5 else 0.0)
+    assert record.detail["conclusion"].startswith("inconsistent" if value == 0.5 else "undecided")
+
+
+@pytest.mark.parametrize("count, origin", [(4, 2), (2 * AMBIENT_CHUNK + 10, AMBIENT_CHUNK + 5)])
+def test_origin_at_a_later_row_fails_the_ambient_checks(count, origin):
+    # the order-3 profile evaluates at x = 0, and the ambient bundle, composed from
+    # its columns, refuses that row: each chunk's rebuild of the rows before it reads
+    # only their columns
+    funk = builtin("funk")
+    rng = np.random.default_rng(4)
+    xs, ys = rng.uniform(-0.3, 0.3, (count, 2)), rng.uniform(0.5, 1.0, (count, 2))
+    xs[origin] = [0.0, 0.0]
+    samples = MetricSample.of(xs, ys)
+    run = Run(funk, samples, checks=("cartan", "symmetry_tensor", "homogeneity"))
+    assert run_check("homogeneity", run, {})[0].passed
+    for name in ("cartan", "symmetry_tensor"):
+        [record] = run_check(name, run, {})
+        assert not record.passed, name
+        assert record.worst_x == [0.0, 0.0] and record.worst_y == list(ys[origin]), name
+        assert "not differentiable at x = 0" in record.detail["evaluation_error"], name
+
+
+@pytest.mark.parametrize("phi", ["0*u", "u^2*(r - 0.5)"])
+def test_projective_pde_fails_where_F_is_not_positive(phi):
+    # phi = 0 passed projective_pde at 0.0: its homogeneity residual is NaN (with no
+    # warning), which the gate's finite max passes, so F = 0 fails the record; the
+    # gated record of a profile that is not 1-homogeneous fails at F <= 0 as well
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7))
+    [record] = run_check("projective_pde", Run(SphericalMetric("flat", ExpressionProfile(phi)), samples), {})
+    non_positive = samples.r <= (0.5 if "r" in phi else np.inf)
     assert not record.passed
-    assert record.worst_x == [0.1, 0.0] and record.worst_y == [0.25, 0.05]
-    assert "sqrt requires a positive argument" in record.detail["evaluation_error"]
+    assert record.detail["non_positive_F"] == int(non_positive.sum()) > 0
+    assert record.worst_x == list(samples[int(non_positive.argmax())].x)
+    assert ("status" in record.detail) == ("r" in phi)
 
 
 def test_kink_probe_names_its_first_failing_sample():
@@ -469,7 +534,13 @@ def test_non_projective_curvature_record_fails_without_a_pde_record():
 
 
 # the checks whose formulas presume F(x, ty) = t F(x, y), with their params
-HOMOGENEITY_GATED = {"curvature": {"lambda": 0.0}, "rapcsak": {}, "projective_pde": {}, "convexity": {}}
+HOMOGENEITY_GATED = {
+    "curvature": {"lambda": 0.0},
+    "rapcsak": {},
+    "projective_pde": {},
+    "convexity": {},
+    "geodesics": {},
+}
 
 
 @pytest.mark.parametrize(
@@ -483,7 +554,7 @@ HOMOGENEITY_GATED = {"curvature": {"lambda": 0.0}, "rapcsak": {}, "projective_pd
 )
 def test_curvature_refuses_a_profile_that_is_not_1_homogeneous(check, phi, degree):
     # curvature read "constant, lambda = 0" on each of these, and rapcsak,
-    # projective_pde and convexity passed, while the homogeneity check failed
+    # projective_pde, convexity and geodesics passed, while the homogeneity check failed
     metric = SphericalMetric("inhomogeneous", ExpressionProfile(phi))
     run = Run(metric, sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7)))
     [homogeneity] = run_check("homogeneity", run, {})

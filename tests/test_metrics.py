@@ -29,7 +29,6 @@ from finslercheck.metrics import (
     quotient,
     relative_residual,
     reversibility_residuals,
-    riemannian_probe_of,
 )
 from finslercheck.sampling import SampleSpec, sample_domain
 
@@ -613,30 +612,6 @@ class TestReversibility:
         assert reversibility_at(builtin("euclidean"), [0.5, 0.0], [0.6, 0.8]) == 0.0
 
 
-class TestRiemannianProbe:
-    def _directions(self):
-        return [np.array(d) for d in ([1.0, 0.0], [0.0, 1.0], [0.6, 0.8], [-0.7, 0.4])]
-
-    def _probe(self, metric):
-        """(g deviation, Cartan maximum) at x = (0.5, 0.1) over the four directions."""
-        ys = self._directions()
-        b = AmbientBundle.of(metric, np.array([[0.5, 0.1]] * len(ys)), np.array(ys))
-        return tuple(float(a[0]) for a in riemannian_probe_of(b, len(ys)))
-
-    def test_klein_riemannian(self):
-        g_deviation, cartan_max = self._probe(builtin("klein"))
-        assert g_deviation <= 1e-9
-        assert cartan_max <= 1e-9
-
-    def test_funk_not_riemannian(self):
-        g_deviation, _ = self._probe(builtin("funk"))
-        assert g_deviation > 0.01
-
-    def test_euclidean_zero(self):
-        g_deviation, _ = self._probe(builtin("euclidean"))
-        assert g_deviation <= 1e-15  # c_yy combines 1/u^2 with u/u^3: rounding only
-
-
 class TestBuiltins:
     def test_zoo_metadata(self):
         assert builtin_names() == ["berwald", "bryant", "euclidean", "funk", "klein", "spherical"]
@@ -821,9 +796,13 @@ class TestComposedAmbientJet:
         monkeypatch.setattr(FamilyProfile, "jet", counting_jet)
         monkeypatch.setattr(metrics, "compose_multivariate", counting_compose)
         AmbientBundle.of(metric, x, y, 3)
-        assert widths == [2 * chunk + 10]  # one phi_jets call over every row
+        assert widths == [chunk, chunk, 10]  # one phi_jets call per chunk, over its rows
         # per chunk, (r, u, v) -> (rho, mu, v) -> ambient, all its columns at once
         assert composed == [(chunk,), (chunk,)] * 2 + [(10,), (10,)]
+        widths.clear()
+        columns = ProfileBundle.of(metric, x, y, 3).columns
+        AmbientBundle.of(metric, x, y, 3, columns)
+        assert widths == [2 * chunk + 10]  # the profile bundle's one call; the chunks read its columns
 
     def test_origin_is_refused(self):
         with pytest.raises(JetDomainError, match="not differentiable at x = 0"):
@@ -964,12 +943,13 @@ class TestChunkedAmbientBundle:
         assert widths == [chunk, chunk, 5]
 
     def test_indexed_error_in_a_later_chunk_names_its_sample(self, monkeypatch):
-        # a family profile error with an index counts triples of the bundle's one
-        # phi_jets call over all rows; only the rows before it are evaluated again,
-        # as one batch, and no chunk is composed
+        # a family profile error with an index counts the triples of its phi_jets call:
+        # the run's one call over all rows, or the failing chunk's own; only the rows
+        # before it are evaluated again, as one batch
         from finslercheck.family import FamilyProfile, QuadratureError
 
         metric = AMBIENT_CASES["family"][0]()
+        chunk = AMBIENT_CHUNK
         original, evaluated = FamilyProfile.jet, []
 
         def jet(self, r, u, v, order):
@@ -983,14 +963,19 @@ class TestChunkedAmbientBundle:
 
         monkeypatch.setattr(FamilyProfile, "jet", jet)
         rng = np.random.default_rng(3)
-        xs, ys = rng.uniform(-0.3, 0.3, (40, 2)), rng.uniform(0.5, 1.0, (40, 2))
-        xs[30] = [0.7, 0.0]
+        xs, ys = rng.uniform(-0.3, 0.3, (2 * chunk + 20, 2)), rng.uniform(0.5, 1.0, (2 * chunk + 20, 2))
+        xs[chunk + 30] = [0.7, 0.0]
         samples = MetricSample.of(xs, ys)
         widths = _ambient_widths(monkeypatch)
         with pytest.raises(QuadratureError) as err:
+            Run(metric, samples, checks=("cartan",)).ambient
+        assert same_pair(err.value.sample, samples[chunk + 30])
+        assert evaluated == [2 * chunk + 20, chunk + 30] and widths == []  # no chunk is composed
+        evaluated.clear()
+        with pytest.raises(QuadratureError) as err:
             Run(metric, samples).ambient
-        assert same_pair(err.value.sample, samples[30])
-        assert evaluated == [40, 30] and widths == []
+        assert same_pair(err.value.sample, samples[chunk + 30])
+        assert evaluated == [chunk, chunk, 30] and widths == [chunk, chunk, 30]
 
     def test_no_ambient_jet_lifts_more_than_a_chunk(self, monkeypatch):
         chunk = AMBIENT_CHUNK

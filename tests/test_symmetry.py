@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import make_metric, samples_for
 from finslercheck.checks import Run, run_check
 from finslercheck.metrics import (
     AmbientBundle,
+    ExpressionProfile,
     GeneralMetric,
     MetricSample,
+    SphericalMetric,
     builtin,
     bundle_of,
     fundamental_tensor,
@@ -18,6 +21,7 @@ from finslercheck.sampling import SampleSpec, sample_domain
 from finslercheck.symmetry import (
     RotationField,
     cartan_contraction_of,
+    cartan_size_of,
     killing_tensor_max_residual,
     killing_tensor_residuals,
     killing_tensor_terms,
@@ -212,6 +216,44 @@ class TestCartan:
         [c] = cartan(builtin("funk"), (np.array([0.5, 0.0]), np.array([0.8, 0.6])))
         for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
             assert np.abs(c - np.transpose(c, perm)).max() < 1e-14
+
+
+class TestCartanSize:
+    @pytest.mark.parametrize(
+        "name, riemannian",
+        [("klein", True), ("spherical", True), ("euclidean", True), ("funk", False), ("berwald", False)],
+    )
+    def test_builtins(self, name, riemannian):
+        metric = make_metric(name)
+        rows = samples_for(metric, n=2, count=60)
+        sizes = cartan_size_of(AmbientBundle.of(metric, rows.x, rows.y))
+        assert sizes.max() <= 1e-12 if riemannian else sizes.max() >= 1.0
+
+    @given(
+        n=st.sampled_from([2, 3]),
+        a=st.floats(min_value=0.0, max_value=0.3),
+        b=st.floats(min_value=0.0, max_value=0.3),
+    )
+    def test_riemannian_profiles_read_zero(self, n, a, b):
+        # g of sqrt(u^2 (1 + a r^2) + b v^2) is a quadratic form in y at each x
+        sizes = _cartan_sizes(f"sqrt(u^2*(1 + {a!r}*r^2) + {b!r}*v^2)", n)
+        assert sizes.max() <= 1e-12
+
+    @given(
+        n=st.sampled_from([2, 3]),
+        c=st.floats(min_value=0.05, max_value=0.3),
+        d=st.floats(min_value=-0.3, max_value=0.3),
+    )
+    def test_reversible_non_riemannian_profiles_read_their_cartan_tensor(self, n, c, d):
+        # u (1 + d r^2) + c v^2/u is even in y, and its g depends on y
+        assert _cartan_sizes(f"u*(1 + {d!r}*r^2) + {c!r}*v^2/u", n).max() >= 1e-3
+
+
+def _cartan_sizes(phi, n):
+    """``cartan_size_of`` the profile phi at 20 samples in dimension n."""
+    metric = SphericalMetric("profile", ExpressionProfile(phi))
+    rows = sample_domain(SampleSpec.for_metric(n=n, count=20, seed=7))
+    return cartan_size_of(AmbientBundle.of(metric, rows.x, rows.y))
 
 
 def symmetry_record(metric, samples):
