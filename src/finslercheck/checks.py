@@ -9,7 +9,8 @@ takes the run's ``Run``, which builds each derivative bundle of the samples
 build fails, and shares the bundle (or the error) with every later check.
 Each runner builds its records straight from the per-sample formulas over
 those bundles (``symmetry``, ``projective`` and the bundles' own methods),
-reduced by ``metrics.worst_residual``.
+reduced by ``metrics.worst_residual``; ``run_check`` applies the preconditions they
+share, the homogeneity gate ``CHECKS`` declares and the F <= 0 rule.
 ``CHECKS`` is the one table of the checks: each name's runner, default
 tolerance, what it reads of the run and the params it takes.  ``read_object``
 reads a JSON object of a config, such as a check's params, against the table
@@ -41,6 +42,7 @@ from .metrics import (
     ambient_invariants,
     cholesky_rows,
     mirrored_phi_jets,
+    quotient,
     relative_residual,
     reversibility_residuals,
     worst_residual,
@@ -174,22 +176,16 @@ class Run:
         return self.profile if isinstance(self.metric, SphericalMetric) else self.ambient
 
 
-def _record(check, run, worst, at, tol, detail=None, passed=None, F=None, samples=None):
-    """One record naming the sample ``at``, over ``samples`` (default: the run's).
-    Any F <= 0 in ``F`` (F at each sample) fails it and names the first such sample."""
+def _record(check, run, worst, at, tol, detail=None, passed=None, samples=None):
+    """One record naming the sample ``at``, over ``samples`` (default: the run's)."""
     samples = run.samples if samples is None else samples
-    detail = dict(detail or {})
     passed = worst <= tol if passed is None else passed
-    non_positive = np.asarray(F if F is not None else ()) <= 0.0
-    if non_positive.any():
-        detail["non_positive_F"] = int(non_positive.sum())
-        at, passed = samples[non_positive.argmax()], False
     return CheckRecord(
-        check, run.metric.name, len(samples), worst, tol, passed, list(at.x), list(at.y), detail
+        check, run.metric.name, len(samples), worst, tol, passed, list(at.x), list(at.y), dict(detail or {})
     )
 
 
-def _worst_record(check, run, values, tol, detail=None, failed=(), F=None, samples=None):
+def _worst_record(check, run, values, tol, detail=None, failed=(), samples=None):
     """Record of one residual per sample: passes if all finite and all <= tol.
     A sample flagged in ``failed`` fails it, and the first one is named."""
     samples = run.samples if samples is None else samples
@@ -201,19 +197,16 @@ def _worst_record(check, run, values, tol, detail=None, failed=(), F=None, sampl
     if failed.any():
         at = int(failed.argmax())
     passed = not failed.any() and non_finite == 0 and worst <= tol
-    return _record(check, run, worst, samples[at], tol, detail, passed, F, samples)
+    return _record(check, run, worst, samples[at], tol, detail, passed, samples)
 
 
-def _gated(check, run, tol, *gates, F=None):
-    """The one failed record of ``check``, whose formulas presume a 1-homogeneous F (and
-    what the ``gates`` test, each (status, key, residual per sample)), at the first of
-    ``run.homogeneity`` and the gates whose worst exceeds 1e-6: it names the worst
-    sample, or the first with F <= 0 in ``F``.  None when every precondition holds."""
-    for status, key, values in (("not_homogeneous", "homogeneity_residual", run.homogeneity), *gates):
-        worst, at, _ = worst_residual(values)
-        if worst > 1e-6:
-            detail = {"status": status, key: worst}
-            return [_record(check, run, worst, run.samples[at], tol, detail, False, F)]
+def _gated(check, run, tol, status, key, values):
+    """The one failed record of ``check``, whose formulas presume what ``values`` (a
+    residual per sample) tests, when their worst exceeds 1e-6: it names the worst
+    sample.  None when the precondition holds."""
+    worst, at, _ = worst_residual(values)
+    if worst > 1e-6:
+        return [_record(check, run, worst, run.samples[at], tol, {"status": status, key: worst}, False)]
     return None
 
 
@@ -223,14 +216,11 @@ def check_homogeneity(run, tol, params):
 
 def check_convexity(run, tol, params):
     b = run.profile
-    if gated := _gated("convexity", run, tol, F=b.F):
-        return gated
     _, failed = cholesky_rows(b.g())
     fraction = int(failed.sum()) / len(run.samples)
     detail = {"lemma_ok_fraction": int(b.convexity_lemma().sum()) / len(run.samples)}
-    # the first failing sample, or the first sample when none fails; F <= 0 fails
-    # too, as g (of F^2) is blind to the sign of F
-    return [_record("convexity", run, fraction, run.samples[failed.argmax()], tol, detail, F=b.F)]
+    # the first failing sample, or the first sample when none fails
+    return [_record("convexity", run, fraction, run.samples[failed.argmax()], tol, detail)]
 
 
 def check_symmetry(run, tol, params):
@@ -251,32 +241,25 @@ def check_symmetry(run, tol, params):
     detail = {"fields_tested": len(fields), "worst_field": list(field), "conclusion": conclusion}
     if non_finite:
         detail["non_finite_residuals"] = non_finite
-    return [_record("symmetry", run, worst, run.samples[at], tol, detail, passed, b.F)]
+    return [_record("symmetry", run, worst, run.samples[at], tol, detail, passed)]
 
 
 def check_symmetry_tensor(run, tol, params):
     b = run.ambient
     values = sym.symmetry_tensor_of(b, sym.rotation_fields(b.n))
-    return [_worst_record("symmetry_tensor", run, values, tol, F=b.F)]
+    return [_worst_record("symmetry_tensor", run, values, tol)]
 
 
 def check_cartan(run, tol, params):
-    b = run.ambient
-    return [_worst_record("cartan", run, sym.cartan_contraction_of(b), tol, F=b.F)]
+    return [_worst_record("cartan", run, sym.cartan_contraction_of(run.ambient), tol)]
 
 
 def check_rapcsak(run, tol, params):
-    b = run.first_order
-    return _gated("rapcsak", run, tol, F=b.F) or [
-        _worst_record("rapcsak", run, b.rapcsak_residuals().max(axis=1), tol, F=b.F)
-    ]
+    return [_worst_record("rapcsak", run, run.first_order.rapcsak_residuals().max(axis=1), tol)]
 
 
 def check_projective_pde(run, tol, params):
-    b = run.profile
-    return _gated("projective_pde", run, tol, F=b.F) or [
-        _worst_record("projective_pde", run, np.maximum(*proj.projective_pde_of(b)), tol, F=b.F)
-    ]
+    return [_worst_record("projective_pde", run, np.maximum(*proj.projective_pde_of(run.profile)), tol)]
 
 
 def check_curvature(run, tol, params):
@@ -286,15 +269,15 @@ def check_curvature(run, tol, params):
     The estimate is the median of the finite pointwise lambdas (robust to a few
     near-singular samples; None if there are none); the deviation is the max
     (strictest).  The PDE residuals are evaluated at the hypothesis when given,
-    else at the estimate.  A homogeneity or Rapcsak residual over 1e-6 means the
-    profile is not 1-homogeneous or the metric not projective, which the curvature
-    formulas presume: then the one record fails and names the worst sample.  A
-    non-finite projectivity gate or lambda fails the check.
+    else at the estimate.  A Rapcsak residual over 1e-6 means the metric is not
+    projective, which the curvature formulas presume (as they do a 1-homogeneous
+    profile, which ``run_check`` gates): then the one record fails and names the
+    worst sample.  A non-finite projectivity gate or lambda fails the check.
     """
     lam = params["lambda"]
     b = run.profile
     gate = b.rapcsak_residuals().max(axis=1)
-    if gated := _gated("curvature", run, tol, ("not_projective", "projectivity_residual", gate)):
+    if gated := _gated("curvature", run, tol, "not_projective", "projectivity_residual", gate):
         return gated
     values = proj.flag_curvature_of(b)
     finite = values[np.isfinite(values)]
@@ -333,8 +316,8 @@ def check_det_g(run, tol, params):
 
 def check_fundamental_ad(run, tol, params):
     closed, ambient = run.profile.g(), run.ambient
-    values = np.abs(closed - ambient.g()).max(axis=(1, 2)) / np.abs(closed).max(axis=(1, 2))
-    return [_worst_record("fundamental_ad", run, values, tol, F=ambient.F)]
+    values = quotient(np.abs(closed - ambient.g()).max(axis=(1, 2)), np.abs(closed).max(axis=(1, 2)))
+    return [_worst_record("fundamental_ad", run, values, tol)]
 
 
 def check_reversibility(run, tol, params):
@@ -344,10 +327,7 @@ def check_reversibility(run, tol, params):
 def check_geodesics(run, tol, params):
     """Straightness of integrated geodesics, all launched as one batch; a path
     that stopped early, or a launch point at |x| >= 0.95 of the domain radius,
-    fails the check and names its launch sample.  Gated on homogeneity, which the
-    spray presumes."""
-    if gated := _gated("geodesics", run, tol):
-        return gated
+    fails the check and names its launch sample."""
     metric = run.metric
     count, steps, horizon = params["count"], params["steps"], params["horizon"]
     launched = run.samples[:count]
@@ -458,22 +438,24 @@ _GEODESIC_PARAMS = {
 
 # name -> (runner, default tolerance, the ``Run`` items it reads, its params).  ``profile``
 # and ``reversibility`` evaluate phi, so a check reading either needs a spherical metric;
-# ``first_order`` is the profile bundle of a spherical metric, else the ambient one.
+# ``first_order`` is the profile bundle of a spherical metric, else the ambient one.  A
+# check whose formulas presume a 1-homogeneous F reads ``homogeneity``: ``run_check``
+# gates it on that residual, and fails every record of every check where F <= 0.
 # ``run_check`` gives a runner every param it declares and refuses any other key.
 CHECKS = {
-    "homogeneity": (check_homogeneity, 1e-9, ("profile",), {}),
-    "convexity": (check_convexity, 0.0, ("profile",), {}),
+    "homogeneity": (check_homogeneity, 1e-9, ("first_order",), {}),
+    "convexity": (check_convexity, 0.0, ("homogeneity", "profile"), {}),
     "symmetry": (check_symmetry, 1e-9, ("first_order",), {}),
     "symmetry_tensor": (check_symmetry_tensor, 1e-8, ("ambient",), {}),
     "cartan": (check_cartan, 1e-9, ("ambient",), {}),
-    "rapcsak": (check_rapcsak, 1e-8, ("first_order",), {}),
-    "projective_pde": (check_projective_pde, 1e-8, ("profile",), {}),
-    "curvature": (check_curvature, 1e-6, ("profile",), _CURVATURE_PARAMS),
+    "rapcsak": (check_rapcsak, 1e-8, ("homogeneity", "first_order"), {}),
+    "projective_pde": (check_projective_pde, 1e-8, ("homogeneity", "profile"), {}),
+    "curvature": (check_curvature, 1e-6, ("homogeneity", "profile"), _CURVATURE_PARAMS),
     "det_g": (check_det_g, 1e-8, ("profile",), {}),
     "fundamental_ad": (check_fundamental_ad, 1e-9, ("profile", "ambient"), {}),
     "reversibility": (check_reversibility, 1e-9, ("reversibility",), {}),
-    "geodesics": (check_geodesics, 1e-6, ("first_order",), _GEODESIC_PARAMS),
-    "conjecture": (check_conjecture, 1e-8, ("reversibility", "profile", "ambient"), {}),
+    "geodesics": (check_geodesics, 1e-6, ("homogeneity", "first_order"), _GEODESIC_PARAMS),
+    "conjecture": (check_conjecture, 1e-8, ("homogeneity", "reversibility", "profile", "ambient"), {}),
 }
 
 CHECK_NAMES = sorted(CHECKS)
@@ -485,7 +467,9 @@ def run_check(name, run, params):
     """Run one named check over ``run`` with its ``params`` checked against its declared
     ones; sharing one ``Run`` across a run's checks builds each bundle at most once.  An
     evaluation failure at one of the samples fails the check with one record naming that
-    sample (``detail.evaluation_error``)."""
+    sample (``detail.evaluation_error``).  A check that reads ``homogeneity`` gets one failed
+    record (``status: not_homogeneous``) where that residual exceeds 1e-6; F <= 0 at any of
+    a record's samples fails it and names the first (``detail.non_positive_F`` counts them)."""
     if name not in CHECKS:
         raise ConfigError(f"unknown check '{name}'")
     runner, _, reads, _ = CHECKS[name]
@@ -494,8 +478,19 @@ def run_check(name, run, params):
     params = read_object(params, CHECKS[name][3], name)
     tol = run.tolerance(name)
     try:
-        return runner(run, tol, params)
+        records = None
+        if "homogeneity" in reads:
+            records = _gated(name, run, tol, "not_homogeneous", "homogeneity_residual", run.homogeneity)
+        records = records or runner(run, tol, params)
+        F = run.first_order.F
     except EvaluationError as err:
         if getattr(err, "sample", None) is None:
             raise
         return [_record(name, run, 0.0, err.sample, tol, {"evaluation_error": str(err)}, False)]
+    for record in records:  # over its samples, a prefix of the run's
+        non_positive = F[: record.samples] <= 0.0
+        if non_positive.any():
+            at = run.samples[int(non_positive.argmax())]
+            record.detail["non_positive_F"] = int(non_positive.sum())
+            record.passed, record.worst_x, record.worst_y = False, list(at.x), list(at.y)
+    return records

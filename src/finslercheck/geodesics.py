@@ -65,27 +65,6 @@ def _rk4_step(metric, x, y, h):
     return x, y
 
 
-def _step_rows(metric, x, y, h):
-    """(x, y, errors) after one RK4 step of every row.  While the step raises, the
-    row at the error's ``index`` (one whose own step raises) gets a NaN state and
-    the error's text in ``errors`` (row -> text), and the other rows take the step
-    again as one batch."""
-    try:
-        return (*_rk4_step(metric, x, y, h), {})
-    except EvaluationError as err:
-        errors = {err.index: str(err)}
-        rows = np.delete(np.arange(len(x)), err.index)
-    nx, ny = np.full_like(x, np.nan), np.full_like(y, np.nan)
-    while rows.size:
-        try:
-            nx[rows], ny[rows] = _rk4_step(metric, x[rows], y[rows], h[rows])
-            break
-        except EvaluationError as err:
-            errors[int(rows[err.index])] = str(err)
-            rows = np.delete(rows, err.index)
-    return nx, ny, errors
-
-
 def integrate_geodesics(metric, x0, y0, horizons, steps: int) -> list[GeodesicPath]:
     """Fixed-step RK4 on (x', y') = (y, -2 G(x, y)) from each start, a row of the
     (N, n) arrays x0 and y0, over its own horizon, ``steps`` steps each.
@@ -107,19 +86,28 @@ def integrate_geodesics(metric, x0, y0, horizons, steps: int) -> list[GeodesicPa
     reasons = [None] * len(x)
     running = np.arange(len(x))
     rows, h_rows = slice(None), h[:, None]  # while every path runs, its rows are all rows
+
+    def stop(keep, k, reason):
+        """Stop each running path outside the mask ``keep`` after k steps, for ``reason``."""
+        nonlocal x, y, running, rows, h_rows
+        for path in running[~keep].tolist():
+            completed[path], reasons[path] = k, reason
+        x, y, running = x[keep], y[keep], running[keep]
+        rows, h_rows = running, h[running, None]
+
     for k in range(steps):
         if not running.size:
             break
-        x, y, errors = _step_rows(metric, x, y, h_rows)
-        # |x| < radius, and False for a NaN state: a failed or non-finite step stops its path
+        while running.size:
+            try:
+                x, y = _rk4_step(metric, x, y, h_rows)
+                break
+            except EvaluationError as err:  # the path it names stops; the others step again
+                stop(np.arange(len(running)) != err.index, k, str(err))
+        # |x| < radius, and False for a NaN state: a non-finite step stops its path
         keep = np.sqrt(np.vecdot(x, x)) < metric.domain_radius
         if np.count_nonzero(keep) < len(keep):
-            for row in np.flatnonzero(~keep).tolist():
-                path = running[row]
-                completed[path] = k
-                reasons[path] = errors.get(row, f"left the domain (|x| >= {metric.domain_radius})")
-            x, y, running = x[keep], y[keep], running[keep]
-            rows, h_rows = running, h[running, None]
+            stop(keep, k, f"left the domain (|x| >= {metric.domain_radius})")
         points[rows, k + 1], velocities[rows, k + 1] = x, y
     paths = []
     for i, done in enumerate(completed):

@@ -676,13 +676,13 @@ def mirrored_phi_jets(metric: SphericalMetric, r, u, w, order: int):
 
 def reversibility_residuals(metric: SphericalMetric, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """|phi(r,u,-v) - phi(r,u,v)| / phi(r,u,v) at the rows of x and y, zero iff
-    F(x,-y) = F(x,y): one order-0 ``mirrored_phi_jets``.  An error names its lowest
-    failing row (``jets.first_failure``)."""
+    F(x,-y) = F(x,y) and NaN where phi = 0: one order-0 ``mirrored_phi_jets``.  An error
+    names its lowest failing row (``jets.first_failure``)."""
 
     def build(x, y):
         r, u, v = invariant_rows(x, y)
         [plus], [minus] = mirrored_phi_jets(metric, r, u, v, 0)
-        return abs(minus - plus) / plus
+        return abs(minus - plus) / np.where(plus == 0.0, np.nan, plus)
 
     return first_failure(build, x, y)
 

@@ -60,9 +60,9 @@ def _q_partials(b: ProfileBundle):
 
 
 def p_of(b: ProfileBundle):
-    """(P, P_r, P_u, P_v) for the projective factor P = Q / (2 phi)."""
+    """(P, P_r, P_u, P_v) for the projective factor P = Q / (2 phi), NaN where phi = 0."""
     q, q_r, q_u, q_v = _q_partials(b)
-    phi = b.phi
+    phi = np.where(b.phi == 0.0, np.nan, b.phi)
     den = 2.0 * phi * phi
     return (
         q / (2.0 * phi),
@@ -73,7 +73,7 @@ def p_of(b: ProfileBundle):
 
 
 def flag_curvature_of(b: ProfileBundle) -> np.ndarray:
-    """lambda = (P^2 - P_{x^k} y^k) / F^2 with P_{x^k} y^k = P_r v/r + P_v u^2."""
+    """lambda = (P^2 - P_{x^k} y^k) / F^2 with P_{x^k} y^k = P_r v/r + P_v u^2 (NaN where F = 0)."""
     p, p_r, _, p_v = p_of(b)
     p_xy = p_r * b.v / b.r + p_v * b.u * b.u
     return (p * p - p_xy) / (b.phi * b.phi)

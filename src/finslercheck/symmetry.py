@@ -108,10 +108,10 @@ def cartan_contraction_of(b: AmbientBundle) -> np.ndarray:
 
     Zero because g is 0-homogeneous in y; g sets the scale since a failed
     identity would leave C_ijp y^p at g's magnitude (and a Riemannian
-    metric's C is pure rounding noise, so C cannot set its own scale).
+    metric's C is pure rounding noise, so C cannot set its own scale); 0 where g = 0.
     """
     contracted = np.abs(np.einsum("kijp,kp->kij", b.cartan(), b.y)).max(axis=(1, 2))
-    return contracted / np.abs(b.g()).max(axis=(1, 2))
+    return quotient(contracted, np.abs(b.g()).max(axis=(1, 2)))
 
 
 def cartan_size_of(b: AmbientBundle) -> np.ndarray:

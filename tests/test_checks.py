@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import samples_for
 from finslercheck import geodesics as geo
-from finslercheck.checks import ConfigError, Run, run_check
+from finslercheck.checks import CHECKS, ConfigError, Run, run_check
 from finslercheck.cli import run_config
 from finslercheck.jets import EvaluationError
 from finslercheck.metrics import (
@@ -149,6 +150,23 @@ def test_convexity_fails_a_negative_F():
     assert not record.passed
     assert record.detail["non_positive_F"] == 5
     assert record.worst_x == list(samples[0].x)
+
+
+@pytest.mark.parametrize("phi", ["0*u", "-u"])
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_fails_where_F_is_not_positive(check, phi):
+    # F = 0 and F = -u have every value the checks' formulas need, and passed 7 records
+    # in all (det_g on both; curvature, curvature_pde, homogeneity, reversibility and
+    # conjecture on -u); five checks divided 0 by 0 on F = 0
+    metric = SphericalMetric("non_positive", ExpressionProfile(phi), 1.0)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7, domain_radius=1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_check(check, Run(metric, samples), {})
+    for record in records:
+        assert not record.passed, record.check
+        assert record.detail["non_positive_F"] == 10, record.check
+        assert (record.worst_x, record.worst_y) == (list(samples[0].x), list(samples[0].y)), record.check
 
 
 def test_convexity_names_the_first_sample_whose_g_does_not_factorise():
@@ -355,7 +373,8 @@ def test_smoothness_probe_failure_names_its_sample():
 def test_conjecture_probe_reads_the_runs_ambient_bundle(monkeypatch):
     # klein is reversible, of constant curvature and Riemannian: the probe reads the
     # Cartan size at every sample from the ambient bundle composed from the run's one
-    # order-3 profile evaluation; the other calls are reversibility's and the kink probe's
+    # order-3 profile evaluation, which the homogeneity gate builds first; the other
+    # calls are reversibility's and the kink probe's
     klein = builtin("klein")
     samples = samples_for(klein, n=2, count=25)
     calls = []
@@ -370,7 +389,7 @@ def test_conjecture_probe_reads_the_runs_ambient_bundle(monkeypatch):
     [record] = run_check("conjecture", run, {})
     assert record.passed and record.detail["riemannian"]
     assert record.max_residual == record.detail["probe_deviation"] <= 1e-12
-    assert calls == [(50, 0), (25, 3), (8, 1)]  # the mirrored calls evaluate two triples a row
+    assert calls == [(25, 3), (50, 0), (8, 1)]  # the mirrored calls evaluate two triples a row
     assert "ambient" in run._built
 
 
@@ -540,6 +559,7 @@ HOMOGENEITY_GATED = {
     "projective_pde": {},
     "convexity": {},
     "geodesics": {},
+    "conjecture": {},
 }
 
 
@@ -553,8 +573,9 @@ HOMOGENEITY_GATED = {
     ],
 )
 def test_curvature_refuses_a_profile_that_is_not_1_homogeneous(check, phi, degree):
-    # curvature read "constant, lambda = 0" on each of these, and rapcsak,
-    # projective_pde, convexity and geodesics passed, while the homogeneity check failed
+    # curvature read "constant, lambda = 0" on each of these, rapcsak, projective_pde,
+    # convexity and geodesics passed, and conjecture passed with "curvature is not
+    # constant, no claim applies", while the homogeneity check failed
     metric = SphericalMetric("inhomogeneous", ExpressionProfile(phi))
     run = Run(metric, sample_domain(SampleSpec.for_metric(n=2, count=10, seed=7)))
     [homogeneity] = run_check("homogeneity", run, {})
@@ -578,6 +599,16 @@ def test_rapcsak_refuses_a_general_metric_that_is_not_1_homogeneous(formula):
     assert record.detail.get("non_positive_F", 0) == int(non_positive.sum())
     if non_positive.any():  # 14 of the 20 samples
         assert record.worst_x == list(samples.x[non_positive.argmax()])
+
+
+@pytest.mark.parametrize("formula, passed", [("sqrt(y1^2 + y2^2) + 0.3*x1*y1", True), ("y1^2 + y2^2", False)])
+def test_homogeneity_reads_a_general_metrics_euler_residual(formula, passed):
+    # the ambient Euler residual |F_y . y - F| / |F|: rounding for a Randers metric,
+    # 2 - 1 at every sample for a quadratic F (a config error before it was read)
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=20, seed=7))
+    [record] = run_check("homogeneity", Run(GeneralMetric.from_expression(formula, 2), samples), {})
+    assert record.passed == passed
+    assert record.max_residual == pytest.approx(0.0 if passed else 1.0, abs=1e-15)
 
 
 def _funk_integrand():
@@ -813,3 +844,22 @@ def test_non_positive_F_fails_and_names_its_first_sample(shift):
         if bad:
             assert not record.passed, check
             assert record.worst_x == list(samples[bad[0]].x), check
+
+
+@given(st.floats(min_value=0.0, max_value=2.5))
+def test_non_positive_profile_fails_every_check_and_names_its_first_sample(shift):
+    # phi = u (r - c) is positive exactly where r > c; each record counts the samples
+    # it reads (the launched ones, for geodesics) where r <= c and names the first
+    metric = SphericalMetric("shifted", ExpressionProfile(f"u*(r-{shift!r})"))
+    samples = sample_domain(SampleSpec.for_metric(n=2, count=8, seed=5))
+    run = Run(metric, samples, checks=tuple(CHECKS))
+    for check in CHECKS:
+        params = {"count": 3, "steps": 4} if check == "geodesics" else {}
+        for record in run_check(check, run, params):
+            if "evaluation_error" in record.detail:
+                continue
+            bad = np.flatnonzero(samples.r[: record.samples] <= shift)
+            assert record.detail.get("non_positive_F", 0) == len(bad), record.check
+            if bad.size:
+                assert not record.passed, record.check
+                assert record.worst_x == list(samples[bad[0]].x), record.check

@@ -1,7 +1,7 @@
 """README's library sketch and module paragraph cite names that exist, its check
-table lists the checks with their default tolerances, its params table lists
-the checks' params with their defaults, and its config table lists every other
-key the config reader declares."""
+table lists the checks with their default tolerances, its list of homogeneity-gated
+checks is the check table's, its params table lists the checks' params with their
+defaults, and its config table lists every other key the config reader declares."""
 
 import importlib
 import json
@@ -65,6 +65,15 @@ def test_readme_check_table_matches_the_check_table():
         for entry in extra:
             key, tol = entry.split()
             assert float(tol) == DEFAULT_TOLERANCES[key.strip("`")], name
+
+
+def test_readme_lists_the_homogeneity_gated_checks_of_the_check_table():
+    # the checks named before "presume a 1-homogeneous F" are those whose declared
+    # reads include ``homogeneity``, the gate ``run_check`` applies
+    text = README.read_text()
+    end = text.index("presume a 1-homogeneous F")
+    listed = re.findall(r"`(\w+)`", text[text.rindex("\n\n", 0, end) : end])
+    assert sorted(listed) == sorted(name for name, entry in CHECKS.items() if "homogeneity" in entry[2])
 
 
 def test_readme_params_table_matches_the_declared_params():
